@@ -90,7 +90,7 @@ def cmd_series(args) -> int:
         results = {}
         if args.source in ("bruteforce", "both"):
             results["bruteforce"] = unfolding_series_bruteforce(
-                standard_folding(family), L, workers=args.workers, budget=args.budget
+                standard_folding(family), L, budget=args.budget
             )
         if args.source in ("formula", "both"):
             results["formula"] = unfolding_closed_form(family, L, "product")
@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
         cases = [c for c in cases if c.param("n") in args.n]
     if not cases:
         return _usage_error("the requested grid is empty")
-    job = VerificationJob(cases, budget=args.budget, workers=args.workers)
+    job = VerificationJob(cases, budget=args.budget)
     cache_dir = args.cache if args.cache else default_cache_dir()
     report = run_job(job, cache_dir=cache_dir)
     for line in report.summary_lines():
@@ -192,9 +192,7 @@ def cmd_reiner(args) -> int:
     label = f"affine-B{args.n}" if args.type == "affB" else f"affine-C{args.n}"
     try:
         system = build_system(label)
-        brute = reiner_stats_bruteforce(
-            system, args.max_len, workers=args.workers, budget=args.budget
-        )
+        brute = reiner_stats_bruteforce(system, args.max_len, budget=args.budget)
         formula = reiner_distribution(args.type, args.n, args.max_len)
     except (InvalidParameters, UnsupportedLabel) as exc:
         return _usage_error(str(exc))
@@ -272,6 +270,8 @@ def cmd_bruhat_dot(args) -> int:
         system = build_system(args.group)
     except (UnsupportedLabel, CoxfoldError) as exc:
         return _usage_error(str(exc))
+    if args.group.startswith("affine-") and args.max_len is None:
+        return _usage_error(f"{args.group} is infinite: --max-len is required")
     folding = None
     if args.folding:
         try:
@@ -300,7 +300,9 @@ def cmd_catalog(args) -> int:
 def _add_common(p, with_format=True):
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="element budget")
-    p.add_argument("--workers", type=int, default=1, help="worker count for enumeration")
+    p.add_argument(
+        "--workers", type=int, default=1, help="accepted; enumeration is single-threaded"
+    )
     if with_format:
         p.add_argument(
             "--format", choices=("text", "json", "csv"), default="text", help="output format"
@@ -347,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reiner)
 
     p = sub.add_parser("bruhat-dot", help="Bruhat order Hasse diagram as DOT")
-    p.add_argument("--group", required=True, help="finite group label, e.g. A3")
+    p.add_argument(
+        "--group", required=True, help="group label, e.g. A3; affine groups need --max-len"
+    )
     p.add_argument("--folding", help="family name or source group label, e.g. B2")
     p.add_argument("--n", type=int, help="family parameter n (with a family name)")
     p.add_argument("--m", type=int, help="family parameter m")
@@ -365,6 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        return _usage_error("--workers must be at least 1")
+    if getattr(args, "max_len", None) is not None and args.max_len < 0:
+        return _usage_error("--max-len must be non-negative")
     return args.func(args)
 
 

@@ -28,7 +28,6 @@ Bond order 0 in a Coxeter matrix encodes an infinite bond.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -557,87 +556,71 @@ def word_string(system: CoxeterSystem, word: Sequence[int]) -> str:
     return " ".join(system.generator_name(i) for i in word)
 
 
-def _split_chunks(items, workers):
-    if workers <= 1 or len(items) <= 1:
-        return [items]
-    size = (len(items) + workers - 1) // workers
-    return [items[t : t + size] for t in range(0, len(items), size)]
-
-
-def _bfs_layers(
+def _bfs(
     system: CoxeterSystem,
     max_len: Optional[int],
     budget: int,
-    workers: int,
-    with_words: bool,
-    gens: Optional[Sequence[int]] = None,
-):
-    """Yield (length, sorted [(key/data, word?)]) layer by layer.
+    *,
+    side: str = "right",
+    gens: Optional[Iterable[int]] = None,
+    start=None,
+    step=None,
+    keep=None,
+    live=None,
+) -> Iterator[Tuple[int, tuple, Word, object]]:
+    """Walk the Cayley graph breadth-first; every enumeration runs on this.
 
-    Layer expansion may run in worker chunks; each layer is merged and
-    sorted by canonical key before being yielded, so the stream does not
-    depend on the worker count.  Candidate elements at length k+1 can
-    only collide with layer k-1 (the Cayley graph is bipartite by length
-    parity), so two layers of keys suffice for deduplication.  A ``gens``
-    subset restricts the walk to a standard parabolic subgroup, in which
-    word length agrees with ambient length.
+    Yields ``(length, key, word, payload)`` by increasing length, sorted
+    by key within a length.  ``word`` is the ShortLex normal form: a node
+    keeps the least word its predecessors on ``side`` offer.  A candidate
+    at length k+1 can only equal a node of layer k or k-1 (lengths
+    alternate in parity), so two layers of keys suffice for deduplication.
+
+    ``gens`` restricts the walk to a standard parabolic subgroup, whose
+    word length agrees with ambient length.  ``step(payload, i)`` gives a
+    node's payload from its first predecessor (``start`` at the identity)
+    and must depend on the node only, not on the path.  ``keep(key)``
+    drops candidates; the kept set must be closed under shortening on
+    ``side``.  ``live(payload)`` false keeps a node for deduplication but
+    neither yields nor expands it.  The budget is checked as each node is
+    stored.
     """
-    gens = tuple(range(system.rank)) if gens is None else tuple(sorted(set(gens)))
-    ident = system.identity().data
-    cur = {ident: () if with_words else None}
-    prev: dict = {}
-    stored = 1
+    right = side == "right"
+    apply = system._apply_right if right else system._apply_left
+    gens = range(system.rank) if gens is None else sorted(set(gens))
+    stored, k = 1, 0
     if stored > budget:
-        raise ResourceLimit(budget)
-    yield 0, sorted(cur.items())
-    k = 0
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while cur and (max_len is None or k < max_len):
-            items = sorted(cur.items())
-
-            def expand(chunk):
-                # the same element may surface in several chunks; the
-                # merge below keeps the lexicographically least word
-                local = {}
-                for data, word in chunk:
-                    for i in gens:
-                        nd = system._apply_right(data, i)
-                        if nd in prev or nd in cur:
-                            continue
-                        if with_words:
-                            cand = word + (i,)
-                            old = local.get(nd)
-                            if old is None or cand < old:
-                                local[nd] = cand
-                        else:
-                            local[nd] = None
-                return local
-
-            chunks = _split_chunks(items, workers)
-            if executor is not None and len(chunks) > 1:
-                locals_ = list(executor.map(expand, chunks))
-            else:
-                locals_ = [expand(c) for c in chunks]
-            nxt: dict = {}
-            for local in locals_:
-                for nd, word in local.items():
-                    if with_words:
-                        old = nxt.get(nd)
-                        if old is None or word < old:
-                            nxt[nd] = word
-                    else:
-                        nxt[nd] = None
-            stored += len(nxt)
-            if stored > budget:
-                raise ResourceLimit(budget)
-            prev, cur = cur, nxt
-            k += 1
-            if cur:
-                yield k, sorted(cur.items())
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+        raise ResourceLimit(budget, k, stored)
+    cur = {system.identity().data: ((), start)}
+    prev: dict = {}
+    while cur:
+        frontier = []
+        for key, (word, payload) in sorted(cur.items()):
+            if live is None or live(payload):
+                yield k, key, word, payload
+                frontier.append((key, word, payload))
+        if max_len is not None and k >= max_len:
+            return
+        k += 1
+        nxt: dict = {}
+        for key, word, payload in frontier:
+            for i in gens:
+                nd = apply(key, i)
+                if nd in prev or nd in cur:
+                    continue
+                cand = word + (i,) if right else (i,) + word
+                old = nxt.get(nd)
+                if old is not None:
+                    if cand < old[0]:
+                        nxt[nd] = (cand, old[1])
+                    continue
+                if keep is not None and not keep(nd):
+                    continue
+                stored += 1
+                if stored > budget:
+                    raise ResourceLimit(budget, k, stored)
+                nxt[nd] = (cand, payload if step is None else step(payload, i))
+        prev, cur = cur, nxt
 
 
 def enumerate_up_to(
@@ -652,11 +635,12 @@ def enumerate_up_to(
     Elements are emitted in increasing length, sorted by canonical key
     within each length; lengths are the BFS layer indices.  With
     ``max_len=None`` the whole group is enumerated (the budget guards
-    against accidentally unbounded runs on affine systems).
+    against accidentally unbounded runs on affine systems).  ``workers``
+    is accepted for compatibility and ignored: enumeration is
+    single-threaded.
     """
-    for k, layer in _bfs_layers(system, max_len, budget, workers, with_words=False):
-        for data, _ in layer:
-            yield Element(data, k), k
+    for k, key, _, _ in _bfs(system, max_len, budget):
+        yield Element(key, k), k
 
 
 def enumerate_with_words(
@@ -667,9 +651,8 @@ def enumerate_with_words(
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Tuple[Element, Word]]:
     """Like enumerate_up_to but also yields each element's ShortLex word."""
-    for k, layer in _bfs_layers(system, max_len, budget, workers, with_words=True):
-        for data, word in layer:
-            yield Element(data, k), word
+    for k, key, word, _ in _bfs(system, max_len, budget):
+        yield Element(key, k), word
 
 
 def enumerate_parabolic(
@@ -688,9 +671,8 @@ def enumerate_parabolic(
     J = sorted(set(J))
     for j in J:
         system._check_index(j)
-    for k, layer in _bfs_layers(system, max_len, budget, workers, with_words=False, gens=J):
-        for data, _ in layer:
-            yield Element(data, k), k
+    for k, key, _, _ in _bfs(system, max_len, budget, gens=J):
+        yield Element(key, k), k
 
 
 def all_reduced_words(system: CoxeterSystem, w: Element) -> list:
@@ -745,29 +727,12 @@ def minimal_coset_reps(
     J = sorted(set(J))
     for j in J:
         system._check_index(j)
-    ident = system.identity().data
-    cur = {ident}
-    prev: set = set()
-    stored = 1
-    k = 0
-    yield system.identity()
-    while cur and (max_len is None or k < max_len):
-        nxt = set()
-        for data in cur:
-            for i in range(system.rank):
-                nd = system._apply_left(data, i)
-                if nd in prev or nd in cur or nd in nxt:
-                    continue
-                if any(system._is_right_descent_data(nd, j) for j in J):
-                    continue
-                nxt.add(nd)
-        stored += len(nxt)
-        if stored > budget:
-            raise ResourceLimit(budget)
-        prev, cur = cur, nxt
-        k += 1
-        for data in sorted(cur):
-            yield Element(data, k)
+
+    def minimal(key):
+        return not any(system._is_right_descent_data(key, j) for j in J)
+
+    for k, key, _, _ in _bfs(system, max_len, budget, side="left", keep=minimal):
+        yield Element(key, k)
 
 
 def bruhat_leq(system: CoxeterSystem, v: Element, w: Element) -> bool:
@@ -787,9 +752,3 @@ def bruhat_leq(system: CoxeterSystem, v: Element, w: Element) -> bool:
         if system._is_right_descent_data(u.data, i):
             u = system.apply(u, i, "right")
     return system.is_identity(u)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

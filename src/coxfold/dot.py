@@ -66,7 +66,7 @@ def bruhat_dot(
             raise InvalidParameters(
                 f"folding targets {folding.target.label}, not {system.label}"
             )
-        for _, _, tgt in _source_records(folding, budget=budget):
+        for _, _, tgt in _source_records(folding, ambient_cutoff=max_len, budget=budget):
             red.add(word_string(system, folding.target.shortlex(tgt)))
 
     layers = _layers(system, max_len, budget)

@@ -31,11 +31,20 @@ class IndexOutOfRange(CoxfoldError):
 
 
 class ResourceLimit(CoxfoldError):
-    """An enumeration exceeded its configured element budget."""
+    """An enumeration exceeded its configured element budget.
 
-    def __init__(self, budget: int):
-        super().__init__(f"element budget exceeded ({budget})")
+    ``layer`` is the length being built when the walk stopped and
+    ``stored`` the number of elements held at that point.
+    """
+
+    def __init__(self, budget: int, layer: int, stored: int):
+        super().__init__(
+            f"element budget exceeded ({budget}): {stored} elements stored "
+            f"at layer {layer}"
+        )
         self.budget = budget
+        self.layer = layer
+        self.stored = stored
 
 
 class InvalidParameters(CoxfoldError):

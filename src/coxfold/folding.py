@@ -30,12 +30,14 @@ from .coxeter import (
     CoxeterSystem,
     Element,
     Word,
+    _bfs,
     build_system,
     enumerate_parabolic,
     enumerate_with_words,
+    minimal_coset_reps,
     word_string,
 )
-from .errors import IndexOutOfRange, InvalidParameters, ResourceLimit
+from .errors import IndexOutOfRange, InvalidParameters
 from .qseries import QSeries, StatSeries
 
 __all__ = [
@@ -303,81 +305,30 @@ def _source_records(
     source_cutoff: Optional[int] = None,
     ambient_cutoff: Optional[int] = None,
     gens: Optional[Sequence[int]] = None,
-    workers: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Tuple[Element, Word, Element]]:
     """BFS over the source (or a source parabolic), unfolding as it goes.
 
     Yields (source element, its least word, unfolded ambient element),
     sorted by source key within each length layer.  Nodes beyond the
-    ambient cutoff stay in the frontier for deduplication but are
-    neither yielded nor expanded (unfolded length grows along reduced
-    words, so nothing below the cutoff is lost).  Worker chunks expand a
-    layer in parallel; the merged layer is independent of the chunking.
+    ambient cutoff stay stored for deduplication but are neither
+    yielded nor expanded (unfolded length grows along reduced words, so
+    nothing below the cutoff is lost).
     """
-    from concurrent.futures import ThreadPoolExecutor
+    target = f.target
 
-    from .coxeter import _split_chunks
+    def step(tgt, r):
+        for s in f.unfold_letters[r]:
+            tgt = target.apply(tgt, s, "right")
+        return tgt
 
-    src = f.source
-    gens = tuple(range(src.rank)) if gens is None else tuple(sorted(set(gens)))
-    ident = src.identity().data
-    tgt_ident = f.target.identity()
-    cur = {ident: ((), tgt_ident)}
-    prev: dict = {}
-    stored = 1
-    k = 0
-    yield Element(ident, 0), (), tgt_ident
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while cur:
-            if source_cutoff is not None and k >= source_cutoff:
-                break
-            live = [
-                (data, rec)
-                for data, rec in sorted(cur.items())
-                if ambient_cutoff is None or rec[1].length <= ambient_cutoff
-            ]
+    def live(tgt):
+        return ambient_cutoff is None or tgt.length <= ambient_cutoff
 
-            def expand(chunk):
-                local: dict = {}
-                for data, (word, tgt) in chunk:
-                    for r in gens:
-                        nd = src._apply_right(data, r)
-                        if nd in prev or nd in cur:
-                            continue
-                        cand = word + (r,)
-                        old = local.get(nd)
-                        if old is None or cand < old[0]:
-                            new_tgt = tgt
-                            for s in f.unfold_letters[r]:
-                                new_tgt = f.target.apply(new_tgt, s, "right")
-                            local[nd] = (cand, new_tgt)
-                return local
-
-            chunks = _split_chunks(live, workers)
-            if executor is not None and len(chunks) > 1:
-                locals_ = list(executor.map(expand, chunks))
-            else:
-                locals_ = [expand(c) for c in chunks]
-            nxt: dict = {}
-            for local in locals_:
-                for nd, rec in local.items():
-                    old = nxt.get(nd)
-                    if old is None or rec[0] < old[0]:
-                        nxt[nd] = rec
-            stored += len(nxt)
-            if stored > budget:
-                raise ResourceLimit(budget)
-            prev, cur = cur, nxt
-            k += 1
-            for data, (word, tgt) in sorted(cur.items()):
-                if ambient_cutoff is not None and tgt.length > ambient_cutoff:
-                    continue
-                yield Element(data, k), word, tgt
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+    start = target.identity()
+    walk = _bfs(f.source, source_cutoff, budget, gens=gens, start=start, step=step, live=live)
+    for k, key, word, tgt in walk:
+        yield Element(key, k), word, tgt
 
 
 def unfolding_series_bruteforce(
@@ -391,15 +342,11 @@ def unfolding_series_bruteforce(
 
     With a cutoff the result is truncated there; without one the entire
     (finite) source group is enumerated and the result is exact.
+    ``workers`` is accepted for compatibility and ignored: enumeration
+    is single-threaded.
     """
-    counts: dict = {}
-    for _, _, tgt in _source_records(
-        f, ambient_cutoff=max_ambient_len, workers=workers, budget=budget
-    ):
-        counts[tgt.length] = counts.get(tgt.length, 0) + 1
-    top = max(counts) if counts else 0
-    coeffs = [counts.get(k, 0) for k in range(top + 1)]
-    return QSeries(coeffs, max_ambient_len)
+    records = _source_records(f, ambient_cutoff=max_ambient_len, budget=budget)
+    return QSeries.from_lengths((tgt.length for _, _, tgt in records), max_ambient_len)
 
 
 def unfolded_image(f: Folding, *, budget: int = DEFAULT_BUDGET) -> dict:
@@ -457,6 +404,16 @@ def check_admissible(
     return AdmissibilityReport(not violations, max_source_len, checked, violations)
 
 
+def _coset_images(
+    f: Folding, J_hat: Iterable[int], max_ambient_len: Optional[int], budget: int
+) -> Iterator[Element]:
+    """Unfolded images of the source coset minima for J_hat, up to the cutoff."""
+    for rep in minimal_coset_reps(f.source, J_hat, max_ambient_len, budget=budget):
+        tgt = unfold(f, rep)
+        if max_ambient_len is None or tgt.length <= max_ambient_len:
+            yield tgt
+
+
 def coset_series_bruteforce(
     f: Folding,
     J_hat: Iterable[int],
@@ -465,16 +422,8 @@ def coset_series_bruteforce(
     budget: int = DEFAULT_BUDGET,
 ) -> QSeries:
     """Unfolded length distribution of the source coset minima for J_hat."""
-    from .coxeter import minimal_coset_reps
-
-    counts: dict = {}
-    for rep in minimal_coset_reps(f.source, J_hat, max_ambient_len, budget=budget):
-        tgt = unfold(f, rep)
-        if max_ambient_len is not None and tgt.length > max_ambient_len:
-            continue
-        counts[tgt.length] = counts.get(tgt.length, 0) + 1
-    top = max(counts) if counts else 0
-    return QSeries([counts.get(k, 0) for k in range(top + 1)], max_ambient_len)
+    images = _coset_images(f, J_hat, max_ambient_len, budget)
+    return QSeries.from_lengths((tgt.length for tgt in images), max_ambient_len)
 
 
 def reiner_stats_bruteforce(
@@ -490,6 +439,7 @@ def reiner_stats_bruteforce(
     elements of length <= max_len, reading the counts off each element's
     ShortLex word (well-definedness across reduced words is a separately
     tested property).  For affine B the b-exponent is identically 0.
+    ``workers`` is accepted for compatibility and ignored.
     """
     label = system.label
     if label.startswith("affine-B"):
@@ -502,7 +452,7 @@ def reiner_stats_bruteforce(
         )
     last = system.rank - 1
     coeffs: dict = {}
-    for el, word in enumerate_with_words(system, max_len, workers=workers, budget=budget):
+    for el, word in enumerate_with_words(system, max_len, budget=budget):
         a_exp = sum(1 for i in word if i == 0)
         b_exp = sum(1 for i in word if i == last) if track_b else 0
         key = (a_exp, b_exp, el.length)
@@ -540,38 +490,22 @@ def folding_factorization_check(
     (b) the full unfolding series factors as the coset-minima series
     times the parabolic series, coefficient by coefficient.
     """
-    from .coxeter import minimal_coset_reps
-
     J_hat = sorted(set(J_hat))
     J = set()
     for r in J_hat:
         J.update(f.blocks[r])
 
-    par_ok = True
-    counts_par: dict = {}
-    for _, _, tgt in _source_records(
-        f, ambient_cutoff=max_ambient_len, gens=J_hat, budget=budget
-    ):
-        counts_par[tgt.length] = counts_par.get(tgt.length, 0) + 1
-        if not set(f.target.shortlex(tgt)) <= J:
-            par_ok = False
+    records = _source_records(f, ambient_cutoff=max_ambient_len, gens=J_hat, budget=budget)
+    par = [tgt for _, _, tgt in records]
+    par_ok = all(set(f.target.shortlex(tgt)) <= J for tgt in par)
+    par_series = QSeries.from_lengths((tgt.length for tgt in par), max_ambient_len)
 
-    min_ok = True
-    counts_cos: dict = {}
-    for rep in minimal_coset_reps(f.source, J_hat, max_ambient_len, budget=budget):
-        tgt = unfold(f, rep)
-        if max_ambient_len is not None and tgt.length > max_ambient_len:
-            continue
-        counts_cos[tgt.length] = counts_cos.get(tgt.length, 0) + 1
-        if any(f.target._is_right_descent_data(tgt.data, s) for s in J):
-            min_ok = False
+    cos = list(_coset_images(f, J_hat, max_ambient_len, budget))
+    min_ok = not any(
+        f.target._is_right_descent_data(tgt.data, s) for tgt in cos for s in J
+    )
+    cos_series = QSeries.from_lengths((tgt.length for tgt in cos), max_ambient_len)
 
-    def to_series(counts):
-        top = max(counts) if counts else 0
-        return QSeries([counts.get(k, 0) for k in range(top + 1)], max_ambient_len)
-
-    par_series = to_series(counts_par)
-    cos_series = to_series(counts_cos)
     full = unfolding_series_bruteforce(f, max_ambient_len, budget=budget)
     series_ok = full == cos_series * par_series
     return FactorizationReport(
@@ -584,9 +518,3 @@ def folding_factorization_check(
         cos_series,
         par_series,
     )
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -25,6 +25,7 @@ The classical q-building blocks:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidBase, NegativeDegree, NonUnitDivisor
@@ -113,6 +114,17 @@ class QSeries:
     @staticmethod
     def one(order: int | None = None) -> "QSeries":
         return QSeries([1], order)
+
+    @staticmethod
+    def from_lengths(lengths, order: int | None = None) -> "QSeries":
+        """The series whose q^k coefficient counts the occurrences of k.
+
+        >>> str(QSeries.from_lengths([0, 1, 2, 1]))
+        '1 + 2q + q^2'
+        """
+        counts = Counter(lengths)
+        top = max(counts) if counts else 0
+        return QSeries([counts[k] for k in range(top + 1)], order)
 
     @staticmethod
     def monomial(m: Monomial, order: int | None = None) -> "QSeries":
@@ -524,9 +536,3 @@ def divide_by_unit(a: QSeries, d: QSeries) -> QSeries:
                 acc -= quotient[i] * dpad[k - i]
         quotient[k] = acc * d0  # d0 in {1,-1} so this is exact division
     return QSeries(quotient, order)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -120,9 +120,3 @@ class Sqrt2Ring:
 
 INT = IntRing()
 SQRT2 = Sqrt2Ring()
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

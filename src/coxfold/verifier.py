@@ -8,9 +8,10 @@ never an exception (budget blowups and formula errors become entries of
 status ``resource-limit`` / ``error:...``).
 
 Reports serialize to canonical JSON (sorted keys, sorted cases, no
-whitespace) so that reruns - including reruns with different worker
-counts - produce byte-identical files.  Wall-clock times are therefore
-only emitted when explicitly requested.
+whitespace) so that reruns produce byte-identical files.  Wall-clock
+times are therefore only emitted when explicitly requested.  A job's
+``workers`` count is accepted for compatibility and ignored: enumeration
+is single-threaded, and the count is not part of the report.
 
 Brute-force series can be cached on disk, content-addressed by the case
 key with an embedded checksum; a corrupted entry raises CorruptCache on
@@ -23,7 +24,6 @@ import hashlib
 import json
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -237,17 +237,13 @@ def default_cases(families: Optional[list] = None) -> list:
 # execution
 
 
-def _histogram_series(label: str, max_len: Optional[int], workers: int, budget: int):
-    counts = Counter()
-    n_elements = 0
-    for _, k in enumerate_up_to(build_system(label), max_len, workers=workers, budget=budget):
-        counts[k] += 1
-        n_elements += 1
-    top = max(counts) if counts else 0
-    return QSeries([counts.get(k, 0) for k in range(top + 1)], max_len), n_elements
+def _histogram_series(label: str, max_len: Optional[int], budget: int):
+    lengths = (k for _, k in enumerate_up_to(build_system(label), max_len, budget=budget))
+    series = QSeries.from_lengths(lengths, max_len)
+    return series, series.eval_at_one()
 
 
-def _cached_bruteforce(family: FamilyId, case: VerificationCase, budget, workers, cache_dir):
+def _cached_bruteforce(family: FamilyId, case: VerificationCase, budget, cache_dir):
     key = cache_key(case.family, case.params, case.max_len)
     if cache_dir is not None:
         try:
@@ -256,20 +252,18 @@ def _cached_bruteforce(family: FamilyId, case: VerificationCase, budget, workers
                 return hit
         except CorruptCache:
             pass  # recompute and overwrite below
-    series = unfolding_series_bruteforce(
-        standard_folding(family), case.max_len, workers=workers, budget=budget
-    )
+    series = unfolding_series_bruteforce(standard_folding(family), case.max_len, budget=budget)
     if cache_dir is not None:
         cache_put(cache_dir, key, series)
     return series
 
 
-def _execute(case: VerificationCase, budget: int, workers: int, cache_dir):
+def _execute(case: VerificationCase, budget: int, cache_dir):
     fam = case.family
     L = case.max_len
     if fam in FAMILY_NAMES:
         family = FamilyId(fam, case.param("n"), case.param("m"))
-        lhs = _cached_bruteforce(family, case, budget, workers, cache_dir)
+        lhs = _cached_bruteforce(family, case, budget, cache_dir)
         rhs = unfolding_closed_form(family, L, case.param("route", "product"))
         return lhs, rhs, lhs.eval_at_one()
     if fam == "Cor1.4":
@@ -281,21 +275,21 @@ def _execute(case: VerificationCase, budget: int, workers: int, cache_dir):
     if fam in ("Reiner-affB", "Reiner-affC"):
         n = case.param("n")
         label = f"affine-B{n}" if fam == "Reiner-affB" else f"affine-C{n}"
-        lhs = reiner_stats_bruteforce(build_system(label), L, workers=workers, budget=budget)
+        lhs = reiner_stats_bruteforce(build_system(label), L, budget=budget)
         rhs = reiner_distribution(fam.split("-")[1], n, L)
         count = sum(lhs.coeffs.values())
         return lhs, rhs, count
     if fam == "Poincare-An":
         n = case.param("n")
-        lhs, count = _histogram_series(f"A{n}", None, workers, budget)
+        lhs, count = _histogram_series(f"A{n}", None, budget)
         return lhs, poincare_a(n), count
     if fam == "Poincare-Bn":
         n = case.param("n")
-        lhs, count = _histogram_series(f"B{n}", None, workers, budget)
+        lhs, count = _histogram_series(f"B{n}", None, budget)
         return lhs, poincare_b(n), count
     if fam == "Bott-affA":
         n = case.param("n")
-        lhs, count = _histogram_series(f"affine-A{n - 1}", L, workers, budget)
+        lhs, count = _histogram_series(f"affine-A{n - 1}", L, budget)
         return lhs, closed_form("Bott-affA", n, None, L), count
     if fam == "CosetFactor-Lemma3.1":
         part, n = case.param("part"), case.param("n")
@@ -314,8 +308,6 @@ def run_job(job: VerificationJob, cache_dir=None) -> VerificationReport:
     carries the first differing degree with both values,
     ``resource-limit`` and ``error:<kind>`` record aborted cases.
     """
-    # worker count is an execution detail, not part of the job identity:
-    # reports must be byte-identical across worker counts
     report = VerificationReport(
         job={
             "budget": job.budget,
@@ -335,7 +327,7 @@ def run_job(job: VerificationJob, cache_dir=None) -> VerificationReport:
             "millis": None,
         }
         try:
-            lhs, rhs, count = _execute(case, job.budget, job.workers, cache_dir)
+            lhs, rhs, count = _execute(case, job.budget, cache_dir)
             entry["lhs"] = lhs.to_json()
             entry["rhs"] = rhs.to_json()
             entry["elements_enumerated"] = count

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from coxfold.cli import main
 from coxfold.qseries import QSeries, StatSeries
 
@@ -9,6 +11,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(code, out, err, word):
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and word in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--family", "Bn-A2n-1", "--n", "2"],
+        ["verify", "--family", "I2-An"],
+        ["reiner", "--type", "affB", "--n", "3", "--max-len", "2"],
+        ["bruhat-dot", "--group", "A2"],
+    ],
+)
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_is_usage_error(capsys, argv, workers):
+    assert_usage_error(*run(capsys, *argv, "--workers", workers), "--workers")
 
 
 class TestSeries:
@@ -59,6 +80,10 @@ class TestSeries:
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, err = run(capsys, "series", "--family", "Zn-Z2n", "--n", "2")
         assert code == 2
+
+    def test_negative_cutoff_is_usage_error(self, capsys):
+        out = run(capsys, "series", "--family", "Bn-A2n-1", "--n", "2", "--max-len", "-1")
+        assert_usage_error(*out, "--max-len")
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "series.json"
@@ -159,6 +184,10 @@ class TestReiner:
         code, _, _ = run(capsys, "reiner", "--type", "affB", "--n", "2", "--max-len", "2")
         assert code == 2
 
+    def test_negative_cutoff_is_usage_error(self, capsys):
+        out = run(capsys, "reiner", "--type", "affB", "--n", "3", "--max-len", "-1")
+        assert_usage_error(*out, "--max-len")
+
 
 class TestBruhatDot:
     def test_rank_one(self, capsys):
@@ -195,6 +224,20 @@ class TestBruhatDot:
             _, out, _ = run(capsys, "bruhat-dot", "--group", "A2")
             outs.add(out)
         assert len(outs) == 1
+
+    def test_affine_without_cutoff_is_usage_error(self, capsys):
+        assert_usage_error(*run(capsys, "bruhat-dot", "--group", "affine-A2"), "--max-len")
+
+    def test_affine_folding_highlight_within_cutoff(self, capsys):
+        # the highlighted source is infinite; the cutoff must bound it too
+        code, out, _ = run(
+            capsys,
+            "bruhat-dot", "--group", "affine-A3", "--folding", "affA-affA",
+            "--n", "2", "--m", "2", "--max-len", "2",
+        )
+        assert code == 0
+        red = re.findall(r'^  "([^"]+)" \[color=red\];$', out, re.M)
+        assert red == ["e", "s0 s2", "s1 s3"]
 
 
 class TestCatalog:

@@ -263,6 +263,14 @@ class TestEnumerate:
         with pytest.raises(ResourceLimit):
             list(enumerate_up_to(build_system("A3"), None, budget=5))
 
+    def test_budget_enforced_within_a_layer(self):
+        # A3 layers hold 1, 3, 5, ... elements: the sixth stored element
+        # is the second of layer 2, long before that layer is complete
+        with pytest.raises(ResourceLimit) as info:
+            list(enumerate_up_to(build_system("A3"), None, budget=5))
+        assert (info.value.budget, info.value.stored, info.value.layer) == (5, 6, 2)
+        assert "6 elements" in str(info.value) and "layer 2" in str(info.value)
+
     def test_length_alternation_and_involution(self):
         for label in ("A3", "B3", "D4", "I2(7)"):
             system = build_system(label)
