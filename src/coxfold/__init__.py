@@ -1,7 +1,7 @@
 """Exact length generating functions of folded Coxeter group embeddings.
 
-The package constructs classical finite and affine Coxeter systems over
-exact rings, realizes the registered folded embeddings between them,
+The package constructs classical finite and affine Coxeter systems with
+exact integer elements, realizes the registered folded embeddings between them,
 computes unfolding series by exhaustive enumeration, and verifies them
 coefficient by coefficient against closed-form product formulas and
 two-variable distribution specializations.

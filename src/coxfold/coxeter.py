@@ -13,13 +13,28 @@ translates display names like ``"s3"``.  The ShortLex generator order is
 the internal index order, i.e. ``s0 < s1 < ...`` in affine families and
 ``s1 < s2 < ...`` in finite ones.
 
-Elements of rank >= 3 systems are exact matrices of the reflection
-representation acting on the simple-root basis, with coefficients in Z or
-Z[sqrt(2)]; s_i sends alpha_j to alpha_j + c_ij alpha_i (j != i) where
-c_ij = 2cos(pi/m(i,j)) and alpha_i to -alpha_i.  Matrices are stored
-column-major, so ``w.data[i]`` is the coordinate vector of w(alpha_i); a
-generator s_i is a right descent of w exactly when that vector is
-non-positive.  Rank-2 systems bypass matrices: a dihedral element is a
+Elements of rank >= 3 systems are integer matrices acting on the simple
+roots through the Cartan matrix of the bonds (Humphreys, Reflection
+Groups and Coxeter Groups, ch. 5; Kac, Infinite Dimensional Lie Algebras,
+ch. 3): s_i sends alpha_j to alpha_j - a_ij alpha_i, where a_ii = 2 and,
+for i < j, a_ij * a_ji = 4cos^2(pi/m(i, j)) with
+
+    m(i, j)       2       3         4         6         inf
+    (a_ij, a_ji)  (0, 0)  (-1, -1)  (-2, -1)  (-3, -1)  (-2, -2)
+
+This is the reflection representation with the simple roots rescaled, so
+every entry is an ``int`` and bond order 6 works at rank >= 3 (affine
+G2).  The entries are not symmetric; left and right multiplication by s_i
+both read the row a_i.  Matrices are stored column-major, so
+``w.data[i]`` is the coordinate vector of w(alpha_i); a generator s_i is
+a right descent of w exactly when that vector is non-positive.
+
+>>> build_system("B3").generator(1).data
+((1, 1, 0), (0, -1, 0), (0, 2, 1))
+>>> build_system("B3").generator(2).data
+((1, 0, 0), (0, 1, 1), (0, 0, -1))
+
+Rank-2 systems bypass matrices: a dihedral element is an
 ``(is_reflection, index)`` pair, which stays exact for every bond order
 including infinity.
 
@@ -32,7 +47,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, InvalidMatrix, ResourceLimit, UnsupportedLabel
-from .rings import INT, SQRT2
 
 __all__ = [
     "INFINITE",
@@ -65,7 +79,8 @@ DEFAULT_BUDGET = 10**7
 Word = Tuple[int, ...]
 
 _RANK3_BONDS = {2, 3, 4, 6, INFINITE}
-_SUPPORTED_RING_BONDS = {2, 3, 4, INFINITE}
+# bond order -> Cartan integers (a_ij, a_ji) for i < j
+_CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1), INFINITE: (-2, -2)}
 
 
 @dataclass(frozen=True)
@@ -103,7 +118,7 @@ class CoxeterMatrix:
 
 @dataclass(frozen=True)
 class Element:
-    """A group element: reflection matrix (column tuple) or dihedral tag.
+    """A group element: integer matrix (column tuple) or dihedral tag.
 
     ``data`` doubles as the canonical key; equal data means equal group
     elements because both backends are faithful.
@@ -111,19 +126,6 @@ class Element:
 
     data: tuple
     length: int
-
-
-def _cos_coeff(ring, m: int):
-    # 2cos(pi/m) for the supported bond orders
-    if m == 2:
-        return ring.zero
-    if m == 3:
-        return ring.one
-    if m == 4:
-        return SQRT2.sqrt2
-    if m == INFINITE:
-        return ring.two
-    raise UnsupportedLabel(f"bond order {m} needs an unsupported ring")
 
 
 class CoxeterSystem:
@@ -136,76 +138,41 @@ class CoxeterSystem:
         self.rank = matrix.rank
         if self.rank == 2:
             self.backend = "dihedral"
-            self.ring = None
             self.m = matrix.bond(0, 1)
             self._identity = Element((False, 0), 0)
         else:
             self.backend = "matrix"
-            bonds = {
-                matrix.bond(i, j)
-                for i in range(self.rank)
-                for j in range(i + 1, self.rank)
-            }
-            unsupported = bonds - _SUPPORTED_RING_BONDS
-            if unsupported:
-                raise UnsupportedLabel(
-                    f"bond orders {sorted(unsupported)} exceed the supported exact rings"
-                )
-            self.ring = SQRT2 if 4 in bonds else INT
             self.m = None
-            self._build_matrices()
+            n = self.rank
+            # _row[i] lists (j, -a_ij) for the neighbours j of i
+            self._row = tuple(
+                tuple((j, -_CARTAN[m][i > j]) for j, m in enumerate(row) if j != i and m != 2)
+                for i, row in enumerate(matrix.entries)
+            )
+            ident = tuple(tuple(int(a == b) for a in range(n)) for b in range(n))
+            self._identity = Element(ident, 0)
         self._check_relations()
 
     # -- construction helpers -------------------------------------------
 
-    def _build_matrices(self):
-        ring = self.ring
-        n = self.rank
-        self._coeff = [
-            [
-                ring.zero if i == j else _cos_coeff(ring, self.matrix.bond(i, j))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        self._adj = [
-            tuple(
-                j
-                for j in range(n)
-                if j != i and ring.sign(self._coeff[i][j]) != 0
-            )
-            for i in range(n)
-        ]
-        ident = tuple(
-            tuple(ring.one if a == b else ring.zero for a in range(n))
-            for b in range(n)
-        )
-        self._identity = Element(ident, 0)
-
     def _check_relations(self):
+        ident = self._identity.data
         for i in range(self.rank):
-            sq = self.multiply(self.generator(i), self.generator(i))
-            if sq.data != self._identity.data:
+            if self._apply_right(self._apply_right(ident, i), i) != ident:
                 raise InvalidMatrix(f"generator {i} is not an involution")
         for i in range(self.rank):
             for j in range(i + 1, self.rank):
                 m = self.matrix.bond(i, j)
                 if m == INFINITE:
                     continue
-                prod = self.multiply(self.generator(i), self.generator(j))
-                power = prod
+                # (s_i s_j)^t returns to the identity first at t = m
+                power = ident
                 for t in range(1, m + 1):
-                    is_id = power.data == self._identity.data
-                    if t < m and is_id:
-                        raise InvalidMatrix(
-                            f"(s{i}s{j}) has order < m({i},{j}) = {m}"
-                        )
-                    if t == m and not is_id:
+                    power = self._apply_right(self._apply_right(power, i), j)
+                    if (power == ident) != (t == m):
                         raise InvalidMatrix(
                             f"(s{i}s{j}) does not have order m({i},{j}) = {m}"
                         )
-                    if t < m:
-                        power = self.multiply(power, prod)
 
     # -- naming -----------------------------------------------------------
 
@@ -245,15 +212,12 @@ class CoxeterSystem:
             if self.m != INFINITE:
                 k %= self.m
             return (refl, k)
-        ring = self.ring
+        # w s_i sends alpha_j to w(alpha_j) - a_ij w(alpha_i)
         cols = list(data)
         col_i = cols[i]
-        for j in self._adj[i]:
-            c = self._coeff[i][j]
-            cols[j] = tuple(
-                ring.add(x, ring.mul(c, y)) for x, y in zip(cols[j], col_i)
-            )
-        cols[i] = tuple(ring.neg(x) for x in col_i)
+        for j, c in self._row[i]:
+            cols[j] = tuple(x + c * y for x, y in zip(cols[j], col_i))
+        cols[i] = tuple(-y for y in col_i)
         return tuple(cols)
 
     def _apply_left(self, data, i):
@@ -266,25 +230,21 @@ class CoxeterSystem:
             if self.m != INFINITE:
                 k %= self.m
             return (refl, k)
-        ring = self.ring
+        # s_i changes only the alpha_i coordinate: x_i -> x_i - sum_k a_ik x_k
+        row = self._row[i]
         out = []
         for col in data:
-            acc = ring.neg(col[i])
-            for j in self._adj[i]:
-                acc = ring.add(acc, ring.mul(self._coeff[i][j], col[j]))
-            newcol = list(col)
-            newcol[i] = acc
-            out.append(tuple(newcol))
+            acc = -col[i]
+            for j, c in row:
+                acc += c * col[j]
+            out.append(col[:i] + (acc,) + col[i + 1:])
         return tuple(out)
 
     def _is_right_descent_data(self, data, i) -> bool:
         if self.backend == "dihedral":
             return self._dihedral_length(self._apply_right(data, i)) < self._dihedral_length(data)
         # w(alpha_i) is w's i-th column; descent iff it is a negative root
-        for entry in data[i]:
-            if self.ring.sign(entry) > 0:
-                return False
-        return True
+        return max(data[i]) <= 0
 
     def is_right_descent(self, w: Element, i: int) -> bool:
         self._check_index(i)
@@ -325,8 +285,6 @@ class CoxeterSystem:
             return Element(data, w.length - 1 if down else w.length + 1)
         if side == "left":
             data = self._apply_left(w.data, i)
-            if self.backend == "dihedral":
-                return Element(data, self._dihedral_length(data))
             return Element(data, self._length_of_data(data))
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
@@ -339,18 +297,15 @@ class CoxeterSystem:
                 k %= self.m
             data = (r1 != r2, k)
             return Element(data, self._dihedral_length(data))
-        ring = self.ring
-        acols, bcols = a.data, b.data
-        n = self.rank
-        out = []
-        for j in range(n):
-            col = [ring.zero] * n
-            for k2, coeff in enumerate(bcols[j]):
-                if ring.sign(coeff) != 0:
-                    acol = acols[k2]
-                    col = [ring.add(x, ring.mul(coeff, y)) for x, y in zip(col, acol)]
-            out.append(tuple(col))
-        data = tuple(out)
+        # (ab)(alpha_j) = sum_k b_kj a(alpha_k), over the non-zero b_kj
+        cols = []
+        for bcol in b.data:
+            col = [0] * self.rank
+            for c, acol in zip(bcol, a.data):
+                if c:
+                    col = [x + c * y for x, y in zip(col, acol)]
+            cols.append(tuple(col))
+        data = tuple(cols)
         return Element(data, self._length_of_data(data))
 
     def inverse(self, w: Element) -> Element:

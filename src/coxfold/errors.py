@@ -23,7 +23,7 @@ class InvalidMatrix(CoxfoldError):
 
 
 class UnsupportedLabel(CoxfoldError):
-    """A group label or bond order outside the supported exact rings."""
+    """A group label outside the registry, or a malformed one."""
 
 
 class IndexOutOfRange(CoxfoldError):

@@ -13,9 +13,11 @@ times are therefore only emitted when explicitly requested.  A job's
 ``workers`` count is accepted for compatibility and ignored: enumeration
 is single-threaded, and the count is not part of the report.
 
-Brute-force series can be cached on disk, content-addressed by the case
-key with an embedded checksum; a corrupted entry raises CorruptCache on
-read and is recomputed and overwritten.
+A brute-force series is computed once per job and keyed without the
+route, so both routes of a family share it.  It can be cached on disk,
+content-addressed by that key with an embedded checksum and written
+atomically; a corrupted entry raises CorruptCache on read and is
+recomputed and overwritten.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,7 +151,14 @@ def cache_put(cache_dir, key: str, series: QSeries) -> Path:
         "checksum": hashlib.sha256(payload.encode()).hexdigest(),
     }
     path = cache_dir / (hashlib.sha256(key.encode()).hexdigest() + ".json")
-    path.write_text(json.dumps(record, sort_keys=True))
+    # one temporary name per writing thread; the rename is atomic
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(json.dumps(record, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -243,27 +253,31 @@ def _histogram_series(label: str, max_len: Optional[int], budget: int):
     return series, series.eval_at_one()
 
 
-def _cached_bruteforce(family: FamilyId, case: VerificationCase, budget, cache_dir):
-    key = cache_key(case.family, case.params, case.max_len)
+def _cached_bruteforce(family: FamilyId, case: VerificationCase, budget, cache_dir, memo):
+    params = tuple(p for p in case.params if p[0] != "route")
+    key = cache_key(case.family, params, case.max_len)
+    if key in memo:
+        return memo[key]
+    series = None
     if cache_dir is not None:
         try:
-            hit = cache_get(cache_dir, key)
-            if hit is not None:
-                return hit
+            series = cache_get(cache_dir, key)
         except CorruptCache:
             pass  # recompute and overwrite below
-    series = unfolding_series_bruteforce(standard_folding(family), case.max_len, budget=budget)
-    if cache_dir is not None:
-        cache_put(cache_dir, key, series)
+    if series is None:
+        series = unfolding_series_bruteforce(standard_folding(family), case.max_len, budget=budget)
+        if cache_dir is not None:
+            cache_put(cache_dir, key, series)
+    memo[key] = series
     return series
 
 
-def _execute(case: VerificationCase, budget: int, cache_dir):
+def _execute(case: VerificationCase, budget: int, cache_dir, memo: dict):
     fam = case.family
     L = case.max_len
     if fam in FAMILY_NAMES:
         family = FamilyId(fam, case.param("n"), case.param("m"))
-        lhs = _cached_bruteforce(family, case, budget, cache_dir)
+        lhs = _cached_bruteforce(family, case, budget, cache_dir, memo)
         rhs = unfolding_closed_form(family, L, case.param("route", "product"))
         return lhs, rhs, lhs.eval_at_one()
     if fam == "Cor1.4":
@@ -314,6 +328,7 @@ def run_job(job: VerificationJob, cache_dir=None) -> VerificationReport:
             "case_count": len(job.cases),
         }
     )
+    memo: dict = {}  # brute-force series of this job, by cache key
     for case in sorted(job.cases, key=VerificationCase.sort_key):
         t0 = time.monotonic()
         entry = {
@@ -327,7 +342,7 @@ def run_job(job: VerificationJob, cache_dir=None) -> VerificationReport:
             "millis": None,
         }
         try:
-            lhs, rhs, count = _execute(case, job.budget, cache_dir)
+            lhs, rhs, count = _execute(case, job.budget, cache_dir, memo)
             entry["lhs"] = lhs.to_json()
             entry["rhs"] = rhs.to_json()
             entry["elements_enumerated"] = count

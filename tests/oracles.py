@@ -26,6 +26,11 @@ def bfs_histogram(start, gens):
     Lengths are breadth-first distances from the identity, which equals
     Coxeter length whenever the generator images are the standard ones.
     """
+    return Counter(bfs_distances(start, gens).values())
+
+
+def bfs_distances(start, gens):
+    """Breadth-first distance from ``start`` of every point in its orbit."""
     seen = {start: 0}
     frontier = [start]
     dist = 0
@@ -39,7 +44,7 @@ def bfs_histogram(start, gens):
                     nxt.append(q)
         frontier = nxt
         dist += 1
-    return Counter(seen.values())
+    return seen
 
 
 def type_b_generators(n):

@@ -135,3 +135,56 @@ class TestCache:
         warm = run_job(VerificationJob(cases), cache_dir=tmp_path).to_json()
         fresh = run_job(VerificationJob(cases)).to_json()
         assert cold == warm == fresh
+
+    def test_atomic_put_replaces_truncated_entry(self, tmp_path):
+        series = QSeries([1, 2, 3], 4)
+        key = cache_key("demo", (("n", 2),), 4)
+        path = cache_put(tmp_path, key, series)
+        whole = path.read_text()
+        path.write_text(whole[: len(whole) // 2])
+        with pytest.raises(CorruptCache):
+            cache_get(tmp_path, key)
+        assert cache_put(tmp_path, key, series) == path
+        assert path.read_text() == whole
+        assert cache_get(tmp_path, key) == series
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_failed_put_keeps_old_entry(self, tmp_path, monkeypatch):
+        import coxfold.verifier as verifier
+
+        key = cache_key("demo", (("n", 2),), 4)
+        path = cache_put(tmp_path, key, QSeries([1, 2, 3], 4))
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(verifier.os, "replace", crash)
+        with pytest.raises(OSError):
+            cache_put(tmp_path, key, QSeries([7, 7, 7], 4))
+        assert cache_get(tmp_path, key) == QSeries([1, 2, 3], 4)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+class TestSharedBruteforce:
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_routes_share_one_enumeration(self, tmp_path, monkeypatch, cached):
+        import coxfold.verifier as verifier
+
+        calls = []
+        real = verifier.unfolding_series_bruteforce
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, "unfolding_series_bruteforce", counting)
+        cases = [
+            VerificationCase.make("affC-affBn+1", 8, n=2, route=route)
+            for route in ("product", "substitution")
+        ]
+        report = run_job(VerificationJob(cases), cache_dir=tmp_path if cached else None)
+        assert report.passed and len(report.cases) == 2
+        assert report.cases[0]["lhs"] == report.cases[1]["lhs"]
+        assert len(calls) == 1
+        if cached:
+            assert len(list(tmp_path.iterdir())) == 1
