@@ -170,7 +170,7 @@ def _parse_monomial(text: str) -> Monomial:
         sign, text = -1, text[1:]
     if text == "q":
         return Monomial(sign, 1)
-    if text.startswith("q^"):
+    if text.startswith("q^") and text[2:].removeprefix("-").isdecimal():
         return Monomial(sign, int(text[2:]))
     raise InvalidParameters(f"cannot parse substitution value {text!r}")
 

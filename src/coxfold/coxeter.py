@@ -36,7 +36,17 @@ a right descent of w exactly when that vector is non-positive.
 
 Rank-2 systems bypass matrices: a dihedral element is an
 ``(is_reflection, index)`` pair, which stays exact for every bond order
-including infinity.
+including infinity.  The two backends differ only in three primitives,
+``_apply_right``, ``_apply_left`` and ``_is_right_descent_data``.  Every
+other operation is written once on top of them, mostly through one walk
+down an element's least right descents (``_reduced_word``): lengths of
+left products, products, inverses, ShortLex words and the Bruhat order.
+In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
+
+>>> W = build_system("I2(5)")
+>>> w = W.assemble((1, 0, 1, 0, 1, 0))
+>>> w.data, w.length, W.shortlex(w), W.shortlex(W.inverse(w))
+((False, 2), 4, (0, 1, 0, 1), (1, 0, 1, 0))
 
 Bond order 0 in a Coxeter matrix encodes an infinite bond.
 """
@@ -180,7 +190,7 @@ class CoxeterSystem:
         return f"s{i + self.index_base}"
 
     def generator_index(self, name: str) -> int:
-        if not name.startswith("s"):
+        if not name.startswith("s") or not name[1:].isdecimal():
             raise IndexOutOfRange(f"bad generator name {name!r}")
         i = int(name[1:]) - self.index_base
         self._check_index(i)
@@ -261,19 +271,18 @@ class CoxeterSystem:
             return min(2 * k + 1, 2 * (self.m - k) - 1)
         return min(2 * k, 2 * (self.m - k))
 
-    def _length_of_data(self, data) -> int:
-        if self.backend == "dihedral":
-            return self._dihedral_length(data)
-        steps = 0
+    def _reduced_word(self, data) -> Word:
+        """A reduced word of ``data``, read off a walk down its least right descents."""
+        word = []
         while data != self._identity.data:
             for i in range(self.rank):
                 if self._is_right_descent_data(data, i):
-                    data = self._apply_right(data, i)
-                    steps += 1
                     break
             else:
                 raise RuntimeError("non-identity element without right descent")
-        return steps
+            data = self._apply_right(data, i)
+            word.append(i)
+        return tuple(reversed(word))
 
     # -- compound operations ------------------------------------------------
 
@@ -285,43 +294,16 @@ class CoxeterSystem:
             return Element(data, w.length - 1 if down else w.length + 1)
         if side == "left":
             data = self._apply_left(w.data, i)
-            return Element(data, self._length_of_data(data))
+            return Element(data, len(self._reduced_word(data)))
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def multiply(self, a: Element, b: Element) -> Element:
-        if self.backend == "dihedral":
-            r1, k1 = a.data
-            r2, k2 = b.data
-            k = k1 + (-k2 if r1 else k2)
-            if self.m != INFINITE:
-                k %= self.m
-            data = (r1 != r2, k)
-            return Element(data, self._dihedral_length(data))
-        # (ab)(alpha_j) = sum_k b_kj a(alpha_k), over the non-zero b_kj
-        cols = []
-        for bcol in b.data:
-            col = [0] * self.rank
-            for c, acol in zip(bcol, a.data):
-                if c:
-                    col = [x + c * y for x, y in zip(col, acol)]
-            cols.append(tuple(col))
-        data = tuple(cols)
-        return Element(data, self._length_of_data(data))
+        for i in self._reduced_word(b.data):
+            a = self.apply(a, i, "right")
+        return a
 
     def inverse(self, w: Element) -> Element:
-        if self.backend == "dihedral":
-            refl, k = w.data
-            data = w.data if refl else ((False, -k % self.m) if self.m != INFINITE else (False, -k))
-            return Element(data, w.length)
-        data = w.data
-        inv = self._identity.data
-        while data != self._identity.data:
-            for i in range(self.rank):
-                if self._is_right_descent_data(data, i):
-                    data = self._apply_right(data, i)
-                    inv = self._apply_right(inv, i)
-                    break
-        return Element(inv, w.length)
+        return self.assemble(reversed(self._reduced_word(w.data)))
 
     def assemble(self, word: Iterable[int]) -> Element:
         w = self._identity
@@ -330,45 +312,13 @@ class CoxeterSystem:
         return w
 
     def shortlex(self, w: Element) -> Word:
-        """Lexicographically least reduced word under s0 < s1 < ... order."""
-        if self.backend == "dihedral":
-            return self._dihedral_shortlex(w.data)
-        winv = self.inverse(w).data
-        data = w.data
-        out = []
-        for _ in range(w.length):
-            for i in range(self.rank):
-                # left descents of w are right descents of w^{-1}
-                if self._is_right_descent_data(winv, i):
-                    out.append(i)
-                    data = self._apply_left(data, i)
-                    winv = self._apply_right(winv, i)
-                    break
-            else:
-                raise RuntimeError("length/descent mismatch in shortlex")
-        if data != self._identity.data:
-            raise RuntimeError("shortlex did not reach the identity")
-        return tuple(out)
+        """Lexicographically least reduced word under s0 < s1 < ... order.
 
-    def _dihedral_shortlex(self, data) -> Word:
-        refl, k = data
-        if self.m == INFINITE:
-            if refl:
-                start, n = (0, 2 * k + 1) if k >= 0 else (1, -2 * k - 1)
-            else:
-                if k == 0:
-                    return ()
-                start, n = (0, 2 * k) if k > 0 else (1, -2 * k)
-        else:
-            k %= self.m
-            if refl:
-                la, lb = 2 * k + 1, 2 * (self.m - k) - 1
-            else:
-                if k == 0:
-                    return ()
-                la, lb = 2 * k, 2 * (self.m - k)
-            start, n = (0, la) if la <= lb else (1, lb)
-        return tuple((start + t) % 2 for t in range(n))
+        Its first letter is the least left descent of w, that is, the least
+        right descent of w^-1; so walking w^-1 down its least right descents
+        spells the word out.
+        """
+        return tuple(reversed(self._reduced_word(self.inverse(w).data)))
 
     def right_descent_set(self, w: Element) -> frozenset:
         return frozenset(
@@ -441,8 +391,13 @@ def build_system(label_or_matrix) -> CoxeterSystem:
     if not isinstance(label, str):
         raise UnsupportedLabel(f"expected a label or CoxeterMatrix, got {label!r}")
 
+    def number(text: str) -> int:
+        if not text.isdecimal():
+            raise UnsupportedLabel(f"malformed label {label!r}")
+        return int(text)
+
     if label.startswith("I2(") and label.endswith(")"):
-        m = int(label[3:-1])
+        m = number(label[3:-1])
         if m < 3:
             raise UnsupportedLabel(f"I2({m}) requires bond order >= 3")
         return CoxeterSystem(label, _chain_matrix(2, {(0, 1): m}), 1)
@@ -451,7 +406,7 @@ def build_system(label_or_matrix) -> CoxeterSystem:
     body = label[len("affine-"):] if affine else label
     if len(body) < 2 or body[0] not in "ABCD":
         raise UnsupportedLabel(f"unknown label {label!r}")
-    family, n = body[0], int(body[1:])
+    family, n = body[0], number(body[1:])
 
     if affine:
         floors = {"A": 1, "B": 3, "C": 2, "D": 4}
@@ -525,11 +480,15 @@ def _bfs(
 ) -> Iterator[Tuple[int, tuple, Word, object]]:
     """Walk the Cayley graph breadth-first; every enumeration runs on this.
 
-    Yields ``(length, key, word, payload)`` by increasing length, sorted
-    by key within a length.  ``word`` is the ShortLex normal form: a node
-    keeps the least word its predecessors on ``side`` offer.  A candidate
-    at length k+1 can only equal a node of layer k or k-1 (lengths
-    alternate in parity), so two layers of keys suffice for deduplication.
+    Yields ``(length, key, word, payload)`` by increasing length, and in
+    ShortLex order of ``word`` within a length; ``word`` is the ShortLex
+    normal form.  Candidates are generated in lexicographic order of their
+    words (frontier outside and generators inside on the right, the other
+    way round on the left), so the first candidate to reach a node carries
+    its ShortLex word and each layer fills in ShortLex order, whatever the
+    encoding of the keys.  A candidate at length k+1 can only equal a node
+    of layer k or k-1 (lengths alternate in parity), so two layers of keys
+    suffice for deduplication.
 
     ``gens`` restricts the walk to a standard parabolic subgroup, whose
     word length agrees with ambient length.  ``step(payload, i)`` gives a
@@ -537,8 +496,8 @@ def _bfs(
     and must depend on the node only, not on the path.  ``keep(key)``
     drops candidates; the kept set must be closed under shortening on
     ``side``.  ``live(payload)`` false keeps a node for deduplication but
-    neither yields nor expands it.  The budget is checked as each node is
-    stored.
+    neither yields nor expands it; the live set must be closed under
+    shortening too.  The budget is checked as each node is stored.
     """
     right = side == "right"
     apply = system._apply_right if right else system._apply_left
@@ -550,31 +509,29 @@ def _bfs(
     prev: dict = {}
     while cur:
         frontier = []
-        for key, (word, payload) in sorted(cur.items()):
+        for key, (word, payload) in cur.items():
             if live is None or live(payload):
                 yield k, key, word, payload
                 frontier.append((key, word, payload))
         if max_len is not None and k >= max_len:
             return
         k += 1
+        if right:
+            candidates = ((node, i) for node in frontier for i in gens)
+        else:
+            candidates = ((node, i) for i in gens for node in frontier)
         nxt: dict = {}
-        for key, word, payload in frontier:
-            for i in gens:
-                nd = apply(key, i)
-                if nd in prev or nd in cur:
-                    continue
-                cand = word + (i,) if right else (i,) + word
-                old = nxt.get(nd)
-                if old is not None:
-                    if cand < old[0]:
-                        nxt[nd] = (cand, old[1])
-                    continue
-                if keep is not None and not keep(nd):
-                    continue
-                stored += 1
-                if stored > budget:
-                    raise ResourceLimit(budget, k, stored)
-                nxt[nd] = (cand, payload if step is None else step(payload, i))
+        for (key, word, payload), i in candidates:
+            nd = apply(key, i)
+            if nd in prev or nd in cur or nd in nxt:
+                continue
+            if keep is not None and not keep(nd):
+                continue
+            stored += 1
+            if stored > budget:
+                raise ResourceLimit(budget, k, stored)
+            cand = word + (i,) if right else (i,) + word
+            nxt[nd] = (cand, payload if step is None else step(payload, i))
         prev, cur = cur, nxt
 
 
@@ -587,9 +544,9 @@ def enumerate_up_to(
 ) -> Iterator[Tuple[Element, int]]:
     """Stream every element of length <= max_len exactly once.
 
-    Elements are emitted in increasing length, sorted by canonical key
-    within each length; lengths are the BFS layer indices.  With
-    ``max_len=None`` the whole group is enumerated (the budget guards
+    Elements are emitted in increasing length, in ShortLex order of their
+    normal forms within each length; lengths are the BFS layer indices.
+    With ``max_len=None`` the whole group is enumerated (the budget guards
     against accidentally unbounded runs on affine systems).  ``workers``
     is accepted for compatibility and ignored: enumeration is
     single-threaded.
@@ -695,15 +652,14 @@ def bruhat_leq(system: CoxeterSystem, v: Element, w: Element) -> bool:
 
     Uses the subword characterization: v <= w iff some (equivalently,
     every) reduced word of w contains a reduced word of v as a subword.
-    The scan below folds v through one fixed reduced word of w from the
+    The scan below folds v through any one reduced word of w from the
     right, descending whenever possible; by the lifting property this
     reaches the identity exactly when v <= w.
     """
     if v.length > w.length:
         return False
-    word = system.shortlex(w)
     u = v
-    for i in reversed(word):
+    for i in reversed(system._reduced_word(w.data)):
         if system._is_right_descent_data(u.data, i):
             u = system.apply(u, i, "right")
     return system.is_identity(u)

@@ -72,7 +72,7 @@ def bruhat_dot(
     layers = _layers(system, max_len, budget)
     nodes = []
     for k in sorted(layers):
-        for _, word in sorted(layers[k], key=lambda t: t[1]):
+        for _, word in layers[k]:
             nodes.append(word_string(system, word))
     edges = sorted(
         (word_string(system, vw), word_string(system, ww))

@@ -309,11 +309,11 @@ def _source_records(
 ) -> Iterator[Tuple[Element, Word, Element]]:
     """BFS over the source (or a source parabolic), unfolding as it goes.
 
-    Yields (source element, its least word, unfolded ambient element),
-    sorted by source key within each length layer.  Nodes beyond the
-    ambient cutoff stay stored for deduplication but are neither
-    yielded nor expanded (unfolded length grows along reduced words, so
-    nothing below the cutoff is lost).
+    Yields (source element, its ShortLex word, unfolded ambient element),
+    in ShortLex order of the source words within each length layer.
+    Nodes beyond the ambient cutoff stay stored for deduplication but are
+    neither yielded nor expanded (unfolded length grows along reduced
+    words, so nothing below the cutoff is lost).
     """
     target = f.target
 

@@ -32,6 +32,22 @@ def test_nonpositive_workers_is_usage_error(capsys, argv, workers):
     assert_usage_error(*run(capsys, *argv, "--workers", workers), "--workers")
 
 
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["bruhat-dot", "--group", "Ax"], "'Ax'"),
+        (["bruhat-dot", "--group", "affine-Cx", "--max-len", "2"], "'affine-Cx'"),
+        (["bruhat-dot", "--group", "I2(x)"], "'I2(x)'"),
+        (["bruhat-dot", "--group", "I2()"], "'I2()'"),
+        (["bruhat-dot", "--group", "A1.5"], "'A1.5'"),
+        (["reiner", "--type", "affB", "--n", "3", "--max-len", "4", "--subst", "a=q^x"], "'q^x'"),
+    ],
+)
+def test_malformed_input_is_usage_error(capsys, argv, word):
+    # an uncaught exception would end the real CLI in a traceback with exit 1
+    assert_usage_error(*run(capsys, *argv), word)
+
+
 class TestSeries:
     def test_both_sources_match(self, capsys):
         code, out, _ = run(

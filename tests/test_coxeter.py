@@ -72,7 +72,10 @@ class TestBuildSystem:
 
     @pytest.mark.parametrize(
         "label",
-        ["E6", "B1", "C3", "D2", "I2(2)", "affine-B2", "affine-D3", "nonsense"],
+        [
+            "E6", "B1", "C3", "D2", "I2(2)", "affine-B2", "affine-D3", "nonsense",
+            "Ax", "affine-Cx", "I2(x)", "I2()", "A1.5",
+        ],
     )
     def test_rejected_labels(self, label):
         with pytest.raises(UnsupportedLabel):
@@ -138,6 +141,13 @@ class TestApplyGenerator:
         a3 = build_system("A3")
         with pytest.raises(IndexOutOfRange):
             apply_generator(a3, a3.identity(), 3, "right")
+
+    @pytest.mark.parametrize("name", ["t1", "sx", "s", "s1.5", "s4"])
+    def test_bad_generator_names(self, name):
+        a3 = build_system("A3")
+        assert a3.generator_index("s3") == 2
+        with pytest.raises(IndexOutOfRange):
+            a3.generator_index(name)
 
 
 class TestLengthAndDescents:

@@ -267,6 +267,15 @@ class TestAdmissibility:
         assert not report.passed
         assert report.violations
 
+    def test_first_violations_in_shortlex_order(self):
+        # with more witnesses than max_violations, the first ones in
+        # ShortLex order are reported, whatever the element encoding
+        bad = Folding(
+            build_system("A3"), build_system("A5"), [(0, 1, 0), (2, 3, 2), (4,)]
+        )
+        report = check_admissible(bad, 3, max_violations=2)
+        assert [v["source_word"] for v in report.violations] == ["s1 s2", "s2 s1"]
+
 
 class TestTransferProperties:
     @pytest.mark.parametrize("fam", SMALL_FAMILIES, ids=family_label)

@@ -5,7 +5,15 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxfold.coxeter import INFINITE, CoxeterMatrix, build_system
+from coxfold.coxeter import (
+    INFINITE,
+    CoxeterMatrix,
+    _bfs,
+    all_reduced_words,
+    build_system,
+    enumerate_with_words,
+    shortlex_normal_form,
+)
 from coxfold.errors import CoxfoldError
 
 from oracles import bfs_distances, inversions, type_b_generators, type_d_generators
@@ -84,12 +92,12 @@ def test_product_with_inverse_is_identity(lw):
 
 
 @st.composite
-def coxeter_matrices(draw):
+def coxeter_matrices(draw, bonds=(2, 3, 4, 5, 6, 7, INFINITE)):
     n = draw(st.integers(3, 4))
     rows = [[1] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = draw(st.sampled_from([2, 3, 4, 5, 6, 7, INFINITE]))
+            rows[i][j] = rows[j][i] = draw(st.sampled_from(bonds))
     return tuple(map(tuple, rows))
 
 
@@ -103,3 +111,52 @@ def test_random_matrix_builds_or_raises(entries):
         assert any(m in (5, 7) for row in entries for m in row)
         return
     assert all(W.generator(i).length == 1 for i in range(W.rank))
+
+
+def assert_shortlex_layers(W, stream):
+    # each layer strictly increases in word, and each word is the normal form
+    last = {}
+    for element, word in stream:
+        assert len(word) == element.length
+        assert word == shortlex_normal_form(W, element)
+        if element.length in last:
+            assert last[element.length] < word
+        last[element.length] = word
+
+
+@settings(max_examples=25, deadline=None)
+@given(coxeter_matrices(bonds=(2, 3, 4, 6, INFINITE)), st.data())
+def test_layers_come_in_shortlex_order(entries, data):
+    W = build_system(CoxeterMatrix(entries))
+    J = data.draw(st.sets(st.integers(0, W.rank - 1), max_size=W.rank - 1), label="J")
+    assert_shortlex_layers(W, enumerate_with_words(W, 5))
+
+    def minimal(key):
+        return not any(W._is_right_descent_data(key, j) for j in J)
+
+    walk = _bfs(W, 5, 10**6, side="left", keep=minimal)
+    assert_shortlex_layers(W, ((W.assemble(word), word) for _, _, word, _ in walk))
+
+
+SMALL_LABELS = [f"I2({m})" for m in range(3, 13)] + [
+    "affine-A1",
+    "B3",
+    "affine-C2",
+    "affine-G2",
+]
+
+
+@PROPERTY
+@given(labelled_words(SMALL_LABELS), st.data())
+def test_operations_agree_with_words(lw, data):
+    # Element equality compares both the data and the length
+    label, word = lw
+    W = system(label)
+    w = W.assemble(word[:10])
+    v = W.assemble(data.draw(words(W.rank), label="other"))
+    i = data.draw(st.integers(0, W.rank - 1), label="i")
+    normal = W.shortlex(w)
+    assert normal == min(all_reduced_words(W, w))
+    assert W.multiply(w, v) == W.assemble(normal + W.shortlex(v))
+    assert W.inverse(w) == W.assemble(reversed(normal))
+    assert W.apply(w, i, "left") == W.assemble((i,) + normal)

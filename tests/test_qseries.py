@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxfold.errors import InvalidBase, NegativeDegree, NonUnitDivisor
 from coxfold.qseries import (
@@ -135,6 +137,22 @@ class TestArithmetic:
                 [rng.choice([1, -1])] + [rng.randrange(-3, 4) for _ in range(L)], L
             )
             assert divide_by_unit(a * d, d) == a
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(-50, 50), min_size=1, max_size=25),
+        st.sampled_from([1, -1]),
+        st.lists(st.integers(-5, 5), max_size=25),
+        st.one_of(st.none(), st.integers(0, 30)),
+    )
+    def test_division_property(self, a_coeffs, d0, d_tail, d_order):
+        # a truncated, d a unit that is exact or truncated at any order
+        a = QSeries(a_coeffs, len(a_coeffs) - 1)
+        d = QSeries([d0] + d_tail, d_order)
+        got = divide_by_unit(a * d, d)
+        order = a.order if d_order is None else min(a.order, d_order)
+        assert got.order == order
+        assert got.coeffs == a.truncate(order).coeffs
 
 
 class TestEquality:

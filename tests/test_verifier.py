@@ -1,6 +1,9 @@
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxfold.errors import CorruptCache, CoxfoldError
 from coxfold.qseries import QSeries
@@ -102,6 +105,20 @@ class TestCache:
         key = cache_key("demo", (("n", 2),), 4)
         cache_put(tmp_path, key, series)
         assert cache_get(tmp_path, key) == series
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=30),
+        st.one_of(st.none(), st.integers(0, 40)),
+    )
+    def test_round_trip_keeps_coefficients_and_order(self, coeffs, order):
+        series = QSeries(coeffs, order)
+        key = cache_key("demo", (("n", 3),), order)
+        with tempfile.TemporaryDirectory() as cache_dir:
+            cache_put(cache_dir, key, series)
+            got = cache_get(cache_dir, key)
+        assert got == series
+        assert (got.coeffs, got.order) == (series.coeffs, series.order)
 
     def test_missing_is_none(self, tmp_path):
         assert cache_get(tmp_path, "absent|n=1|L=2") is None
