@@ -11,8 +11,9 @@ Subcommands:
                     optionally highlighting a folded subgroup in red.
 * ``catalog``    -- the machine-readable formula manifest.
 
-Exit codes: 0 on success/match, 1 on mismatch or runtime failure,
-2 on usage errors (unknown families, missing parameters, empty grids).
+Exit codes: 0 on success/match, 1 on mismatch, a failed verify case or
+an exhausted element budget, 2 on usage errors (unknown families, bad
+parameters, empty grids, a path that cannot be written).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 from .closed_forms import catalog, reiner_distribution, unfolding_closed_form
 from .coxeter import DEFAULT_BUDGET, build_system
 from .dot import bruhat_dot
-from .errors import CoxfoldError, InvalidParameters, ResourceLimit, UnsupportedLabel
+from .errors import CoxfoldError, InvalidParameters, ResourceLimit
 from .folding import (
     FAMILY_NAMES,
     FamilyId,
@@ -79,26 +80,17 @@ def _stat_csv(stats) -> str:
 
 
 def cmd_series(args) -> int:
-    try:
-        family = _family_from_args(args)
-    except InvalidParameters as exc:
-        return _usage_error(str(exc))
+    family = _family_from_args(args)
     if family.is_affine and args.max_len is None:
         return _usage_error(f"{family.name} is affine: --max-len is required")
     L = args.max_len
-    try:
-        results = {}
-        if args.source in ("bruteforce", "both"):
-            results["bruteforce"] = unfolding_series_bruteforce(
-                standard_folding(family), L, budget=args.budget
-            )
-        if args.source in ("formula", "both"):
-            results["formula"] = unfolding_closed_form(family, L, "product")
-    except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InvalidParameters as exc:
-        return _usage_error(str(exc))
+    results = {}
+    if args.source in ("bruteforce", "both"):
+        results["bruteforce"] = unfolding_series_bruteforce(
+            standard_folding(family), L, budget=args.budget
+        )
+    if args.source in ("formula", "both"):
+        results["formula"] = unfolding_closed_form(family, L, "product")
 
     match = None
     if len(results) == 2:
@@ -129,17 +121,7 @@ def cmd_series(args) -> int:
 def cmd_verify(args) -> int:
     families = args.family if args.family else None
     if families:
-        known = set(FAMILY_NAMES) | {
-            "Cor1.4",
-            "Reiner-affB",
-            "Reiner-affC",
-            "Poincare-An",
-            "Poincare-Bn",
-            "Bott-affA",
-            "CosetFactor-Lemma3.1",
-            "Thm1.5-literal",
-        }
-        unknown = [f for f in families if f not in known]
+        unknown = [f for f in families if not default_cases([f])]
         if unknown:
             return _usage_error(f"unknown families: {', '.join(unknown)}")
     cases = default_cases(families)
@@ -154,8 +136,7 @@ def cmd_verify(args) -> int:
         print(line)
     print(f"{sum(c['status'] == 'pass' for c in report.cases)}/{len(report.cases)} passed")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json(include_timings=args.timings))
+        _write(report.to_json(include_timings=args.timings), args.out)
     return 0 if report.passed else 1
 
 
@@ -190,30 +171,21 @@ def cmd_reiner(args) -> int:
     if args.type not in ("affB", "affC"):
         return _usage_error("--type must be affB or affC")
     label = f"affine-B{args.n}" if args.type == "affB" else f"affine-C{args.n}"
-    try:
-        system = build_system(label)
-        brute = reiner_stats_bruteforce(system, args.max_len, budget=args.budget)
-        formula = reiner_distribution(args.type, args.n, args.max_len)
-    except (InvalidParameters, UnsupportedLabel) as exc:
-        return _usage_error(str(exc))
-    except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    system = build_system(label)
+    brute = reiner_stats_bruteforce(system, args.max_len, budget=args.budget)
+    formula = reiner_distribution(args.type, args.n, args.max_len)
     match = brute == formula
 
     preview = None
     if args.subst:
-        try:
-            values = _parse_substitution(args.subst)
-            preview = substitute(
-                formula,
-                values.get("a", Monomial(1, 0)),
-                values.get("b", Monomial(1, 0)),
-                values.get("q", Monomial(1, 1)),
-                args.max_len,
-            )
-        except CoxfoldError as exc:
-            return _usage_error(str(exc))
+        values = _parse_substitution(args.subst)
+        preview = substitute(
+            formula,
+            values.get("a", Monomial(1, 0)),
+            values.get("b", Monomial(1, 0)),
+            values.get("q", Monomial(1, 1)),
+            args.max_len,
+        )
 
     if args.format == "json":
         payload = {
@@ -266,24 +238,13 @@ def _resolve_folding(group_label: str, folding_arg: str, n, m):
 
 
 def cmd_bruhat_dot(args) -> int:
-    try:
-        system = build_system(args.group)
-    except (UnsupportedLabel, CoxfoldError) as exc:
-        return _usage_error(str(exc))
+    system = build_system(args.group)
     if args.group.startswith("affine-") and args.max_len is None:
         return _usage_error(f"{args.group} is infinite: --max-len is required")
     folding = None
     if args.folding:
-        try:
-            folding = _resolve_folding(args.group, args.folding, args.n, args.m)
-        except InvalidParameters as exc:
-            return _usage_error(str(exc))
-    try:
-        text = bruhat_dot(system, folding, args.max_len, budget=args.budget)
-    except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write(text, args.out)
+        folding = _resolve_folding(args.group, args.folding, args.n, args.m)
+    _write(bruhat_dot(system, folding, args.max_len, budget=args.budget), args.out)
     return 0
 
 
@@ -373,7 +334,13 @@ def main(argv=None) -> int:
         return _usage_error("--workers must be at least 1")
     if getattr(args, "max_len", None) is not None and args.max_len < 0:
         return _usage_error("--max-len must be non-negative")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ResourceLimit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (CoxfoldError, OSError) as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,17 @@
 """Closed-form evaluations of the registered generating functions.
 
-Every formula is evaluated through the exact q-series primitives; finite
-families produce exact polynomials, affine ones truncated series.  Any
-product whose upper index falls below its lower index is the empty
-product 1 (this matters at the small-rank ends of several families).
+Every registered formula is one row of the table ``_FORMULAS``: its
+catalog parameters and text, its minimal n, and its factors.  A series
+is a product of numerator factors (q-integers at +/- q^e, binomials
+1 +/- q^e and punctured odd q-integers [2k+1]_q - q^k) divided by a
+product of binomials 1 +/- q^e, all built exact.  A row without
+denominators is a finite family and evaluates to an exact polynomial; a
+row with denominators is affine, needs a truncation order, and
+evaluates to a series truncated there.  Any product whose upper index
+falls below its lower index is the empty product 1 (this matters at the
+small-rank ends of several families).  The rows that are not one series
+(the signed product identity, the two-variable distributions and the
+coset-minima factors) have no factors and their own evaluators.
 
 Two readings are deliberately corrected relative to their commonly
 printed shapes, in both cases adjudicated by the brute-force oracle:
@@ -21,11 +29,16 @@ The refined two-variable distributions ("Reiner" tags) are Pochhammer
 quotients expanded as trivariate series; the affine unfolding series
 arise from them through monomial substitutions, which is exposed as the
 ``substitution`` route next to the direct ``product`` route.
+
+>>> str(closed_form("Thm1.3-1", 2))
+'1 + q + q^2 + 2q^3 + q^4 + q^5 + q^6'
+>>> closed_form("Thm1.5", 2, 2, 6).coeffs
+(1, 0, 2, 0, 2, 0, 2)
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import InvalidParameters
 from .folding import FamilyId
@@ -52,216 +65,242 @@ __all__ = [
     "catalog",
 ]
 
-FORMULA_TAGS = (
-    "Thm1.3-1",
-    "Thm1.3-2",
-    "Thm1.3-3",
-    "Thm1.3-4",
-    "Thm1.3-5",
-    "Cor1.4",
-    "Thm1.5",
-    "Thm1.6-1",
-    "Thm1.6-2",
-    "Thm1.6-3",
-    "Thm1.7-1",
-    "Thm1.7-2",
-    "Thm1.7-3",
-    "Thm1.7-4",
-    "Thm1.7-5",
-    "Thm1.7-6",
-    "Thm1.7-7",
-    "Bott-affA",
-    "Reiner-affB",
-    "Reiner-affC",
-    "Poincare-An",
-    "Poincare-Bn",
-    "CosetFactor-Lemma3.1",
-)
+
+def _qint(k: int, sign: int = 1, exp: int = 1) -> QSeries:
+    """[k] at base sign * q^exp."""
+    return q_integer(k, Monomial(sign, exp))
 
 
-def _signed(k: int, order: Optional[int] = None) -> QSeries:
+def _signed(k: int) -> QSeries:
     """[k] at base (-1)^k q: alternating-sign q-integer."""
-    return q_integer(k, Monomial(1 if k % 2 == 0 else -1, 1), order)
+    return _qint(k, 1 if k % 2 == 0 else -1)
 
 
-def _mono(sign: int, exp: int, order: Optional[int]) -> QSeries:
-    return QSeries.monomial(Monomial(sign, exp), order)
+def _binomial(sign: int, exp: int) -> QSeries:
+    """1 + sign * q^exp."""
+    return QSeries.one() + QSeries.monomial(Monomial(sign, exp))
 
 
-def _one_plus(sign: int, exp: int, order: Optional[int]) -> QSeries:
-    return QSeries.one(order) + _mono(sign, exp, order)
-
-
-def _odd_bracket_factor(k: int, order: Optional[int]) -> QSeries:
+def _odd_bracket_factor(k: int) -> QSeries:
     """[2k+1]_q - q^k, the mid-degree-punctured odd q-integer."""
-    return q_integer(2 * k + 1, Monomial(1, 1), order) - _mono(1, k, order)
+    return _qint(2 * k + 1) - QSeries.monomial(Monomial(1, k))
 
 
-def poincare_a(n: int) -> QSeries:
-    """Length generating polynomial of the rank-n symmetric type.
-
-    The group has (n+1)! elements, so the product runs to n+1 (a common
-    shorthand prints it only to n, which already fails at q = 1).
-    """
-    if n < 1:
-        raise InvalidParameters("rank must be >= 1")
-    out = QSeries.one()
-    for k in range(1, n + 2):
-        out = out * q_integer(k, Monomial(1, 1))
-    return out
+def _alternating(top: int) -> list:
+    """The factors of prod_{k=1..top} [k]_{(-1)^k q}."""
+    return [_signed(k) for k in range(1, top + 1)]
 
 
-def poincare_b(n: int) -> QSeries:
-    """Length generating polynomial of the rank-n hyperoctahedral type."""
-    if n < 2:
-        raise InvalidParameters("rank must be >= 2")
-    out = QSeries.one()
-    for k in range(1, n + 1):
-        out = out * q_integer(2 * k, Monomial(1, 1))
-    return out
+def _fork(n: int) -> list:
+    """The factors of [2]_q [3]_{-q} [4]_q prod_{k=3..n} ([2k+1]_q - q^k)."""
+    return [_qint(2), _qint(3, -1), _qint(4)] + [_odd_bracket_factor(k) for k in range(3, n + 1)]
 
 
-def _thm13(part: int, n: int) -> QSeries:
-    if n < 2:
-        raise InvalidParameters("finite families require n >= 2")
-    if part == 1:
-        out = QSeries.one()
-        for k in range(1, 2 * n + 1):
-            out = out * _signed(k)
-        return out
-    if part == 2:
-        out = QSeries.one()
-        for k in range(1, 2 * n + 2):
-            out = out * _signed(k)
-        return out
-    if part == 3:
-        out = q_integer(2, Monomial(1, 1)) * q_integer(3, Monomial(-1, 1))
-        out = out * q_integer(4, Monomial(1, 1))
-        for k in range(3, n + 1):
-            out = out * _odd_bracket_factor(k, None)
-        return out
-    raise InvalidParameters(f"no such part {part}")
+def _dihedral(n: int, parity: int) -> list:
+    """The factors of the dihedral-to-linear polynomial at rank n."""
+    if n % 2 != parity:
+        raise InvalidParameters(f"Thm1.3-{4 + parity} applies to {('even', 'odd')[parity]} n")
+    m = (n + 1) // 2
+    if parity == 0:
+        return [_qint(2, 1, m), _qint(n + 1, 1, m)]
+    return [_qint(2, 1, m - 1), _qint(2, 1, m), _qint(m, 1, n)]
 
 
-def _dihedral_polynomial(n: int) -> QSeries:
-    """Unfolding polynomial of the dihedral-to-linear family at rank n."""
-    if n < 2:
-        raise InvalidParameters("the dihedral family requires n >= 2")
-    if n % 2 == 0:
-        m = n // 2
-        return q_integer(2, Monomial(1, m)) * q_integer(n + 1, Monomial(1, m))
-    m = (n + 1) // 2  # odd n >= 3, so m >= 2
-    out = q_integer(2, Monomial(1, m - 1)) * q_integer(2, Monomial(1, m))
-    return out * q_integer(m, Monomial(1, n))
+def _affine_a(n: int, m: int, literal: bool) -> tuple:
+    """prod_{k=2..n} [k]_{q^m} / (1 - q^{(k-1)m}), from k = 1 if literal."""
+    ks = range(1 if literal else 2, n + 1)
+    return [_qint(k, 1, m) for k in ks], [_binomial(-1, (k - 1) * m) for k in ks]
 
 
-def _thm15(n: int, m: int, order: int, literal: bool) -> QSeries:
-    if n < 2 or m < 2:
-        raise InvalidParameters("the affine A family requires n >= 2 and m >= 2")
-    out = QSeries.one(order)
-    start = 1 if literal else 2
-    for k in range(start, n + 1):
-        out = out * q_integer(k, Monomial(1, m), order)
-        out = divide_by_unit(out, QSeries.one(order) - _mono(1, (k - 1) * m, order))
-    return out
+class _Formula(NamedTuple):
+    parameters: dict
+    formula: str
+    min_n: int
+    # (n, m, literal) -> (numerators, denominators); None if not one series
+    factors: Optional[Callable]
 
 
-def _bott(n: int, order: int, literal: bool) -> QSeries:
-    if n < 2:
-        raise InvalidParameters("the affine A series requires n >= 2")
-    out = QSeries.one(order)
-    start = 1 if literal else 2
-    for k in range(start, n + 1):
-        out = out * q_integer(k, Monomial(1, 1), order)
-        out = divide_by_unit(out, QSeries.one(order) - _mono(1, k - 1, order))
-    return out
+_FORMULAS = {
+    "Thm1.3-1": _Formula(
+        {"n": ">=2"},
+        "prod_{k=1..2n} [k]_{(-1)^k q}",
+        2,
+        lambda n, m, literal: (_alternating(2 * n), []),
+    ),
+    "Thm1.3-2": _Formula(
+        {"n": ">=2"},
+        "prod_{k=1..2n+1} [k]_{(-1)^k q}",
+        2,
+        lambda n, m, literal: (_alternating(2 * n + 1), []),
+    ),
+    "Thm1.3-3": _Formula(
+        {"n": ">=2"},
+        "[2]_q [3]_{-q} [4]_q prod_{k=3..n} ([2k+1]_q - q^k)",
+        2,
+        lambda n, m, literal: (_fork(n), []),
+    ),
+    "Thm1.3-4": _Formula(
+        {"n": "even >=2"},
+        "[2]_{q^m} [n+1]_{q^m} with m = n/2",
+        2,
+        lambda n, m, literal: (_dihedral(n, 0), []),
+    ),
+    "Thm1.3-5": _Formula(
+        {"n": "odd >=3"},
+        "[2]_{q^(m-1)} [2]_{q^m} [m]_{q^n} with m = (n+1)/2",
+        3,
+        lambda n, m, literal: (_dihedral(n, 1), []),
+    ),
+    "Cor1.4": _Formula(
+        {"n": ">=3"},
+        "B_m(-q) U(q) = A_n(-q) B_m(q) with m = floor((n+1)/2)",
+        3,
+        None,
+    ),
+    "Thm1.5": _Formula(
+        {"n": ">=2", "m": ">=2"},
+        "prod_{k=2..n} [k]_{q^m} / (1 - q^{(k-1)m})  (k=1 factor excluded)",
+        2,
+        _affine_a,
+    ),
+    "Thm1.6-1": _Formula(
+        {"n": ">=3"},
+        "[2]_q[3]_{-q}[4]_q prod_{k=3..n}([2k+1]_q - q^k) / "
+        "((1-q)(1-q^3)(1+q^n) prod_{k=3..n}(1-q^{2k-1}))",
+        3,
+        lambda n, m, literal: (
+            _fork(n),
+            [_binomial(-1, 1), _binomial(-1, 3), _binomial(1, n)]
+            + [_binomial(-1, 2 * k - 1) for k in range(3, n + 1)],
+        ),
+    ),
+    "Thm1.6-2": _Formula(
+        {"n": ">=3"},
+        "prod_{k=1..2n}[k]_{(-1)^k q} prod_{k=2..n}(1+q^{2(k-1)}) / "
+        "prod_{k=1..n}(1-q^{2(n+k)-3})",
+        3,
+        lambda n, m, literal: (
+            _alternating(2 * n) + [_binomial(1, 2 * (k - 1)) for k in range(2, n + 1)],
+            [_binomial(-1, 2 * (n + k) - 3) for k in range(1, n + 1)],
+        ),
+    ),
+    "Thm1.6-3": _Formula(
+        {"n": ">=3"},
+        "prod_{k=1..2n+1}[k]_{(-1)^k q} prod_{k=2..n}(1+q^{2(k-1)}) / "
+        "prod_{k=1..n}(1-q^{2(n+k)-1})",
+        3,
+        lambda n, m, literal: (
+            _alternating(2 * n + 1) + [_binomial(1, 2 * (k - 1)) for k in range(2, n + 1)],
+            [_binomial(-1, 2 * (n + k) - 1) for k in range(1, n + 1)],
+        ),
+    ),
+    # [n+1]_{(-1)^{n+1} q} is the k = n+1 term of the alternating product
+    "Thm1.7-1": _Formula(
+        {"n": ">=2"},
+        "[n+1]_{-q} [n+1]_{(-1)^{n+1} q} prod_{k=1..2n+1, k!=n+1} "
+        "[k]_{(-1)^k q} / (1+(-q)^k)",
+        2,
+        lambda n, m, literal: (
+            [_qint(n + 1, -1)] + _alternating(2 * n + 1),
+            [_binomial((-1) ** k, k) for k in range(1, 2 * n + 2) if k != n + 1],
+        ),
+    ),
+    "Thm1.7-2": _Formula(
+        {"n": ">=2"},
+        "prod_{k=1..2n} [k+1]_{(-1)^{k+1} q} / (1+(-q)^k)",
+        2,
+        lambda n, m, literal: (
+            _alternating(2 * n + 1)[1:],
+            [_binomial((-1) ** k, k) for k in range(1, 2 * n + 1)],
+        ),
+    ),
+    "Thm1.7-3": _Formula(
+        {"n": ">=2"},
+        "prod_{k=2..2n} [k]_{(-1)^k q} / (1+(-q)^{k-1})",
+        2,
+        lambda n, m, literal: (
+            _alternating(2 * n)[1:],
+            [_binomial((-1) ** k, k) for k in range(1, 2 * n)],
+        ),
+    ),
+    # (1-q)(1-q^3)(1-q^5) are the k = 0, 1, 2 terms of prod (1-q^{2k+1})
+    "Thm1.7-4": _Formula(
+        {"n": ">=2"},
+        "[2]_q[3]_{-q}[4]_q[2]_{-q^{n+1}} / ((1-q)(1-q^3)(1-q^5)) "
+        "prod_{k=3..n} ([2k+1]_q - q^k)/(1-q^{2k+1})",
+        2,
+        lambda n, m, literal: (
+            _fork(n) + [_qint(2, -1, n + 1)],
+            [_binomial(-1, 2 * k + 1) for k in range(n + 1)],
+        ),
+    ),
+    "Thm1.7-5": _Formula(
+        {"n": ">=2"},
+        "[2]_q[3]_{-q}[4]_q prod_{k=3..n}([2k+1]_q - q^k) "
+        "prod_{k=1..n} (1+q^{k+1})/(1-q^{n+k+2})",
+        2,
+        lambda n, m, literal: (
+            _fork(n) + [_binomial(1, k + 1) for k in range(1, n + 1)],
+            [_binomial(-1, n + k + 2) for k in range(1, n + 1)],
+        ),
+    ),
+    "Thm1.7-6": _Formula(
+        {"n": ">=2"},
+        "prod_{k=1..2n+1}[k]_{(-1)^k q} prod_{k=1..n} (1+q^{2k})/(1-q^{2(n+k)+1})",
+        2,
+        lambda n, m, literal: (
+            _alternating(2 * n + 1) + [_binomial(1, 2 * k) for k in range(1, n + 1)],
+            [_binomial(-1, 2 * (n + k) + 1) for k in range(1, n + 1)],
+        ),
+    ),
+    "Thm1.7-7": _Formula(
+        {"n": ">=2"},
+        "prod_{k=1..2n}[k]_{(-1)^k q} prod_{k=1..n} (1+q^{2k})/(1-q^{2(n+k)-1})",
+        2,
+        lambda n, m, literal: (
+            _alternating(2 * n) + [_binomial(1, 2 * k) for k in range(1, n + 1)],
+            [_binomial(-1, 2 * (n + k) - 1) for k in range(1, n + 1)],
+        ),
+    ),
+    "Bott-affA": _Formula(
+        {"n": ">=2"},
+        "prod_{k=2..n} [k]_q / (1 - q^{k-1})  (k=1 factor excluded)",
+        2,
+        lambda n, m, literal: _affine_a(n, 1, literal),
+    ),
+    "Reiner-affB": _Formula(
+        {"n": ">=3"},
+        "(-aq;q)_n (-q;q)_{n-1} [n]_q! / (aq^n;q)_n",
+        3,
+        None,
+    ),
+    "Reiner-affC": _Formula(
+        {"n": ">=2"},
+        "(-aq;q)_n (-bq;q)_n [n]_q! / (abq^{n+1};q)_n",
+        2,
+        None,
+    ),
+    "Poincare-An": _Formula(
+        {"n": ">=1"},
+        "prod_{k=1..n+1} [k]_q",
+        1,
+        lambda n, m, literal: ([_qint(k) for k in range(1, n + 2)], []),
+    ),
+    "Poincare-Bn": _Formula(
+        {"n": ">=2"},
+        "prod_{k=1..n} [2k]_q",
+        2,
+        lambda n, m, literal: ([_qint(2 * k) for k in range(1, n + 1)], []),
+    ),
+    "CosetFactor-Lemma3.1": _Formula(
+        {"part": "1|2|3", "n": ">=2 (part 3: >=3)"},
+        "part 1: [2n-1]_{-q}[2n]_q; part 2: [2n]_q[2n+1]_{-q}; part 3: [2n+1]_q - q^n",
+        2,
+        None,
+    ),
+}
 
-
-def _thm16(part: int, n: int, order: int) -> QSeries:
-    if n < 3:
-        raise InvalidParameters("affine B families require n >= 3")
-    if part == 1:
-        num = _thm13(3, n).truncate(order)
-        den = (QSeries.one(order) - _mono(1, 1, order)) * (
-            QSeries.one(order) - _mono(1, 3, order)
-        )
-        den = den * _one_plus(1, n, order)
-        for k in range(3, n + 1):
-            den = den * (QSeries.one(order) - _mono(1, 2 * k - 1, order))
-        return divide_by_unit(num, den)
-    if part in (2, 3):
-        num = _thm13(1 if part == 2 else 2, n).truncate(order)
-        for k in range(2, n + 1):
-            num = num * _one_plus(1, 2 * (k - 1), order)
-        shift = -3 if part == 2 else -1
-        out = num
-        for k in range(1, n + 1):
-            out = divide_by_unit(
-                out, QSeries.one(order) - _mono(1, 2 * (n + k) + shift, order)
-            )
-        return out
-    raise InvalidParameters(f"no such part {part}")
-
-
-def _thm17(part: int, n: int, order: int) -> QSeries:
-    if n < 2:
-        raise InvalidParameters("affine C families require n >= 2")
-    if part == 1:
-        out = q_integer(n + 1, Monomial(-1, 1), order)
-        out = out * q_integer(n + 1, Monomial(1 if (n + 1) % 2 == 0 else -1, 1), order)
-        for k in range(1, 2 * n + 2):
-            if k == n + 1:
-                continue
-            out = out * _signed(k, order)
-            out = divide_by_unit(out, _one_plus(1 if k % 2 == 0 else -1, k, order))
-        return out
-    if part == 2:
-        out = QSeries.one(order)
-        for k in range(1, 2 * n + 1):
-            out = out * _signed(k + 1, order)
-            out = divide_by_unit(out, _one_plus(1 if k % 2 == 0 else -1, k, order))
-        return out
-    if part == 3:
-        out = QSeries.one(order)
-        for k in range(2, 2 * n + 1):
-            out = out * _signed(k, order)
-            out = divide_by_unit(
-                out, _one_plus(1 if (k - 1) % 2 == 0 else -1, k - 1, order)
-            )
-        return out
-    if part == 4:
-        num = q_integer(2, Monomial(1, 1), order) * q_integer(3, Monomial(-1, 1), order)
-        num = num * q_integer(4, Monomial(1, 1), order)
-        num = num * q_integer(2, Monomial(-1, n + 1), order)
-        out = num
-        for e in (1, 3, 5):
-            out = divide_by_unit(out, QSeries.one(order) - _mono(1, e, order))
-        for k in range(3, n + 1):
-            out = out * _odd_bracket_factor(k, order)
-            out = divide_by_unit(out, QSeries.one(order) - _mono(1, 2 * k + 1, order))
-        return out
-    if part == 5:
-        out = q_integer(2, Monomial(1, 1), order) * q_integer(3, Monomial(-1, 1), order)
-        out = out * q_integer(4, Monomial(1, 1), order)
-        for k in range(3, n + 1):
-            out = out * _odd_bracket_factor(k, order)
-        for k in range(1, n + 1):
-            out = out * _one_plus(1, k + 1, order)
-            out = divide_by_unit(out, QSeries.one(order) - _mono(1, n + k + 2, order))
-        return out
-    if part in (6, 7):
-        top = 2 * n + 1 if part == 6 else 2 * n
-        out = QSeries.one(order)
-        for k in range(1, top + 1):
-            out = out * _signed(k, order)
-        shift = 1 if part == 6 else -1
-        for k in range(1, n + 1):
-            out = out * _one_plus(1, 2 * k, order)
-            out = divide_by_unit(
-                out, QSeries.one(order) - _mono(1, 2 * (n + k) + shift, order)
-            )
-        return out
-    raise InvalidParameters(f"no such part {part}")
+FORMULA_TAGS = tuple(_FORMULAS)
 
 
 def closed_form(
@@ -272,61 +311,48 @@ def closed_form(
     *,
     literal: bool = False,
 ) -> QSeries:
-    """Evaluate a registered formula tag.
+    """Evaluate a registered series formula tag.
 
-    Finite-family tags return exact polynomials and ignore ``max_len``;
-    affine tags require it.  ``literal=True`` evaluates the affine A
-    product with its k = 1 factor included, which divides by zero and
-    raises NonUnitDivisor (kept as a demonstrable erratum).
+    Finite-family tags (no denominators) return exact polynomials and
+    ignore ``max_len``; affine tags require it.  ``literal=True``
+    evaluates the affine A products with their k = 1 factor included,
+    which divides by zero and raises NonUnitDivisor (kept as a
+    demonstrable erratum).
     """
-    affine = tag in (
-        "Thm1.5",
-        "Thm1.6-1",
-        "Thm1.6-2",
-        "Thm1.6-3",
-        "Bott-affA",
-    ) or tag.startswith("Thm1.7")
-    if affine and max_len is None:
+    row = _FORMULAS.get(tag)
+    if row is None or row.factors is None:
+        raise InvalidParameters(f"unknown or non-series formula tag {tag!r}")
+    if n < row.min_n:
+        raise InvalidParameters(f"{tag} requires n >= {row.min_n}")
+    if tag == "Thm1.5" and (m is None or m < 2):
+        raise InvalidParameters("Thm1.5 requires m >= 2")
+    numerators, denominators = row.factors(n, m, literal)
+    if denominators and max_len is None:
         raise InvalidParameters(f"{tag} requires a truncation order")
-    if tag.startswith("Thm1.3-"):
-        part = int(tag.split("-")[1])
-        if part in (1, 2, 3):
-            return _thm13(part, n)
-        if part == 4:
-            if n % 2 != 0:
-                raise InvalidParameters("Thm1.3-4 applies to even n")
-            return _dihedral_polynomial(n)
-        if part == 5:
-            if n % 2 != 1:
-                raise InvalidParameters("Thm1.3-5 applies to odd n")
-            return _dihedral_polynomial(n)
-    if tag == "Thm1.5":
-        if m is None:
-            raise InvalidParameters("Thm1.5 requires the m parameter")
-        return _thm15(n, m, max_len, literal)
-    if tag == "Bott-affA":
-        return _bott(n, max_len, literal)
-    if tag.startswith("Thm1.6-"):
-        return _thm16(int(tag.split("-")[1]), n, max_len)
-    if tag.startswith("Thm1.7-"):
-        return _thm17(int(tag.split("-")[1]), n, max_len)
-    if tag == "Poincare-An":
-        return poincare_a(n)
-    if tag == "Poincare-Bn":
-        return poincare_b(n)
-    raise InvalidParameters(f"unknown or non-series formula tag {tag!r}")
+    out = QSeries.one(max_len if denominators else None)
+    for f in numerators:
+        out = out * f
+    for d in denominators:
+        out = divide_by_unit(out, d)
+    return out
+
+
+def poincare_a(n: int) -> QSeries:
+    """Length generating polynomial of the rank-n symmetric type.
+
+    The group has (n+1)! elements, so the product runs to n+1 (a common
+    shorthand prints it only to n, which already fails at q = 1).
+    """
+    return closed_form("Poincare-An", n)
+
+
+def poincare_b(n: int) -> QSeries:
+    """Length generating polynomial of the rank-n hyperoctahedral type."""
+    return closed_form("Poincare-Bn", n)
 
 
 # ---------------------------------------------------------------------------
 # refined distributions and substitution routes
-
-
-def _stat_from_qseries(p: QSeries, order: int) -> StatSeries:
-    out = {}
-    for k, c in enumerate(p.coeffs):
-        if c and k <= order:
-            out[(0, 0, k)] = c
-    return StatSeries(out, order)
 
 
 def reiner_distribution(kind: str, n: int, max_len: int) -> StatSeries:
@@ -335,46 +361,28 @@ def reiner_distribution(kind: str, n: int, max_len: int) -> StatSeries:
     affB: (-aq;q)_n (-q;q)_{n-1} [n]_q! / (aq^n;q)_n   (b unused)
     affC: (-aq;q)_n (-bq;q)_n [n]_q! / (abq^{n+1};q)_n
 
-    Denominators expand as geometric series in monomials of positive
-    q-degree, so the truncated expansion is exact up to ``max_len``.
+    Against affC, affB has one b-free factor fewer and its denominator
+    starts one q-power lower.  Denominators expand as geometric series
+    in monomials of positive q-degree, so the truncated expansion is
+    exact up to ``max_len``.
     """
-    if kind == "affB":
-        if n < 3:
-            raise InvalidParameters("affine B statistics require n >= 3")
-        out = StatSeries.one(max_len)
-        for k in range(n):
-            out = out * (
-                StatSeries.one(max_len)
-                + StatSeries.from_monomial(Monomial(1, k + 1, a_exp=1), max_len)
-            )
-        for k in range(n - 1):
-            out = out * (
-                StatSeries.one(max_len)
-                + StatSeries.from_monomial(Monomial(1, k + 1), max_len)
-            )
-        out = out * _stat_from_qseries(q_factorial(n, Monomial(1, 1), max_len), max_len)
-        for k in range(n):
-            out = out.geometric_divide(Monomial(1, n + k, a_exp=1))
-        return out
-    if kind == "affC":
-        if n < 2:
-            raise InvalidParameters("affine C statistics require n >= 2")
-        out = StatSeries.one(max_len)
-        for k in range(n):
-            out = out * (
-                StatSeries.one(max_len)
-                + StatSeries.from_monomial(Monomial(1, k + 1, a_exp=1), max_len)
-            )
-        for k in range(n):
-            out = out * (
-                StatSeries.one(max_len)
-                + StatSeries.from_monomial(Monomial(1, k + 1, b_exp=1), max_len)
-            )
-        out = out * _stat_from_qseries(q_factorial(n, Monomial(1, 1), max_len), max_len)
-        for k in range(n):
-            out = out.geometric_divide(Monomial(1, n + 1 + k, a_exp=1, b_exp=1))
-        return out
-    raise InvalidParameters(f"distribution kind must be affB or affC, got {kind!r}")
+    if kind not in ("affB", "affC"):
+        raise InvalidParameters(f"distribution kind must be affB or affC, got {kind!r}")
+    floor = _FORMULAS[f"Reiner-{kind}"].min_n
+    if n < floor:
+        raise InvalidParameters(f"Reiner-{kind} requires n >= {floor}")
+    c = int(kind == "affC")  # the b exponent, the extra factor and the shift
+    one = StatSeries.one(max_len)
+    out = one
+    for k in range(n):
+        out = out * (one + StatSeries.from_monomial(Monomial(1, k + 1, a_exp=1), max_len))
+    for k in range(n - 1 + c):
+        out = out * (one + StatSeries.from_monomial(Monomial(1, k + 1, b_exp=c), max_len))
+    fact = q_factorial(n, Monomial(1, 1), max_len)
+    out = out * StatSeries({(0, 0, k): c for k, c in enumerate(fact.coeffs)}, max_len)
+    for k in range(n):
+        out = out.geometric_divide(Monomial(1, n + c + k, a_exp=1, b_exp=c))
+    return out
 
 
 _Q = Monomial(1, 1)
@@ -408,8 +416,7 @@ def substitution_route(family: FamilyId, max_len: int) -> QSeries:
     """
     if family.name == "affA-affA":
         m = family.m
-        base_order = (max_len + m - 1) // m
-        base = _bott(family.n, base_order, literal=False)
+        base = closed_form("Bott-affA", family.n, None, (max_len + m - 1) // m)
         return base.sub_monomial(Monomial(1, m)).truncate(max_len)
     route = _SUBSTITUTIONS.get(family.name)
     if route is None:
@@ -419,10 +426,13 @@ def substitution_route(family: FamilyId, max_len: int) -> QSeries:
     return substitute(dist, a, b, q, max_len)
 
 
+# family -> product formula tag; I2-An's tag depends on the parity of n
 _PRODUCT_TAGS = {
     "Bn-A2n-1": "Thm1.3-1",
     "Bn-A2n": "Thm1.3-2",
     "Bn-Dn+1": "Thm1.3-3",
+    "I2-An": ("Thm1.3-4", "Thm1.3-5"),
+    "affA-affA": "Thm1.5",
     "affB-affDn+1": "Thm1.6-1",
     "affB-affD2n": "Thm1.6-2",
     "affB-affD2n+1": "Thm1.6-3",
@@ -454,14 +464,10 @@ def unfolding_closed_form(
         return substitution_route(family, max_len)
     if route != "product":
         raise InvalidParameters(f"unknown route {route!r}")
-    if family.name == "I2-An":
-        return _dihedral_polynomial(family.n)
-    if family.name == "affA-affA":
-        if max_len is None:
-            raise InvalidParameters("affine families require a truncation order")
-        return _thm15(family.n, family.m, max_len, literal=False)
     tag = _PRODUCT_TAGS[family.name]
-    return closed_form(tag, family.n, None, max_len)
+    if isinstance(tag, tuple):
+        tag = tag[family.n % 2]
+    return closed_form(tag, family.n, family.m, max_len)
 
 
 def corollary_identity(n: int, variant: str) -> tuple[QSeries, QSeries]:
@@ -470,18 +476,18 @@ def corollary_identity(n: int, variant: str) -> tuple[QSeries, QSeries]:
     Returns (B_m(-q) * U(q), A_n(-q) * B_m(q)) with m = floor((n+1)/2),
     as exact polynomials; the caller asserts their equality.
     """
-    if n < 3:
+    if n < _FORMULAS["Cor1.4"].min_n:
         raise InvalidParameters("the identity is registered for n >= 3")
     m = (n + 1) // 2
     neg_q = Monomial(-1, 1)
     if variant == "A2n-1":
         if n % 2 != 1:
             raise InvalidParameters("variant A2n-1 needs odd n")
-        u = _thm13(1, m)
+        u = closed_form("Thm1.3-1", m)
     elif variant == "A2n":
         if n % 2 != 0:
             raise InvalidParameters("variant A2n needs even n")
-        u = _thm13(2, m)
+        u = closed_form("Thm1.3-2", m)
     else:
         raise InvalidParameters(f"unknown variant {variant!r}")
     b_poly = poincare_b(m)
@@ -506,117 +512,13 @@ def coset_factor(part: int, n: int) -> QSeries:
     if part == 3:
         if n < 3:
             raise InvalidParameters("part 3's inductive factor requires n >= 3")
-        return _odd_bracket_factor(n, None)
+        return _odd_bracket_factor(n)
     raise InvalidParameters(f"no such part {part}")
 
 
 def catalog() -> list:
     """Machine-readable manifest of the formula registry."""
-    entries = [
-        ("Thm1.3-1", {"n": ">=2"}, "prod_{k=1..2n} [k]_{(-1)^k q}"),
-        ("Thm1.3-2", {"n": ">=2"}, "prod_{k=1..2n+1} [k]_{(-1)^k q}"),
-        (
-            "Thm1.3-3",
-            {"n": ">=2"},
-            "[2]_q [3]_{-q} [4]_q prod_{k=3..n} ([2k+1]_q - q^k)",
-        ),
-        ("Thm1.3-4", {"n": "even >=2"}, "[2]_{q^m} [n+1]_{q^m} with m = n/2"),
-        (
-            "Thm1.3-5",
-            {"n": "odd >=3"},
-            "[2]_{q^(m-1)} [2]_{q^m} [m]_{q^n} with m = (n+1)/2",
-        ),
-        (
-            "Cor1.4",
-            {"n": ">=3"},
-            "B_m(-q) U(q) = A_n(-q) B_m(q) with m = floor((n+1)/2)",
-        ),
-        (
-            "Thm1.5",
-            {"n": ">=2", "m": ">=2"},
-            "prod_{k=2..n} [k]_{q^m} / (1 - q^{(k-1)m})  (k=1 factor excluded)",
-        ),
-        (
-            "Thm1.6-1",
-            {"n": ">=3"},
-            "[2]_q[3]_{-q}[4]_q prod_{k=3..n}([2k+1]_q - q^k) / "
-            "((1-q)(1-q^3)(1+q^n) prod_{k=3..n}(1-q^{2k-1}))",
-        ),
-        (
-            "Thm1.6-2",
-            {"n": ">=3"},
-            "prod_{k=1..2n}[k]_{(-1)^k q} prod_{k=2..n}(1+q^{2(k-1)}) / "
-            "prod_{k=1..n}(1-q^{2(n+k)-3})",
-        ),
-        (
-            "Thm1.6-3",
-            {"n": ">=3"},
-            "prod_{k=1..2n+1}[k]_{(-1)^k q} prod_{k=2..n}(1+q^{2(k-1)}) / "
-            "prod_{k=1..n}(1-q^{2(n+k)-1})",
-        ),
-        (
-            "Thm1.7-1",
-            {"n": ">=2"},
-            "[n+1]_{-q} [n+1]_{(-1)^{n+1} q} prod_{k=1..2n+1, k!=n+1} "
-            "[k]_{(-1)^k q} / (1+(-q)^k)",
-        ),
-        (
-            "Thm1.7-2",
-            {"n": ">=2"},
-            "prod_{k=1..2n} [k+1]_{(-1)^{k+1} q} / (1+(-q)^k)",
-        ),
-        (
-            "Thm1.7-3",
-            {"n": ">=2"},
-            "prod_{k=2..2n} [k]_{(-1)^k q} / (1+(-q)^{k-1})",
-        ),
-        (
-            "Thm1.7-4",
-            {"n": ">=2"},
-            "[2]_q[3]_{-q}[4]_q[2]_{-q^{n+1}} / ((1-q)(1-q^3)(1-q^5)) "
-            "prod_{k=3..n} ([2k+1]_q - q^k)/(1-q^{2k+1})",
-        ),
-        (
-            "Thm1.7-5",
-            {"n": ">=2"},
-            "[2]_q[3]_{-q}[4]_q prod_{k=3..n}([2k+1]_q - q^k) "
-            "prod_{k=1..n} (1+q^{k+1})/(1-q^{n+k+2})",
-        ),
-        (
-            "Thm1.7-6",
-            {"n": ">=2"},
-            "prod_{k=1..2n+1}[k]_{(-1)^k q} prod_{k=1..n} (1+q^{2k})/(1-q^{2(n+k)+1})",
-        ),
-        (
-            "Thm1.7-7",
-            {"n": ">=2"},
-            "prod_{k=1..2n}[k]_{(-1)^k q} prod_{k=1..n} (1+q^{2k})/(1-q^{2(n+k)-1})",
-        ),
-        (
-            "Bott-affA",
-            {"n": ">=2"},
-            "prod_{k=2..n} [k]_q / (1 - q^{k-1})  (k=1 factor excluded)",
-        ),
-        (
-            "Reiner-affB",
-            {"n": ">=3"},
-            "(-aq;q)_n (-q;q)_{n-1} [n]_q! / (aq^n;q)_n",
-        ),
-        (
-            "Reiner-affC",
-            {"n": ">=2"},
-            "(-aq;q)_n (-bq;q)_n [n]_q! / (abq^{n+1};q)_n",
-        ),
-        ("Poincare-An", {"n": ">=1"}, "prod_{k=1..n+1} [k]_q"),
-        ("Poincare-Bn", {"n": ">=2"}, "prod_{k=1..n} [2k]_q"),
-        (
-            "CosetFactor-Lemma3.1",
-            {"part": "1|2|3", "n": ">=2 (part 3: >=3)"},
-            "part 1: [2n-1]_{-q}[2n]_q; part 2: [2n]_q[2n+1]_{-q}; "
-            "part 3: [2n+1]_q - q^n",
-        ),
-    ]
     return [
-        {"tag": tag, "parameters": params, "formula": text}
-        for tag, params, text in entries
+        {"tag": tag, "parameters": dict(row.parameters), "formula": row.formula}
+        for tag, row in _FORMULAS.items()
     ]

@@ -32,14 +32,12 @@ from .errors import InvalidBase, NegativeDegree, NonUnitDivisor
 
 __all__ = [
     "Monomial",
-    "ONE",
     "Q",
     "QSeries",
     "StatSeries",
     "q_integer",
     "q_factorial",
     "q_pochhammer",
-    "geometric_inverse",
     "divide_by_unit",
     "substitute",
 ]
@@ -73,7 +71,6 @@ class Monomial:
         return Monomial(self.coeff**i, self.q_exp * i, self.a_exp * i, self.b_exp * i)
 
 
-ONE = Monomial(1, 0)
 Q = Monomial(1, 1)
 
 
@@ -137,10 +134,6 @@ class QSeries:
 
     # -- basic queries -------------------------------------------------
 
-    @property
-    def is_exact(self) -> bool:
-        return self.order is None
-
     def coefficient(self, k: int) -> int:
         if k < 0:
             return 0
@@ -197,9 +190,6 @@ class QSeries:
                     if y and i + j <= order:
                         out[i + j] += x * y
         return QSeries(out, order)
-
-    def scale(self, c: int) -> "QSeries":
-        return QSeries([c * x for x in self.coeffs], self.order)
 
     def sub_monomial(self, m: Monomial) -> "QSeries":
         """Substitute q -> m, where m is +/- q^j with j >= 1.
@@ -397,12 +387,6 @@ class StatSeries:
                 return (key, x, y)
         return None
 
-    def max_abq(self):
-        """Largest (a, b) exponents and q-degree appearing, for rendering."""
-        if not self.coeffs:
-            return (0, 0, 0)
-        return tuple(max(k[i] for k in self.coeffs) for i in range(3))
-
     def terms(self):
         """Deterministic iteration: sorted by (q_deg, a_exp, b_exp)."""
         for key in sorted(self.coeffs, key=lambda t: (t[2], t[0], t[1])):
@@ -506,11 +490,6 @@ def substitute(s: StatSeries, a: Monomial, b: Monomial, q: Monomial, order: int)
         if deg <= order:
             coeffs[deg] += sign * c
     return QSeries(coeffs, order)
-
-
-def geometric_inverse(d: QSeries, order: int) -> QSeries:
-    """Formal inverse of a unit series, truncated at ``order``."""
-    return divide_by_unit(QSeries.one(order), d)
 
 
 def divide_by_unit(a: QSeries, d: QSeries) -> QSeries:

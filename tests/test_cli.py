@@ -266,3 +266,44 @@ class TestCatalog:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "catalog", "--format", "text")
         assert code == 0 and "Poincare-An" in out
+
+
+def assert_one_error_line(code, err, expected_code, word):
+    assert code == expected_code
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and word in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--family", "Bn-A2n", "--n", "2"],
+        ["verify", "--family", "Bn-A2n", "--n", "2"],
+    ],
+)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "r.json"
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert_one_error_line(code, err, 2, "r.json")
+
+
+def test_cache_path_that_is_a_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "cache"
+    path.write_text("")
+    code, _, err = run(capsys, "verify", "--family", "Bn-A2n", "--n", "2", "--cache", str(path))
+    assert_one_error_line(code, err, 2, "cache")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--family", "affA-affA", "--n", "2", "--m", "2", "--max-len", "4",
+         "--budget", "1"],
+        ["reiner", "--type", "affC", "--n", "2", "--max-len", "3", "--budget", "2"],
+        ["bruhat-dot", "--group", "A3", "--budget", "3"],
+    ],
+)
+def test_budget_exhaustion_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    assert_one_error_line(code, err, 1, "element budget exceeded")

@@ -14,6 +14,7 @@ from coxfold.closed_forms import (
 )
 from coxfold.errors import InvalidParameters, NonUnitDivisor
 from coxfold.folding import (
+    FAMILY_NAMES,
     FamilyId,
     reiner_stats_bruteforce,
     standard_folding,
@@ -114,6 +115,24 @@ class TestAffineSeries:
             assert closed_form("Bott-affA", n, None, 12) == series
 
 
+def _registered(name, n, m):
+    try:
+        return FamilyId(name, n, m)
+    except InvalidParameters:
+        return None
+
+
+# every affine family at every registered n in 2..5 (affine A at m = 2, 3)
+AFFINE_FAMILIES = [
+    fam
+    for name in FAMILY_NAMES
+    if name.startswith("aff")
+    for n in range(2, 6)
+    for m in ((2, 3) if name == "affA-affA" else (None,))
+    if (fam := _registered(name, n, m)) is not None
+]
+
+
 class TestDualRoutes:
     """Product formulas versus distribution substitutions, formula-only."""
 
@@ -147,9 +166,67 @@ class TestDualRoutes:
         fam = FamilyId("affA-affA", n, m)
         assert unfolding_closed_form(fam, 14, "product") == substitution_route(fam, 14)
 
+    @pytest.mark.parametrize("fam", AFFINE_FAMILIES, ids=lambda f: f"{f.name}-{f.n}-{f.m}")
+    def test_every_affine_family(self, fam):
+        # L = 40 reaches the highest denominators, e.g. 1 - q^{2(n+k)+1}
+        product = unfolding_closed_form(fam, 40, "product")
+        assert product.order == 40
+        assert product == substitution_route(fam, 40)
+
     def test_substitution_route_needs_affine(self):
         with pytest.raises(InvalidParameters):
             unfolding_closed_form(FamilyId("Bn-A2n", 2), None, "substitution")
+
+
+AFFINE_TAGS = [
+    "Thm1.5", "Thm1.6-1", "Thm1.6-2", "Thm1.6-3", "Bott-affA",
+    *(f"Thm1.7-{part}" for part in range(1, 8)),
+]
+FINITE_TAGS = [
+    ("Thm1.3-1", 3), ("Thm1.3-2", 3), ("Thm1.3-3", 4), ("Thm1.3-4", 4), ("Thm1.3-5", 5),
+    ("Poincare-An", 3), ("Poincare-Bn", 3),
+]
+
+
+class TestFormulaTable:
+    @pytest.mark.parametrize("tag", AFFINE_TAGS)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_truncation_is_consistent(self, tag, n):
+        assert closed_form(tag, n, 2, 30).truncate(12).to_json() == closed_form(
+            tag, n, 2, 12
+        ).to_json()
+
+    @pytest.mark.parametrize("tag", AFFINE_TAGS)
+    def test_affine_tags_need_an_order(self, tag):
+        with pytest.raises(InvalidParameters):
+            closed_form(tag, 3, 2)
+
+    @pytest.mark.parametrize("tag,n", FINITE_TAGS)
+    @pytest.mark.parametrize("max_len", [None, 0, 3, 50])
+    def test_finite_tags_are_exact(self, tag, n, max_len):
+        got = closed_form(tag, n, None, max_len)
+        assert got.order is None
+        assert got == closed_form(tag, n)
+
+    def test_tags_split_into_affine_finite_and_other(self):
+        other = {"Cor1.4", "Reiner-affB", "Reiner-affC", "CosetFactor-Lemma3.1"}
+        finite = {tag for tag, _ in FINITE_TAGS}
+        assert set(FORMULA_TAGS) == set(AFFINE_TAGS) | finite | other
+
+    @pytest.mark.parametrize(
+        "tag,n,max_len",
+        [
+            ("Thm1.3-", 2, None),
+            ("Thm1.7-x", 2, 5),
+            ("Thm1.6-", 3, 5),
+            ("Thm1.3-9", 2, None),
+            ("Cor1.4", 3, None),
+            ("Reiner-affC", 2, 5),
+        ],
+    )
+    def test_malformed_or_non_series_tags(self, tag, n, max_len):
+        with pytest.raises(InvalidParameters):
+            closed_form(tag, n, None, max_len)
 
 
 class TestCoefficientPositivity:
