@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .closed_forms import catalog, reiner_distribution, unfolding_closed_form
 from .coxeter import DEFAULT_BUDGET, build_system
@@ -132,8 +133,8 @@ def cmd_verify(args) -> int:
     job = VerificationJob(cases, budget=args.budget)
     cache_dir = args.cache if args.cache else default_cache_dir()
     report = run_job(job, cache_dir=cache_dir)
-    for line in report.summary_lines():
-        print(line)
+    for line, case in zip(report.summary_lines(), report.cases):
+        print(f"{line} ({case['millis']} ms)" if args.timings else line)
     print(f"{sum(c['status'] == 'pass' for c in report.cases)}/{len(report.cases)} passed")
     if args.out:
         _write(report.to_json(include_timings=args.timings), args.out)
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, action="append", help="restrict to these n (repeatable)")
     p.add_argument("--cache", help="cache directory (default: $COXFOLD_CACHE)")
-    p.add_argument("--timings", action="store_true", help="include wall-clock in the report")
+    p.add_argument("--timings", action="store_true", help="print and report wall-clock")
     _add_common(p, with_format=False)
     p.set_defaults(func=cmd_verify)
 
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
         return _usage_error("--workers must be at least 1")
     if getattr(args, "max_len", None) is not None and args.max_len < 0:
         return _usage_error("--max-len must be non-negative")
+    out = Path(args.out) if getattr(args, "out", None) else None
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):
+        return _usage_error(f"cannot write {out}: not a file in an existing directory")
     try:
         return args.func(args)
     except ResourceLimit as exc:

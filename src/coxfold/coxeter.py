@@ -13,35 +13,42 @@ translates display names like ``"s3"``.  The ShortLex generator order is
 the internal index order, i.e. ``s0 < s1 < ...`` in affine families and
 ``s1 < s2 < ...`` in finite ones.
 
-Elements of rank >= 3 systems are integer matrices acting on the simple
-roots through the Cartan matrix of the bonds (Humphreys, Reflection
-Groups and Coxeter Groups, ch. 5; Kac, Infinite Dimensional Lie Algebras,
-ch. 3): s_i sends alpha_j to alpha_j - a_ij alpha_i, where a_ii = 2 and,
-for i < j, a_ij * a_ji = 4cos^2(pi/m(i, j)) with
+Rank >= 3 systems act on the span of the simple roots alpha_i through
+the Cartan matrix of the bonds (Humphreys, Reflection Groups and Coxeter
+Groups, ch. 5; Kac, Infinite Dimensional Lie Algebras, ch. 3): s_i sends
+alpha_j to alpha_j - a_ij alpha_i, where a_ii = 2 and, for i < j,
+a_ij * a_ji = 4cos^2(pi/m(i, j)) with
 
     m(i, j)       2       3         4         6         inf
     (a_ij, a_ji)  (0, 0)  (-1, -1)  (-2, -1)  (-3, -1)  (-2, -2)
 
-This is the reflection representation with the simple roots rescaled, so
-every entry is an ``int`` and bond order 6 works at rank >= 3 (affine
-G2).  The entries are not symmetric; left and right multiplication by s_i
-both read the row a_i.  Matrices are stored column-major, so
-``w.data[i]`` is the coordinate vector of w(alpha_i); a generator s_i is
-a right descent of w exactly when that vector is non-positive.
+An element w is stored as the point w.rho of the Tits cone, where rho is
+the functional with rho(alpha_i) = 1: the n integers
+x_i = rho(w^-1 alpha_i).  rho lies in the open fundamental chamber, on
+which W acts freely, so the encoding is faithful for finite and affine
+types alike; the identity is (1, ..., 1).  Every entry is an ``int``, so
+bond order 6 works at rank >= 3 (affine G2).  Left multiplication by s_i
+negates x_i and adds -a_ij x_i to x_j for each neighbour j of i, and s_i
+is a left descent of w exactly when x_i < 0, that is, when w^-1 alpha_i
+is a negative root.  In B3, s2 s3 s2 s3 is the longest element of the
+parabolic on {s2, s3}:
 
->>> build_system("B3").generator(1).data
-((1, 1, 0), (0, -1, 0), (0, 2, 1))
->>> build_system("B3").generator(2).data
-((1, 0, 0), (0, 1, 1), (0, 0, -1))
+>>> W = build_system("B3")
+>>> W.identity().data, W.generator(1).data
+((1, 1, 1), (2, -1, 3))
+>>> w = W.assemble((1, 2, 1, 2))
+>>> w.data, w.length
+((4, -1, -1), 4)
 
-Rank-2 systems bypass matrices: a dihedral element is an
+Rank-2 systems use a dihedral backend: an element is an
 ``(is_reflection, index)`` pair, which stays exact for every bond order
-including infinity.  The two backends differ only in three primitives,
-``_apply_right``, ``_apply_left`` and ``_is_right_descent_data``.  Every
-other operation is written once on top of them, mostly through one walk
-down an element's least right descents (``_reduced_word``): lengths of
-left products, products, inverses, ShortLex words and the Bruhat order.
-In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
+including infinity.  Each backend defines two primitives, ``_apply_left``
+and the left-descent test ``_is_left_descent_data``.  Every other
+operation is written once on top of them, mostly through one walk down an
+element's least left descents (``_reduced_word``), which spells out its
+ShortLex word: products, inverses, the Bruhat order and the breadth-first
+walk work on the left, and right multiplication and right descents go
+through inverses.  In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
 
 >>> W = build_system("I2(5)")
 >>> w = W.assemble((1, 0, 1, 0, 1, 0))
@@ -128,10 +135,10 @@ class CoxeterMatrix:
 
 @dataclass(frozen=True)
 class Element:
-    """A group element: integer matrix (column tuple) or dihedral tag.
+    """A group element: a Tits-cone weight vector or a dihedral tag.
 
     ``data`` doubles as the canonical key; equal data means equal group
-    elements because both backends are faithful.
+    elements because both encodings are faithful.
     """
 
     data: tuple
@@ -151,16 +158,14 @@ class CoxeterSystem:
             self.m = matrix.bond(0, 1)
             self._identity = Element((False, 0), 0)
         else:
-            self.backend = "matrix"
+            self.backend = "weight"
             self.m = None
-            n = self.rank
             # _row[i] lists (j, -a_ij) for the neighbours j of i
             self._row = tuple(
                 tuple((j, -_CARTAN[m][i > j]) for j, m in enumerate(row) if j != i and m != 2)
                 for i, row in enumerate(matrix.entries)
             )
-            ident = tuple(tuple(int(a == b) for a in range(n)) for b in range(n))
-            self._identity = Element(ident, 0)
+            self._identity = Element((1,) * self.rank, 0)
         self._check_relations()
 
     # -- construction helpers -------------------------------------------
@@ -168,7 +173,7 @@ class CoxeterSystem:
     def _check_relations(self):
         ident = self._identity.data
         for i in range(self.rank):
-            if self._apply_right(self._apply_right(ident, i), i) != ident:
+            if self._apply_left(self._apply_left(ident, i), i) != ident:
                 raise InvalidMatrix(f"generator {i} is not an involution")
         for i in range(self.rank):
             for j in range(i + 1, self.rank):
@@ -178,7 +183,7 @@ class CoxeterSystem:
                 # (s_i s_j)^t returns to the identity first at t = m
                 power = ident
                 for t in range(1, m + 1):
-                    power = self._apply_right(self._apply_right(power, i), j)
+                    power = self._apply_left(self._apply_left(power, j), i)
                     if (power == ident) != (t == m):
                         raise InvalidMatrix(
                             f"(s{i}s{j}) does not have order m({i},{j}) = {m}"
@@ -200,37 +205,10 @@ class CoxeterSystem:
         if not 0 <= i < self.rank:
             raise IndexOutOfRange(f"generator index {i} out of range for {self.label}")
 
-    # -- element primitives ------------------------------------------------
-
-    def identity(self) -> Element:
-        return self._identity
-
-    def generator(self, i: int) -> Element:
-        self._check_index(i)
-        return Element(self._apply_right(self._identity.data, i), 1)
-
-    def is_identity(self, w: Element) -> bool:
-        return w.data == self._identity.data
-
-    def _apply_right(self, data, i):
-        if self.backend == "dihedral":
-            refl, k = data
-            if i == 0:
-                refl, k = (not refl), k
-            else:
-                refl, k = (not refl), (k + 1 if refl else k - 1)
-            if self.m != INFINITE:
-                k %= self.m
-            return (refl, k)
-        # w s_i sends alpha_j to w(alpha_j) - a_ij w(alpha_i)
-        cols = list(data)
-        col_i = cols[i]
-        for j, c in self._row[i]:
-            cols[j] = tuple(x + c * y for x, y in zip(cols[j], col_i))
-        cols[i] = tuple(-y for y in col_i)
-        return tuple(cols)
+    # -- the two primitives of each backend ---------------------------------
 
     def _apply_left(self, data, i):
+        """The data of s_i w."""
         if self.backend == "dihedral":
             refl, k = data
             if i == 0:
@@ -240,25 +218,19 @@ class CoxeterSystem:
             if self.m != INFINITE:
                 k %= self.m
             return (refl, k)
-        # s_i changes only the alpha_i coordinate: x_i -> x_i - sum_k a_ik x_k
-        row = self._row[i]
-        out = []
-        for col in data:
-            acc = -col[i]
-            for j, c in row:
-                acc += c * col[j]
-            out.append(col[:i] + (acc,) + col[i + 1:])
-        return tuple(out)
+        # s_i reflects w.rho: x_i -> -x_i and x_j -> x_j - a_ij x_i
+        x = list(data)
+        xi = x[i]
+        x[i] = -xi
+        for j, c in self._row[i]:
+            x[j] += c * xi
+        return tuple(x)
 
-    def _is_right_descent_data(self, data, i) -> bool:
+    def _is_left_descent_data(self, data, i) -> bool:
         if self.backend == "dihedral":
-            return self._dihedral_length(self._apply_right(data, i)) < self._dihedral_length(data)
-        # w(alpha_i) is w's i-th column; descent iff it is a negative root
-        return max(data[i]) <= 0
-
-    def is_right_descent(self, w: Element, i: int) -> bool:
-        self._check_index(i)
-        return self._is_right_descent_data(w.data, i)
+            return self._dihedral_length(self._apply_left(data, i)) < self._dihedral_length(data)
+        # x_i = rho(w^-1 alpha_i) is negative exactly when w^-1 alpha_i is
+        return data[i] < 0
 
     def _dihedral_length(self, data) -> int:
         refl, k = data
@@ -271,59 +243,77 @@ class CoxeterSystem:
             return min(2 * k + 1, 2 * (self.m - k) - 1)
         return min(2 * k, 2 * (self.m - k))
 
+    # -- everything else, once ------------------------------------------------
+
+    def identity(self) -> Element:
+        return self._identity
+
+    def generator(self, i: int) -> Element:
+        self._check_index(i)
+        return Element(self._apply_left(self._identity.data, i), 1)
+
+    def is_identity(self, w: Element) -> bool:
+        return w.data == self._identity.data
+
     def _reduced_word(self, data) -> Word:
-        """A reduced word of ``data``, read off a walk down its least right descents."""
+        """The ShortLex word of ``data``, read off a walk down its least left descents."""
         word = []
         while data != self._identity.data:
-            for i in range(self.rank):
-                if self._is_right_descent_data(data, i):
-                    break
-            else:
-                raise RuntimeError("non-identity element without right descent")
-            data = self._apply_right(data, i)
+            i = next(i for i in range(self.rank) if self._is_left_descent_data(data, i))
+            data = self._apply_left(data, i)
             word.append(i)
-        return tuple(reversed(word))
+        return tuple(word)
 
-    # -- compound operations ------------------------------------------------
+    def _inverse_data(self, data):
+        # w = s_a1 ... s_ak gives w^-1 = s_ak ... s_a1
+        inv = self._identity.data
+        for i in self._reduced_word(data):
+            inv = self._apply_left(inv, i)
+        return inv
+
+    def _is_right_descent_data(self, data, i) -> bool:
+        """Whether l(w s_i) < l(w): a right descent of w is a left descent of w^-1."""
+        return self._is_left_descent_data(self._inverse_data(data), i)
+
+    def is_right_descent(self, w: Element, i: int) -> bool:
+        self._check_index(i)
+        return self._is_right_descent_data(w.data, i)
 
     def apply(self, w: Element, i: int, side: str = "right") -> Element:
+        """s_i w (left, in O(deg i)) or w s_i (right, a walk of w)."""
         self._check_index(i)
-        if side == "right":
-            down = self._is_right_descent_data(w.data, i)
-            data = self._apply_right(w.data, i)
-            return Element(data, w.length - 1 if down else w.length + 1)
         if side == "left":
-            data = self._apply_left(w.data, i)
-            return Element(data, len(self._reduced_word(data)))
+            down = self._is_left_descent_data(w.data, i)
+            return Element(self._apply_left(w.data, i), w.length - 1 if down else w.length + 1)
+        if side == "right":
+            return self.multiply(w, self.generator(i))
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def multiply(self, a: Element, b: Element) -> Element:
-        for i in self._reduced_word(b.data):
-            a = self.apply(a, i, "right")
-        return a
+        for i in reversed(self._reduced_word(a.data)):
+            b = self.apply(b, i, "left")
+        return b
 
     def inverse(self, w: Element) -> Element:
-        return self.assemble(reversed(self._reduced_word(w.data)))
+        return Element(self._inverse_data(w.data), w.length)
 
     def assemble(self, word: Iterable[int]) -> Element:
         w = self._identity
-        for i in word:
-            w = self.apply(w, i, "right")
+        for i in reversed(tuple(word)):
+            w = self.apply(w, i, "left")
         return w
 
     def shortlex(self, w: Element) -> Word:
         """Lexicographically least reduced word under s0 < s1 < ... order.
 
-        Its first letter is the least left descent of w, that is, the least
-        right descent of w^-1; so walking w^-1 down its least right descents
-        spells the word out.
+        Its first letter is the least left descent of w, so walking w down
+        its least left descents spells the word out.
         """
-        return tuple(reversed(self._reduced_word(self.inverse(w).data)))
+        return self._reduced_word(w.data)
 
     def right_descent_set(self, w: Element) -> frozenset:
-        return frozenset(
-            i for i in range(self.rank) if self._is_right_descent_data(w.data, i)
-        )
+        inv = self._inverse_data(w.data)
+        return frozenset(i for i in range(self.rank) if self._is_left_descent_data(inv, i))
 
 
 # ---------------------------------------------------------------------------
@@ -471,68 +461,63 @@ def _bfs(
     max_len: Optional[int],
     budget: int,
     *,
-    side: str = "right",
     gens: Optional[Iterable[int]] = None,
     start=None,
     step=None,
     keep=None,
     live=None,
 ) -> Iterator[Tuple[int, tuple, Word, object]]:
-    """Walk the Cayley graph breadth-first; every enumeration runs on this.
+    """Walk the ShortLex tree breadth-first; every enumeration runs on this.
 
     Yields ``(length, key, word, payload)`` by increasing length, and in
     ShortLex order of ``word`` within a length; ``word`` is the ShortLex
-    normal form.  Candidates are generated in lexicographic order of their
-    words (frontier outside and generators inside on the right, the other
-    way round on the left), so the first candidate to reach a node carries
-    its ShortLex word and each layer fills in ShortLex order, whatever the
-    encoding of the keys.  A candidate at length k+1 can only equal a node
-    of layer k or k-1 (lengths alternate in parity), so two layers of keys
-    suffice for deduplication.
+    normal form.  The ShortLex word of w != e is d followed by that of
+    s_d w, where d is the least left descent of w, so every element has
+    one parent: s_i w is a child of w exactly when i is not a left descent
+    of w and is the least left descent of s_i w.  Each element is thus
+    generated once, and no visited set is kept.  Looping over i outside
+    the frontier puts each layer in lexicographic order of (i, parent
+    word), which is ShortLex order.
 
     ``gens`` restricts the walk to a standard parabolic subgroup, whose
-    word length agrees with ambient length.  ``step(payload, i)`` gives a
-    node's payload from its first predecessor (``start`` at the identity)
-    and must depend on the node only, not on the path.  ``keep(key)``
-    drops candidates; the kept set must be closed under shortening on
-    ``side``.  ``live(payload)`` false keeps a node for deduplication but
-    neither yields nor expands it; the live set must be closed under
-    shortening too.  The budget is checked as each node is stored.
+    word length agrees with ambient length.  ``step(payload, i)`` gives the
+    payload of s_i w from that of w (``start`` at the identity) and must
+    depend on the node only, not on the path.  A node with ``keep(key)``
+    or ``live(payload)`` false is neither stored, yielded nor expanded;
+    the sets they keep must be closed under taking parents.  The budget
+    is checked as each node is stored.
     """
-    right = side == "right"
-    apply = system._apply_right if right else system._apply_left
+    apply, descent = system._apply_left, system._is_left_descent_data
     gens = range(system.rank) if gens is None else sorted(set(gens))
     stored, k = 1, 0
     if stored > budget:
         raise ResourceLimit(budget, k, stored)
-    cur = {system.identity().data: ((), start)}
-    prev: dict = {}
-    while cur:
-        frontier = []
-        for key, (word, payload) in cur.items():
-            if live is None or live(payload):
-                yield k, key, word, payload
-                frontier.append((key, word, payload))
+    layer = [(system.identity().data, (), start)]
+    if live is not None and not live(start):
+        layer = []
+    while layer:
+        yield from ((k, key, word, payload) for key, word, payload in layer)
         if max_len is not None and k >= max_len:
             return
         k += 1
-        if right:
-            candidates = ((node, i) for node in frontier for i in gens)
-        else:
-            candidates = ((node, i) for i in gens for node in frontier)
-        nxt: dict = {}
-        for (key, word, payload), i in candidates:
-            nd = apply(key, i)
-            if nd in prev or nd in cur or nd in nxt:
-                continue
-            if keep is not None and not keep(nd):
-                continue
-            stored += 1
-            if stored > budget:
-                raise ResourceLimit(budget, k, stored)
-            cand = word + (i,) if right else (i,) + word
-            nxt[nd] = (cand, payload if step is None else step(payload, i))
-        prev, cur = cur, nxt
+        children = []
+        for i in gens:
+            for key, word, payload in layer:
+                if descent(key, i):
+                    continue
+                child = apply(key, i)
+                if any(descent(child, j) for j in range(i)):
+                    continue
+                if keep is not None and not keep(child):
+                    continue
+                value = payload if step is None else step(payload, i)
+                if live is not None and not live(value):
+                    continue
+                stored += 1
+                if stored > budget:
+                    raise ResourceLimit(budget, k, stored)
+                children.append((child, (i,) + word, value))
+        layer = children
 
 
 def enumerate_up_to(
@@ -588,14 +573,14 @@ def enumerate_parabolic(
 
 
 def all_reduced_words(system: CoxeterSystem, w: Element) -> list:
-    """All reduced words of w (exponential; intended for short elements)."""
+    """All reduced words of w in lexicographic order (exponential; for short elements)."""
     if system.is_identity(w):
         return [()]
     out = []
     for i in range(system.rank):
-        if system._is_right_descent_data(w.data, i):
-            for word in all_reduced_words(system, system.apply(w, i, "right")):
-                out.append(word + (i,))
+        if system._is_left_descent_data(w.data, i):
+            for word in all_reduced_words(system, system.apply(w, i, "left")):
+                out.append((i,) + word)
     return out
 
 
@@ -605,22 +590,22 @@ def parabolic_decompose(
     """Split w = w^J * w_J with w^J coset-minimal and lengths adding.
 
     w^J has no right descent inside J; w_J lies in the parabolic on J.
+    Peeling left descents in J off w^-1 = w_J^-1 (w^J)^-1 finds both.
     """
     J = sorted(set(J))
     for j in J:
         system._check_index(j)
-    v = w
+    u = system.inverse(w)
     letters = []
     while True:
         for j in J:
-            if system._is_right_descent_data(v.data, j):
-                v = system.apply(v, j, "right")
+            if system._is_left_descent_data(u.data, j):
+                u = system.apply(u, j, "left")
                 letters.append(j)
                 break
         else:
             break
-    w_j = system.assemble(tuple(reversed(letters)))
-    return v, w_j
+    return system.inverse(u), system.assemble(reversed(letters))
 
 
 def minimal_coset_reps(
@@ -632,18 +617,20 @@ def minimal_coset_reps(
 ) -> Iterator[Element]:
     """Stream the minimal coset representatives W^J of length <= max_len.
 
-    W^J is closed under left weak descents, so a breadth-first search by
-    left multiplication starting at the identity reaches all of it; each
-    candidate is kept only if it has no right descent in J.
+    W^J is closed under taking parents in the ShortLex tree (a right
+    descent in J of s_d w would be one of w too), so the tree walk
+    reaches all of it; each node is kept only if it has no right descent
+    in J.
     """
     J = sorted(set(J))
     for j in J:
         system._check_index(j)
 
     def minimal(key):
-        return not any(system._is_right_descent_data(key, j) for j in J)
+        inv = system._inverse_data(key)
+        return not any(system._is_left_descent_data(inv, j) for j in J)
 
-    for k, key, _, _ in _bfs(system, max_len, budget, side="left", keep=minimal):
+    for k, key, _, _ in _bfs(system, max_len, budget, keep=minimal):
         yield Element(key, k)
 
 
@@ -651,15 +638,15 @@ def bruhat_leq(system: CoxeterSystem, v: Element, w: Element) -> bool:
     """Bruhat order test v <= w.
 
     Uses the subword characterization: v <= w iff some (equivalently,
-    every) reduced word of w contains a reduced word of v as a subword.
-    The scan below folds v through any one reduced word of w from the
-    right, descending whenever possible; by the lifting property this
-    reaches the identity exactly when v <= w.
+    every) reduced word of w contains a reduced word of v as a subword,
+    and v <= w iff v^-1 <= w^-1.  The scan below folds v through one
+    reduced word of w from the left, descending whenever possible; by the
+    lifting property this reaches the identity exactly when v <= w.
     """
     if v.length > w.length:
         return False
-    u = v
-    for i in reversed(system._reduced_word(w.data)):
-        if system._is_right_descent_data(u.data, i):
-            u = system.apply(u, i, "right")
-    return system.is_identity(u)
+    u = v.data
+    for i in system._reduced_word(w.data):
+        if system._is_left_descent_data(u, i):
+            u = system._apply_left(u, i)
+    return u == system.identity().data

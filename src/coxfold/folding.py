@@ -12,12 +12,13 @@ formula disagrees with the diagram (the symmetry arrows are the ground
 truth), the diagram pairing is used and the series verifier double-checks
 the choice against the closed forms.
 
-The brute-force operations enumerate the source group breadth-first,
-carry the unfolded ambient element along incrementally, and measure its
-ambient length honestly (no reliance on length additivity, which is
-instead verified as a separate property).  Ambient-length cutoffs prune
-the search: along reduced source words the unfolded length only grows,
-so descendants of a pruned node stay pruned.
+The brute-force operations walk the source group's ShortLex tree
+breadth-first, carry the unfolded ambient element along incrementally,
+and measure its ambient length honestly, letter by letter (no reliance
+on length additivity, which is instead verified as a separate property).
+Ambient-length cutoffs prune the search: along reduced source words the
+unfolded length only grows, so a node past the cutoff is not stored and
+its descendants are never generated.
 """
 
 from __future__ import annotations
@@ -310,16 +311,19 @@ def _source_records(
     """BFS over the source (or a source parabolic), unfolding as it goes.
 
     Yields (source element, its ShortLex word, unfolded ambient element),
-    in ShortLex order of the source words within each length layer.
-    Nodes beyond the ambient cutoff stay stored for deduplication but are
-    neither yielded nor expanded (unfolded length grows along reduced
-    words, so nothing below the cutoff is lost).
+    in ShortLex order of the source words within each length layer.  The
+    tree reaches s_r w from w, and unfold(s_r w) = unfold(r) unfold(w), so
+    the block letters of r are applied on the left in reverse order.
+    Nodes beyond the ambient cutoff are neither stored, yielded nor
+    expanded (unfolded length grows along reduced words, so nothing below
+    the cutoff is lost).
     """
     target = f.target
+    blocks = [tuple(reversed(word)) for word in f.unfold_letters]
 
     def step(tgt, r):
-        for s in f.unfold_letters[r]:
-            tgt = target.apply(tgt, s, "right")
+        for s in blocks[r]:
+            tgt = target.apply(tgt, s, "left")
         return tgt
 
     def live(tgt):
@@ -387,10 +391,11 @@ def check_admissible(
         f, source_cutoff=max_source_len, budget=budget
     ):
         checked += 1
+        descents = f.target.right_descent_set(tgt)
         for r, block in enumerate(f.blocks):
             if len(block) < 2:
                 continue
-            signs = {f.target._is_right_descent_data(tgt.data, s) for s in block}
+            signs = {s in descents for s in block}
             if len(signs) > 1:
                 violations.append(
                     {
@@ -501,9 +506,7 @@ def folding_factorization_check(
     par_series = QSeries.from_lengths((tgt.length for tgt in par), max_ambient_len)
 
     cos = list(_coset_images(f, J_hat, max_ambient_len, budget))
-    min_ok = not any(
-        f.target._is_right_descent_data(tgt.data, s) for tgt in cos for s in J
-    )
+    min_ok = not any(f.target.right_descent_set(tgt) & J for tgt in cos)
     cos_series = QSeries.from_lengths((tgt.length for tgt in cos), max_ambient_len)
 
     full = unfolding_series_bruteforce(f, max_ambient_len, budget=budget)

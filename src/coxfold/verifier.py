@@ -116,11 +116,11 @@ class VerificationReport:
         )
 
     def summary_lines(self):
+        """One line per case, without timings, so reruns print the same bytes."""
         for c in self.cases:
             params = ", ".join(f"{k}={v}" for k, v in c["params"])
             L = "exact" if c["L"] is None else f"L={c['L']}"
-            ms = f" ({c['millis']} ms)" if c.get("millis") is not None else ""
-            yield f"{c['status']:<24} {c['family']} [{params}] {L}{ms}"
+            yield f"{c['status']:<24} {c['family']} [{params}] {L}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Independent reference models used as test oracles.
 
-Everything here avoids the library's reflection-matrix machinery:
-symmetric groups act on one-line tuples, hyperoctahedral groups on
-signed tuples, and lengths come either from inversion counts or from
-plain breadth-first word distance in a faithful permutation model.
+Everything here avoids the library's element kernel: symmetric groups
+act on one-line tuples, hyperoctahedral groups on signed tuples, and
+lengths come either from inversion counts or from plain breadth-first
+word distance in a faithful permutation model.  ``ColumnKernel`` is the
+column-matrix kernel the library used before its elements became
+Tits-cone weight vectors, kept as the differential oracle for every
+Coxeter matrix of rank >= 3.
 """
 
 import itertools
@@ -125,3 +128,101 @@ def poly_qint(k, sign=1, exp=1):
     for i in range(k):
         out[i * exp] += sign**i
     return out
+
+
+# bond order (0 = infinity) -> Cartan integers (a_ij, a_ji) for i < j
+_CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1), 0: (-2, -2)}
+
+
+class ColumnKernel:
+    """Elements as integer matrices on the simple roots, stored by columns.
+
+    s_i sends alpha_j to alpha_j - a_ij alpha_i; column i of w is the
+    coordinate vector of w(alpha_i), and s_i is a right descent of w
+    exactly when that column is non-positive.  Everything acts on the
+    right, lengths are counted by descents, and products are matrix
+    products.
+    """
+
+    def __init__(self, entries):
+        self.rank = n = len(entries)
+        # row[i] lists (j, -a_ij) for the neighbours j of i
+        self.row = [
+            [(j, -_CARTAN[m][i > j]) for j, m in enumerate(r) if j != i and m != 2]
+            for i, r in enumerate(entries)
+        ]
+        self.identity = tuple(tuple(int(a == b) for a in range(n)) for b in range(n))
+
+    def apply_right(self, cols, i):
+        # w s_i sends alpha_j to w(alpha_j) - a_ij w(alpha_i)
+        cols = list(cols)
+        col_i = cols[i]
+        for j, c in self.row[i]:
+            cols[j] = tuple(x + c * y for x, y in zip(cols[j], col_i))
+        cols[i] = tuple(-y for y in col_i)
+        return tuple(cols)
+
+    def is_right_descent(self, cols, i):
+        return max(cols[i]) <= 0
+
+    def generator(self, i):
+        return self.apply_right(self.identity, i)
+
+    def assemble(self, word):
+        """(columns, length) of the product of ``word``."""
+        cols, length = self.identity, 0
+        for i in word:
+            length += -1 if self.is_right_descent(cols, i) else 1
+            cols = self.apply_right(cols, i)
+        return cols, length
+
+    def multiply(self, a, b):
+        # column j of ab is a applied to column j of b
+        return tuple(
+            tuple(sum(c * a[k][r] for k, c in enumerate(col)) for r in range(self.rank))
+            for col in b
+        )
+
+    def reduced_word(self, cols):
+        word = []
+        while cols != self.identity:
+            i = next(i for i in range(self.rank) if self.is_right_descent(cols, i))
+            cols = self.apply_right(cols, i)
+            word.append(i)
+        return tuple(reversed(word))
+
+    def inverse(self, cols):
+        return self.assemble(reversed(self.reduced_word(cols)))[0]
+
+    def shortlex(self, cols):
+        # the least left descent of w is the least right descent of w^-1
+        return tuple(reversed(self.reduced_word(self.inverse(cols))))
+
+    def bruhat_interval(self, cols):
+        """[e, w]: the products of all subwords of one reduced word of w."""
+        word = self.reduced_word(cols)
+        out = set()
+        for mask in itertools.product((False, True), repeat=len(word)):
+            out.add(self.assemble(i for i, on in zip(word, mask) if on)[0])
+        return out
+
+    def shortlex_layers(self, max_len):
+        """(length, ShortLex word, columns) of every element up to max_len.
+
+        Layer by layer through right ascents, keeping for each element the
+        least word over its predecessors, then sorting the layer.
+        """
+        layer = {self.identity: ()}
+        out = [(0, (), self.identity)]
+        for k in range(1, max_len + 1):
+            nxt = {}
+            for cols, word in layer.items():
+                for i in range(self.rank):
+                    if not self.is_right_descent(cols, i):
+                        child = self.apply_right(cols, i)
+                        cand = word + (i,)
+                        if child not in nxt or cand < nxt[child]:
+                            nxt[child] = cand
+            out += sorted((k, word, cols) for cols, word in nxt.items())
+            layer = nxt
+        return out

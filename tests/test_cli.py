@@ -307,3 +307,42 @@ def test_budget_exhaustion_exits_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert out == ""
     assert_one_error_line(code, err, 1, "element budget exceeded")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["verify"], "r.json"),
+        (["series", "--family", "Bn-Dn+1", "--n", "3"], "s.txt"),
+    ],
+)
+def test_out_into_missing_directory_fails_before_the_work(capsys, tmp_path, argv, name):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / name))
+    assert out == ""
+    assert_one_error_line(code, err, 2, name)
+
+
+def test_out_that_is_a_directory_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "catalog", "--out", str(tmp_path))
+    assert out == ""
+    assert_one_error_line(code, err, 2, str(tmp_path))
+
+
+def test_write_time_oserror_exits_two(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise PermissionError("permission denied")
+
+    monkeypatch.setattr("coxfold.cli.open", refuse, raising=False)
+    code, _, err = run(capsys, "catalog", "--out", str(tmp_path / "c.json"))
+    assert_one_error_line(code, err, 2, "permission denied")
+
+
+def test_verify_stdout_is_reproducible(capsys):
+    argv = ["verify", "--family", "Bn-A2n", "--family", "Poincare-An"]
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first[0] == 0 and first[1] == second[1]
+    assert " ms)" not in first[1]
+    code, timed, _ = run(capsys, *argv, "--timings")
+    lines = timed.splitlines()
+    assert code == 0 and len(lines) == len(first[1].splitlines())
+    assert all(re.search(r" \(\d+ ms\)$", line) for line in lines[:-1])

@@ -29,6 +29,7 @@ from coxfold.errors import (
 )
 
 from oracles import (
+    ColumnKernel,
     bruhat_dominance_leq,
     dihedral_histogram,
     inversions,
@@ -93,14 +94,18 @@ class TestBuildSystem:
         system = build_system(matrix)
         assert system.rank == 3
         # Cartan integers (a_ij, a_ji) = (-2, -1) for both bonds of order 4
-        assert system.generator(0).data == ((-1, 0, 0), (2, 1, 0), (0, 0, 1))
-        assert system.generator(1).data == ((1, 1, 0), (0, -1, 0), (0, 2, 1))
-        assert system.generator(2).data == ((1, 0, 0), (0, 1, 1), (0, 0, -1))
+        columns = ColumnKernel(matrix.entries)
+        assert columns.generator(0) == ((-1, 0, 0), (2, 1, 0), (0, 0, 1))
+        assert columns.generator(1) == ((1, 1, 0), (0, -1, 0), (0, 2, 1))
+        assert columns.generator(2) == ((1, 0, 0), (0, 1, 1), (0, 0, -1))
+        # the weight vector of s_i is its row of the same integers acting on rho
+        assert system.identity().data == (1, 1, 1)
+        assert system.generator(0).data == (-1, 3, 1)
+        assert system.generator(1).data == (2, -1, 3)
+        assert system.generator(2).data == (1, 2, -1)
         assert all(
-            type(x) is int
-            for i in range(3)
-            for col in system.generator(i).data
-            for x in col
+            type(data) is tuple and all(type(x) is int for x in data)
+            for data in (system.generator(i).data for i in range(3))
         )
 
     def test_invalid_matrices(self):
@@ -183,6 +188,7 @@ class TestLengthAndDescents:
     @pytest.mark.parametrize("label", ["A3", "B3", "D4"])
     def test_length_counts_positive_roots_sent_negative(self, label):
         system = build_system(label)
+        columns = ColumnKernel(system.matrix.entries)
 
         def apply(data, vec):
             out = [0] * system.rank
@@ -203,14 +209,15 @@ class TestLengthAndDescents:
             nxt = []
             for vec in frontier:
                 for i in range(system.rank):
-                    image = apply(system.generator(i).data, vec)
+                    image = apply(columns.generator(i), vec)
                     if not is_negative(image) and image not in roots:
                         roots.add(image)
                         nxt.append(image)
             frontier = nxt
 
-        for el, _ in enumerate_up_to(system, None):
-            flipped = sum(1 for vec in roots if is_negative(apply(el.data, vec)))
+        for el, word in enumerate_with_words(system, None):
+            matrix = columns.assemble(word)[0]
+            flipped = sum(1 for vec in roots if is_negative(apply(matrix, vec)))
             assert flipped == el.length
 
 

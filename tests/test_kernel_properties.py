@@ -1,4 +1,8 @@
-"""Property tests of the integer element kernel against independent models."""
+"""Property tests of the integer element kernel against independent models.
+
+Besides the permutation models, ``oracles.ColumnKernel`` (the earlier
+column-matrix kernel) is run side by side with the weight-vector kernel.
+"""
 
 from functools import lru_cache
 
@@ -10,13 +14,21 @@ from coxfold.coxeter import (
     CoxeterMatrix,
     _bfs,
     all_reduced_words,
+    bruhat_leq,
     build_system,
     enumerate_with_words,
+    minimal_coset_reps,
     shortlex_normal_form,
 )
 from coxfold.errors import CoxfoldError
 
-from oracles import bfs_distances, inversions, type_b_generators, type_d_generators
+from oracles import (
+    ColumnKernel,
+    bfs_distances,
+    inversions,
+    type_b_generators,
+    type_d_generators,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -134,7 +146,7 @@ def test_layers_come_in_shortlex_order(entries, data):
     def minimal(key):
         return not any(W._is_right_descent_data(key, j) for j in J)
 
-    walk = _bfs(W, 5, 10**6, side="left", keep=minimal)
+    walk = _bfs(W, 5, 10**6, keep=minimal)
     assert_shortlex_layers(W, ((W.assemble(word), word) for _, _, word, _ in walk))
 
 
@@ -160,3 +172,54 @@ def test_operations_agree_with_words(lw, data):
     assert W.multiply(w, v) == W.assemble(normal + W.shortlex(v))
     assert W.inverse(w) == W.assemble(reversed(normal))
     assert W.apply(w, i, "left") == W.assemble((i,) + normal)
+
+
+@lru_cache(maxsize=None)
+def column_streams(entries, max_len):
+    # (length, ShortLex word) streams of the library and of the column kernel
+    columns = ColumnKernel(entries)
+    layers = columns.shortlex_layers(max_len)
+    W = build_system(CoxeterMatrix(entries))
+    ours = [(el.length, word) for el, word in enumerate_with_words(W, max_len)]
+    return ours, layers
+
+
+@st.composite
+def differential_matrices(draw):
+    labels = ["A5", "B4", "D5", "affine-B3", "affine-C3", "affine-D4"]
+    label = draw(st.sampled_from(labels + ["random"]))
+    if label == "random":
+        return draw(coxeter_matrices(bonds=(2, 3, 4, 6, INFINITE)))
+    return system(label).matrix.entries
+
+
+@PROPERTY
+@given(differential_matrices(), st.data())
+def test_kernel_agrees_with_column_oracle(entries, data):
+    W = build_system(CoxeterMatrix(entries))
+    columns = ColumnKernel(entries)
+    ours, layers = column_streams(entries, 6)
+    assert ours == [(k, word) for k, word, _ in layers]
+
+    J = data.draw(st.sets(st.integers(0, W.rank - 1), max_size=W.rank - 1), label="J")
+    minima = [
+        word for k, word, cols in layers
+        if not any(columns.is_right_descent(cols, j) for j in J)
+    ]
+    assert [W.shortlex(el) for el in minimal_coset_reps(W, J, 6)] == minima
+
+    a = data.draw(words(W.rank, 8), label="a")
+    b = data.draw(words(W.rank, 8), label="b")
+    mask = data.draw(st.lists(st.booleans(), min_size=len(b), max_size=len(b)), label="mask")
+    u, v = W.assemble(a), W.assemble(b)
+    cu, cv = columns.assemble(a), columns.assemble(b)
+    product = W.multiply(u, v)
+    assert W.shortlex(u) == columns.shortlex(cu[0]) and u.length == cu[1]
+    assert W.shortlex(product) == columns.shortlex(columns.multiply(cu[0], cv[0]))
+    assert product.length == columns.assemble(a + b)[1]
+    assert W.shortlex(W.inverse(u)) == columns.shortlex(columns.inverse(cu[0]))
+
+    interval = columns.bruhat_interval(cv[0])
+    sub = W.assemble([i for i, on in zip(b, mask) if on])
+    for x in (u, sub):
+        assert bruhat_leq(W, x, v) == (columns.assemble(W.shortlex(x))[0] in interval)

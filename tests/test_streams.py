@@ -22,11 +22,11 @@ from coxfold.folding import FamilyId, _source_records, standard_folding
 
 
 def _minimal_left_walk(system, J, max_len):
-    # the left-side walk behind minimal_coset_reps, with its words
+    # the tree walk behind minimal_coset_reps, with its words
     def minimal(key):
         return not any(system._is_right_descent_data(key, j) for j in J)
 
-    for k, key, word, _ in _bfs(system, max_len, 10**6, side="left", keep=minimal):
+    for k, key, word, _ in _bfs(system, max_len, 10**6, keep=minimal):
         yield k, key, word
 
 
