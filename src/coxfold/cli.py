@@ -28,6 +28,7 @@ from .coxeter import DEFAULT_BUDGET, build_system
 from .dot import bruhat_dot
 from .errors import CoxfoldError, InvalidParameters, ResourceLimit
 from .folding import (
+    _FAMILIES,
     FAMILY_NAMES,
     FamilyId,
     reiner_stats_bruteforce,
@@ -216,21 +217,15 @@ def _resolve_folding(group_label: str, folding_arg: str, n, m):
         if n is None:
             raise InvalidParameters("--n is required with a family name")
         family = FamilyId(folding_arg, n, m)
-        if family.target_label() != group_label and not (
-            family.name == "Bn-Dn+1" and family.n == 2 and group_label == "A3"
-        ):
+        if family.target_label() != group_label:
             raise InvalidParameters(
                 f"{family.name} (n={n}) targets {family.target_label()}, not {group_label}"
             )
         return standard_folding(family)
     # otherwise interpret the argument as a source group label
-    for name in FAMILY_NAMES:
-        takes_m = name == "affA-affA"
-        for cand_n in range(2, 40):
-            try:
-                family = FamilyId(name, cand_n, 2 if takes_m else None)
-            except InvalidParameters:
-                continue
+    for name, row in _FAMILIES.items():
+        for cand_n in range(row.min_n, 40):
+            family = FamilyId(name, cand_n, 2 if row.takes_m else None)
             if family.target_label() == group_label and family.source_label() == folding_arg:
                 return standard_folding(family)
     raise InvalidParameters(

@@ -5,12 +5,20 @@ into an ambient one (the *target*, generators s_0/s_1/...) by sending
 each source generator to the longest element of a finite standard
 parabolic of the target; the parabolics form a partition of the target
 generators.  Unfolding a source word means concatenating these blocks.
+A word in the letters of a block B assembles to the longest element of
+the parabolic on B exactly when every letter of B is a left descent of
+it, so ``Folding`` validates each block with |B| left-descent tests;
+a block whose parabolic is infinite fails them.
 
-The registry covers four finite families and eleven affine ones.  Block
-tables follow each family's diagram symmetry; where a printed index
-formula disagrees with the diagram (the symmetry arrows are the ground
-truth), the diagram pairing is used and the series verifier double-checks
-the choice against the closed forms.
+The registry is one ordered table, ``_FAMILIES``, with one row per
+family (four finite, eleven affine): the minimal n, whether the family
+takes m, and one function of (n, m) giving the source label, the target
+label and the 0-based unfold words.  ``FAMILY_NAMES``, ``FamilyId`` and
+``standard_folding`` all read it, so a new folding is one new row.
+Block tables follow each family's diagram symmetry; where a printed
+index formula disagrees with the diagram (the symmetry arrows are the
+ground truth), the diagram pairing is used and the series verifier
+double-checks the choice against the closed forms.
 
 The brute-force operations walk the source group's ShortLex tree
 breadth-first, carry the unfolded ambient element along incrementally,
@@ -24,7 +32,7 @@ its descendants are never generated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .coxeter import (
     DEFAULT_BUDGET,
@@ -33,7 +41,6 @@ from .coxeter import (
     Word,
     _bfs,
     build_system,
-    enumerate_parabolic,
     enumerate_with_words,
     minimal_coset_reps,
     word_string,
@@ -58,26 +65,84 @@ __all__ = [
     "FactorizationReport",
 ]
 
-# family name -> (minimal n, takes the extra parameter m)
-_FAMILY_RANGES = {
-    "Bn-A2n-1": (2, False),
-    "Bn-A2n": (2, False),
-    "Bn-Dn+1": (2, False),
-    "I2-An": (2, False),
-    "affA-affA": (2, True),
-    "affB-affDn+1": (3, False),
-    "affB-affD2n": (3, False),
-    "affB-affD2n+1": (3, False),
-    "affC-affA2n+1": (2, False),
-    "affC-affA2n": (2, False),
-    "affC-affA2n-1": (2, False),
-    "affC-affBn+1": (2, False),
-    "affC-affDn+2": (2, False),
-    "affC-affC2n+1": (2, False),
-    "affC-affC2n": (2, False),
+def _pairs(lo: int, hi: int, top: int) -> list:
+    """The blocks (i, top - i) for lo <= i < hi: generators swapped by a diagram flip."""
+    return [(i, top - i) for i in range(lo, hi)]
+
+
+class _Family(NamedTuple):
+    min_n: int
+    takes_m: bool
+    # (n, m) -> (source label, target label, 0-based unfold word of each source generator)
+    build: Callable[[int, Optional[int]], Tuple[str, str, list]]
+
+
+_FAMILIES = {
+    "Bn-A2n-1": _Family(2, False, lambda n, m: (
+        f"B{n}", f"A{2 * n - 1}",
+        _pairs(0, n - 1, 2 * n - 2) + [(n - 1,)],
+    )),
+    "Bn-A2n": _Family(2, False, lambda n, m: (
+        f"B{n}", f"A{2 * n}",
+        _pairs(0, n - 1, 2 * n - 1) + [(n - 1, n, n - 1)],
+    )),
+    # D3 is A3 with relabelled generators: at n = 2 the folding is the
+    # B2 -> A3 one, up to the diagram flip of B2
+    "Bn-Dn+1": _Family(2, False, lambda n, m: (
+        ("B2", "A3", [(0, 2), (1,)]) if n == 2 else
+        (f"B{n}", f"D{n + 1}", [(i,) for i in range(n - 1)] + [(n - 1, n)])
+    )),
+    "I2-An": _Family(2, False, lambda n, m: (
+        f"I2({n + 1})", f"A{n}",
+        [tuple(range(0, n, 2)), tuple(range(1, n, 2))],
+    )),
+    "affA-affA": _Family(2, True, lambda n, m: (
+        f"affine-A{n - 1}", f"affine-A{m * n - 1}",
+        [tuple(range(i, m * n, n)) for i in range(n)],
+    )),
+    "affB-affDn+1": _Family(3, False, lambda n, m: (
+        f"affine-B{n}", f"affine-D{n + 1}",
+        [(0, 1)] + [(i,) for i in range(2, n + 2)],
+    )),
+    "affB-affD2n": _Family(3, False, lambda n, m: (
+        f"affine-B{n}", f"affine-D{2 * n}",
+        [(n,)] + _pairs(0, n, 2 * n)[::-1],
+    )),
+    "affB-affD2n+1": _Family(3, False, lambda n, m: (
+        f"affine-B{n}", f"affine-D{2 * n + 1}",
+        [(n, n + 1, n)] + _pairs(0, n, 2 * n + 1)[::-1],
+    )),
+    "affC-affA2n+1": _Family(2, False, lambda n, m: (
+        f"affine-C{n}", f"affine-A{2 * n + 1}",
+        [(0, 2 * n + 1, 0)] + _pairs(1, n, 2 * n + 1) + [(n, n + 1, n)],
+    )),
+    "affC-affA2n": _Family(2, False, lambda n, m: (
+        f"affine-C{n}", f"affine-A{2 * n}",
+        [(0, 2 * n, 0)] + _pairs(1, n, 2 * n) + [(n,)],
+    )),
+    "affC-affA2n-1": _Family(2, False, lambda n, m: (
+        f"affine-C{n}", f"affine-A{2 * n - 1}",
+        [(0,)] + _pairs(1, n, 2 * n) + [(n,)],
+    )),
+    "affC-affBn+1": _Family(2, False, lambda n, m: (
+        f"affine-C{n}", f"affine-B{n + 1}",
+        [(i,) for i in range(n)] + [(n, n + 1)],
+    )),
+    "affC-affDn+2": _Family(2, False, lambda n, m: (
+        f"affine-C{n}", f"affine-D{n + 2}",
+        [(0, 1)] + [(i,) for i in range(2, n + 1)] + [(n + 1, n + 2)],
+    )),
+    "affC-affC2n+1": _Family(2, False, lambda n, m: (
+        f"affine-C{n}", f"affine-C{2 * n + 1}",
+        _pairs(0, n, 2 * n + 1) + [(n, n + 1, n)],
+    )),
+    "affC-affC2n": _Family(2, False, lambda n, m: (
+        f"affine-C{n}", f"affine-C{2 * n}",
+        _pairs(0, n, 2 * n) + [(n,)],
+    )),
 }
 
-FAMILY_NAMES = tuple(_FAMILY_RANGES)
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -89,12 +154,12 @@ class FamilyId:
     m: Optional[int] = None
 
     def __post_init__(self):
-        if self.name not in _FAMILY_RANGES:
+        row = _FAMILIES.get(self.name)
+        if row is None:
             raise InvalidParameters(f"unknown family {self.name!r}")
-        floor, takes_m = _FAMILY_RANGES[self.name]
-        if self.n < floor:
-            raise InvalidParameters(f"{self.name} requires n >= {floor}, got {self.n}")
-        if takes_m:
+        if self.n < row.min_n:
+            raise InvalidParameters(f"{self.name} requires n >= {row.min_n}, got {self.n}")
+        if row.takes_m:
             if self.m is None or self.m < 2:
                 raise InvalidParameters(f"{self.name} requires m >= 2, got {self.m}")
         elif self.m is not None:
@@ -104,38 +169,14 @@ class FamilyId:
     def is_affine(self) -> bool:
         return self.name.startswith("aff")
 
+    def _build(self) -> Tuple[str, str, list]:
+        return _FAMILIES[self.name].build(self.n, self.m)
+
     def source_label(self) -> str:
-        n, m = self.n, self.m
-        return {
-            "Bn-A2n-1": f"B{n}",
-            "Bn-A2n": f"B{n}",
-            "Bn-Dn+1": f"B{n}",
-            "I2-An": f"I2({n + 1})",
-            "affA-affA": f"affine-A{n - 1}",
-            "affB-affDn+1": f"affine-B{n}",
-            "affB-affD2n": f"affine-B{n}",
-            "affB-affD2n+1": f"affine-B{n}",
-        }.get(self.name, f"affine-C{n}")
+        return self._build()[0]
 
     def target_label(self) -> str:
-        n, m = self.n, self.m
-        return {
-            "Bn-A2n-1": f"A{2 * n - 1}",
-            "Bn-A2n": f"A{2 * n}",
-            "Bn-Dn+1": f"D{n + 1}",
-            "I2-An": f"A{n}",
-            "affA-affA": f"affine-A{m * n - 1}" if m else "",
-            "affB-affDn+1": f"affine-D{n + 1}",
-            "affB-affD2n": f"affine-D{2 * n}",
-            "affB-affD2n+1": f"affine-D{2 * n + 1}",
-            "affC-affA2n+1": f"affine-A{2 * n + 1}",
-            "affC-affA2n": f"affine-A{2 * n}",
-            "affC-affA2n-1": f"affine-A{2 * n - 1}",
-            "affC-affBn+1": f"affine-B{n + 1}",
-            "affC-affDn+2": f"affine-D{n + 2}",
-            "affC-affC2n+1": f"affine-C{2 * n + 1}",
-            "affC-affC2n": f"affine-C{2 * n}",
-        }[self.name]
+        return self._build()[1]
 
 
 class Folding:
@@ -176,45 +217,29 @@ class Folding:
         if len(seen) != target.rank:
             raise ValueError("partition blocks do not cover the target generators")
         self.blocks = tuple(blocks)
-        partition = [0] * target.rank
-        for r, block in enumerate(self.blocks):
-            for s in block:
-                partition[s] = r
-        self.partition = tuple(partition)
 
+        # w in W_B is the longest element of W_B exactly when every letter
+        # of B is a left descent of w: the left descents of w generate a
+        # finite parabolic W_I with w = w_I u and lengths adding, and u = 1
+        # when I = B (Humphreys, Reflection Groups and Coxeter Groups, 1.8
+        # and ch. 5).  A longest element is an involution.
         self.unfold_elements = tuple(
             target.assemble(word) for word in self.unfold_letters
         )
         for r, elem in enumerate(self.unfold_elements):
-            top = self._parabolic_top(self.blocks[r])
-            if elem.data != top.data:
+            if not all(target._is_left_descent_data(elem.data, s) for s in self.blocks[r]):
                 raise ValueError(
                     f"unfold word of generator {r} is not the longest element "
                     f"of its block parabolic"
                 )
-            square = target.multiply(elem, elem)
-            if not target.is_identity(square):
-                raise ValueError(f"unfolded generator {r} is not an involution")
-
-    def _parabolic_top(self, block: Tuple[int, ...]) -> Element:
-        top = None
-        for elem, _ in enumerate_parabolic(self.target, block, None, budget=10_000):
-            if top is None or elem.length > top.length:
-                top = elem
-        return top
 
     def __repr__(self):
         tag = self.family.name if self.family else "manual"
         return f"Folding({tag}: {self.source.label} -> {self.target.label})"
 
 
-def _one_based(*indices: int) -> Word:
-    # finite-family tables number generators from 1; internal indices from 0
-    return tuple(i - 1 for i in indices)
-
-
 def standard_folding(family: FamilyId) -> Folding:
-    """Build a registered folding.
+    """Build a registered folding from its row of the family table.
 
     >>> f = standard_folding(FamilyId("Bn-A2n-1", 2))
     >>> [word_string(f.target, w) for w in f.unfold_letters]
@@ -223,66 +248,8 @@ def standard_folding(family: FamilyId) -> Folding:
     >>> [word_string(f.target, w) for w in f.unfold_letters]
     ['s1 s3', 's2 s4']
     """
-    name, n, m = family.name, family.n, family.m
-
-    if name == "Bn-Dn+1" and n == 2:
-        # D3 is A3 with relabelled generators; the folding coincides with
-        # the B2 -> A3 one up to the diagram flip of B2.
-        base = standard_folding(FamilyId("Bn-A2n-1", 2))
-        return Folding(base.source, base.target, base.unfold_letters, family)
-
-    source = build_system(family.source_label())
-    target = build_system(family.target_label())
-
-    if name == "Bn-A2n-1":
-        letters = [_one_based(i, 2 * n - i) for i in range(1, n)]
-        letters.append(_one_based(n))
-    elif name == "Bn-A2n":
-        letters = [_one_based(i, 2 * n + 1 - i) for i in range(1, n)]
-        letters.append(_one_based(n, n + 1, n))
-    elif name == "Bn-Dn+1":
-        letters = [_one_based(i) for i in range(1, n)]
-        letters.append(_one_based(n, n + 1))
-    elif name == "I2-An":
-        odds = _one_based(*range(1, n + 1, 2))
-        evens = _one_based(*range(2, n + 1, 2))
-        letters = [odds, evens]
-    elif name == "affA-affA":
-        letters = [tuple(i + j * n for j in range(m)) for i in range(n)]
-    elif name == "affB-affDn+1":
-        letters = [(0, 1)] + [(i + 1,) for i in range(1, n + 1)]
-    elif name == "affB-affD2n":
-        letters = [(n,)] + [(n - j, n + j) for j in range(1, n + 1)]
-    elif name == "affB-affD2n+1":
-        letters = [(n, n + 1, n)] + [(n - j, n + 1 + j) for j in range(1, n + 1)]
-    elif name == "affC-affA2n+1":
-        letters = [(0, 2 * n + 1, 0)]
-        letters += [(i, 2 * n + 1 - i) for i in range(1, n)]
-        letters.append((n, n + 1, n))
-    elif name == "affC-affA2n":
-        letters = [(0, 2 * n, 0)]
-        letters += [(i, 2 * n - i) for i in range(1, n)]
-        letters.append((n,))
-    elif name == "affC-affA2n-1":
-        letters = [(0,)]
-        letters += [(i, 2 * n - i) for i in range(1, n)]
-        letters.append((n,))
-    elif name == "affC-affBn+1":
-        letters = [(i,) for i in range(n)]
-        letters.append((n, n + 1))
-    elif name == "affC-affDn+2":
-        letters = [(0, 1)] + [(i + 1,) for i in range(1, n)]
-        letters.append((n + 1, n + 2))
-    elif name == "affC-affC2n+1":
-        letters = [(i, 2 * n + 1 - i) for i in range(n)]
-        letters.append((n, n + 1, n))
-    elif name == "affC-affC2n":
-        letters = [(i, 2 * n - i) for i in range(n)]
-        letters.append((n,))
-    else:  # pragma: no cover - guarded by FamilyId validation
-        raise InvalidParameters(name)
-
-    return Folding(source, target, letters, family)
+    source, target, letters = family._build()
+    return Folding(build_system(source), build_system(target), letters, family)
 
 
 def unfold_word(f: Folding, word: Iterable[int]) -> Word:

@@ -497,7 +497,9 @@ def divide_by_unit(a: QSeries, d: QSeries) -> QSeries:
 
     The denominator's constant term must be +1 or -1; anything else
     (including a zero constant term) raises NonUnitDivisor.  At least
-    one operand must carry a truncation order.
+    one operand must carry a truncation order.  Only the nonzero terms
+    of d are visited, so a division costs O(order * nnz(d)): every
+    closed-form denominator is a binomial 1 +/- q^e.
     """
     d0 = d.coefficient(0)
     if d0 not in (1, -1):
@@ -505,13 +507,13 @@ def divide_by_unit(a: QSeries, d: QSeries) -> QSeries:
     order = _min_order(a.order, d.order)
     if order is None:
         raise ValueError("division needs a truncation order on some operand")
-    quotient = [0] * (order + 1)
-    dpad = d._padded(order + 1)
-    apad = a._padded(order + 1)
+    terms = [(e, c) for e, c in enumerate(d.coeffs[1 : order + 1], 1) if c]
+    quotient = a._padded(order + 1)[: order + 1]
     for k in range(order + 1):
-        acc = apad[k]
-        for i in range(k):
-            if quotient[i]:
-                acc -= quotient[i] * dpad[k - i]
+        acc = quotient[k]
+        for e, c in terms:
+            if e > k:
+                break
+            acc -= quotient[k - e] * c
         quotient[k] = acc * d0  # d0 in {1,-1} so this is exact division
     return QSeries(quotient, order)

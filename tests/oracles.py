@@ -130,6 +130,23 @@ def poly_qint(k, sign=1, exp=1):
     return out
 
 
+def poly_divide_dense(a, d, order):
+    """Coefficients 0..order of a/d for d[0] in {1, -1}, touching every term of d.
+
+    The quadratic long division the library used before it skipped the
+    zero terms of the denominator.
+    """
+    a = list(a) + [0] * (order + 1 - len(a))
+    d = list(d) + [0] * (order + 1 - len(d))
+    quotient = [0] * (order + 1)
+    for k in range(order + 1):
+        acc = a[k]
+        for i in range(k):
+            acc -= quotient[i] * d[k - i]
+        quotient[k] = acc * d[0]
+    return quotient
+
+
 # bond order (0 = infinity) -> Cartan integers (a_ij, a_ji) for i < j
 _CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1), 0: (-2, -2)}
 

@@ -234,6 +234,13 @@ class TestBruhatDot:
         )
         assert code == 2
 
+    def test_rank_two_fork_family_targets_a3(self, capsys):
+        # Bn-Dn+1 at n = 2 is registered with target A3 (= D3 relabelled)
+        argv = ("bruhat-dot", "--folding", "Bn-Dn+1", "--n", "2", "--group")
+        code, out, _ = run(capsys, *argv, "A3")
+        assert code == 0 and len(re.findall(r"color=red", out)) == 8
+        assert_usage_error(*run(capsys, *argv, "D3"), "targets A3")
+
     def test_deterministic(self, capsys):
         outs = set()
         for _ in range(2):

@@ -1,6 +1,8 @@
 import pytest
 
 from coxfold.closed_forms import (
+    _PRODUCT_TAGS,
+    _SUBSTITUTIONS,
     FORMULA_TAGS,
     catalog,
     closed_form,
@@ -131,6 +133,18 @@ AFFINE_FAMILIES = [
     for m in ((2, 3) if name == "affA-affA" else (None,))
     if (fam := _registered(name, n, m)) is not None
 ]
+
+
+class TestFormulaCoverage:
+    """Every row of the folding table reaches its formulas; a new row without one fails here."""
+
+    def test_every_family_has_a_product_formula(self):
+        assert set(_PRODUCT_TAGS) == set(FAMILY_NAMES)
+
+    def test_every_affine_family_has_a_second_route(self):
+        # affine A's second route is Bott's formula with q -> q^m
+        affine = {name for name in FAMILY_NAMES if name.startswith("aff")}
+        assert set(_SUBSTITUTIONS) | {"affA-affA"} == affine
 
 
 class TestDualRoutes:

@@ -11,6 +11,7 @@ from coxfold.coxeter import (
 )
 from coxfold.errors import IndexOutOfRange, InvalidParameters, ResourceLimit
 from coxfold.folding import (
+    _FAMILIES,
     FAMILY_NAMES,
     FamilyId,
     Folding,
@@ -52,6 +53,16 @@ def family_label(fam):
     return f"{fam.name}-n{fam.n}" + (f"-m{fam.m}" if fam.m else "")
 
 
+def table_families(extra):
+    """Every row of the family table at n = min_n .. min_n + extra (m = 2, 3 if it takes m)."""
+    return [
+        FamilyId(name, n, m)
+        for name, row in _FAMILIES.items()
+        for n in range(row.min_n, row.min_n + extra + 1)
+        for m in ((2, 3) if row.takes_m else (None,))
+    ]
+
+
 class TestFamilyId:
     def test_unknown_name(self):
         with pytest.raises(InvalidParameters):
@@ -74,6 +85,11 @@ class TestFamilyId:
 
     def test_all_names_registered(self):
         assert len(FAMILY_NAMES) == 15
+
+    @pytest.mark.parametrize("fam", table_families(2), ids=family_label)
+    def test_labels_match_built_folding(self, fam):
+        f = standard_folding(fam)
+        assert (fam.source_label(), fam.target_label()) == (f.source.label, f.target.label)
 
 
 class TestRegistry:
@@ -156,6 +172,11 @@ class TestFoldingValidation:
         # (s1, s2) is not the longest element of the parabolic on {s1, s2}
         with pytest.raises(ValueError):
             Folding(build_system("I2(3)"), build_system("A3"), [(0, 1), (2,)])
+
+    def test_block_with_infinite_parabolic(self):
+        # {s0, s1} of affine A1 generates an infinite group with no longest element
+        with pytest.raises(ValueError):
+            Folding(build_system("A1"), build_system("affine-A1"), [(0, 1)])
 
     def test_letters_in_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -258,6 +279,10 @@ class TestAdmissibility:
     @pytest.mark.parametrize("fam", SMALL_FAMILIES, ids=family_label)
     def test_standard_foldings_admissible(self, fam):
         assert check_admissible(standard_folding(fam), 6).passed
+
+    @pytest.mark.parametrize("fam", table_families(1), ids=family_label)
+    def test_every_table_row_builds_admissible(self, fam):
+        assert check_admissible(standard_folding(fam), 4).passed
 
     def test_non_commuting_block_fails(self):
         # grouping two adjacent generators of the linear group is not an

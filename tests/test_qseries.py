@@ -18,7 +18,7 @@ from coxfold.qseries import (
     substitute,
 )
 
-from oracles import poly_mul, poly_qint
+from oracles import poly_divide_dense, poly_mul, poly_qint
 
 
 def coeffs(series):
@@ -146,13 +146,17 @@ class TestArithmetic:
         st.one_of(st.none(), st.integers(0, 30)),
     )
     def test_division_property(self, a_coeffs, d0, d_tail, d_order):
-        # a truncated, d a unit that is exact or truncated at any order
+        # a truncated, d a unit that is exact or truncated at any order;
+        # the sparse division agrees with the dense reference on a * d and a
         a = QSeries(a_coeffs, len(a_coeffs) - 1)
         d = QSeries([d0] + d_tail, d_order)
         got = divide_by_unit(a * d, d)
         order = a.order if d_order is None else min(a.order, d_order)
         assert got.order == order
         assert got.coeffs == a.truncate(order).coeffs
+        for num in (a * d, a):
+            dense = poly_divide_dense(num.coeffs, d.coeffs, order)
+            assert list(divide_by_unit(num, d).coeffs) == dense
 
 
 class TestEquality:
