@@ -37,6 +37,7 @@ from .folding import (
 )
 from .qseries import Monomial, substitute
 from .verifier import (
+    _CHECKS,
     VerificationJob,
     default_cache_dir,
     default_cases,
@@ -123,7 +124,7 @@ def cmd_series(args) -> int:
 def cmd_verify(args) -> int:
     families = args.family if args.family else None
     if families:
-        unknown = [f for f in families if not default_cases([f])]
+        unknown = [f for f in families if f not in _CHECKS]
         if unknown:
             return _usage_error(f"unknown families: {', '.join(unknown)}")
     cases = default_cases(families)

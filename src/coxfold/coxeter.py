@@ -1,12 +1,17 @@
 """Classical finite and affine Coxeter systems with exact element arithmetic.
 
-Supported families (graph conventions, with generator numbering as in the
-registry tables):
+Supported labels:
 
 * finite:  ``A_n`` (n>=1), ``B_n`` (n>=2), ``D_n`` (n>=3), ``I2(m)`` (m>=3),
   generators named ``s1..sn`` / ``s1,s2``;
 * affine:  ``affine-A_n`` (n>=1), ``affine-B_n`` (n>=3), ``affine-C_n``
   (n>=2), ``affine-D_n`` (n>=4), generators named ``s0..sn``.
+
+Apart from ``I2(m)``, the registry is one ordered table, ``_GROUPS``, with
+one row per label family: its minimal n and one function of n giving the
+rank and every bond other than 2.  ``build_system`` parses the label,
+checks the floor and fills the matrix from the row, so a new label family
+is one new row.
 
 Generator indices are 0-based internally; ``CoxeterSystem.generator_index``
 translates display names like ``"s3"``.  The ShortLex generator order is
@@ -61,7 +66,7 @@ Bond order 0 in a Coxeter matrix encodes an infinite bond.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, InvalidMatrix, ResourceLimit, UnsupportedLabel
 
@@ -320,53 +325,38 @@ class CoxeterSystem:
 # registry of group labels
 
 
-def _chain_matrix(rank: int, edges: dict) -> CoxeterMatrix:
-    rows = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
-    for (i, j), m in edges.items():
-        rows[i][j] = m
-        rows[j][i] = m
-    return CoxeterMatrix(tuple(tuple(r) for r in rows))
+def _chain(lo: int, hi: int) -> dict:
+    """Bonds of order 3 between i and i + 1 for lo <= i < hi."""
+    return {(i, i + 1): 3 for i in range(lo, hi)}
 
 
-def _finite_matrix(family: str, n: int) -> CoxeterMatrix:
-    if family == "A":
-        edges = {(i, i + 1): 3 for i in range(n - 1)}
-        return _chain_matrix(n, edges)
-    if family == "B":
-        edges = {(i, i + 1): 3 for i in range(n - 2)}
-        edges[(n - 2, n - 1)] = 4
-        return _chain_matrix(n, edges)
-    if family == "D":
-        edges = {(i, i + 1): 3 for i in range(n - 3)}
-        edges[(n - 3, n - 2)] = 3
-        edges[(n - 3, n - 1)] = 3
-        return _chain_matrix(n, edges)
-    raise UnsupportedLabel(family)
+class _Group(NamedTuple):
+    min_n: int
+    # n -> (rank, {(i, j): bond order} for every bond other than 2)
+    bonds: Callable[[int], Tuple[int, dict]]
 
 
-def _affine_matrix(family: str, n: int) -> CoxeterMatrix:
-    rank = n + 1
-    if family == "A":
-        edges = {(i, (i + 1) % rank): 3 for i in range(rank)}
-        return _chain_matrix(rank, edges)
-    if family == "B":
-        edges = {(0, 1): 4}
-        edges.update({(i, i + 1): 3 for i in range(1, n - 1)})
-        edges[(n - 2, n)] = 3
-        return _chain_matrix(rank, edges)
-    if family == "C":
-        edges = {(0, 1): 4, (n - 1, n): 4}
-        edges.update({(i, i + 1): 3 for i in range(1, n - 1)})
-        return _chain_matrix(rank, edges)
-    if family == "D":
-        edges = {(0, 2): 3, (1, 2): 3, (n - 2, n - 1): 3, (n - 2, n): 3}
-        edges.update({(i, i + 1): 3 for i in range(2, n - 2)})
-        return _chain_matrix(rank, edges)
-    raise UnsupportedLabel(family)
+# One row per label family; finite labels number generators from s1,
+# affine ones from s0.  B2 is I2(4) and affine-A1 is I2(inf).
+_GROUPS = {
+    "A": _Group(1, lambda n: (n, _chain(0, n - 1))),
+    "B": _Group(2, lambda n: (n, {**_chain(0, n - 2), (n - 2, n - 1): 4})),
+    "D": _Group(3, lambda n: (n, {**_chain(0, n - 2), (n - 3, n - 1): 3})),
+    "affine-A": _Group(1, lambda n: (
+        n + 1, {(0, 1): INFINITE} if n == 1 else {**_chain(0, n), (0, n): 3}
+    )),
+    "affine-B": _Group(3, lambda n: (n + 1, {**_chain(1, n - 1), (0, 1): 4, (n - 2, n): 3})),
+    "affine-C": _Group(2, lambda n: (n + 1, {**_chain(1, n - 1), (0, 1): 4, (n - 1, n): 4})),
+    "affine-D": _Group(4, lambda n: (
+        n + 1, {**_chain(2, n - 1), (0, 2): 3, (1, 2): 3, (n - 2, n): 3}
+    )),
+}
 
 
 def build_system(label_or_matrix) -> CoxeterSystem:
     """Construct a registered system from a label, or from a CoxeterMatrix.
+
+    A label is ``I2(m)`` or a ``_GROUPS`` family followed by n.
 
     >>> build_system("A3").rank
     3
@@ -386,34 +376,27 @@ def build_system(label_or_matrix) -> CoxeterSystem:
             raise UnsupportedLabel(f"malformed label {label!r}")
         return int(text)
 
-    if label.startswith("I2(") and label.endswith(")"):
-        m = number(label[3:-1])
-        if m < 3:
-            raise UnsupportedLabel(f"I2({m}) requires bond order >= 3")
-        return CoxeterSystem(label, _chain_matrix(2, {(0, 1): m}), 1)
-
     affine = label.startswith("affine-")
-    body = label[len("affine-"):] if affine else label
-    if len(body) < 2 or body[0] not in "ABCD":
-        raise UnsupportedLabel(f"unknown label {label!r}")
-    family, n = body[0], number(body[1:])
-
-    if affine:
-        floors = {"A": 1, "B": 3, "C": 2, "D": 4}
-        if n < floors[family]:
+    if label.startswith("I2(") and label.endswith(")"):
+        rank, bonds = 2, {(0, 1): number(label[3:-1])}
+        if bonds[0, 1] < 3:
+            raise UnsupportedLabel(f"I2({bonds[0, 1]}) requires bond order >= 3")
+    else:
+        family = label[:len("affine-") + 1] if affine else label[:1]
+        digits = label[len(family):]
+        if not digits or (family not in _GROUPS and family != "C"):
+            raise UnsupportedLabel(f"unknown label {label!r}")
+        n = number(digits)
+        if family == "C":
+            raise UnsupportedLabel("finite type C coincides with B; use the B label")
+        row = _GROUPS[family]
+        if n < row.min_n:
             raise UnsupportedLabel(f"{label} below the minimal rank for its family")
-        if family == "A" and n == 1:
-            return CoxeterSystem(label, _chain_matrix(2, {(0, 1): INFINITE}), 0)
-        return CoxeterSystem(label, _affine_matrix(family, n), 0)
-
-    floors = {"A": 1, "B": 2, "C": None, "D": 3}
-    if family == "C":
-        raise UnsupportedLabel("finite type C coincides with B; use the B label")
-    if n < floors[family]:
-        raise UnsupportedLabel(f"{label} below the minimal rank for its family")
-    if family == "B" and n == 2:
-        return CoxeterSystem(label, _chain_matrix(2, {(0, 1): 4}), 1)
-    return CoxeterSystem(label, _finite_matrix(family, n), 1)
+        rank, bonds = row.bonds(n)
+    rows = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for (i, j), m in bonds.items():
+        rows[i][j] = rows[j][i] = m
+    return CoxeterSystem(label, CoxeterMatrix(tuple(map(tuple, rows))), 0 if affine else 1)
 
 
 # ---------------------------------------------------------------------------

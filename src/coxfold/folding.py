@@ -206,6 +206,8 @@ class Folding:
         blocks = []
         seen: set = set()
         for r, word in enumerate(self.unfold_letters):
+            if not word:
+                raise ValueError(f"unfold word of generator {r} is empty")
             block = sorted(set(word))
             for s in block:
                 if not 0 <= s < target.rank:

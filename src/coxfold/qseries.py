@@ -63,13 +63,6 @@ class Monomial:
         if self.a_exp < 0 or self.b_exp < 0:
             raise InvalidBase("a/b exponents must be non-negative")
 
-    def power(self, i: int) -> "Monomial":
-        if i < 0:
-            raise InvalidBase("negative monomial power")
-        if i == 0:
-            return Monomial(1, 0)
-        return Monomial(self.coeff**i, self.q_exp * i, self.a_exp * i, self.b_exp * i)
-
 
 Q = Monomial(1, 1)
 

@@ -7,6 +7,14 @@ compares them coefficient by coefficient; the outcome is a report entry,
 never an exception (budget blowups and formula errors become entries of
 status ``resource-limit`` / ``error:...``).
 
+The verify families are one ordered table, ``_CHECKS``, with one row per
+family: its default grid of (L, params) and one runner giving the two
+series and the number of elements enumerated.  Every folding family
+shares one runner, and so do the whole-group histograms (Poincare and
+Bott).  ``default_cases``, ``run_job`` and the CLI read the table; the
+default grid is every row but ``Thm1.5-literal``, which runs only when
+named.
+
 Reports serialize to canonical JSON (sorted keys, sorted cases, no
 whitespace) so that reruns produce byte-identical files.  Wall-clock
 times are therefore only emitted when explicitly requested.  A job's
@@ -29,7 +37,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .closed_forms import (
     closed_form,
@@ -43,7 +51,6 @@ from .closed_forms import (
 from .coxeter import DEFAULT_BUDGET, build_system, enumerate_up_to
 from .errors import CorruptCache, CoxfoldError, ResourceLimit
 from .folding import (
-    FAMILY_NAMES,
     FamilyId,
     coset_series_bruteforce,
     reiner_stats_bruteforce,
@@ -180,77 +187,7 @@ def cache_get(cache_dir, key: str) -> Optional[QSeries]:
 
 
 # ---------------------------------------------------------------------------
-# the default acceptance grid
-
-_AFFINE_DEFAULT_L = {
-    "affA-affA": ((2, 2, 14), (2, 3, 14), (3, 2, 14)),
-    "affB-affDn+1": ((3, None, 14), (4, None, 10)),
-    "affB-affD2n": ((3, None, 14), (4, None, 10)),
-    "affB-affD2n+1": ((3, None, 14), (4, None, 10)),
-    "affC-affA2n+1": ((2, None, 12), (3, None, 10)),
-    "affC-affA2n": ((2, None, 12), (3, None, 10)),
-    "affC-affA2n-1": ((2, None, 12), (3, None, 10)),
-    "affC-affBn+1": ((2, None, 12), (3, None, 10)),
-    "affC-affDn+2": ((2, None, 12), (3, None, 10)),
-    "affC-affC2n+1": ((2, None, 12), (3, None, 10)),
-    "affC-affC2n": ((2, None, 12), (3, None, 10)),
-}
-
-
-def default_cases(families: Optional[list] = None) -> list:
-    """The registered default grid, optionally restricted to some families."""
-    out = []
-
-    def want(name):
-        return families is None or name in families
-
-    for name in ("Bn-A2n-1", "Bn-A2n", "Bn-Dn+1"):
-        if want(name):
-            for n in (2, 3, 4):
-                out.append(VerificationCase.make(name, None, n=n, route="product"))
-    if want("I2-An"):
-        for n in range(3, 9):
-            out.append(VerificationCase.make("I2-An", None, n=n, route="product"))
-    for name, grid in _AFFINE_DEFAULT_L.items():
-        if want(name):
-            for n, m, L in grid:
-                for route in ("product", "substitution"):
-                    if m is None:
-                        out.append(VerificationCase.make(name, L, n=n, route=route))
-                    else:
-                        out.append(VerificationCase.make(name, L, n=n, m=m, route=route))
-    if want("Cor1.4"):
-        for n, variant in ((3, "A2n-1"), (4, "A2n"), (5, "A2n-1")):
-            out.append(VerificationCase.make("Cor1.4", None, n=n, variant=variant))
-    if want("Reiner-affB"):
-        out.append(VerificationCase.make("Reiner-affB", 8, n=3))
-    if want("Reiner-affC"):
-        out.append(VerificationCase.make("Reiner-affC", 8, n=2))
-    if want("Poincare-An"):
-        for n in (1, 2, 3, 4):
-            out.append(VerificationCase.make("Poincare-An", None, n=n))
-    if want("Poincare-Bn"):
-        for n in (2, 3):
-            out.append(VerificationCase.make("Poincare-Bn", None, n=n))
-    if want("Bott-affA"):
-        for n in (2, 3):
-            out.append(VerificationCase.make("Bott-affA", 14, n=n))
-    if want("CosetFactor-Lemma3.1"):
-        for part, n in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
-            out.append(VerificationCase.make("CosetFactor-Lemma3.1", None, part=part, n=n))
-    if families is not None and "Thm1.5-literal" in families:
-        out.append(VerificationCase.make("Thm1.5-literal", 10, n=2, m=2))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# execution
-
-
-def _histogram_series(label: str, max_len: Optional[int], budget: int):
-    lengths = (k for _, k in enumerate_up_to(build_system(label), max_len, budget=budget))
-    series = QSeries.from_lengths(lengths, max_len)
-    return series, series.eval_at_one()
+# the table of verify families
 
 
 def _cached_bruteforce(family: FamilyId, case: VerificationCase, budget, cache_dir, memo):
@@ -272,47 +209,126 @@ def _cached_bruteforce(family: FamilyId, case: VerificationCase, budget, cache_d
     return series
 
 
-def _execute(case: VerificationCase, budget: int, cache_dir, memo: dict):
-    fam = case.family
-    L = case.max_len
-    if fam in FAMILY_NAMES:
-        family = FamilyId(fam, case.param("n"), case.param("m"))
-        lhs = _cached_bruteforce(family, case, budget, cache_dir, memo)
-        rhs = unfolding_closed_form(family, L, case.param("route", "product"))
-        return lhs, rhs, lhs.eval_at_one()
-    if fam == "Cor1.4":
-        lhs, rhs = corollary_identity(case.param("n"), case.param("variant"))
-        return lhs, rhs, 0
-    if fam == "Thm1.5-literal":
-        rhs = closed_form("Thm1.5", case.param("n"), case.param("m"), L, literal=True)
-        return rhs, rhs, 0  # unreachable: the literal factor divides by zero
-    if fam in ("Reiner-affB", "Reiner-affC"):
-        n = case.param("n")
-        label = f"affine-B{n}" if fam == "Reiner-affB" else f"affine-C{n}"
-        lhs = reiner_stats_bruteforce(build_system(label), L, budget=budget)
-        rhs = reiner_distribution(fam.split("-")[1], n, L)
-        count = sum(lhs.coeffs.values())
-        return lhs, rhs, count
-    if fam == "Poincare-An":
-        n = case.param("n")
-        lhs, count = _histogram_series(f"A{n}", None, budget)
-        return lhs, poincare_a(n), count
-    if fam == "Poincare-Bn":
-        n = case.param("n")
-        lhs, count = _histogram_series(f"B{n}", None, budget)
-        return lhs, poincare_b(n), count
-    if fam == "Bott-affA":
-        n = case.param("n")
-        lhs, count = _histogram_series(f"affine-A{n - 1}", L, budget)
-        return lhs, closed_form("Bott-affA", n, None, L), count
-    if fam == "CosetFactor-Lemma3.1":
-        part, n = case.param("part"), case.param("n")
-        tag = {1: "Bn-A2n-1", 2: "Bn-A2n", 3: "Bn-Dn+1"}[part]
-        f = standard_folding(FamilyId(tag, n))
-        j_hat = list(range(1, f.source.rank))
-        lhs = coset_series_bruteforce(f, j_hat, None, budget=budget)
-        return lhs, coset_factor(part, n), lhs.eval_at_one()
-    raise CoxfoldError(f"unknown verification family {fam!r}")
+def _run_folding(case, budget, cache_dir, memo):
+    family = FamilyId(case.family, case.param("n"), case.param("m"))
+    lhs = _cached_bruteforce(family, case, budget, cache_dir, memo)
+    rhs = unfolding_closed_form(family, case.max_len, case.param("route", "product"))
+    return lhs, rhs, lhs.eval_at_one()
+
+
+def _histogram(label, formula):
+    """A runner comparing the length histogram of ``label(n)`` with ``formula(n, L)``."""
+
+    def run(case, budget, cache_dir, memo):
+        n, L = case.param("n"), case.max_len
+        lengths = (k for _, k in enumerate_up_to(build_system(label(n)), L, budget=budget))
+        lhs = QSeries.from_lengths(lengths, L)
+        return lhs, formula(n, L), lhs.eval_at_one()
+
+    return run
+
+
+def _run_corollary(case, budget, cache_dir, memo):
+    lhs, rhs = corollary_identity(case.param("n"), case.param("variant"))
+    return lhs, rhs, 0
+
+
+def _run_reiner(case, budget, cache_dir, memo):
+    kind, n, L = case.family.split("-")[1], case.param("n"), case.max_len
+    lhs = reiner_stats_bruteforce(build_system(f"affine-{kind[-1]}{n}"), L, budget=budget)
+    return lhs, reiner_distribution(kind, n, L), sum(lhs.coeffs.values())
+
+
+def _run_coset(case, budget, cache_dir, memo):
+    part, n = case.param("part"), case.param("n")
+    tag = {1: "Bn-A2n-1", 2: "Bn-A2n", 3: "Bn-Dn+1"}[part]
+    f = standard_folding(FamilyId(tag, n))
+    lhs = coset_series_bruteforce(f, range(1, f.source.rank), None, budget=budget)
+    return lhs, coset_factor(part, n), lhs.eval_at_one()
+
+
+def _run_literal(case, budget, cache_dir, memo):
+    rhs = closed_form("Thm1.5", case.param("n"), case.param("m"), case.max_len, literal=True)
+    return rhs, rhs, 0  # unreachable: the literal factor divides by zero
+
+
+class _Check(NamedTuple):
+    grid: tuple  # the (L, params) of each default case
+    # (case, budget, cache_dir, memo) -> (lhs, rhs, elements enumerated)
+    run: Callable
+
+
+def _fold(grid) -> _Check:
+    """The row of a folding family: each (n, m, L), on both routes when affine."""
+    return _Check(tuple(
+        (L, {"n": n, "route": route} if m is None else {"n": n, "m": m, "route": route})
+        for n, m, L in grid
+        for route in (("product",) if L is None else ("product", "substitution"))
+    ), _run_folding)
+
+
+_FINITE = [(n, None, None) for n in (2, 3, 4)]
+_AFF_B = [(3, None, 14), (4, None, 10)]
+_AFF_C = [(2, None, 12), (3, None, 10)]
+
+# One row per verify family, in the order of the default grid.
+_CHECKS = {
+    "Bn-A2n-1": _fold(_FINITE),
+    "Bn-A2n": _fold(_FINITE),
+    "Bn-Dn+1": _fold(_FINITE),
+    "I2-An": _fold((n, None, None) for n in range(3, 9)),
+    "affA-affA": _fold([(2, 2, 14), (2, 3, 14), (3, 2, 14)]),
+    "affB-affDn+1": _fold(_AFF_B),
+    "affB-affD2n": _fold(_AFF_B),
+    "affB-affD2n+1": _fold(_AFF_B),
+    "affC-affA2n+1": _fold(_AFF_C),
+    "affC-affA2n": _fold(_AFF_C),
+    "affC-affA2n-1": _fold(_AFF_C),
+    "affC-affBn+1": _fold(_AFF_C),
+    "affC-affDn+2": _fold(_AFF_C),
+    "affC-affC2n+1": _fold(_AFF_C),
+    "affC-affC2n": _fold(_AFF_C),
+    "Cor1.4": _Check(tuple(
+        (None, {"n": n, "variant": v}) for n, v in ((3, "A2n-1"), (4, "A2n"), (5, "A2n-1"))
+    ), _run_corollary),
+    "Reiner-affB": _Check(((8, {"n": 3}),), _run_reiner),
+    "Reiner-affC": _Check(((8, {"n": 2}),), _run_reiner),
+    "Poincare-An": _Check(
+        tuple((None, {"n": n}) for n in (1, 2, 3, 4)),
+        _histogram(lambda n: f"A{n}", lambda n, L: poincare_a(n)),
+    ),
+    "Poincare-Bn": _Check(
+        ((None, {"n": 2}), (None, {"n": 3})),
+        _histogram(lambda n: f"B{n}", lambda n, L: poincare_b(n)),
+    ),
+    "Bott-affA": _Check(
+        ((14, {"n": 2}), (14, {"n": 3})),
+        _histogram(
+            lambda n: f"affine-A{n - 1}", lambda n, L: closed_form("Bott-affA", n, None, L)
+        ),
+    ),
+    "CosetFactor-Lemma3.1": _Check(tuple(
+        (None, {"part": part, "n": n}) for part, n in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+    ), _run_coset),
+    # left out of the default grid: it demonstrates a division by zero
+    "Thm1.5-literal": _Check(((10, {"n": 2, "m": 2}),), _run_literal),
+}
+
+
+def default_cases(families: Optional[list] = None) -> list:
+    """The registered default grid, optionally restricted to some families."""
+    if families is None:
+        families = [name for name in _CHECKS if name != "Thm1.5-literal"]
+    return [
+        VerificationCase.make(name, L, **params)
+        for name, check in _CHECKS.items()
+        if name in families
+        for L, params in check.grid
+    ]
+
+
+# ---------------------------------------------------------------------------
+# execution
 
 
 def run_job(job: VerificationJob, cache_dir=None) -> VerificationReport:
@@ -342,7 +358,9 @@ def run_job(job: VerificationJob, cache_dir=None) -> VerificationReport:
             "millis": None,
         }
         try:
-            lhs, rhs, count = _execute(case, job.budget, cache_dir, memo)
+            if case.family not in _CHECKS:
+                raise CoxfoldError(f"unknown verification family {case.family!r}")
+            lhs, rhs, count = _CHECKS[case.family].run(case, job.budget, cache_dir, memo)
             entry["lhs"] = lhs.to_json()
             entry["rhs"] = rhs.to_json()
             entry["elements_enumerated"] = count

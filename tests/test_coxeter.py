@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from coxfold.coxeter import (
+    _GROUPS,
     INFINITE,
     CoxeterMatrix,
     all_reduced_words,
@@ -117,6 +118,41 @@ class TestBuildSystem:
             CoxeterMatrix(((1, 1), (1, 1)))  # off-diagonal below 2
         with pytest.raises(InvalidMatrix):
             CoxeterMatrix(((1, 5, 2), (5, 1, 3), (2, 3, 1)))  # rank 3 with m=5
+
+
+# Degrees of the finite Weyl groups (Humphreys, Reflection Groups and
+# Coxeter Groups, table 3.1); affine X_n uses those of finite X_n.
+DEGREES = {
+    "A": lambda n: range(2, n + 2),
+    "B": lambda n: range(2, 2 * n + 1, 2),
+    "C": lambda n: range(2, 2 * n + 1, 2),
+    "D": lambda n: [*range(2, 2 * n - 1, 2), n],
+}
+
+
+def degree_series(degrees, affine, order):
+    """prod [d]_q, divided by prod (1 - q^(d-1)) for an affine group (Bott), to q^order."""
+    coeffs = [1] + [0] * order
+    for d in degrees:
+        # times [d]_q = 1 + q + ... + q^(d-1)
+        coeffs = [sum(coeffs[max(0, k - d + 1):k + 1]) for k in range(order + 1)]
+        if affine:
+            # divided by 1 - q^(d-1)
+            for k in range(d - 1, order + 1):
+                coeffs[k] += coeffs[k - d + 1]
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(family, n) for family, row in _GROUPS.items() for n in (row.min_n, row.min_n + 1)],
+)
+def test_group_rows_match_degrees(family, n):
+    affine = family.startswith("affine-")
+    degrees = DEGREES[family[-1]](n)
+    order = 10 if affine else sum(d - 1 for d in degrees)
+    hist = histogram(build_system(f"{family}{n}"), 10 if affine else None)
+    assert [hist[k] for k in range(max(hist) + 1)] == degree_series(degrees, affine, order)
 
 
 class TestApplyGenerator:

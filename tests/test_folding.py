@@ -182,6 +182,11 @@ class TestFoldingValidation:
         with pytest.raises(IndexOutOfRange):
             Folding(build_system("B2"), build_system("A3"), [(0, 5), (1,)])
 
+    def test_empty_unfold_word(self):
+        # the other block covers A1, so only the empty word itself is wrong
+        with pytest.raises(ValueError, match="generator 1 is empty"):
+            Folding(build_system("I2(3)"), build_system("A1"), [(0,), ()])
+
 
 class TestUnfoldWord:
     def test_empty(self):
