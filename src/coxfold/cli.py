@@ -329,6 +329,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "workers", 1) < 1:
         return _usage_error("--workers must be at least 1")
+    if getattr(args, "budget", 1) < 1:
+        return _usage_error("--budget must be at least 1")
     if getattr(args, "max_len", None) is not None and args.max_len < 0:
         return _usage_error("--max-len must be non-negative")
     out = Path(args.out) if getattr(args, "out", None) else None

@@ -372,12 +372,11 @@ def reiner_distribution(kind: str, n: int, max_len: int) -> StatSeries:
     if n < floor:
         raise InvalidParameters(f"Reiner-{kind} requires n >= {floor}")
     c = int(kind == "affC")  # the b exponent, the extra factor and the shift
-    one = StatSeries.one(max_len)
-    out = one
-    for k in range(n):
-        out = out * (one + StatSeries.from_monomial(Monomial(1, k + 1, a_exp=1), max_len))
-    for k in range(n - 1 + c):
-        out = out * (one + StatSeries.from_monomial(Monomial(1, k + 1, b_exp=c), max_len))
+    out = StatSeries.one(max_len)
+    for k in range(1, n + 1):
+        out = out * StatSeries({(0, 0, 0): 1, (1, 0, k): 1}, max_len)
+    for k in range(1, n + c):
+        out = out * StatSeries({(0, 0, 0): 1, (0, c, k): 1}, max_len)
     fact = q_factorial(n, Monomial(1, 1), max_len)
     out = out * StatSeries({(0, 0, k): c for k, c in enumerate(fact.coeffs)}, max_len)
     for k in range(n):

@@ -280,10 +280,6 @@ class CoxeterSystem:
         """Whether l(w s_i) < l(w): a right descent of w is a left descent of w^-1."""
         return self._is_left_descent_data(self._inverse_data(data), i)
 
-    def is_right_descent(self, w: Element, i: int) -> bool:
-        self._check_index(i)
-        return self._is_right_descent_data(w.data, i)
-
     def apply(self, w: Element, i: int, side: str = "right") -> Element:
         """s_i w (left, in O(deg i)) or w s_i (right, a walk of w)."""
         self._check_index(i)

@@ -66,23 +66,21 @@ def bruhat_dot(
             raise InvalidParameters(
                 f"folding targets {folding.target.label}, not {system.label}"
             )
-        for _, _, tgt in _source_records(folding, ambient_cutoff=max_len, budget=budget):
-            red.add(word_string(system, folding.target.shortlex(tgt)))
+        # the target matrix is the group's, so both encode elements alike
+        records = _source_records(folding, ambient_cutoff=max_len, budget=budget)
+        red = {tgt.data for _, _, tgt in records}
 
     layers = _layers(system, max_len, budget)
-    nodes = []
-    for k in sorted(layers):
-        for _, word in layers[k]:
-            nodes.append(word_string(system, word))
     edges = sorted(
         (word_string(system, vw), word_string(system, ww))
         for vw, ww in covering_relations(system, max_len, budget=budget)
     )
 
     lines = [f'digraph "bruhat_{system.label}" {{', "  rankdir=BT;"]
-    for label in nodes:
-        attr = " [color=red]" if label in red else ""
-        lines.append(f'  "{label}"{attr};')
+    for k in sorted(layers):
+        for el, word in layers[k]:
+            attr = " [color=red]" if el.data in red else ""
+            lines.append(f'  "{word_string(system, word)}"{attr};')
     for a, b in edges:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")

@@ -11,6 +11,12 @@ and are truncated in the q-degree only; the ``a`` and ``b`` exponents
 are tracked exactly.  They encode refined length distributions where
 ``a`` and ``b`` mark occurrence counts of two distinguished generators.
 
+Each operation has one path.  Both types compare through
+``first_mismatch`` (``==`` is its returning None), and both divisions
+are one-pass recurrences filled one q-degree at a time:
+``divide_by_unit`` for a unit denominator, ``StatSeries.geometric_divide``
+for ``1 - term``.
+
 The classical q-building blocks:
 
 * q-integer    ``[k]_x   = 1 + x + ... + x^(k-1)`` for a monomial base ``x``
@@ -168,20 +174,13 @@ class QSeries:
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         order = _min_order(self.order, other.order)
-        if order is None:
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, x in enumerate(self.coeffs):
-                if x:
-                    for j, y in enumerate(other.coeffs):
-                        if y:
-                            out[i + j] += x * y
-            return QSeries(out)
-        out = [0] * (order + 1)
-        for i, x in enumerate(self.coeffs):
-            if x and i <= order:
-                for j, y in enumerate(other.coeffs):
-                    if y and i + j <= order:
-                        out[i + j] += x * y
+        top = len(self.coeffs) + len(other.coeffs) - 2 if order is None else order
+        out = [0] * (top + 1)
+        for i, x in enumerate(self.coeffs[: top + 1]):
+            if x:
+                for j, y in enumerate(other.coeffs[: top + 1 - i], i):
+                    if y:
+                        out[j] += x * y
         return QSeries(out, order)
 
     def sub_monomial(self, m: Monomial) -> "QSeries":
@@ -204,18 +203,15 @@ class QSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        order = _min_order(self.order, other.order)
-        if order is None:
-            n = max(len(self.coeffs), len(other.coeffs))
-            return self._padded(n) == other._padded(n)
-        return self._padded(order + 1)[: order + 1] == other._padded(order + 1)[: order + 1]
+        return self.first_mismatch(other) is None
 
     __hash__ = None  # equality is truncation-sensitive
 
     def first_mismatch(self, other: "QSeries"):
         """First degree where the two values differ, or None.
 
-        Compares up to the smaller truncation order, like ``==``.
+        Compares up to the smaller truncation order; ``==`` is this
+        returning None.
         """
         order = _min_order(self.order, other.order)
         n = max(len(self.coeffs), len(other.coeffs)) if order is None else order + 1
@@ -320,22 +316,23 @@ class StatSeries:
     def geometric_divide(self, term: Monomial) -> "StatSeries":
         """Divide by ``1 - term`` where term has positive total q-degree.
 
-        Expands ``1/(1-term)`` as a geometric series; requires a finite
-        q-truncation so the expansion terminates.
+        Solves Q = self + term * Q one q-degree at a time, so a division
+        costs one pass over the result; requires a finite q-truncation.
         """
         if self.q_order is None:
             raise ValueError("geometric division needs a q-truncation")
         if term.q_exp < 1:
             raise NonUnitDivisor("geometric factor must have positive q-degree")
-        factor = StatSeries.from_monomial(term, self.q_order)
-        acc = StatSeries(dict(self.coeffs), self.q_order)
-        total = StatSeries({}, self.q_order)
-        for _ in range(self.q_order // term.q_exp + 1):
-            total = total + acc
-            acc = acc * factor
-            if not acc.coeffs:
-                break
-        return total
+        layers = [{} for _ in range(self.q_order + 1)]
+        for (i, j, k), c in self.coeffs.items():
+            layers[k][i, j] = c
+        for k in range(term.q_exp, self.q_order + 1):
+            layer = layers[k]
+            for (i, j), c in layers[k - term.q_exp].items():
+                key = (i + term.a_exp, j + term.b_exp)
+                layer[key] = layer.get(key, 0) + term.coeff * c
+        out = {(i, j, k): c for k, layer in enumerate(layers) for (i, j), c in layer.items()}
+        return StatSeries(out, self.q_order)
 
     def specialize_a(self, value: Monomial) -> "StatSeries":
         """Substitute the a-variable by a signed power of q (or by zero)."""
@@ -358,14 +355,7 @@ class StatSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StatSeries):
             return NotImplemented
-        order = _min_order(self.q_order, other.q_order)
-
-        def cut(s):
-            if order is None:
-                return s.coeffs
-            return {k: c for k, c in s.coeffs.items() if k[2] <= order}
-
-        return cut(self) == cut(other)
+        return self.first_mismatch(other) is None
 
     __hash__ = None
 

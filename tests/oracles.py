@@ -6,11 +6,15 @@ lengths come either from inversion counts or from plain breadth-first
 word distance in a faithful permutation model.  ``ColumnKernel`` is the
 column-matrix kernel the library used before its elements became
 Tits-cone weight vectors, kept as the differential oracle for every
-Coxeter matrix of rank >= 3.
+Coxeter matrix of rank >= 3.  The series divisions are the library's
+earlier algorithms, kept as references for its one-pass recurrences.
 """
 
 import itertools
 from collections import Counter
+
+from coxfold.errors import NonUnitDivisor
+from coxfold.qseries import StatSeries
 
 
 def inversions(perm):
@@ -145,6 +149,27 @@ def poly_divide_dense(a, d, order):
             acc -= quotient[i] * d[k - i]
         quotient[k] = acc * d[0]
     return quotient
+
+
+def geometric_divide_by_powers(series, term):
+    """series / (1 - term) as the sum of series * term^p, one full product per power.
+
+    The repeated multiplication ``StatSeries.geometric_divide`` used
+    before it filled the quotient one q-degree at a time.
+    """
+    if series.q_order is None:
+        raise ValueError("geometric division needs a q-truncation")
+    if term.q_exp < 1:
+        raise NonUnitDivisor("geometric factor must have positive q-degree")
+    factor = StatSeries.from_monomial(term, series.q_order)
+    acc = StatSeries(dict(series.coeffs), series.q_order)
+    total = StatSeries({}, series.q_order)
+    for _ in range(series.q_order // term.q_exp + 1):
+        total = total + acc
+        acc = acc * factor
+        if not acc.coeffs:
+            break
+    return total
 
 
 # bond order (0 = infinity) -> Cartan integers (a_ij, a_ji) for i < j

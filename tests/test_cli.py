@@ -18,18 +18,26 @@ def assert_usage_error(code, out, err, word):
     assert err.startswith("error:") and len(err.splitlines()) == 1 and word in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["series", "--family", "Bn-A2n-1", "--n", "2"],
-        ["verify", "--family", "I2-An"],
-        ["reiner", "--type", "affB", "--n", "3", "--max-len", "2"],
-        ["bruhat-dot", "--group", "A2"],
-    ],
-)
+# every subcommand that takes --workers and --budget
+BUDGETED_COMMANDS = [
+    ["series", "--family", "Bn-A2n-1", "--n", "2"],
+    ["verify", "--family", "I2-An"],
+    ["reiner", "--type", "affB", "--n", "3", "--max-len", "2"],
+    ["bruhat-dot", "--group", "A2"],
+]
+
+
+@pytest.mark.parametrize("argv", BUDGETED_COMMANDS)
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_nonpositive_workers_is_usage_error(capsys, argv, workers):
     assert_usage_error(*run(capsys, *argv, "--workers", workers), "--workers")
+
+
+@pytest.mark.parametrize("argv", BUDGETED_COMMANDS)
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_nonpositive_budget_is_usage_error(capsys, argv, budget):
+    # every walk stores the identity first, so no budget below 1 can be met
+    assert_usage_error(*run(capsys, *argv, "--budget", budget), "--budget")
 
 
 @pytest.mark.parametrize(

@@ -18,11 +18,41 @@ from coxfold.qseries import (
     substitute,
 )
 
-from oracles import poly_divide_dense, poly_mul, poly_qint
+from oracles import geometric_divide_by_powers, poly_divide_dense, poly_mul, poly_qint
 
 
 def coeffs(series):
     return list(series.coeffs)
+
+
+# an exact polynomial (order None) or a series truncated at order 0..15
+q_series = st.builds(
+    QSeries,
+    st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+    st.one_of(st.none(), st.integers(0, 15)),
+)
+
+# a trivariate series with a and b exponents 0..3, truncated at q-order 0..20
+stat_series = st.integers(0, 20).flatmap(
+    lambda order: st.builds(
+        StatSeries,
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, order)),
+            st.integers(-9, 9),
+            max_size=12,
+        ),
+        st.just(order),
+    )
+)
+
+# a geometric term +/- a^i b^j q^e with i, j in 0..2 and e in 1..4
+geometric_terms = st.builds(
+    Monomial,
+    st.sampled_from([1, -1]),
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
 
 
 class TestQInteger:
@@ -128,6 +158,22 @@ class TestArithmetic:
             assert a + b == b + a
             assert a - a == QSeries.zero(L)
 
+    @settings(max_examples=120, deadline=None)
+    @given(q_series, q_series)
+    def test_mul_property(self, a, b):
+        # exact, truncated and mixed-order operands against the plain product,
+        # cut at the smaller order (an exact product keeps its full degree)
+        got = a * b
+        full = poly_mul(a.coeffs, b.coeffs)
+        orders = [o for o in (a.order, b.order) if o is not None]
+        if not orders:
+            assert got.order is None
+            assert coeffs(got) == coeffs(QSeries(full))
+        else:
+            order = min(orders)
+            assert got.order == order
+            assert coeffs(got) == (full + [0] * order)[: order + 1]
+
     def test_division_inverts_multiplication(self):
         rng = random.Random(11)
         for _ in range(40):
@@ -215,6 +261,24 @@ class TestStatSeries:
         # 1/(1 - a q^2) up to q^6
         s = StatSeries.one(6).geometric_divide(Monomial(1, 2, a_exp=1))
         assert s.coeffs == {(0, 0, 0): 1, (1, 0, 2): 1, (2, 0, 4): 1, (3, 0, 6): 1}
+
+    @settings(max_examples=120, deadline=None)
+    @given(stat_series, geometric_terms)
+    def test_geometric_divide_property(self, s, term):
+        # the one-pass recurrence agrees with the sum of s * term^p, and
+        # multiplying back by 1 - term recovers s
+        got = s.geometric_divide(term)
+        expected = geometric_divide_by_powers(s, term)
+        assert got.q_order == expected.q_order == s.q_order
+        assert got.coeffs == expected.coeffs
+        back = got * (StatSeries.one(s.q_order) - StatSeries.from_monomial(term, s.q_order))
+        assert back.coeffs == s.coeffs
+
+    def test_geometric_divide_errors(self):
+        with pytest.raises(ValueError):
+            StatSeries.one().geometric_divide(Monomial(1, 1))
+        with pytest.raises(NonUnitDivisor):
+            StatSeries.one(4).geometric_divide(Monomial(1, 0, a_exp=1))
 
     def test_roundtrip(self):
         s = StatSeries({(1, 0, 1): 2, (0, 2, 3): -1}, 4)
