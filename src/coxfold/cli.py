@@ -213,7 +213,8 @@ def cmd_reiner(args) -> int:
     return 0 if match else 1
 
 
-def _resolve_folding(group_label: str, folding_arg: str, n, m):
+def _resolve_folding(group, folding_arg: str, n, m):
+    group_label = group.label
     if folding_arg in FAMILY_NAMES:
         if n is None:
             raise InvalidParameters("--n is required with a family name")
@@ -223,9 +224,9 @@ def _resolve_folding(group_label: str, folding_arg: str, n, m):
                 f"{family.name} (n={n}) targets {family.target_label()}, not {group_label}"
             )
         return standard_folding(family)
-    # otherwise interpret the argument as a source group label
+    # otherwise a source group label; a family's n is at most its target's rank
     for name, row in _FAMILIES.items():
-        for cand_n in range(row.min_n, 40):
+        for cand_n in range(row.min_n, group.rank + 1):
             family = FamilyId(name, cand_n, 2 if row.takes_m else None)
             if family.target_label() == group_label and family.source_label() == folding_arg:
                 return standard_folding(family)
@@ -240,7 +241,7 @@ def cmd_bruhat_dot(args) -> int:
         return _usage_error(f"{args.group} is infinite: --max-len is required")
     folding = None
     if args.folding:
-        folding = _resolve_folding(args.group, args.folding, args.n, args.m)
+        folding = _resolve_folding(system, args.folding, args.n, args.m)
     _write(bruhat_dot(system, folding, args.max_len, budget=args.budget), args.out)
     return 0
 

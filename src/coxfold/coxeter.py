@@ -444,7 +444,6 @@ def _bfs(
     start=None,
     step=None,
     keep=None,
-    live=None,
 ) -> Iterator[Tuple[int, tuple, Word, object]]:
     """Walk the ShortLex tree breadth-first; every enumeration runs on this.
 
@@ -461,19 +460,19 @@ def _bfs(
     ``gens`` restricts the walk to a standard parabolic subgroup, whose
     word length agrees with ambient length.  ``step(payload, i)`` gives the
     payload of s_i w from that of w (``start`` at the identity) and must
-    depend on the node only, not on the path.  A node with ``keep(key)``
-    or ``live(payload)`` false is neither stored, yielded nor expanded;
-    the sets they keep must be closed under taking parents.  The budget
-    is checked as each node is stored.
+    depend on the node only, not on the path.  One filter,
+    ``keep(key, payload)``, is checked on the root as on every child: a
+    node it rejects is neither stored, yielded nor expanded, so the set it
+    keeps must be closed under taking parents.  The budget is checked as
+    each node is stored.
     """
     apply, descent = system._apply_left, system._is_left_descent_data
     gens = range(system.rank) if gens is None else sorted(set(gens))
     stored, k = 1, 0
     if stored > budget:
         raise ResourceLimit(budget, k, stored)
-    layer = [(system.identity().data, (), start)]
-    if live is not None and not live(start):
-        layer = []
+    root = system.identity().data
+    layer = [(root, (), start)] if keep is None or keep(root, start) else []
     while layer:
         yield from ((k, key, word, payload) for key, word, payload in layer)
         if max_len is not None and k >= max_len:
@@ -487,10 +486,8 @@ def _bfs(
                 child = apply(key, i)
                 if any(descent(child, j) for j in range(i)):
                     continue
-                if keep is not None and not keep(child):
-                    continue
                 value = payload if step is None else step(payload, i)
-                if live is not None and not live(value):
+                if keep is not None and not keep(child, value):
                     continue
                 stored += 1
                 if stored > budget:
@@ -503,7 +500,6 @@ def enumerate_up_to(
     system: CoxeterSystem,
     max_len: Optional[int],
     *,
-    workers: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Tuple[Element, int]]:
     """Stream every element of length <= max_len exactly once.
@@ -511,9 +507,7 @@ def enumerate_up_to(
     Elements are emitted in increasing length, in ShortLex order of their
     normal forms within each length; lengths are the BFS layer indices.
     With ``max_len=None`` the whole group is enumerated (the budget guards
-    against accidentally unbounded runs on affine systems).  ``workers``
-    is accepted for compatibility and ignored: enumeration is
-    single-threaded.
+    against accidentally unbounded runs on affine systems).
     """
     for k, key, _, _ in _bfs(system, max_len, budget):
         yield Element(key, k), k
@@ -523,7 +517,6 @@ def enumerate_with_words(
     system: CoxeterSystem,
     max_len: Optional[int],
     *,
-    workers: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Tuple[Element, Word]]:
     """Like enumerate_up_to but also yields each element's ShortLex word."""
@@ -536,7 +529,6 @@ def enumerate_parabolic(
     J: Iterable[int],
     max_len: Optional[int],
     *,
-    workers: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Tuple[Element, int]]:
     """Stream the standard parabolic subgroup on J up to the cutoff.
@@ -587,6 +579,24 @@ def parabolic_decompose(
     return system.inverse(u), system.assemble(reversed(letters))
 
 
+def _coset_minimal(system: CoxeterSystem, J: Iterable[int]):
+    """The ``_bfs`` filter keep(key, payload): key has no right descent in J.
+
+    W^J is closed under taking parents in the ShortLex tree (a right
+    descent in J of s_d w would be one of w too), so a walk under this
+    filter reaches all of it.  J is checked once, here.
+    """
+    J = sorted(set(J))
+    for j in J:
+        system._check_index(j)
+
+    def keep(key, payload) -> bool:
+        inv = system._inverse_data(key)
+        return not any(system._is_left_descent_data(inv, j) for j in J)
+
+    return keep
+
+
 def minimal_coset_reps(
     system: CoxeterSystem,
     J: Iterable[int],
@@ -594,22 +604,9 @@ def minimal_coset_reps(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Element]:
-    """Stream the minimal coset representatives W^J of length <= max_len.
-
-    W^J is closed under taking parents in the ShortLex tree (a right
-    descent in J of s_d w would be one of w too), so the tree walk
-    reaches all of it; each node is kept only if it has no right descent
-    in J.
-    """
-    J = sorted(set(J))
-    for j in J:
-        system._check_index(j)
-
-    def minimal(key):
-        inv = system._inverse_data(key)
-        return not any(system._is_left_descent_data(inv, j) for j in J)
-
-    for k, key, _, _ in _bfs(system, max_len, budget, keep=minimal):
+    """Stream the minimal coset representatives W^J of length <= max_len."""
+    keep = _coset_minimal(system, J)
+    for k, key, _, _ in _bfs(system, max_len, budget, keep=keep):
         yield Element(key, k)
 
 

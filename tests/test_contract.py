@@ -4,20 +4,26 @@
 report and of the highlighted ``bruhat-dot`` texts that the benchmark
 produces.  These tests run the same commands through ``cli.main`` and
 compare against that file, so a change to the report or the DOT bytes
-fails here, not only in the benchmark.
+fails here, not only in the benchmark.  The benchmark also reaches into
+the library by name: its tracer patches functions in the modules that
+call them, and one probe passes ``workers=2``; those names are pinned
+here too.
 """
 
 import hashlib
+import importlib.util
+import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from coxfold.cli import main
+from coxfold.folding import unfolding_series_bruteforce
 
-GOLDEN = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
-)["full"]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())["full"]
 
 
 def sha256_of_run(tmp_path, argv):
@@ -43,3 +49,21 @@ def test_default_verify_report(tmp_path):
 )
 def test_highlighted_hasse_dot(tmp_path, key, argv):
     assert sha256_of_run(tmp_path, ["bruhat-dot"] + argv) == GOLDEN["hasse_dot"][key]
+
+
+def test_benchmark_patch_points_exist():
+    # the tracer looks up every name it patches, so a renamed or deleted
+    # one raises here
+    spec = importlib.util.spec_from_file_location("perfbench_child", PERFBENCH / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = child
+    try:
+        spec.loader.exec_module(child)
+        tracer = child.Tracer()
+        try:
+            tracer.install()
+        finally:
+            tracer.uninstall()
+    finally:
+        del sys.modules[spec.name]
+    inspect.signature(unfolding_series_bruteforce).bind(None, None, workers=2)

@@ -310,14 +310,6 @@ class TestEnumerate:
     def test_dihedral_histograms(self, m):
         assert histogram(build_system(f"I2({m})")) == dihedral_histogram(m)
 
-    def test_worker_counts_agree(self):
-        system = build_system("B3")
-        runs = [
-            [(el.data, k) for el, k in enumerate_up_to(system, None, workers=w)]
-            for w in (1, 2, 4)
-        ]
-        assert runs[0] == runs[1] == runs[2]
-
     def test_budget_enforced(self):
         with pytest.raises(ResourceLimit):
             list(enumerate_up_to(build_system("A3"), None, budget=5))

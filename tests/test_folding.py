@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,7 +6,10 @@ import pytest
 from coxfold.coxeter import (
     build_system,
     element_from_word,
+    enumerate_parabolic,
+    enumerate_up_to,
     enumerate_with_words,
+    minimal_coset_reps,
     multiply,
     word_string,
 )
@@ -13,6 +17,7 @@ from coxfold.errors import IndexOutOfRange, InvalidParameters, ResourceLimit
 from coxfold.folding import (
     _FAMILIES,
     FAMILY_NAMES,
+    FactorizationReport,
     FamilyId,
     Folding,
     check_admissible,
@@ -417,3 +422,54 @@ class TestFactorization:
         f = standard_folding(FamilyId("affC-affBn+1", 2))
         report = folding_factorization_check(f, [1, 2], 8)
         assert report.passed
+
+    def test_out_of_range_subset(self):
+        f = standard_folding(FamilyId("Bn-A2n-1", 2))
+        with pytest.raises(IndexOutOfRange):
+            folding_factorization_check(f, [2], None)
+
+
+def _reference_factorization(f, J_hat, L):
+    """The earlier algorithm: three walks, each element re-unfolded by its word."""
+    J = {s for r in J_hat for s in f.blocks[r]}
+
+    def images(elements):
+        return [t for t in (unfold(f, w) for w in elements) if L is None or t.length <= L]
+
+    full = images(el for el, _ in enumerate_up_to(f.source, L))
+    par = images(el for el, _ in enumerate_parabolic(f.source, J_hat, L))
+    cos = images(minimal_coset_reps(f.source, J_hat, L))
+    full_s, par_s, cos_s = (
+        QSeries.from_lengths((t.length for t in ts), L) for ts in (full, par, cos)
+    )
+    par_ok = all(set(f.target.shortlex(t)) <= J for t in par)
+    min_ok = not any(f.target.right_descent_set(t) & J for t in cos)
+    series_ok = full_s == cos_s * par_s
+    return FactorizationReport(
+        par_ok and min_ok and series_ok, L, par_ok, min_ok, series_ok, full_s, cos_s, par_s
+    )
+
+
+def _exact(value):
+    # series compare by coefficients and order, not by truncated equality
+    return (value.coeffs, value.order) if isinstance(value, QSeries) else value
+
+
+def _fields(report):
+    return [_exact(getattr(report, field.name)) for field in dataclasses.fields(report)]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [FamilyId(name, row.min_n, 2 if row.takes_m else None) for name, row in _FAMILIES.items()],
+    ids=family_label,
+)
+def test_one_walk_matches_the_reference_walks(family):
+    f = standard_folding(family)
+    last = f.source.rank - 1
+    L = 7 if family.is_affine else None
+    for J_hat in sorted({(), (0,), (last,), tuple(range(1, last + 1))}):
+        expected = _reference_factorization(f, J_hat, L)
+        assert _fields(folding_factorization_check(f, J_hat, L)) == _fields(expected), J_hat
+        coset = coset_series_bruteforce(f, J_hat, L)
+        assert _exact(coset) == _exact(expected.coset_series), J_hat

@@ -143,7 +143,7 @@ def test_layers_come_in_shortlex_order(entries, data):
     J = data.draw(st.sets(st.integers(0, W.rank - 1), max_size=W.rank - 1), label="J")
     assert_shortlex_layers(W, enumerate_with_words(W, 5))
 
-    def minimal(key):
+    def minimal(key, payload):
         return not any(W._is_right_descent_data(key, j) for j in J)
 
     walk = _bfs(W, 5, 10**6, keep=minimal)

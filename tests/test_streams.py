@@ -23,7 +23,7 @@ from coxfold.folding import FamilyId, _source_records, standard_folding
 
 def _minimal_left_walk(system, J, max_len):
     # the tree walk behind minimal_coset_reps, with its words
-    def minimal(key):
+    def minimal(key, payload):
         return not any(system._is_right_descent_data(key, j) for j in J)
 
     for k, key, word, _ in _bfs(system, max_len, 10**6, keep=minimal):
