@@ -47,13 +47,16 @@ parabolic on {s2, s3}:
 
 Rank-2 systems use a dihedral backend: an element is an
 ``(is_reflection, index)`` pair, which stays exact for every bond order
-including infinity.  Each backend defines two primitives, ``_apply_left``
-and the left-descent test ``_is_left_descent_data``.  Every other
-operation is written once on top of them, mostly through one walk down an
-element's least left descents (``_reduced_word``), which spells out its
-ShortLex word: products, inverses, the Bruhat order and the breadth-first
-walk work on the left, and right multiplication and right descents go
-through inverses.  In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
+including infinity.  Each backend defines three primitives:
+``_apply_left``, the left-descent test ``_is_left_descent_data``, and
+``_child``, the ShortLex-tree test of the breadth-first walk, which gives
+s_i w only when it is a child of w (the weight backend decides it from
+the coordinates of w, before building s_i w).  Every other operation is
+written once on top of them, mostly through one walk down an element's
+least left descents (``_reduced_word``), which spells out its ShortLex
+word: products, inverses, the Bruhat order and the breadth-first walk
+work on the left, and right multiplication and right descents go through
+inverses.  In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
 
 >>> W = build_system("I2(5)")
 >>> w = W.assemble((1, 0, 1, 0, 1, 0))
@@ -170,6 +173,14 @@ class CoxeterSystem:
                 tuple((j, -_CARTAN[m][i > j]) for j, m in enumerate(row) if j != i and m != 2)
                 for i, row in enumerate(matrix.entries)
             )
+            # for _child(data, i): the non-neighbours j < i of i, and the
+            # pairs (j, -a_ij) of _row[i] with j < i
+            self._free_below = tuple(
+                tuple(j for j in range(i) if row[j] == 2) for i, row in enumerate(matrix.entries)
+            )
+            self._bonds_below = tuple(
+                tuple((j, c) for j, c in bonds if j < i) for i, bonds in enumerate(self._row)
+            )
             self._identity = Element((1,) * self.rank, 0)
         self._check_relations()
 
@@ -210,7 +221,7 @@ class CoxeterSystem:
         if not 0 <= i < self.rank:
             raise IndexOutOfRange(f"generator index {i} out of range for {self.label}")
 
-    # -- the two primitives of each backend ---------------------------------
+    # -- the three primitives of each backend -------------------------------
 
     def _apply_left(self, data, i):
         """The data of s_i w."""
@@ -236,6 +247,32 @@ class CoxeterSystem:
             return self._dihedral_length(self._apply_left(data, i)) < self._dihedral_length(data)
         # x_i = rho(w^-1 alpha_i) is negative exactly when w^-1 alpha_i is
         return data[i] < 0
+
+    def _child(self, data, i):
+        """The data of s_i w when it is a child of w in the ShortLex tree, else None.
+
+        s_i w is a child of w exactly when i is not a left descent of w and
+        no j < i is a left descent of s_i w.
+        """
+        if self.backend == "dihedral":
+            if self._is_left_descent_data(data, i):
+                return None
+            child = self._apply_left(data, i)
+            if any(self._is_left_descent_data(child, j) for j in range(i)):
+                return None
+            return child
+        # decided from w before s_i w is built: with x_i > 0, s_i w keeps x_j
+        # at a non-neighbour j and has x_j - a_ij x_i at a neighbour j
+        xi = data[i]
+        if xi < 0:
+            return None
+        for j in self._free_below[i]:
+            if data[j] < 0:
+                return None
+        for j, c in self._bonds_below[i]:
+            if data[j] + c * xi < 0:
+                return None
+        return self._apply_left(data, i)
 
     def _dihedral_length(self, data) -> int:
         refl, k = data
@@ -435,6 +472,11 @@ def word_string(system: CoxeterSystem, word: Sequence[int]) -> str:
     return " ".join(system.generator_name(i) for i in word)
 
 
+def _prepend(word: Word, i: int) -> Word:
+    """The ``_bfs`` step of the word payload: the ShortLex word of s_i w from that of w."""
+    return (i,) + word
+
+
 def _bfs(
     system: CoxeterSystem,
     max_len: Optional[int],
@@ -444,47 +486,47 @@ def _bfs(
     start=None,
     step=None,
     keep=None,
-) -> Iterator[Tuple[int, tuple, Word, object]]:
+) -> Iterator[Tuple[int, tuple, object]]:
     """Walk the ShortLex tree breadth-first; every enumeration runs on this.
 
-    Yields ``(length, key, word, payload)`` by increasing length, and in
-    ShortLex order of ``word`` within a length; ``word`` is the ShortLex
-    normal form.  The ShortLex word of w != e is d followed by that of
-    s_d w, where d is the least left descent of w, so every element has
-    one parent: s_i w is a child of w exactly when i is not a left descent
-    of w and is the least left descent of s_i w.  Each element is thus
-    generated once, and no visited set is kept.  Looping over i outside
-    the frontier puts each layer in lexicographic order of (i, parent
-    word), which is ShortLex order.
+    Yields ``(length, key, payload)`` by increasing length, and in
+    ShortLex order of the elements within a length.  The ShortLex word of
+    w != e is d followed by that of s_d w, where d is the least left
+    descent of w, so every element has one parent: s_i w is a child of w
+    exactly when i is not a left descent of w and is the least left
+    descent of s_i w.  Each element is thus generated once, and no
+    visited set is kept.  The backend's ``_child`` evaluates this test
+    from the parent's data and builds only the children it accepts.
+    Looping over i outside the frontier puts each layer in lexicographic
+    order of (i, parent word), which is ShortLex order.
 
     ``gens`` restricts the walk to a standard parabolic subgroup, whose
     word length agrees with ambient length.  ``step(payload, i)`` gives the
     payload of s_i w from that of w (``start`` at the identity) and must
-    depend on the node only, not on the path.  One filter,
+    depend on the node only, not on the path; the ShortLex word is one
+    such payload, with ``start=()`` and ``step=_prepend``.  One filter,
     ``keep(key, payload)``, is checked on the root as on every child: a
     node it rejects is neither stored, yielded nor expanded, so the set it
     keeps must be closed under taking parents.  The budget is checked as
     each node is stored.
     """
-    apply, descent = system._apply_left, system._is_left_descent_data
+    child_of = system._child
     gens = range(system.rank) if gens is None else sorted(set(gens))
     stored, k = 1, 0
     if stored > budget:
         raise ResourceLimit(budget, k, stored)
     root = system.identity().data
-    layer = [(root, (), start)] if keep is None or keep(root, start) else []
+    layer = [(root, start)] if keep is None or keep(root, start) else []
     while layer:
-        yield from ((k, key, word, payload) for key, word, payload in layer)
+        yield from ((k, key, payload) for key, payload in layer)
         if max_len is not None and k >= max_len:
             return
         k += 1
         children = []
         for i in gens:
-            for key, word, payload in layer:
-                if descent(key, i):
-                    continue
-                child = apply(key, i)
-                if any(descent(child, j) for j in range(i)):
+            for key, payload in layer:
+                child = child_of(key, i)
+                if child is None:
                     continue
                 value = payload if step is None else step(payload, i)
                 if keep is not None and not keep(child, value):
@@ -492,7 +534,7 @@ def _bfs(
                 stored += 1
                 if stored > budget:
                     raise ResourceLimit(budget, k, stored)
-                children.append((child, (i,) + word, value))
+                children.append((child, value))
         layer = children
 
 
@@ -509,7 +551,7 @@ def enumerate_up_to(
     With ``max_len=None`` the whole group is enumerated (the budget guards
     against accidentally unbounded runs on affine systems).
     """
-    for k, key, _, _ in _bfs(system, max_len, budget):
+    for k, key, _ in _bfs(system, max_len, budget):
         yield Element(key, k), k
 
 
@@ -520,7 +562,7 @@ def enumerate_with_words(
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Tuple[Element, Word]]:
     """Like enumerate_up_to but also yields each element's ShortLex word."""
-    for k, key, word, _ in _bfs(system, max_len, budget):
+    for k, key, word in _bfs(system, max_len, budget, start=(), step=_prepend):
         yield Element(key, k), word
 
 
@@ -539,7 +581,7 @@ def enumerate_parabolic(
     J = sorted(set(J))
     for j in J:
         system._check_index(j)
-    for k, key, _, _ in _bfs(system, max_len, budget, gens=J):
+    for k, key, _ in _bfs(system, max_len, budget, gens=J):
         yield Element(key, k), k
 
 
@@ -606,7 +648,7 @@ def minimal_coset_reps(
 ) -> Iterator[Element]:
     """Stream the minimal coset representatives W^J of length <= max_len."""
     keep = _coset_minimal(system, J)
-    for k, key, _, _ in _bfs(system, max_len, budget, keep=keep):
+    for k, key, _ in _bfs(system, max_len, budget, keep=keep):
         yield Element(key, k)
 
 

@@ -20,14 +20,16 @@ index formula disagrees with the diagram (the symmetry arrows are the
 ground truth), the diagram pairing is used and the series verifier
 double-checks the choice against the closed forms.
 
-Every brute-force folding check is one ``_source_records`` walk of the
-source group's ShortLex tree, which carries the unfolded ambient element
-along and measures its ambient length honestly, letter by letter (length
-additivity is verified, not assumed).  Ambient-length cutoffs prune the
-walk: along reduced source words the unfolded length only grows, so a
-node past the cutoff is not stored and its descendants are never
-generated.  The coset-minima series adds one source filter, and the
-factorization check reads all three of its series off one walk.
+Every brute-force folding check is one walk of the source group's
+ShortLex tree that carries the unfolded ambient element along as a raw
+pair (ambient data, length) and measures the length honestly, letter by
+letter (length additivity is verified, not assumed).  Ambient-length
+cutoffs prune the walk: along reduced source words the unfolded length
+only grows, so a node past the cutoff is not stored and its descendants
+are never generated.  The series walks carry nothing else; the checks
+that read source words walk ``_source_records``.  The coset-minima
+series adds one source filter, and the factorization check reads all
+three of its series off one walk.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .coxeter import (
     Word,
     _bfs,
     _coset_minimal,
+    _prepend,
     build_system,
     enumerate_with_words,
     word_string,
@@ -270,42 +273,70 @@ def unfold(f: Folding, w: Element) -> Element:
     return f.target.assemble(unfold_word(f, f.source.shortlex(w)))
 
 
+def _unfolding(f: Folding, ambient_cutoff: Optional[int], keep: Optional[Callable]):
+    """The ``_bfs`` start, step and filter of a source walk with payload (data, length).
+
+    The tree reaches s_r w from w, and unfold(s_r w) = unfold(r) unfold(w),
+    so the step applies the block letters of r on the left in reverse
+    order, and moves the length by -1 or +1 as each letter is a left
+    descent or not.  The filter rejects nodes beyond the ambient cutoff,
+    then those failing the source filter ``keep(source key, payload)``,
+    whose set must be closed under taking parents.
+    """
+    target = f.target
+    apply, descent = target._apply_left, target._is_left_descent_data
+    blocks = [tuple(reversed(word)) for word in f.unfold_letters]
+
+    def step(payload, r):
+        data, length = payload
+        for s in blocks[r]:
+            length += -1 if descent(data, s) else 1
+            data = apply(data, s)
+        return data, length
+
+    def wanted(key, payload):
+        if ambient_cutoff is not None and payload[1] > ambient_cutoff:
+            return False
+        return keep is None or keep(key, payload)
+
+    return (target.identity().data, 0), step, wanted
+
+
+def _series(
+    f: Folding, ambient_cutoff: Optional[int], keep: Optional[Callable], budget: int
+) -> QSeries:
+    """The unfolded length series of a source walk that carries no word."""
+    start, step, wanted = _unfolding(f, ambient_cutoff, keep)
+    walk = _bfs(f.source, None, budget, start=start, step=step, keep=wanted)
+    return QSeries.from_lengths((length for _, _, (_, length) in walk), ambient_cutoff)
+
+
 def _source_records(
     f: Folding,
     *,
     source_cutoff: Optional[int] = None,
     ambient_cutoff: Optional[int] = None,
-    keep: Optional[Callable] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Tuple[Element, Word, Element]]:
     """BFS over the source, unfolding as it goes.
 
     Yields (source element, its ShortLex word, unfolded ambient element),
     in ShortLex order of the source words within each length layer.  The
-    tree reaches s_r w from w, and unfold(s_r w) = unfold(r) unfold(w), so
-    the block letters of r are applied on the left in reverse order.
-    Nodes beyond the ambient cutoff, or failing the source filter
-    ``keep(source key, ambient element)``, are neither stored, yielded
-    nor expanded (unfolded length grows along reduced words, so nothing
-    below the cutoff is lost; the filter's set must be closed under
-    taking parents).
+    payload is the pair (data, length) of ``_unfolding`` and the source
+    word; the elements are built only as a record is yielded.
     """
-    target = f.target
-    blocks = [tuple(reversed(word)) for word in f.unfold_letters]
+    start, unfold_step, wanted = _unfolding(f, ambient_cutoff, None)
 
-    def step(tgt, r):
-        for s in blocks[r]:
-            tgt = target.apply(tgt, s, "left")
-        return tgt
+    def step(payload, r):
+        ambient, word = payload
+        return unfold_step(ambient, r), _prepend(word, r)
 
-    def wanted(key, tgt):
-        if ambient_cutoff is not None and tgt.length > ambient_cutoff:
-            return False
-        return keep is None or keep(key, tgt)
-
-    walk = _bfs(f.source, source_cutoff, budget, start=target.identity(), step=step, keep=wanted)
-    for k, key, word, tgt in walk:
-        yield Element(key, k), word, tgt
+    walk = _bfs(
+        f.source, source_cutoff, budget, start=(start, ()), step=step,
+        keep=lambda key, payload: wanted(key, payload[0]),
+    )
+    for k, key, ((data, length), word) in walk:
+        yield Element(key, k), word, Element(data, length)
 
 
 def unfolding_series_bruteforce(
@@ -322,8 +353,7 @@ def unfolding_series_bruteforce(
     ``workers`` is accepted for compatibility and ignored: enumeration
     is single-threaded.
     """
-    records = _source_records(f, ambient_cutoff=max_ambient_len, budget=budget)
-    return QSeries.from_lengths((tgt.length for _, _, tgt in records), max_ambient_len)
+    return _series(f, max_ambient_len, None, budget)
 
 
 def unfolded_image(f: Folding, *, budget: int = DEFAULT_BUDGET) -> dict:
@@ -390,9 +420,7 @@ def coset_series_bruteforce(
     budget: int = DEFAULT_BUDGET,
 ) -> QSeries:
     """Unfolded length distribution of the source coset minima for J_hat."""
-    keep = _coset_minimal(f.source, J_hat)
-    records = _source_records(f, ambient_cutoff=max_ambient_len, keep=keep, budget=budget)
-    return QSeries.from_lengths((tgt.length for _, _, tgt in records), max_ambient_len)
+    return _series(f, max_ambient_len, _coset_minimal(f.source, J_hat), budget)
 
 
 def reiner_stats_bruteforce(
@@ -429,6 +457,14 @@ def reiner_stats_bruteforce(
 
 @dataclass
 class FactorizationReport:
+    """The outcome of ``folding_factorization_check``.
+
+    ``parabolic_in_parabolic`` cannot fail: the unfolding of a word in
+    J_hat is a product of the block elements of J_hat, all in W_J.
+    ``minima_in_minima`` and ``series_match`` fail for some partitions:
+    for A2 -> A3 with blocks {s1} and {s2, s3} and J_hat = {s2}, both do.
+    """
+
     passed: bool
     max_len: Optional[int]
     parabolic_in_parabolic: bool
@@ -472,7 +508,7 @@ def folding_factorization_check(
             par.append(tgt.length)
             par_ok = par_ok and set(f.target.shortlex(tgt)) <= J
         parent = f.source._apply_left(src.data, word[0]) if word else None
-        if (parent is None or parent in minima) and keep(src.data, tgt):
+        if (parent is None or parent in minima) and keep(src.data, (tgt.data, tgt.length)):
             minima.add(src.data)
             cos.append(tgt.length)
             min_ok = min_ok and not f.target.right_descent_set(tgt) & J

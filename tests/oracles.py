@@ -7,7 +7,10 @@ word distance in a faithful permutation model.  ``ColumnKernel`` is the
 column-matrix kernel the library used before its elements became
 Tits-cone weight vectors, kept as the differential oracle for every
 Coxeter matrix of rank >= 3.  The series divisions are the library's
-earlier algorithms, kept as references for its one-pass recurrences.
+earlier algorithms, kept as references for its one-pass recurrences,
+and ``shortlex_child`` is the walk's earlier ShortLex-tree test, kept as
+the reference for the backends' ``_child``; it uses only the kernel's
+left multiplication and left-descent test.
 """
 
 import itertools
@@ -170,6 +173,20 @@ def geometric_divide_by_powers(series, term):
         if not acc.coeffs:
             break
     return total
+
+
+def shortlex_child(system, data, i):
+    """The data of s_i w if it is a child of w in the ShortLex tree, else None.
+
+    Skip i if it is a left descent of w, apply it, then reject the child
+    if any j < i is a left descent of it.
+    """
+    if system._is_left_descent_data(data, i):
+        return None
+    child = system._apply_left(data, i)
+    if any(system._is_left_descent_data(child, j) for j in range(i)):
+        return None
+    return child
 
 
 # bond order (0 = infinity) -> Cartan integers (a_ij, a_ji) for i < j

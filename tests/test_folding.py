@@ -260,9 +260,25 @@ class TestBruteforceSeries:
         assert series.degree() == unfold(f, longest).length
 
     def test_budget(self):
-        f = standard_folding(FamilyId("affC-affC2n", 2))
-        with pytest.raises(ResourceLimit):
-            unfolding_series_bruteforce(f, 20, budget=10)
+        # (budget, layer, stored) where the walk stops: nodes pruned by the
+        # cutoff are not counted, and the budget is checked per stored node
+        cases = [
+            (FamilyId("affC-affC2n", 2), 20, 10, (10, 3, 11)),
+            (FamilyId("Bn-Dn+1", 4), None, 100, (100, 6, 101)),
+            (FamilyId("affB-affDn+1", 3), 12, 50, (50, 4, 51)),
+        ]
+        for family, L, budget, expected in cases:
+            f = standard_folding(family)
+            with pytest.raises(ResourceLimit) as info:
+                unfolding_series_bruteforce(f, L, budget=budget)
+            stop = info.value
+            assert (stop.budget, stop.layer, stop.stored) == expected, family
+
+    def test_unfolded_length_is_measured_not_summed(self):
+        # s1 s2 s1 unfolds to a word of 7 letters, s1 s2 s1 s3 s1 s2 s1,
+        # whose element is the reflection in a1 + a2 + a3, of length 5
+        bad = Folding(build_system("I2(3)"), build_system("A3"), [(0, 1, 0), (2,)])
+        assert list(unfolding_series_bruteforce(bad, None).coeffs) == [1, 1, 0, 1, 2, 1]
 
     def test_worker_counts_agree(self):
         f = standard_folding(FamilyId("affB-affDn+1", 3))
@@ -310,6 +326,16 @@ class TestAdmissibility:
         )
         report = check_admissible(bad, 3, max_violations=2)
         assert [v["source_word"] for v in report.violations] == ["s1 s2", "s2 s1"]
+
+    def test_block_of_adjacent_generators_reports_its_witnesses(self):
+        f = Folding(build_system("A2"), build_system("A3"), [(0,), (1, 2, 1)])
+        report = check_admissible(f, 12)
+        assert not report.passed
+        assert report.elements_checked == 6
+        assert report.violations == [
+            {"source_word": "s2 s1", "generator": 1, "block": ["s2", "s3"]},
+            {"source_word": "s1 s2 s1", "generator": 1, "block": ["s2", "s3"]},
+        ]
 
 
 class TestTransferProperties:
@@ -427,6 +453,26 @@ class TestFactorization:
         f = standard_folding(FamilyId("Bn-A2n-1", 2))
         with pytest.raises(IndexOutOfRange):
             folding_factorization_check(f, [2], None)
+
+    @staticmethod
+    def _checks(report):
+        return (
+            report.passed,
+            report.parabolic_in_parabolic,
+            report.minima_in_minima,
+            report.series_match,
+        )
+
+    def test_minima_unfold_outside_the_minima_for_an_inadmissible_block(self):
+        f = Folding(build_system("A2"), build_system("A3"), [(0,), (1, 2, 1)])
+        report = folding_factorization_check(f, {1}, 12)
+        assert self._checks(report) == (False, True, False, False)
+
+    def test_admissible_manual_folding_fails_only_the_series(self):
+        g = Folding(build_system("A2"), build_system("A3"), [(1,), (0, 2)])
+        assert check_admissible(g, 12).passed
+        report = folding_factorization_check(g, {1}, 12)
+        assert self._checks(report) == (False, True, True, False)
 
 
 def _reference_factorization(f, J_hat, L):

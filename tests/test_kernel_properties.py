@@ -13,6 +13,7 @@ from coxfold.coxeter import (
     INFINITE,
     CoxeterMatrix,
     _bfs,
+    _prepend,
     all_reduced_words,
     bruhat_leq,
     build_system,
@@ -26,6 +27,7 @@ from oracles import (
     ColumnKernel,
     bfs_distances,
     inversions,
+    shortlex_child,
     type_b_generators,
     type_d_generators,
 )
@@ -93,6 +95,27 @@ def test_left_apply_is_left_multiplication(lw, data):
     assert left.length == W.assemble((i,) + tuple(word)).length
 
 
+# the walk's tree test on every bond order: the classical and affine
+# labels, affine G2 (bond 6), a rank-3 matrix with an infinite bond, and
+# the dihedral backend for every I2(m) up to 12 and for m = infinity
+CHILD_SYSTEMS = {
+    **{label: label for label in ["A5", "B4", "D5", "affine-C3"]},
+    "affine-G2": AFFINE_G2,
+    "rank-3 infinite": CoxeterMatrix(((1, INFINITE, 3), (INFINITE, 1, 4), (3, 4, 1))),
+    **{f"I2({m})": f"I2({m})" for m in range(3, 13)},
+    "I2(inf)": CoxeterMatrix(((1, INFINITE), (INFINITE, 1))),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CHILD_SYSTEMS)), st.data())
+def test_child_agrees_with_the_reference_tree_test(name, data):
+    W = build_system(CHILD_SYSTEMS[name])
+    w = W.assemble(data.draw(words(W.rank, 24), label="word"))
+    for i in range(W.rank):
+        assert W._child(w.data, i) == shortlex_child(W, w.data, i)
+
+
 @PROPERTY
 @given(labelled_words(["A5", "B4", "D5", "affine-B3", "affine-C3", "affine-D4", "affine-G2"]))
 def test_product_with_inverse_is_identity(lw):
@@ -146,8 +169,8 @@ def test_layers_come_in_shortlex_order(entries, data):
     def minimal(key, payload):
         return not any(W._is_right_descent_data(key, j) for j in J)
 
-    walk = _bfs(W, 5, 10**6, keep=minimal)
-    assert_shortlex_layers(W, ((W.assemble(word), word) for _, _, word, _ in walk))
+    walk = _bfs(W, 5, 10**6, start=(), step=_prepend, keep=minimal)
+    assert_shortlex_layers(W, ((W.assemble(word), word) for _, _, word in walk))
 
 
 SMALL_LABELS = [f"I2({m})" for m in range(3, 13)] + [

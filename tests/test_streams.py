@@ -12,6 +12,7 @@ import pytest
 from coxfold.coxeter import (
     Element,
     _bfs,
+    _prepend,
     enumerate_parabolic,
     enumerate_up_to,
     enumerate_with_words,
@@ -26,7 +27,7 @@ def _minimal_left_walk(system, J, max_len):
     def minimal(key, payload):
         return not any(system._is_right_descent_data(key, j) for j in J)
 
-    for k, key, word, _ in _bfs(system, max_len, 10**6, keep=minimal):
+    for k, key, word in _bfs(system, max_len, 10**6, start=(), step=_prepend, keep=minimal):
         yield k, key, word
 
 
