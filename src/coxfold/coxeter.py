@@ -54,8 +54,9 @@ s_i w only when it is a child of w (the weight backend decides it from
 the coordinates of w, before building s_i w).  Every other operation is
 written once on top of them, mostly through one walk down an element's
 least left descents (``_reduced_word``), which spells out its ShortLex
-word: products, inverses, the Bruhat order and the breadth-first walk
-work on the left, and right multiplication and right descents go through
+word: products, inverses, the Bruhat order (whose walk stops where the
+lengths of the two elements meet) and the breadth-first walk work on the
+left, and right multiplication and right descents go through
 inverses.  In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
 
 >>> W = build_system("I2(5)")
@@ -300,8 +301,12 @@ class CoxeterSystem:
     def _reduced_word(self, data) -> Word:
         """The ShortLex word of ``data``, read off a walk down its least left descents."""
         word = []
-        while data != self._identity.data:
-            i = next(i for i in range(self.rank) if self._is_left_descent_data(data, i))
+        e = self._identity.data
+        desc = self._is_left_descent_data
+        while data != e:
+            i = 0
+            while not desc(data, i):
+                i += 1
             data = self._apply_left(data, i)
             word.append(i)
         return tuple(word)
@@ -653,18 +658,30 @@ def minimal_coset_reps(
 
 
 def bruhat_leq(system: CoxeterSystem, v: Element, w: Element) -> bool:
-    """Bruhat order test v <= w.
+    """Bruhat order test v <= w, by one walk down w that lifts v along.
 
-    Uses the subword characterization: v <= w iff some (equivalently,
-    every) reduced word of w contains a reduced word of v as a subword,
-    and v <= w iff v^-1 <= w^-1.  The scan below folds v through one
-    reduced word of w from the left, descending whenever possible; by the
-    lifting property this reaches the identity exactly when v <= w.
+    Lifting property (Björner–Brenti, *Combinatorics of Coxeter Groups*,
+    Prop. 2.2.7): for a left descent s of w, v <= w iff sv <= sw when s is
+    a left descent of v, and iff v <= sw otherwise.  So x walks down its
+    least left descents from w, and u steps down with x whenever the
+    letter is a left descent of u too.  Each step keeps l(u) <= l(x) and
+    lowers l(x) by one; the walk stops where the lengths meet, since two
+    elements of equal length are comparable only when they are equal.
+    On adjacent layers that is the first letter of w that u cannot take.
     """
-    if v.length > w.length:
+    lu, lx = v.length, w.length
+    if lu > lx:
         return False
-    u = v.data
-    for i in system._reduced_word(w.data):
-        if system._is_left_descent_data(u, i):
-            u = system._apply_left(u, i)
-    return u == system.identity().data
+    u, x = v.data, w.data
+    desc = system._is_left_descent_data
+    step = system._apply_left
+    while lu < lx:
+        i = 0
+        while not desc(x, i):
+            i += 1
+        x = step(x, i)
+        lx -= 1
+        if desc(u, i):
+            u = step(u, i)
+            lu -= 1
+    return u == x

@@ -10,12 +10,17 @@ Coxeter matrix of rank >= 3.  The series divisions are the library's
 earlier algorithms, kept as references for its one-pass recurrences,
 and ``shortlex_child`` is the walk's earlier ShortLex-tree test, kept as
 the reference for the backends' ``_child``; it uses only the kernel's
-left multiplication and left-descent test.
+left multiplication and left-descent test.  ``bruhat_leq_by_scan`` is
+the earlier Bruhat test that folds v through the whole ShortLex word of
+w, kept as the reference for ``bruhat_leq``, and ``covers_by_deletion``
+reads the Bruhat covers off one-letter deletions of ShortLex words
+without any pairwise comparison.
 """
 
 import itertools
 from collections import Counter
 
+from coxfold.coxeter import enumerate_with_words
 from coxfold.errors import NonUnitDivisor
 from coxfold.qseries import StatSeries
 
@@ -187,6 +192,44 @@ def shortlex_child(system, data, i):
     if any(system._is_left_descent_data(child, j) for j in range(i)):
         return None
     return child
+
+
+def bruhat_leq_by_scan(system, v, w):
+    """v <= w, by folding v through the whole ShortLex word of w.
+
+    Going down the word of w from the left, v steps down at every letter
+    that is a left descent of it; by the lifting property it reaches the
+    identity exactly when v <= w.
+    """
+    if v.length > w.length:
+        return False
+    u = v.data
+    for i in system.shortlex(w):
+        if system._is_left_descent_data(u, i):
+            u = system._apply_left(u, i)
+    return u == system.identity().data
+
+
+def covers_by_deletion(system, max_len=None):
+    """The Bruhat covers (v, w) of lengths <= max_len, as ShortLex word pairs.
+
+    By the subword property, the covers of w are the elements of length
+    l(w) - 1 that one-letter deletions of its ShortLex word spell.  Pairs
+    come by layer, then by v's ShortLex position, then by w's.
+    """
+    layers = {}
+    for el, word in enumerate_with_words(system, max_len):
+        layers.setdefault(el.length, []).append((el.data, word))
+    found = []
+    for k in sorted(layers):
+        if k + 1 not in layers:
+            continue
+        position = {data: p for p, (data, _) in enumerate(layers[k])}
+        for q, (_, word) in enumerate(layers[k + 1]):
+            below = {system.assemble(word[:j] + word[j + 1:]) for j in range(len(word))}
+            found.extend((k, position[v.data], q) for v in below if v.length == k)
+    found.sort()
+    return [(layers[k][p][1], layers[k + 1][q][1]) for k, p, q in found]
 
 
 # bond order (0 = infinity) -> Cartan integers (a_ij, a_ji) for i < j

@@ -22,6 +22,7 @@ from coxfold.coxeter import (
     right_descents,
     shortlex_normal_form,
 )
+from coxfold.dot import covering_relations
 from coxfold.errors import (
     IndexOutOfRange,
     InvalidMatrix,
@@ -32,6 +33,7 @@ from coxfold.errors import (
 from oracles import (
     ColumnKernel,
     bruhat_dominance_leq,
+    covers_by_deletion,
     dihedral_histogram,
     inversions,
     symmetric_histogram,
@@ -447,6 +449,24 @@ class TestBruhat:
         for x, xw in with_words:
             for y, yw in with_words:
                 assert bruhat_leq(a3, x, y) == bruhat_dominance_leq(perm(xw), perm(yw))
+
+
+@pytest.mark.parametrize(
+    "label, max_len, count",
+    [
+        ("A4", None, 444),
+        ("D4", None, 790),
+        ("B4", None, 1740),
+        ("affine-C2", 6, 171),
+        ("I2(5)", None, 16),
+        ("affine-A1", 7, 26),
+    ],
+)
+def test_covers_match_one_letter_deletion(label, max_len, count):
+    W = build_system(label)
+    covers = covering_relations(W, max_len)
+    assert covers == covers_by_deletion(W, max_len)
+    assert len(covers) == count
 
 
 class TestReducedWords:

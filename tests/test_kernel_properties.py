@@ -6,7 +6,7 @@ column-matrix kernel) is run side by side with the weight-vector kernel.
 
 from functools import lru_cache
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxfold.coxeter import (
@@ -17,6 +17,7 @@ from coxfold.coxeter import (
     all_reduced_words,
     bruhat_leq,
     build_system,
+    enumerate_up_to,
     enumerate_with_words,
     minimal_coset_reps,
     shortlex_normal_form,
@@ -26,6 +27,7 @@ from coxfold.errors import CoxfoldError
 from oracles import (
     ColumnKernel,
     bfs_distances,
+    bruhat_leq_by_scan,
     inversions,
     shortlex_child,
     type_b_generators,
@@ -124,6 +126,46 @@ def test_product_with_inverse_is_identity(lw):
     w = W.assemble(word)
     assert W.is_identity(W.multiply(w, W.inverse(w)))
     assert W.is_identity(W.multiply(W.inverse(w), w))
+
+
+BRUHAT_LABELS = ["A4", "B4", "D5", "affine-C3", "affine-D4", "affine-G2", "I2(5)", "affine-A1"]
+BRUHAT_BALL = 10
+
+
+@lru_cache(maxsize=None)
+def ball_layers(label):
+    layers = {}
+    for w, _ in enumerate_up_to(system(label), BRUHAT_BALL):
+        layers.setdefault(w.length, []).append(w)
+    return layers
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(BRUHAT_LABELS),
+    st.sampled_from(["words", "longer", "same length", "equal", "identity"]),
+    st.data(),
+)
+def test_bruhat_walk_agrees_with_the_scan(label, case, data):
+    W = system(label)
+    w = W.assemble(data.draw(words(W.rank, BRUHAT_BALL), label="w"))
+    v = W.assemble(data.draw(words(W.rank, BRUHAT_BALL), label="v"))
+    if case == "longer":
+        v, w = sorted((v, w), key=lambda el: el.length, reverse=True)
+        assume(v.length > w.length)
+    elif case == "same length":
+        others = [el for el in ball_layers(label)[w.length] if el != w]
+        assume(others)
+        v = data.draw(st.sampled_from(others), label="same length")
+    elif case == "equal":
+        v = w
+    elif case == "identity":
+        v = W.identity()
+    below = bruhat_leq(W, v, w)
+    assert below == bruhat_leq_by_scan(W, v, w)
+    assert bruhat_leq(W, w, v) == bruhat_leq_by_scan(W, w, v)
+    if case != "words":
+        assert below == (case in ("equal", "identity"))
 
 
 @st.composite
