@@ -174,13 +174,10 @@ class CoxeterSystem:
                 tuple((j, -_CARTAN[m][i > j]) for j, m in enumerate(row) if j != i and m != 2)
                 for i, row in enumerate(matrix.entries)
             )
-            # for _child(data, i): the non-neighbours j < i of i, and the
-            # pairs (j, -a_ij) of _row[i] with j < i
-            self._free_below = tuple(
-                tuple(j for j in range(i) if row[j] == 2) for i, row in enumerate(matrix.entries)
-            )
-            self._bonds_below = tuple(
-                tuple((j, c) for j, c in bonds if j < i) for i, bonds in enumerate(self._row)
+            # for _child(data, i): (j, -a_ij) for every j < i, 0 at a non-neighbour
+            self._below = tuple(
+                tuple((j, -_CARTAN[row[j]][1]) for j in range(i))
+                for i, row in enumerate(matrix.entries)
             )
             self._identity = Element((1,) * self.rank, 0)
         self._check_relations()
@@ -262,15 +259,11 @@ class CoxeterSystem:
             if any(self._is_left_descent_data(child, j) for j in range(i)):
                 return None
             return child
-        # decided from w before s_i w is built: with x_i > 0, s_i w keeps x_j
-        # at a non-neighbour j and has x_j - a_ij x_i at a neighbour j
+        # decided from w before s_i w is built: with x_i > 0, its x_j is x_j - a_ij x_i
         xi = data[i]
         if xi < 0:
             return None
-        for j in self._free_below[i]:
-            if data[j] < 0:
-                return None
-        for j, c in self._bonds_below[i]:
+        for j, c in self._below[i]:
             if data[j] + c * xi < 0:
                 return None
         return self._apply_left(data, i)
@@ -477,6 +470,14 @@ def word_string(system: CoxeterSystem, word: Sequence[int]) -> str:
     return " ".join(system.generator_name(i) for i in word)
 
 
+def _subset(system: CoxeterSystem, J: Iterable[int]) -> list:
+    """The generator subset J, sorted and without repeats, each index checked."""
+    J = sorted(set(J))
+    for j in J:
+        system._check_index(j)
+    return J
+
+
 def _prepend(word: Word, i: int) -> Word:
     """The ``_bfs`` step of the word payload: the ShortLex word of s_i w from that of w."""
     return (i,) + word
@@ -487,7 +488,6 @@ def _bfs(
     max_len: Optional[int],
     budget: int,
     *,
-    gens: Optional[Iterable[int]] = None,
     start=None,
     step=None,
     keep=None,
@@ -505,18 +505,15 @@ def _bfs(
     Looping over i outside the frontier puts each layer in lexicographic
     order of (i, parent word), which is ShortLex order.
 
-    ``gens`` restricts the walk to a standard parabolic subgroup, whose
-    word length agrees with ambient length.  ``step(payload, i)`` gives the
-    payload of s_i w from that of w (``start`` at the identity) and must
-    depend on the node only, not on the path; the ShortLex word is one
-    such payload, with ``start=()`` and ``step=_prepend``.  One filter,
-    ``keep(key, payload)``, is checked on the root as on every child: a
-    node it rejects is neither stored, yielded nor expanded, so the set it
-    keeps must be closed under taking parents.  The budget is checked as
-    each node is stored.
+    ``step(payload, i)`` gives the payload of s_i w from that of w
+    (``start`` at the identity) and must depend on the node only, not on
+    the path; the ShortLex word is one such payload, with ``start=()`` and
+    ``step=_prepend``.  One filter, ``keep(key, payload)``, is checked on
+    the root as on every child: a node it rejects is neither stored,
+    yielded nor expanded, so the set it keeps must be closed under taking
+    parents.  The budget is checked as each node is stored.
     """
     child_of = system._child
-    gens = range(system.rank) if gens is None else sorted(set(gens))
     stored, k = 1, 0
     if stored > budget:
         raise ResourceLimit(budget, k, stored)
@@ -528,7 +525,7 @@ def _bfs(
             return
         k += 1
         children = []
-        for i in gens:
+        for i in range(system.rank):
             for key, payload in layer:
                 child = child_of(key, i)
                 if child is None:
@@ -580,13 +577,15 @@ def enumerate_parabolic(
 ) -> Iterator[Tuple[Element, int]]:
     """Stream the standard parabolic subgroup on J up to the cutoff.
 
-    Parabolic lengths agree with ambient lengths, so the layer index is
-    the ambient length of each element.
+    Layers are ambient lengths, equal to parabolic ones.  The payload says
+    whether a node is in W_J: a child s_i w is iff w is and i is in J.
     """
-    J = sorted(set(J))
-    for j in J:
-        system._check_index(j)
-    for k, key, _ in _bfs(system, max_len, budget, gens=J):
+    J = _subset(system, J)
+    walk = _bfs(
+        system, max_len, budget, start=True, step=lambda _, i: i in J,
+        keep=lambda _, inside: inside,
+    )
+    for k, key, _ in walk:
         yield Element(key, k), k
 
 
@@ -610,9 +609,7 @@ def parabolic_decompose(
     w^J has no right descent inside J; w_J lies in the parabolic on J.
     Peeling left descents in J off w^-1 = w_J^-1 (w^J)^-1 finds both.
     """
-    J = sorted(set(J))
-    for j in J:
-        system._check_index(j)
+    J = _subset(system, J)
     u = system.inverse(w)
     letters = []
     while True:
@@ -633,9 +630,7 @@ def _coset_minimal(system: CoxeterSystem, J: Iterable[int]):
     descent in J of s_d w would be one of w too), so a walk under this
     filter reaches all of it.  J is checked once, here.
     """
-    J = sorted(set(J))
-    for j in J:
-        system._check_index(j)
+    J = _subset(system, J)
 
     def keep(key, payload) -> bool:
         inv = system._inverse_data(key)

@@ -29,7 +29,7 @@ only grows, so a node past the cutoff is not stored and its descendants
 are never generated.  The series walks carry nothing else; the checks
 that read source words walk ``_source_records``.  The coset-minima
 series adds one source filter, and the factorization check reads all
-three of its series off one walk.
+three of its series off one walk, taking the coset minima on the left.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .coxeter import (
     _bfs,
     _coset_minimal,
     _prepend,
+    _subset,
     build_system,
     enumerate_with_words,
     word_string,
@@ -459,6 +460,13 @@ def reiner_stats_bruteforce(
 class FactorizationReport:
     """The outcome of ``folding_factorization_check``.
 
+    Coset minima are read on the left: inversion maps W^J_hat onto ^J_hat W
+    and keeps lengths (D_R(w) = D_L(w^-1); Björner–Brenti, *Combinatorics of
+    Coxeter Groups*, §2.4), and commutes with unfold when unfold is a
+    homomorphism, as for every registered folding, so each field equals its
+    right-coset reading.  A3 -> A3 by blocks {s2}, {s1}, {s3} breaks a
+    relation, and at J_hat = {s1} it fails only on the left.
+
     ``parabolic_in_parabolic`` cannot fail: the unfolding of a word in
     J_hat is a product of the block elements of J_hat, all in W_J.
     ``minima_in_minima`` and ``series_match`` fail for some partitions:
@@ -489,29 +497,25 @@ def folding_factorization_check(
 
     Writes J for the union of the blocks over J_hat and verifies that
     (a) the source parabolic on J_hat unfolds into the target parabolic
-    on J, source coset minima unfold to target coset minima, and
+    on J, source left coset minima unfold to target left ones, and
     (b) the full unfolding series factors as the coset-minima series
     times the parabolic series, coefficient by coefficient.
     """
-    J_hat = set(J_hat)
-    keep = _coset_minimal(f.source, J_hat)
+    J_hat = set(_subset(f.source, J_hat))
     J = {s for r in J_hat for s in f.blocks[r]}
 
-    # one walk of the ambient ball: the parabolic elements are those whose
-    # ShortLex word lies in J_hat, the coset minima those kept by the filter;
-    # the minima are closed under parents, so only a minimum's child is tested
-    full, par, cos, minima = [], [], [], set()
+    # one walk of the ambient ball: the parabolic elements have their
+    # ShortLex word in J_hat, the coset minima no left descent in J_hat
+    full, par, cos = [], [], []
     par_ok = min_ok = True
     for src, word, tgt in _source_records(f, ambient_cutoff=max_ambient_len, budget=budget):
         full.append(tgt.length)
         if J_hat.issuperset(word):
             par.append(tgt.length)
             par_ok = par_ok and set(f.target.shortlex(tgt)) <= J
-        parent = f.source._apply_left(src.data, word[0]) if word else None
-        if (parent is None or parent in minima) and keep(src.data, (tgt.data, tgt.length)):
-            minima.add(src.data)
+        if not any(f.source._is_left_descent_data(src.data, r) for r in J_hat):
             cos.append(tgt.length)
-            min_ok = min_ok and not f.target.right_descent_set(tgt) & J
+            min_ok = min_ok and not any(f.target._is_left_descent_data(tgt.data, s) for s in J)
     full, par_series, cos_series = (
         QSeries.from_lengths(lengths, max_ambient_len) for lengths in (full, par, cos)
     )

@@ -336,6 +336,16 @@ class TestEnumerate:
 
 
 class TestParabolic:
+    @pytest.mark.parametrize("J", [[3], [0, -1]])
+    def test_out_of_range_subset(self, J):
+        a3 = build_system("A3")
+        with pytest.raises(IndexOutOfRange):
+            list(enumerate_parabolic(a3, J, 2))
+        with pytest.raises(IndexOutOfRange):
+            parabolic_decompose(a3, a3.identity(), J)
+        with pytest.raises(IndexOutOfRange):
+            list(minimal_coset_reps(a3, J, 2))
+
     def test_identity_decomposition(self):
         a3 = build_system("A3")
         u, v = parabolic_decompose(a3, a3.identity(), [0, 1])

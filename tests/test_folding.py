@@ -474,6 +474,11 @@ class TestFactorization:
         report = folding_factorization_check(g, {1}, 12)
         assert self._checks(report) == (False, True, True, False)
 
+    def test_minima_fail_while_the_series_holds(self):
+        f = Folding(build_system("I2(5)"), build_system("A5"), [(0, 2, 3, 2), (1, 4)])
+        report = folding_factorization_check(f, {0}, 12)
+        assert self._checks(report) == (False, True, False, True)
+
 
 def _reference_factorization(f, J_hat, L):
     """The earlier algorithm: three walks, each element re-unfolded by its word."""
@@ -505,15 +510,24 @@ def _fields(report):
     return [_exact(getattr(report, field.name)) for field in dataclasses.fields(report)]
 
 
-@pytest.mark.parametrize(
-    "family",
-    [FamilyId(name, row.min_n, 2 if row.takes_m else None) for name, row in _FAMILIES.items()],
-    ids=family_label,
-)
-def test_one_walk_matches_the_reference_walks(family):
-    f = standard_folding(family)
+def _reference_cases():
+    """Every family row at min_n and min_n + 1, and two manual foldings that are homomorphisms."""
+    rows = [
+        FamilyId(name, row.min_n + extra, 2 if row.takes_m else None)
+        for extra in (0, 1)
+        for name, row in _FAMILIES.items()
+    ]
+    manual = [("A2", "A3", [(0,), (1, 2, 1)]), ("I2(5)", "A5", [(0, 2, 3, 2), (1, 4)])]
+    return [pytest.param(standard_folding(fam), id=family_label(fam)) for fam in rows] + [
+        pytest.param(Folding(build_system(s), build_system(t), letters), id=f"manual-{s}-{t}")
+        for s, t, letters in manual
+    ]
+
+
+@pytest.mark.parametrize("f", _reference_cases())
+def test_one_walk_matches_the_reference_walks(f):
     last = f.source.rank - 1
-    L = 7 if family.is_affine else None
+    L = 7 if f.source.label.startswith("affine-") else None
     for J_hat in sorted({(), (0,), (last,), tuple(range(1, last + 1))}):
         expected = _reference_factorization(f, J_hat, L)
         assert _fields(folding_factorization_check(f, J_hat, L)) == _fields(expected), J_hat
