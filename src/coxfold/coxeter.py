@@ -41,7 +41,7 @@ parabolic on {s2, s3}:
 >>> W = build_system("B3")
 >>> W.identity().data, W.generator(1).data
 ((1, 1, 1), (2, -1, 3))
->>> w = W.assemble((1, 2, 1, 2))
+>>> w = element_from_word(W, (1, 2, 1, 2))
 >>> w.data, w.length
 ((4, -1, -1), 4)
 
@@ -52,16 +52,17 @@ including infinity.  Each backend defines three primitives:
 ``_child``, the ShortLex-tree test of the breadth-first walk, which gives
 s_i w only when it is a child of w (the weight backend decides it from
 the coordinates of w, before building s_i w).  Every other operation is
-written once on top of them, mostly through one walk down an element's
-least left descents (``_reduced_word``), which spells out its ShortLex
-word: products, inverses, the Bruhat order (whose walk stops where the
-lengths of the two elements meet) and the breadth-first walk work on the
-left, and right multiplication and right descents go through
-inverses.  In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
+written once on top of them, as a module function; ``CoxeterSystem``
+keeps only its walks on raw data.  Most operations go through one walk
+down an element's least left descents (``_reduced_word``), which spells
+out its ShortLex word: products, inverses, the Bruhat order (whose walk
+stops where the lengths of the two elements meet) and the breadth-first
+walk work on the left, and right multiplication and right descents go
+through inverses.  In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
 
 >>> W = build_system("I2(5)")
->>> w = W.assemble((1, 0, 1, 0, 1, 0))
->>> w.data, w.length, W.shortlex(w), W.shortlex(W.inverse(w))
+>>> w = element_from_word(W, (1, 0, 1, 0, 1, 0))
+>>> w.data, w.length, shortlex_normal_form(W, w), shortlex_normal_form(W, inverse(W, w))
 ((False, 2), 4, (0, 1, 0, 1), (1, 0, 1, 0))
 
 Bond order 0 in a Coxeter matrix encodes an infinite bond.
@@ -279,7 +280,7 @@ class CoxeterSystem:
             return min(2 * k + 1, 2 * (self.m - k) - 1)
         return min(2 * k, 2 * (self.m - k))
 
-    # -- everything else, once ------------------------------------------------
+    # -- elements, and walks on raw data ---------------------------------------
 
     def identity(self) -> Element:
         return self._identity
@@ -315,41 +316,16 @@ class CoxeterSystem:
         """Whether l(w s_i) < l(w): a right descent of w is a left descent of w^-1."""
         return self._is_left_descent_data(self._inverse_data(data), i)
 
-    def apply(self, w: Element, i: int, side: str = "right") -> Element:
-        """s_i w (left, in O(deg i)) or w s_i (right, a walk of w)."""
-        self._check_index(i)
-        if side == "left":
-            down = self._is_left_descent_data(w.data, i)
-            return Element(self._apply_left(w.data, i), w.length - 1 if down else w.length + 1)
-        if side == "right":
-            return self.multiply(w, self.generator(i))
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    def _left_word(self, data, length, letters):
+        """The raw (data, length) of s_ak ... s_a1 w: each letter, in order, on the left.
 
-    def multiply(self, a: Element, b: Element) -> Element:
-        for i in reversed(self._reduced_word(a.data)):
-            b = self.apply(b, i, "left")
-        return b
-
-    def inverse(self, w: Element) -> Element:
-        return Element(self._inverse_data(w.data), w.length)
-
-    def assemble(self, word: Iterable[int]) -> Element:
-        w = self._identity
-        for i in reversed(tuple(word)):
-            w = self.apply(w, i, "left")
-        return w
-
-    def shortlex(self, w: Element) -> Word:
-        """Lexicographically least reduced word under s0 < s1 < ... order.
-
-        Its first letter is the least left descent of w, so walking w down
-        its least left descents spells the word out.
+        The length moves down at a letter that is a left descent, else up.
         """
-        return self._reduced_word(w.data)
-
-    def right_descent_set(self, w: Element) -> frozenset:
-        inv = self._inverse_data(w.data)
-        return frozenset(i for i in range(self.rank) if self._is_left_descent_data(inv, i))
+        desc, apply = self._is_left_descent_data, self._apply_left
+        for i in letters:
+            length += -1 if desc(data, i) else 1
+            data = apply(data, i)
+        return data, length
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +411,13 @@ def build_system(label_or_matrix) -> CoxeterSystem:
 
 
 def apply_generator(system: CoxeterSystem, w: Element, i: int, side: str = "right") -> Element:
-    """Multiply by a generator on the chosen side; length moves by +/-1."""
-    return system.apply(w, i, side)
+    """s_i w (left, in O(deg i)) or w s_i (right, a walk of w); length moves by +/-1."""
+    system._check_index(i)
+    if side == "left":
+        return Element(*system._left_word(w.data, w.length, (i,)))
+    if side == "right":
+        return multiply(system, w, system.generator(i))
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def length(system: CoxeterSystem, w: Element) -> int:
@@ -444,23 +425,34 @@ def length(system: CoxeterSystem, w: Element) -> int:
 
 
 def right_descents(system: CoxeterSystem, w: Element) -> frozenset:
-    return system.right_descent_set(w)
+    inv = system._inverse_data(w.data)
+    return frozenset(i for i in range(system.rank) if system._is_left_descent_data(inv, i))
 
 
 def shortlex_normal_form(system: CoxeterSystem, w: Element) -> Word:
-    return system.shortlex(w)
+    """Lexicographically least reduced word under s0 < s1 < ... order.
+
+    Its first letter is the least left descent of w, so walking w down
+    its least left descents spells the word out.
+    """
+    return system._reduced_word(w.data)
 
 
 def element_from_word(system: CoxeterSystem, word: Iterable[int]) -> Element:
-    return system.assemble(word)
+    """The product of the letters, each index checked."""
+    word = tuple(word)
+    for i in word:
+        system._check_index(i)
+    return Element(*system._left_word(system.identity().data, 0, reversed(word)))
 
 
 def multiply(system: CoxeterSystem, a: Element, b: Element) -> Element:
-    return system.multiply(a, b)
+    """a b: the ShortLex word of a applied to b on the left, last letter first."""
+    return Element(*system._left_word(b.data, b.length, reversed(system._reduced_word(a.data))))
 
 
 def inverse(system: CoxeterSystem, w: Element) -> Element:
-    return system.inverse(w)
+    return Element(system._inverse_data(w.data), w.length)
 
 
 def word_string(system: CoxeterSystem, word: Sequence[int]) -> str:
@@ -596,7 +588,7 @@ def all_reduced_words(system: CoxeterSystem, w: Element) -> list:
     out = []
     for i in range(system.rank):
         if system._is_left_descent_data(w.data, i):
-            for word in all_reduced_words(system, system.apply(w, i, "left")):
+            for word in all_reduced_words(system, apply_generator(system, w, i, "left")):
                 out.append((i,) + word)
     return out
 
@@ -610,17 +602,17 @@ def parabolic_decompose(
     Peeling left descents in J off w^-1 = w_J^-1 (w^J)^-1 finds both.
     """
     J = _subset(system, J)
-    u = system.inverse(w)
+    u = inverse(system, w)
     letters = []
     while True:
         for j in J:
             if system._is_left_descent_data(u.data, j):
-                u = system.apply(u, j, "left")
+                u = apply_generator(system, u, j, "left")
                 letters.append(j)
                 break
         else:
             break
-    return system.inverse(u), system.assemble(reversed(letters))
+    return inverse(system, u), element_from_word(system, reversed(letters))
 
 
 def _coset_minimal(system: CoxeterSystem, J: Iterable[int]):

@@ -15,19 +15,13 @@ from .coxeter import (
     CoxeterSystem,
     bruhat_leq,
     enumerate_with_words,
+    shortlex_normal_form,
     word_string,
 )
 from .errors import InvalidParameters
 from .folding import Folding, _source_records
 
 __all__ = ["bruhat_dot", "covering_relations"]
-
-
-def _layers(system: CoxeterSystem, max_len, budget):
-    layers: dict = {}
-    for el, word in enumerate_with_words(system, max_len, budget=budget):
-        layers.setdefault(el.length, []).append((el, word))
-    return layers
 
 
 def covering_relations(
@@ -40,7 +34,9 @@ def covering_relations(
 
     A pair with length difference one is a cover exactly when v <= w.
     """
-    layers = _layers(system, max_len, budget)
+    layers: dict = {}
+    for el, word in enumerate_with_words(system, max_len, budget=budget):
+        layers.setdefault(el.length, []).append((el, word))
     covers = []
     for k in sorted(layers):
         if k + 1 not in layers:
@@ -59,28 +55,29 @@ def bruhat_dot(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> str:
-    """Render the Hasse diagram of the Bruhat order as DOT text."""
+    """Render the Hasse diagram of the Bruhat order as DOT text.
+
+    The group is walked once, by ``covering_relations``: every element but e
+    covers one below it, so the nodes are e and the upper ends of the covers.
+    """
     red = set()
     if folding is not None:
         if folding.target.matrix.entries != system.matrix.entries:
             raise InvalidParameters(
                 f"folding targets {folding.target.label}, not {system.label}"
             )
-        # the target matrix is the group's, so both encode elements alike
+        # the target matrix is the group's, so both spell elements alike
         records = _source_records(folding, ambient_cutoff=max_len, budget=budget)
-        red = {tgt.data for _, _, tgt in records}
+        red = {shortlex_normal_form(system, tgt) for _, _, tgt in records}
 
-    layers = _layers(system, max_len, budget)
-    edges = sorted(
-        (word_string(system, vw), word_string(system, ww))
-        for vw, ww in covering_relations(system, max_len, budget=budget)
-    )
+    covers = covering_relations(system, max_len, budget=budget)
+    nodes = sorted({()} | {ww for _, ww in covers}, key=lambda word: (len(word), word))
+    edges = sorted((word_string(system, vw), word_string(system, ww)) for vw, ww in covers)
 
     lines = [f'digraph "bruhat_{system.label}" {{', "  rankdir=BT;"]
-    for k in sorted(layers):
-        for el, word in layers[k]:
-            attr = " [color=red]" if el.data in red else ""
-            lines.append(f'  "{word_string(system, word)}"{attr};')
+    for word in nodes:
+        attr = " [color=red]" if word in red else ""
+        lines.append(f'  "{word_string(system, word)}"{attr};')
     for a, b in edges:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")

@@ -47,7 +47,9 @@ from .coxeter import (
     _prepend,
     _subset,
     build_system,
+    element_from_word,
     enumerate_with_words,
+    shortlex_normal_form,
     word_string,
 )
 from .errors import IndexOutOfRange, InvalidParameters
@@ -231,7 +233,7 @@ class Folding:
         # when I = B (Humphreys, Reflection Groups and Coxeter Groups, 1.8
         # and ch. 5).  A longest element is an involution.
         self.unfold_elements = tuple(
-            target.assemble(word) for word in self.unfold_letters
+            element_from_word(target, word) for word in self.unfold_letters
         )
         for r, elem in enumerate(self.unfold_elements):
             if not all(target._is_left_descent_data(elem.data, s) for s in self.blocks[r]):
@@ -271,7 +273,7 @@ def unfold_word(f: Folding, word: Iterable[int]) -> Word:
 
 def unfold(f: Folding, w: Element) -> Element:
     """The ambient element of a source element, with honest length."""
-    return f.target.assemble(unfold_word(f, f.source.shortlex(w)))
+    return element_from_word(f.target, unfold_word(f, shortlex_normal_form(f.source, w)))
 
 
 def _unfolding(f: Folding, ambient_cutoff: Optional[int], keep: Optional[Callable]):
@@ -387,25 +389,30 @@ def check_admissible(
     For every enumerated source element w and every block I, the ambient
     element of w must either ascend at every generator of I or descend
     at every generator of I.  This is a finite certificate: affine
-    sources are only ever checked up to the cutoff.
+    sources are only ever checked up to the cutoff.  Applied on the left
+    in order, the letters of the unfolded word spell unfold(w)^-1, whose
+    left descents are the right descents of unfold(w), so no descent
+    walk is needed.
     """
+    target = f.target
+    apply, descent = target._apply_left, target._is_left_descent_data
     violations = []
     checked = 0
-    for src_el, word, tgt in _source_records(
-        f, source_cutoff=max_source_len, budget=budget
-    ):
+    for _, word, _ in _source_records(f, source_cutoff=max_source_len, budget=budget):
         checked += 1
-        descents = f.target.right_descent_set(tgt)
+        inv = target.identity().data
+        for s in unfold_word(f, word):
+            inv = apply(inv, s)
         for r, block in enumerate(f.blocks):
             if len(block) < 2:
                 continue
-            signs = {s in descents for s in block}
+            signs = {descent(inv, s) for s in block}
             if len(signs) > 1:
                 violations.append(
                     {
                         "source_word": word_string(f.source, word),
                         "generator": r,
-                        "block": [f.target.generator_name(s) for s in block],
+                        "block": [target.generator_name(s) for s in block],
                     }
                 )
                 if len(violations) >= max_violations:
@@ -512,7 +519,7 @@ def folding_factorization_check(
         full.append(tgt.length)
         if J_hat.issuperset(word):
             par.append(tgt.length)
-            par_ok = par_ok and set(f.target.shortlex(tgt)) <= J
+            par_ok = par_ok and set(shortlex_normal_form(f.target, tgt)) <= J
         if not any(f.source._is_left_descent_data(src.data, r) for r in J_hat):
             cos.append(tgt.length)
             min_ok = min_ok and not any(f.target._is_left_descent_data(tgt.data, s) for s in J)

@@ -20,7 +20,7 @@ without any pairwise comparison.
 import itertools
 from collections import Counter
 
-from coxfold.coxeter import enumerate_with_words
+from coxfold.coxeter import element_from_word, enumerate_with_words, shortlex_normal_form
 from coxfold.errors import NonUnitDivisor
 from coxfold.qseries import StatSeries
 
@@ -204,7 +204,7 @@ def bruhat_leq_by_scan(system, v, w):
     if v.length > w.length:
         return False
     u = v.data
-    for i in system.shortlex(w):
+    for i in shortlex_normal_form(system, w):
         if system._is_left_descent_data(u, i):
             u = system._apply_left(u, i)
     return u == system.identity().data
@@ -226,7 +226,7 @@ def covers_by_deletion(system, max_len=None):
             continue
         position = {data: p for p, (data, _) in enumerate(layers[k])}
         for q, (_, word) in enumerate(layers[k + 1]):
-            below = {system.assemble(word[:j] + word[j + 1:]) for j in range(len(word))}
+            below = {element_from_word(system, word[:j] + word[j + 1:]) for j in range(len(word))}
             found.extend((k, position[v.data], q) for v in below if v.length == k)
     found.sort()
     return [(layers[k][p][1], layers[k + 1][q][1]) for k, p, q in found]

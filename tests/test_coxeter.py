@@ -22,7 +22,8 @@ from coxfold.coxeter import (
     right_descents,
     shortlex_normal_form,
 )
-from coxfold.dot import covering_relations
+import coxfold.dot
+from coxfold.dot import bruhat_dot, covering_relations
 from coxfold.errors import (
     IndexOutOfRange,
     InvalidMatrix,
@@ -180,10 +181,19 @@ class TestApplyGenerator:
         assert apply_generator(a3, w, 0, "left").length == 1
         assert apply_generator(a3, w, 2, "left").length == 3
 
-    def test_index_out_of_range(self):
-        a3 = build_system("A3")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a3: element_from_word(a3, (0, 3)),
+            lambda a3: element_from_word(a3, (-1,)),
+            lambda a3: apply_generator(a3, a3.identity(), -1, "left"),
+            lambda a3: apply_generator(a3, a3.identity(), 3, "right"),
+        ],
+        ids=["word-past-rank", "word-negative", "left-negative", "right-past-rank"],
+    )
+    def test_index_out_of_range(self, call):
         with pytest.raises(IndexOutOfRange):
-            apply_generator(a3, a3.identity(), 3, "right")
+            call(build_system("A3"))
 
     @pytest.mark.parametrize("name", ["t1", "sx", "s", "s1.5", "s4"])
     def test_bad_generator_names(self, name):
@@ -477,6 +487,20 @@ def test_covers_match_one_letter_deletion(label, max_len, count):
     covers = covering_relations(W, max_len)
     assert covers == covers_by_deletion(W, max_len)
     assert len(covers) == count
+
+
+def test_bruhat_dot_walks_the_group_once(monkeypatch):
+    # the nodes are read off the covers, not off a second enumeration
+    walked = []
+    enumerate_words = coxfold.dot.enumerate_with_words
+
+    def counting(system, *args, **kwargs):
+        walked.append(system.label)
+        return enumerate_words(system, *args, **kwargs)
+
+    monkeypatch.setattr(coxfold.dot, "enumerate_with_words", counting)
+    bruhat_dot(build_system("A3"))
+    assert walked == ["A3"]
 
 
 class TestReducedWords:

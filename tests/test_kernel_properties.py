@@ -15,11 +15,15 @@ from coxfold.coxeter import (
     _bfs,
     _prepend,
     all_reduced_words,
+    apply_generator,
     bruhat_leq,
     build_system,
+    element_from_word,
     enumerate_up_to,
     enumerate_with_words,
+    inverse,
     minimal_coset_reps,
+    multiply,
     shortlex_normal_form,
 )
 from coxfold.errors import CoxfoldError
@@ -68,7 +72,7 @@ def test_type_a_length_is_inversion_count(data):
     perm = list(range(n + 1))
     for i in word:
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    assert system(f"A{n}").assemble(word).length == inversions(tuple(perm))
+    assert element_from_word(system(f"A{n}"), word).length == inversions(tuple(perm))
 
 
 @PROPERTY
@@ -81,7 +85,7 @@ def test_signed_length_is_bfs_distance(data):
     point = tuple(range(1, n + 1))
     for i in word:
         point = gens[i](point)
-    assert system(f"{family}{n}").assemble(word).length == dist[point]
+    assert element_from_word(system(f"{family}{n}"), word).length == dist[point]
 
 
 @PROPERTY
@@ -91,10 +95,10 @@ def test_left_apply_is_left_multiplication(lw, data):
     label, word = lw
     W = system(label)
     i = data.draw(st.integers(0, W.rank - 1), label="i")
-    w = W.assemble(word)
-    left = W.apply(w, i, "left")
-    assert left.data == W.multiply(W.generator(i), w).data
-    assert left.length == W.assemble((i,) + tuple(word)).length
+    w = element_from_word(W, word)
+    left = apply_generator(W, w, i, "left")
+    assert left.data == multiply(W, W.generator(i), w).data
+    assert left.length == element_from_word(W, (i,) + tuple(word)).length
 
 
 # the walk's tree test on every bond order: the classical and affine
@@ -113,7 +117,7 @@ CHILD_SYSTEMS = {
 @given(st.sampled_from(sorted(CHILD_SYSTEMS)), st.data())
 def test_child_agrees_with_the_reference_tree_test(name, data):
     W = build_system(CHILD_SYSTEMS[name])
-    w = W.assemble(data.draw(words(W.rank, 24), label="word"))
+    w = element_from_word(W, data.draw(words(W.rank, 24), label="word"))
     # x_j = rho(w^-1 alpha_j) is nonzero on every root, so the weight
     # backend's test "x_j - a_ij x_i < 0" reads the same with "<= 0"
     assert W.backend == "dihedral" or 0 not in w.data
@@ -126,9 +130,9 @@ def test_child_agrees_with_the_reference_tree_test(name, data):
 def test_product_with_inverse_is_identity(lw):
     label, word = lw
     W = system(label)
-    w = W.assemble(word)
-    assert W.is_identity(W.multiply(w, W.inverse(w)))
-    assert W.is_identity(W.multiply(W.inverse(w), w))
+    w = element_from_word(W, word)
+    assert W.is_identity(multiply(W, w, inverse(W, w)))
+    assert W.is_identity(multiply(W, inverse(W, w), w))
 
 
 BRUHAT_LABELS = ["A4", "B4", "D5", "affine-C3", "affine-D4", "affine-G2", "I2(5)", "affine-A1"]
@@ -151,8 +155,8 @@ def ball_layers(label):
 )
 def test_bruhat_walk_agrees_with_the_scan(label, case, data):
     W = system(label)
-    w = W.assemble(data.draw(words(W.rank, BRUHAT_BALL), label="w"))
-    v = W.assemble(data.draw(words(W.rank, BRUHAT_BALL), label="v"))
+    w = element_from_word(W, data.draw(words(W.rank, BRUHAT_BALL), label="w"))
+    v = element_from_word(W, data.draw(words(W.rank, BRUHAT_BALL), label="v"))
     if case == "longer":
         v, w = sorted((v, w), key=lambda el: el.length, reverse=True)
         assume(v.length > w.length)
@@ -215,7 +219,7 @@ def test_layers_come_in_shortlex_order(entries, data):
         return not any(W._is_right_descent_data(key, j) for j in J)
 
     walk = _bfs(W, 5, 10**6, start=(), step=_prepend, keep=minimal)
-    assert_shortlex_layers(W, ((W.assemble(word), word) for _, _, word in walk))
+    assert_shortlex_layers(W, ((element_from_word(W, word), word) for _, _, word in walk))
 
 
 SMALL_LABELS = [f"I2({m})" for m in range(3, 13)] + [
@@ -232,14 +236,14 @@ def test_operations_agree_with_words(lw, data):
     # Element equality compares both the data and the length
     label, word = lw
     W = system(label)
-    w = W.assemble(word[:10])
-    v = W.assemble(data.draw(words(W.rank), label="other"))
+    w = element_from_word(W, word[:10])
+    v = element_from_word(W, data.draw(words(W.rank), label="other"))
     i = data.draw(st.integers(0, W.rank - 1), label="i")
-    normal = W.shortlex(w)
+    normal = shortlex_normal_form(W, w)
     assert normal == min(all_reduced_words(W, w))
-    assert W.multiply(w, v) == W.assemble(normal + W.shortlex(v))
-    assert W.inverse(w) == W.assemble(reversed(normal))
-    assert W.apply(w, i, "left") == W.assemble((i,) + normal)
+    assert multiply(W, w, v) == element_from_word(W, normal + shortlex_normal_form(W, v))
+    assert inverse(W, w) == element_from_word(W, reversed(normal))
+    assert apply_generator(W, w, i, "left") == element_from_word(W, (i,) + normal)
 
 
 @lru_cache(maxsize=None)
@@ -274,20 +278,20 @@ def test_kernel_agrees_with_column_oracle(entries, data):
         word for k, word, cols in layers
         if not any(columns.is_right_descent(cols, j) for j in J)
     ]
-    assert [W.shortlex(el) for el in minimal_coset_reps(W, J, 6)] == minima
+    assert [shortlex_normal_form(W, el) for el in minimal_coset_reps(W, J, 6)] == minima
 
     a = data.draw(words(W.rank, 8), label="a")
     b = data.draw(words(W.rank, 8), label="b")
     mask = data.draw(st.lists(st.booleans(), min_size=len(b), max_size=len(b)), label="mask")
-    u, v = W.assemble(a), W.assemble(b)
+    u, v = element_from_word(W, a), element_from_word(W, b)
     cu, cv = columns.assemble(a), columns.assemble(b)
-    product = W.multiply(u, v)
-    assert W.shortlex(u) == columns.shortlex(cu[0]) and u.length == cu[1]
-    assert W.shortlex(product) == columns.shortlex(columns.multiply(cu[0], cv[0]))
+    product = multiply(W, u, v)
+    assert shortlex_normal_form(W, u) == columns.shortlex(cu[0]) and u.length == cu[1]
+    assert shortlex_normal_form(W, product) == columns.shortlex(columns.multiply(cu[0], cv[0]))
     assert product.length == columns.assemble(a + b)[1]
-    assert W.shortlex(W.inverse(u)) == columns.shortlex(columns.inverse(cu[0]))
+    assert shortlex_normal_form(W, inverse(W, u)) == columns.shortlex(columns.inverse(cu[0]))
 
     interval = columns.bruhat_interval(cv[0])
-    sub = W.assemble([i for i, on in zip(b, mask) if on])
+    sub = element_from_word(W, [i for i, on in zip(b, mask) if on])
     for x in (u, sub):
-        assert bruhat_leq(W, x, v) == (columns.assemble(W.shortlex(x))[0] in interval)
+        assert bruhat_leq(W, x, v) == (columns.assemble(shortlex_normal_form(W, x))[0] in interval)
