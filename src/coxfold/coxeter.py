@@ -49,9 +49,10 @@ Rank-2 systems use a dihedral backend: an element is an
 ``(is_reflection, index)`` pair, which stays exact for every bond order
 including infinity.  Each backend defines three primitives:
 ``_apply_left``, the left-descent test ``_is_left_descent_data``, and
-``_child``, the ShortLex-tree test of the breadth-first walk, which gives
-s_i w only when it is a child of w (the weight backend decides it from
-the coordinates of w, before building s_i w).  Every other operation is
+``_child``, the ShortLex-tree test, which gives s_i w only when it is a
+child of w (the weight backend decides it before building s_i w).  The
+breadth-first walk buckets each layer by least left descent and calls it
+only where the bucket cannot decide alone.  Every other operation is
 written once on top of them, as a module function; ``CoxeterSystem``
 keeps only its walks on raw data.  Most operations go through one walk
 down an element's least left descents (``_reduced_word``), which spells
@@ -73,7 +74,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import IndexOutOfRange, InvalidMatrix, ResourceLimit, UnsupportedLabel
+from .errors import (
+    IndexOutOfRange, InvalidMatrix, InvalidParameters, ResourceLimit, UnsupportedLabel,
+)
 
 __all__ = [
     "INFINITE",
@@ -163,6 +166,11 @@ class CoxeterSystem:
         self.matrix = matrix
         self.index_base = index_base
         self.rank = matrix.rank
+        # for _bfs: _above[d] lists the i > d with m(d, i) != 2
+        self._above = tuple(
+            tuple(i for i in range(d + 1, self.rank) if row[i] != 2)
+            for d, row in enumerate(matrix.entries)
+        )
         if self.rank == 2:
             self.backend = "dihedral"
             self.m = matrix.bond(0, 1)
@@ -492,10 +500,16 @@ def _bfs(
     descent of w, so every element has one parent: s_i w is a child of w
     exactly when i is not a left descent of w and is the least left
     descent of s_i w.  Each element is thus generated once, and no
-    visited set is kept.  The backend's ``_child`` evaluates this test
-    from the parent's data and builds only the children it accepts.
-    Looping over i outside the frontier puts each layer in lexicographic
-    order of (i, parent word), which is ShortLex order.
+    visited set is kept.  Looping over i outside the frontier puts each
+    layer in lexicographic order of (i, parent word): ShortLex order.
+
+    A layer is rank + 1 buckets of (keys, payloads): bucket d holds the
+    nodes whose least left descent, the letter that made them, is d, and
+    the root is in bucket rank.  For letter i, bucket d gives every s_i w
+    untested if d > i: w^-1 alpha_j > 0 for j <= i, so (s_i w)^-1 alpha_j
+    = w^-1 alpha_j - a_ij w^-1 alpha_i > 0 for j < i.  It gives none if
+    d = i, nor if d < i and m(d, i) = 2, as s_i fixes alpha_d; ``_above[d]``
+    lists the other i > d, whose buckets go through the ``_child`` test.
 
     ``step(payload, i)`` gives the payload of s_i w from that of w
     (``start`` at the identity) and must depend on the node only, not on
@@ -505,31 +519,42 @@ def _bfs(
     yielded nor expanded, so the set it keeps must be closed under taking
     parents.  The budget is checked as each node is stored.
     """
-    child_of = system._child
+    apply, child_of, above = system._apply_left, system._child, system._above
     stored, k = 1, 0
     if stored > budget:
         raise ResourceLimit(budget, k, stored)
     root = system.identity().data
-    layer = [(root, start)] if keep is None or keep(root, start) else []
-    while layer:
-        yield from ((k, key, payload) for key, payload in layer)
+    layer = [([], []) for _ in range(system.rank)]
+    layer.append(([root], [start]) if keep is None or keep(root, start) else ([], []))
+    while any(keys for keys, _ in layer):
+        yield from ((k, key, p) for keys, ps in layer for key, p in zip(keys, ps))
         if max_len is not None and k >= max_len:
             return
         k += 1
         children = []
         for i in range(system.rank):
-            for key, payload in layer:
-                child = child_of(key, i)
-                if child is None:
+            made, values = [], []
+            for d, (keys, payloads) in enumerate(layer):
+                if d > i:
+                    make = apply
+                elif i in above[d]:
+                    make = child_of
+                else:
                     continue
-                value = payload if step is None else step(payload, i)
-                if keep is not None and not keep(child, value):
-                    continue
-                stored += 1
-                if stored > budget:
-                    raise ResourceLimit(budget, k, stored)
-                children.append((child, value))
-        layer = children
+                for key, payload in zip(keys, payloads):
+                    child = make(key, i)
+                    if child is None:
+                        continue
+                    value = payload if step is None else step(payload, i)
+                    if keep is not None and not keep(child, value):
+                        continue
+                    stored += 1
+                    if stored > budget:
+                        raise ResourceLimit(budget, k, stored)
+                    made.append(child)
+                    values.append(value)
+            children.append((made, values))
+        layer = children + [([], [])]
 
 
 def enumerate_up_to(
@@ -655,6 +680,7 @@ def bruhat_leq(system: CoxeterSystem, v: Element, w: Element) -> bool:
     lowers l(x) by one; the walk stops where the lengths meet, since two
     elements of equal length are comparable only when they are equal.
     On adjacent layers that is the first letter of w that u cannot take.
+    If x runs out of left descents first, a given length is wrong.
     """
     lu, lx = v.length, w.length
     if lu > lx:
@@ -663,9 +689,11 @@ def bruhat_leq(system: CoxeterSystem, v: Element, w: Element) -> bool:
     desc = system._is_left_descent_data
     step = system._apply_left
     while lu < lx:
-        i = 0
-        while not desc(x, i):
-            i += 1
+        for i in range(system.rank):
+            if desc(x, i):
+                break
+        else:
+            raise InvalidParameters(f"a length does not match its element in {system.label}")
         x = step(x, i)
         lx -= 1
         if desc(u, i):

@@ -284,7 +284,8 @@ def _unfolding(f: Folding, ambient_cutoff: Optional[int], keep: Optional[Callabl
     order, and moves the length by -1 or +1 as each letter is a left
     descent or not.  The filter rejects nodes beyond the ambient cutoff,
     then those failing the source filter ``keep(source key, payload)``,
-    whose set must be closed under taking parents.
+    whose set must be closed under taking parents; with neither, it is
+    None, so the walk calls no filter.
     """
     target = f.target
     apply, descent = target._apply_left, target._is_left_descent_data
@@ -302,7 +303,8 @@ def _unfolding(f: Folding, ambient_cutoff: Optional[int], keep: Optional[Callabl
             return False
         return keep is None or keep(key, payload)
 
-    return (target.identity().data, 0), step, wanted
+    unfiltered = ambient_cutoff is None and keep is None
+    return (target.identity().data, 0), step, None if unfiltered else wanted
 
 
 def _series(
@@ -336,7 +338,7 @@ def _source_records(
 
     walk = _bfs(
         f.source, source_cutoff, budget, start=(start, ()), step=step,
-        keep=lambda key, payload: wanted(key, payload[0]),
+        keep=None if wanted is None else lambda key, payload: wanted(key, payload[0]),
     )
     for k, key, ((data, length), word) in walk:
         yield Element(key, k), word, Element(data, length)

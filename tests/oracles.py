@@ -10,7 +10,9 @@ Coxeter matrix of rank >= 3.  The series divisions are the library's
 earlier algorithms, kept as references for its one-pass recurrences,
 and ``shortlex_child`` is the walk's earlier ShortLex-tree test, kept as
 the reference for the backends' ``_child``; it uses only the kernel's
-left multiplication and left-descent test.  ``bruhat_leq_by_scan`` is
+left multiplication and left-descent test.  ``bfs_all_generators`` is
+the walk's earlier loop, which tries every generator on every node,
+kept as the reference for the bucketed ``_bfs``.  ``bruhat_leq_by_scan`` is
 the earlier Bruhat test that folds v through the whole ShortLex word of
 w, kept as the reference for ``bruhat_leq``, and ``covers_by_deletion``
 reads the Bruhat covers off one-letter deletions of ShortLex words
@@ -21,7 +23,7 @@ import itertools
 from collections import Counter
 
 from coxfold.coxeter import element_from_word, enumerate_with_words, shortlex_normal_form
-from coxfold.errors import NonUnitDivisor
+from coxfold.errors import NonUnitDivisor, ResourceLimit
 from coxfold.qseries import StatSeries
 
 
@@ -192,6 +194,38 @@ def shortlex_child(system, data, i):
     if any(system._is_left_descent_data(child, j) for j in range(i)):
         return None
     return child
+
+
+def bfs_all_generators(system, max_len, budget, *, start=None, step=None, keep=None):
+    """The ShortLex-tree walk of ``coxeter._bfs``, trying ``_child`` for every (i, node).
+
+    Same arguments, yields, filter calls and budget as the library walk;
+    each layer is one list in ShortLex order.
+    """
+    stored, k = 1, 0
+    if stored > budget:
+        raise ResourceLimit(budget, k, stored)
+    root = system.identity().data
+    layer = [(root, start)] if keep is None or keep(root, start) else []
+    while layer:
+        yield from ((k, key, payload) for key, payload in layer)
+        if max_len is not None and k >= max_len:
+            return
+        k += 1
+        children = []
+        for i in range(system.rank):
+            for key, payload in layer:
+                child = system._child(key, i)
+                if child is None:
+                    continue
+                value = payload if step is None else step(payload, i)
+                if keep is not None and not keep(child, value):
+                    continue
+                stored += 1
+                if stored > budget:
+                    raise ResourceLimit(budget, k, stored)
+                children.append((child, value))
+        layer = children
 
 
 def bruhat_leq_by_scan(system, v, w):

@@ -5,8 +5,11 @@ import pytest
 
 from coxfold.coxeter import (
     _GROUPS,
+    DEFAULT_BUDGET,
     INFINITE,
     CoxeterMatrix,
+    Element,
+    _bfs,
     all_reduced_words,
     apply_generator,
     bruhat_leq,
@@ -25,6 +28,7 @@ from coxfold.coxeter import (
 import coxfold.dot
 from coxfold.dot import bruhat_dot, covering_relations
 from coxfold.errors import (
+    CoxfoldError,
     IndexOutOfRange,
     InvalidMatrix,
     ResourceLimit,
@@ -470,6 +474,17 @@ class TestBruhat:
             for y, yw in with_words:
                 assert bruhat_leq(a3, x, y) == bruhat_dominance_leq(perm(xw), perm(yw))
 
+    @pytest.mark.parametrize(
+        "label, data",
+        [("I2(5)", (False, 0)), ("B3", (1, 1, 1)), ("B3", (2, -1, 3))],
+        ids=["I2(5)-identity", "B3-identity", "B3-generator"],
+    )
+    def test_length_its_element_lacks_raises(self, label, data):
+        # the walk down w runs out of left descents before its length
+        W = build_system(label)
+        with pytest.raises(CoxfoldError):
+            bruhat_leq(W, W.identity(), Element(data, 2))
+
 
 @pytest.mark.parametrize(
     "label, max_len, count",
@@ -501,6 +516,27 @@ def test_bruhat_dot_walks_the_group_once(monkeypatch):
     monkeypatch.setattr(coxfold.dot, "enumerate_with_words", counting)
     bruhat_dot(build_system("A3"))
     assert walked == ["A3"]
+
+
+def test_walk_tests_only_the_pairs_the_buckets_leave_open(monkeypatch):
+    # a node whose least left descent is d is tested by _child only for
+    # the i > d with m(d, i) != 2; the root, with no descent, never is
+    W = build_system("D6")
+    calls = []
+    child = W._child
+
+    def counting(data, i):
+        calls.append(i)
+        return child(data, i)
+
+    monkeypatch.setattr(W, "_child", counting)
+    nodes = [key for _, key, _ in _bfs(W, None, DEFAULT_BUDGET)]
+    open_pairs = 0
+    for key in nodes[1:]:
+        d = next(d for d in range(W.rank) if W._is_left_descent_data(key, d))
+        open_pairs += sum(1 for i in range(d + 1, W.rank) if W.matrix.bond(d, i) != 2)
+    assert len(nodes) == 23040
+    assert len(calls) == open_pairs == 23616
 
 
 class TestReducedWords:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import coxfold.folding
 from coxfold.coxeter import (
     build_system,
     element_from_word,
@@ -292,6 +293,23 @@ class TestBruteforceSeries:
     def test_image_size(self):
         f = standard_folding(FamilyId("Bn-A2n-1", 2))
         assert len(unfolded_image(f)) == 8
+
+    def test_walks_with_nothing_to_filter_pass_no_filter(self, monkeypatch):
+        # an exact series and the unfolded image have no cutoff and no
+        # source filter, so the walk gets keep=None; a cutoff needs one
+        keeps = []
+        bfs = coxfold.folding._bfs
+
+        def recording(*args, keep=None, **kwargs):
+            keeps.append(keep)
+            return bfs(*args, keep=keep, **kwargs)
+
+        monkeypatch.setattr(coxfold.folding, "_bfs", recording)
+        f = standard_folding(FamilyId("Bn-A2n-1", 2))
+        unfolding_series_bruteforce(f, None)
+        unfolded_image(f)
+        unfolding_series_bruteforce(f, 3)
+        assert keeps[:2] == [None, None] and keeps[2] is not None
 
 
 class TestAdmissibility:

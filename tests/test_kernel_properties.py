@@ -13,6 +13,7 @@ from coxfold.coxeter import (
     INFINITE,
     CoxeterMatrix,
     _bfs,
+    _coset_minimal,
     _prepend,
     all_reduced_words,
     apply_generator,
@@ -26,10 +27,11 @@ from coxfold.coxeter import (
     multiply,
     shortlex_normal_form,
 )
-from coxfold.errors import CoxfoldError
+from coxfold.errors import CoxfoldError, ResourceLimit
 
 from oracles import (
     ColumnKernel,
+    bfs_all_generators,
     bfs_distances,
     bruhat_leq_by_scan,
     inversions,
@@ -220,6 +222,55 @@ def test_layers_come_in_shortlex_order(entries, data):
 
     walk = _bfs(W, 5, 10**6, start=(), step=_prepend, keep=minimal)
     assert_shortlex_layers(W, ((element_from_word(W, word), word) for _, _, word in walk))
+
+
+WALK_LABELS = [
+    "A1", "A3", "A4", "B3", "B4", "D4", "D5", "I2(3)", "I2(5)", "I2(8)", "rank-3 infinite",
+    "affine-A1", "affine-A3", "affine-B3", "affine-C2", "affine-D4", "affine-G2",
+]
+
+
+def walk_record(walk, keep):
+    """The yields of a walk, its ResourceLimit message and the filter's calls."""
+    calls, yields = [], []
+
+    def recording(key, payload):
+        calls.append((key, payload))
+        return keep(key, payload)
+
+    try:
+        for item in walk(None if keep is None else recording):
+            yields.append(item)
+    except ResourceLimit as exc:
+        return yields, str(exc), calls
+    return yields, None, calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(WALK_LABELS),
+    st.sampled_from(["none", "words", "parabolic", "coset minima", "words and coset minima"]),
+    st.data(),
+)
+def test_bucketed_walk_agrees_with_the_reference(label, payload, data):
+    W = build_system(CHILD_SYSTEMS.get(label, label))
+    cutoffs = st.integers(0, 7)
+    if not label.startswith(("affine", "rank")):
+        cutoffs |= st.none()
+    max_len = data.draw(cutoffs, label="max_len")
+    budget = data.draw(st.one_of(st.integers(1, 60), st.just(10**4)), label="budget")
+    J = sorted(data.draw(st.sets(st.integers(0, W.rank - 1)), label="J"))
+    kwargs, keep = {}, None
+    if "words" in payload:
+        kwargs = dict(start=(), step=_prepend)
+    if payload == "parabolic":
+        kwargs = dict(start=True, step=lambda _, i: i in J)
+        keep = lambda _, inside: inside  # noqa: E731
+    if "coset minima" in payload:
+        keep = _coset_minimal(W, J)
+    got = walk_record(lambda k: _bfs(W, max_len, budget, keep=k, **kwargs), keep)
+    want = walk_record(lambda k: bfs_all_generators(W, max_len, budget, keep=k, **kwargs), keep)
+    assert got == want
 
 
 SMALL_LABELS = [f"I2({m})" for m in range(3, 13)] + [
