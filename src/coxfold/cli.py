@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from .closed_forms import catalog, reiner_distribution, unfolding_closed_form
+from .closed_forms import _reiner, catalog, reiner_distribution, unfolding_closed_form
 from .coxeter import DEFAULT_BUDGET, build_system
 from .dot import bruhat_dot
 from .errors import CoxfoldError, InvalidParameters, ResourceLimit
@@ -35,7 +35,7 @@ from .folding import (
     standard_folding,
     unfolding_series_bruteforce,
 )
-from .qseries import Monomial, substitute
+from .qseries import Monomial
 from .verifier import (
     _CHECKS,
     VerificationJob,
@@ -182,11 +182,13 @@ def cmd_reiner(args) -> int:
     preview = None
     if args.subst:
         values = _parse_substitution(args.subst)
-        preview = substitute(
-            formula,
+        preview = _reiner(
+            args.type,
             values.get("a", Monomial(1, 0)),
             values.get("b", Monomial(1, 0)),
             values.get("q", Monomial(1, 1)),
+            args.n,
+            None,
             args.max_len,
         )
 
@@ -224,12 +226,13 @@ def _resolve_folding(group, folding_arg: str, n, m):
                 f"{family.name} (n={n}) targets {family.target_label()}, not {group_label}"
             )
         return standard_folding(family)
-    # otherwise a source group label; a family's n is at most its target's rank
+    # otherwise a source group label; a family's n and m are at most its target's rank
     for name, row in _FAMILIES.items():
         for cand_n in range(row.min_n, group.rank + 1):
-            family = FamilyId(name, cand_n, 2 if row.takes_m else None)
-            if family.target_label() == group_label and family.source_label() == folding_arg:
-                return standard_folding(family)
+            for cand_m in range(2, group.rank + 1) if row.takes_m else (None,):
+                family = FamilyId(name, cand_n, cand_m)
+                if family.target_label() == group_label and family.source_label() == folding_arg:
+                    return standard_folding(family)
     raise InvalidParameters(
         f"no registered folding of {folding_arg} into {group_label}"
     )

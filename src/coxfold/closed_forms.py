@@ -28,7 +28,9 @@ printed shapes, in both cases adjudicated by the brute-force oracle:
 The refined two-variable distributions ("Reiner" tags) are Pochhammer
 quotients expanded as trivariate series; the affine unfolding series
 arise from them through monomial substitutions, which is exposed as the
-``substitution`` route next to the direct ``product`` route.
+``substitution`` route next to the direct ``product`` route.  Each folding
+family's routes are one row of ``_ROUTES``: its product tag as a function
+of n, and for an affine family its substitution.
 
 >>> str(closed_form("Thm1.3-1", 2))
 '1 + q + q^2 + 2q^3 + q^4 + q^5 + q^6'
@@ -38,6 +40,7 @@ arise from them through monomial substitutions, which is exposed as the
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from .errors import InvalidParameters
@@ -355,22 +358,9 @@ def poincare_b(n: int) -> QSeries:
 # refined distributions and substitution routes
 
 
-def reiner_distribution(kind: str, n: int, max_len: int) -> StatSeries:
-    """The end-generator occurrence distribution of an affine B/C group.
-
-    affB: (-aq;q)_n (-q;q)_{n-1} [n]_q! / (aq^n;q)_n   (b unused)
-    affC: (-aq;q)_n (-bq;q)_n [n]_q! / (abq^{n+1};q)_n
-
-    Against affC, affB has one b-free factor fewer and its denominator
-    starts one q-power lower.  Denominators expand as geometric series
-    in monomials of positive q-degree, so the truncated expansion is
-    exact up to ``max_len``.
-    """
-    if kind not in ("affB", "affC"):
-        raise InvalidParameters(f"distribution kind must be affB or affC, got {kind!r}")
-    floor = _FORMULAS[f"Reiner-{kind}"].min_n
-    if n < floor:
-        raise InvalidParameters(f"Reiner-{kind} requires n >= {floor}")
+@lru_cache(maxsize=8)
+def _reiner_expansion(kind: str, n: int, max_len: int) -> StatSeries:
+    """The expansion behind ``reiner_distribution``, shared by its calls."""
     c = int(kind == "affC")  # the b exponent, the extra factor and the shift
     out = StatSeries.one(max_len)
     for k in range(1, n + 1):
@@ -384,25 +374,79 @@ def reiner_distribution(kind: str, n: int, max_len: int) -> StatSeries:
     return out
 
 
+def reiner_distribution(kind: str, n: int, max_len: int) -> StatSeries:
+    """The end-generator occurrence distribution of an affine B/C group.
+
+    affB: (-aq;q)_n (-q;q)_{n-1} [n]_q! / (aq^n;q)_n   (b unused)
+    affC: (-aq;q)_n (-bq;q)_n [n]_q! / (abq^{n+1};q)_n
+
+    Against affC, affB has one b-free factor fewer and its denominator
+    starts one q-power lower.  Denominators expand as geometric series
+    in monomials of positive q-degree, so the truncated expansion is
+    exact up to ``max_len``.  The expansion is memoized on
+    (kind, n, max_len); every call returns its own copy.
+    """
+    if kind not in ("affB", "affC"):
+        raise InvalidParameters(f"distribution kind must be affB or affC, got {kind!r}")
+    floor = _FORMULAS[f"Reiner-{kind}"].min_n
+    if n < floor:
+        raise InvalidParameters(f"Reiner-{kind} requires n >= {floor}")
+    expansion = _reiner_expansion(kind, n, max_len)
+    return StatSeries(expansion.coeffs, expansion.q_order)
+
+
 _Q = Monomial(1, 1)
 _Q2 = Monomial(1, 2)
 _QINV = Monomial(1, -1)
 _UNIT = Monomial(1, 0)
 
-# family -> (distribution kind, a value, b value, q value); every route
-# keeps total degree >= source length, so truncating the distribution at
-# the requested order is exact.
-_SUBSTITUTIONS = {
-    "affB-affDn+1": ("affB", _Q, _UNIT, _Q),
-    "affB-affD2n": ("affB", _QINV, _UNIT, _Q2),
-    "affB-affD2n+1": ("affB", _Q, _UNIT, _Q2),
-    "affC-affA2n+1": ("affC", _Q, _Q, _Q2),
-    "affC-affA2n": ("affC", _Q, _QINV, _Q2),
-    "affC-affA2n-1": ("affC", _QINV, _QINV, _Q2),
-    "affC-affBn+1": ("affC", _UNIT, _Q, _Q),
-    "affC-affDn+2": ("affC", _Q, _Q, _Q),
-    "affC-affC2n+1": ("affC", _UNIT, _Q, _Q2),
-    "affC-affC2n": ("affC", _UNIT, _QINV, _Q2),
+
+def _reiner(kind: str, a: Monomial, b: Monomial, q: Monomial, n: int, m, max_len: int) -> QSeries:
+    """The (a, b, q) specialization of the distribution at n; rows bind (kind, a, b, q).
+
+    A term a^i b^j q^k has i + j <= k (j = 0 for affB), so it lands at degree
+    >= k (e_q + min(0, e_a, e_b)), a zero value dropping out.  Below slope 1
+    the truncated distribution does not give the series, and it is refused.
+    Only the affine A route reads m.
+    """
+    series = substitute(reiner_distribution(kind, n, max_len), a, b, q, max_len)
+    values = (a, b) if kind == "affC" else (a,)
+    slope = q.q_exp + min([0] + [v.q_exp for v in values if v.coeff])
+    if slope < 1:
+        raise InvalidParameters(
+            f"the substitution can lower q-degree (slope {slope} < 1): no truncation is exact"
+        )
+    return series
+
+
+def _bott(n: int, m: int, max_len: int) -> QSeries:
+    """Bott's affine A series at q^m."""
+    base = closed_form("Bott-affA", n, None, (max_len + m - 1) // m)
+    return base.sub_monomial(Monomial(1, m)).truncate(max_len)
+
+
+class _Route(NamedTuple):
+    product: Callable[[int], str]  # n -> product formula tag
+    substitution: Optional[Callable] = None  # (n, m, max_len) -> series; None if finite
+
+
+# One row per folding family, in the order of folding._FAMILIES.
+_ROUTES = {
+    "Bn-A2n-1": _Route(lambda n: "Thm1.3-1"),
+    "Bn-A2n": _Route(lambda n: "Thm1.3-2"),
+    "Bn-Dn+1": _Route(lambda n: "Thm1.3-3"),
+    "I2-An": _Route(lambda n: f"Thm1.3-{4 + n % 2}"),
+    "affA-affA": _Route(lambda n: "Thm1.5", _bott),
+    "affB-affDn+1": _Route(lambda n: "Thm1.6-1", partial(_reiner, "affB", _Q, _UNIT, _Q)),
+    "affB-affD2n": _Route(lambda n: "Thm1.6-2", partial(_reiner, "affB", _QINV, _UNIT, _Q2)),
+    "affB-affD2n+1": _Route(lambda n: "Thm1.6-3", partial(_reiner, "affB", _Q, _UNIT, _Q2)),
+    "affC-affA2n+1": _Route(lambda n: "Thm1.7-1", partial(_reiner, "affC", _Q, _Q, _Q2)),
+    "affC-affA2n": _Route(lambda n: "Thm1.7-2", partial(_reiner, "affC", _Q, _QINV, _Q2)),
+    "affC-affA2n-1": _Route(lambda n: "Thm1.7-3", partial(_reiner, "affC", _QINV, _QINV, _Q2)),
+    "affC-affBn+1": _Route(lambda n: "Thm1.7-4", partial(_reiner, "affC", _UNIT, _Q, _Q)),
+    "affC-affDn+2": _Route(lambda n: "Thm1.7-5", partial(_reiner, "affC", _Q, _Q, _Q)),
+    "affC-affC2n+1": _Route(lambda n: "Thm1.7-6", partial(_reiner, "affC", _UNIT, _Q, _Q2)),
+    "affC-affC2n": _Route(lambda n: "Thm1.7-7", partial(_reiner, "affC", _UNIT, _QINV, _Q2)),
 }
 
 
@@ -413,36 +457,12 @@ def substitution_route(family: FamilyId, max_len: int) -> QSeries:
     raised to the m-th power; for the B/C families it is the registered
     (a, b, q) substitution into the two-variable distribution.
     """
-    if family.name == "affA-affA":
-        m = family.m
-        base = closed_form("Bott-affA", family.n, None, (max_len + m - 1) // m)
-        return base.sub_monomial(Monomial(1, m)).truncate(max_len)
-    route = _SUBSTITUTIONS.get(family.name)
+    route = _ROUTES[family.name].substitution
     if route is None:
         raise InvalidParameters(f"{family.name} has no substitution route")
-    kind, a, b, q = route
-    dist = reiner_distribution(kind, family.n, max_len)
-    return substitute(dist, a, b, q, max_len)
-
-
-# family -> product formula tag; I2-An's tag depends on the parity of n
-_PRODUCT_TAGS = {
-    "Bn-A2n-1": "Thm1.3-1",
-    "Bn-A2n": "Thm1.3-2",
-    "Bn-Dn+1": "Thm1.3-3",
-    "I2-An": ("Thm1.3-4", "Thm1.3-5"),
-    "affA-affA": "Thm1.5",
-    "affB-affDn+1": "Thm1.6-1",
-    "affB-affD2n": "Thm1.6-2",
-    "affB-affD2n+1": "Thm1.6-3",
-    "affC-affA2n+1": "Thm1.7-1",
-    "affC-affA2n": "Thm1.7-2",
-    "affC-affA2n-1": "Thm1.7-3",
-    "affC-affBn+1": "Thm1.7-4",
-    "affC-affDn+2": "Thm1.7-5",
-    "affC-affC2n+1": "Thm1.7-6",
-    "affC-affC2n": "Thm1.7-7",
-}
+    if max_len is None:
+        raise InvalidParameters("affine families require a truncation order")
+    return route(family.n, family.m, max_len)
 
 
 def unfolding_closed_form(
@@ -456,39 +476,29 @@ def unfolding_closed_form(
     verifier checks family by family.
     """
     if route == "substitution":
-        if not family.is_affine:
-            raise InvalidParameters("substitution routes exist for affine families only")
-        if max_len is None:
-            raise InvalidParameters("affine families require a truncation order")
         return substitution_route(family, max_len)
     if route != "product":
         raise InvalidParameters(f"unknown route {route!r}")
-    tag = _PRODUCT_TAGS[family.name]
-    if isinstance(tag, tuple):
-        tag = tag[family.n % 2]
-    return closed_form(tag, family.n, family.m, max_len)
+    return closed_form(_ROUTES[family.name].product(family.n), family.n, family.m, max_len)
 
 
 def corollary_identity(n: int, variant: str) -> tuple[QSeries, QSeries]:
     """Both sides of the signed product identity for the linear family.
 
     Returns (B_m(-q) * U(q), A_n(-q) * B_m(q)) with m = floor((n+1)/2),
-    as exact polynomials; the caller asserts their equality.
+    as exact polynomials; the caller asserts their equality.  U(q) is
+    the unfolding series of B_m in A_n, the family ``Bn-<variant>``.
     """
     if n < _FORMULAS["Cor1.4"].min_n:
         raise InvalidParameters("the identity is registered for n >= 3")
+    parity = {"A2n-1": 1, "A2n": 0}.get(variant)
+    if parity is None:
+        raise InvalidParameters(f"unknown variant {variant!r}")
+    if n % 2 != parity:
+        raise InvalidParameters(f"variant {variant} needs {('even', 'odd')[parity]} n")
     m = (n + 1) // 2
     neg_q = Monomial(-1, 1)
-    if variant == "A2n-1":
-        if n % 2 != 1:
-            raise InvalidParameters("variant A2n-1 needs odd n")
-        u = closed_form("Thm1.3-1", m)
-    elif variant == "A2n":
-        if n % 2 != 0:
-            raise InvalidParameters("variant A2n needs even n")
-        u = closed_form("Thm1.3-2", m)
-    else:
-        raise InvalidParameters(f"unknown variant {variant!r}")
+    u = unfolding_closed_form(FamilyId(f"Bn-{variant}", m))
     b_poly = poincare_b(m)
     a_poly = poincare_a(n)
     lhs = b_poly.sub_monomial(neg_q) * u

@@ -320,10 +320,6 @@ class CoxeterSystem:
             inv = self._apply_left(inv, i)
         return inv
 
-    def _is_right_descent_data(self, data, i) -> bool:
-        """Whether l(w s_i) < l(w): a right descent of w is a left descent of w^-1."""
-        return self._is_left_descent_data(self._inverse_data(data), i)
-
     def _left_word(self, data, length, letters):
         """The raw (data, length) of s_ak ... s_a1 w: each letter, in order, on the left.
 

@@ -16,7 +16,9 @@ kept as the reference for the bucketed ``_bfs``.  ``bruhat_leq_by_scan`` is
 the earlier Bruhat test that folds v through the whole ShortLex word of
 w, kept as the reference for ``bruhat_leq``, and ``covers_by_deletion``
 reads the Bruhat covers off one-letter deletions of ShortLex words
-without any pairwise comparison.
+without any pairwise comparison.  ``is_right_descent_data`` is the
+right-descent test through the inverse, which the library no longer
+needs: its walks read left descents only.
 """
 
 import itertools
@@ -180,6 +182,11 @@ def geometric_divide_by_powers(series, term):
         if not acc.coeffs:
             break
     return total
+
+
+def is_right_descent_data(system, data, i):
+    """Whether l(w s_i) < l(w): a right descent of w is a left descent of w^-1."""
+    return system._is_left_descent_data(system._inverse_data(data), i)
 
 
 def shortlex_child(system, data, i):

@@ -47,7 +47,12 @@ from coxfold.closed_forms import reiner_distribution
 from coxfold.qseries import QSeries
 from coxfold.verifier import VerificationJob, default_cases, run_job
 
-from oracles import bruhat_dominance_leq, dihedral_histogram, symmetric_histogram
+from oracles import (
+    bruhat_dominance_leq,
+    dihedral_histogram,
+    is_right_descent_data,
+    symmetric_histogram,
+)
 
 
 @contextmanager
@@ -179,9 +184,9 @@ def test_criterion_09a_length_additivity_and_descent_transfer():
             for src, word, tgt in _source_records(f, ambient_cutoff=10):
                 assert tgt.length == sum(letter_lengths[r] for r in word), fam
                 for r, block in enumerate(f.blocks):
-                    down = f.source._is_right_descent_data(src.data, r)
+                    down = is_right_descent_data(f.source, src.data, r)
                     for s in block:
-                        assert f.target._is_right_descent_data(tgt.data, s) == down, fam
+                        assert is_right_descent_data(f.target, tgt.data, s) == down, fam
 
 
 def test_criterion_09b_parabolic_factorization_of_series():

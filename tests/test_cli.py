@@ -181,6 +181,32 @@ class TestReiner:
         )
         assert preview in series_out
 
+    @pytest.mark.parametrize("subst", ["a=q^-1", "a=q^-1,b=q^-1", "a=0,b=q^-1"])
+    def test_preview_that_lowers_degree_is_refused(self, capsys, subst):
+        # a term a^i b^j q^k past --max-len can land at or below it
+        argv = ("reiner", "--type", "affC", "--n", "2", "--max-len", "3", "--subst", subst)
+        assert_usage_error(*run(capsys, *argv), "lower q-degree")
+
+    @pytest.mark.parametrize(
+        "kind, subst, preview",
+        [
+            ("affB", "a=q", "1 + 3q + 6q^2 + 10q^3 + 15q^4 + 22q^5 + 31q^6"),
+            # b is unused by affB, so its value cannot lower the degree
+            ("affB", "a=q^-1,b=q^-5,q=q^2", "1 + q + 3q^2 + 4q^3 + 6q^4 + 10q^5 + 11q^6"),
+            ("affC", "a=1,b=q^-1,q=q^2", "1 + q + 3q^2 + 4q^3 + 6q^4 + 9q^5 + 11q^6"),
+            ("affC", "a=0,b=q", "1 + 2q + 3q^2 + 4q^3 + 5q^4 + 6q^5 + 6q^6"),
+        ],
+    )
+    def test_accepted_preview_is_exact(self, capsys, kind, subst, preview):
+        # the distribution taken twice as far gives the same coefficients
+        previews = []
+        for max_len in ("6", "12"):
+            argv = ("reiner", "--type", kind, "--n", "3", "--max-len", max_len, "--subst", subst)
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            previews.append(re.search(r"substituted: (.+)", out).group(1))
+        assert previews[0] == preview and previews[1].startswith(preview + " + ")
+
     def test_json_payload(self, capsys):
         code, out, _ = run(
             capsys,
@@ -242,6 +268,15 @@ class TestBruhatDot:
         code, by_label, _ = run(capsys, *argv, "B41")
         assert code == 0
         code, by_family, _ = run(capsys, *argv, "Bn-A2n-1", "--n", "41")
+        assert code == 0
+        assert by_label == by_family and "color=red" in by_label
+
+    def test_source_label_resolves_at_every_m(self, capsys):
+        # affine A1 sits in affine A5 through affA-affA at m = 3
+        argv = ("bruhat-dot", "--group", "affine-A5", "--max-len", "2", "--folding")
+        code, by_label, _ = run(capsys, *argv, "affine-A1")
+        assert code == 0
+        code, by_family, _ = run(capsys, *argv, "affA-affA", "--n", "2", "--m", "3")
         assert code == 0
         assert by_label == by_family and "color=red" in by_label
 

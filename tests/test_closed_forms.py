@@ -1,9 +1,9 @@
 import pytest
 
 from coxfold.closed_forms import (
-    _PRODUCT_TAGS,
-    _SUBSTITUTIONS,
+    _ROUTES,
     FORMULA_TAGS,
+    _reiner_expansion,
     catalog,
     closed_form,
     corollary_identity,
@@ -24,6 +24,7 @@ from coxfold.folding import (
 )
 from coxfold.coxeter import build_system
 from coxfold.qseries import Monomial, QSeries, StatSeries, q_factorial, q_integer, substitute
+from coxfold.verifier import default_cases
 
 from oracles import poly_mul, poly_qint
 
@@ -139,12 +140,12 @@ class TestFormulaCoverage:
     """Every row of the folding table reaches its formulas; a new row without one fails here."""
 
     def test_every_family_has_a_product_formula(self):
-        assert set(_PRODUCT_TAGS) == set(FAMILY_NAMES)
+        assert set(_ROUTES) == set(FAMILY_NAMES)
 
     def test_every_affine_family_has_a_second_route(self):
         # affine A's second route is Bott's formula with q -> q^m
         affine = {name for name in FAMILY_NAMES if name.startswith("aff")}
-        assert set(_SUBSTITUTIONS) | {"affA-affA"} == affine
+        assert {name for name, row in _ROUTES.items() if row.substitution} == affine
 
 
 class TestDualRoutes:
@@ -283,6 +284,21 @@ class TestReinerDistribution:
             reiner_distribution("affC", 1, 5)
         with pytest.raises(InvalidParameters):
             reiner_distribution("affD", 3, 5)
+
+    def test_grid_substitution_rows_share_four_expansions(self):
+        # the 20 B/C rows of the default grid take 4 distinct (kind, n, L)
+        rows = [c for c in default_cases() if c.param("route") == "substitution"]
+        _reiner_expansion.cache_clear()
+        for case in rows:
+            fam = FamilyId(case.family, case.param("n"), case.param("m"))
+            unfolding_closed_form(fam, case.max_len, "substitution")
+        assert len(rows) == 23
+        assert _reiner_expansion.cache_info().misses == 4
+
+    def test_every_call_gets_its_own_distribution(self):
+        first = reiner_distribution("affC", 2, 6)
+        first.coeffs.clear()
+        assert reiner_distribution("affC", 2, 6).coeffs
 
     def test_a_to_zero_is_signed_permutation_distribution(self):
         # killing the a-variable leaves the finite hyperoctahedral

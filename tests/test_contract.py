@@ -7,7 +7,9 @@ compare against that file, so a change to the report or the DOT bytes
 fails here, not only in the benchmark.  The benchmark also reaches into
 the library by name: its tracer patches functions in the modules that
 call them, and one probe passes ``workers=2``; those names are pinned
-here too.
+here too, as is the tracer's view of the substitution route, which it
+times through the ``closed_forms`` globals ``reiner_distribution`` and
+``substitute``.
 """
 
 import hashlib
@@ -19,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
+import coxfold.closed_forms
 from coxfold.cli import main
-from coxfold.folding import unfolding_series_bruteforce
+from coxfold.closed_forms import substitution_route
+from coxfold.folding import FamilyId, unfolding_series_bruteforce
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())["full"]
@@ -67,3 +71,20 @@ def test_benchmark_patch_points_exist():
     finally:
         del sys.modules[spec.name]
     inspect.signature(unfolding_series_bruteforce).bind(None, None, workers=2)
+
+
+def test_substitution_route_calls_the_patched_globals(monkeypatch):
+    calls = {}
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("reiner_distribution", "substitute"):
+        original = getattr(coxfold.closed_forms, name)
+        monkeypatch.setattr(coxfold.closed_forms, name, counter(name, original))
+    substitution_route(FamilyId("affC-affC2n", 2), 10)
+    assert calls == {"reiner_distribution": 1, "substitute": 1}

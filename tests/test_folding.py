@@ -35,6 +35,8 @@ from coxfold.folding import (
 )
 from coxfold.qseries import QSeries
 
+from oracles import is_right_descent_data
+
 # one small parameter choice per family, used by the property suites
 SMALL_FAMILIES = [
     FamilyId("Bn-A2n-1", 2),
@@ -371,10 +373,10 @@ class TestTransferProperties:
         f = standard_folding(fam)
         for src, word, tgt in _records(f, 8):
             for r, block in enumerate(f.blocks):
-                src_descends = f.source._is_right_descent_data(src.data, r)
+                src_descends = is_right_descent_data(f.source, src.data, r)
                 for s in block:
                     assert (
-                        f.target._is_right_descent_data(tgt.data, s) == src_descends
+                        is_right_descent_data(f.target, tgt.data, s) == src_descends
                     )
 
     @pytest.mark.parametrize("fam", SMALL_FAMILIES, ids=family_label)

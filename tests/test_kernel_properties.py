@@ -35,6 +35,7 @@ from oracles import (
     bfs_distances,
     bruhat_leq_by_scan,
     inversions,
+    is_right_descent_data,
     shortlex_child,
     type_b_generators,
     type_d_generators,
@@ -218,7 +219,7 @@ def test_layers_come_in_shortlex_order(entries, data):
     assert_shortlex_layers(W, enumerate_with_words(W, 5))
 
     def minimal(key, payload):
-        return not any(W._is_right_descent_data(key, j) for j in J)
+        return not any(is_right_descent_data(W, key, j) for j in J)
 
     walk = _bfs(W, 5, 10**6, start=(), step=_prepend, keep=minimal)
     assert_shortlex_layers(W, ((element_from_word(W, word), word) for _, _, word in walk))

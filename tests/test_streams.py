@@ -21,11 +21,13 @@ from coxfold.coxeter import (
 )
 from coxfold.folding import FamilyId, _source_records, standard_folding
 
+from oracles import is_right_descent_data
+
 
 def _minimal_left_walk(system, J, max_len):
     # the tree walk behind minimal_coset_reps, with its words
     def minimal(key, payload):
-        return not any(system._is_right_descent_data(key, j) for j in J)
+        return not any(is_right_descent_data(system, key, j) for j in J)
 
     for k, key, word in _bfs(system, max_len, 10**6, start=(), step=_prepend, keep=minimal):
         yield k, key, word
