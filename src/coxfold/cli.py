@@ -13,7 +13,9 @@ Subcommands:
 
 Exit codes: 0 on success/match, 1 on mismatch, a failed verify case or
 an exhausted element budget, 2 on usage errors (unknown families, bad
-parameters, empty grids, a path that cannot be written).
+parameters, empty grids, a path that cannot be written).  Every usage
+error is an exception that leaves through ``main``, which prints it as
+one ``error:`` line; a subcommand only returns 0 or 1.
 """
 
 from __future__ import annotations
@@ -57,11 +59,6 @@ def _write(text: str, out_path):
             sys.stdout.write("\n")
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _family_from_args(args) -> FamilyId:
     if args.family not in FAMILY_NAMES:
         raise InvalidParameters(f"unknown family {args.family!r}")
@@ -70,22 +67,37 @@ def _family_from_args(args) -> FamilyId:
     return FamilyId(args.family, args.n, args.m)
 
 
-def _series_csv(series) -> str:
-    lines = ["degree,coefficient"]
-    lines += [f"{k},{c}" for k, c in enumerate(series.coeffs)]
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
-def _stat_csv(stats) -> str:
-    lines = ["a,b,q,coefficient"]
-    lines += [f"{i},{j},{k},{c}" for (i, j, k), c in stats.terms()]
-    return "\n".join(lines) + "\n"
+def _write_result(args, header: dict, results: dict, match, csv: str, after=None) -> int:
+    """Write a comparison in ``args.format`` and return its exit code.
+
+    ``results`` maps names to series in print order; the text form puts
+    the match verdict (None when only one side was computed) after them,
+    then the entries of ``after``.  The json form holds the header
+    fields, every series and the verdict; the csv form is ``csv``.
+    """
+    after = after or {}
+    if args.format == "json":
+        payload = {**header, **{k: v.to_json() for k, v in {**results, **after}.items()}}
+        if match is not None:
+            payload["match"] = match
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        text = csv
+    else:
+        verdict = {} if match is None else {"match": "PASS" if match else "FAIL"}
+        text = "".join(f"{k}: {v}\n" for k, v in {**results, **verdict, **after}.items())
+    _write(text, args.out)
+    return 0 if match in (None, True) else 1
 
 
 def cmd_series(args) -> int:
     family = _family_from_args(args)
     if family.is_affine and args.max_len is None:
-        return _usage_error(f"{family.name} is affine: --max-len is required")
+        raise InvalidParameters(f"{family.name} is affine: --max-len is required")
     L = args.max_len
     results = {}
     if args.source in ("bruteforce", "both"):
@@ -98,27 +110,10 @@ def cmd_series(args) -> int:
     match = None
     if len(results) == 2:
         match = results["bruteforce"] == results["formula"]
-
-    if args.format == "json":
-        payload = {
-            "family": family.name,
-            "n": family.n,
-            "m": family.m,
-            "L": L,
-            **{k: v.to_json() for k, v in results.items()},
-        }
-        if match is not None:
-            payload["match"] = match
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    elif args.format == "csv":
-        key = "bruteforce" if "bruteforce" in results else "formula"
-        _write(_series_csv(results[key]), args.out)
-    else:
-        lines = [f"{k}: {v}" for k, v in results.items()]
-        if match is not None:
-            lines.append(f"match: {'PASS' if match else 'FAIL'}")
-        _write("\n".join(lines) + "\n", args.out)
-    return 0 if match in (None, True) else 1
+    header = {"family": family.name, "n": family.n, "m": family.m, "L": L}
+    # the csv form is the first series computed: brute force when there is one
+    csv = _csv("degree,coefficient", enumerate(next(iter(results.values())).coeffs))
+    return _write_result(args, header, results, match, csv)
 
 
 def cmd_verify(args) -> int:
@@ -126,12 +121,12 @@ def cmd_verify(args) -> int:
     if families:
         unknown = [f for f in families if f not in _CHECKS]
         if unknown:
-            return _usage_error(f"unknown families: {', '.join(unknown)}")
+            raise InvalidParameters(f"unknown families: {', '.join(unknown)}")
     cases = default_cases(families)
     if args.n:
         cases = [c for c in cases if c.param("n") in args.n]
     if not cases:
-        return _usage_error("the requested grid is empty")
+        raise InvalidParameters("the requested grid is empty")
     job = VerificationJob(cases, budget=args.budget)
     cache_dir = args.cache if args.cache else default_cache_dir()
     report = run_job(job, cache_dir=cache_dir)
@@ -172,17 +167,16 @@ def _parse_substitution(text: str) -> dict:
 
 def cmd_reiner(args) -> int:
     if args.type not in ("affB", "affC"):
-        return _usage_error("--type must be affB or affC")
+        raise InvalidParameters("--type must be affB or affC")
     label = f"affine-B{args.n}" if args.type == "affB" else f"affine-C{args.n}"
     system = build_system(label)
     brute = reiner_stats_bruteforce(system, args.max_len, budget=args.budget)
     formula = reiner_distribution(args.type, args.n, args.max_len)
-    match = brute == formula
 
-    preview = None
+    after = {}
     if args.subst:
         values = _parse_substitution(args.subst)
-        preview = _reiner(
+        after["substituted"] = _reiner(
             args.type,
             values.get("a", Monomial(1, 0)),
             values.get("b", Monomial(1, 0)),
@@ -191,28 +185,10 @@ def cmd_reiner(args) -> int:
             None,
             args.max_len,
         )
-
-    if args.format == "json":
-        payload = {
-            "type": args.type,
-            "n": args.n,
-            "L": args.max_len,
-            "bruteforce": brute.to_json(),
-            "formula": formula.to_json(),
-            "match": match,
-        }
-        if preview is not None:
-            payload["substituted"] = preview.to_json()
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    elif args.format == "csv":
-        _write(_stat_csv(formula), args.out)
-    else:
-        lines = [f"bruteforce: {brute}", f"formula: {formula}"]
-        lines.append(f"match: {'PASS' if match else 'FAIL'}")
-        if preview is not None:
-            lines.append(f"substituted: {preview}")
-        _write("\n".join(lines) + "\n", args.out)
-    return 0 if match else 1
+    header = {"type": args.type, "n": args.n, "L": args.max_len}
+    results = {"bruteforce": brute, "formula": formula}
+    csv = _csv("a,b,q,coefficient", ((*key, c) for key, c in formula.terms()))
+    return _write_result(args, header, results, brute == formula, csv, after)
 
 
 def _resolve_folding(group, folding_arg: str, n, m):
@@ -226,13 +202,14 @@ def _resolve_folding(group, folding_arg: str, n, m):
                 f"{family.name} (n={n}) targets {family.target_label()}, not {group_label}"
             )
         return standard_folding(family)
-    # otherwise a source group label; a family's n and m are at most its target's rank
+    # otherwise a source group label; a family's n is at most its target's
+    # rank, and affA-affA, the one family taking m, has a target of rank mn
     for name, row in _FAMILIES.items():
         for cand_n in range(row.min_n, group.rank + 1):
-            for cand_m in range(2, group.rank + 1) if row.takes_m else (None,):
-                family = FamilyId(name, cand_n, cand_m)
-                if family.target_label() == group_label and family.source_label() == folding_arg:
-                    return standard_folding(family)
+            for cand_m in range(2, group.rank // cand_n + 1) if row.takes_m else (None,):
+                source, target, _ = row.build(cand_n, cand_m)
+                if (source, target) == (folding_arg, group_label):
+                    return standard_folding(FamilyId(name, cand_n, cand_m))
     raise InvalidParameters(
         f"no registered folding of {folding_arg} into {group_label}"
     )
@@ -241,7 +218,7 @@ def _resolve_folding(group, folding_arg: str, n, m):
 def cmd_bruhat_dot(args) -> int:
     system = build_system(args.group)
     if args.group.startswith("affine-") and args.max_len is None:
-        return _usage_error(f"{args.group} is infinite: --max-len is required")
+        raise InvalidParameters(f"{args.group} is infinite: --max-len is required")
     folding = None
     if args.folding:
         folding = _resolve_folding(system, args.folding, args.n, args.m)
@@ -331,22 +308,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        return _usage_error("--workers must be at least 1")
-    if getattr(args, "budget", 1) < 1:
-        return _usage_error("--budget must be at least 1")
-    if getattr(args, "max_len", None) is not None and args.max_len < 0:
-        return _usage_error("--max-len must be non-negative")
-    out = Path(args.out) if getattr(args, "out", None) else None
-    if out is not None and (out.is_dir() or not out.parent.is_dir()):
-        return _usage_error(f"cannot write {out}: not a file in an existing directory")
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise InvalidParameters("--workers must be at least 1")
+        if getattr(args, "budget", 1) < 1:
+            raise InvalidParameters("--budget must be at least 1")
+        if getattr(args, "max_len", None) is not None and args.max_len < 0:
+            raise InvalidParameters("--max-len must be non-negative")
+        out = Path(args.out) if getattr(args, "out", None) else None
+        if out is not None and (out.is_dir() or not out.parent.is_dir()):
+            raise InvalidParameters(f"cannot write {out}: not a file in an existing directory")
         return args.func(args)
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CoxfoldError, OSError) as exc:
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

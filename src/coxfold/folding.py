@@ -26,10 +26,13 @@ pair (ambient data, length) and measures the length honestly, letter by
 letter (length additivity is verified, not assumed).  Ambient-length
 cutoffs prune the walk: along reduced source words the unfolded length
 only grows, so a node past the cutoff is not stored and its descendants
-are never generated.  The series walks carry nothing else; the checks
-that read source words walk ``_source_records``.  The coset-minima
+are never generated.  The series walks carry nothing else; the
+factorization check and the highlighted Hasse diagram walk
+``_source_records``, which adds the source word.  The coset-minima
 series adds one source filter, and the factorization check reads all
 three of its series off one walk, taking the coset minima on the left.
+The admissibility check has no ambient cutoff and reads only right
+descents, so it walks the source alone, carrying the ShortLex word.
 """
 
 from __future__ import annotations
@@ -319,7 +322,6 @@ def _series(
 def _source_records(
     f: Folding,
     *,
-    source_cutoff: Optional[int] = None,
     ambient_cutoff: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Tuple[Element, Word, Element]]:
@@ -337,7 +339,7 @@ def _source_records(
         return unfold_step(ambient, r), _prepend(word, r)
 
     walk = _bfs(
-        f.source, source_cutoff, budget, start=(start, ()), step=step,
+        f.source, None, budget, start=(start, ()), step=step,
         keep=None if wanted is None else lambda key, payload: wanted(key, payload[0]),
     )
     for k, key, ((data, length), word) in walk:
@@ -391,16 +393,16 @@ def check_admissible(
     For every enumerated source element w and every block I, the ambient
     element of w must either ascend at every generator of I or descend
     at every generator of I.  This is a finite certificate: affine
-    sources are only ever checked up to the cutoff.  Applied on the left
-    in order, the letters of the unfolded word spell unfold(w)^-1, whose
-    left descents are the right descents of unfold(w), so no descent
-    walk is needed.
+    sources are only ever checked up to the cutoff.  The walk carries
+    only the source's ShortLex words: applied on the left in order, the
+    letters of the unfolded word spell unfold(w)^-1, whose left descents
+    are the right descents of unfold(w), so no descent walk is needed.
     """
     target = f.target
     apply, descent = target._apply_left, target._is_left_descent_data
     violations = []
     checked = 0
-    for _, word, _ in _source_records(f, source_cutoff=max_source_len, budget=budget):
+    for _, _, word in _bfs(f.source, max_source_len, budget, start=(), step=_prepend):
         checked += 1
         inv = target.identity().data
         for s in unfold_word(f, word):
