@@ -71,9 +71,9 @@ Bond order 0 in a Coxeter matrix encodes an infinite bond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
+from ._record import FrozenRecord, set_field
 from .errors import (
     IndexOutOfRange, InvalidMatrix, InvalidParameters, ResourceLimit, UnsupportedLabel,
 )
@@ -113,23 +113,22 @@ _RANK3_BONDS = {2, 3, 4, 6, INFINITE}
 _CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1), INFINITE: (-2, -2)}
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
+class CoxeterMatrix(FrozenRecord):
     """Symmetric matrix of bond orders m(i, j); diagonal 1, 0 = infinity."""
 
-    entries: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        n = len(self.entries)
+    def __init__(self, entries: Tuple[Tuple[int, ...], ...]):
+        n = len(entries)
         if n < 1:
             raise InvalidMatrix("empty matrix")
-        for i, row in enumerate(self.entries):
+        for i, row in enumerate(entries):
             if len(row) != n:
                 raise InvalidMatrix("matrix is not square")
             if row[i] != 1:
                 raise InvalidMatrix(f"diagonal entry m({i},{i}) = {row[i]} != 1")
             for j, m in enumerate(row):
-                if m != self.entries[j][i]:
+                if m != entries[j][i]:
                     raise InvalidMatrix(f"asymmetric entries at ({i},{j})")
                 if i != j and m != INFINITE and m < 2:
                     raise InvalidMatrix(f"off-diagonal m({i},{j}) = {m} < 2")
@@ -137,6 +136,7 @@ class CoxeterMatrix:
                     raise InvalidMatrix(
                         f"bond order {m} not permitted at rank >= 3 (allowed: 2,3,4,6,inf)"
                     )
+        set_field(self, "entries", entries)
 
     @property
     def rank(self) -> int:
@@ -146,16 +146,18 @@ class CoxeterMatrix:
         return self.entries[i][j]
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(FrozenRecord):
     """A group element: a Tits-cone weight vector or a dihedral tag.
 
     ``data`` doubles as the canonical key; equal data means equal group
     elements because both encodings are faithful.
     """
 
-    data: tuple
-    length: int
+    __slots__ = ("data", "length")
+
+    def __init__(self, data: tuple, length: int):
+        set_field(self, "data", data)
+        set_field(self, "length", length)
 
 
 class CoxeterSystem:

@@ -37,7 +37,6 @@ descents, so it walks the source alone, carrying the ShortLex word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .coxeter import (
@@ -55,6 +54,7 @@ from .coxeter import (
     shortlex_normal_form,
     word_string,
 )
+from ._record import FrozenRecord, Record, set_field
 from .errors import IndexOutOfRange, InvalidParameters
 from .qseries import QSeries, StatSeries
 
@@ -155,25 +155,25 @@ _FAMILIES = {
 FAMILY_NAMES = tuple(_FAMILIES)
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class FamilyId(FrozenRecord):
     """A registered folding family with its parameters."""
 
-    name: str
-    n: int
-    m: Optional[int] = None
+    __slots__ = ("name", "n", "m")
 
-    def __post_init__(self):
-        row = _FAMILIES.get(self.name)
+    def __init__(self, name: str, n: int, m: Optional[int] = None):
+        row = _FAMILIES.get(name)
         if row is None:
-            raise InvalidParameters(f"unknown family {self.name!r}")
-        if self.n < row.min_n:
-            raise InvalidParameters(f"{self.name} requires n >= {row.min_n}, got {self.n}")
+            raise InvalidParameters(f"unknown family {name!r}")
+        if n < row.min_n:
+            raise InvalidParameters(f"{name} requires n >= {row.min_n}, got {n}")
         if row.takes_m:
-            if self.m is None or self.m < 2:
-                raise InvalidParameters(f"{self.name} requires m >= 2, got {self.m}")
-        elif self.m is not None:
-            raise InvalidParameters(f"{self.name} takes no m parameter")
+            if m is None or m < 2:
+                raise InvalidParameters(f"{name} requires m >= 2, got {m}")
+        elif m is not None:
+            raise InvalidParameters(f"{name} takes no m parameter")
+        set_field(self, "name", name)
+        set_field(self, "n", n)
+        set_field(self, "m", m)
 
     @property
     def is_affine(self) -> bool:
@@ -370,12 +370,14 @@ def unfolded_image(f: Folding, *, budget: int = DEFAULT_BUDGET) -> dict:
     }
 
 
-@dataclass
-class AdmissibilityReport:
-    passed: bool
-    cutoff: int
-    elements_checked: int
-    violations: list
+class AdmissibilityReport(Record):
+    __slots__ = ("passed", "cutoff", "elements_checked", "violations")
+
+    def __init__(self, passed: bool, cutoff: int, elements_checked: int, violations: list):
+        self.passed = passed
+        self.cutoff = cutoff
+        self.elements_checked = elements_checked
+        self.violations = violations
 
     def __bool__(self):
         return self.passed
@@ -467,8 +469,7 @@ def reiner_stats_bruteforce(
     return StatSeries(coeffs, max_len)
 
 
-@dataclass
-class FactorizationReport:
+class FactorizationReport(Record):
     """The outcome of ``folding_factorization_check``.
 
     Coset minima are read on the left: inversion maps W^J_hat onto ^J_hat W
@@ -484,14 +485,30 @@ class FactorizationReport:
     for A2 -> A3 with blocks {s1} and {s2, s3} and J_hat = {s2}, both do.
     """
 
-    passed: bool
-    max_len: Optional[int]
-    parabolic_in_parabolic: bool
-    minima_in_minima: bool
-    series_match: bool
-    full_series: QSeries
-    coset_series: QSeries
-    parabolic_series: QSeries
+    __slots__ = (
+        "passed", "max_len", "parabolic_in_parabolic", "minima_in_minima", "series_match",
+        "full_series", "coset_series", "parabolic_series",
+    )
+
+    def __init__(
+        self,
+        passed: bool,
+        max_len: Optional[int],
+        parabolic_in_parabolic: bool,
+        minima_in_minima: bool,
+        series_match: bool,
+        full_series: QSeries,
+        coset_series: QSeries,
+        parabolic_series: QSeries,
+    ):
+        self.passed = passed
+        self.max_len = max_len
+        self.parabolic_in_parabolic = parabolic_in_parabolic
+        self.minima_in_minima = minima_in_minima
+        self.series_match = series_match
+        self.full_series = full_series
+        self.coset_series = coset_series
+        self.parabolic_series = parabolic_series
 
     def __bool__(self):
         return self.passed

@@ -32,8 +32,8 @@ The classical q-building blocks:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import FrozenRecord, set_field
 from .errors import InvalidBase, NegativeDegree, NonUnitDivisor
 
 __all__ = [
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(FrozenRecord):
     """A signed monomial ``coeff * a^a_exp * b^b_exp * q^q_exp``.
 
     ``coeff`` is one of -1, 0, +1.  Negative ``q_exp`` is permitted only
@@ -58,16 +57,17 @@ class Monomial:
     affected term keeps non-negative total degree.
     """
 
-    coeff: int
-    q_exp: int
-    a_exp: int = 0
-    b_exp: int = 0
+    __slots__ = ("coeff", "q_exp", "a_exp", "b_exp")
 
-    def __post_init__(self):
-        if self.coeff not in (-1, 0, 1):
-            raise InvalidBase(f"monomial coefficient must be -1, 0 or 1: {self.coeff}")
-        if self.a_exp < 0 or self.b_exp < 0:
+    def __init__(self, coeff: int, q_exp: int, a_exp: int = 0, b_exp: int = 0):
+        if coeff not in (-1, 0, 1):
+            raise InvalidBase(f"monomial coefficient must be -1, 0 or 1: {coeff}")
+        if a_exp < 0 or b_exp < 0:
             raise InvalidBase("a/b exponents must be non-negative")
+        set_field(self, "coeff", coeff)
+        set_field(self, "q_exp", q_exp)
+        set_field(self, "a_exp", a_exp)
+        set_field(self, "b_exp", b_exp)
 
 
 Q = Monomial(1, 1)

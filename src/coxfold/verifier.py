@@ -28,15 +28,14 @@ recomputed and overwritten.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
+from ._record import FrozenRecord, Record, set_field
 from .closed_forms import (
     closed_form,
     corollary_identity,
@@ -70,11 +69,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerificationCase:
-    family: str
-    params: tuple  # sorted (key, value) pairs
-    max_len: Optional[int]
+class VerificationCase(FrozenRecord):
+    __slots__ = ("family", "params", "max_len")
+
+    def __init__(self, family: str, params: tuple, max_len: Optional[int]):
+        # params: sorted (key, value) pairs
+        set_field(self, "family", family)
+        set_field(self, "params", params)
+        set_field(self, "max_len", max_len)
 
     @staticmethod
     def make(family: str, max_len: Optional[int] = None, **params) -> "VerificationCase":
@@ -87,20 +89,22 @@ class VerificationCase:
         return (self.family, self.params, -1 if self.max_len is None else self.max_len)
 
 
-@dataclass
-class VerificationJob:
-    cases: list
-    budget: int = DEFAULT_BUDGET
+class VerificationJob(Record):
+    __slots__ = ("cases", "budget")
 
-    def __post_init__(self):
-        if not self.cases:
+    def __init__(self, cases: list, budget: int = DEFAULT_BUDGET):
+        if not cases:
             raise CoxfoldError("verification job has an empty grid")
+        self.cases = cases
+        self.budget = budget
 
 
-@dataclass
-class VerificationReport:
-    job: dict
-    cases: list = field(default_factory=list)
+class VerificationReport(Record):
+    __slots__ = ("job", "cases")
+
+    def __init__(self, job: dict, cases: Optional[list] = None):
+        self.job = job
+        self.cases = [] if cases is None else cases
 
     @property
     def passed(self) -> bool:
@@ -141,6 +145,13 @@ def cache_key(family: str, params: tuple, max_len: Optional[int]) -> str:
     return f"{family}|{p}|L={'exact' if max_len is None else max_len}"
 
 
+def _sha256(text: str) -> str:
+    # imported here: OpenSSL's set-up costs every process that never touches the cache
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _series_payload(series) -> str:
     return json.dumps(series.to_json(), sort_keys=True, separators=(",", ":"))
 
@@ -152,9 +163,9 @@ def cache_put(cache_dir, key: str, series: QSeries) -> Path:
     record = {
         "key": key,
         "series": series.to_json(),
-        "checksum": hashlib.sha256(payload.encode()).hexdigest(),
+        "checksum": _sha256(payload),
     }
-    path = cache_dir / (hashlib.sha256(key.encode()).hexdigest() + ".json")
+    path = cache_dir / (_sha256(key) + ".json")
     # one temporary name per writing thread; the rename is atomic
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
@@ -167,7 +178,7 @@ def cache_put(cache_dir, key: str, series: QSeries) -> Path:
 
 
 def cache_get(cache_dir, key: str) -> Optional[QSeries]:
-    path = Path(cache_dir) / (hashlib.sha256(key.encode()).hexdigest() + ".json")
+    path = Path(cache_dir) / (_sha256(key) + ".json")
     if not path.exists():
         return None
     try:
@@ -176,9 +187,7 @@ def cache_get(cache_dir, key: str) -> Optional[QSeries]:
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptCache(f"{path}: unreadable entry") from exc
     payload = _series_payload(series)
-    if record.get("key") != key or hashlib.sha256(payload.encode()).hexdigest() != record.get(
-        "checksum"
-    ):
+    if record.get("key") != key or _sha256(payload) != record.get("checksum"):
         raise CorruptCache(f"{path}: checksum mismatch")
     return series
 

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -405,3 +409,19 @@ def test_verify_stdout_is_reproducible(capsys):
     lines = timed.splitlines()
     assert code == 0 and len(lines) == len(first[1].splitlines())
     assert all(re.search(r" \(\d+ ms\)$", line) for line in lines[:-1])
+
+
+def test_import_loads_no_unused_stdlib():
+    # every coxfold process pays for what `import coxfold.cli` loads:
+    # records are __slots__ classes, and hashlib loads on first cache use
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    probe = (
+        "import sys, coxfold.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -117,6 +117,15 @@ class TestCache:
         assert got == series
         assert (got.coeffs, got.order) == (series.coeffs, series.order)
 
+    def test_entry_name_and_bytes(self, tmp_path):
+        # the file name is sha256(key) and the checksum sha256 of the series payload
+        path = cache_put(tmp_path, cache_key("demo", (("n", 2),), 4), QSeries([1, 2, 3], 4))
+        assert path.name == "5ec6382bf430b15eae3fd58c8f4c1b281d5592fc20b3b5f5e943af7602b666e0.json"
+        assert path.read_text() == (
+            '{"checksum": "47019bfc32b32cc3411dbfeee2af66da5933b6108a419fa5c7f5c4924dd82019", '
+            '"key": "demo|n=2|L=4", "series": {"coeffs": [1, 2, 3, 0, 0], "order": 4}}'
+        )
+
     def test_missing_is_none(self, tmp_path):
         assert cache_get(tmp_path, "absent|n=1|L=2") is None
 
