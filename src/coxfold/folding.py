@@ -288,17 +288,21 @@ def _unfolding(f: Folding, ambient_cutoff: Optional[int], keep: Optional[Callabl
     descent or not.  The filter rejects nodes beyond the ambient cutoff,
     then those failing the source filter ``keep(source key, payload)``,
     whose set must be closed under taking parents; with neither, it is
-    None, so the walk calls no filter.
+    None, so the walk calls no filter.  The step applies each letter
+    through the target's walk table, so the walk passes ``stepped=f.target``
+    to credit it with the nodes it stores.
     """
+    if ambient_cutoff is not None and ambient_cutoff < 0:
+        raise InvalidParameters(f"the ambient cutoff must be non-negative, got {ambient_cutoff}")
     target = f.target
-    apply, descent = target._apply_left, target._is_left_descent_data
+    applies, descent = target._apply_table, target._is_left_descent_data
     blocks = [tuple(reversed(word)) for word in f.unfold_letters]
 
     def step(payload, r):
         data, length = payload
         for s in blocks[r]:
             length += -1 if descent(data, s) else 1
-            data = apply(data, s)
+            data = applies[s](data, s)
         return data, length
 
     def wanted(key, payload):
@@ -315,7 +319,7 @@ def _series(
 ) -> QSeries:
     """The unfolded length series of a source walk that carries no word."""
     start, step, wanted = _unfolding(f, ambient_cutoff, keep)
-    walk = _bfs(f.source, None, budget, start=start, step=step, keep=wanted)
+    walk = _bfs(f.source, None, budget, start=start, step=step, keep=wanted, stepped=f.target)
     return QSeries.from_lengths((length for _, _, (_, length) in walk), ambient_cutoff)
 
 
@@ -341,6 +345,7 @@ def _source_records(
     walk = _bfs(
         f.source, None, budget, start=(start, ()), step=step,
         keep=None if wanted is None else lambda key, payload: wanted(key, payload[0]),
+        stepped=f.target,
     )
     for k, key, ((data, length), word) in walk:
         yield Element(key, k), word, Element(data, length)

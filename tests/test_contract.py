@@ -4,12 +4,13 @@
 report and of the highlighted ``bruhat-dot`` texts that the benchmark
 produces.  These tests run the same commands through ``cli.main`` and
 compare against that file, so a change to the report or the DOT bytes
-fails here, not only in the benchmark.  The benchmark also reaches into
-the library by name: its tracer patches functions in the modules that
-call them, and one probe passes ``workers=2``; those names are pinned
-here too, as is the tracer's view of the substitution route, which it
-times through the ``closed_forms`` globals ``reiner_distribution`` and
-``substitute``.
+fails here, not only in the benchmark.  The same commands must compile
+no walk kernel: their walks are too short to repay a compile.  The
+benchmark also reaches into the library by name: its tracer patches
+functions in the modules that call them, and one probe passes
+``workers=2``; those names are pinned here too, as is the tracer's view
+of the substitution route, which it times through the ``closed_forms``
+globals ``reiner_distribution`` and ``substitute``.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import coxfold.closed_forms
+import coxfold.coxeter
 from coxfold.cli import main
 from coxfold.closed_forms import substitution_route
 from coxfold.folding import FamilyId, unfolding_series_bruteforce
@@ -40,19 +42,29 @@ def test_default_verify_report(tmp_path):
     assert sha256_of_run(tmp_path, ["verify"]) == GOLDEN["verify_grid"]["cold"]
 
 
-@pytest.mark.parametrize(
-    "key, argv",
-    [
-        ("D4 Bn-Dn+1 n=3", ["--group", "D4", "--folding", "Bn-Dn+1", "--n", "3"]),
-        ("A4 Bn-A2n n=2", ["--group", "A4", "--folding", "Bn-A2n", "--n", "2"]),
-        (
-            "A5 Bn-A2n-1 n=3 max-len=6",
-            ["--group", "A5", "--folding", "Bn-A2n-1", "--n", "3", "--max-len", "6"],
-        ),
-    ],
-)
+HASSE_DOT = [
+    ("D4 Bn-Dn+1 n=3", ["--group", "D4", "--folding", "Bn-Dn+1", "--n", "3"]),
+    ("A4 Bn-A2n n=2", ["--group", "A4", "--folding", "Bn-A2n", "--n", "2"]),
+    (
+        "A5 Bn-A2n-1 n=3 max-len=6",
+        ["--group", "A5", "--folding", "Bn-A2n-1", "--n", "3", "--max-len", "6"],
+    ),
+]
+
+
+@pytest.mark.parametrize("key, argv", HASSE_DOT)
 def test_highlighted_hasse_dot(tmp_path, key, argv):
     assert sha256_of_run(tmp_path, ["bruhat-dot"] + argv) == GOLDEN["hasse_dot"][key]
+
+
+def test_verify_and_hasse_dot_compile_no_kernel(tmp_path, monkeypatch):
+    # their walks store too few nodes per generator for a compile to pay
+    kernels = {}
+    monkeypatch.setattr(coxfold.coxeter, "_KERNELS", kernels)
+    sha256_of_run(tmp_path, ["verify"])
+    for _, argv in HASSE_DOT:
+        sha256_of_run(tmp_path, ["bruhat-dot"] + argv)
+    assert kernels == {}
 
 
 def test_benchmark_patch_points_exist():

@@ -518,18 +518,26 @@ def test_bruhat_dot_walks_the_group_once(monkeypatch):
     assert walked == ["A3"]
 
 
-def test_walk_tests_only_the_pairs_the_buckets_leave_open(monkeypatch):
+def test_walk_tests_only_the_pairs_the_buckets_leave_open():
     # a node whose least left descent is d is tested by _child only for
-    # the i > d with m(d, i) != 2; the root, with no descent, never is
+    # the i > d with m(d, i) != 2; the root, with no descent, never is.
+    # The walk reads its child test from the table, whose entries D6
+    # swaps for the compiled kernels part way through; the count wraps
+    # whatever entry the walk reads, so it spans the swap
     W = build_system("D6")
     calls = []
-    child = W._child
 
-    def counting(data, i):
-        calls.append(i)
-        return child(data, i)
+    class CountingTable(list):
+        def __getitem__(self, i):
+            test = list.__getitem__(self, i)
 
-    monkeypatch.setattr(W, "_child", counting)
+            def counting(data, j):
+                calls.append(test == W._child)
+                return test(data, j)
+
+            return counting
+
+    W._child_table = CountingTable(W._child_table)
     nodes = [key for _, key, _ in _bfs(W, None, DEFAULT_BUDGET)]
     open_pairs = 0
     for key in nodes[1:]:
@@ -537,6 +545,39 @@ def test_walk_tests_only_the_pairs_the_buckets_leave_open(monkeypatch):
         open_pairs += sum(1 for i in range(d + 1, W.rank) if W.matrix.bond(d, i) != 2)
     assert len(nodes) == 23040
     assert len(calls) == open_pairs == 23616
+    # the walk swapped in the kernels part way, through the table it reads
+    assert 0 < calls.count(True) < 23616
+
+
+def test_one_compile_per_matrix(monkeypatch):
+    # two D6 systems walk past the trigger: the second reuses the kernels
+    compiles = []
+    monkeypatch.setattr(coxfold.coxeter, "_KERNELS", {})
+    monkeypatch.setattr(
+        coxfold.coxeter, "compile", lambda *args: compiles.append(args) or compile(*args),
+        raising=False,
+    )
+    tables = []
+    for _ in range(2):
+        W = build_system("D6")
+        assert W._apply_table == [W._apply_left] * 6 and W._child_table == [W._child] * 6
+        assert sum(1 for _ in enumerate_up_to(W, None)) == 23040
+        tables.append(W._apply_table + W._child_table)
+    assert len(compiles) == 1
+    assert tables[0] == tables[1] and W._apply_left not in tables[0]
+
+
+def test_short_and_dihedral_walks_compile_nothing(monkeypatch):
+    # three walks of D4 store 573 nodes beyond the root, under 500 per
+    # generator; the dihedral backend keeps its primitives however far it walks
+    kernels = {}
+    monkeypatch.setattr(coxfold.coxeter, "_KERNELS", kernels)
+    for label, max_len, count in [("D4", None, 192), ("affine-A1", 3000, 6001), ("I2(8)", None, 16)]:
+        W = build_system(label)
+        for _ in range(3):
+            assert sum(1 for _ in enumerate_up_to(W, max_len)) == count
+        assert W._apply_table == [W._apply_left] * W.rank
+    assert kernels == {}
 
 
 class TestReducedWords:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import coxfold.folding
+from coxfold.closed_forms import unfolding_closed_form
 from coxfold.coxeter import (
     build_system,
     element_from_word,
@@ -311,6 +312,54 @@ class TestBruteforceSeries:
         unfolded_image(f)
         unfolding_series_bruteforce(f, 3)
         assert keeps[:2] == [None, None] and keeps[2] is not None
+
+
+def test_unfolding_step_swaps_in_the_target_kernels():
+    # B5 -> D6 stores 3,839 nodes beyond the root, past 500 per generator
+    # of D6: the step reads each letter from the target's table, so the
+    # walk moves from the primitive to the kernel part way through
+    fam = FamilyId("Bn-Dn+1", 5)
+    f = standard_folding(fam)
+    target, kinds = f.target, set()
+
+    class RecordingTable(list):
+        def __getitem__(self, s):
+            apply = list.__getitem__(self, s)
+            kinds.add(apply == target._apply_left)
+            return apply
+
+    target._apply_table = RecordingTable(target._apply_table)
+    assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(fam)
+    assert kinds == {True, False}
+
+
+B2_A3 = standard_folding(FamilyId("Bn-A2n-1", 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: list(enumerate_up_to(build_system("A2"), -1)),
+        lambda: list(enumerate_with_words(build_system("B3"), -1)),
+        lambda: list(enumerate_parabolic(build_system("A3"), [0], -1)),
+        lambda: list(minimal_coset_reps(build_system("affine-C2"), [0], -2)),
+        lambda: check_admissible(B2_A3, -1),
+        lambda: reiner_stats_bruteforce(build_system("affine-C2"), -1),
+        lambda: unfolding_series_bruteforce(B2_A3, -1),
+        lambda: coset_series_bruteforce(B2_A3, [0], -1),
+        lambda: folding_factorization_check(B2_A3, [0], -1),
+    ],
+    ids=[
+        "enumerate_up_to", "enumerate_with_words", "enumerate_parabolic", "minimal_coset_reps",
+        "check_admissible", "reiner_stats_bruteforce", "unfolding_series_bruteforce",
+        "coset_series_bruteforce", "folding_factorization_check",
+    ],
+)
+def test_negative_cutoff_raises(call):
+    # the walk checks its length cutoff, and the folding walks their
+    # ambient cutoff, before anything is enumerated
+    with pytest.raises(InvalidParameters, match="must be non-negative"):
+        call()
 
 
 class TestAdmissibility:

@@ -5,15 +5,18 @@ column-matrix kernel) is run side by side with the weight-vector kernel.
 """
 
 from functools import lru_cache
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coxfold import coxeter
 from coxfold.coxeter import (
     INFINITE,
     CoxeterMatrix,
     _bfs,
     _coset_minimal,
+    _kernels,
     _prepend,
     all_reduced_words,
     apply_generator,
@@ -231,6 +234,10 @@ WALK_LABELS = [
 ]
 
 
+def walk_system(label):
+    return build_system(CHILD_SYSTEMS.get(label, label))
+
+
 def walk_record(walk, keep):
     """The yields of a walk, its ResourceLimit message and the filter's calls."""
     calls, yields = [], []
@@ -247,14 +254,11 @@ def walk_record(walk, keep):
     return yields, None, calls
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from(WALK_LABELS),
-    st.sampled_from(["none", "words", "parabolic", "coset minima", "words and coset minima"]),
-    st.data(),
-)
-def test_bucketed_walk_agrees_with_the_reference(label, payload, data):
-    W = build_system(CHILD_SYSTEMS.get(label, label))
+PAYLOADS = ["none", "words", "parabolic", "coset minima", "words and coset minima"]
+
+
+def assert_walk_agrees_with_the_reference(W, label, payload, data):
+    """The bucketed walk and the all-generators walk, with drawn cutoff, budget and J."""
     cutoffs = st.integers(0, 7)
     if not label.startswith(("affine", "rank")):
         cutoffs |= st.none()
@@ -272,6 +276,63 @@ def test_bucketed_walk_agrees_with_the_reference(label, payload, data):
     got = walk_record(lambda k: _bfs(W, max_len, budget, keep=k, **kwargs), keep)
     want = walk_record(lambda k: bfs_all_generators(W, max_len, budget, keep=k, **kwargs), keep)
     assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(WALK_LABELS), st.sampled_from(PAYLOADS), st.data())
+def test_bucketed_walk_agrees_with_the_reference(label, payload, data):
+    W = walk_system(label)
+    assert_walk_agrees_with_the_reference(W, label, payload, data)
+
+
+WEIGHT_WALK_LABELS = [label for label in WALK_LABELS if walk_system(label).backend == "weight"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(WEIGHT_WALK_LABELS), st.data())
+def test_compiled_kernels_agree_with_the_primitives(label, data):
+    # every bond order, affine G2's 6 and the rank-3 matrix's infinity
+    # among them, on reachable data; the child test's None included
+    W = walk_system(label)
+    applies, children = _kernels(W)
+    w = element_from_word(W, data.draw(words(W.rank, 24), label="word"))
+    for i in range(W.rank):
+        assert applies[i](w.data, i) == W._apply_left(w.data, i)
+        assert children[i](w.data, i) == W._child(w.data, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(WEIGHT_WALK_LABELS), st.sampled_from(PAYLOADS), st.integers(1, 12), st.data()
+)
+def test_walk_that_swaps_in_the_kernels_agrees_with_the_reference(label, payload, after, data):
+    # a few nodes per generator swap the tables, most often part way
+    # through a layer; yields, filter calls and budget message still match
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", after):
+        W = walk_system(label)
+    assert_walk_agrees_with_the_reference(W, label, payload, data)
+
+
+def test_walk_that_swaps_mid_layer_agrees_with_the_reference():
+    # 15 nodes: the walk swaps after letter s1 of layer 4, before s2
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", 5):
+        W = build_system("affine-C2")
+    swapped = []
+    credit = W._credit
+
+    def spy(count):
+        credit(count)
+        swapped.append(W._apply_table[0] != W._apply_left)
+
+    W._credit = spy
+    keep = _coset_minimal(W, [1])
+    kwargs = dict(start=(), step=_prepend)
+    got = walk_record(lambda k: _bfs(W, 6, 10**4, keep=k, **kwargs), keep)
+    want = walk_record(lambda k: bfs_all_generators(W, 6, 10**4, keep=k, **kwargs), keep)
+    assert got == want
+    # one credit per letter of a layer: the swap came before the last letter
+    first = swapped.index(True)
+    assert first % W.rank != W.rank - 1 and first < len(swapped) - W.rank
 
 
 SMALL_LABELS = [f"I2({m})" for m in range(3, 13)] + [
