@@ -325,13 +325,13 @@ def closed_form(
     row = _FORMULAS.get(tag)
     if row is None or row.factors is None:
         raise InvalidParameters(f"unknown or non-series formula tag {tag!r}")
-    if n < row.min_n:
+    if not isinstance(n, int) or n < row.min_n:
         raise InvalidParameters(f"{tag} requires n >= {row.min_n}")
-    if tag == "Thm1.5" and (m is None or m < 2):
-        raise InvalidParameters("Thm1.5 requires m >= 2")
+    if "m" in row.parameters and (not isinstance(m, int) or m < 2):
+        raise InvalidParameters(f"{tag} requires m >= 2")
     numerators, denominators = row.factors(n, m, literal)
-    if denominators and max_len is None:
-        raise InvalidParameters(f"{tag} requires a truncation order")
+    if denominators and (not isinstance(max_len, int) or max_len < 0):
+        raise InvalidParameters(f"{tag} requires a truncation order >= 0")
     out = QSeries.one(max_len if denominators else None)
     for f in numerators:
         out = out * f
@@ -389,8 +389,10 @@ def reiner_distribution(kind: str, n: int, max_len: int) -> StatSeries:
     if kind not in ("affB", "affC"):
         raise InvalidParameters(f"distribution kind must be affB or affC, got {kind!r}")
     floor = _FORMULAS[f"Reiner-{kind}"].min_n
-    if n < floor:
+    if not isinstance(n, int) or n < floor:
         raise InvalidParameters(f"Reiner-{kind} requires n >= {floor}")
+    if not isinstance(max_len, int) or max_len < 0:
+        raise InvalidParameters(f"Reiner-{kind} requires a truncation order >= 0")
     expansion = _reiner_expansion(kind, n, max_len)
     return StatSeries(expansion.coeffs, expansion.q_order)
 
@@ -460,8 +462,8 @@ def substitution_route(family: FamilyId, max_len: int) -> QSeries:
     route = _ROUTES[family.name].substitution
     if route is None:
         raise InvalidParameters(f"{family.name} has no substitution route")
-    if max_len is None:
-        raise InvalidParameters("affine families require a truncation order")
+    if not isinstance(max_len, int) or max_len < 0:
+        raise InvalidParameters("affine families require a truncation order >= 0")
     return route(family.n, family.m, max_len)
 
 
@@ -489,7 +491,7 @@ def corollary_identity(n: int, variant: str) -> tuple[QSeries, QSeries]:
     as exact polynomials; the caller asserts their equality.  U(q) is
     the unfolding series of B_m in A_n, the family ``Bn-<variant>``.
     """
-    if n < _FORMULAS["Cor1.4"].min_n:
+    if not isinstance(n, int) or n < _FORMULAS["Cor1.4"].min_n:
         raise InvalidParameters("the identity is registered for n >= 3")
     parity = {"A2n-1": 1, "A2n": 0}.get(variant)
     if parity is None:
@@ -513,16 +515,15 @@ def coset_factor(part: int, n: int) -> QSeries:
     part 2: [2n] at q times [2n+1] at -q
     part 3: [2n+1] at q minus q^n
     """
-    if part in (1, 2):
-        if n < 2:
-            raise InvalidParameters("parts 1 and 2 require n >= 2")
-        a, b = (2 * n - 1, 2 * n) if part == 1 else (2 * n, 2 * n + 1)
-        return _signed(a) * _signed(b)
+    floor = {1: 2, 2: 2, 3: 3}.get(part)
+    if floor is None:
+        raise InvalidParameters(f"no such part {part!r}")
+    if not isinstance(n, int) or n < floor:
+        raise InvalidParameters(f"part {part} requires n >= {floor}")
     if part == 3:
-        if n < 3:
-            raise InvalidParameters("part 3's inductive factor requires n >= 3")
         return _odd_bracket_factor(n)
-    raise InvalidParameters(f"no such part {part}")
+    a, b = (2 * n - 1, 2 * n) if part == 1 else (2 * n, 2 * n + 1)
+    return _signed(a) * _signed(b)
 
 
 def catalog() -> list:

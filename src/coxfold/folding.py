@@ -15,6 +15,9 @@ family (four finite, eleven affine): the minimal n, whether the family
 takes m, and one function of (n, m) giving the source label, the target
 label and the 0-based unfold words.  ``FAMILY_NAMES``, ``FamilyId`` and
 ``standard_folding`` all read it, so a new folding is one new row.
+``FamilyId`` is the one check of a family's parameters: an unknown
+name, or an n or m that is not an int at its floor, raises
+InvalidParameters, and callers pass the parameters through unchecked.
 Block tables follow each family's diagram symmetry; where a printed
 index formula disagrees with the diagram (the symmetry arrows are the
 ground truth), the diagram pairing is used and the series verifier
@@ -33,6 +36,9 @@ series adds one source filter, and the factorization check reads all
 three of its series off one walk, taking the coset minima on the left.
 The admissibility check has no ambient cutoff and reads only right
 descents, so it walks the source alone, carrying the ShortLex word.
+The end-generator statistics take the arguments of
+``closed_forms.reiner_distribution``, a kind (affB or affC) and n, and
+build the affine system from them.
 """
 
 from __future__ import annotations
@@ -164,11 +170,11 @@ class FamilyId(FrozenRecord):
         row = _FAMILIES.get(name)
         if row is None:
             raise InvalidParameters(f"unknown family {name!r}")
-        if n < row.min_n:
-            raise InvalidParameters(f"{name} requires n >= {row.min_n}, got {n}")
+        if not isinstance(n, int) or n < row.min_n:
+            raise InvalidParameters(f"{name} requires n >= {row.min_n}, got {n!r}")
         if row.takes_m:
-            if m is None or m < 2:
-                raise InvalidParameters(f"{name} requires m >= 2, got {m}")
+            if not isinstance(m, int) or m < 2:
+                raise InvalidParameters(f"{name} requires m >= 2, got {m!r}")
         elif m is not None:
             raise InvalidParameters(f"{name} takes no m parameter")
         set_field(self, "name", name)
@@ -443,28 +449,24 @@ def coset_series_bruteforce(
 
 
 def reiner_stats_bruteforce(
-    system: CoxeterSystem,
+    kind: str,
+    n: int,
     max_len: int,
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> StatSeries:
-    """End-generator occurrence statistics over a ball of an affine B/C group.
+    """End-generator occurrence statistics over a ball of affine B_n or C_n.
 
-    Sums ``a^(count of s0) * b^(count of s_n) * q^length`` over all
+    Takes the arguments of ``reiner_distribution``: ``kind`` is affB or
+    affC.  Sums ``a^(count of s0) * b^(count of s_n) * q^length`` over all
     elements of length <= max_len, reading the counts off each element's
     ShortLex word (well-definedness across reduced words is a separately
     tested property).  For affine B the b-exponent is identically 0.
     """
-    label = system.label
-    if label.startswith("affine-B"):
-        track_b = False
-    elif label.startswith("affine-C"):
-        track_b = True
-    else:
-        raise InvalidParameters(
-            f"end-generator statistics need an affine B or C system, got {label}"
-        )
-    last = system.rank - 1
+    if kind not in ("affB", "affC"):
+        raise InvalidParameters(f"distribution kind must be affB or affC, got {kind!r}")
+    system = build_system(f"affine-{kind[-1]}{n}")
+    track_b, last = kind == "affC", system.rank - 1
     coeffs: dict = {}
     for el, word in enumerate_with_words(system, max_len, budget=budget):
         a_exp = sum(1 for i in word if i == 0)

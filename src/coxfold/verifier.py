@@ -11,9 +11,12 @@ The verify families are one ordered table, ``_CHECKS``, with one row per
 family: its default grid of (L, params) and one runner giving the two
 series and the number of elements enumerated.  Every folding family
 shares one runner, and so do the whole-group histograms (Poincare and
-Bott).  ``default_cases``, ``run_job`` and the CLI read the table; the
-default grid is every row but ``Thm1.5-literal``, which runs only when
-named.
+Bott).  ``default_cases`` and ``run_job`` read the table; the default
+grid is every row but ``Thm1.5-literal``, which runs only when named,
+and ``default_cases`` rejects a family with no row.  The runners check
+no parameter: each evaluates its closed-form side first, whose library
+function checks the case's parameters before any walk, so a bad one
+becomes an ``error:...`` entry at once.
 
 Reports serialize to canonical JSON (sorted keys, sorted cases, no
 whitespace) so that reruns produce byte-identical files.  Wall-clock
@@ -46,7 +49,7 @@ from .closed_forms import (
     unfolding_closed_form,
 )
 from .coxeter import DEFAULT_BUDGET, build_system, enumerate_up_to
-from .errors import CorruptCache, CoxfoldError, ResourceLimit
+from .errors import CorruptCache, CoxfoldError, InvalidParameters, ResourceLimit
 from .folding import (
     FamilyId,
     coset_series_bruteforce,
@@ -217,8 +220,8 @@ def _cached_bruteforce(family: FamilyId, case: VerificationCase, budget, cache_d
 
 def _run_folding(case, budget, cache_dir, memo):
     family = FamilyId(case.family, case.param("n"), case.param("m"))
-    lhs = _cached_bruteforce(family, case, budget, cache_dir, memo)
     rhs = unfolding_closed_form(family, case.max_len, case.param("route", "product"))
+    lhs = _cached_bruteforce(family, case, budget, cache_dir, memo)
     return lhs, rhs, lhs.eval_at_one()
 
 
@@ -227,9 +230,10 @@ def _histogram(label, formula):
 
     def run(case, budget, cache_dir, memo):
         n, L = case.param("n"), case.max_len
+        rhs = formula(n, L)
         lengths = (k for _, k in enumerate_up_to(build_system(label(n)), L, budget=budget))
         lhs = QSeries.from_lengths(lengths, L)
-        return lhs, formula(n, L), lhs.eval_at_one()
+        return lhs, rhs, lhs.eval_at_one()
 
     return run
 
@@ -241,16 +245,17 @@ def _run_corollary(case, budget, cache_dir, memo):
 
 def _run_reiner(case, budget, cache_dir, memo):
     kind, n, L = case.family.split("-")[1], case.param("n"), case.max_len
-    lhs = reiner_stats_bruteforce(build_system(f"affine-{kind[-1]}{n}"), L, budget=budget)
-    return lhs, reiner_distribution(kind, n, L), sum(lhs.coeffs.values())
+    rhs = reiner_distribution(kind, n, L)
+    lhs = reiner_stats_bruteforce(kind, n, L, budget=budget)
+    return lhs, rhs, sum(lhs.coeffs.values())
 
 
 def _run_coset(case, budget, cache_dir, memo):
     part, n = case.param("part"), case.param("n")
-    tag = {1: "Bn-A2n-1", 2: "Bn-A2n", 3: "Bn-Dn+1"}[part]
-    f = standard_folding(FamilyId(tag, n))
+    rhs = coset_factor(part, n)
+    f = standard_folding(FamilyId({1: "Bn-A2n-1", 2: "Bn-A2n", 3: "Bn-Dn+1"}[part], n))
     lhs = coset_series_bruteforce(f, range(1, f.source.rank), None, budget=budget)
-    return lhs, coset_factor(part, n), lhs.eval_at_one()
+    return lhs, rhs, lhs.eval_at_one()
 
 
 def _run_literal(case, budget, cache_dir, memo):
@@ -325,6 +330,9 @@ def default_cases(families: Optional[list] = None) -> list:
     """The registered default grid, optionally restricted to some families."""
     if families is None:
         families = [name for name in _CHECKS if name != "Thm1.5-literal"]
+    unknown = [f for f in families if f not in _CHECKS]
+    if unknown:
+        raise InvalidParameters(f"unknown families: {', '.join(map(repr, unknown))}")
     return [
         VerificationCase.make(name, L, **params)
         for name, check in _CHECKS.items()

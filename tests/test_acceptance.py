@@ -148,9 +148,9 @@ def test_criterion_07_affine_c_series_both_routes():
 
 def test_criterion_08_two_variable_distribution_oracle():
     with budget(8, "two-variable distributions to q^8", 60):
-        stats_b = reiner_stats_bruteforce(build_system("affine-B3"), 8)
+        stats_b = reiner_stats_bruteforce("affB", 3, 8)
         assert stats_b == reiner_distribution("affB", 3, 8)
-        stats_c = reiner_stats_bruteforce(build_system("affine-C2"), 8)
+        stats_c = reiner_stats_bruteforce("affC", 2, 8)
         assert stats_c == reiner_distribution("affC", 2, 8)
 
 

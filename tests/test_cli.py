@@ -53,6 +53,13 @@ def test_nonpositive_budget_is_usage_error(capsys, argv, budget):
         (["bruhat-dot", "--group", "I2()"], "'I2()'"),
         (["bruhat-dot", "--group", "A1.5"], "'A1.5'"),
         (["reiner", "--type", "affB", "--n", "3", "--max-len", "4", "--subst", "a=q^x"], "'q^x'"),
+        # checked by the library, not by the command line
+        (["series", "--family", "Bn-A2n-1"], "n >= 2"),
+        (["series", "--family", "Zn-Z2n", "--n", "2"], "'Zn-Z2n'"),
+        (["verify", "--family", "nope"], "nope"),
+        (["verify", "--family", "I2-An", "--n", "77"], "empty"),
+        (["reiner", "--type", "affD", "--n", "3", "--max-len", "2"], "'affD'"),
+        (["bruhat-dot", "--group", "A3", "--folding", "Bn-A2n-1"], "n >= 2"),
     ],
 )
 def test_malformed_input_is_usage_error(capsys, argv, word):

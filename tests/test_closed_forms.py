@@ -274,7 +274,7 @@ class TestReinerDistribution:
         assert dist.coeffs[(0, 0, 0)] == 1
 
     def test_matches_bruteforce_small(self):
-        brute = reiner_stats_bruteforce(build_system("affine-C2"), 3)
+        brute = reiner_stats_bruteforce("affC", 2, 3)
         assert reiner_distribution("affC", 2, 3) == brute
 
     def test_parameter_floors(self):
@@ -406,3 +406,28 @@ class TestCatalog:
 
         text = json.dumps(catalog())
         assert "Thm1.7-6" in text
+
+
+@pytest.mark.parametrize("value", [None, "3"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: closed_form("Thm1.3-1", v),
+        lambda v: closed_form("Thm1.5", 2, v, 8),
+        lambda v: closed_form("Thm1.6-1", 3, None, v),
+        lambda v: coset_factor(1, v),
+        lambda v: corollary_identity(v, "A2n-1"),
+        lambda v: reiner_distribution("affC", v, 4),
+        lambda v: reiner_distribution("affC", 2, v),
+        lambda v: FamilyId("Bn-A2n-1", v),
+        lambda v: FamilyId("affA-affA", 2, v),
+    ],
+    ids=[
+        "closed_form-n", "closed_form-m", "closed_form-L", "coset_factor", "corollary_identity",
+        "reiner_distribution-n", "reiner_distribution-L", "FamilyId-n", "FamilyId-m",
+    ],
+)
+def test_non_integer_parameter_rejected(call, value):
+    # the floor comparison that owns the parameter checks its type too
+    with pytest.raises(InvalidParameters):
+        call(value)

@@ -344,7 +344,7 @@ B2_A3 = standard_folding(FamilyId("Bn-A2n-1", 2))
         lambda: list(enumerate_parabolic(build_system("A3"), [0], -1)),
         lambda: list(minimal_coset_reps(build_system("affine-C2"), [0], -2)),
         lambda: check_admissible(B2_A3, -1),
-        lambda: reiner_stats_bruteforce(build_system("affine-C2"), -1),
+        lambda: reiner_stats_bruteforce("affC", 2, -1),
         lambda: unfolding_series_bruteforce(B2_A3, -1),
         lambda: coset_series_bruteforce(B2_A3, [0], -1),
         lambda: folding_factorization_check(B2_A3, [0], -1),
@@ -446,11 +446,11 @@ def _records(f, ambient_cutoff):
 
 class TestReinerStats:
     def test_cutoff_zero(self):
-        stats = reiner_stats_bruteforce(build_system("affine-C2"), 0)
+        stats = reiner_stats_bruteforce("affC", 2, 0)
         assert stats.coeffs == {(0, 0, 0): 1}
 
     def test_small_ball_terms(self):
-        stats = reiner_stats_bruteforce(build_system("affine-C2"), 2)
+        stats = reiner_stats_bruteforce("affC", 2, 2)
         assert stats.coeffs == {
             (0, 0, 0): 1,
             (1, 0, 1): 1,
@@ -462,12 +462,12 @@ class TestReinerStats:
         }
 
     def test_affine_b_has_no_b_exponent(self):
-        stats = reiner_stats_bruteforce(build_system("affine-B3"), 4)
+        stats = reiner_stats_bruteforce("affB", 3, 4)
         assert all(j == 0 for (_, j, _) in stats.coeffs)
 
     def test_wrong_type_rejected(self):
         with pytest.raises(InvalidParameters):
-            reiner_stats_bruteforce(build_system("affine-A2"), 3)
+            reiner_stats_bruteforce("affA", 2, 3)
 
     def test_below_range_label_rejected(self):
         from coxfold.errors import UnsupportedLabel

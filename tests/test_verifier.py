@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxfold.errors import CorruptCache, CoxfoldError
+from coxfold.errors import CorruptCache, CoxfoldError, InvalidParameters
 from coxfold.qseries import QSeries
 from coxfold.verifier import (
     VerificationCase,
@@ -41,6 +41,10 @@ class TestGrid:
         with pytest.raises(CoxfoldError):
             VerificationJob([])
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(InvalidParameters, match="'Thm9.9'"):
+            default_cases(["I2-An", "Thm9.9"])
+
 
 class TestRunJob:
     def test_single_family_passes(self):
@@ -62,6 +66,31 @@ class TestRunJob:
         report = run_job(VerificationJob(default_cases(["Thm1.5-literal"])))
         assert not report.passed
         assert report.cases[0]["status"] == "error:NonUnitDivisor"
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            VerificationCase.make("Bn-A2n-1", None),
+            VerificationCase.make("CosetFactor-Lemma3.1", None, part=4, n=2),
+            VerificationCase.make("CosetFactor-Lemma3.1", None, part=0, n=2),
+            VerificationCase.make("Bott-affA", 14),
+            VerificationCase.make("affC-affC2n", None, n=2, route="product"),
+            VerificationCase.make("Reiner-affC", None, n=2),
+            VerificationCase.make("Bott-affA", -1, n=2),
+            VerificationCase.make("affC-affC2n", -1, n=2, route="product"),
+            VerificationCase.make("affC-affC2n", -1, n=2, route="substitution"),
+        ],
+        ids=[
+            "folding-without-n", "coset-part-4", "coset-part-0",
+            "histogram-without-n", "affine-folding-without-L", "reiner-without-L",
+            "histogram-negative-L", "product-negative-L", "substitution-negative-L",
+        ],
+    )
+    def test_bad_parameters_become_entries(self, case):
+        # the runners pass parameters on unchecked and evaluate the formula
+        # side first, so the library rejects them before any walk
+        report = run_job(VerificationJob([case]))
+        assert report.cases[0]["status"] == "error:InvalidParameters"
 
     def test_resource_limit_becomes_status(self):
         job = VerificationJob(default_cases(["Poincare-An"]), budget=1)
