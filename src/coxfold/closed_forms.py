@@ -43,6 +43,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
+from .coxeter import _check_cutoff
 from .errors import InvalidParameters
 from .folding import FamilyId
 from .qseries import (
@@ -330,8 +331,8 @@ def closed_form(
     if "m" in row.parameters and (not isinstance(m, int) or m < 2):
         raise InvalidParameters(f"{tag} requires m >= 2")
     numerators, denominators = row.factors(n, m, literal)
-    if denominators and (not isinstance(max_len, int) or max_len < 0):
-        raise InvalidParameters(f"{tag} requires a truncation order >= 0")
+    if denominators:
+        _check_cutoff(max_len, f"{tag} truncation order")
     out = QSeries.one(max_len if denominators else None)
     for f in numerators:
         out = out * f
@@ -391,8 +392,7 @@ def reiner_distribution(kind: str, n: int, max_len: int) -> StatSeries:
     floor = _FORMULAS[f"Reiner-{kind}"].min_n
     if not isinstance(n, int) or n < floor:
         raise InvalidParameters(f"Reiner-{kind} requires n >= {floor}")
-    if not isinstance(max_len, int) or max_len < 0:
-        raise InvalidParameters(f"Reiner-{kind} requires a truncation order >= 0")
+    _check_cutoff(max_len, f"Reiner-{kind} truncation order")
     expansion = _reiner_expansion(kind, n, max_len)
     return StatSeries(expansion.coeffs, expansion.q_order)
 
@@ -462,8 +462,7 @@ def substitution_route(family: FamilyId, max_len: int) -> QSeries:
     route = _ROUTES[family.name].substitution
     if route is None:
         raise InvalidParameters(f"{family.name} has no substitution route")
-    if not isinstance(max_len, int) or max_len < 0:
-        raise InvalidParameters("affine families require a truncation order >= 0")
+    _check_cutoff(max_len, "truncation order of an affine family")
     return route(family.n, family.m, max_len)
 
 

@@ -66,27 +66,29 @@ through inverses.  In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
 >>> w.data, w.length, shortlex_normal_form(W, w), shortlex_normal_form(W, inverse(W, w))
 ((False, 2), 4, (0, 1, 0, 1), (1, 0, 1, 0))
 
-The breadth-first walk, and the folding step that it drives, call
-``_apply_left`` and ``_child`` through per-generator tables,
-``_apply_table`` and ``_child_table``.  Once the walks of a weight system
-have stored ``_COMPILE_AFTER`` nodes per generator, counted per letter of
-a layer and never per call, the system swaps compiled kernels into its
-tables: for each generator, one straight-line function for s_i and one
-for the child test, generated from the ``_row`` and ``_below`` integers,
-compiled once per Coxeter matrix and shared by every system built on it.
-Each unpacks x0, ..., x{r-1} once and returns one tuple display, or None
-where the child test fails.  Results stay exact and equal: a kernel does
-the primitive's integer additions and multiplications by the same Cartan
-integers on Python ints, only unrolled, and its source holds nothing but
-those integers and variable names.  Short walks, such as those of the
-default verify grid and of a Hasse diagram, never compile; the dihedral
-backend never does, and every other operation calls the primitives.
+The breadth-first walk calls ``_apply_left`` and ``_child`` through
+per-generator tables, ``_apply_table`` and ``_child_table``, read once
+per bucket, and hands out each bucket as two lists.  A walk that carries
+a payload reads its step from a per-letter table too; the folding step
+is a ``_word_table`` of the target, whose entry r applies the letters of
+one word on the left of a payload (data, length), like ``_left_word``.
+Once the walks of a weight system have stored ``_COMPILE_AFTER`` nodes
+per generator, counted per letter of a layer and never per call, the
+system swaps the straight-line kernels of ``coxfold._kernels`` into all
+of its tables: for each generator, one for s_i and one for the child
+test, and for each word of a word table, one block step with each
+letter's sign test inline, each compiled once per Coxeter matrix (and
+word) and shared by every system built on it.  Short walks, such as those
+of the default verify grid and of a Hasse diagram, never compile; the
+dihedral backend never does, and every other operation calls the
+primitives.
 
 Bond order 0 in a Coxeter matrix encodes an infinite bond.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from ._record import FrozenRecord, set_field
@@ -134,9 +136,8 @@ _CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1), INFINITE: (-2, -2)}
 # 2-vCPU host), and a compiled call saves 0.2-0.4 us against the primitive,
 # so the compile pays for itself after about 500 calls per generator.  A
 # stored node took at least one call: its walk's, and in a folding walk
-# one more of the target's per block letter.
+# one block step more, whose kernel saves a primitive call per letter.
 _COMPILE_AFTER = 500
-_KERNELS: dict = {}  # matrix entries -> (apply table, child table), compiled once
 
 
 class CoxeterMatrix(FrozenRecord):
@@ -222,6 +223,7 @@ class CoxeterSystem:
         # in place once _credit has counted enough nodes
         self._apply_table = [self._apply_left] * self.rank
         self._child_table = [self._child] * self.rank
+        self._word_tables: dict = {}  # words -> the table _word_table made for them
         self._until_compiled = (
             _COMPILE_AFTER * self.rank if self.backend == "weight" else float("inf")
         )
@@ -318,7 +320,32 @@ class CoxeterSystem:
         self._until_compiled -= count
         if self._until_compiled <= 0:
             self._until_compiled = float("inf")
-            self._apply_table[:], self._child_table[:] = _kernels(self)
+            self._swap_in_kernels()
+
+    def _swap_in_kernels(self):
+        """Put the compiled kernels, made once per matrix and word, in every walk table."""
+        # imported here, so that a process whose walks stay short never loads it
+        from ._kernels import kernels, word_kernel
+
+        self._apply_table[:], self._child_table[:] = kernels(self)
+        for words, table in self._word_tables.items():
+            table[:] = [word_kernel(self, letters) for letters in words]
+
+    def _word_table(self, words: Tuple[Word, ...]) -> list:
+        """A walk table whose entry r applies ``words[r]`` like ``_left_word``.
+
+        Entry r is called as (payload, r) on a payload (data, length) and
+        returns the pair for the letters of ``words[r]`` applied on the
+        left, in order.  There is one table per tuple of words, shared by
+        every caller; the credit that swaps in the system's kernels swaps
+        in its compiled ``_kernels.word_kernel``s too, and a table made
+        after that starts with them.
+        """
+        if words not in self._word_tables:
+            self._word_tables[words] = [partial(self._left_word, letters) for letters in words]
+            if self._apply_table[0] != self._apply_left:  # the kernels are in
+                self._swap_in_kernels()
+        return self._word_tables[words]
 
     def _dihedral_length(self, data) -> int:
         refl, k = data
@@ -363,58 +390,20 @@ class CoxeterSystem:
             inv = self._apply_left(inv, i)
         return inv
 
-    def _left_word(self, data, length, letters):
+    def _left_word(self, letters, payload, _=None):
         """The raw (data, length) of s_ak ... s_a1 w: each letter, in order, on the left.
 
-        The length moves down at a letter that is a left descent, else up.
+        ``payload`` is the raw (data, length) of w.  The length moves down
+        at a letter that is a left descent, else up.  With the letters
+        bound, it is the primitive form of a ``_word_table`` entry, which
+        the walk calls with a letter of its own as the third argument.
         """
+        data, length = payload
         desc, apply = self._is_left_descent_data, self._apply_left
         for i in letters:
             length += -1 if desc(data, i) else 1
             data = apply(data, i)
         return data, length
-
-
-# ---------------------------------------------------------------------------
-# compiled walk kernels
-
-
-def _kernels(system: CoxeterSystem) -> Tuple[tuple, tuple]:
-    """Straight-line forms of ``_apply_left`` and ``_child`` for each generator.
-
-    Each function takes (data, i) like the primitive it replaces, unpacks
-    x0, ..., x{r-1} once and returns one tuple display, or None where the
-    child test fails; the source holds only names and the integers of the
-    ``_row`` and ``_below`` tables.  One compile per Coxeter matrix.
-
-    >>> applies, children = _kernels(build_system("A3"))
-    >>> s1 = applies[0]((1, 1, 1), 0)
-    >>> s1, children[1](s1, 1), children[0](s1, 0)
-    ((-1, 2, 1), (1, -2, 3), None)
-    """
-    entries = system.matrix.entries
-    if entries not in _KERNELS:
-
-        def plus(j, c, i):
-            return f"x{j}" if c == 0 else f"x{j} + x{i}" if c == 1 else f"x{j} + {c} * x{i}"
-
-        unpack = "    " + ", ".join(f"x{j}" for j in range(system.rank)) + ", = x"
-        lines = []
-        for i, (row, below) in enumerate(zip(system._row, system._below)):
-            image = [f"x{j}" for j in range(system.rank)]
-            image[i] = f"-x{i}"
-            for j, c in row:
-                image[j] = plus(j, c, i)
-            display = "    return (" + ", ".join(image) + ",)"
-            tests = " or ".join(f"{t} < 0" for t in [f"x{i}"] + [plus(j, c, i) for j, c in below])
-            lines += [f"def a{i}(x, _):", unpack, display]
-            lines += [f"def c{i}(x, _):", unpack, f"    if {tests}:", "        return None", display]
-        namespace = {"__builtins__": {}}
-        exec(compile("\n".join(lines), "<coxfold kernels>", "exec"), namespace)
-        _KERNELS[entries] = tuple(
-            tuple(namespace[f"{kind}{i}"] for i in range(system.rank)) for kind in "ac"
-        )
-    return _KERNELS[entries]
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +492,7 @@ def apply_generator(system: CoxeterSystem, w: Element, i: int, side: str = "righ
     """s_i w (left, in O(deg i)) or w s_i (right, a walk of w); length moves by +/-1."""
     system._check_index(i)
     if side == "left":
-        return Element(*system._left_word(w.data, w.length, (i,)))
+        return Element(*system._left_word((i,), (w.data, w.length)))
     if side == "right":
         return multiply(system, w, system.generator(i))
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -532,12 +521,12 @@ def element_from_word(system: CoxeterSystem, word: Iterable[int]) -> Element:
     word = tuple(word)
     for i in word:
         system._check_index(i)
-    return Element(*system._left_word(system.identity().data, 0, reversed(word)))
+    return Element(*system._left_word(reversed(word), (system.identity().data, 0)))
 
 
 def multiply(system: CoxeterSystem, a: Element, b: Element) -> Element:
     """a b: the ShortLex word of a applied to b on the left, last letter first."""
-    return Element(*system._left_word(b.data, b.length, reversed(system._reduced_word(a.data))))
+    return Element(*system._left_word(reversed(system._reduced_word(a.data)), (b.data, b.length)))
 
 
 def inverse(system: CoxeterSystem, w: Element) -> Element:
@@ -564,26 +553,35 @@ def _prepend(word: Word, i: int) -> Word:
     return (i,) + word
 
 
+def _check_cutoff(value, what: str):
+    """Refuse a cutoff (``what`` names it) that is not an int >= 0."""
+    if not isinstance(value, int) or value < 0:
+        raise InvalidParameters(f"the {what} must be a non-negative int, got {value!r}")
+
+
 def _bfs(
     system: CoxeterSystem,
     max_len: Optional[int],
     budget: int,
     *,
     start=None,
-    step=None,
+    step: Optional[Sequence[Callable]] = None,
     keep=None,
     stepped: Optional[CoxeterSystem] = None,
-) -> Iterator[Tuple[int, tuple, object]]:
+) -> Iterator[Tuple[int, list, list]]:
     """Walk the ShortLex tree breadth-first; every enumeration runs on this.
 
-    Yields ``(length, key, payload)`` by increasing length, and in
-    ShortLex order of the elements within a length.  The ShortLex word of
-    w != e is d followed by that of s_d w, where d is the least left
-    descent of w, so every element has one parent: s_i w is a child of w
-    exactly when i is not a left descent of w and is the least left
-    descent of s_i w.  Each element is thus generated once, and no
-    visited set is kept.  Looping over i outside the frontier puts each
-    layer in lexicographic order of (i, parent word): ShortLex order.
+    Yields one ``(length, keys, payloads)`` per non-empty bucket, two
+    parallel lists, by increasing length, and in ShortLex order of the
+    elements within a length, bucket after bucket.  The lists stay the
+    walk's own: a consumer reads them before it resumes the walk and
+    never changes them.  The ShortLex word of w != e is d followed by
+    that of s_d w, where d is the least left descent of w, so every
+    element has one parent: s_i w is a child of w exactly when i is not
+    a left descent of w and is the least left descent of s_i w.  Each
+    element is thus generated once, and no visited set is kept.  Looping
+    over i outside the frontier puts each layer in lexicographic order
+    of (i, parent word): ShortLex order.
 
     A layer is rank + 1 buckets of (keys, payloads): bucket d holds the
     nodes whose least left descent, the letter that made them, is d, and
@@ -593,22 +591,24 @@ def _bfs(
     d = i, nor if d < i and m(d, i) = 2, as s_i fixes alpha_d; ``_above[d]``
     lists the other i > d, whose buckets go through the ``_child`` test.
 
-    ``step(payload, i)`` gives the payload of s_i w from that of w
+    ``step[i](payload, i)`` gives the payload of s_i w from that of w
     (``start`` at the identity) and must depend on the node only, not on
-    the path; the ShortLex word is one such payload, with ``start=()`` and
-    ``step=_prepend``.  One filter, ``keep(key, payload)``, is checked on
-    the root as on every child: a node it rejects is neither stored,
-    yielded nor expanded, so the set it keeps must be closed under taking
-    parents.  The budget is checked as each node is stored.
+    the path; the ShortLex word is one such payload, with ``start=()``
+    and ``step=[_prepend] * rank``.  One filter, ``keep(key, payload)``,
+    is checked on the root as on every child: a node it rejects is
+    neither stored, yielded nor expanded, so the set it keeps must be
+    closed under taking parents.  The budget is checked as each node is
+    stored.
 
     Nodes are made through the system's walk tables, ``_apply_table[i]``
-    and ``_child_table[i]``, read once per bucket.  After each letter of a
-    layer the nodes it stored are credited to the system, and to
-    ``stepped``, the system whose tables ``step`` applies, if any; a
-    credit can swap in the compiled kernels for the next letter.
+    and ``_child_table[i]``, read once per bucket, and ``step[i]`` is read
+    once per letter.  After each letter of a layer the nodes it stored
+    are credited to the system, and to ``stepped``, the system that owns
+    ``step``'s table, if any; a credit can swap in the compiled kernels
+    for the next letter.
     """
-    if max_len is not None and max_len < 0:
-        raise InvalidParameters(f"the length cutoff must be non-negative, got {max_len}")
+    if max_len is not None:
+        _check_cutoff(max_len, "length cutoff")
     applies, tests, above = system._apply_table, system._child_table, system._above
     credited = (system,) if stepped is None else (system, stepped)
     stored, k = 1, 0
@@ -618,14 +618,19 @@ def _bfs(
     layer = [([], []) for _ in range(system.rank)]
     layer.append(([root], [start]) if keep is None or keep(root, start) else ([], []))
     while any(keys for keys, _ in layer):
-        yield from ((k, key, p) for keys, ps in layer for key, p in zip(keys, ps))
+        for keys, payloads in layer:
+            if keys:
+                yield k, keys, payloads
         if max_len is not None and k >= max_len:
             return
         k += 1
         children = []
         for i in range(system.rank):
             made, values = [], []
+            extend = None if step is None else step[i]
             for d, (keys, payloads) in enumerate(layer):
+                if not keys:
+                    continue
                 if d > i:
                     make = applies[i]
                 elif i in above[d]:
@@ -636,7 +641,7 @@ def _bfs(
                     child = make(key, i)
                     if child is None:
                         continue
-                    value = payload if step is None else step(payload, i)
+                    value = payload if extend is None else extend(payload, i)
                     if keep is not None and not keep(child, value):
                         continue
                     stored += 1
@@ -663,8 +668,9 @@ def enumerate_up_to(
     With ``max_len=None`` the whole group is enumerated (the budget guards
     against accidentally unbounded runs on affine systems).
     """
-    for k, key, _ in _bfs(system, max_len, budget):
-        yield Element(key, k), k
+    for k, keys, _ in _bfs(system, max_len, budget):
+        for key in keys:
+            yield Element(key, k), k
 
 
 def enumerate_with_words(
@@ -674,8 +680,9 @@ def enumerate_with_words(
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Tuple[Element, Word]]:
     """Like enumerate_up_to but also yields each element's ShortLex word."""
-    for k, key, word in _bfs(system, max_len, budget, start=(), step=_prepend):
-        yield Element(key, k), word
+    for k, keys, words in _bfs(system, max_len, budget, start=(), step=[_prepend] * system.rank):
+        for key, word in zip(keys, words):
+            yield Element(key, k), word
 
 
 def enumerate_parabolic(
@@ -692,11 +699,12 @@ def enumerate_parabolic(
     """
     J = _subset(system, J)
     walk = _bfs(
-        system, max_len, budget, start=True, step=lambda _, i: i in J,
+        system, max_len, budget, start=True, step=[lambda _, i: i in J] * system.rank,
         keep=lambda _, inside: inside,
     )
-    for k, key, _ in walk:
-        yield Element(key, k), k
+    for k, keys, _ in walk:
+        for key in keys:
+            yield Element(key, k), k
 
 
 def all_reduced_words(system: CoxeterSystem, w: Element) -> list:
@@ -758,8 +766,9 @@ def minimal_coset_reps(
 ) -> Iterator[Element]:
     """Stream the minimal coset representatives W^J of length <= max_len."""
     keep = _coset_minimal(system, J)
-    for k, key, _ in _bfs(system, max_len, budget, keep=keep):
-        yield Element(key, k)
+    for k, keys, _ in _bfs(system, max_len, budget, keep=keep):
+        for key in keys:
+            yield Element(key, k)
 
 
 def bruhat_leq(system: CoxeterSystem, v: Element, w: Element) -> bool:

@@ -43,6 +43,9 @@ build the affine system from them.
 
 from __future__ import annotations
 
+import gc
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .coxeter import (
@@ -51,6 +54,7 @@ from .coxeter import (
     Element,
     Word,
     _bfs,
+    _check_cutoff,
     _coset_minimal,
     _prepend,
     _subset,
@@ -160,6 +164,8 @@ _FAMILIES = {
 
 FAMILY_NAMES = tuple(_FAMILIES)
 
+_LENGTH = itemgetter(1)  # the ambient length of a (data, length) payload
+
 
 class FamilyId(FrozenRecord):
     """A registered folding family with its parameters."""
@@ -250,6 +256,8 @@ class Folding:
                     f"unfold word of generator {r} is not the longest element "
                     f"of its block parabolic"
                 )
+        # the walk step: entry r applies unfold(r) on the left, last letter first
+        self._steps = target._word_table(tuple(word[::-1] for word in self.unfold_letters))
 
     def __repr__(self):
         tag = self.family.name if self.family else "manual"
@@ -286,30 +294,23 @@ def unfold(f: Folding, w: Element) -> Element:
 
 
 def _unfolding(f: Folding, ambient_cutoff: Optional[int], keep: Optional[Callable]):
-    """The ``_bfs`` start, step and filter of a source walk with payload (data, length).
+    """The ``_bfs`` start, step table and filter of a source walk with payload (data, length).
 
     The tree reaches s_r w from w, and unfold(s_r w) = unfold(r) unfold(w),
-    so the step applies the block letters of r on the left in reverse
+    so step r applies the letters of unfold(r) on the left in reverse
     order, and moves the length by -1 or +1 as each letter is a left
-    descent or not.  The filter rejects nodes beyond the ambient cutoff,
-    then those failing the source filter ``keep(source key, payload)``,
-    whose set must be closed under taking parents; with neither, it is
-    None, so the walk calls no filter.  The step applies each letter
-    through the target's walk table, so the walk passes ``stepped=f.target``
-    to credit it with the nodes it stores.
+    descent or not.  The step table is the folding's ``_steps``, a
+    ``_word_table`` of the target: a Python loop over the target's
+    primitives until the target's credit swaps in one compiled kernel
+    per source letter, so the walk passes ``stepped=f.target`` to credit
+    it with the nodes it stores.  A dihedral target never compiles.  The
+    filter rejects nodes beyond the ambient cutoff, then those failing
+    the source filter ``keep(source key, payload)``, whose set must be
+    closed under taking parents; with neither, it is None, so the walk
+    calls no filter.
     """
-    if ambient_cutoff is not None and ambient_cutoff < 0:
-        raise InvalidParameters(f"the ambient cutoff must be non-negative, got {ambient_cutoff}")
-    target = f.target
-    applies, descent = target._apply_table, target._is_left_descent_data
-    blocks = [tuple(reversed(word)) for word in f.unfold_letters]
-
-    def step(payload, r):
-        data, length = payload
-        for s in blocks[r]:
-            length += -1 if descent(data, s) else 1
-            data = applies[s](data, s)
-        return data, length
+    if ambient_cutoff is not None:
+        _check_cutoff(ambient_cutoff, "ambient cutoff")
 
     def wanted(key, payload):
         if ambient_cutoff is not None and payload[1] > ambient_cutoff:
@@ -317,16 +318,30 @@ def _unfolding(f: Folding, ambient_cutoff: Optional[int], keep: Optional[Callabl
         return keep is None or keep(key, payload)
 
     unfiltered = ambient_cutoff is None and keep is None
-    return (target.identity().data, 0), step, None if unfiltered else wanted
+    return (f.target.identity().data, 0), f._steps, None if unfiltered else wanted
 
 
 def _series(
     f: Folding, ambient_cutoff: Optional[int], keep: Optional[Callable], budget: int
 ) -> QSeries:
-    """The unfolded length series of a source walk that carries no word."""
-    start, step, wanted = _unfolding(f, ambient_cutoff, keep)
-    walk = _bfs(f.source, None, budget, start=start, step=step, keep=wanted, stepped=f.target)
-    return QSeries.from_lengths((length for _, _, (_, length) in walk), ambient_cutoff)
+    """The unfolded length series of a source walk that carries no word.
+
+    Each bucket's lengths are counted in one pass in C.  The walk stores
+    fresh tuples that form no cycle, and the cyclic collector would only
+    re-scan the growing layers, so it is paused for the walk, which yields
+    to no caller code, unless the caller had paused it already.
+    """
+    start, steps, wanted = _unfolding(f, ambient_cutoff, keep)
+    walk = _bfs(f.source, None, budget, start=start, step=steps, keep=wanted, stepped=f.target)
+    lengths = chain.from_iterable(map(_LENGTH, payloads) for _, _, payloads in walk)
+    pausing = gc.isenabled()
+    if pausing:
+        gc.disable()
+    try:
+        return QSeries.from_lengths(lengths, ambient_cutoff)
+    finally:
+        if pausing:
+            gc.enable()
 
 
 def _source_records(
@@ -342,19 +357,20 @@ def _source_records(
     payload is the pair (data, length) of ``_unfolding`` and the source
     word; the elements are built only as a record is yielded.
     """
-    start, unfold_step, wanted = _unfolding(f, ambient_cutoff, None)
+    start, steps, wanted = _unfolding(f, ambient_cutoff, None)
 
     def step(payload, r):
         ambient, word = payload
-        return unfold_step(ambient, r), _prepend(word, r)
+        return steps[r](ambient, r), _prepend(word, r)
 
     walk = _bfs(
-        f.source, None, budget, start=(start, ()), step=step,
+        f.source, None, budget, start=(start, ()), step=[step] * f.source.rank,
         keep=None if wanted is None else lambda key, payload: wanted(key, payload[0]),
         stepped=f.target,
     )
-    for k, key, ((data, length), word) in walk:
-        yield Element(key, k), word, Element(data, length)
+    for k, keys, payloads in walk:
+        for key, ((data, length), word) in zip(keys, payloads):
+            yield Element(key, k), word, Element(data, length)
 
 
 def unfolding_series_bruteforce(
@@ -407,33 +423,40 @@ def check_admissible(
     element of w must either ascend at every generator of I or descend
     at every generator of I.  This is a finite certificate: affine
     sources are only ever checked up to the cutoff.  The walk carries
-    only the source's ShortLex words: applied on the left in order, the
-    letters of the unfolded word spell unfold(w)^-1, whose left descents
-    are the right descents of unfold(w), so no descent walk is needed.
+    only the source's ShortLex words.  Each unfold word is the longest
+    element of its block, an involution, so the folding's step table,
+    applied for the letters of w in order, spells unfold(w)^-1, whose left
+    descents are the right descents of unfold(w): no descent walk is
+    needed.
     """
     target = f.target
-    apply, descent = target._apply_left, target._is_left_descent_data
+    descent, steps, start = target._is_left_descent_data, f._steps, (target.identity().data, 0)
+    blocks = [(r, block) for r, block in enumerate(f.blocks) if len(block) > 1]
     violations = []
     checked = 0
-    for _, _, word in _bfs(f.source, max_source_len, budget, start=(), step=_prepend):
-        checked += 1
-        inv = target.identity().data
-        for s in unfold_word(f, word):
-            inv = apply(inv, s)
-        for r, block in enumerate(f.blocks):
-            if len(block) < 2:
-                continue
-            signs = {descent(inv, s) for s in block}
-            if len(signs) > 1:
-                violations.append(
-                    {
-                        "source_word": word_string(f.source, word),
-                        "generator": r,
-                        "block": [target.generator_name(s) for s in block],
-                    }
-                )
-                if len(violations) >= max_violations:
-                    return AdmissibilityReport(False, max_source_len, checked, violations)
+    walk = _bfs(
+        f.source, max_source_len, budget, start=(), step=[_prepend] * f.source.rank,
+        stepped=target,
+    )
+    for _, _, words in walk:
+        for word in words:
+            checked += 1
+            inv = start
+            for r in word:
+                inv = steps[r](inv, r)
+            inv = inv[0]
+            for r, block in blocks:
+                signs = {descent(inv, s) for s in block}
+                if len(signs) > 1:
+                    violations.append(
+                        {
+                            "source_word": word_string(f.source, word),
+                            "generator": r,
+                            "block": [target.generator_name(s) for s in block],
+                        }
+                    )
+                    if len(violations) >= max_violations:
+                        return AdmissibilityReport(False, max_source_len, checked, violations)
     return AdmissibilityReport(not violations, max_source_len, checked, violations)
 
 

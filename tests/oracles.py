@@ -203,11 +203,22 @@ def shortlex_child(system, data, i):
     return child
 
 
+def is_kernel(fn):
+    """Whether a walk-table entry is a compiled kernel of ``coxfold._kernels``.
+
+    The primitive form of an entry is a bound method or a
+    functools.partial, with no code of its own.
+    """
+    code = getattr(fn, "__code__", None)
+    return code is not None and code.co_filename == "<coxfold kernels>"
+
+
 def bfs_all_generators(system, max_len, budget, *, start=None, step=None, keep=None):
     """The ShortLex-tree walk of ``coxeter._bfs``, trying ``_child`` for every (i, node).
 
-    Same arguments, yields, filter calls and budget as the library walk;
-    each layer is one list in ShortLex order.
+    Same arguments, filter calls and budget as the library walk, with
+    ``step[i](payload, i)`` the step of letter i; it yields one node at a
+    time, and each layer is one list in ShortLex order.
     """
     stored, k = 1, 0
     if stored > budget:
@@ -225,7 +236,7 @@ def bfs_all_generators(system, max_len, budget, *, start=None, step=None, keep=N
                 child = system._child(key, i)
                 if child is None:
                     continue
-                value = payload if step is None else step(payload, i)
+                value = payload if step is None else step[i](payload, i)
                 if keep is not None and not keep(child, value):
                     continue
                 stored += 1

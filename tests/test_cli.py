@@ -420,12 +420,14 @@ def test_verify_stdout_is_reproducible(capsys):
 
 def test_import_loads_no_unused_stdlib():
     # every coxfold process pays for what `import coxfold.cli` loads:
-    # records are __slots__ classes, and hashlib loads on first cache use
+    # records are __slots__ classes, hashlib loads on first cache use, and
+    # the kernel generator on the first compile
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     probe = (
         "import sys, coxfold.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))"
+        "unused = {'dataclasses', 'inspect', 'hashlib', 'coxfold._kernels'}; "
+        "print(sorted(unused & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60

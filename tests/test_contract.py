@@ -13,6 +13,7 @@ of the substitution route, which it times through the ``closed_forms``
 globals ``reiner_distribution`` and ``substitute``.
 """
 
+import functools
 import hashlib
 import importlib.util
 import inspect
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import coxfold._kernels
 import coxfold.closed_forms
 import coxfold.coxeter
 from coxfold.cli import main
@@ -58,13 +60,30 @@ def test_highlighted_hasse_dot(tmp_path, key, argv):
 
 
 def test_verify_and_hasse_dot_compile_no_kernel(tmp_path, monkeypatch):
-    # their walks store too few nodes per generator for a compile to pay
-    kernels = {}
-    monkeypatch.setattr(coxfold.coxeter, "_KERNELS", kernels)
+    # their walks store too few nodes per generator for a compile to pay:
+    # no system kernel and no folding's block kernel is compiled, though
+    # the folding walks read their steps from block-step tables
+    kernels, compiles, word_tables = {}, [], []
+    monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
+    monkeypatch.setattr(
+        coxfold._kernels, "compile", lambda *args: compiles.append(args) or compile(*args),
+        raising=False,
+    )
+    word_table = coxfold.coxeter.CoxeterSystem._word_table
+
+    def recording(system, words):
+        table = word_table(system, words)
+        word_tables.append(table)
+        return table
+
+    monkeypatch.setattr(coxfold.coxeter.CoxeterSystem, "_word_table", recording)
     sha256_of_run(tmp_path, ["verify"])
     for _, argv in HASSE_DOT:
         sha256_of_run(tmp_path, ["bruhat-dot"] + argv)
-    assert kernels == {}
+    assert kernels == {} and compiles == []
+    assert word_tables
+    for table in word_tables:
+        assert all(isinstance(step, functools.partial) for step in table)
 
 
 def test_benchmark_patch_points_exist():

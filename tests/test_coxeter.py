@@ -25,6 +25,7 @@ from coxfold.coxeter import (
     right_descents,
     shortlex_normal_form,
 )
+import coxfold._kernels
 import coxfold.dot
 from coxfold.dot import bruhat_dot, covering_relations
 from coxfold.errors import (
@@ -538,7 +539,7 @@ def test_walk_tests_only_the_pairs_the_buckets_leave_open():
             return counting
 
     W._child_table = CountingTable(W._child_table)
-    nodes = [key for _, key, _ in _bfs(W, None, DEFAULT_BUDGET)]
+    nodes = [key for _, keys, _ in _bfs(W, None, DEFAULT_BUDGET) for key in keys]
     open_pairs = 0
     for key in nodes[1:]:
         d = next(d for d in range(W.rank) if W._is_left_descent_data(key, d))
@@ -552,9 +553,9 @@ def test_walk_tests_only_the_pairs_the_buckets_leave_open():
 def test_one_compile_per_matrix(monkeypatch):
     # two D6 systems walk past the trigger: the second reuses the kernels
     compiles = []
-    monkeypatch.setattr(coxfold.coxeter, "_KERNELS", {})
+    monkeypatch.setattr(coxfold._kernels, "_KERNELS", {})
     monkeypatch.setattr(
-        coxfold.coxeter, "compile", lambda *args: compiles.append(args) or compile(*args),
+        coxfold._kernels, "compile", lambda *args: compiles.append(args) or compile(*args),
         raising=False,
     )
     tables = []
@@ -571,7 +572,7 @@ def test_short_and_dihedral_walks_compile_nothing(monkeypatch):
     # three walks of D4 store 573 nodes beyond the root, under 500 per
     # generator; the dihedral backend keeps its primitives however far it walks
     kernels = {}
-    monkeypatch.setattr(coxfold.coxeter, "_KERNELS", kernels)
+    monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
     for label, max_len, count in [("D4", None, 192), ("affine-A1", 3000, 6001), ("I2(8)", None, 16)]:
         W = build_system(label)
         for _ in range(3):

@@ -1,7 +1,9 @@
+import gc
 import math
 
 import pytest
 
+import coxfold.coxeter
 import coxfold.folding
 from coxfold.closed_forms import unfolding_closed_form
 from coxfold.coxeter import (
@@ -35,7 +37,7 @@ from coxfold.folding import (
 )
 from coxfold.qseries import QSeries
 
-from oracles import is_right_descent_data
+from oracles import is_kernel, is_right_descent_data
 
 # one small parameter choice per family, used by the property suites
 SMALL_FAMILIES = [
@@ -316,21 +318,78 @@ class TestBruteforceSeries:
 
 def test_unfolding_step_swaps_in_the_target_kernels():
     # B5 -> D6 stores 3,839 nodes beyond the root, past 500 per generator
-    # of D6: the step reads each letter from the target's table, so the
-    # walk moves from the primitive to the kernel part way through
+    # of D6: the walk reads each source letter's step from the folding's
+    # table, which the target's credit swaps to the compiled block
+    # kernels part way through, with the target's own tables
     fam = FamilyId("Bn-Dn+1", 5)
     f = standard_folding(fam)
     target, kinds = f.target, set()
 
     class RecordingTable(list):
-        def __getitem__(self, s):
-            apply = list.__getitem__(self, s)
-            kinds.add(apply == target._apply_left)
-            return apply
+        def __getitem__(self, r):
+            step = list.__getitem__(self, r)
+            kinds.add(is_kernel(step))
+            return step
 
-    target._apply_table = RecordingTable(target._apply_table)
+    (words,) = target._word_tables
+    f._steps = target._word_tables[words] = RecordingTable(f._steps)
     assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(fam)
     assert kinds == {True, False}
+    assert all(map(is_kernel, f._steps + target._apply_table + target._child_table))
+
+
+def test_check_admissible_swaps_in_the_block_kernels(monkeypatch):
+    # the whole of B5 to source length 25: the walk credits the target,
+    # which compiles, and the report is the one the primitives give
+    fam = FamilyId("Bn-Dn+1", 5)
+    monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 10**9)
+    plain = standard_folding(fam)
+    monkeypatch.undo()
+    f = standard_folding(fam)
+    report = check_admissible(f, 25)
+    assert report.passed and report.elements_checked == 3840
+    assert all(map(is_kernel, f._steps)) and not any(map(is_kernel, plain._steps))
+    assert repr(report) == repr(check_admissible(plain, 25))
+
+
+def test_a_walk_made_after_the_swap_starts_compiled():
+    # a folding built on a target whose walks compiled already gets its
+    # block kernels at once; a dihedral target keeps the primitives
+    target = build_system("D6")
+    assert sum(1 for _ in enumerate_up_to(target, None)) == 23040
+    f = Folding(build_system("B5"), target, [(i,) for i in range(4)] + [(4, 5)])
+    assert all(map(is_kernel, f._steps))
+    f = standard_folding(FamilyId("I2-An", 2))
+    assert f.target.backend == "dihedral"
+    assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(FamilyId("I2-An", 2))
+    assert not any(map(is_kernel, f._steps))
+
+
+@pytest.mark.parametrize("paused", [False, True])
+@pytest.mark.parametrize("budget", [10**6, 20])
+def test_series_walk_pauses_the_collector_only_for_itself(paused, budget):
+    # the walk runs with the cyclic collector off and puts back the
+    # caller's state, after a ResourceLimit too; a caller that paused it
+    # keeps it paused
+    f = standard_folding(FamilyId("Bn-A2n", 3))
+    seen = []
+
+    def keep(key, payload):
+        seen.append(gc.isenabled())
+        return True
+
+    if paused:
+        gc.disable()
+    try:
+        if budget == 20:
+            with pytest.raises(ResourceLimit):
+                coxfold.folding._series(f, None, keep, budget)
+        else:
+            assert coxfold.folding._series(f, None, keep, budget).eval_at_one() == 48
+        assert gc.isenabled() is not paused
+    finally:
+        gc.enable()
+    assert seen and not any(seen)
 
 
 B2_A3 = standard_folding(FamilyId("Bn-A2n-1", 2))
@@ -358,7 +417,25 @@ B2_A3 = standard_folding(FamilyId("Bn-A2n-1", 2))
 def test_negative_cutoff_raises(call):
     # the walk checks its length cutoff, and the folding walks their
     # ambient cutoff, before anything is enumerated
-    with pytest.raises(InvalidParameters, match="must be non-negative"):
+    with pytest.raises(InvalidParameters, match="must be a non-negative int"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: list(enumerate_up_to(build_system("A2"), "5")),
+        lambda: list(enumerate_up_to(build_system("A2"), 2.0)),
+        lambda: check_admissible(B2_A3, "5"),
+        lambda: unfolding_series_bruteforce(B2_A3, "5"),
+        lambda: coset_series_bruteforce(B2_A3, [0], 2.0),
+    ],
+    ids=["enumerate_up_to-str", "enumerate_up_to-float", "check_admissible", "series", "coset"],
+)
+def test_non_int_cutoff_raises(call):
+    # a cutoff that is not an int is refused like a negative one, before
+    # any comparison with a length could raise TypeError
+    with pytest.raises(InvalidParameters, match="must be a non-negative int"):
         call()
 
 

@@ -16,7 +16,6 @@ from coxfold.coxeter import (
     CoxeterMatrix,
     _bfs,
     _coset_minimal,
-    _kernels,
     _prepend,
     all_reduced_words,
     apply_generator,
@@ -30,7 +29,15 @@ from coxfold.coxeter import (
     multiply,
     shortlex_normal_form,
 )
+from coxfold._kernels import kernels, word_kernel
 from coxfold.errors import CoxfoldError, ResourceLimit
+from coxfold.folding import (
+    _FAMILIES,
+    FamilyId,
+    coset_series_bruteforce,
+    standard_folding,
+    unfolding_series_bruteforce,
+)
 
 from oracles import (
     ColumnKernel,
@@ -38,6 +45,7 @@ from oracles import (
     bfs_distances,
     bruhat_leq_by_scan,
     inversions,
+    is_kernel,
     is_right_descent_data,
     shortlex_child,
     type_b_generators,
@@ -224,7 +232,7 @@ def test_layers_come_in_shortlex_order(entries, data):
     def minimal(key, payload):
         return not any(is_right_descent_data(W, key, j) for j in J)
 
-    walk = _bfs(W, 5, 10**6, start=(), step=_prepend, keep=minimal)
+    walk = nodes(W, _bfs(W, 5, 10**6, start=(), step=[_prepend] * W.rank, keep=minimal))
     assert_shortlex_layers(W, ((element_from_word(W, word), word) for _, _, word in walk))
 
 
@@ -236,6 +244,28 @@ WALK_LABELS = [
 
 def walk_system(label):
     return build_system(CHILD_SYSTEMS.get(label, label))
+
+
+def nodes(W, walk):
+    """The nodes of a ``_bfs`` walk, one (length, key, payload) at a time.
+
+    Each bucket it yields is non-empty, with as many payloads as keys,
+    and every key in it has the same least left descent; buckets come by
+    increasing length, and within a length by increasing descent, the
+    root's bucket last.
+    """
+    last = None
+    for k, keys, payloads in walk:
+        assert keys and len(keys) == len(payloads)
+        descents = {
+            next((d for d in range(W.rank) if W._is_left_descent_data(key, d)), W.rank)
+            for key in keys
+        }
+        assert len(descents) == 1
+        here = (k, descents.pop())
+        assert last is None or last < here
+        last = here
+        yield from ((k, key, payload) for key, payload in zip(keys, payloads))
 
 
 def walk_record(walk, keep):
@@ -267,13 +297,13 @@ def assert_walk_agrees_with_the_reference(W, label, payload, data):
     J = sorted(data.draw(st.sets(st.integers(0, W.rank - 1)), label="J"))
     kwargs, keep = {}, None
     if "words" in payload:
-        kwargs = dict(start=(), step=_prepend)
+        kwargs = dict(start=(), step=[_prepend] * W.rank)
     if payload == "parabolic":
-        kwargs = dict(start=True, step=lambda _, i: i in J)
+        kwargs = dict(start=True, step=[lambda _, i: i in J] * W.rank)
         keep = lambda _, inside: inside  # noqa: E731
     if "coset minima" in payload:
         keep = _coset_minimal(W, J)
-    got = walk_record(lambda k: _bfs(W, max_len, budget, keep=k, **kwargs), keep)
+    got = walk_record(lambda k: nodes(W, _bfs(W, max_len, budget, keep=k, **kwargs)), keep)
     want = walk_record(lambda k: bfs_all_generators(W, max_len, budget, keep=k, **kwargs), keep)
     assert got == want
 
@@ -294,7 +324,7 @@ def test_compiled_kernels_agree_with_the_primitives(label, data):
     # every bond order, affine G2's 6 and the rank-3 matrix's infinity
     # among them, on reachable data; the child test's None included
     W = walk_system(label)
-    applies, children = _kernels(W)
+    applies, children = kernels(W)
     w = element_from_word(W, data.draw(words(W.rank, 24), label="word"))
     for i in range(W.rank):
         assert applies[i](w.data, i) == W._apply_left(w.data, i)
@@ -326,8 +356,8 @@ def test_walk_that_swaps_mid_layer_agrees_with_the_reference():
 
     W._credit = spy
     keep = _coset_minimal(W, [1])
-    kwargs = dict(start=(), step=_prepend)
-    got = walk_record(lambda k: _bfs(W, 6, 10**4, keep=k, **kwargs), keep)
+    kwargs = dict(start=(), step=[_prepend] * W.rank)
+    got = walk_record(lambda k: nodes(W, _bfs(W, 6, 10**4, keep=k, **kwargs)), keep)
     want = walk_record(lambda k: bfs_all_generators(W, 6, 10**4, keep=k, **kwargs), keep)
     assert got == want
     # one credit per letter of a layer: the swap came before the last letter
@@ -408,3 +438,91 @@ def test_kernel_agrees_with_column_oracle(entries, data):
     sub = element_from_word(W, [i for i, on in zip(b, mask) if on])
     for x in (u, sub):
         assert bruhat_leq(W, x, v) == (columns.assemble(shortlex_normal_form(W, x))[0] in interval)
+
+
+# every folding row at its two smallest n (affA-affA at m = 2 and 3) whose
+# target has the weight backend: I2-An at n = 2 folds into the dihedral A2
+FOLDINGS = [
+    (name, n, m)
+    for name, row in _FAMILIES.items()
+    for n in (row.min_n, row.min_n + 1)
+    for m in ((2, 3) if row.takes_m else (None,))
+    if (name, n) != ("I2-An", 2)
+]
+
+
+@lru_cache(maxsize=None)
+def folding(case, after=coxeter._COMPILE_AFTER):
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", after):
+        return standard_folding(FamilyId(*case))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FOLDINGS), st.data())
+def test_block_kernels_agree_with_the_python_step(case, data):
+    # on the unfolding of a drawn source word, each source letter's
+    # compiled step gives the data and the length of the Python step
+    f = folding(case)
+    target = f.target
+    letters = [word[::-1] for word in f.unfold_letters]
+    payload = (target.identity().data, 0)
+    for r in data.draw(words(f.source.rank, 16), label="source word"):
+        payload = target._left_word(letters[r], payload)
+    for r, word in enumerate(letters):
+        assert word_kernel(target, word)(payload, r) == target._left_word(word, payload)
+
+
+def folding_walk(f, cutoff, J_hat, budget):
+    """The series of a folding walk, or its ResourceLimit message."""
+    try:
+        if J_hat is None:
+            return unfolding_series_bruteforce(f, cutoff, budget=budget)
+        return coset_series_bruteforce(f, J_hat, cutoff, budget=budget)
+    except ResourceLimit as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FOLDINGS), st.integers(1, 12), st.data())
+def test_folding_walk_that_swaps_in_the_block_kernels_agrees(case, after, data):
+    # a few nodes per target generator swap the folding's step table,
+    # most often part way through a layer; the series and the budget
+    # message are those of a walk that never compiles
+    cutoffs = st.integers(0, 10)
+    if not case[0].startswith("aff"):
+        cutoffs |= st.none()
+    cutoff = data.draw(cutoffs, label="cutoff")
+    rank = folding(case).source.rank
+    J_hat = data.draw(st.none() | st.sets(st.integers(0, rank - 1)), label="J_hat")
+    budget = data.draw(st.one_of(st.integers(1, 80), st.just(10**5)), label="budget")
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", after):
+        f = standard_folding(FamilyId(*case))
+    plain = folding(case, 10**9)
+    assert folding_walk(f, cutoff, J_hat, budget) == folding_walk(plain, cutoff, J_hat, budget)
+    assert not any(map(is_kernel, plain._steps))
+
+
+def test_folding_walk_that_swaps_mid_layer_agrees():
+    # B4 -> D5 with 5 nodes per target generator: the step table swaps
+    # after a letter of a layer other than the last, and the walk goes on
+    # with the kernels to the series and the budget message of the primitives
+    case = ("Bn-Dn+1", 4, None)
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", 5):
+        f = standard_folding(FamilyId(*case))
+    swapped = []
+    credit = f.target._credit
+
+    def spy(count):
+        credit(count)
+        swapped.append(is_kernel(f._steps[0]))
+
+    f.target._credit = spy
+    plain = folding(case, 10**9)
+    assert folding_walk(f, None, None, 10**5) == folding_walk(plain, None, None, 10**5)
+    first = swapped.index(True)
+    assert first % f.source.rank != f.source.rank - 1 and first < len(swapped) - f.source.rank
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", 5):
+        f = standard_folding(FamilyId(*case))
+    message = folding_walk(f, None, None, 150)
+    assert message == folding_walk(plain, None, None, 150) and message.startswith("element budget")
+    assert all(map(is_kernel, f._steps))

@@ -29,8 +29,9 @@ def _minimal_left_walk(system, J, max_len):
     def minimal(key, payload):
         return not any(is_right_descent_data(system, key, j) for j in J)
 
-    for k, key, word in _bfs(system, max_len, 10**6, start=(), step=_prepend, keep=minimal):
-        yield k, key, word
+    step = [_prepend] * system.rank
+    for k, keys, words in _bfs(system, max_len, 10**6, start=(), step=step, keep=minimal):
+        yield from ((k, key, word) for key, word in zip(keys, words))
 
 
 STREAMS = {

@@ -79,11 +79,14 @@ class TestRunJob:
             VerificationCase.make("Bott-affA", -1, n=2),
             VerificationCase.make("affC-affC2n", -1, n=2, route="product"),
             VerificationCase.make("affC-affC2n", -1, n=2, route="substitution"),
+            VerificationCase.make("Bn-Dn+1", "5", n=3),
+            VerificationCase.make("Poincare-Bn", "5", n=3),
         ],
         ids=[
             "folding-without-n", "coset-part-4", "coset-part-0",
             "histogram-without-n", "affine-folding-without-L", "reiner-without-L",
             "histogram-negative-L", "product-negative-L", "substitution-negative-L",
+            "folding-str-L", "histogram-str-L",
         ],
     )
     def test_bad_parameters_become_entries(self, case):
