@@ -1,7 +1,8 @@
 """Straight-line walk kernels, generated from a weight system's Cartan integers.
 
-A weight ``CoxeterSystem`` swaps these into its walk tables once its
-walks have stored enough nodes (``coxeter._COMPILE_AFTER``).  Each
+A walk of a weight ``CoxeterSystem`` swaps these into the system's walk
+tables once it has stored enough nodes (``coxeter._COMPILE_AFTER``),
+and the block steps of their target into its step tables.  Each
 kernel is Python source that holds nothing but variable names and the
 integers of the system's ``_row`` and ``_below`` tables; it unpacks the
 weight vector x0, ..., x{r-1} once and returns one display.  Results stay
@@ -73,7 +74,7 @@ def kernels(system) -> Tuple[tuple, tuple]:
 
 
 def word_kernel(system, letters: Tuple[int, ...]) -> Callable:
-    """The straight-line form of a ``_word_table`` entry: ``_left_word`` for one word.
+    """The straight-line form of a ``_step_table`` entry: ``_left_word`` for one word.
 
     It takes ((x0, ..., x{r-1}), length) and an ignored letter, unpacks
     once, applies the letters in order with each one's sign test inline

@@ -70,18 +70,18 @@ The breadth-first walk calls ``_apply_left`` and ``_child`` through
 per-generator tables, ``_apply_table`` and ``_child_table``, read once
 per bucket, and hands out each bucket as two lists.  A walk that carries
 a payload reads its step from a per-letter table too; the folding step
-is a ``_word_table`` of the target, whose entry r applies the letters of
-one word on the left of a payload (data, length), like ``_left_word``.
-Once the walks of a weight system have stored ``_COMPILE_AFTER`` nodes
-per generator, counted per letter of a layer and never per call, the
-system swaps the straight-line kernels of ``coxfold._kernels`` into all
-of its tables: for each generator, one for s_i and one for the child
-test, and for each word of a word table, one block step with each
-letter's sign test inline, each compiled once per Coxeter matrix (and
-word) and shared by every system built on it.  Short walks, such as those
-of the default verify grid and of a Hasse diagram, never compile; the
-dihedral backend never does, and every other operation calls the
-primitives.
+is a ``_step_table`` of the source, whose entry r applies one word's
+letters to a target payload (data, length), like ``_left_word``.  Once
+a walk of a weight system has stored ``_COMPILE_AFTER`` nodes per
+generator, its own count, checked per letter of a layer, never per call,
+it swaps the straight-line kernels of ``coxfold._kernels`` into the
+system's tables, once per system: for each generator, one for s_i and
+one for the child test, and for each word of a step table with a weight
+target, one block step with each letter's sign test inline, each
+compiled once per Coxeter matrix (and word) and shared by every system
+built on it.  Short walks, such as those of the default verify grid and
+of a Hasse diagram, never compile; the dihedral backend never does, and
+every other operation calls the primitives.
 
 Bond order 0 in a Coxeter matrix encodes an infinite bond.
 """
@@ -130,13 +130,13 @@ _RANK3_BONDS = {2, 3, 4, 6, INFINITE}
 # bond order -> Cartan integers (a_ij, a_ji) for i < j
 _CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1), INFINITE: (-2, -2)}
 
-# A weight system swaps in its compiled kernels once its walks have stored
-# this many nodes per generator.  One compile takes 0.1-0.2 ms per
-# generator (0.2-0.4 ms at rank 3, 1 ms at rank 7, 2-3 ms at rank 13 on a
-# 2-vCPU host), and a compiled call saves 0.2-0.4 us against the primitive,
-# so the compile pays for itself after about 500 calls per generator.  A
-# stored node took at least one call: its walk's, and in a folding walk
-# one block step more, whose kernel saves a primitive call per letter.
+# A walk of a weight system, reading this as it starts, swaps in compiled
+# kernels once it has stored this many nodes per generator.  One compile
+# takes 0.1-0.2 ms per generator (0.2-0.4 ms at rank 3, 1 ms at rank 7,
+# 2-3 ms at rank 13 on a 2-vCPU host), and a compiled call saves 0.2-0.4 us
+# against the primitive, so it pays for itself after about 500 calls per
+# generator.  A stored node took at least one call: its walk's, and in a
+# folding walk one block step more, whose kernel saves one call per letter.
 _COMPILE_AFTER = 500
 
 
@@ -219,14 +219,10 @@ class CoxeterSystem:
             )
             self._identity = Element((1,) * self.rank, 0)
         # the walk tables: entry i is called as (data, i) like the primitive
-        # it starts as, and a weight system swaps in its compiled kernels
-        # in place once _credit has counted enough nodes
+        # it starts as, until a long walk swaps in the compiled kernels
         self._apply_table = [self._apply_left] * self.rank
         self._child_table = [self._child] * self.rank
-        self._word_tables: dict = {}  # words -> the table _word_table made for them
-        self._until_compiled = (
-            _COMPILE_AFTER * self.rank if self.backend == "weight" else float("inf")
-        )
+        self._step_tables: list = []  # (target, words, table) of each _step_table
         self._check_relations()
 
     # -- construction helpers -------------------------------------------
@@ -315,37 +311,30 @@ class CoxeterSystem:
                 return None
         return self._apply_left(data, i)
 
-    def _credit(self, count: int):
-        """Count nodes stored by a walk that used the tables; swap them once due."""
-        self._until_compiled -= count
-        if self._until_compiled <= 0:
-            self._until_compiled = float("inf")
-            self._swap_in_kernels()
-
     def _swap_in_kernels(self):
         """Put the compiled kernels, made once per matrix and word, in every walk table."""
         # imported here, so that a process whose walks stay short never loads it
         from ._kernels import kernels, word_kernel
 
         self._apply_table[:], self._child_table[:] = kernels(self)
-        for words, table in self._word_tables.items():
-            table[:] = [word_kernel(self, letters) for letters in words]
+        for target, words, table in self._step_tables:
+            if target.backend == "weight":
+                table[:] = [word_kernel(target, letters) for letters in words]
 
-    def _word_table(self, words: Tuple[Word, ...]) -> list:
-        """A walk table whose entry r applies ``words[r]`` like ``_left_word``.
+    def _step_table(self, target: CoxeterSystem, words: Tuple[Word, ...]) -> list:
+        """A step table for walks of this system, applying ``words[r]`` in ``target``.
 
-        Entry r is called as (payload, r) on a payload (data, length) and
-        returns the pair for the letters of ``words[r]`` applied on the
-        left, in order.  There is one table per tuple of words, shared by
-        every caller; the credit that swaps in the system's kernels swaps
-        in its compiled ``_kernels.word_kernel``s too, and a table made
-        after that starts with them.
+        Entry r is called as (payload, r) on a (data, length) of ``target``
+        and returns ``target._left_word(words[r], payload)``.  The swap of
+        this system's kernels puts the ``_kernels.word_kernel``s of a
+        weight ``target`` in the table too; a table made after it starts
+        with them.
         """
-        if words not in self._word_tables:
-            self._word_tables[words] = [partial(self._left_word, letters) for letters in words]
-            if self._apply_table[0] != self._apply_left:  # the kernels are in
-                self._swap_in_kernels()
-        return self._word_tables[words]
+        table = [partial(target._left_word, letters) for letters in words]
+        self._step_tables.append((target, words, table))
+        if self._apply_table[0] != self._apply_left:  # the kernels are in
+            self._swap_in_kernels()
+        return table
 
     def _dihedral_length(self, data) -> int:
         refl, k = data
@@ -395,7 +384,7 @@ class CoxeterSystem:
 
         ``payload`` is the raw (data, length) of w.  The length moves down
         at a letter that is a left descent, else up.  With the letters
-        bound, it is the primitive form of a ``_word_table`` entry, which
+        bound, it is the primitive form of a ``_step_table`` entry, which
         the walk calls with a letter of its own as the third argument.
         """
         data, length = payload
@@ -567,7 +556,6 @@ def _bfs(
     start=None,
     step: Optional[Sequence[Callable]] = None,
     keep=None,
-    stepped: Optional[CoxeterSystem] = None,
 ) -> Iterator[Tuple[int, list, list]]:
     """Walk the ShortLex tree breadth-first; every enumeration runs on this.
 
@@ -602,15 +590,15 @@ def _bfs(
 
     Nodes are made through the system's walk tables, ``_apply_table[i]``
     and ``_child_table[i]``, read once per bucket, and ``step[i]`` is read
-    once per letter.  After each letter of a layer the nodes it stored
-    are credited to the system, and to ``stepped``, the system that owns
-    ``step``'s table, if any; a credit can swap in the compiled kernels
-    for the next letter.
+    once per letter.  After each letter of a layer, a walk of a weight
+    system that has stored ``_COMPILE_AFTER`` nodes per generator beyond
+    the root swaps the compiled kernels into those tables and the
+    system's ``_step_table``s, unless a walk did so before.
     """
     if max_len is not None:
         _check_cutoff(max_len, "length cutoff")
     applies, tests, above = system._apply_table, system._child_table, system._above
-    credited = (system,) if stepped is None else (system, stepped)
+    trip = _COMPILE_AFTER * system.rank if system.backend == "weight" else float("inf")
     stored, k = 1, 0
     if stored > budget:
         raise ResourceLimit(budget, k, stored)
@@ -650,8 +638,10 @@ def _bfs(
                     made.append(child)
                     values.append(value)
             children.append((made, values))
-            for counted in credited:
-                counted._credit(len(made))
+            if stored > trip:
+                trip = float("inf")
+                if applies[0] == system._apply_left:  # no walk has swapped yet
+                    system._swap_in_kernels()
         layer = children + [([], [])]
 
 

@@ -15,7 +15,6 @@ from .coxeter import (
     CoxeterSystem,
     bruhat_leq,
     enumerate_with_words,
-    shortlex_normal_form,
     word_string,
 )
 from .errors import InvalidParameters
@@ -68,7 +67,7 @@ def bruhat_dot(
             )
         # the target matrix is the group's, so both spell elements alike
         records = _source_records(folding, ambient_cutoff=max_len, budget=budget)
-        red = {shortlex_normal_form(system, tgt) for _, _, tgt in records}
+        red = {system._reduced_word(data) for _, _, (data, _) in records}
 
     covers = covering_relations(system, max_len, budget=budget)
     nodes = sorted({()} | {ww for _, ww in covers}, key=lambda word: (len(word), word))

@@ -257,7 +257,7 @@ class Folding:
                     f"of its block parabolic"
                 )
         # the walk step: entry r applies unfold(r) on the left, last letter first
-        self._steps = target._word_table(tuple(word[::-1] for word in self.unfold_letters))
+        self._steps = source._step_table(target, tuple(word[::-1] for word in self.unfold_letters))
 
     def __repr__(self):
         tag = self.family.name if self.family else "manual"
@@ -300,14 +300,14 @@ def _unfolding(f: Folding, ambient_cutoff: Optional[int], keep: Optional[Callabl
     so step r applies the letters of unfold(r) on the left in reverse
     order, and moves the length by -1 or +1 as each letter is a left
     descent or not.  The step table is the folding's ``_steps``, a
-    ``_word_table`` of the target: a Python loop over the target's
-    primitives until the target's credit swaps in one compiled kernel
-    per source letter, so the walk passes ``stepped=f.target`` to credit
-    it with the nodes it stores.  A dihedral target never compiles.  The
-    filter rejects nodes beyond the ambient cutoff, then those failing
-    the source filter ``keep(source key, payload)``, whose set must be
-    closed under taking parents; with neither, it is None, so the walk
-    calls no filter.
+    ``_step_table`` of the source: a Python loop over the target's
+    primitives until a long walk of the source swaps in one compiled
+    block step per source letter, with the source's kernels; the
+    target's tables are never read.  A dihedral source or target keeps
+    the loop.  The filter rejects nodes beyond the ambient cutoff, then
+    those failing the source filter ``keep(source key, payload)``, whose
+    set must be closed under taking parents; with neither, it is None,
+    so the walk calls no filter.
     """
     if ambient_cutoff is not None:
         _check_cutoff(ambient_cutoff, "ambient cutoff")
@@ -332,7 +332,7 @@ def _series(
     to no caller code, unless the caller had paused it already.
     """
     start, steps, wanted = _unfolding(f, ambient_cutoff, keep)
-    walk = _bfs(f.source, None, budget, start=start, step=steps, keep=wanted, stepped=f.target)
+    walk = _bfs(f.source, None, budget, start=start, step=steps, keep=wanted)
     lengths = chain.from_iterable(map(_LENGTH, payloads) for _, _, payloads in walk)
     pausing = gc.isenabled()
     if pausing:
@@ -349,13 +349,12 @@ def _source_records(
     *,
     ambient_cutoff: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
-) -> Iterator[Tuple[Element, Word, Element]]:
+) -> Iterator[Tuple[tuple, Word, Tuple[tuple, int]]]:
     """BFS over the source, unfolding as it goes.
 
-    Yields (source element, its ShortLex word, unfolded ambient element),
+    Yields raw (source data, its ShortLex word, unfolded (data, length)),
     in ShortLex order of the source words within each length layer.  The
-    payload is the pair (data, length) of ``_unfolding`` and the source
-    word; the elements are built only as a record is yielded.
+    payload is the pair of ``_unfolding`` and the source word.
     """
     start, steps, wanted = _unfolding(f, ambient_cutoff, None)
 
@@ -366,11 +365,10 @@ def _source_records(
     walk = _bfs(
         f.source, None, budget, start=(start, ()), step=[step] * f.source.rank,
         keep=None if wanted is None else lambda key, payload: wanted(key, payload[0]),
-        stepped=f.target,
     )
-    for k, keys, payloads in walk:
-        for key, ((data, length), word) in zip(keys, payloads):
-            yield Element(key, k), word, Element(data, length)
+    for _, keys, payloads in walk:
+        for key, (ambient, word) in zip(keys, payloads):
+            yield key, word, ambient
 
 
 def unfolding_series_bruteforce(
@@ -392,9 +390,7 @@ def unfolding_series_bruteforce(
 
 def unfolded_image(f: Folding, *, budget: int = DEFAULT_BUDGET) -> dict:
     """Map ambient canonical key -> source word over the whole finite source."""
-    return {
-        tgt.data: word for _, word, tgt in _source_records(f, budget=budget)
-    }
+    return {data: word for _, word, (data, _) in _source_records(f, budget=budget)}
 
 
 class AdmissibilityReport(Record):
@@ -434,10 +430,7 @@ def check_admissible(
     blocks = [(r, block) for r, block in enumerate(f.blocks) if len(block) > 1]
     violations = []
     checked = 0
-    walk = _bfs(
-        f.source, max_source_len, budget, start=(), step=[_prepend] * f.source.rank,
-        stepped=target,
-    )
+    walk = _bfs(f.source, max_source_len, budget, start=(), step=[_prepend] * f.source.rank)
     for _, _, words in walk:
         for word in words:
             checked += 1
@@ -566,14 +559,15 @@ def folding_factorization_check(
     # ShortLex word in J_hat, the coset minima no left descent in J_hat
     full, par, cos = [], [], []
     par_ok = min_ok = True
-    for src, word, tgt in _source_records(f, ambient_cutoff=max_ambient_len, budget=budget):
-        full.append(tgt.length)
+    records = _source_records(f, ambient_cutoff=max_ambient_len, budget=budget)
+    for key, word, (data, length) in records:
+        full.append(length)
         if J_hat.issuperset(word):
-            par.append(tgt.length)
-            par_ok = par_ok and set(shortlex_normal_form(f.target, tgt)) <= J
-        if not any(f.source._is_left_descent_data(src.data, r) for r in J_hat):
-            cos.append(tgt.length)
-            min_ok = min_ok and not any(f.target._is_left_descent_data(tgt.data, s) for s in J)
+            par.append(length)
+            par_ok = par_ok and set(f.target._reduced_word(data)) <= J
+        if not any(f.source._is_left_descent_data(key, r) for r in J_hat):
+            cos.append(length)
+            min_ok = min_ok and not any(f.target._is_left_descent_data(data, s) for s in J)
     full, par_series, cos_series = (
         QSeries.from_lengths(lengths, max_ambient_len) for lengths in (full, par, cos)
     )

@@ -16,7 +16,8 @@ grid is every row but ``Thm1.5-literal``, which runs only when named,
 and ``default_cases`` rejects a family with no row.  The runners check
 no parameter: each evaluates its closed-form side first, whose library
 function checks the case's parameters before any walk, so a bad one
-becomes an ``error:...`` entry at once.
+becomes an ``error:...`` entry at once.  A walk takes the case's L as
+its cutoff, and ``Cor1.4`` truncates both sides at it once checked.
 
 Reports serialize to canonical JSON (sorted keys, sorted cases, no
 whitespace) so that reruns produce byte-identical files.  Wall-clock
@@ -48,7 +49,7 @@ from .closed_forms import (
     reiner_distribution,
     unfolding_closed_form,
 )
-from .coxeter import DEFAULT_BUDGET, build_system, enumerate_up_to
+from .coxeter import DEFAULT_BUDGET, _check_cutoff, build_system, enumerate_up_to
 from .errors import CorruptCache, CoxfoldError, InvalidParameters, ResourceLimit
 from .folding import (
     FamilyId,
@@ -240,6 +241,9 @@ def _histogram(label, formula):
 
 def _run_corollary(case, budget, cache_dir, memo):
     lhs, rhs = corollary_identity(case.param("n"), case.param("variant"))
+    if case.max_len is not None:
+        _check_cutoff(case.max_len, "length cutoff")
+        lhs, rhs = lhs.truncate(case.max_len), rhs.truncate(case.max_len)
     return lhs, rhs, 0
 
 
@@ -254,7 +258,7 @@ def _run_coset(case, budget, cache_dir, memo):
     part, n = case.param("part"), case.param("n")
     rhs = coset_factor(part, n)
     f = standard_folding(FamilyId({1: "Bn-A2n-1", 2: "Bn-A2n", 3: "Bn-Dn+1"}[part], n))
-    lhs = coset_series_bruteforce(f, range(1, f.source.rank), None, budget=budget)
+    lhs = coset_series_bruteforce(f, range(1, f.source.rank), case.max_len, budget=budget)
     return lhs, rhs, lhs.eval_at_one()
 
 

@@ -181,12 +181,12 @@ def test_criterion_09a_length_additivity_and_descent_transfer():
         for fam in REGISTERED:
             f = standard_folding(fam)
             letter_lengths = [el.length for el in f.unfold_elements]
-            for src, word, tgt in _source_records(f, ambient_cutoff=10):
-                assert tgt.length == sum(letter_lengths[r] for r in word), fam
+            for key, word, (data, length) in _source_records(f, ambient_cutoff=10):
+                assert length == sum(letter_lengths[r] for r in word), fam
                 for r, block in enumerate(f.blocks):
-                    down = is_right_descent_data(f.source, src.data, r)
+                    down = is_right_descent_data(f.source, key, r)
                     for s in block:
-                        assert is_right_descent_data(f.target, tgt.data, s) == down, fam
+                        assert is_right_descent_data(f.target, data, s) == down, fam
 
 
 def test_criterion_09b_parabolic_factorization_of_series():

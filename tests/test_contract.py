@@ -63,26 +63,26 @@ def test_verify_and_hasse_dot_compile_no_kernel(tmp_path, monkeypatch):
     # their walks store too few nodes per generator for a compile to pay:
     # no system kernel and no folding's block kernel is compiled, though
     # the folding walks read their steps from block-step tables
-    kernels, compiles, word_tables = {}, [], []
+    kernels, compiles, step_tables = {}, [], []
     monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
     monkeypatch.setattr(
         coxfold._kernels, "compile", lambda *args: compiles.append(args) or compile(*args),
         raising=False,
     )
-    word_table = coxfold.coxeter.CoxeterSystem._word_table
+    step_table = coxfold.coxeter.CoxeterSystem._step_table
 
-    def recording(system, words):
-        table = word_table(system, words)
-        word_tables.append(table)
+    def recording(system, target, words):
+        table = step_table(system, target, words)
+        step_tables.append(table)
         return table
 
-    monkeypatch.setattr(coxfold.coxeter.CoxeterSystem, "_word_table", recording)
+    monkeypatch.setattr(coxfold.coxeter.CoxeterSystem, "_step_table", recording)
     sha256_of_run(tmp_path, ["verify"])
     for _, argv in HASSE_DOT:
         sha256_of_run(tmp_path, ["bruhat-dot"] + argv)
     assert kernels == {} and compiles == []
-    assert word_tables
-    for table in word_tables:
+    assert step_tables
+    for table in step_tables:
         assert all(isinstance(step, functools.partial) for step in table)
 
 

@@ -569,14 +569,19 @@ def test_one_compile_per_matrix(monkeypatch):
 
 
 def test_short_and_dihedral_walks_compile_nothing(monkeypatch):
-    # three walks of D4 store 573 nodes beyond the root, under 500 per
-    # generator; the dihedral backend keeps its primitives however far it walks
+    # a whole walk of D4 or D5 stores 191 or 1,919 nodes beyond the root,
+    # under 500 per generator, and counts only its own: three walks in
+    # turn, or two side by side, store more together and compile nothing;
+    # the dihedral backend keeps its primitives however far it walks
     kernels = {}
     monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
-    for label, max_len, count in [("D4", None, 192), ("affine-A1", 3000, 6001), ("I2(8)", None, 16)]:
+    cases = [("D4", None, 192), ("D5", None, 1920), ("affine-A1", 3000, 6001), ("I2(8)", None, 16)]
+    for label, max_len, count in cases:
         W = build_system(label)
         for _ in range(3):
             assert sum(1 for _ in enumerate_up_to(W, max_len)) == count
+        pairs = zip(enumerate_up_to(W, max_len), enumerate_up_to(W, max_len))
+        assert sum(1 for _ in pairs) == count
         assert W._apply_table == [W._apply_left] * W.rank
     assert kernels == {}
 

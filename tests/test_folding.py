@@ -7,6 +7,7 @@ import coxfold.coxeter
 import coxfold.folding
 from coxfold.closed_forms import unfolding_closed_form
 from coxfold.coxeter import (
+    Element,
     build_system,
     element_from_word,
     enumerate_parabolic,
@@ -318,12 +319,13 @@ class TestBruteforceSeries:
 
 def test_unfolding_step_swaps_in_the_target_kernels():
     # B5 -> D6 stores 3,839 nodes beyond the root, past 500 per generator
-    # of D6: the walk reads each source letter's step from the folding's
-    # table, which the target's credit swaps to the compiled block
-    # kernels part way through, with the target's own tables
+    # of B5: the walk reads each source letter's step from the folding's
+    # table, which the source's swap fills with the target's compiled
+    # block kernels part way through, with the source's own tables.  No
+    # step reads the target's tables, and they keep their primitives
     fam = FamilyId("Bn-Dn+1", 5)
     f = standard_folding(fam)
-    target, kinds = f.target, set()
+    source, target, kinds = f.source, f.target, set()
 
     class RecordingTable(list):
         def __getitem__(self, r):
@@ -331,38 +333,49 @@ def test_unfolding_step_swaps_in_the_target_kernels():
             kinds.add(is_kernel(step))
             return step
 
-    (words,) = target._word_tables
-    f._steps = target._word_tables[words] = RecordingTable(f._steps)
+    ((_, words, _),) = source._step_tables
+    f._steps = RecordingTable(f._steps)
+    source._step_tables[0] = (target, words, f._steps)
     assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(fam)
     assert kinds == {True, False}
-    assert all(map(is_kernel, f._steps + target._apply_table + target._child_table))
+    assert all(map(is_kernel, f._steps + source._apply_table + source._child_table))
+    assert not any(map(is_kernel, target._apply_table + target._child_table))
 
 
 def test_check_admissible_swaps_in_the_block_kernels(monkeypatch):
-    # the whole of B5 to source length 25: the walk credits the target,
-    # which compiles, and the report is the one the primitives give
+    # the whole of B5 to source length 25: the walk of the source
+    # compiles, and the report is the one the primitives give
     fam = FamilyId("Bn-Dn+1", 5)
-    monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 10**9)
     plain = standard_folding(fam)
+    monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 10**9)
+    want = repr(check_admissible(plain, 25))
     monkeypatch.undo()
+    assert not any(map(is_kernel, plain._steps + plain.source._apply_table))
     f = standard_folding(fam)
     report = check_admissible(f, 25)
     assert report.passed and report.elements_checked == 3840
-    assert all(map(is_kernel, f._steps)) and not any(map(is_kernel, plain._steps))
-    assert repr(report) == repr(check_admissible(plain, 25))
-
-
-def test_a_walk_made_after_the_swap_starts_compiled():
-    # a folding built on a target whose walks compiled already gets its
-    # block kernels at once; a dihedral target keeps the primitives
-    target = build_system("D6")
-    assert sum(1 for _ in enumerate_up_to(target, None)) == 23040
-    f = Folding(build_system("B5"), target, [(i,) for i in range(4)] + [(4, 5)])
     assert all(map(is_kernel, f._steps))
+    assert repr(report) == want
+
+
+def test_a_walk_made_after_the_swap_starts_compiled(monkeypatch):
+    # a folding built on a source whose walks compiled already gets its
+    # block kernels at once; a dihedral target keeps the primitives, so
+    # does a dihedral source however far it walks
+    source = build_system("B5")
+    assert sum(1 for _ in enumerate_up_to(source, None)) == 3840
+    f = Folding(source, build_system("D6"), [(i,) for i in range(4)] + [(4, 5)])
+    assert all(map(is_kernel, f._steps))
+    assert not any(map(is_kernel, f.target._apply_table))
     f = standard_folding(FamilyId("I2-An", 2))
     assert f.target.backend == "dihedral"
     assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(FamilyId("I2-An", 2))
     assert not any(map(is_kernel, f._steps))
+    # a weight A1 source swaps at its first letter, but its I2(3) target has no kernels
+    f = Folding(build_system("A1"), build_system("I2(3)"), [(0, 1, 0)])
+    monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 0)
+    assert unfolding_series_bruteforce(f, None) == QSeries([1, 0, 0, 1])
+    assert is_kernel(f.source._apply_table[0]) and not any(map(is_kernel, f._steps))
 
 
 @pytest.mark.parametrize("paused", [False, True])
@@ -516,9 +529,13 @@ class TestTransferProperties:
 
 
 def _records(f, ambient_cutoff):
+    """The raw records of ``_source_records``, with each side made an ``Element``."""
     from coxfold.folding import _source_records
 
-    return list(_source_records(f, ambient_cutoff=ambient_cutoff))
+    return [
+        (Element(key, len(word)), word, Element(*ambient))
+        for key, word, ambient in _source_records(f, ambient_cutoff=ambient_cutoff)
+    ]
 
 
 class TestReinerStats:

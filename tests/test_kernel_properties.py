@@ -338,31 +338,33 @@ def test_compiled_kernels_agree_with_the_primitives(label, data):
 def test_walk_that_swaps_in_the_kernels_agrees_with_the_reference(label, payload, after, data):
     # a few nodes per generator swap the tables, most often part way
     # through a layer; yields, filter calls and budget message still match
+    W = walk_system(label)
     with mock.patch.object(coxeter, "_COMPILE_AFTER", after):
-        W = walk_system(label)
-    assert_walk_agrees_with_the_reference(W, label, payload, data)
+        assert_walk_agrees_with_the_reference(W, label, payload, data)
 
 
 def test_walk_that_swaps_mid_layer_agrees_with_the_reference():
     # 15 nodes: the walk swaps after letter s1 of layer 4, before s2
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", 5):
-        W = build_system("affine-C2")
+    W = build_system("affine-C2")
     swapped = []
-    credit = W._credit
 
-    def spy(count):
-        credit(count)
-        swapped.append(W._apply_table[0] != W._apply_left)
+    class RecordingTable(list):
+        # the walk reads step[i] once as letter i of a layer starts
+        def __getitem__(self, i):
+            swapped.append(W._apply_table[0] != W._apply_left)
+            return list.__getitem__(self, i)
 
-    W._credit = spy
     keep = _coset_minimal(W, [1])
+    recorded = dict(start=(), step=RecordingTable([_prepend] * W.rank))
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", 5):
+        got = walk_record(lambda k: nodes(W, _bfs(W, 6, 10**4, keep=k, **recorded)), keep)
     kwargs = dict(start=(), step=[_prepend] * W.rank)
-    got = walk_record(lambda k: nodes(W, _bfs(W, 6, 10**4, keep=k, **kwargs)), keep)
     want = walk_record(lambda k: bfs_all_generators(W, 6, 10**4, keep=k, **kwargs), keep)
     assert got == want
-    # one credit per letter of a layer: the swap came before the last letter
+    # the first letter to read the kernels is not the first of its layer,
+    # and the walk goes on for more than a layer with them
     first = swapped.index(True)
-    assert first % W.rank != W.rank - 1 and first < len(swapped) - W.rank
+    assert first % W.rank != 0 and first < len(swapped) - W.rank
 
 
 SMALL_LABELS = [f"I2({m})" for m in range(3, 13)] + [
@@ -452,9 +454,8 @@ FOLDINGS = [
 
 
 @lru_cache(maxsize=None)
-def folding(case, after=coxeter._COMPILE_AFTER):
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", after):
-        return standard_folding(FamilyId(*case))
+def folding(case):
+    return standard_folding(FamilyId(*case))
 
 
 @settings(max_examples=200, deadline=None)
@@ -472,22 +473,33 @@ def test_block_kernels_agree_with_the_python_step(case, data):
         assert word_kernel(target, word)(payload, r) == target._left_word(word, payload)
 
 
-def folding_walk(f, cutoff, J_hat, budget):
-    """The series of a folding walk, or its ResourceLimit message."""
-    try:
-        if J_hat is None:
-            return unfolding_series_bruteforce(f, cutoff, budget=budget)
-        return coset_series_bruteforce(f, J_hat, cutoff, budget=budget)
-    except ResourceLimit as exc:
-        return str(exc)
+def folding_walk(f, cutoff, J_hat, budget, after=coxeter._COMPILE_AFTER):
+    """The series of a folding walk, or its ResourceLimit message, under ``after``."""
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", after):
+        try:
+            if J_hat is None:
+                return unfolding_series_bruteforce(f, cutoff, budget=budget)
+            return coset_series_bruteforce(f, J_hat, cutoff, budget=budget)
+        except ResourceLimit as exc:
+            return str(exc)
+
+
+def plain_walk(case, cutoff, J_hat, budget):
+    """``folding_walk`` of a fresh folding whose walk, checked after, never compiled."""
+    plain = standard_folding(FamilyId(*case))
+    result = folding_walk(plain, cutoff, J_hat, budget, 10**9)
+    source = plain.source
+    assert not any(map(is_kernel, plain._steps + source._apply_table + source._child_table))
+    return result
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(FOLDINGS), st.integers(1, 12), st.data())
 def test_folding_walk_that_swaps_in_the_block_kernels_agrees(case, after, data):
-    # a few nodes per target generator swap the folding's step table,
-    # most often part way through a layer; the series and the budget
-    # message are those of a walk that never compiles
+    # a few nodes per source generator swap the folding's step table, if
+    # the source has the weight backend, most often part way through a
+    # layer; the series and the budget message are those of a walk that
+    # never compiles
     cutoffs = st.integers(0, 10)
     if not case[0].startswith("aff"):
         cutoffs |= st.none()
@@ -495,34 +507,32 @@ def test_folding_walk_that_swaps_in_the_block_kernels_agrees(case, after, data):
     rank = folding(case).source.rank
     J_hat = data.draw(st.none() | st.sets(st.integers(0, rank - 1)), label="J_hat")
     budget = data.draw(st.one_of(st.integers(1, 80), st.just(10**5)), label="budget")
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", after):
-        f = standard_folding(FamilyId(*case))
-    plain = folding(case, 10**9)
-    assert folding_walk(f, cutoff, J_hat, budget) == folding_walk(plain, cutoff, J_hat, budget)
-    assert not any(map(is_kernel, plain._steps))
+    f = standard_folding(FamilyId(*case))
+    assert folding_walk(f, cutoff, J_hat, budget, after) == plain_walk(case, cutoff, J_hat, budget)
 
 
 def test_folding_walk_that_swaps_mid_layer_agrees():
-    # B4 -> D5 with 5 nodes per target generator: the step table swaps
+    # B4 -> D5 with 5 nodes per source generator: the step table swaps
     # after a letter of a layer other than the last, and the walk goes on
     # with the kernels to the series and the budget message of the primitives
     case = ("Bn-Dn+1", 4, None)
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", 5):
-        f = standard_folding(FamilyId(*case))
+    f = standard_folding(FamilyId(*case))
     swapped = []
-    credit = f.target._credit
 
-    def spy(count):
-        credit(count)
-        swapped.append(is_kernel(f._steps[0]))
+    class RecordingTable(list):
+        # the walk reads step[r] once as letter r of a layer starts
+        def __getitem__(self, r):
+            swapped.append(is_kernel(list.__getitem__(self, 0)))
+            return list.__getitem__(self, r)
 
-    f.target._credit = spy
-    plain = folding(case, 10**9)
-    assert folding_walk(f, None, None, 10**5) == folding_walk(plain, None, None, 10**5)
+    ((target, words, _),) = f.source._step_tables
+    f._steps = RecordingTable(f._steps)
+    f.source._step_tables[0] = (target, words, f._steps)
+    want = plain_walk(case, None, None, 10**5)
+    assert folding_walk(f, None, None, 10**5, 5) == want
     first = swapped.index(True)
-    assert first % f.source.rank != f.source.rank - 1 and first < len(swapped) - f.source.rank
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", 5):
-        f = standard_folding(FamilyId(*case))
-    message = folding_walk(f, None, None, 150)
-    assert message == folding_walk(plain, None, None, 150) and message.startswith("element budget")
+    assert first % f.source.rank != 0 and first < len(swapped) - f.source.rank
+    f = standard_folding(FamilyId(*case))
+    message = folding_walk(f, None, None, 150, 5)
+    assert message == plain_walk(case, None, None, 150) and message.startswith("element budget")
     assert all(map(is_kernel, f._steps))

@@ -49,7 +49,7 @@ STREAMS = {
     ),
     "minimal_coset_reps_words": lambda s, L, f: _minimal_left_walk(s, [1], L),
     "_source_records": lambda s, L, f: (
-        (el.length, el.data, w) for el, w, _ in _source_records(f, ambient_cutoff=L)
+        (len(w), key, w) for key, w, _ in _source_records(f, ambient_cutoff=L)
     ),
 }
 

@@ -81,12 +81,16 @@ class TestRunJob:
             VerificationCase.make("affC-affC2n", -1, n=2, route="substitution"),
             VerificationCase.make("Bn-Dn+1", "5", n=3),
             VerificationCase.make("Poincare-Bn", "5", n=3),
+            VerificationCase.make("CosetFactor-Lemma3.1", "5", part=1, n=2),
+            VerificationCase.make("Cor1.4", "5", n=3, variant="A2n-1"),
+            VerificationCase.make("Cor1.4", -1, n=3, variant="A2n-1"),
         ],
         ids=[
             "folding-without-n", "coset-part-4", "coset-part-0",
             "histogram-without-n", "affine-folding-without-L", "reiner-without-L",
             "histogram-negative-L", "product-negative-L", "substitution-negative-L",
-            "folding-str-L", "histogram-str-L",
+            "folding-str-L", "histogram-str-L", "coset-str-L", "corollary-str-L",
+            "corollary-negative-L",
         ],
     )
     def test_bad_parameters_become_entries(self, case):
@@ -94,6 +98,23 @@ class TestRunJob:
         # side first, so the library rejects them before any walk
         report = run_job(VerificationJob([case]))
         assert report.cases[0]["status"] == "error:InvalidParameters"
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            VerificationCase.make("CosetFactor-Lemma3.1", 1, part=1, n=2),
+            VerificationCase.make("Cor1.4", 1, n=3, variant="A2n-1"),
+        ],
+        ids=["coset", "corollary"],
+    )
+    def test_every_runner_applies_its_L(self, case):
+        # the coset walk stops at ambient length 1, and the corollary's
+        # identity is compared up to q^1
+        (entry,) = run_job(VerificationJob([case])).cases
+        assert entry["status"] == "pass" and entry["lhs"]["order"] == 1
+        assert entry["lhs"]["coeffs"] == entry["rhs"]["coeffs"][:2]
+        exact = run_job(VerificationJob([VerificationCase(case.family, case.params, None)]))
+        assert exact.cases[0]["lhs"]["order"] == "exact"
 
     def test_resource_limit_becomes_status(self):
         job = VerificationJob(default_cases(["Poincare-An"]), budget=1)
