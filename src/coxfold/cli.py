@@ -26,16 +26,21 @@ their arguments through unchanged.  What stays here are the checks of
 the options themselves (``--workers``, ``--budget``, a negative
 ``--max-len``, ``--out``) and the refusal of an affine ``series`` or
 ``bruhat-dot`` without ``--max-len``, whose walk would run to the budget.
+
+Importing this module loads only what ``bruhat-dot`` runs: ``coxeter``,
+``folding`` and ``dot``.  The names the other subcommands read from
+``closed_forms``, ``qseries`` and ``verifier`` are listed in ``_LAZY``,
+and a command binds the ones it reads, with ``_load``, when it runs;
+code outside reads them through the module ``__getattr__``.  Either way
+a name bound already stays, so a wrapper set on this module before
+``main`` runs sees every call.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
-
-from .closed_forms import _reiner, catalog, reiner_distribution, unfolding_closed_form
+# the package's modules compile from source when no bytecode is cached;
+# compiling them before the standard library loads keeps the process's
+# peak memory lower
 from .coxeter import DEFAULT_BUDGET, build_system
 from .dot import bruhat_dot
 from .errors import CoxfoldError, InvalidParameters, ResourceLimit
@@ -47,10 +52,43 @@ from .folding import (
     standard_folding,
     unfolding_series_bruteforce,
 )
-from .qseries import Monomial
-from .verifier import VerificationJob, default_cache_dir, default_cases, run_job
+
+import argparse
+import json
+import sys
+from importlib import import_module
+from pathlib import Path
 
 __all__ = ["main"]
+
+# the names commands read from the modules that a bruhat-dot run never loads
+_LAZY = {
+    **dict.fromkeys(
+        ("_reiner", "catalog", "reiner_distribution", "unfolding_closed_form"), "closed_forms"
+    ),
+    "Monomial": "qseries",
+    **dict.fromkeys(
+        ("VerificationJob", "default_cache_dir", "default_cases", "run_job"), "verifier"
+    ),
+}
+
+
+def __getattr__(name):
+    """Load a name of ``_LAZY`` on first use (PEP 562) and bind it here.
+
+    A command reads these names as globals, which skip this hook, so it
+    calls ``_load`` first; either way a name bound already, such as a
+    wrapper set on this module, stays in place.
+    """
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAZY[name]}", __package__)
+    return globals().setdefault(name, getattr(module, name))
+
+
+def _load(*names):
+    for name in names:
+        __getattr__(name)
 
 
 def _write(text: str, out_path):
@@ -91,6 +129,7 @@ def _write_result(args, header: dict, results: dict, match, csv: str, after=None
 
 
 def cmd_series(args) -> int:
+    _load("unfolding_closed_form")
     family = FamilyId(args.family, args.n, args.m)
     if family.is_affine and args.max_len is None:
         raise InvalidParameters(f"{family.name} is affine: --max-len is required")
@@ -113,6 +152,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _load("VerificationJob", "default_cache_dir", "default_cases", "run_job")
     cases = default_cases(args.family)
     if args.n:
         cases = [c for c in cases if c.param("n") in args.n]
@@ -127,12 +167,9 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-_SUBST_TOKENS = {"1": Monomial(1, 0), "0": Monomial(0, 0)}
-
-
 def _parse_monomial(text: str) -> Monomial:
-    if text in _SUBST_TOKENS:
-        return _SUBST_TOKENS[text]
+    if text in ("0", "1"):
+        return Monomial(int(text), 0)
     sign = 1
     if text.startswith("-"):
         sign, text = -1, text[1:]
@@ -155,6 +192,7 @@ def _parse_substitution(text: str) -> dict:
 
 
 def cmd_reiner(args) -> int:
+    _load("_reiner", "reiner_distribution", "Monomial")
     brute = reiner_stats_bruteforce(args.type, args.n, args.max_len, budget=args.budget)
     formula = reiner_distribution(args.type, args.n, args.max_len)
 
@@ -210,6 +248,7 @@ def cmd_bruhat_dot(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    _load("catalog")
     entries = catalog()
     if args.format == "text":
         lines = [f"{e['tag']}: {e['formula']}  {e['parameters']}" for e in entries]

@@ -543,8 +543,8 @@ def _prepend(word: Word, i: int) -> Word:
 
 
 def _check_cutoff(value, what: str):
-    """Refuse a cutoff (``what`` names it) that is not an int >= 0."""
-    if not isinstance(value, int) or value < 0:
+    """Refuse a cutoff (``what`` names it) that is not an int >= 0; a bool is no cutoff."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise InvalidParameters(f"the {what} must be a non-negative int, got {value!r}")
 
 

@@ -57,7 +57,9 @@ def bruhat_dot(
     """Render the Hasse diagram of the Bruhat order as DOT text.
 
     The group is walked once, by ``covering_relations``: every element but e
-    covers one below it, so the nodes are e and the upper ends of the covers.
+    covers one below it, so the nodes are e and the upper ends of the covers,
+    and the lower end of every cover is a node too.  Each node is spelled
+    once, and the edges are sorted by those labels.
     """
     red = set()
     if folding is not None:
@@ -71,12 +73,13 @@ def bruhat_dot(
 
     covers = covering_relations(system, max_len, budget=budget)
     nodes = sorted({()} | {ww for _, ww in covers}, key=lambda word: (len(word), word))
-    edges = sorted((word_string(system, vw), word_string(system, ww)) for vw, ww in covers)
+    label = {word: word_string(system, word) for word in nodes}
+    edges = sorted((label[vw], label[ww]) for vw, ww in covers)
 
     lines = [f'digraph "bruhat_{system.label}" {{', "  rankdir=BT;"]
     for word in nodes:
         attr = " [color=red]" if word in red else ""
-        lines.append(f'  "{word_string(system, word)}"{attr};')
+        lines.append(f'  "{label[word]}"{attr};')
     for a, b in edges:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")

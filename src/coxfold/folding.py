@@ -38,7 +38,9 @@ The admissibility check has no ambient cutoff and reads only right
 descents, so it walks the source alone, carrying the ShortLex word.
 The end-generator statistics take the arguments of
 ``closed_forms.reiner_distribution``, a kind (affB or affC) and n, and
-build the affine system from them.
+build the affine system from them.  The three builders of a series
+import ``qseries`` when they run, so a process that only unfolds and
+draws, such as ``coxfold bruhat-dot``, never loads it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,16 @@ from __future__ import annotations
 import gc
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .coxeter import (
     DEFAULT_BUDGET,
@@ -66,7 +77,9 @@ from .coxeter import (
 )
 from ._record import FrozenRecord, Record, set_field
 from .errors import IndexOutOfRange, InvalidParameters
-from .qseries import QSeries, StatSeries
+
+if TYPE_CHECKING:
+    from .qseries import QSeries, StatSeries
 
 __all__ = [
     "FAMILY_NAMES",
@@ -331,6 +344,9 @@ def _series(
     re-scan the growing layers, so it is paused for the walk, which yields
     to no caller code, unless the caller had paused it already.
     """
+    # imported here, so that a process that draws no series never loads it
+    from .qseries import QSeries
+
     start, steps, wanted = _unfolding(f, ambient_cutoff, keep)
     walk = _bfs(f.source, None, budget, start=start, step=steps, keep=wanted)
     lengths = chain.from_iterable(map(_LENGTH, payloads) for _, _, payloads in walk)
@@ -479,6 +495,8 @@ def reiner_stats_bruteforce(
     ShortLex word (well-definedness across reduced words is a separately
     tested property).  For affine B the b-exponent is identically 0.
     """
+    from .qseries import StatSeries
+
     if kind not in ("affB", "affC"):
         raise InvalidParameters(f"distribution kind must be affB or affC, got {kind!r}")
     system = build_system(f"affine-{kind[-1]}{n}")
@@ -552,6 +570,8 @@ def folding_factorization_check(
     (b) the full unfolding series factors as the coset-minima series
     times the parabolic series, coefficient by coefficient.
     """
+    from .qseries import QSeries
+
     J_hat = set(_subset(f.source, J_hat))
     J = {s for r in J_hat for s in f.blocks[r]}
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import coxfold
 from coxfold.cli import main
 from coxfold.qseries import QSeries, StatSeries
 
@@ -418,19 +419,60 @@ def test_verify_stdout_is_reproducible(capsys):
     assert all(re.search(r" \(\d+ ms\)$", line) for line in lines[:-1])
 
 
-def test_import_loads_no_unused_stdlib():
-    # every coxfold process pays for what `import coxfold.cli` loads:
-    # records are __slots__ classes, hashlib loads on first cache use, and
-    # the kernel generator on the first compile
+def fresh_process(probe: str) -> str:
+    """The stdout of ``probe`` run in a fresh interpreter that imports from src."""
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    probe = (
-        "import sys, coxfold.cli; "
-        "unused = {'dataclasses', 'inspect', 'hashlib', 'coxfold._kernels'}; "
-        "print(sorted(unused & set(sys.modules)))"
-    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+LOADED = "print(sorted(m for m in sys.modules if m.startswith('coxfold')))"
+
+
+def test_import_loads_no_unused_stdlib():
+    # every coxfold process pays for what `import coxfold.cli` loads:
+    # records are __slots__ classes, hashlib loads on first cache use, and
+    # the kernel generator on the first compile; the closed forms, the
+    # q-series and the verifier load when a subcommand reads them
+    probe = (
+        "import sys, coxfold.cli; "
+        "unused = {'dataclasses', 'inspect', 'hashlib', 'coxfold._kernels', "
+        "'coxfold.closed_forms', 'coxfold.qseries', 'coxfold.verifier'}; "
+        "print(sorted(unused & set(sys.modules)))"
+    )
+    assert fresh_process(probe) == "[]\n"
+
+
+def test_bare_import_loads_no_submodule():
+    assert fresh_process(f"import sys, coxfold; {LOADED}") == "['coxfold']\n"
+
+
+def test_bruhat_dot_loads_only_the_modules_it_runs(tmp_path):
+    # it draws no series, so it never loads the closed forms, the q-series
+    # or the verifier
+    argv = ["bruhat-dot", "--group", "A3", "--folding", "Bn-A2n-1", "--n", "2"]
+    argv += ["--out", str(tmp_path / "a3.dot")]
+    probe = f"import sys; from coxfold.cli import main; main({argv!r}); {LOADED}"
+    modules = ("cli", "coxeter", "errors", "_record", "folding", "dot")
+    assert fresh_process(probe) == f"{sorted(['coxfold', *(f'coxfold.{m}' for m in modules)])}\n"
+
+
+def test_every_exported_name_and_module_resolves_lazily():
+    # a star import binds every name of __all__, and a module that exports
+    # names resolves as an attribute, both after a bare `import coxfold`
+    probe = (
+        "import coxfold; folding = coxfold.folding; "
+        "names = {}; exec('from coxfold import *', names); names.pop('__builtins__'); "
+        "print(sorted(names) == sorted(coxfold.__all__), folding.__name__, coxfold.__version__)"
+    )
+    assert fresh_process(probe) == "True coxfold.folding 0.1.0\n"
+    for name in coxfold.__all__:
+        module = getattr(coxfold, coxfold._EXPORTS[name])
+        assert getattr(coxfold, name) is getattr(module, name)
+    assert set(dir(coxfold)) >= {*coxfold.__all__, "__version__"}
+    with pytest.raises(AttributeError):
+        coxfold.no_such_name

@@ -87,6 +87,19 @@ class TestAffineSeries:
         with pytest.raises(InvalidParameters):
             closed_form("Thm1.6-1", 3)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: closed_form("Thm1.6-1", 3, None, True),
+            lambda: reiner_distribution("affC", 2, True),
+            lambda: unfolding_closed_form(FamilyId("affC-affC2n", 2), False, "substitution"),
+        ],
+        ids=["closed_form", "reiner_distribution", "substitution"],
+    )
+    def test_bool_truncation_order_raises(self, call):
+        with pytest.raises(InvalidParameters, match="must be a non-negative int"):
+            call()
+
     @pytest.mark.parametrize("part", [1, 2, 3])
     def test_affine_b_matches_bruteforce(self, part):
         fam = {1: "affB-affDn+1", 2: "affB-affD2n", 3: "affB-affD2n+1"}[part]

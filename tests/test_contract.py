@@ -8,9 +8,11 @@ fails here, not only in the benchmark.  The same commands must compile
 no walk kernel: their walks are too short to repay a compile.  The
 benchmark also reaches into the library by name: its tracer patches
 functions in the modules that call them, and one probe passes
-``workers=2``; those names are pinned here too, as is the tracer's view
+``workers=2``; those names are pinned here too, as are the tracer's view
 of the substitution route, which it times through the ``closed_forms``
-globals ``reiner_distribution`` and ``substitute``.
+globals ``reiner_distribution`` and ``substitute``, and its view of the
+command line, which wraps four ``cli`` attributes before it calls
+``main``, one of them loaded on first use.
 """
 
 import functools
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import coxfold._kernels
+import coxfold.cli
 import coxfold.closed_forms
 import coxfold.coxeter
 from coxfold.cli import main
@@ -102,6 +105,26 @@ def test_benchmark_patch_points_exist():
     finally:
         del sys.modules[spec.name]
     inspect.signature(unfolding_series_bruteforce).bind(None, None, workers=2)
+
+
+def test_commands_call_the_patch_points_through_cli(tmp_path, monkeypatch):
+    # the tracer wraps these four `cli` attributes before it calls main, so
+    # a command must read each one from the module when it runs, and the
+    # lazy loading of `run_job` must keep a wrapper bound before it
+    calls = dict.fromkeys(("run_job", "bruhat_dot", "build_system", "standard_folding"), 0)
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(coxfold.cli, name, counter(name, getattr(coxfold.cli, name)))
+    sha256_of_run(tmp_path, ["verify", "--family", "I2-An"])
+    sha256_of_run(tmp_path, ["bruhat-dot", "--group", "A3", "--folding", "Bn-A2n-1", "--n", "2"])
+    assert all(calls.values()), calls
 
 
 def test_substitution_route_calls_the_patched_globals(monkeypatch):

@@ -442,12 +442,18 @@ def test_negative_cutoff_raises(call):
         lambda: check_admissible(B2_A3, "5"),
         lambda: unfolding_series_bruteforce(B2_A3, "5"),
         lambda: coset_series_bruteforce(B2_A3, [0], 2.0),
+        lambda: list(enumerate_up_to(build_system("A2"), False)),
+        lambda: unfolding_series_bruteforce(B2_A3, True),
     ],
-    ids=["enumerate_up_to-str", "enumerate_up_to-float", "check_admissible", "series", "coset"],
+    ids=[
+        "enumerate_up_to-str", "enumerate_up_to-float", "check_admissible", "series", "coset",
+        "enumerate_up_to-bool", "series-bool",
+    ],
 )
 def test_non_int_cutoff_raises(call):
     # a cutoff that is not an int is refused like a negative one, before
-    # any comparison with a length could raise TypeError
+    # any comparison with a length could raise TypeError; a bool is an int
+    # to isinstance, but no cutoff
     with pytest.raises(InvalidParameters, match="must be a non-negative int"):
         call()
 

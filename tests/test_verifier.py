@@ -84,13 +84,15 @@ class TestRunJob:
             VerificationCase.make("CosetFactor-Lemma3.1", "5", part=1, n=2),
             VerificationCase.make("Cor1.4", "5", n=3, variant="A2n-1"),
             VerificationCase.make("Cor1.4", -1, n=3, variant="A2n-1"),
+            VerificationCase.make("CosetFactor-Lemma3.1", True, part=1, n=2),
+            VerificationCase.make("Cor1.4", True, n=3, variant="A2n-1"),
         ],
         ids=[
             "folding-without-n", "coset-part-4", "coset-part-0",
             "histogram-without-n", "affine-folding-without-L", "reiner-without-L",
             "histogram-negative-L", "product-negative-L", "substitution-negative-L",
             "folding-str-L", "histogram-str-L", "coset-str-L", "corollary-str-L",
-            "corollary-negative-L",
+            "corollary-negative-L", "coset-bool-L", "corollary-bool-L",
         ],
     )
     def test_bad_parameters_become_entries(self, case):
