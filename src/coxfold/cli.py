@@ -33,7 +33,7 @@ Importing this module loads only what ``bruhat-dot`` runs: ``coxeter``,
 and a command binds the ones it reads, with ``_load``, when it runs;
 code outside reads them through the module ``__getattr__``.  Either way
 a name bound already stays, so a wrapper set on this module before
-``main`` runs sees every call.
+``main`` runs sees every call.  ``json`` loads only for json output.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 # peak memory lower
 from .coxeter import DEFAULT_BUDGET, build_system
 from .dot import bruhat_dot
-from .errors import CoxfoldError, InvalidParameters, ResourceLimit
+from .errors import CoxfoldError, InvalidParameters, ResourceLimit, _check_int
 from .folding import (
     _FAMILIES,
     FAMILY_NAMES,
@@ -54,7 +54,6 @@ from .folding import (
 )
 
 import argparse
-import json
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -115,6 +114,7 @@ def _write_result(args, header: dict, results: dict, match, csv: str, after=None
     """
     after = after or {}
     if args.format == "json":
+        import json  # only the json forms and catalog read it
         payload = {**header, **{k: v.to_json() for k, v in {**results, **after}.items()}}
         if match is not None:
             payload["match"] = match
@@ -254,6 +254,7 @@ def cmd_catalog(args) -> int:
         lines = [f"{e['tag']}: {e['formula']}  {e['parameters']}" for e in entries]
         _write("\n".join(lines) + "\n", args.out)
     else:
+        import json
         _write(json.dumps(entries, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -331,12 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "workers", 1) < 1:
-            raise InvalidParameters("--workers must be at least 1")
-        if getattr(args, "budget", 1) < 1:
-            raise InvalidParameters("--budget must be at least 1")
-        if getattr(args, "max_len", None) is not None and args.max_len < 0:
-            raise InvalidParameters("--max-len must be non-negative")
+        _check_int(getattr(args, "workers", 1), 1, "--workers must be at least 1")
+        _check_int(getattr(args, "budget", 1), 1, "--budget must be at least 1")
+        if getattr(args, "max_len", None) is not None:
+            _check_int(args.max_len, 0, "--max-len must be non-negative")
         out = Path(args.out) if getattr(args, "out", None) else None
         if out is not None and (out.is_dir() or not out.parent.is_dir()):
             raise InvalidParameters(f"cannot write {out}: not a file in an existing directory")

@@ -4,14 +4,14 @@ Every registered formula is one row of the table ``_FORMULAS``: its
 catalog parameters and text, its minimal n, and its factors.  A series
 is a product of numerator factors (q-integers at +/- q^e, binomials
 1 +/- q^e and punctured odd q-integers [2k+1]_q - q^k) divided by a
-product of binomials 1 +/- q^e, all built exact.  A row without
-denominators is a finite family and evaluates to an exact polynomial; a
-row with denominators is affine, needs a truncation order, and
-evaluates to a series truncated there.  Any product whose upper index
-falls below its lower index is the empty product 1 (this matters at the
-small-rank ends of several families).  The rows that are not one series
-(the signed product identity, the two-variable distributions and the
-coset-minima factors) have no factors and their own evaluators.
+product of binomials 1 +/- q^e, all built exact from ``QSeries.one(L)``.
+A row without denominators is a finite family, an exact polynomial or,
+given an order L, one truncated there; a row with denominators is affine
+and needs L.  Any product whose upper index falls below its lower index
+is the empty product 1 (this matters at the small-rank ends of several
+families).  The rows that are not one series (the signed product
+identity, the two-variable distributions and the coset-minima factors)
+have no factors and their own evaluators.
 
 Two readings are deliberately corrected relative to their commonly
 printed shapes, in both cases adjudicated by the brute-force oracle:
@@ -30,7 +30,9 @@ quotients expanded as trivariate series; the affine unfolding series
 arise from them through monomial substitutions, which is exposed as the
 ``substitution`` route next to the direct ``product`` route.  Each folding
 family's routes are one row of ``_ROUTES``: its product tag as a function
-of n, and for an affine family its substitution.
+of n, and for an affine family its substitution.  The module reads only
+``qseries`` and ``errors``, whose ``_check_int`` checks n, m, a coset part
+and an order; a caller builds any ``FamilyId``.
 
 >>> str(closed_form("Thm1.3-1", 2))
 '1 + q + q^2 + 2q^3 + q^4 + q^5 + q^6'
@@ -41,11 +43,9 @@ of n, and for an affine family its substitution.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .coxeter import _check_cutoff
-from .errors import InvalidParameters
-from .folding import FamilyId
+from .errors import InvalidParameters, _check_cutoff, _check_int
 from .qseries import (
     Monomial,
     QSeries,
@@ -55,6 +55,9 @@ from .qseries import (
     q_integer,
     substitute,
 )
+
+if TYPE_CHECKING:
+    from .folding import FamilyId
 
 __all__ = [
     "FORMULA_TAGS",
@@ -317,23 +320,22 @@ def closed_form(
 ) -> QSeries:
     """Evaluate a registered series formula tag.
 
-    Finite-family tags (no denominators) return exact polynomials and
-    ignore ``max_len``; affine tags require it.  ``literal=True``
-    evaluates the affine A products with their k = 1 factor included,
-    which divides by zero and raises NonUnitDivisor (kept as a
-    demonstrable erratum).
+    Finite-family tags (no denominators) return exact polynomials,
+    truncated at ``max_len`` when it is given; affine tags require it.
+    ``literal=True`` evaluates the affine A products with their k = 1
+    factor included, which divides by zero and raises NonUnitDivisor
+    (kept as a demonstrable erratum).
     """
     row = _FORMULAS.get(tag)
     if row is None or row.factors is None:
         raise InvalidParameters(f"unknown or non-series formula tag {tag!r}")
-    if not isinstance(n, int) or n < row.min_n:
-        raise InvalidParameters(f"{tag} requires n >= {row.min_n}")
-    if "m" in row.parameters and (not isinstance(m, int) or m < 2):
-        raise InvalidParameters(f"{tag} requires m >= 2")
+    _check_int(n, row.min_n, f"{tag} requires n >= {row.min_n}")
+    if "m" in row.parameters:
+        _check_int(m, 2, f"{tag} requires m >= 2")
     numerators, denominators = row.factors(n, m, literal)
-    if denominators:
+    if denominators or max_len is not None:
         _check_cutoff(max_len, f"{tag} truncation order")
-    out = QSeries.one(max_len if denominators else None)
+    out = QSeries.one(max_len)
     for f in numerators:
         out = out * f
     for d in denominators:
@@ -341,18 +343,10 @@ def closed_form(
     return out
 
 
-def poincare_a(n: int) -> QSeries:
-    """Length generating polynomial of the rank-n symmetric type.
-
-    The group has (n+1)! elements, so the product runs to n+1 (a common
-    shorthand prints it only to n, which already fails at q = 1).
-    """
-    return closed_form("Poincare-An", n)
-
-
-def poincare_b(n: int) -> QSeries:
-    """Length generating polynomial of the rank-n hyperoctahedral type."""
-    return closed_form("Poincare-Bn", n)
+# The length generating polynomials of the rank-n symmetric and hyperoctahedral types, as
+# their rows: A_n has (n+1)! elements, so its product runs to [n+1]_q, not to [n]_q.
+poincare_a = partial(closed_form, "Poincare-An")
+poincare_b = partial(closed_form, "Poincare-Bn")
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +384,7 @@ def reiner_distribution(kind: str, n: int, max_len: int) -> StatSeries:
     if kind not in ("affB", "affC"):
         raise InvalidParameters(f"distribution kind must be affB or affC, got {kind!r}")
     floor = _FORMULAS[f"Reiner-{kind}"].min_n
-    if not isinstance(n, int) or n < floor:
-        raise InvalidParameters(f"Reiner-{kind} requires n >= {floor}")
+    _check_int(n, floor, f"Reiner-{kind} requires n >= {floor}")
     _check_cutoff(max_len, f"Reiner-{kind} truncation order")
     expansion = _reiner_expansion(kind, n, max_len)
     return StatSeries(expansion.coeffs, expansion.q_order)
@@ -471,8 +464,8 @@ def unfolding_closed_form(
 ) -> QSeries:
     """The closed-form unfolding series of a registered family.
 
-    Finite families give exact polynomials; affine ones are truncated at
-    ``max_len``.  ``route`` picks between the direct product formula and
+    Both finite and affine families are truncated at ``max_len``, which an
+    affine one needs.  ``route`` picks between the direct product formula and
     the distribution-substitution derivation; both must agree, which the
     verifier checks family by family.
     """
@@ -483,15 +476,16 @@ def unfolding_closed_form(
     return closed_form(_ROUTES[family.name].product(family.n), family.n, family.m, max_len)
 
 
-def corollary_identity(n: int, variant: str) -> tuple[QSeries, QSeries]:
+def corollary_identity(
+    n: int, variant: str, max_len: Optional[int] = None
+) -> tuple[QSeries, QSeries]:
     """Both sides of the signed product identity for the linear family.
 
     Returns (B_m(-q) * U(q), A_n(-q) * B_m(q)) with m = floor((n+1)/2),
-    as exact polynomials; the caller asserts their equality.  U(q) is
-    the unfolding series of B_m in A_n, the family ``Bn-<variant>``.
+    truncated at ``max_len`` if given; the caller asserts their equality.
+    U(q) is the unfolding series of B_m in A_n, the family ``Bn-<variant>``.
     """
-    if not isinstance(n, int) or n < _FORMULAS["Cor1.4"].min_n:
-        raise InvalidParameters("the identity is registered for n >= 3")
+    _check_int(n, _FORMULAS["Cor1.4"].min_n, "the identity is registered for n >= 3")
     parity = {"A2n-1": 1, "A2n": 0}.get(variant)
     if parity is None:
         raise InvalidParameters(f"unknown variant {variant!r}")
@@ -499,12 +493,16 @@ def corollary_identity(n: int, variant: str) -> tuple[QSeries, QSeries]:
         raise InvalidParameters(f"variant {variant} needs {('even', 'odd')[parity]} n")
     m = (n + 1) // 2
     neg_q = Monomial(-1, 1)
-    u = unfolding_closed_form(FamilyId(f"Bn-{variant}", m))
-    b_poly = poincare_b(m)
-    a_poly = poincare_a(n)
+    u = closed_form(_ROUTES[f"Bn-{variant}"].product(m), m, None, max_len)
+    b_poly = closed_form("Poincare-Bn", m, None, max_len)
+    a_poly = closed_form("Poincare-An", n, None, max_len)
     lhs = b_poly.sub_monomial(neg_q) * u
     rhs = a_poly.sub_monomial(neg_q) * b_poly
     return lhs, rhs
+
+
+# One row per part of the chain lemma: the family whose coset minima it counts, minimal n
+_COSET_PARTS = {1: ("Bn-A2n-1", 2), 2: ("Bn-A2n", 2), 3: ("Bn-Dn+1", 3)}
 
 
 def coset_factor(part: int, n: int) -> QSeries:
@@ -514,11 +512,11 @@ def coset_factor(part: int, n: int) -> QSeries:
     part 2: [2n] at q times [2n+1] at -q
     part 3: [2n+1] at q minus q^n
     """
-    floor = {1: 2, 2: 2, 3: 3}.get(part)
-    if floor is None:
+    _check_int(part, 1, f"no such part {part!r}")
+    if part not in _COSET_PARTS:
         raise InvalidParameters(f"no such part {part!r}")
-    if not isinstance(n, int) or n < floor:
-        raise InvalidParameters(f"part {part} requires n >= {floor}")
+    floor = _COSET_PARTS[part][1]
+    _check_int(n, floor, f"part {part} requires n >= {floor}")
     if part == 3:
         return _odd_bracket_factor(n)
     a, b = (2 * n - 1, 2 * n) if part == 1 else (2 * n, 2 * n + 1)

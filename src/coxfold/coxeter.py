@@ -94,6 +94,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 from ._record import FrozenRecord, set_field
 from .errors import (
     IndexOutOfRange, InvalidMatrix, InvalidParameters, ResourceLimit, UnsupportedLabel,
+    _check_cutoff,
 )
 
 __all__ = [
@@ -540,12 +541,6 @@ def _subset(system: CoxeterSystem, J: Iterable[int]) -> list:
 def _prepend(word: Word, i: int) -> Word:
     """The ``_bfs`` step of the word payload: the ShortLex word of s_i w from that of w."""
     return (i,) + word
-
-
-def _check_cutoff(value, what: str):
-    """Refuse a cutoff (``what`` names it) that is not an int >= 0; a bool is no cutoff."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise InvalidParameters(f"the {what} must be a non-negative int, got {value!r}")
 
 
 def _bfs(

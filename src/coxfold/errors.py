@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``_check_int``, the one rule for
+an int parameter (n, m, a coset part, a cutoff): an int, not a bool, at its floor."""
 
 __all__ = [
     "CoxfoldError",
@@ -65,3 +66,14 @@ class NegativeDegree(CoxfoldError):
 
 class CorruptCache(CoxfoldError):
     """An on-disk cache entry failed its checksum."""
+
+
+def _check_int(value, floor: int, message: str):
+    """Refuse with ``message`` a value that is not an int >= ``floor``; a bool is no int here."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < floor:
+        raise InvalidParameters(message)
+
+
+def _check_cutoff(value, what: str):
+    """Refuse a cutoff (``what`` names it) that is not an int >= 0."""
+    _check_int(value, 0, f"the {what} must be a non-negative int, got {value!r}")

@@ -65,7 +65,6 @@ from .coxeter import (
     Element,
     Word,
     _bfs,
-    _check_cutoff,
     _coset_minimal,
     _prepend,
     _subset,
@@ -76,7 +75,7 @@ from .coxeter import (
     word_string,
 )
 from ._record import FrozenRecord, Record, set_field
-from .errors import IndexOutOfRange, InvalidParameters
+from .errors import IndexOutOfRange, InvalidParameters, _check_cutoff, _check_int
 
 if TYPE_CHECKING:
     from .qseries import QSeries, StatSeries
@@ -189,11 +188,9 @@ class FamilyId(FrozenRecord):
         row = _FAMILIES.get(name)
         if row is None:
             raise InvalidParameters(f"unknown family {name!r}")
-        if not isinstance(n, int) or n < row.min_n:
-            raise InvalidParameters(f"{name} requires n >= {row.min_n}, got {n!r}")
+        _check_int(n, row.min_n, f"{name} requires n >= {row.min_n}, got {n!r}")
         if row.takes_m:
-            if not isinstance(m, int) or m < 2:
-                raise InvalidParameters(f"{name} requires m >= 2, got {m!r}")
+            _check_int(m, 2, f"{name} requires m >= 2, got {m!r}")
         elif m is not None:
             raise InvalidParameters(f"{name} takes no m parameter")
         set_field(self, "name", name)

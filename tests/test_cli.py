@@ -85,6 +85,18 @@ class TestSeries:
         assert code == 0
         assert out.splitlines()[0].endswith("1")
 
+    def test_finite_cutoff_truncates_both_sides(self, capsys):
+        argv = ["series", "--family", "Bn-A2n-1", "--n", "2", "--max-len", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == [
+            "bruteforce: 1 + q + q^2 + 2q^3", "formula: 1 + q + q^2 + 2q^3", "match: PASS",
+        ]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["formula"] == {"order": 3, "coeffs": [1, 1, 1, 2]}
+        code, out, _ = run(capsys, *argv, "--source", "formula", "--format", "csv")
+        assert code == 0 and out == "degree,coefficient\n0,1\n1,1\n2,1\n3,2\n"
+
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(
             capsys,
@@ -458,6 +470,28 @@ def test_bruhat_dot_loads_only_the_modules_it_runs(tmp_path):
     argv += ["--out", str(tmp_path / "a3.dot")]
     probe = f"import sys; from coxfold.cli import main; main({argv!r}); {LOADED}"
     modules = ("cli", "coxeter", "errors", "_record", "folding", "dot")
+    assert fresh_process(probe) == f"{sorted(['coxfold', *(f'coxfold.{m}' for m in modules)])}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bruhat-dot", "--group", "A3", "--folding", "Bn-A2n-1", "--n", "2"],
+        ["series", "--family", "Bn-A2n-1", "--n", "2"],
+    ],
+    ids=["bruhat-dot", "series-text"],
+)
+def test_text_output_loads_no_json(tmp_path, argv):
+    # json loads only for the json forms and catalog
+    argv = [*argv, "--out", str(tmp_path / "out.txt")]
+    probe = f"import sys; from coxfold.cli import main; main({argv!r}); print('json' in sys.modules)"
+    assert fresh_process(probe) == "False\n"
+
+
+def test_formula_layer_loads_no_group_layer():
+    # the closed forms read only the q-series and the int rule of errors
+    probe = f"import sys, coxfold.closed_forms; {LOADED}"
+    modules = ("_record", "closed_forms", "errors", "qseries")
     assert fresh_process(probe) == f"{sorted(['coxfold', *(f'coxfold.{m}' for m in modules)])}\n"
 
 

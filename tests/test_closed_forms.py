@@ -93,8 +93,15 @@ class TestAffineSeries:
             lambda: closed_form("Thm1.6-1", 3, None, True),
             lambda: reiner_distribution("affC", 2, True),
             lambda: unfolding_closed_form(FamilyId("affC-affC2n", 2), False, "substitution"),
+            # a finite row checks an order it is given, as an affine row does
+            lambda: closed_form("Thm1.3-1", 2, None, -1),
+            lambda: closed_form("Thm1.3-1", 2, None, "5"),
+            lambda: closed_form("Thm1.3-1", 2, None, True),
         ],
-        ids=["closed_form", "reiner_distribution", "substitution"],
+        ids=[
+            "closed_form", "reiner_distribution", "substitution",
+            "finite-negative", "finite-str", "finite-bool",
+        ],
     )
     def test_bool_truncation_order_raises(self, call):
         with pytest.raises(InvalidParameters, match="must be a non-negative int"):
@@ -232,9 +239,16 @@ class TestFormulaTable:
     @pytest.mark.parametrize("tag,n", FINITE_TAGS)
     @pytest.mark.parametrize("max_len", [None, 0, 3, 50])
     def test_finite_tags_are_exact(self, tag, n, max_len):
+        # an exact polynomial, truncated at an order when given one, as the
+        # brute force truncates a finite group
+        exact = closed_form(tag, n)
         got = closed_form(tag, n, None, max_len)
-        assert got.order is None
-        assert got == closed_form(tag, n)
+        assert exact.order is None
+        if max_len is None:
+            assert got.order is None and got.coeffs == exact.coeffs
+        else:
+            assert got.order == max_len
+            assert got.coeffs == (exact.coeffs + (0,) * max_len)[: max_len + 1]
 
     def test_tags_split_into_affine_finite_and_other(self):
         other = {"Cor1.4", "Reiner-affB", "Reiner-affC", "CosetFactor-Lemma3.1"}

@@ -220,6 +220,8 @@ class TestEquality:
         a, b = QSeries([1, 2, 3], 5), QSeries([1, 2, 4], 5)
         assert a.first_mismatch(b) == (2, 3, 4)
         assert a.first_mismatch(a) is None
+        # the coefficient at the truncation order itself is compared
+        assert QSeries([1, 2, 3], 2).first_mismatch(QSeries([1, 2, 4], 2)) == (2, 3, 4)
 
 
 class TestSerialization:
@@ -288,6 +290,9 @@ class TestStatSeries:
         a = StatSeries({(0, 0, 1): 1, (2, 0, 3): 5}, 8)
         b = StatSeries({(0, 0, 1): 1, (2, 0, 3): 7}, 8)
         assert a.first_mismatch(b) == ((2, 0, 3), 5, 7)
+        # terms are compared up to the smaller q-order, that order included
+        assert a.first_mismatch(StatSeries({(0, 0, 1): 1}, 2)) is None
+        assert a.first_mismatch(StatSeries({(0, 0, 1): 1}, 3)) == ((2, 0, 3), 5, 0)
 
 
 class TestSubstitute:

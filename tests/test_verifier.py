@@ -86,6 +86,9 @@ class TestRunJob:
             VerificationCase.make("Cor1.4", -1, n=3, variant="A2n-1"),
             VerificationCase.make("CosetFactor-Lemma3.1", True, part=1, n=2),
             VerificationCase.make("Cor1.4", True, n=3, variant="A2n-1"),
+            VerificationCase.make("Poincare-An", n=True),
+            VerificationCase.make("CosetFactor-Lemma3.1", part=True, n=2),
+            VerificationCase.make("CosetFactor-Lemma3.1", part=1.0, n=2),
         ],
         ids=[
             "folding-without-n", "coset-part-4", "coset-part-0",
@@ -93,6 +96,7 @@ class TestRunJob:
             "histogram-negative-L", "product-negative-L", "substitution-negative-L",
             "folding-str-L", "histogram-str-L", "coset-str-L", "corollary-str-L",
             "corollary-negative-L", "coset-bool-L", "corollary-bool-L",
+            "histogram-bool-n", "coset-bool-part", "coset-float-part",
         ],
     )
     def test_bad_parameters_become_entries(self, case):
@@ -191,6 +195,11 @@ class TestCache:
         record = json.loads(path.read_text())
         record["series"]["coeffs"][1] = 99
         path.write_text(json.dumps(record))
+        with pytest.raises(CorruptCache):
+            cache_get(tmp_path, key)
+        # an intact entry filed under another key's name is corrupt too
+        other = cache_key("demo", (("n", 3),), 4)
+        cache_put(tmp_path, other, series).replace(path)
         with pytest.raises(CorruptCache):
             cache_get(tmp_path, key)
 
