@@ -193,8 +193,8 @@ def _parse_substitution(text: str) -> dict:
 
 def cmd_reiner(args) -> int:
     _load("_reiner", "reiner_distribution", "Monomial")
-    brute = reiner_stats_bruteforce(args.type, args.n, args.max_len, budget=args.budget)
     formula = reiner_distribution(args.type, args.n, args.max_len)
+    brute = reiner_stats_bruteforce(args.type, args.n, args.max_len, budget=args.budget)
 
     after = {}
     if args.subst:

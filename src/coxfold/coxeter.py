@@ -45,9 +45,13 @@ parabolic on {s2, s3}:
 >>> w.data, w.length
 ((4, -1, -1), 4)
 
-Rank-2 systems use a dihedral backend: an element is an
-``(is_reflection, index)`` pair, which stays exact for every bond order
-including infinity.  Each backend defines three primitives:
+Rank-2 systems use a dihedral backend.  Every element of I2(m) other
+than the longest one has exactly one reduced word, an alternating one,
+so an element is stored as ``(d, k)``: its length k and the first
+letter d of that word, with d = 0 at e and at the longest element, the
+only one with two left descents.  This is exact for every bond order,
+infinity included, and reads the length and the left descents straight
+off the data.  Each backend defines three primitives:
 ``_apply_left``, the left-descent test ``_is_left_descent_data``, and
 ``_child``, the ShortLex-tree test, which gives s_i w only when it is a
 child of w (the weight backend decides it before building s_i w).  The
@@ -64,7 +68,7 @@ through inverses.  In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
 >>> W = build_system("I2(5)")
 >>> w = element_from_word(W, (1, 0, 1, 0, 1, 0))
 >>> w.data, w.length, shortlex_normal_form(W, w), shortlex_normal_form(W, inverse(W, w))
-((False, 2), 4, (0, 1, 0, 1), (1, 0, 1, 0))
+((0, 4), 4, (0, 1, 0, 1), (1, 0, 1, 0))
 
 The breadth-first walk calls ``_apply_left`` and ``_child`` through
 per-generator tables, ``_apply_table`` and ``_child_table``, read once
@@ -175,7 +179,7 @@ class CoxeterMatrix(FrozenRecord):
 
 
 class Element(FrozenRecord):
-    """A group element: a Tits-cone weight vector or a dihedral tag.
+    """A group element: a Tits-cone weight vector, or a rank-2 (first letter, length).
 
     ``data`` doubles as the canonical key; equal data means equal group
     elements because both encodings are faithful.
@@ -204,7 +208,7 @@ class CoxeterSystem:
         if self.rank == 2:
             self.backend = "dihedral"
             self.m = matrix.bond(0, 1)
-            self._identity = Element((False, 0), 0)
+            self._identity = Element((0, 0), 0)
         else:
             self.backend = "weight"
             self.m = None
@@ -268,14 +272,10 @@ class CoxeterSystem:
     def _apply_left(self, data, i):
         """The data of s_i w."""
         if self.backend == "dihedral":
-            refl, k = data
-            if i == 0:
-                refl, k = (not refl), -k
-            else:
-                refl, k = (not refl), -k - 1
-            if self.m != INFINITE:
-                k %= self.m
-            return (refl, k)
+            # (d, k) is the alternating word of length k that starts with s_d
+            down = self._is_left_descent_data(data, i)
+            d, k = (1 - i, data[1] - 1) if down else (i, data[1] + 1)
+            return (0 if k in (0, self.m) else d, k)
         # s_i reflects w.rho: x_i -> -x_i and x_j -> x_j - a_ij x_i
         x = list(data)
         xi = x[i]
@@ -286,7 +286,8 @@ class CoxeterSystem:
 
     def _is_left_descent_data(self, data, i) -> bool:
         if self.backend == "dihedral":
-            return self._dihedral_length(self._apply_left(data, i)) < self._dihedral_length(data)
+            # e has no left descent, w0 has both, every other element its first letter
+            return data[1] > 0 and (data[0] == i or data[1] == self.m)
         # x_i = rho(w^-1 alpha_i) is negative exactly when w^-1 alpha_i is
         return data[i] < 0
 
@@ -336,17 +337,6 @@ class CoxeterSystem:
         if self._apply_table[0] != self._apply_left:  # the kernels are in
             self._swap_in_kernels()
         return table
-
-    def _dihedral_length(self, data) -> int:
-        refl, k = data
-        if self.m == INFINITE:
-            if refl:
-                return 2 * k + 1 if k >= 0 else -2 * k - 1
-            return 2 * abs(k)
-        k %= self.m
-        if refl:
-            return min(2 * k + 1, 2 * (self.m - k) - 1)
-        return min(2 * k, 2 * (self.m - k))
 
     # -- elements, and walks on raw data ---------------------------------------
 

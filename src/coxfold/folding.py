@@ -64,6 +64,7 @@ from .coxeter import (
     CoxeterSystem,
     Element,
     Word,
+    _GROUPS,
     _bfs,
     _coset_minimal,
     _prepend,
@@ -496,6 +497,8 @@ def reiner_stats_bruteforce(
 
     if kind not in ("affB", "affC"):
         raise InvalidParameters(f"distribution kind must be affB or affC, got {kind!r}")
+    floor = _GROUPS[f"affine-{kind[-1]}"].min_n
+    _check_int(n, floor, f"Reiner-{kind} requires n >= {floor}")
     system = build_system(f"affine-{kind[-1]}{n}")
     track_b, last = kind == "affC", system.rank - 1
     coeffs: dict = {}

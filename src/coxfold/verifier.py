@@ -308,11 +308,11 @@ _CHECKS = {
     "Reiner-affC": _Check(((8, {"n": 2}),), _run_reiner),
     "Poincare-An": _Check(
         tuple((None, {"n": n}) for n in (1, 2, 3, 4)),
-        _histogram(lambda n: f"A{n}", lambda n, L: poincare_a(n)),
+        _histogram(lambda n: f"A{n}", lambda n, L: poincare_a(n, None, L)),
     ),
     "Poincare-Bn": _Check(
         ((None, {"n": 2}), (None, {"n": 3})),
-        _histogram(lambda n: f"B{n}", lambda n, L: poincare_b(n)),
+        _histogram(lambda n: f"B{n}", lambda n, L: poincare_b(n, None, L)),
     ),
     "Bott-affA": _Check(
         ((14, {"n": 2}), (14, {"n": 3})),

@@ -118,6 +118,33 @@ def dihedral_histogram(m):
     return hist
 
 
+def dihedral_normal_form(m, word):
+    """The ShortLex word of ``word`` in I2(m), m = 0 for infinity, without a backend.
+
+    Cancelling equal neighbours leaves an alternating word.  Both
+    alternating words of length 2m are e, so its length k counts mod 2m;
+    past m it equals the alternating word of length 2m - k that starts
+    with the other letter.  The longest element's ShortLex word starts
+    with 0.
+    """
+    reduced = []
+    for i in word:
+        if reduced and reduced[-1] == i:
+            reduced.pop()
+        else:
+            reduced.append(i)
+    if not reduced:
+        return ()
+    first, k = reduced[0], len(reduced)
+    if m:
+        k %= 2 * m
+        if k > m:
+            first, k = 1 - first, 2 * m - k
+        if k == m:
+            first = 0
+    return tuple((first + t) % 2 for t in range(k))
+
+
 def bruhat_dominance_leq(u, v):
     """Bruhat order on one-line permutations via rank-matrix dominance."""
     n = len(u)

@@ -255,8 +255,8 @@ class TestReiner:
         assert code == 2
 
     def test_below_range(self, capsys):
-        code, _, _ = run(capsys, "reiner", "--type", "affB", "--n", "2", "--max-len", "2")
-        assert code == 2
+        code, _, err = run(capsys, "reiner", "--type", "affB", "--n", "2", "--max-len", "2")
+        assert code == 2 and "Reiner-affB requires n >= 3" in err
 
     def test_negative_cutoff_is_usage_error(self, capsys):
         out = run(capsys, "reiner", "--type", "affB", "--n", "3", "--max-len", "-1")

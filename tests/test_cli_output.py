@@ -1,5 +1,6 @@
-"""Pinned bytes of the ``series`` and ``reiner`` writers, and the cost of
-the ``bruhat-dot`` source-label search.
+"""Pinned bytes of the ``series`` and ``reiner`` writers and of the rank-2
+``bruhat-dot`` diagrams, and the cost of the ``bruhat-dot`` source-label
+search.
 
 Each writer case records the sha256 of stdout and the exit code, for
 every format and source choice, so any change to the rendered bytes or
@@ -63,6 +64,18 @@ MISMATCH_SHA = {
     ("reiner", "csv"): "50d5c78cc1c8243f8c64915b1900dc7244a2645c87225e09183499dc9992f758",
 }
 
+# every rank-2 shape: a finite and an infinite dihedral group, and a
+# dihedral source folded into A2 and into A3
+DOT_SHA = {
+    ("--group", "I2(5)"): "354ea621f31ca2afb19a7e1893c6197c59f7c272fe36385a320d2c9750eeff43",
+    ("--group", "affine-A1", "--max-len", "5"):
+        "3848bc1de212a5b60739e56f887ca87c2c47895fcf1737e868597dfcc6f9c207",
+    ("--group", "A2", "--folding", "I2-An", "--n", "2"):
+        "ea1504530d1652023fa23d90d334af3dc67151cd764c4b8e35c175871c24c1bd",
+    ("--group", "A3", "--folding", "B2"):
+        "37a023c2873c23d982e718f8271191a8d33076b3d82d877bdd16c00fdeeddfee",
+}
+
 
 def stdout_sha(capsys, argv):
     code = coxfold.cli.main(argv)
@@ -101,6 +114,11 @@ def test_mismatch_bytes_exit_one(capsys, monkeypatch, command, fmt):
         )
         argv = [*REINER_ARGV, "--subst", "a=q"]
     assert stdout_sha(capsys, argv + ["--format", fmt]) == (MISMATCH_SHA[command, fmt], 1)
+
+
+@pytest.mark.parametrize("args", list(DOT_SHA), ids=" ".join)
+def test_rank2_dot_bytes(capsys, args):
+    assert stdout_sha(capsys, ["bruhat-dot", *args]) == (DOT_SHA[args], 0)
 
 
 def test_failing_source_label_search_is_bounded(capsys, monkeypatch):

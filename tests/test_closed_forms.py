@@ -305,12 +305,13 @@ class TestReinerDistribution:
         assert reiner_distribution("affC", 2, 3) == brute
 
     def test_parameter_floors(self):
-        with pytest.raises(InvalidParameters):
-            reiner_distribution("affB", 2, 5)
-        with pytest.raises(InvalidParameters):
-            reiner_distribution("affC", 1, 5)
-        with pytest.raises(InvalidParameters):
-            reiner_distribution("affD", 3, 5)
+        # the brute force refuses each one too, with the same message
+        for kind, n in [("affB", 2), ("affC", 1), ("affD", 3), ("affB", True)]:
+            with pytest.raises(InvalidParameters) as formula:
+                reiner_distribution(kind, n, 5)
+            with pytest.raises(InvalidParameters) as brute:
+                reiner_stats_bruteforce(kind, n, 5)
+            assert str(brute.value) == str(formula.value)
 
     def test_grid_substitution_rows_share_four_expansions(self):
         # the 20 B/C rows of the default grid take 4 distinct (kind, n, L)

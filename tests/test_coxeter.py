@@ -477,7 +477,7 @@ class TestBruhat:
 
     @pytest.mark.parametrize(
         "label, data",
-        [("I2(5)", (False, 0)), ("B3", (1, 1, 1)), ("B3", (2, -1, 3))],
+        [("I2(5)", (0, 0)), ("B3", (1, 1, 1)), ("B3", (2, -1, 3))],
         ids=["I2(5)-identity", "B3-identity", "B3-generator"],
     )
     def test_length_its_element_lacks_raises(self, label, data):

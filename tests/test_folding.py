@@ -173,13 +173,24 @@ class TestRegistry:
 
 
 class TestFoldingValidation:
+    def test_one_word_per_source_generator(self):
+        # one longest word covering A3 would pass every other check
+        with pytest.raises(ValueError, match="one unfold word"):
+            Folding(build_system("B2"), build_system("A3"), [(0, 1, 0, 2, 1, 0)])
+
     def test_blocks_must_cover(self):
         with pytest.raises(ValueError):
             Folding(build_system("B2"), build_system("A3"), [(0, 2), ()])
+        # s1 and s3 are longest elements of their blocks; only s2 is missing
+        with pytest.raises(ValueError, match="do not cover"):
+            Folding(build_system("B2"), build_system("A3"), [(0,), (2,)])
 
     def test_blocks_must_not_overlap(self):
         with pytest.raises(ValueError):
             Folding(build_system("B2"), build_system("A3"), [(0, 1), (1, 2)])
+        # both words are longest elements of their blocks, which cover A3
+        with pytest.raises(ValueError, match="overlap"):
+            Folding(build_system("B2"), build_system("A3"), [(0, 1, 0), (1, 2, 1)])
 
     def test_word_must_be_block_longest_element(self):
         # (s1, s2) is not the longest element of the parabolic on {s1, s2}
@@ -192,8 +203,10 @@ class TestFoldingValidation:
             Folding(build_system("A1"), build_system("affine-A1"), [(0, 1)])
 
     def test_letters_in_range(self):
-        with pytest.raises(IndexOutOfRange):
-            Folding(build_system("B2"), build_system("A3"), [(0, 5), (1,)])
+        # a letter is checked before the blocks are counted
+        for letters in ([(0, 5), (1,)], [(5,), (1,)], [(-1,), (1,)]):
+            with pytest.raises(IndexOutOfRange):
+                Folding(build_system("B2"), build_system("A3"), letters)
 
     def test_empty_unfold_word(self):
         # the other block covers A1, so only the empty word itself is wrong

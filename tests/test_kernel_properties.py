@@ -44,6 +44,7 @@ from oracles import (
     bfs_all_generators,
     bfs_distances,
     bruhat_leq_by_scan,
+    dihedral_normal_form,
     inversions,
     is_kernel,
     is_right_descent_data,
@@ -131,10 +132,19 @@ CHILD_SYSTEMS = {
 @given(st.sampled_from(sorted(CHILD_SYSTEMS)), st.data())
 def test_child_agrees_with_the_reference_tree_test(name, data):
     W = build_system(CHILD_SYSTEMS[name])
-    w = element_from_word(W, data.draw(words(W.rank, 24), label="word"))
-    # x_j = rho(w^-1 alpha_j) is nonzero on every root, so the weight
-    # backend's test "x_j - a_ij x_i < 0" reads the same with "<= 0"
-    assert W.backend == "dihedral" or 0 not in w.data
+    word = data.draw(words(W.rank, 24), label="word")
+    w = element_from_word(W, word)
+    if W.backend == "dihedral":
+        # a rank-2 element is (first ShortLex letter, or 0 at e, length)
+        normal = dihedral_normal_form(W.m, word)
+        assert w.data == (normal[0] if normal else 0, w.length) and w.length == len(normal)
+        # the longest element has two reduced words and one key
+        longest = {element_from_word(W, [(d + t) % 2 for t in range(W.m)]).data for d in (0, 1)}
+        assert longest == {(0, W.m)}
+    else:
+        # x_j = rho(w^-1 alpha_j) is nonzero on every root, so the weight
+        # backend's test "x_j - a_ij x_i < 0" reads the same with "<= 0"
+        assert 0 not in w.data
     for i in range(W.rank):
         assert W._child(w.data, i) == shortlex_child(W, w.data, i)
 

@@ -122,6 +122,13 @@ class TestRunJob:
         exact = run_job(VerificationJob([VerificationCase(case.family, case.params, None)]))
         assert exact.cases[0]["lhs"]["order"] == "exact"
 
+    @pytest.mark.parametrize("family", ["Poincare-An", "Poincare-Bn"])
+    def test_histogram_rows_truncate_both_sides(self, family):
+        # the whole-group walk stops at length 2, and so does the product
+        (entry,) = run_job(VerificationJob([VerificationCase.make(family, 2, n=3)])).cases
+        assert entry["status"] == "pass" and entry["rhs"]["order"] == 2
+        assert entry["lhs"] == entry["rhs"]
+
     def test_resource_limit_becomes_status(self):
         job = VerificationJob(default_cases(["Poincare-An"]), budget=1)
         report = run_job(job)
@@ -131,7 +138,7 @@ class TestRunJob:
         import coxfold.verifier as verifier
 
         wrong = QSeries([1, 99, 1])
-        monkeypatch.setattr(verifier, "poincare_a", lambda n: wrong)
+        monkeypatch.setattr(verifier, "poincare_a", lambda n, m, L: wrong)
         report = run_job(VerificationJob([VerificationCase.make("Poincare-An", None, n=1)]))
         case = report.cases[0]
         assert case["status"] == "coefficient-mismatch"
