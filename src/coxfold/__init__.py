@@ -67,8 +67,7 @@ _EXPORTS = {
         (
             "FamilyId",
             "Folding",
-            "check_admissible",
-            "folding_factorization_check",
+            "length_additivity_check",
             "reiner_stats_bruteforce",
             "standard_folding",
             "unfold",

@@ -11,7 +11,8 @@ and needs L.  Any product whose upper index falls below its lower index
 is the empty product 1 (this matters at the small-rank ends of several
 families).  The rows that are not one series (the signed product
 identity, the two-variable distributions and the coset-minima factors)
-have no factors and their own evaluators.
+have no factors and their own evaluators; the coset-minima factors
+truncate along the same path as the rows.
 
 Two readings are deliberately corrected relative to their commonly
 printed shapes, in both cases adjudicated by the brute-force oracle:
@@ -332,9 +333,16 @@ def closed_form(
     _check_int(n, row.min_n, f"{tag} requires n >= {row.min_n}")
     if "m" in row.parameters:
         _check_int(m, 2, f"{tag} requires m >= 2")
-    numerators, denominators = row.factors(n, m, literal)
+    return _truncated(*row.factors(n, m, literal), max_len, f"{tag} truncation order")
+
+
+def _truncated(numerators: list, denominators: list, max_len: Optional[int], what: str) -> QSeries:
+    """The product of ``numerators`` over ``denominators`` from ``QSeries.one(max_len)``.
+
+    The order is checked whenever it is given, and denominators need one.
+    """
     if denominators or max_len is not None:
-        _check_cutoff(max_len, f"{tag} truncation order")
+        _check_cutoff(max_len, what)
     out = QSeries.one(max_len)
     for f in numerators:
         out = out * f
@@ -505,22 +513,23 @@ def corollary_identity(
 _COSET_PARTS = {1: ("Bn-A2n-1", 2), 2: ("Bn-A2n", 2), 3: ("Bn-Dn+1", 3)}
 
 
-def coset_factor(part: int, n: int) -> QSeries:
+def coset_factor(part: int, n: int, max_len: Optional[int] = None) -> QSeries:
     """Generating polynomial of the unfolded coset minima (chain lemma).
 
     part 1: [2n-1] at -q times [2n] at q
     part 2: [2n] at q times [2n+1] at -q
     part 3: [2n+1] at q minus q^n
+
+    Truncated at ``max_len`` when it is given, as ``closed_form`` truncates.
     """
     _check_int(part, 1, f"no such part {part!r}")
     if part not in _COSET_PARTS:
         raise InvalidParameters(f"no such part {part!r}")
     floor = _COSET_PARTS[part][1]
     _check_int(n, floor, f"part {part} requires n >= {floor}")
-    if part == 3:
-        return _odd_bracket_factor(n)
     a, b = (2 * n - 1, 2 * n) if part == 1 else (2 * n, 2 * n + 1)
-    return _signed(a) * _signed(b)
+    factors = [_odd_bracket_factor(n)] if part == 3 else [_signed(a), _signed(b)]
+    return _truncated(factors, [], max_len, f"part {part} truncation order")
 
 
 def catalog() -> list:

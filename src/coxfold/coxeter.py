@@ -237,19 +237,12 @@ class CoxeterSystem:
         for i in range(self.rank):
             if self._apply_left(self._apply_left(ident, i), i) != ident:
                 raise InvalidMatrix(f"generator {i} is not an involution")
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                m = self.matrix.bond(i, j)
-                if m == INFINITE:
-                    continue
-                # (s_i s_j)^t returns to the identity first at t = m
-                power = ident
-                for t in range(1, m + 1):
-                    power = self._apply_left(self._apply_left(power, j), i)
-                    if (power == ident) != (t == m):
-                        raise InvalidMatrix(
-                            f"(s{i}s{j}) does not have order m({i},{j}) = {m}"
-                        )
+        bad = _wrong_order(self.matrix, ident, self._apply_left)
+        if bad is not None:
+            i, j = bad
+            raise InvalidMatrix(
+                f"(s{i}s{j}) does not have order m({i},{j}) = {self.matrix.bond(i, j)}"
+            )
 
     # -- naming -----------------------------------------------------------
 
@@ -386,6 +379,26 @@ class CoxeterSystem:
         return data, length
 
 
+def _wrong_order(matrix: CoxeterMatrix, start, step: Callable) -> Optional[Tuple[int, int]]:
+    """The first finite bond (i, j), i < j, whose product does not have order m(i, j).
+
+    ``step(x, i)`` applies the i-th generator to ``x``; the product of
+    generators i and j has order m exactly when (g_i g_j)^t, applied to
+    ``start``, returns to it first at t = m.  None when every bond holds.
+    """
+    for i in range(matrix.rank):
+        for j in range(i + 1, matrix.rank):
+            m = matrix.bond(i, j)
+            if m == INFINITE:
+                continue
+            power = start
+            for t in range(1, m + 1):
+                power = step(step(power, j), i)
+                if (power == start) != (t == m):
+                    return i, j
+    return None
+
+
 # ---------------------------------------------------------------------------
 # registry of group labels
 
@@ -475,7 +488,7 @@ def apply_generator(system: CoxeterSystem, w: Element, i: int, side: str = "righ
         return Element(*system._left_word((i,), (w.data, w.length)))
     if side == "right":
         return multiply(system, w, system.generator(i))
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    raise InvalidParameters(f"side must be 'left' or 'right', got {side!r}")
 
 
 def length(system: CoxeterSystem, w: Element) -> int:

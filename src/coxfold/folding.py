@@ -23,19 +23,21 @@ index formula disagrees with the diagram (the symmetry arrows are the
 ground truth), the diagram pairing is used and the series verifier
 double-checks the choice against the closed forms.
 
-Every brute-force folding check is one walk of the source group's
+Every brute-force folding walk is a walk of the source group's
 ShortLex tree that carries the unfolded ambient element along as a raw
 pair (ambient data, length) and measures the length honestly, letter by
-letter (length additivity is verified, not assumed).  Ambient-length
-cutoffs prune the walk: along reduced source words the unfolded length
-only grows, so a node past the cutoff is not stored and its descendants
-are never generated.  The series walks carry nothing else; the
-factorization check and the highlighted Hasse diagram walk
-``_source_records``, which adds the source word.  The coset-minima
-series adds one source filter, and the factorization check reads all
-three of its series off one walk, taking the coset minima on the left.
-The admissibility check has no ambient cutoff and reads only right
-descents, so it walks the source alone, carrying the ShortLex word.
+letter.  Ambient-length cutoffs prune the series walks: along reduced
+source words the unfolded length only grows, so a node past the cutoff
+is not stored and its descendants are never generated.  The series
+walks carry nothing else; the highlighted Hasse diagram walks
+``_source_records``, which adds the source word, and the coset-minima
+series adds one source filter.  The one structural check,
+``length_additivity_check``, tests the source relations on the block
+elements and equal block lengths across odd bonds, then walks the source
+to a source-length cutoff with the weight sum of each word beside the
+pair: where it passes, the ambient length is a weight function on the
+source, which is what the admissibility of the partition and the
+parabolic factorization of the series rest on.
 The end-generator statistics take the arguments of
 ``closed_forms.reiner_distribution``, a kind (affB or affC) and n, and
 build the affine system from them.  The three builders of a series
@@ -68,14 +70,14 @@ from .coxeter import (
     _bfs,
     _coset_minimal,
     _prepend,
-    _subset,
+    _wrong_order,
     build_system,
     element_from_word,
     enumerate_with_words,
     shortlex_normal_form,
     word_string,
 )
-from ._record import FrozenRecord, Record, set_field
+from ._record import FrozenRecord, set_field
 from .errors import IndexOutOfRange, InvalidParameters, _check_cutoff, _check_int
 
 if TYPE_CHECKING:
@@ -89,13 +91,10 @@ __all__ = [
     "unfold_word",
     "unfold",
     "unfolded_image",
-    "check_admissible",
-    "AdmissibilityReport",
     "unfolding_series_bruteforce",
     "coset_series_bruteforce",
     "reiner_stats_bruteforce",
-    "folding_factorization_check",
-    "FactorizationReport",
+    "length_additivity_check",
 ]
 
 def _pairs(lo: int, hi: int, top: int) -> list:
@@ -218,8 +217,10 @@ class Folding:
     ``unfold_letters[r]`` is the target word of the r-th source
     generator; its letter set is the partition block of r, and the word
     must assemble to the longest element of the block's parabolic (in
-    particular an involution).  Admissibility of the partition is *not*
-    assumed here; ``check_admissible`` probes it explicitly.
+    particular an involution); a malformed partition raises
+    InvalidParameters, and a letter outside the target IndexOutOfRange.
+    That the blocks respect the source relations and lengths is *not*
+    assumed here; ``length_additivity_check`` checks it.
     """
 
     def __init__(
@@ -230,7 +231,7 @@ class Folding:
         family: Optional[FamilyId] = None,
     ):
         if len(unfold_letters) != source.rank:
-            raise ValueError("one unfold word is required per source generator")
+            raise InvalidParameters("one unfold word is required per source generator")
         self.source = source
         self.target = target
         self.unfold_letters = tuple(tuple(w) for w in unfold_letters)
@@ -240,17 +241,17 @@ class Folding:
         seen: set = set()
         for r, word in enumerate(self.unfold_letters):
             if not word:
-                raise ValueError(f"unfold word of generator {r} is empty")
+                raise InvalidParameters(f"unfold word of generator {r} is empty")
             block = sorted(set(word))
             for s in block:
                 if not 0 <= s < target.rank:
                     raise IndexOutOfRange(f"letter {s} outside the target system")
                 if s in seen:
-                    raise ValueError(f"partition blocks overlap at target generator {s}")
+                    raise InvalidParameters(f"partition blocks overlap at target generator {s}")
                 seen.add(s)
             blocks.append(tuple(block))
         if len(seen) != target.rank:
-            raise ValueError("partition blocks do not cover the target generators")
+            raise InvalidParameters("partition blocks do not cover the target generators")
         self.blocks = tuple(blocks)
 
         # w in W_B is the longest element of W_B exactly when every letter
@@ -263,7 +264,7 @@ class Folding:
         )
         for r, elem in enumerate(self.unfold_elements):
             if not all(target._is_left_descent_data(elem.data, s) for s in self.blocks[r]):
-                raise ValueError(
+                raise InvalidParameters(
                     f"unfold word of generator {r} is not the longest element "
                     f"of its block parabolic"
                 )
@@ -407,64 +408,54 @@ def unfolded_image(f: Folding, *, budget: int = DEFAULT_BUDGET) -> dict:
     return {data: word for _, word, (data, _) in _source_records(f, budget=budget)}
 
 
-class AdmissibilityReport(Record):
-    __slots__ = ("passed", "cutoff", "elements_checked", "violations")
+def length_additivity_check(
+    f: Folding, max_source_len: Optional[int], *, budget: int = DEFAULT_BUDGET
+) -> Optional[tuple]:
+    """The first failure of the folding's structure, or None when it passes.
 
-    def __init__(self, passed: bool, cutoff: int, elements_checked: int, violations: list):
-        self.passed = passed
-        self.cutoff = cutoff
-        self.elements_checked = elements_checked
-        self.violations = violations
+    With g_r the block element of source generator r and L(r) its length,
+    three checks run in this order, and each reports its first failure:
 
-    def __bool__(self):
-        return self.passed
+    * ``("relation", r, s)``: for a finite bond m(r, s) of the source,
+      (g_r g_s)^t, stepped through the folding's step table, does not
+      return to e first at t = m, so unfolding is no homomorphism;
+    * ``("odd-bond", r, s)``: m(r, s) is odd but L(r) != L(s), so a braid
+      move, which swaps one r for one s, changes the weight sum of a word;
+    * ``("length", k, word)``: the source element of length k and ShortLex
+      word ``word`` unfolds to a length other than the weight sum of
+      ``word``.
 
-
-def check_admissible(
-    f: Folding,
-    max_source_len: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    max_violations: int = 5,
-) -> AdmissibilityReport:
-    """Probe the partition's admissibility up to a source-length cutoff.
-
-    For every enumerated source element w and every block I, the ambient
-    element of w must either ascend at every generator of I or descend
-    at every generator of I.  This is a finite certificate: affine
-    sources are only ever checked up to the cutoff.  The walk carries
-    only the source's ShortLex words.  Each unfold word is the longest
-    element of its block, an involution, so the folding's step table,
-    applied for the letters of w in order, spells unfold(w)^-1, whose left
-    descents are the right descents of unfold(w): no descent walk is
-    needed.
+    Passing all three says that the ambient length of the folded subgroup
+    is the weight function L: l(unfold(w)) = sum of L(r_i) along any
+    reduced word of w (Lusztig, *Hecke Algebras with Unequal Parameters*,
+    2003; Steinberg, *Lectures on Chevalley Groups*, 1968).  The last
+    check is one walk of the source to ``max_source_len`` (None walks a
+    finite source whole) with payload ((ambient data, length), weight
+    sum), and a word is spelled only for a failure.
     """
-    target = f.target
-    descent, steps, start = target._is_left_descent_data, f._steps, (target.identity().data, 0)
-    blocks = [(r, block) for r, block in enumerate(f.blocks) if len(block) > 1]
-    violations = []
-    checked = 0
-    walk = _bfs(f.source, max_source_len, budget, start=(), step=[_prepend] * f.source.rank)
-    for _, _, words in walk:
-        for word in words:
-            checked += 1
-            inv = start
-            for r in word:
-                inv = steps[r](inv, r)
-            inv = inv[0]
-            for r, block in blocks:
-                signs = {descent(inv, s) for s in block}
-                if len(signs) > 1:
-                    violations.append(
-                        {
-                            "source_word": word_string(f.source, word),
-                            "generator": r,
-                            "block": [target.generator_name(s) for s in block],
-                        }
-                    )
-                    if len(violations) >= max_violations:
-                        return AdmissibilityReport(False, max_source_len, checked, violations)
-    return AdmissibilityReport(not violations, max_source_len, checked, violations)
+    if max_source_len is not None:
+        _check_cutoff(max_source_len, "length cutoff")
+    matrix, steps = f.source.matrix, f._steps
+    start = (f.target.identity().data, 0)
+    bad = _wrong_order(matrix, start, lambda payload, r: steps[r](payload, r))
+    if bad is not None:
+        return ("relation", *bad)
+    weights = [elem.length for elem in f.unfold_elements]
+    for r in range(matrix.rank):
+        for s in range(r + 1, matrix.rank):
+            if matrix.bond(r, s) % 2 and weights[r] != weights[s]:
+                return ("odd-bond", r, s)
+
+    def step(payload, r):
+        ambient, weight = payload
+        return steps[r](ambient, r), weight + weights[r]
+
+    walk = _bfs(f.source, max_source_len, budget, start=(start, 0), step=[step] * matrix.rank)
+    for k, keys, payloads in walk:
+        for key, ((_, length), weight) in zip(keys, payloads):
+            if length != weight:
+                return ("length", k, f.source._reduced_word(key))
+    return None
 
 
 def coset_series_bruteforce(
@@ -508,97 +499,3 @@ def reiner_stats_bruteforce(
         key = (a_exp, b_exp, el.length)
         coeffs[key] = coeffs.get(key, 0) + 1
     return StatSeries(coeffs, max_len)
-
-
-class FactorizationReport(Record):
-    """The outcome of ``folding_factorization_check``.
-
-    Coset minima are read on the left: inversion maps W^J_hat onto ^J_hat W
-    and keeps lengths (D_R(w) = D_L(w^-1); Björner–Brenti, *Combinatorics of
-    Coxeter Groups*, §2.4), and commutes with unfold when unfold is a
-    homomorphism, as for every registered folding, so each field equals its
-    right-coset reading.  A3 -> A3 by blocks {s2}, {s1}, {s3} breaks a
-    relation, and at J_hat = {s1} it fails only on the left.
-
-    ``parabolic_in_parabolic`` cannot fail: the unfolding of a word in
-    J_hat is a product of the block elements of J_hat, all in W_J.
-    ``minima_in_minima`` and ``series_match`` fail for some partitions:
-    for A2 -> A3 with blocks {s1} and {s2, s3} and J_hat = {s2}, both do.
-    """
-
-    __slots__ = (
-        "passed", "max_len", "parabolic_in_parabolic", "minima_in_minima", "series_match",
-        "full_series", "coset_series", "parabolic_series",
-    )
-
-    def __init__(
-        self,
-        passed: bool,
-        max_len: Optional[int],
-        parabolic_in_parabolic: bool,
-        minima_in_minima: bool,
-        series_match: bool,
-        full_series: QSeries,
-        coset_series: QSeries,
-        parabolic_series: QSeries,
-    ):
-        self.passed = passed
-        self.max_len = max_len
-        self.parabolic_in_parabolic = parabolic_in_parabolic
-        self.minima_in_minima = minima_in_minima
-        self.series_match = series_match
-        self.full_series = full_series
-        self.coset_series = coset_series
-        self.parabolic_series = parabolic_series
-
-    def __bool__(self):
-        return self.passed
-
-
-def folding_factorization_check(
-    f: Folding,
-    J_hat: Iterable[int],
-    max_ambient_len: Optional[int],
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> FactorizationReport:
-    """Check the parabolic compatibility of the folding, up to a cutoff.
-
-    Writes J for the union of the blocks over J_hat and verifies that
-    (a) the source parabolic on J_hat unfolds into the target parabolic
-    on J, source left coset minima unfold to target left ones, and
-    (b) the full unfolding series factors as the coset-minima series
-    times the parabolic series, coefficient by coefficient.
-    """
-    from .qseries import QSeries
-
-    J_hat = set(_subset(f.source, J_hat))
-    J = {s for r in J_hat for s in f.blocks[r]}
-
-    # one walk of the ambient ball: the parabolic elements have their
-    # ShortLex word in J_hat, the coset minima no left descent in J_hat
-    full, par, cos = [], [], []
-    par_ok = min_ok = True
-    records = _source_records(f, ambient_cutoff=max_ambient_len, budget=budget)
-    for key, word, (data, length) in records:
-        full.append(length)
-        if J_hat.issuperset(word):
-            par.append(length)
-            par_ok = par_ok and set(f.target._reduced_word(data)) <= J
-        if not any(f.source._is_left_descent_data(key, r) for r in J_hat):
-            cos.append(length)
-            min_ok = min_ok and not any(f.target._is_left_descent_data(data, s) for s in J)
-    full, par_series, cos_series = (
-        QSeries.from_lengths(lengths, max_ambient_len) for lengths in (full, par, cos)
-    )
-    series_ok = full == cos_series * par_series
-    return FactorizationReport(
-        par_ok and min_ok and series_ok,
-        max_ambient_len,
-        par_ok,
-        min_ok,
-        series_ok,
-        full,
-        cos_series,
-        par_series,
-    )

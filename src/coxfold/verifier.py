@@ -254,7 +254,7 @@ def _run_reiner(case, budget, cache_dir, memo):
 
 def _run_coset(case, budget, cache_dir, memo):
     part, n = case.param("part"), case.param("n")
-    rhs = coset_factor(part, n)
+    rhs = coset_factor(part, n, case.max_len)
     f = standard_folding(FamilyId(_COSET_PARTS[part][0], n))
     lhs = coset_series_bruteforce(f, range(1, f.source.rank), case.max_len, budget=budget)
     return lhs, rhs, lhs.eval_at_one()

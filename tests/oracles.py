@@ -18,15 +18,29 @@ w, kept as the reference for ``bruhat_leq``, and ``covers_by_deletion``
 reads the Bruhat covers off one-letter deletions of ShortLex words
 without any pairwise comparison.  ``is_right_descent_data`` is the
 right-descent test through the inverse, which the library no longer
-needs: its walks read left descents only.
+needs: its walks read left descents only.  ``admissibility_violations``
+and ``reference_factorization`` are the two structural checks of a
+folding that ``length_additivity_check`` stands in for, written from
+their definitions: right descents of unfolded elements, and three
+separate walks whose elements are each re-unfolded by their word.
 """
 
 import itertools
 from collections import Counter
+from typing import NamedTuple
 
-from coxfold.coxeter import element_from_word, enumerate_with_words, shortlex_normal_form
+from coxfold.coxeter import (
+    element_from_word,
+    enumerate_parabolic,
+    enumerate_up_to,
+    enumerate_with_words,
+    minimal_coset_reps,
+    right_descents,
+    shortlex_normal_form,
+)
 from coxfold.errors import NonUnitDivisor, ResourceLimit
-from coxfold.qseries import StatSeries
+from coxfold.folding import unfold
+from coxfold.qseries import QSeries, StatSeries
 
 
 def inversions(perm):
@@ -407,3 +421,50 @@ class ColumnKernel:
             out += sorted((k, word, cols) for cols, word in nxt.items())
             layer = nxt
         return out
+
+
+def admissibility_violations(f, max_source_len):
+    """The ShortLex words, up to the cutoff, of the source elements whose
+    unfolding has some but not all letters of a block as right descents."""
+    out = []
+    for el, word in enumerate_with_words(f.source, max_source_len):
+        descents = right_descents(f.target, unfold(f, el))
+        if any(0 < len(descents & set(block)) < len(block) for block in f.blocks):
+            out.append(word)
+    return out
+
+
+class Factorization(NamedTuple):
+    """The three parabolic-factorization checks at one J_hat, and the series they read."""
+
+    parabolic_in_parabolic: bool
+    minima_in_minima: bool
+    series_match: bool
+    full_series: QSeries
+    coset_series: QSeries
+    parabolic_series: QSeries
+
+    @property
+    def passed(self):
+        return self.parabolic_in_parabolic and self.minima_in_minima and self.series_match
+
+
+def reference_factorization(f, J_hat, L):
+    """Whether the source parabolic on J_hat unfolds into the target parabolic
+    on J, the union of its blocks, the source coset minima into the target
+    ones, and the full series is the coset-minima series times the parabolic
+    one, up to ambient length L: three walks, each element re-unfolded."""
+    J = {s for r in J_hat for s in f.blocks[r]}
+
+    def images(elements):
+        return [t for t in (unfold(f, w) for w in elements) if L is None or t.length <= L]
+
+    full = images(el for el, _ in enumerate_up_to(f.source, L))
+    par = images(el for el, _ in enumerate_parabolic(f.source, J_hat, L))
+    cos = images(minimal_coset_reps(f.source, J_hat, L))
+    full_s, par_s, cos_s = (
+        QSeries.from_lengths((t.length for t in ts), L) for ts in (full, par, cos)
+    )
+    par_ok = all(set(shortlex_normal_form(f.target, t)) <= J for t in par)
+    min_ok = not any(right_descents(f.target, t) & J for t in cos)
+    return Factorization(par_ok, min_ok, full_s == cos_s * par_s, full_s, cos_s, par_s)

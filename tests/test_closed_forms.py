@@ -417,6 +417,12 @@ class TestCosetFactor:
     def test_fork(self):
         assert list(coset_factor(3, 3).coeffs) == [1, 1, 1, 0, 1, 1, 1]
 
+    @pytest.mark.parametrize("part, n", [(1, 2), (2, 3), (3, 3)])
+    def test_order_truncates_the_polynomial(self, part, n):
+        exact = coset_factor(part, n)
+        assert coset_factor(part, n, 3) == QSeries(list(exact.coeffs)[:4], 3)
+        assert coset_factor(part, n, 3).order == 3
+
     def test_floors(self):
         with pytest.raises(InvalidParameters):
             coset_factor(3, 2)

@@ -32,6 +32,7 @@ from coxfold.errors import (
     CoxfoldError,
     IndexOutOfRange,
     InvalidMatrix,
+    InvalidParameters,
     ResourceLimit,
     UnsupportedLabel,
 )
@@ -199,6 +200,13 @@ class TestApplyGenerator:
     def test_index_out_of_range(self, call):
         with pytest.raises(IndexOutOfRange):
             call(build_system("A3"))
+
+    @pytest.mark.parametrize("side", ["up", "", None, "Left"])
+    def test_bad_side(self, side):
+        # a side other than "left" or "right" is bad input, not a ValueError
+        a3 = build_system("A3")
+        with pytest.raises(InvalidParameters, match="side must be"):
+            apply_generator(a3, a3.identity(), 0, side)
 
     @pytest.mark.parametrize("name", ["t1", "sx", "s", "s1.5", "s4"])
     def test_bad_generator_names(self, name):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 
 import pytest
@@ -7,6 +8,7 @@ import coxfold.coxeter
 import coxfold.folding
 from coxfold.closed_forms import unfolding_closed_form
 from coxfold.coxeter import (
+    CoxeterMatrix,
     Element,
     build_system,
     element_from_word,
@@ -15,20 +17,16 @@ from coxfold.coxeter import (
     enumerate_with_words,
     minimal_coset_reps,
     multiply,
-    right_descents,
-    shortlex_normal_form,
     word_string,
 )
 from coxfold.errors import IndexOutOfRange, InvalidParameters, ResourceLimit
 from coxfold.folding import (
     _FAMILIES,
     FAMILY_NAMES,
-    FactorizationReport,
     FamilyId,
     Folding,
-    check_admissible,
     coset_series_bruteforce,
-    folding_factorization_check,
+    length_additivity_check,
     reiner_stats_bruteforce,
     standard_folding,
     unfold,
@@ -38,7 +36,12 @@ from coxfold.folding import (
 )
 from coxfold.qseries import QSeries
 
-from oracles import is_kernel, is_right_descent_data
+from oracles import (
+    admissibility_violations,
+    is_kernel,
+    is_right_descent_data,
+    reference_factorization,
+)
 
 # one small parameter choice per family, used by the property suites
 SMALL_FAMILIES = [
@@ -175,31 +178,31 @@ class TestRegistry:
 class TestFoldingValidation:
     def test_one_word_per_source_generator(self):
         # one longest word covering A3 would pass every other check
-        with pytest.raises(ValueError, match="one unfold word"):
+        with pytest.raises(InvalidParameters, match="one unfold word"):
             Folding(build_system("B2"), build_system("A3"), [(0, 1, 0, 2, 1, 0)])
 
     def test_blocks_must_cover(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             Folding(build_system("B2"), build_system("A3"), [(0, 2), ()])
         # s1 and s3 are longest elements of their blocks; only s2 is missing
-        with pytest.raises(ValueError, match="do not cover"):
+        with pytest.raises(InvalidParameters, match="do not cover"):
             Folding(build_system("B2"), build_system("A3"), [(0,), (2,)])
 
     def test_blocks_must_not_overlap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             Folding(build_system("B2"), build_system("A3"), [(0, 1), (1, 2)])
         # both words are longest elements of their blocks, which cover A3
-        with pytest.raises(ValueError, match="overlap"):
+        with pytest.raises(InvalidParameters, match="overlap"):
             Folding(build_system("B2"), build_system("A3"), [(0, 1, 0), (1, 2, 1)])
 
     def test_word_must_be_block_longest_element(self):
         # (s1, s2) is not the longest element of the parabolic on {s1, s2}
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             Folding(build_system("I2(3)"), build_system("A3"), [(0, 1), (2,)])
 
     def test_block_with_infinite_parabolic(self):
         # {s0, s1} of affine A1 generates an infinite group with no longest element
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             Folding(build_system("A1"), build_system("affine-A1"), [(0, 1)])
 
     def test_letters_in_range(self):
@@ -210,7 +213,7 @@ class TestFoldingValidation:
 
     def test_empty_unfold_word(self):
         # the other block covers A1, so only the empty word itself is wrong
-        with pytest.raises(ValueError, match="generator 1 is empty"):
+        with pytest.raises(InvalidParameters, match="generator 1 is empty"):
             Folding(build_system("I2(3)"), build_system("A1"), [(0,), ()])
 
 
@@ -355,20 +358,32 @@ def test_unfolding_step_swaps_in_the_target_kernels():
     assert not any(map(is_kernel, target._apply_table + target._child_table))
 
 
-def test_check_admissible_swaps_in_the_block_kernels(monkeypatch):
-    # the whole of B5 to source length 25: the walk of the source
-    # compiles, and the report is the one the primitives give
-    fam = FamilyId("Bn-Dn+1", 5)
-    plain = standard_folding(fam)
+def _non_injective():
+    """Affine A1 x A1 onto A2 x A1, generator to generator: a weight source
+    whose finite bonds hold, and whose s1 s2 s1 s2 unfolds to length 2."""
+    source = build_system(CoxeterMatrix(((1, 0, 2), (0, 1, 2), (2, 2, 1))))
+    target = build_system(CoxeterMatrix(((1, 3, 2), (3, 1, 2), (2, 2, 1))))
+    return Folding(source, target, [(0,), (1,), (2,)])
+
+
+def test_length_additivity_check_swaps_in_the_block_kernels(monkeypatch):
+    # the walk of all of B5, to source length 25, compiles part way
+    # through, and a walk that fails at length 4 compiles at its first
+    # letter when the trigger is 0: each verdict is the one the
+    # primitives give
+    fam, failure = FamilyId("Bn-Dn+1", 5), ("length", 4, (0, 1, 0, 1))
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 10**9)
-    want = repr(check_admissible(plain, 25))
+    plain = [standard_folding(fam), _non_injective()]
+    assert [length_additivity_check(f, 25) for f in plain] == [None, failure]
+    assert not any(is_kernel(step) for f in plain for step in f._steps)
     monkeypatch.undo()
-    assert not any(map(is_kernel, plain._steps + plain.source._apply_table))
     f = standard_folding(fam)
-    report = check_admissible(f, 25)
-    assert report.passed and report.elements_checked == 3840
+    assert length_additivity_check(f, 25) is None
     assert all(map(is_kernel, f._steps))
-    assert repr(report) == want
+    monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 0)
+    g = _non_injective()
+    assert length_additivity_check(g, 25) == failure
+    assert all(map(is_kernel, g._steps))
 
 
 def test_a_walk_made_after_the_swap_starts_compiled(monkeypatch):
@@ -419,6 +434,8 @@ def test_series_walk_pauses_the_collector_only_for_itself(paused, budget):
 
 
 B2_A3 = standard_folding(FamilyId("Bn-A2n-1", 2))
+# fails the structural check at its relations, before any walk
+A2_A3 = Folding(build_system("A2"), build_system("A3"), [(1,), (0, 2)])
 
 
 @pytest.mark.parametrize(
@@ -428,21 +445,21 @@ B2_A3 = standard_folding(FamilyId("Bn-A2n-1", 2))
         lambda: list(enumerate_with_words(build_system("B3"), -1)),
         lambda: list(enumerate_parabolic(build_system("A3"), [0], -1)),
         lambda: list(minimal_coset_reps(build_system("affine-C2"), [0], -2)),
-        lambda: check_admissible(B2_A3, -1),
+        lambda: length_additivity_check(A2_A3, -1),
         lambda: reiner_stats_bruteforce("affC", 2, -1),
         lambda: unfolding_series_bruteforce(B2_A3, -1),
         lambda: coset_series_bruteforce(B2_A3, [0], -1),
-        lambda: folding_factorization_check(B2_A3, [0], -1),
     ],
     ids=[
         "enumerate_up_to", "enumerate_with_words", "enumerate_parabolic", "minimal_coset_reps",
-        "check_admissible", "reiner_stats_bruteforce", "unfolding_series_bruteforce",
-        "coset_series_bruteforce", "folding_factorization_check",
+        "length_additivity_check", "reiner_stats_bruteforce", "unfolding_series_bruteforce",
+        "coset_series_bruteforce",
     ],
 )
 def test_negative_cutoff_raises(call):
     # the walk checks its length cutoff, and the folding walks their
-    # ambient cutoff, before anything is enumerated
+    # ambient cutoff, before anything is enumerated; the structural check
+    # checks its source cutoff before its first check
     with pytest.raises(InvalidParameters, match="must be a non-negative int"):
         call()
 
@@ -452,14 +469,15 @@ def test_negative_cutoff_raises(call):
     [
         lambda: list(enumerate_up_to(build_system("A2"), "5")),
         lambda: list(enumerate_up_to(build_system("A2"), 2.0)),
-        lambda: check_admissible(B2_A3, "5"),
+        lambda: length_additivity_check(A2_A3, "5"),
         lambda: unfolding_series_bruteforce(B2_A3, "5"),
         lambda: coset_series_bruteforce(B2_A3, [0], 2.0),
         lambda: list(enumerate_up_to(build_system("A2"), False)),
         lambda: unfolding_series_bruteforce(B2_A3, True),
     ],
     ids=[
-        "enumerate_up_to-str", "enumerate_up_to-float", "check_admissible", "series", "coset",
+        "enumerate_up_to-str", "enumerate_up_to-float", "length_additivity_check", "series",
+        "coset",
         "enumerate_up_to-bool", "series-bool",
     ],
 )
@@ -474,47 +492,79 @@ def test_non_int_cutoff_raises(call):
 class TestAdmissibility:
     def test_identity_cutoff(self):
         f = standard_folding(FamilyId("Bn-A2n-1", 2))
-        assert check_admissible(f, 0).passed
+        assert length_additivity_check(f, 0) is None
 
     def test_whole_rank_two_group(self):
+        # all 8 elements of B2 have source length <= 4
         f = standard_folding(FamilyId("Bn-A2n-1", 2))
-        report = check_admissible(f, 4)
-        assert report.passed and report.elements_checked == 8
+        assert length_additivity_check(f, 4) is None
+        assert length_additivity_check(f, None) is None
+        assert admissibility_violations(f, None) == []
 
     @pytest.mark.parametrize("fam", SMALL_FAMILIES, ids=family_label)
     def test_standard_foldings_admissible(self, fam):
-        assert check_admissible(standard_folding(fam), 6).passed
+        assert length_additivity_check(standard_folding(fam), 6) is None
 
     @pytest.mark.parametrize("fam", table_families(1), ids=family_label)
     def test_every_table_row_builds_admissible(self, fam):
-        assert check_admissible(standard_folding(fam), 4).passed
+        assert length_additivity_check(standard_folding(fam), 4) is None
 
     def test_non_commuting_block_fails(self):
         # grouping two adjacent generators of the linear group is not an
-        # admissible partition; an explicit witness must be reported
+        # admissible partition: the block of length 3 sits on an odd bond
+        # beside one of length 1
         bad = Folding(build_system("I2(3)"), build_system("A3"), [(0, 1, 0), (2,)])
-        report = check_admissible(bad, 3)
-        assert not report.passed
-        assert report.violations
+        assert length_additivity_check(bad, 3) == ("odd-bond", 0, 1)
+        assert admissibility_violations(bad, 3)
 
     def test_first_violations_in_shortlex_order(self):
-        # with more witnesses than max_violations, the first ones in
-        # ShortLex order are reported, whatever the element encoding
+        # a failure is the first in ShortLex order, whatever the element
+        # encoding: the first odd bond, and the first word of a layer
         bad = Folding(
             build_system("A3"), build_system("A5"), [(0, 1, 0), (2, 3, 2), (4,)]
         )
-        report = check_admissible(bad, 3, max_violations=2)
-        assert [v["source_word"] for v in report.violations] == ["s1 s2", "s2 s1"]
+        assert length_additivity_check(bad, 3) == ("odd-bond", 1, 2)
+        assert admissibility_violations(bad, 3)[:2] == [(0, 1), (1, 0)]
+        assert length_additivity_check(_non_injective(), 6) == ("length", 4, (0, 1, 0, 1))
 
     def test_block_of_adjacent_generators_reports_its_witnesses(self):
         f = Folding(build_system("A2"), build_system("A3"), [(0,), (1, 2, 1)])
-        report = check_admissible(f, 12)
-        assert not report.passed
-        assert report.elements_checked == 6
-        assert report.violations == [
-            {"source_word": "s2 s1", "generator": 1, "block": ["s2", "s3"]},
-            {"source_word": "s1 s2 s1", "generator": 1, "block": ["s2", "s3"]},
-        ]
+        assert length_additivity_check(f, 12) == ("odd-bond", 0, 1)
+        assert admissibility_violations(f, 12) == [(1, 0), (0, 1, 0)]
+
+
+# (source, target, unfold words, the failure of length_additivity_check)
+WITNESSES = [
+    ("A2", "A3", [(0,), (1, 2, 1)], ("odd-bond", 0, 1)),
+    ("A2", "A3", [(1,), (0, 2)], ("relation", 0, 1)),
+    ("I2(5)", "A5", [(0, 2, 3, 2), (1, 4)], ("odd-bond", 0, 1)),
+    ("I2(3)", "A3", [(0, 1, 0), (2,)], ("odd-bond", 0, 1)),
+    ("A3", "A5", [(0, 1, 0), (2, 3, 2), (4,)], ("odd-bond", 1, 2)),
+    ("A3", "A3", [(1,), (0,), (2,)], ("relation", 0, 2)),
+    # s1 s2 has order 3 in A2: (g_r g_s)^3 = e, but the bond asks for 6
+    ("I2(6)", "A2", [(0,), (1,)], ("relation", 0, 1)),
+]
+
+
+def _witness_id(witness):
+    source, target, letters, _ = witness
+    return f"{source}-{target}-" + "-".join("".join(map(str, w)) for w in letters)
+
+
+class TestLengthAdditivity:
+    @pytest.mark.parametrize(
+        "source, target, letters, failure", WITNESSES, ids=map(_witness_id, WITNESSES)
+    )
+    def test_pinned_witness_fails(self, source, target, letters, failure):
+        f = Folding(build_system(source), build_system(target), letters)
+        assert length_additivity_check(f, None) == failure
+
+    def test_infinite_bond_folded_into_a_finite_group(self):
+        # affine A1 onto A2: no finite bond to check, and s1 s2 s1 is the
+        # longest element of A2, so the map stays additive up to length 3
+        f = Folding(build_system("affine-A1"), build_system("A2"), [(0,), (1,)])
+        assert length_additivity_check(f, 3) is None
+        assert length_additivity_check(f, 6) == ("length", 4, (0, 1, 0, 1))
 
 
 class TestTransferProperties:
@@ -607,17 +657,19 @@ class TestReinerStats:
 class TestFactorization:
     def test_empty_subset_trivial(self):
         f = standard_folding(FamilyId("Bn-A2n-1", 2))
-        report = folding_factorization_check(f, [], None)
-        assert report.passed
-        assert report.parabolic_series == QSeries([1])
+        assert length_additivity_check(f, None) is None
+        reference = reference_factorization(f, [], None)
+        assert reference.passed and reference.parabolic_series == QSeries([1])
 
     def test_rank_two_split(self):
         f = standard_folding(FamilyId("Bn-A2n-1", 2))
-        report = folding_factorization_check(f, [1], None)
-        assert report.passed
-        assert list(report.coset_series.coeffs) == [1, 0, 1, 1, 0, 1]
-        assert list(report.parabolic_series.coeffs) == [1, 1]
-        assert report.full_series == report.coset_series * report.parabolic_series
+        reference = reference_factorization(f, [1], None)
+        assert reference.passed
+        assert list(coset_series_bruteforce(f, [1], None).coeffs) == [1, 0, 1, 1, 0, 1]
+        assert list(reference.coset_series.coeffs) == [1, 0, 1, 1, 0, 1]
+        assert list(reference.parabolic_series.coeffs) == [1, 1]
+        full = reference.coset_series * reference.parabolic_series
+        assert unfolding_series_bruteforce(f, None) == full
 
     def test_rank_three_coset_factor(self):
         from coxfold.qseries import Monomial, q_integer
@@ -629,59 +681,38 @@ class TestFactorization:
 
     def test_affine_factorization_with_cutoff(self):
         f = standard_folding(FamilyId("affC-affBn+1", 2))
-        report = folding_factorization_check(f, [1, 2], 8)
-        assert report.passed
+        assert length_additivity_check(f, 8) is None
+        assert reference_factorization(f, [1, 2], 8).passed
 
     def test_out_of_range_subset(self):
         f = standard_folding(FamilyId("Bn-A2n-1", 2))
         with pytest.raises(IndexOutOfRange):
-            folding_factorization_check(f, [2], None)
+            coset_series_bruteforce(f, [2], None)
 
     @staticmethod
-    def _checks(report):
+    def _checks(reference):
         return (
-            report.passed,
-            report.parabolic_in_parabolic,
-            report.minima_in_minima,
-            report.series_match,
+            reference.passed,
+            reference.parabolic_in_parabolic,
+            reference.minima_in_minima,
+            reference.series_match,
         )
 
     def test_minima_unfold_outside_the_minima_for_an_inadmissible_block(self):
         f = Folding(build_system("A2"), build_system("A3"), [(0,), (1, 2, 1)])
-        report = folding_factorization_check(f, {1}, 12)
-        assert self._checks(report) == (False, True, False, False)
+        assert self._checks(reference_factorization(f, {1}, 12)) == (False, True, False, False)
+        assert length_additivity_check(f, 12) == ("odd-bond", 0, 1)
 
     def test_admissible_manual_folding_fails_only_the_series(self):
         g = Folding(build_system("A2"), build_system("A3"), [(1,), (0, 2)])
-        assert check_admissible(g, 12).passed
-        report = folding_factorization_check(g, {1}, 12)
-        assert self._checks(report) == (False, True, True, False)
+        assert admissibility_violations(g, 12) == []
+        assert self._checks(reference_factorization(g, {1}, 12)) == (False, True, True, False)
+        assert length_additivity_check(g, 12) == ("relation", 0, 1)
 
     def test_minima_fail_while_the_series_holds(self):
         f = Folding(build_system("I2(5)"), build_system("A5"), [(0, 2, 3, 2), (1, 4)])
-        report = folding_factorization_check(f, {0}, 12)
-        assert self._checks(report) == (False, True, False, True)
-
-
-def _reference_factorization(f, J_hat, L):
-    """The earlier algorithm: three walks, each element re-unfolded by its word."""
-    J = {s for r in J_hat for s in f.blocks[r]}
-
-    def images(elements):
-        return [t for t in (unfold(f, w) for w in elements) if L is None or t.length <= L]
-
-    full = images(el for el, _ in enumerate_up_to(f.source, L))
-    par = images(el for el, _ in enumerate_parabolic(f.source, J_hat, L))
-    cos = images(minimal_coset_reps(f.source, J_hat, L))
-    full_s, par_s, cos_s = (
-        QSeries.from_lengths((t.length for t in ts), L) for ts in (full, par, cos)
-    )
-    par_ok = all(set(shortlex_normal_form(f.target, t)) <= J for t in par)
-    min_ok = not any(right_descents(f.target, t) & J for t in cos)
-    series_ok = full_s == cos_s * par_s
-    return FactorizationReport(
-        par_ok and min_ok and series_ok, L, par_ok, min_ok, series_ok, full_s, cos_s, par_s
-    )
+        assert self._checks(reference_factorization(f, {0}, 12)) == (False, True, False, True)
+        assert length_additivity_check(f, 12) == ("odd-bond", 0, 1)
 
 
 def _exact(value):
@@ -689,27 +720,19 @@ def _exact(value):
     return (value.coeffs, value.order) if isinstance(value, QSeries) else value
 
 
-_REPORT_FIELDS = (
-    "passed", "max_len", "parabolic_in_parabolic", "minima_in_minima", "series_match",
-    "full_series", "coset_series", "parabolic_series",
-)
-
-
-def _fields(report):
-    # every field is compared: the list must be the report's whole field tuple
-    assert type(report).__slots__ == _REPORT_FIELDS
-    return [_exact(getattr(report, name)) for name in _REPORT_FIELDS]
-
-
-def _reference_cases():
-    """Every family row at min_n and min_n + 1, and two manual foldings that are homomorphisms."""
-    rows = [
+def _rows():
+    """Every family row at min_n and min_n + 1, with m = 2 where it takes m."""
+    return [
         FamilyId(name, row.min_n + extra, 2 if row.takes_m else None)
         for extra in (0, 1)
         for name, row in _FAMILIES.items()
     ]
+
+
+def _reference_cases():
+    """Every row of ``_rows``, and two manual foldings that are homomorphisms."""
     manual = [("A2", "A3", [(0,), (1, 2, 1)]), ("I2(5)", "A5", [(0, 2, 3, 2), (1, 4)])]
-    return [pytest.param(standard_folding(fam), id=family_label(fam)) for fam in rows] + [
+    return [pytest.param(standard_folding(fam), id=family_label(fam)) for fam in _rows()] + [
         pytest.param(Folding(build_system(s), build_system(t), letters), id=f"manual-{s}-{t}")
         for s, t, letters in manual
     ]
@@ -720,7 +743,27 @@ def test_one_walk_matches_the_reference_walks(f):
     last = f.source.rank - 1
     L = 7 if f.source.label.startswith("affine-") else None
     for J_hat in sorted({(), (0,), (last,), tuple(range(1, last + 1))}):
-        expected = _reference_factorization(f, J_hat, L)
-        assert _fields(folding_factorization_check(f, J_hat, L)) == _fields(expected), J_hat
-        coset = coset_series_bruteforce(f, J_hat, L)
-        assert _exact(coset) == _exact(expected.coset_series), J_hat
+        expected = reference_factorization(f, J_hat, L)
+        assert _exact(coset_series_bruteforce(f, J_hat, L)) == _exact(expected.coset_series), J_hat
+    assert _exact(unfolding_series_bruteforce(f, L)) == _exact(expected.full_series)
+
+
+def _agreement_cases():
+    """Every row of ``_rows``, and the first six witnesses."""
+    return [pytest.param(standard_folding(fam), id=family_label(fam)) for fam in _rows()] + [
+        pytest.param(Folding(build_system(w[0]), build_system(w[1]), w[2]), id=_witness_id(w))
+        for w in WITNESSES[:6]
+    ]
+
+
+@pytest.mark.parametrize("f", _agreement_cases())
+def test_check_agrees_with_the_reference_checks(f):
+    # the check passes exactly when the partition is admissible and the
+    # series factors at every J_hat; affine sources are cut at length 5
+    L = 5 if f.source.label.startswith("affine-") else None
+    rank = f.source.rank
+    subsets = [J for k in range(rank + 1) for J in itertools.combinations(range(rank), k)]
+    expected = not admissibility_violations(f, L) and all(
+        reference_factorization(f, J_hat, L).passed for J_hat in subsets
+    )
+    assert (length_additivity_check(f, L) is None) == expected

@@ -14,8 +14,8 @@ import pytest
 
 from coxfold.coxeter import CoxeterMatrix, Element
 from coxfold.errors import CoxfoldError, InvalidBase, InvalidMatrix, InvalidParameters
-from coxfold.folding import AdmissibilityReport, FactorizationReport, FamilyId
-from coxfold.qseries import Monomial, QSeries
+from coxfold.folding import FamilyId
+from coxfold.qseries import Monomial
 from coxfold.verifier import VerificationCase, VerificationJob, VerificationReport
 
 # (record, its field values in order, its exact repr)
@@ -42,20 +42,7 @@ FROZEN = [
 ]
 FROZEN_IDS = [r[2].split("(")[0] + str(i) for i, r in enumerate(FROZEN)]
 
-_SERIES = (QSeries([1, 2, 1]), QSeries([1, 1]), QSeries([1, 1], 3))
 MUTABLE = [
-    (
-        AdmissibilityReport(passed=True, cutoff=4, elements_checked=10, violations=[]),
-        (True, 4, 10, []),
-        "AdmissibilityReport(passed=True, cutoff=4, elements_checked=10, violations=[])",
-    ),
-    (
-        FactorizationReport(True, 3, True, True, True, *_SERIES),
-        (True, 3, True, True, True) + _SERIES,
-        "FactorizationReport(passed=True, max_len=3, parabolic_in_parabolic=True, "
-        f"minima_in_minima=True, series_match=True, full_series={_SERIES[0]!r}, "
-        f"coset_series={_SERIES[1]!r}, parabolic_series={_SERIES[2]!r})",
-    ),
     (
         VerificationJob(cases=[VerificationCase("I2-An", (("n", 3),), None)]),
         ([VerificationCase("I2-An", (("n", 3),), None)], 10**7),
@@ -135,8 +122,7 @@ class TestMutableRecords:
     def test_copy_deepcopy_pickle(self, record, values, text):
         assert copy.copy(record) == record
         assert copy.deepcopy(record) == record
-        # QSeries, a field of FactorizationReport, pickles from protocol 2
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(record, protocol))
             assert back == record and type(back) is type(record)
 
@@ -178,8 +164,3 @@ def test_constructor_arity():
         Element((1,), 0, 1)
     with pytest.raises(TypeError):
         FamilyId("Bn-A2n-1", n=3, k=1)
-
-
-def test_reports_are_truthy_by_passed():
-    assert not AdmissibilityReport(False, 2, 3, ["v"])
-    assert FactorizationReport(True, None, True, True, True, *_SERIES)

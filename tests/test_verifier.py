@@ -89,6 +89,7 @@ class TestRunJob:
             VerificationCase.make("Poincare-An", n=True),
             VerificationCase.make("CosetFactor-Lemma3.1", part=True, n=2),
             VerificationCase.make("CosetFactor-Lemma3.1", part=1.0, n=2),
+            VerificationCase.make("CosetFactor-Lemma3.1", -1, part=1, n=2),
         ],
         ids=[
             "folding-without-n", "coset-part-4", "coset-part-0",
@@ -96,7 +97,7 @@ class TestRunJob:
             "histogram-negative-L", "product-negative-L", "substitution-negative-L",
             "folding-str-L", "histogram-str-L", "coset-str-L", "corollary-str-L",
             "corollary-negative-L", "coset-bool-L", "corollary-bool-L",
-            "histogram-bool-n", "coset-bool-part", "coset-float-part",
+            "histogram-bool-n", "coset-bool-part", "coset-float-part", "coset-negative-L",
         ],
     )
     def test_bad_parameters_become_entries(self, case):
@@ -114,11 +115,11 @@ class TestRunJob:
         ids=["coset", "corollary"],
     )
     def test_every_runner_applies_its_L(self, case):
-        # the coset walk stops at ambient length 1, and the corollary's
-        # identity is compared up to q^1
+        # the coset walk and its factor stop at ambient length 1, and the
+        # corollary's identity is compared up to q^1
         (entry,) = run_job(VerificationJob([case])).cases
-        assert entry["status"] == "pass" and entry["lhs"]["order"] == 1
-        assert entry["lhs"]["coeffs"] == entry["rhs"]["coeffs"][:2]
+        assert entry["status"] == "pass" and entry["lhs"]["order"] == entry["rhs"]["order"] == 1
+        assert entry["lhs"] == entry["rhs"]
         exact = run_job(VerificationJob([VerificationCase(case.family, case.params, None)]))
         assert exact.cases[0]["lhs"]["order"] == "exact"
 
