@@ -1,44 +1,54 @@
-"""Straight-line walk kernels, generated from a weight system's Cartan integers.
+"""Straight-line walk kernels, generated from the Cartan integers of weight systems.
 
-A walk of a weight ``CoxeterSystem`` swaps these into the system's walk
-tables once it has stored enough nodes (``coxeter._COMPILE_AFTER``),
-and the block steps of their target into its step tables.  Each
-kernel is Python source that holds nothing but variable names and the
-integers of the system's ``_row`` and ``_below`` tables; it unpacks the
-weight vector x0, ..., x{r-1} once and returns one display.  Results stay
-exact and equal: a kernel does its primitive's integer additions and
-multiplications by the same Cartan integers on Python ints, only
-unrolled.  ``kernels`` compiles the s_i and child-test kernels of every
-generator once per Coxeter matrix, and ``word_kernel`` the block step of
-one word once per matrix and word; ``_KERNELS`` caches both for every
-system built on the same matrix.
+Each kernel is Python source that holds nothing but variable names and
+the integers of the systems' ``_row`` and ``_below`` tables, so results
+stay exact and equal: the primitives' integer arithmetic, only
+unrolled.  A walk of a weight ``CoxeterSystem`` compiles once it has
+stored enough nodes (``coxeter._COMPILE_AFTER``), into one of two forms.
+``kernels`` gives s_i and the child test of each generator, which
+``coxeter._bfs`` swaps into the system's walk tables.  ``bucket_loops``
+gives the unfolding series walk (``folding._series``), whose nodes are
+then flat tuples (x0, ..., x{r-1}, y0, ..., y{R-1}, l) of source data,
+target data and length, one loop per source letter and kind of bucket
+(untested or tested); each loop reads a whole bucket and appends the
+children, with the child test, s_i, the block step with each letter's
+sign test, the cutoff, ``keep`` and the budget inline.  ``_KERNELS``
+caches each compiled set for every system built on the same matrices.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Tuple
+from typing import Iterable, Tuple
 
-# matrix entries -> (apply table, child table), and (matrix entries, word)
-# -> the word's block-step kernel; each compiled once
+from .errors import ResourceLimit
+
+# matrix entries -> (apply table, child table), and (source entries, target
+# entries, words, no cutoff, no keep) -> the maker of a walk's bucket loops
 _KERNELS: dict = {}
 
 
-def _plus(j: int, c: int, i: int) -> str:
-    """The source of x_j - a_ij x_i, with c = -a_ij."""
-    return f"x{j}" if c == 0 else f"x{j} + x{i}" if c == 1 else f"x{j} + {c} * x{i}"
+def _plus(j: int, c: int, i: int, v: str = "x") -> str:
+    """The source of v_j - a_ij v_i, with c = -a_ij."""
+    return f"{v}{j}" if c == 0 else f"{v}{j} + {v}{i}" if c == 1 else f"{v}{j} + {c} * {v}{i}"
 
 
-def _image(system, i: int) -> list:
-    """The source of each entry of s_i w from the names x0, ..., x{r-1} of w."""
-    image = [f"x{j}" for j in range(system.rank)]
-    image[i] = f"-x{i}"
+def _image(system, i: int, v: str = "x") -> list:
+    """The source of each entry of s_i w from the names v0, ..., v{r-1} of w."""
+    image = [f"{v}{j}" for j in range(system.rank)]
+    image[i] = f"-{v}{i}"
     for j, c in system._row[i]:
-        image[j] = _plus(j, c, i)
+        image[j] = _plus(j, c, i, v)
     return image
 
 
+def _child_test(system, i: int) -> str:
+    """The source of the condition under which s_i w is not a ShortLex-tree child of w."""
+    signs = [f"x{i}"] + [_plus(j, c, i) for j, c in system._below[i]]
+    return " or ".join(f"{t} < 0" for t in signs)
+
+
 def _compiled(source: str, names: Iterable[str]) -> tuple:
-    namespace = {"__builtins__": {}}
+    namespace = {"__builtins__": {}, "ResourceLimit": ResourceLimit}
     exec(compile(source, "<coxfold kernels>", "exec"), namespace)
     return tuple(namespace[name] for name in names)
 
@@ -60,44 +70,72 @@ def kernels(system) -> Tuple[tuple, tuple]:
     if entries not in _KERNELS:
         unpack = "    " + ", ".join(f"x{j}" for j in range(system.rank)) + ", = x"
         lines = []
-        for i, below in enumerate(system._below):
+        for i in range(system.rank):
             display = "    return (" + ", ".join(_image(system, i)) + ",)"
-            signs = [f"x{i}"] + [_plus(j, c, i) for j, c in below]
-            tests = " or ".join(f"{t} < 0" for t in signs)
             lines += [f"def a{i}(x, _):", unpack, display]
-            lines += [f"def c{i}(x, _):", unpack, f"    if {tests}:", "        return None"]
-            lines.append(display)
+            lines += [f"def c{i}(x, _):", unpack, f"    if {_child_test(system, i)}:"]
+            lines += ["        return None", display]
         names = [f"{kind}{i}" for kind in "ac" for i in range(system.rank)]
         compiled = _compiled("\n".join(lines), names)
         _KERNELS[entries] = (compiled[:system.rank], compiled[system.rank:])
     return _KERNELS[entries]
 
 
-def word_kernel(system, letters: Tuple[int, ...]) -> Callable:
-    """The straight-line form of a ``_step_table`` entry: ``_left_word`` for one word.
+def bucket_loops(source, target, words, cutoff, keep, budget, cached_only=False):
+    """The (untested, tested) bucket loops of each source letter, for one series walk.
 
-    It takes ((x0, ..., x{r-1}), length) and an ignored letter, unpacks
-    once, applies the letters in order with each one's sign test inline
-    (a left descent lowers the length, so it takes 2 off the count of
-    letters added at the end) and returns one pair display.  One compile
-    per Coxeter matrix and word.
+    Loop i is called as (nodes, out, stored, k): for each flat node w of
+    ``nodes`` whose s_i w is a child (always, in the untested loop), it
+    applies ``words[i]`` to the target part letter by letter on the left,
+    like ``target._left_word`` (a left descent takes 2 off the count of
+    letters added at the end), drops the child if its length is past
+    ``cutoff`` or ``keep(source data, (target data, length))`` is false,
+    counts it, raises ``ResourceLimit(budget, k, stored)`` past the
+    budget, appends it to ``out``, and returns the stored count.  One
+    compile per source matrix, target matrix, words and whether there is
+    a cutoff and a ``keep``; each walk binds its own values of those.
+    With ``cached_only``, None unless that compile happened already.
 
     >>> from coxfold.coxeter import build_system
-    >>> W = build_system("A3")
-    >>> word_kernel(W, (2, 0))(((1, 1, 1), 0), 0), W._left_word((2, 0), ((1, 1, 1), 0))
-    (((-1, 3, -1), 2), ((-1, 3, -1), 2))
+    >>> A3 = build_system("A3")
+    >>> untested, tested = bucket_loops(A3, A3, ((0,), (1,), (2,)), None, None, 10)[0]
+    >>> out = []
+    >>> untested([(1, 1, 1, 1, 1, 1, 0)], out, 1, 1), out
+    (2, [(-1, 2, 1, -1, 2, 1, 1)])
+    >>> tested(out, [], 2, 2)
+    2
     """
-    key = (system.matrix.entries, letters)
+    key = (source.matrix.entries, target.matrix.entries, words, cutoff is None, keep is None)
     if key not in _KERNELS:
-        display = [f"x{j}" for j in range(system.rank)]
-        lines = ["def k(p, _):", "    (" + ", ".join(display) + ",), l = p"]
-        for t, i in enumerate(letters):
-            lines.append(f"    if x{i} < 0: l -= 2")
-            if t == len(letters) - 1:
-                display = _image(system, i)
-            else:
-                lines += [f"    x{j} = {_plus(j, c, i)}" for j, c in system._row[i]]
-                lines.append(f"    x{i} = -x{i}")
-        lines.append("    return (" + ", ".join(display) + f",), l + {len(letters)}")
-        (_KERNELS[key],) = _compiled("\n".join(lines), ["k"])
-    return _KERNELS[key]
+        if cached_only:
+            return None
+        node = [f"x{j}" for j in range(source.rank)] + [f"y{j}" for j in range(target.rank)]
+        head = ["        append = out.append", f"        for {', '.join(node)}, l in nodes:"]
+        lines, names = ["def loops(cutoff, keep, budget):"], []
+        for i, word in enumerate(words):
+            body, display = [], [f"y{j}" for j in range(target.rank)]
+            for t, s in enumerate(word):
+                body.append(f"if y{s} < 0: l -= 2")
+                if t == len(word) - 1:
+                    display = _image(target, s, "y")
+                else:
+                    body += [f"y{j} = {_plus(j, c, s, 'y')}" for j, c in target._row[s]]
+                    body.append(f"y{s} = -y{s}")
+            body.append(f"l += {len(word)}")
+            if cutoff is not None:
+                body.append("if l > cutoff: continue")
+            child = "(" + ", ".join(_image(source, i) + display) + ", l)"
+            if keep is not None:
+                r = source.rank
+                body.append(f"child = {child}")
+                body.append(f"if not keep(child[:{r}], (child[{r}:-1], l)): continue")
+                child = "child"
+            body += ["stored += 1", "if stored > budget: raise ResourceLimit(budget, k, stored)"]
+            body.append(f"append({child})")
+            for kind, test in (("u", []), ("t", [f"if {_child_test(source, i)}: continue"])):
+                lines += [f"    def {kind}{i}(nodes, out, stored, k):"] + head
+                lines += [" " * 12 + line for line in test + body] + ["        return stored"]
+            names.append(f"(u{i}, t{i})")
+        lines.append(f"    return [{', '.join(names)}]")
+        (_KERNELS[key],) = _compiled("\n".join(lines), ["loops"])
+    return _KERNELS[key](cutoff, keep, budget)

@@ -72,20 +72,14 @@ through inverses.  In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
 
 The breadth-first walk calls ``_apply_left`` and ``_child`` through
 per-generator tables, ``_apply_table`` and ``_child_table``, read once
-per bucket, and hands out each bucket as two lists.  A walk that carries
-a payload reads its step from a per-letter table too; the folding step
-is a ``_step_table`` of the source, whose entry r applies one word's
-letters to a target payload (data, length), like ``_left_word``.  Once
+per bucket, and hands out each bucket as two lists; a payload's step
+comes from a per-letter table (for a folding, a ``_step_table``).  Once
 a walk of a weight system has stored ``_COMPILE_AFTER`` nodes per
-generator, its own count, checked per letter of a layer, never per call,
+generator, its own count, checked per letter of a layer, it compiles:
 it swaps the straight-line kernels of ``coxfold._kernels`` into the
-system's tables, once per system: for each generator, one for s_i and
-one for the child test, and for each word of a step table with a weight
-target, one block step with each letter's sign test inline, each
-compiled once per Coxeter matrix (and word) and shared by every system
-built on it.  Short walks, such as those of the default verify grid and
-of a Hasse diagram, never compile; the dihedral backend never does, and
-every other operation calls the primitives.
+system's tables, or, for the unfolding series, fuses into that module's
+bucket loops.  Short walks, such as those of the default verify grid and
+of a Hasse diagram, never compile; the dihedral backend never does.
 
 Bond order 0 in a Coxeter matrix encodes an infinite bond.
 """
@@ -135,14 +129,15 @@ _RANK3_BONDS = {2, 3, 4, 6, INFINITE}
 # bond order -> Cartan integers (a_ij, a_ji) for i < j
 _CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1), INFINITE: (-2, -2)}
 
-# A walk of a weight system, reading this as it starts, swaps in compiled
-# kernels once it has stored this many nodes per generator.  One compile
-# takes 0.1-0.2 ms per generator (0.2-0.4 ms at rank 3, 1 ms at rank 7,
-# 2-3 ms at rank 13 on a 2-vCPU host), and a compiled call saves 0.2-0.4 us
-# against the primitive, so it pays for itself after about 500 calls per
-# generator.  A stored node took at least one call: its walk's, and in a
-# folding walk one block step more, whose kernel saves one call per letter.
+# A walk of a weight system, reading this as it starts, compiles once it
+# has stored this many nodes per generator.  One compile takes 0.1-0.2 ms
+# per generator (0.2-0.4 ms at rank 3, 1 ms at rank 7 on a 2-vCPU host),
+# and a compiled call saves 0.2-0.4 us against the primitive, so it pays
+# for itself after about 500 calls per generator; a fused series loop
+# costs about twice as much to compile and saves two or three calls a node.
 _COMPILE_AFTER = 500
+
+_RELATIONS_HOLD: set = set()  # the entries of every matrix whose relations passed
 
 
 class CoxeterMatrix(FrozenRecord):
@@ -227,12 +222,14 @@ class CoxeterSystem:
         # it starts as, until a long walk swaps in the compiled kernels
         self._apply_table = [self._apply_left] * self.rank
         self._child_table = [self._child] * self.rank
-        self._step_tables: list = []  # (target, words, table) of each _step_table
         self._check_relations()
 
     # -- construction helpers -------------------------------------------
 
     def _check_relations(self):
+        """Raise InvalidMatrix unless the primitives satisfy the relations; once per entries."""
+        if self.matrix.entries in _RELATIONS_HOLD:
+            return
         ident = self._identity.data
         for i in range(self.rank):
             if self._apply_left(self._apply_left(ident, i), i) != ident:
@@ -243,6 +240,7 @@ class CoxeterSystem:
             raise InvalidMatrix(
                 f"(s{i}s{j}) does not have order m({i},{j}) = {self.matrix.bond(i, j)}"
             )
+        _RELATIONS_HOLD.add(self.matrix.entries)
 
     # -- naming -----------------------------------------------------------
 
@@ -306,30 +304,9 @@ class CoxeterSystem:
                 return None
         return self._apply_left(data, i)
 
-    def _swap_in_kernels(self):
-        """Put the compiled kernels, made once per matrix and word, in every walk table."""
-        # imported here, so that a process whose walks stay short never loads it
-        from ._kernels import kernels, word_kernel
-
-        self._apply_table[:], self._child_table[:] = kernels(self)
-        for target, words, table in self._step_tables:
-            if target.backend == "weight":
-                table[:] = [word_kernel(target, letters) for letters in words]
-
     def _step_table(self, target: CoxeterSystem, words: Tuple[Word, ...]) -> list:
-        """A step table for walks of this system, applying ``words[r]`` in ``target``.
-
-        Entry r is called as (payload, r) on a (data, length) of ``target``
-        and returns ``target._left_word(words[r], payload)``.  The swap of
-        this system's kernels puts the ``_kernels.word_kernel``s of a
-        weight ``target`` in the table too; a table made after it starts
-        with them.
-        """
-        table = [partial(target._left_word, letters) for letters in words]
-        self._step_tables.append((target, words, table))
-        if self._apply_table[0] != self._apply_left:  # the kernels are in
-            self._swap_in_kernels()
-        return table
+        """Entry r, called as (payload, r), is ``target._left_word(words[r], payload)``."""
+        return [partial(target._left_word, letters) for letters in words]
 
     # -- elements, and walks on raw data ---------------------------------------
 
@@ -368,8 +345,8 @@ class CoxeterSystem:
 
         ``payload`` is the raw (data, length) of w.  The length moves down
         at a letter that is a left descent, else up.  With the letters
-        bound, it is the primitive form of a ``_step_table`` entry, which
-        the walk calls with a letter of its own as the third argument.
+        bound, it is a ``_step_table`` entry, which the walk calls with a
+        letter of its own as the third argument.
         """
         data, length = payload
         desc, apply = self._is_left_descent_data, self._apply_left
@@ -554,6 +531,7 @@ def _bfs(
     start=None,
     step: Optional[Sequence[Callable]] = None,
     keep=None,
+    fuse: Optional[Callable] = None,
 ) -> Iterator[Tuple[int, list, list]]:
     """Walk the ShortLex tree breadth-first; every enumeration runs on this.
 
@@ -590,13 +568,22 @@ def _bfs(
     and ``_child_table[i]``, read once per bucket, and ``step[i]`` is read
     once per letter.  After each letter of a layer, a walk of a weight
     system that has stored ``_COMPILE_AFTER`` nodes per generator beyond
-    the root swaps the compiled kernels into those tables and the
-    system's ``_step_table``s, unless a walk did so before.
+    the root trips, once.  Without ``fuse``, it swaps the compiled
+    kernels of ``coxfold._kernels`` into those tables, unless a walk did
+    so before.  With it, the walk fuses into ``fuse(False)``, a pair
+    ``(flatten, loops)``: each live bucket becomes the flat nodes
+    ``flatten(keys, payloads)``, both keys and payloads from then on, and
+    its children come from one call ``loops[i][tested](nodes, made,
+    stored, k)``, which does the tables', step's, filter's and budget's
+    work and returns ``stored``.  With no compile to repay, it trips at
+    its first letter: ``fuse(True)`` gives the pair only if compiled before.
     """
     if max_len is not None:
         _check_cutoff(max_len, "length cutoff")
     applies, tests, above = system._apply_table, system._child_table, system._above
     trip = _COMPILE_AFTER * system.rank if system.backend == "weight" else float("inf")
+    trip = 0 if fuse and fuse(True) else trip
+    loops = None
     stored, k = 1, 0
     if stored > budget:
         raise ResourceLimit(budget, k, stored)
@@ -612,17 +599,22 @@ def _bfs(
         k += 1
         children = []
         for i in range(system.rank):
-            made, values = [], []
+            made = []
+            values = made if loops else []
             extend = None if step is None else step[i]
             for d, (keys, payloads) in enumerate(layer):
                 if not keys:
                     continue
                 if d > i:
-                    make = applies[i]
+                    tested = False
                 elif i in above[d]:
-                    make = tests[i]
+                    tested = True
                 else:
                     continue
+                if loops:
+                    stored = loops[i][tested](keys, made, stored, k)
+                    continue
+                make = tests[i] if tested else applies[i]
                 for key, payload in zip(keys, payloads):
                     child = make(key, i)
                     if child is None:
@@ -638,8 +630,17 @@ def _bfs(
             children.append((made, values))
             if stored > trip:
                 trip = float("inf")
-                if applies[0] == system._apply_left:  # no walk has swapped yet
-                    system._swap_in_kernels()
+                if fuse is not None:
+                    flatten, loops = fuse(False)
+                    layer, children = [
+                        [(nodes, nodes) for nodes in (flatten(*bucket) for bucket in live)]
+                        for live in (layer, children)
+                    ]
+                elif applies[0] == system._apply_left:  # no walk has swapped yet
+                    # imported here, so that a process whose walks stay short never loads it
+                    from ._kernels import kernels
+
+                    applies[:], tests[:] = kernels(system)
         layer = children + [([], [])]
 
 

@@ -48,6 +48,7 @@ draws, such as ``coxfold bruhat-dot``, never loads it.
 from __future__ import annotations
 
 import gc
+import sys
 from itertools import chain
 from operator import itemgetter
 from typing import (
@@ -176,7 +177,7 @@ _FAMILIES = {
 
 FAMILY_NAMES = tuple(_FAMILIES)
 
-_LENGTH = itemgetter(1)  # the ambient length of a (data, length) payload
+_LENGTH = itemgetter(-1)  # the ambient length of a (data, length) payload or a flat node
 
 
 class FamilyId(FrozenRecord):
@@ -269,7 +270,8 @@ class Folding:
                     f"of its block parabolic"
                 )
         # the walk step: entry r applies unfold(r) on the left, last letter first
-        self._steps = source._step_table(target, tuple(word[::-1] for word in self.unfold_letters))
+        self._words = tuple(word[::-1] for word in self.unfold_letters)
+        self._steps = source._step_table(target, self._words)
 
     def __repr__(self):
         tag = self.family.name if self.family else "manual"
@@ -313,13 +315,10 @@ def _unfolding(f: Folding, ambient_cutoff: Optional[int], keep: Optional[Callabl
     order, and moves the length by -1 or +1 as each letter is a left
     descent or not.  The step table is the folding's ``_steps``, a
     ``_step_table`` of the source: a Python loop over the target's
-    primitives until a long walk of the source swaps in one compiled
-    block step per source letter, with the source's kernels; the
-    target's tables are never read.  A dihedral source or target keeps
-    the loop.  The filter rejects nodes beyond the ambient cutoff, then
-    those failing the source filter ``keep(source key, payload)``, whose
-    set must be closed under taking parents; with neither, it is None,
-    so the walk calls no filter.
+    primitives, whose tables are never read.  The filter rejects nodes
+    beyond the ambient cutoff, then those failing the source filter
+    ``keep(source key, payload)``, whose set must be closed under taking
+    parents; with neither, it is None, so the walk calls no filter.
     """
     if ambient_cutoff is not None:
         _check_cutoff(ambient_cutoff, "ambient cutoff")
@@ -338,16 +337,33 @@ def _series(
 ) -> QSeries:
     """The unfolded length series of a source walk that carries no word.
 
-    Each bucket's lengths are counted in one pass in C.  The walk stores
-    fresh tuples that form no cycle, and the cyclic collector would only
-    re-scan the growing layers, so it is paused for the walk, which yields
-    to no caller code, unless the caller had paused it already.
+    The walk starts on the primitives of ``_unfolding``.  Between two
+    weight systems it fuses at its compile trip, or at once if an earlier
+    walk compiled the same loops: a node becomes one flat tuple (source
+    data, target data, length), and each bucket's children come from one
+    loop of ``_kernels.bucket_loops``.  Each bucket's lengths, the last
+    entry of a payload or a flat node, are counted in one pass in C.
+    The walk stores fresh tuples that form no cycle, and the cyclic
+    collector would only re-scan the growing layers, so it is paused for
+    the walk, which yields to no caller code, unless the caller had
+    paused it already.
     """
     # imported here, so that a process that draws no series never loads it
     from .qseries import QSeries
 
     start, steps, wanted = _unfolding(f, ambient_cutoff, keep)
-    walk = _bfs(f.source, None, budget, start=start, step=steps, keep=wanted)
+    source, target = f.source, f.target
+
+    def fuse(cached_only):
+        if cached_only and f"{__package__}._kernels" not in sys.modules:
+            return None  # no walk has compiled in this process
+        from ._kernels import bucket_loops
+
+        loops = bucket_loops(source, target, f._words, ambient_cutoff, keep, budget, cached_only)
+        return loops and (_flat, loops)
+
+    fuse = fuse if source.backend == target.backend == "weight" else None
+    walk = _bfs(source, None, budget, start=start, step=steps, keep=wanted, fuse=fuse)
     lengths = chain.from_iterable(map(_LENGTH, payloads) for _, _, payloads in walk)
     pausing = gc.isenabled()
     if pausing:
@@ -357,6 +373,11 @@ def _series(
     finally:
         if pausing:
             gc.enable()
+
+
+def _flat(keys, payloads) -> list:
+    """The flat nodes (source data, target data, length) of a walk's keys and payloads."""
+    return [key + data + (length,) for key, (data, length) in zip(keys, payloads)]
 
 
 def _source_records(

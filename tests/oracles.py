@@ -23,12 +23,16 @@ and ``reference_factorization`` are the two structural checks of a
 folding that ``length_additivity_check`` stands in for, written from
 their definitions: right descents of unfolded elements, and three
 separate walks whose elements are each re-unfolded by their word.
+``is_kernel`` and ``recording_fuse`` are probes, not models: they tell
+a compiled walk-table entry from a primitive one, and record the calls
+of the fused loops of a series walk.
 """
 
 import itertools
 from collections import Counter
 from typing import NamedTuple
 
+from coxfold import coxeter
 from coxfold.coxeter import (
     element_from_word,
     enumerate_parabolic,
@@ -252,6 +256,37 @@ def is_kernel(fn):
     """
     code = getattr(fn, "__code__", None)
     return code is not None and code.co_filename == "<coxfold kernels>"
+
+
+def recording_fuse(calls):
+    """A stand-in for ``folding._bfs`` that records the fused loops its walks call.
+
+    Each call of a loop that ``fuse`` hands the walk appends (layer,
+    letter) to ``calls``; the walk is otherwise ``coxeter._bfs``'s own.
+    """
+
+    def walk(*args, fuse=None, **kwargs):
+        def recorded(cached_only):
+            fused = fuse(cached_only)
+            if fused is None:
+                return None
+            flatten, loops = fused
+            return flatten, [
+                tuple(_recorded_loop(calls, i, loop) for loop in pair)
+                for i, pair in enumerate(loops)
+            ]
+
+        return coxeter._bfs(*args, fuse=None if fuse is None else recorded, **kwargs)
+
+    return walk
+
+
+def _recorded_loop(calls, i, loop):
+    def call(nodes, out, stored, k):
+        calls.append((k, i))
+        return loop(nodes, out, stored, k)
+
+    return call
 
 
 def bfs_all_generators(system, max_len, budget, *, start=None, step=None, keep=None):

@@ -26,6 +26,7 @@ from coxfold.coxeter import (
     shortlex_normal_form,
 )
 import coxfold._kernels
+import coxfold.coxeter
 import coxfold.dot
 from coxfold.dot import bruhat_dot, covering_relations
 from coxfold.errors import (
@@ -127,6 +128,32 @@ class TestBuildSystem:
             CoxeterMatrix(((1, 1), (1, 1)))  # off-diagonal below 2
         with pytest.raises(InvalidMatrix):
             CoxeterMatrix(((1, 5, 2), (5, 1, 3), (2, 3, 1)))  # rank 3 with m=5
+
+    def test_relations_are_checked_once_per_matrix(self, monkeypatch):
+        # a check that passed is kept for the matrix entries, so a second
+        # system on the same matrix walks no relation again
+        walks, wrong_order = [], coxfold.coxeter._wrong_order
+        monkeypatch.setattr(coxfold.coxeter, "_RELATIONS_HOLD", set())
+        monkeypatch.setattr(
+            coxfold.coxeter, "_wrong_order", lambda *args: walks.append(args) or wrong_order(*args)
+        )
+        for _ in range(2):
+            build_system("D5")
+        build_system(CoxeterMatrix(build_system("D5").matrix.entries))
+        assert len(walks) == 1
+
+    def test_a_broken_primitive_on_an_unseen_matrix_raises(self, monkeypatch):
+        # s_i that only negates x_i is an involution under which every pair
+        # commutes, so a bond of order 3 fails; a failing check is not
+        # kept, and raises again
+        monkeypatch.setattr(coxfold.coxeter, "_RELATIONS_HOLD", set())
+        monkeypatch.setattr(
+            coxfold.coxeter.CoxeterSystem, "_apply_left",
+            lambda self, data, i: tuple(-x if j == i else x for j, x in enumerate(data)),
+        )
+        for _ in range(2):
+            with pytest.raises(InvalidMatrix, match="does not have order"):
+                build_system("A4")
 
 
 # Degrees of the finite Weyl groups (Humphreys, Reflection Groups and

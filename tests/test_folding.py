@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import coxfold._kernels
 import coxfold.coxeter
 import coxfold.folding
 from coxfold.closed_forms import unfolding_closed_form
@@ -40,6 +41,7 @@ from oracles import (
     admissibility_violations,
     is_kernel,
     is_right_descent_data,
+    recording_fuse,
     reference_factorization,
 )
 
@@ -333,29 +335,34 @@ class TestBruteforceSeries:
         assert keeps[:2] == [None, None] and keeps[2] is not None
 
 
-def test_unfolding_step_swaps_in_the_target_kernels():
+def test_unfolding_step_swaps_in_the_target_kernels(monkeypatch):
     # B5 -> D6 stores 3,839 nodes beyond the root, past 500 per generator
-    # of B5: the walk reads each source letter's step from the folding's
-    # table, which the source's swap fills with the target's compiled
-    # block kernels part way through, with the source's own tables.  No
-    # step reads the target's tables, and they keep their primitives
+    # of B5: the walk calls each source letter's Python step from the
+    # folding's table until, part way through, it fuses, and from then on
+    # every bucket's children come from a compiled loop of the target's
+    # block steps.  No walk table of either system, nor the step table,
+    # is swapped
     fam = FamilyId("Bn-Dn+1", 5)
     f = standard_folding(fam)
-    source, target, kinds = f.source, f.target, set()
+    source, target, events = f.source, f.target, []
 
-    class RecordingTable(list):
-        def __getitem__(self, r):
-            step = list.__getitem__(self, r)
-            kinds.add(is_kernel(step))
-            return step
+    def recorded(step):
+        def call(payload, r):
+            events.append("step")
+            return step(payload, r)
 
-    ((_, words, _),) = source._step_tables
-    f._steps = RecordingTable(f._steps)
-    source._step_tables[0] = (target, words, f._steps)
+        return call
+
+    steps = f._steps[:]
+    f._steps[:] = [recorded(step) for step in steps]
+    monkeypatch.setattr(coxfold.folding, "_bfs", recording_fuse(events))
+    monkeypatch.setattr(coxfold._kernels, "_KERNELS", {})  # no walk has compiled these loops
     assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(fam)
-    assert kinds == {True, False}
-    assert all(map(is_kernel, f._steps + source._apply_table + source._child_table))
-    assert not any(map(is_kernel, target._apply_table + target._child_table))
+    # events holds "step" per Python step and (layer, letter) per fused loop
+    first = next(t for t, event in enumerate(events) if event != "step")
+    assert first > 0 and "step" not in events[first:]
+    tables = source._apply_table + source._child_table + target._apply_table + target._child_table
+    assert not any(map(is_kernel, tables + steps))
 
 
 def _non_injective():
@@ -366,44 +373,48 @@ def _non_injective():
     return Folding(source, target, [(0,), (1,), (2,)])
 
 
-def test_length_additivity_check_swaps_in_the_block_kernels(monkeypatch):
-    # the walk of all of B5, to source length 25, compiles part way
-    # through, and a walk that fails at length 4 compiles at its first
-    # letter when the trigger is 0: each verdict is the one the
-    # primitives give
+def test_length_additivity_check_agrees_past_the_compile_trip(monkeypatch):
+    # the walk of all of B5, to source length 25, swaps the source's walk
+    # tables part way through, and a walk that fails at length 4 swaps
+    # them at its first letter when the trigger is 0: each verdict is the
+    # one the primitives give, and the block steps stay Python steps
     fam, failure = FamilyId("Bn-Dn+1", 5), ("length", 4, (0, 1, 0, 1))
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 10**9)
     plain = [standard_folding(fam), _non_injective()]
     assert [length_additivity_check(f, 25) for f in plain] == [None, failure]
-    assert not any(is_kernel(step) for f in plain for step in f._steps)
+    assert not any(is_kernel(f.source._apply_table[0]) for f in plain)
     monkeypatch.undo()
     f = standard_folding(fam)
     assert length_additivity_check(f, 25) is None
-    assert all(map(is_kernel, f._steps))
+    assert all(map(is_kernel, f.source._apply_table)) and not any(map(is_kernel, f._steps))
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 0)
     g = _non_injective()
     assert length_additivity_check(g, 25) == failure
-    assert all(map(is_kernel, g._steps))
+    assert all(map(is_kernel, g.source._apply_table)) and not any(map(is_kernel, g._steps))
 
 
-def test_a_walk_made_after_the_swap_starts_compiled(monkeypatch):
-    # a folding built on a source whose walks compiled already gets its
-    # block kernels at once; a dihedral target keeps the primitives, so
-    # does a dihedral source however far it walks
-    source = build_system("B5")
-    assert sum(1 for _ in enumerate_up_to(source, None)) == 3840
-    f = Folding(source, build_system("D6"), [(i,) for i in range(4)] + [(4, 5)])
-    assert all(map(is_kernel, f._steps))
-    assert not any(map(is_kernel, f.target._apply_table))
-    f = standard_folding(FamilyId("I2-An", 2))
-    assert f.target.backend == "dihedral"
-    assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(FamilyId("I2-An", 2))
-    assert not any(map(is_kernel, f._steps))
-    # a weight A1 source swaps at its first letter, but its I2(3) target has no kernels
-    f = Folding(build_system("A1"), build_system("I2(3)"), [(0, 1, 0)])
+def test_series_walks_fuse_only_between_weight_systems(monkeypatch):
+    # with the trigger at 0, a weight-to-weight series walk fuses at once,
+    # and two foldings on the same matrices and words share one compile of
+    # their loops; a dihedral source or target keeps the primitive loop,
+    # and a weight source swaps in its own kernels instead
+    kernels, calls = {}, []
+    monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 0)
+    monkeypatch.setattr(coxfold.folding, "_bfs", recording_fuse(calls))
+    fam = FamilyId("Bn-Dn+1", 3)
+    for _ in range(2):
+        f = Folding(build_system("B3"), build_system("D4"), [(0,), (1,), (2, 3)])
+        assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(fam)
+        assert calls and not is_kernel(f.source._apply_table[0])
+    assert len(kernels) == 1
+    calls.clear()
+    f = standard_folding(FamilyId("I2-An", 2))
+    assert f.source.backend == f.target.backend == "dihedral"
+    assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(FamilyId("I2-An", 2))
+    f = Folding(build_system("A1"), build_system("I2(3)"), [(0, 1, 0)])
     assert unfolding_series_bruteforce(f, None) == QSeries([1, 0, 0, 1])
-    assert is_kernel(f.source._apply_table[0]) and not any(map(is_kernel, f._steps))
+    assert not calls and is_kernel(f.source._apply_table[0]) and not any(map(is_kernel, f._steps))
 
 
 @pytest.mark.parametrize("paused", [False, True])

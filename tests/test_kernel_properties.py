@@ -10,6 +10,7 @@ from unittest import mock
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import coxfold._kernels
 from coxfold import coxeter
 from coxfold.coxeter import (
     INFINITE,
@@ -29,11 +30,12 @@ from coxfold.coxeter import (
     multiply,
     shortlex_normal_form,
 )
-from coxfold._kernels import kernels, word_kernel
+from coxfold._kernels import bucket_loops, kernels
 from coxfold.errors import CoxfoldError, ResourceLimit
 from coxfold.folding import (
     _FAMILIES,
     FamilyId,
+    _flat,
     coset_series_bruteforce,
     standard_folding,
     unfolding_series_bruteforce,
@@ -48,6 +50,7 @@ from oracles import (
     inversions,
     is_kernel,
     is_right_descent_data,
+    recording_fuse,
     shortlex_child,
     type_b_generators,
     type_d_generators,
@@ -468,24 +471,37 @@ def folding(case):
     return standard_folding(FamilyId(*case))
 
 
+FUSING = [case for case in FOLDINGS if folding(case).source.backend == "weight"]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(FOLDINGS), st.data())
+@given(st.sampled_from(FUSING), st.data())
 def test_block_kernels_agree_with_the_python_step(case, data):
-    # on the unfolding of a drawn source word, each source letter's
-    # compiled step gives the data and the length of the Python step
+    # on the flat node of a drawn source word, each source letter's
+    # untested loop gives s_r on the source beside the Python block step
+    # on the target, and its tested loop the same child where s_r w is a
+    # tree child of w, and none elsewhere
     f = folding(case)
-    target = f.target
-    letters = [word[::-1] for word in f.unfold_letters]
-    payload = (target.identity().data, 0)
-    for r in data.draw(words(f.source.rank, 16), label="source word"):
-        payload = target._left_word(letters[r], payload)
-    for r, word in enumerate(letters):
-        assert word_kernel(target, word)(payload, r) == target._left_word(word, payload)
+    source, target = f.source, f.target
+    x, payload = source.identity().data, (target.identity().data, 0)
+    for r in data.draw(words(source.rank, 16), label="source word"):
+        x, payload = source._apply_left(x, r), target._left_word(f._words[r], payload)
+    (node,) = _flat([x], [payload])
+    for r, (untested, tested) in enumerate(bucket_loops(source, target, f._words, None, None, 9)):
+        child = _flat([source._apply_left(x, r)], [target._left_word(f._words[r], payload)])[0]
+        made = []
+        assert untested([node], made, 0, 1) == 1 and made == [child]
+        made = []
+        expected = [] if source._child(x, r) is None else [child]
+        assert tested([node], made, 0, 1) == len(expected) and made == expected
 
 
 def folding_walk(f, cutoff, J_hat, budget, after=coxeter._COMPILE_AFTER):
-    """The series of a folding walk, or its ResourceLimit message, under ``after``."""
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", after):
+    """The series of a folding walk, or its ResourceLimit message, under ``after``,
+    with no loops compiled before it."""
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
+        coxfold._kernels, "_KERNELS", {}
+    ):
         try:
             if J_hat is None:
                 return unfolding_series_bruteforce(f, cutoff, budget=budget)
@@ -506,10 +522,10 @@ def plain_walk(case, cutoff, J_hat, budget):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(FOLDINGS), st.integers(1, 12), st.data())
 def test_folding_walk_that_swaps_in_the_block_kernels_agrees(case, after, data):
-    # a few nodes per source generator swap the folding's step table, if
-    # the source has the weight backend, most often part way through a
-    # layer; the series and the budget message are those of a walk that
-    # never compiles
+    # a few nodes per source generator fuse the walk into the compiled
+    # bucket loops, if the source has the weight backend, most often part
+    # way through a layer; the series and the budget message are those of
+    # a walk that never compiles
     cutoffs = st.integers(0, 10)
     if not case[0].startswith("aff"):
         cutoffs |= st.none()
@@ -522,27 +538,20 @@ def test_folding_walk_that_swaps_in_the_block_kernels_agrees(case, after, data):
 
 
 def test_folding_walk_that_swaps_mid_layer_agrees():
-    # B4 -> D5 with 5 nodes per source generator: the step table swaps
-    # after a letter of a layer other than the last, and the walk goes on
-    # with the kernels to the series and the budget message of the primitives
+    # B4 -> D5 with 5 nodes per source generator: the walk fuses after a
+    # letter of a layer other than the last, and goes on with the fused
+    # loops for more than a layer to the series and the budget message of
+    # the primitives
     case = ("Bn-Dn+1", 4, None)
-    f = standard_folding(FamilyId(*case))
-    swapped = []
-
-    class RecordingTable(list):
-        # the walk reads step[r] once as letter r of a layer starts
-        def __getitem__(self, r):
-            swapped.append(is_kernel(list.__getitem__(self, 0)))
-            return list.__getitem__(self, r)
-
-    ((target, words, _),) = f.source._step_tables
-    f._steps = RecordingTable(f._steps)
-    f.source._step_tables[0] = (target, words, f._steps)
-    want = plain_walk(case, None, None, 10**5)
-    assert folding_walk(f, None, None, 10**5, 5) == want
-    first = swapped.index(True)
-    assert first % f.source.rank != 0 and first < len(swapped) - f.source.rank
-    f = standard_folding(FamilyId(*case))
-    message = folding_walk(f, None, None, 150, 5)
+    calls = []
+    with mock.patch("coxfold.folding._bfs", recording_fuse(calls)):
+        got = folding_walk(standard_folding(FamilyId(*case)), None, None, 10**5, 5)
+    assert got == plain_walk(case, None, None, 10**5)
+    # the first fused letter is not the first of its layer
+    (k, i), last = calls[0], calls[-1][0]
+    assert i != 0 and last > k + 1
+    calls.clear()
+    with mock.patch("coxfold.folding._bfs", recording_fuse(calls)):
+        message = folding_walk(standard_folding(FamilyId(*case)), None, None, 150, 5)
     assert message == plain_walk(case, None, None, 150) and message.startswith("element budget")
-    assert all(map(is_kernel, f._steps))
+    assert calls
