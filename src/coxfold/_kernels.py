@@ -4,16 +4,12 @@ Each kernel is Python source that holds nothing but variable names and
 the integers of the systems' ``_row`` and ``_below`` tables, so results
 stay exact and equal: the primitives' integer arithmetic, only
 unrolled.  A walk of a weight ``CoxeterSystem`` compiles once it has
-stored enough nodes (``coxeter._COMPILE_AFTER``), into one of two forms.
-``kernels`` gives s_i and the child test of each generator, which
-``coxeter._bfs`` swaps into the system's walk tables.  ``bucket_loops``
-gives the unfolding series walk (``folding._series``), whose nodes are
-then flat tuples (x0, ..., x{r-1}, y0, ..., y{R-1}, l) of source data,
-target data and length, one loop per source letter and kind of bucket
-(untested or tested); each loop reads a whole bucket and appends the
-children, with the child test, s_i, the block step with each letter's
-sign test, the cutoff, ``keep`` and the budget inline.  ``_KERNELS``
-caches each compiled set for every system built on the same matrices.
+stored ``coxeter._COMPILE_AFTER`` nodes per generator: ``kernels`` gives
+s_i and the child test of each generator, which ``coxeter._bfs`` swaps
+into the system's walk tables, and ``bucket_loops`` the loops over flat
+nodes into which the unfolding walks of a folding fuse (``folding._fuse``).
+``_KERNELS`` caches each compiled set for every system built on the
+same matrices.
 """
 
 from __future__ import annotations
@@ -22,8 +18,7 @@ from typing import Iterable, Tuple
 
 from .errors import ResourceLimit
 
-# matrix entries -> (apply table, child table), and (source entries, target
-# entries, words, no cutoff, no keep) -> the maker of a walk's bucket loops
+# matrix entries -> (apply table, child table); a ``bucket_loops`` key -> their maker
 _KERNELS: dict = {}
 
 
@@ -81,39 +76,41 @@ def kernels(system) -> Tuple[tuple, tuple]:
     return _KERNELS[entries]
 
 
-def bucket_loops(source, target, words, cutoff, keep, budget, cached_only=False):
-    """The (untested, tested) bucket loops of each source letter, for one series walk.
+def bucket_loops(source, target, words, cutoff, keep, budget, prefixes=None):
+    """The (untested, tested) bucket loops of each source letter, for one unfolding walk.
 
     Loop i is called as (nodes, out, stored, k): for each flat node w of
     ``nodes`` whose s_i w is a child (always, in the untested loop), it
-    applies ``words[i]`` to the target part letter by letter on the left,
-    like ``target._left_word`` (a left descent takes 2 off the count of
-    letters added at the end), drops the child if its length is past
-    ``cutoff`` or ``keep(source data, (target data, length))`` is false,
-    counts it, raises ``ResourceLimit(budget, k, stored)`` past the
-    budget, appends it to ``out``, and returns the stored count.  One
-    compile per source matrix, target matrix, words and whether there is
-    a cutoff and a ``keep``; each walk binds its own values of those.
-    With ``cached_only``, None unless that compile happened already.
+    applies ``words[i]`` to the target part like ``target._left_word``,
+    drops the child if its length is past ``cutoff`` or ``keep(source
+    data, (target data, length))`` is false, counts it, raises
+    ``ResourceLimit(budget, k, stored)`` past the budget, appends it to
+    ``out`` and returns the stored count.  With ``prefixes``, a node has
+    one more entry before its length, a tag t, and loop i makes the
+    child's tag ``prefixes[i] + t`` (ints or tuples).
+    A letter that no bucket tests (none of ``source._above``) has no
+    tested loop.  One compile per matrices, words, prefixes and whether
+    there is a cutoff and a ``keep``; each walk binds its own values.
 
     >>> from coxfold.coxeter import build_system
     >>> A3 = build_system("A3")
-    >>> untested, tested = bucket_loops(A3, A3, ((0,), (1,), (2,)), None, None, 10)[0]
+    >>> untested, tested = bucket_loops(A3, A3, ((0,), (1,), (2,)), None, None, 10)[1]
     >>> out = []
     >>> untested([(1, 1, 1, 1, 1, 1, 0)], out, 1, 1), out
-    (2, [(-1, 2, 1, -1, 2, 1, 1)])
-    >>> tested(out, [], 2, 2)
-    2
+    (2, [(2, -1, 2, 2, -1, 2, 1)])
+    >>> tested(out, [], 2, 2), bucket_loops(A3, A3, ((0,), (1,), (2,)), None, None, 10)[0][1]
+    (2, None)
     """
-    key = (source.matrix.entries, target.matrix.entries, words, cutoff is None, keep is None)
+    key = (source.matrix.entries, target.matrix.entries, words, prefixes)
+    key += (cutoff is None, keep is None)
     if key not in _KERNELS:
-        if cached_only:
-            return None
-        node = [f"x{j}" for j in range(source.rank)] + [f"y{j}" for j in range(target.rank)]
+        r, R, tested = source.rank, target.rank, set().union(*source._above)
+        node = [f"x{j}" for j in range(r)] + [f"y{j}" for j in range(R)]
+        node += ["v"] * (prefixes is not None)
         head = ["        append = out.append", f"        for {', '.join(node)}, l in nodes:"]
         lines, names = ["def loops(cutoff, keep, budget):"], []
         for i, word in enumerate(words):
-            body, display = [], [f"y{j}" for j in range(target.rank)]
+            body, display = [], node[r:r + R]
             for t, s in enumerate(word):
                 body.append(f"if y{s} < 0: l -= 2")
                 if t == len(word) - 1:
@@ -122,20 +119,22 @@ def bucket_loops(source, target, words, cutoff, keep, budget, cached_only=False)
                     body += [f"y{j} = {_plus(j, c, s, 'y')}" for j, c in target._row[s]]
                     body.append(f"y{s} = -y{s}")
             body.append(f"l += {len(word)}")
+            if prefixes is not None:
+                body.append(f"v = {prefixes[i]!r} + v")
             if cutoff is not None:
                 body.append("if l > cutoff: continue")
-            child = "(" + ", ".join(_image(source, i) + display) + ", l)"
+            child = "(" + ", ".join(_image(source, i) + display + node[r + R:]) + ", l)"
             if keep is not None:
-                r = source.rank
                 body.append(f"child = {child}")
-                body.append(f"if not keep(child[:{r}], (child[{r}:-1], l)): continue")
+                body.append(f"if not keep(child[:{r}], (child[{r}:{r + R}], l)): continue")
                 child = "child"
             body += ["stored += 1", "if stored > budget: raise ResourceLimit(budget, k, stored)"]
             body.append(f"append({child})")
-            for kind, test in (("u", []), ("t", [f"if {_child_test(source, i)}: continue"])):
+            kinds = [("u", []), ("t", [f"if {_child_test(source, i)}: continue"])]
+            for kind, test in kinds[:1 + (i in tested)]:
                 lines += [f"    def {kind}{i}(nodes, out, stored, k):"] + head
                 lines += [" " * 12 + line for line in test + body] + ["        return stored"]
-            names.append(f"(u{i}, t{i})")
+            names.append(f"(u{i}, {f't{i}' if i in tested else None})")
         lines.append(f"    return [{', '.join(names)}]")
         (_KERNELS[key],) = _compiled("\n".join(lines), ["loops"])
     return _KERNELS[key](cutoff, keep, budget)

@@ -77,9 +77,10 @@ comes from a per-letter table (for a folding, a ``_step_table``).  Once
 a walk of a weight system has stored ``_COMPILE_AFTER`` nodes per
 generator, its own count, checked per letter of a layer, it compiles:
 it swaps the straight-line kernels of ``coxfold._kernels`` into the
-system's tables, or, for the unfolding series, fuses into that module's
-bucket loops.  Short walks, such as those of the default verify grid and
-of a Hasse diagram, never compile; the dihedral backend never does.
+system's tables, or, for the unfolding series and the additivity check
+of a folding, fuses into that module's bucket loops.  Short walks, such
+as those of the default verify grid and of a Hasse diagram, never
+compile; the dihedral backend never does.
 
 Bond order 0 in a Coxeter matrix encodes an infinite bond.
 """
@@ -133,7 +134,7 @@ _CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1), INFINITE: (-2, -2)}
 # has stored this many nodes per generator.  One compile takes 0.1-0.2 ms
 # per generator (0.2-0.4 ms at rank 3, 1 ms at rank 7 on a 2-vCPU host),
 # and a compiled call saves 0.2-0.4 us against the primitive, so it pays
-# for itself after about 500 calls per generator; a fused series loop
+# for itself after about 500 calls per generator; a fused folding loop
 # costs about twice as much to compile and saves two or three calls a node.
 _COMPILE_AFTER = 500
 
@@ -570,19 +571,17 @@ def _bfs(
     system that has stored ``_COMPILE_AFTER`` nodes per generator beyond
     the root trips, once.  Without ``fuse``, it swaps the compiled
     kernels of ``coxfold._kernels`` into those tables, unless a walk did
-    so before.  With it, the walk fuses into ``fuse(False)``, a pair
+    so before.  With it, the walk fuses into ``fuse()``, a pair
     ``(flatten, loops)``: each live bucket becomes the flat nodes
     ``flatten(keys, payloads)``, both keys and payloads from then on, and
     its children come from one call ``loops[i][tested](nodes, made,
     stored, k)``, which does the tables', step's, filter's and budget's
-    work and returns ``stored``.  With no compile to repay, it trips at
-    its first letter: ``fuse(True)`` gives the pair only if compiled before.
+    work and returns ``stored``.
     """
     if max_len is not None:
         _check_cutoff(max_len, "length cutoff")
     applies, tests, above = system._apply_table, system._child_table, system._above
     trip = _COMPILE_AFTER * system.rank if system.backend == "weight" else float("inf")
-    trip = 0 if fuse and fuse(True) else trip
     loops = None
     stored, k = 1, 0
     if stored > budget:
@@ -631,7 +630,7 @@ def _bfs(
             if stored > trip:
                 trip = float("inf")
                 if fuse is not None:
-                    flatten, loops = fuse(False)
+                    flatten, loops = fuse()
                     layer, children = [
                         [(nodes, nodes) for nodes in (flatten(*bucket) for bucket in live)]
                         for live in (layer, children)

@@ -37,7 +37,9 @@ elements and equal block lengths across odd bonds, then walks the source
 to a source-length cutoff with the weight sum of each word beside the
 pair: where it passes, the ambient length is a weight function on the
 source, which is what the admissibility of the partition and the
-parabolic factorization of the series rest on.
+parabolic factorization of the series rest on.  Past its compile trip,
+a walk between two weight systems fuses into the generated bucket loops
+of ``coxfold._kernels`` (see ``_unfolding``).
 The end-generator statistics take the arguments of
 ``closed_forms.reiner_distribution``, a kind (affB or affC) and n, and
 build the affine system from them.  The three builders of a series
@@ -48,7 +50,6 @@ draws, such as ``coxfold bruhat-dot``, never loads it.
 from __future__ import annotations
 
 import gc
-import sys
 from itertools import chain
 from operator import itemgetter
 from typing import (
@@ -70,7 +71,6 @@ from .coxeter import (
     _GROUPS,
     _bfs,
     _coset_minimal,
-    _prepend,
     _wrong_order,
     build_system,
     element_from_word,
@@ -307,29 +307,51 @@ def unfold(f: Folding, w: Element) -> Element:
     return element_from_word(f.target, unfold_word(f, shortlex_normal_form(f.source, w)))
 
 
-def _unfolding(f: Folding, ambient_cutoff: Optional[int], keep: Optional[Callable]):
-    """The ``_bfs`` start, step table and filter of a source walk with payload (data, length).
+def _unfolding(f: Folding, ambient_cutoff, keep: Optional[Callable], budget: int, tag=None):
+    """The ``_bfs`` start, step table, filter and fuse of an unfolding walk of ``f``.
 
     The tree reaches s_r w from w, and unfold(s_r w) = unfold(r) unfold(w),
     so step r applies the letters of unfold(r) on the left in reverse
     order, and moves the length by -1 or +1 as each letter is a left
-    descent or not.  The step table is the folding's ``_steps``, a
-    ``_step_table`` of the source: a Python loop over the target's
-    primitives, whose tables are never read.  The filter rejects nodes
-    beyond the ambient cutoff, then those failing the source filter
-    ``keep(source key, payload)``, whose set must be closed under taking
-    parents; with neither, it is None, so the walk calls no filter.
+    descent or not: the folding's ``_steps``, a Python loop over the
+    target's primitives, whose tables are never read.  The payload is
+    (ambient data, length), or with ``tag = (start, prefixes)`` (ambient
+    data, tag, length), where the tag of s_r w is ``prefixes[r]`` + the
+    tag of w: the weight sum for int prefixes, the ShortLex word for
+    prefixes (r,).  The filter rejects nodes beyond the ambient cutoff,
+    then those failing the source filter ``keep(source key, payload)``,
+    whose set must be closed under taking parents; with neither, it is
+    None, so the walk calls no filter.  Between two weight systems the
+    walk fuses at its compile trip into ``_flat`` nodes and the loops of
+    ``_kernels.bucket_loops``; otherwise the fuse is None.
     """
     if ambient_cutoff is not None:
         _check_cutoff(ambient_cutoff, "ambient cutoff")
 
     def wanted(key, payload):
-        if ambient_cutoff is not None and payload[1] > ambient_cutoff:
+        if ambient_cutoff is not None and payload[-1] > ambient_cutoff:
             return False
         return keep is None or keep(key, payload)
 
+    start, steps, prefixes = (f.target.identity().data, 0), f._steps, None
+    if tag is not None:
+        prefixes = tag[1]
+
+        def tagged(payload, r):
+            data, length = f._steps[r]((payload[0], payload[2]), r)
+            return data, prefixes[r] + payload[1], length
+
+        start, steps = (start[0], tag[0], 0), [tagged] * f.source.rank
+
+    def fuse():
+        from ._kernels import bucket_loops  # loaded only by a walk that trips
+
+        loops = bucket_loops(f.source, f.target, f._words, ambient_cutoff, keep, budget, prefixes)
+        return _flat, loops
+
     unfiltered = ambient_cutoff is None and keep is None
-    return (f.target.identity().data, 0), f._steps, None if unfiltered else wanted
+    weight = f.source.backend == f.target.backend == "weight"
+    return start, steps, None if unfiltered else wanted, fuse if weight else None
 
 
 def _series(
@@ -337,33 +359,17 @@ def _series(
 ) -> QSeries:
     """The unfolded length series of a source walk that carries no word.
 
-    The walk starts on the primitives of ``_unfolding``.  Between two
-    weight systems it fuses at its compile trip, or at once if an earlier
-    walk compiled the same loops: a node becomes one flat tuple (source
-    data, target data, length), and each bucket's children come from one
-    loop of ``_kernels.bucket_loops``.  Each bucket's lengths, the last
-    entry of a payload or a flat node, are counted in one pass in C.
-    The walk stores fresh tuples that form no cycle, and the cyclic
-    collector would only re-scan the growing layers, so it is paused for
-    the walk, which yields to no caller code, unless the caller had
-    paused it already.
+    Each bucket's lengths, the last entry of a payload or a flat node,
+    are counted in one pass in C.  The walk stores fresh tuples that form
+    no cycle, and the cyclic collector would only re-scan the growing
+    layers, so it is paused for the walk, which yields to no caller code,
+    unless the caller had paused it already.
     """
     # imported here, so that a process that draws no series never loads it
     from .qseries import QSeries
 
-    start, steps, wanted = _unfolding(f, ambient_cutoff, keep)
-    source, target = f.source, f.target
-
-    def fuse(cached_only):
-        if cached_only and f"{__package__}._kernels" not in sys.modules:
-            return None  # no walk has compiled in this process
-        from ._kernels import bucket_loops
-
-        loops = bucket_loops(source, target, f._words, ambient_cutoff, keep, budget, cached_only)
-        return loops and (_flat, loops)
-
-    fuse = fuse if source.backend == target.backend == "weight" else None
-    walk = _bfs(source, None, budget, start=start, step=steps, keep=wanted, fuse=fuse)
+    start, steps, wanted, fuse = _unfolding(f, ambient_cutoff, keep, budget)
+    walk = _bfs(f.source, None, budget, start=start, step=steps, keep=wanted, fuse=fuse)
     lengths = chain.from_iterable(map(_LENGTH, payloads) for _, _, payloads in walk)
     pausing = gc.isenabled()
     if pausing:
@@ -376,8 +382,8 @@ def _series(
 
 
 def _flat(keys, payloads) -> list:
-    """The flat nodes (source data, target data, length) of a walk's keys and payloads."""
-    return [key + data + (length,) for key, (data, length) in zip(keys, payloads)]
+    """Each key, its payload's target data, then the rest: (length,) or (tag, length)."""
+    return [key + payload[0] + payload[1:] for key, payload in zip(keys, payloads)]
 
 
 def _source_records(
@@ -389,22 +395,21 @@ def _source_records(
     """BFS over the source, unfolding as it goes.
 
     Yields raw (source data, its ShortLex word, unfolded (data, length)),
-    in ShortLex order of the source words within each length layer.  The
-    payload is the pair of ``_unfolding`` and the source word.
+    in ShortLex order of the source words within each length layer: the
+    walk of ``_unfolding`` tagged with the source word.
     """
-    start, steps, wanted = _unfolding(f, ambient_cutoff, None)
-
-    def step(payload, r):
-        ambient, word = payload
-        return steps[r](ambient, r), _prepend(word, r)
-
-    walk = _bfs(
-        f.source, None, budget, start=(start, ()), step=[step] * f.source.rank,
-        keep=None if wanted is None else lambda key, payload: wanted(key, payload[0]),
+    r = f.source.rank
+    start, steps, wanted, fuse = _unfolding(
+        f, ambient_cutoff, None, budget, ((), tuple((i,) for i in range(r)))
     )
+    walk = _bfs(f.source, None, budget, start=start, step=steps, keep=wanted, fuse=fuse)
     for _, keys, payloads in walk:
-        for key, (ambient, word) in zip(keys, payloads):
-            yield key, word, ambient
+        if keys is payloads:  # a fused bucket: one list of flat nodes
+            for node in payloads:
+                yield node[:r], node[-2], (node[r:-2], node[-1])
+        else:
+            for key, (data, word, length) in zip(keys, payloads):
+                yield key, word, (data, length)
 
 
 def unfolding_series_bruteforce(
@@ -451,31 +456,28 @@ def length_additivity_check(
     reduced word of w (Lusztig, *Hecke Algebras with Unequal Parameters*,
     2003; Steinberg, *Lectures on Chevalley Groups*, 1968).  The last
     check is one walk of the source to ``max_source_len`` (None walks a
-    finite source whole) with payload ((ambient data, length), weight
-    sum), and a word is spelled only for a failure.
+    finite source whole) with payload (ambient data, weight sum,
+    length), fused at its trip as the series walks are, and a word is
+    spelled only for a failure.
     """
     if max_source_len is not None:
         _check_cutoff(max_source_len, "length cutoff")
-    matrix, steps = f.source.matrix, f._steps
-    start = (f.target.identity().data, 0)
-    bad = _wrong_order(matrix, start, lambda payload, r: steps[r](payload, r))
+    matrix = f.source.matrix
+    bad = _wrong_order(matrix, (f.target.identity().data, 0), lambda p, r: f._steps[r](p, r))
     if bad is not None:
         return ("relation", *bad)
-    weights = [elem.length for elem in f.unfold_elements]
+    weights = tuple(elem.length for elem in f.unfold_elements)
     for r in range(matrix.rank):
         for s in range(r + 1, matrix.rank):
             if matrix.bond(r, s) % 2 and weights[r] != weights[s]:
                 return ("odd-bond", r, s)
 
-    def step(payload, r):
-        ambient, weight = payload
-        return steps[r](ambient, r), weight + weights[r]
-
-    walk = _bfs(f.source, max_source_len, budget, start=(start, 0), step=[step] * matrix.rank)
-    for k, keys, payloads in walk:
-        for key, ((_, length), weight) in zip(keys, payloads):
-            if length != weight:
-                return ("length", k, f.source._reduced_word(key))
+    start, steps, _, fuse = _unfolding(f, None, None, budget, (0, weights))
+    walk = _bfs(f.source, max_source_len, budget, start=start, step=steps, fuse=fuse)
+    for k, keys, payloads in walk:  # a payload ends (weight sum, length), fused or not
+        for key, payload in zip(keys, payloads):
+            if payload[-2] != payload[-1]:
+                return ("length", k, f.source._reduced_word(key[:matrix.rank]))
     return None
 
 

@@ -266,13 +266,10 @@ def recording_fuse(calls):
     """
 
     def walk(*args, fuse=None, **kwargs):
-        def recorded(cached_only):
-            fused = fuse(cached_only)
-            if fused is None:
-                return None
-            flatten, loops = fused
+        def recorded():
+            flatten, loops = fuse()
             return flatten, [
-                tuple(_recorded_loop(calls, i, loop) for loop in pair)
+                tuple(loop and _recorded_loop(calls, i, loop) for loop in pair)
                 for i, pair in enumerate(loops)
             ]
 

@@ -356,7 +356,7 @@ def test_unfolding_step_swaps_in_the_target_kernels(monkeypatch):
     steps = f._steps[:]
     f._steps[:] = [recorded(step) for step in steps]
     monkeypatch.setattr(coxfold.folding, "_bfs", recording_fuse(events))
-    monkeypatch.setattr(coxfold._kernels, "_KERNELS", {})  # no walk has compiled these loops
+    monkeypatch.setattr(coxfold._kernels, "_KERNELS", {})  # this walk compiles its own loops
     assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(fam)
     # events holds "step" per Python step and (layer, letter) per fused loop
     first = next(t for t, event in enumerate(events) if event != "step")
@@ -374,23 +374,28 @@ def _non_injective():
 
 
 def test_length_additivity_check_agrees_past_the_compile_trip(monkeypatch):
-    # the walk of all of B5, to source length 25, swaps the source's walk
-    # tables part way through, and a walk that fails at length 4 swaps
-    # them at its first letter when the trigger is 0: each verdict is the
-    # one the primitives give, and the block steps stay Python steps
+    # the check's walk of all of B5, to source length 25, fuses part way
+    # through into bucket loops whose flat nodes carry the weight sum, and
+    # a walk that fails at length 4 fuses after its first letter when the
+    # trigger is 0: each verdict is the one the primitives give, and no
+    # walk table or block step is swapped
     fam, failure = FamilyId("Bn-Dn+1", 5), ("length", 4, (0, 1, 0, 1))
+    default, calls = coxfold.coxeter._COMPILE_AFTER, []
+    monkeypatch.setattr(coxfold.folding, "_bfs", recording_fuse(calls))
+    monkeypatch.setattr(coxfold._kernels, "_KERNELS", {})
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 10**9)
     plain = [standard_folding(fam), _non_injective()]
-    assert [length_additivity_check(f, 25) for f in plain] == [None, failure]
-    assert not any(is_kernel(f.source._apply_table[0]) for f in plain)
-    monkeypatch.undo()
+    assert [length_additivity_check(f, 25) for f in plain] == [None, failure] and not calls
+    monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", default)
     f = standard_folding(fam)
-    assert length_additivity_check(f, 25) is None
-    assert all(map(is_kernel, f.source._apply_table)) and not any(map(is_kernel, f._steps))
+    assert length_additivity_check(f, 25) is None and calls[0][0] > 1
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 0)
+    calls.clear()
     g = _non_injective()
-    assert length_additivity_check(g, 25) == failure
-    assert all(map(is_kernel, g.source._apply_table)) and not any(map(is_kernel, g._steps))
+    assert length_additivity_check(g, 25) == failure and calls[0] == (1, 1)
+    for h in (f, g):
+        tables = h.source._apply_table + h.source._child_table + h._steps
+        assert not any(map(is_kernel, tables))
 
 
 def test_series_walks_fuse_only_between_weight_systems(monkeypatch):

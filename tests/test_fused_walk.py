@@ -8,7 +8,11 @@ at an ambient cutoff, with and without the coset filter, is walked with
 the trip at 0, at a value that trips part way through a layer, at the
 default and at 10**9 (never), and must give the series of the walk that
 never fuses and of the reference in ``oracles``.  Budgets on either
-side of the trip must raise the same ``ResourceLimit``.
+side of the trip must raise the same ``ResourceLimit``.  The walk of
+``length_additivity_check``, whose flat nodes also carry the weight sum,
+must give the verdict of the walk that never fuses, on every row and on
+foldings that fail at a length past the trip, and the walk of
+``_source_records``, whose flat nodes carry the source word, its records.
 """
 
 from functools import lru_cache
@@ -19,14 +23,18 @@ import pytest
 import coxfold._kernels
 import coxfold.folding
 from coxfold import coxeter
-from coxfold.coxeter import _bfs, _coset_minimal
+from coxfold.coxeter import CoxeterMatrix, _bfs, _coset_minimal, build_system
 from coxfold.errors import ResourceLimit
 from coxfold.folding import (
     _FAMILIES,
     FamilyId,
+    Folding,
+    _source_records,
     _unfolding,
     coset_series_bruteforce,
+    length_additivity_check,
     standard_folding,
+    unfolded_image,
     unfolding_series_bruteforce,
 )
 
@@ -88,7 +96,7 @@ def mid_layer_trip(case, cutoff, J_hat):
     if source.backend != "weight":
         return None
     keep = None if J_hat is None else _coset_minimal(source, J_hat)
-    start, steps, wanted = _unfolding(f, cutoff, keep)
+    start, steps, wanted, _ = _unfolding(f, cutoff, keep, NEVER)
     sizes = {}
     with mock.patch.object(coxeter, "_COMPILE_AFTER", NEVER):
         for k, keys, _ in _bfs(source, None, NEVER, start=start, step=steps, keep=wanted):
@@ -193,14 +201,119 @@ def test_fused_keep_sees_the_keys_and_payloads_of_the_primitive_walk(case):
     assert seen[1][1] and not seen[NEVER][1]
 
 
-def test_a_walk_whose_loops_are_compiled_fuses_at_its_first_letter():
-    # with no compile to repay, a walk on the same matrices and words, with
-    # a cutoff of another value, fuses after its first letter although its
-    # trip is never reached; a coset walk needs other loops and does not
+def test_a_walk_on_compiled_loops_still_fuses_only_at_its_trip():
+    # a walk on the same matrices and words, with a cutoff of another
+    # value, reuses the loops an earlier walk compiled, but only once it
+    # reaches its own trip; below the trip it stays on the primitives
     case, compiled = ("affB-affDn+1", 3, None), {}
     _, calls = fused_walk(case, AFFINE_CUTOFF, None, coxeter.DEFAULT_BUDGET, 0, compiled)
     assert calls and len(compiled) == 1
     got, calls = fused_walk(case, AFFINE_CUTOFF - 1, None, coxeter.DEFAULT_BUDGET, NEVER, compiled)
-    assert calls[0] == (1, 1) and got == reference(case, AFFINE_CUTOFF - 1, None)
-    got, calls = fused_walk(case, AFFINE_CUTOFF, (0,), coxeter.DEFAULT_BUDGET, NEVER, compiled)
-    assert not calls and got == reference(case, AFFINE_CUTOFF, (0,))
+    assert not calls and got == reference(case, AFFINE_CUTOFF - 1, None)
+    got, calls = fused_walk(case, AFFINE_CUTOFF - 1, None, coxeter.DEFAULT_BUDGET, 2, compiled)
+    assert calls and calls[0] != (1, 1) and len(compiled) == 1
+    assert got == reference(case, AFFINE_CUTOFF - 1, None)
+
+
+def fused_check(f, max_len, budget, after):
+    """``length_additivity_check`` of ``f`` under ``after``, or its ResourceLimit
+    message, and the (layer, letter) of each fused loop call."""
+    calls = []
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
+        coxfold.folding, "_bfs", recording_fuse(calls)
+    ), mock.patch.object(coxfold._kernels, "_KERNELS", {}):
+        try:
+            return length_additivity_check(f, max_len, budget=budget), calls
+        except ResourceLimit as exc:
+            return str(exc), calls
+
+
+CHECK_AFTERS = [0, 1, 2, 3, 5, 8, coxeter._COMPILE_AFTER]
+
+
+@pytest.mark.parametrize("case", FOLDINGS, ids=str)
+def test_fused_additivity_check_agrees_with_the_primitive_walk(case):
+    # the check's flat nodes carry the weight sum before the length; every
+    # trip gives the verdict, and at every budget the message, of the walk
+    # that never fuses
+    f = standard_folding(FamilyId(*case))
+    max_len = 6 if case[0].startswith("aff") else None
+    want, calls = fused_check(f, max_len, coxeter.DEFAULT_BUDGET, NEVER)
+    assert want is None and not calls
+    for after in CHECK_AFTERS:
+        got, calls = fused_check(f, max_len, coxeter.DEFAULT_BUDGET, after)
+        assert got is None and (after or bool(calls) == fuses(case)), after
+    for budget in (2, 5, 9, 17, 40):
+        want, _ = fused_check(f, max_len, budget, NEVER)
+        for after in (0, 1, 3):
+            assert fused_check(f, max_len, budget, after)[0] == want, (budget, after)
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_fused_additivity_check_finds_the_first_failure(m):
+    # affine A1 x A1 onto I2(m) x A1, generator to generator: the bonds
+    # that must hold do, and the alternating word r0 r1 r0 ... of length
+    # m + 1, the first of that length, unfolds to length m - 1; fused at
+    # any point, the walk reports that word, as the primitives do
+    source = build_system(CoxeterMatrix(((1, 0, 2), (0, 1, 2), (2, 2, 1))))
+    target = build_system(CoxeterMatrix(((1, m, 2), (m, 1, 2), (2, 2, 1))))
+    f = Folding(source, target, [(0,), (1,), (2,)])
+    failure = ("length", m + 1, tuple(t % 2 for t in range(m + 1)))
+    assert fused_check(f, 2 * m, coxeter.DEFAULT_BUDGET, NEVER) == (failure, [])
+    for after in CHECK_AFTERS:
+        got, calls = fused_check(f, 2 * m, coxeter.DEFAULT_BUDGET, after)
+        assert got == failure and (after > 3 or calls), after
+
+
+def fused_records(f, cutoff, after, walk=None):
+    """The records of ``_source_records`` (or of ``walk``) under ``after``, and the
+    (layer, letter) of each fused loop call."""
+    calls = []
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
+        coxfold.folding, "_bfs", recording_fuse(calls)
+    ), mock.patch.object(coxfold._kernels, "_KERNELS", {}):
+        if walk is not None:
+            return walk(f), calls
+        return list(_source_records(f, ambient_cutoff=cutoff)), calls
+
+
+@pytest.mark.parametrize("case", FOLDINGS, ids=str)
+def test_fused_source_records_agree_with_the_primitive_walk(case):
+    # the records walk tags its flat nodes with the source word: every
+    # trip gives the records of the walk that never fuses, in order
+    f = standard_folding(FamilyId(*case))
+    cutoff = AFFINE_CUTOFF if case[0].startswith("aff") else FINITE_CUTOFF
+    want, calls = fused_records(f, cutoff, NEVER)
+    assert not calls and len(want) > 1
+    for after in (0, 1, 3):
+        got, calls = fused_records(f, cutoff, after)
+        assert got == want and (after or bool(calls) == fuses(case)), after
+
+
+def test_unfolded_image_past_the_default_trip_fuses_and_agrees():
+    # all of B5 unfolded into D6: 3,840 records, 2,500 for the trip
+    f = standard_folding(FamilyId("Bn-Dn+1", 5))
+    want, calls = fused_records(f, None, NEVER, unfolded_image)
+    assert not calls and len(want) == 3840
+    got, calls = fused_records(f, None, coxeter._COMPILE_AFTER, unfolded_image)
+    assert got == want and calls
+
+
+def test_the_walks_of_one_folding_compile_their_own_loops():
+    # the series, the check and the records walks of one folding, exact
+    # and sharing one cache, each compile their own loops (their nodes
+    # differ in the tag), and each gives the result of its walk that
+    # never fuses
+    f, compiled, calls = standard_folding(FamilyId("Bn-Dn+1", 3)), {}, []
+    walks = [
+        lambda: unfolding_series_bruteforce(f, None),
+        lambda: length_additivity_check(f, None),
+        lambda: list(_source_records(f)),
+    ]
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", NEVER):
+        wants = [walk() for walk in walks]
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", 0), mock.patch.object(
+        coxfold.folding, "_bfs", recording_fuse(calls)
+    ), mock.patch.object(coxfold._kernels, "_KERNELS", compiled):
+        assert [walk() for walk in walks] == wants
+    assert len(compiled) == 3 and calls

@@ -480,20 +480,42 @@ def test_block_kernels_agree_with_the_python_step(case, data):
     # on the flat node of a drawn source word, each source letter's
     # untested loop gives s_r on the source beside the Python block step
     # on the target, and its tested loop the same child where s_r w is a
-    # tree child of w, and none elsewhere
+    # tree child of w, and none elsewhere; a letter that no bucket tests
+    # has no tested loop.  With prefixes, the tag before the length gets
+    # the letter's prefix in front (an int weight or a one-letter word),
+    # and a keep never sees the tag
     f = folding(case)
     source, target = f.source, f.target
     x, payload = source.identity().data, (target.identity().data, 0)
     for r in data.draw(words(source.rank, 16), label="source word"):
         x, payload = source._apply_left(x, r), target._left_word(f._words[r], payload)
     (node,) = _flat([x], [payload])
+    weights = data.draw(st.tuples(*[st.integers(0, 9)] * source.rank), label="weights")
+    tagged = [(weights, 7), (tuple((r,) for r in range(source.rank)), (5, 0))]
+    tested_letters = set().union(*source._above)
     for r, (untested, tested) in enumerate(bucket_loops(source, target, f._words, None, None, 9)):
         child = _flat([source._apply_left(x, r)], [target._left_word(f._words[r], payload)])[0]
-        made = []
-        assert untested([node], made, 0, 1) == 1 and made == [child]
-        made = []
-        expected = [] if source._child(x, r) is None else [child]
-        assert tested([node], made, 0, 1) == len(expected) and made == expected
+        cases = [(untested, tested, node, child)]
+        for prefixes, tag in tagged:
+            loops = bucket_loops(source, target, f._words, None, None, 9, prefixes)[r]
+            made = child[:-1] + (prefixes[r] + tag,) + child[-1:]
+            cases.append((*loops, node[:-1] + (tag,) + node[-1:], made))
+            # a keep is shown the source data and (target data, length), no tag
+            shown, rank = [], source.rank
+
+            def keep(*seen):  # rejects every child
+                shown.append(seen)
+
+            kept = bucket_loops(source, target, f._words, None, keep, 9, prefixes)[r][0]
+            assert kept([cases[-1][2]], [], 0, 1) == 0
+            assert shown == [(child[:rank], (child[rank:-1], child[-1]))]
+        for untested, tested, start, made in cases:
+            out = []
+            assert untested([start], out, 0, 1) == 1 and out == [made]
+            assert (tested is None) == (r not in tested_letters)
+            if tested is not None:
+                out, expected = [], [] if source._child(x, r) is None else [made]
+                assert tested([start], out, 0, 1) == len(expected) and out == expected
 
 
 def folding_walk(f, cutoff, J_hat, budget, after=coxeter._COMPILE_AFTER):
