@@ -74,13 +74,14 @@ The breadth-first walk calls ``_apply_left`` and ``_child`` through
 per-generator tables, ``_apply_table`` and ``_child_table``, read once
 per bucket, and hands out each bucket as two lists; a payload's step
 comes from a per-letter table (for a folding, a ``_step_table``).  Once
-a walk of a weight system has stored ``_COMPILE_AFTER`` nodes per
-generator, its own count, checked per letter of a layer, it compiles:
-it swaps the straight-line kernels of ``coxfold._kernels`` into the
-system's tables, or, for the unfolding series and the additivity check
-of a folding, fuses into that module's bucket loops.  Short walks, such
-as those of the default verify grid and of a Hasse diagram, never
-compile; the dihedral backend never does.
+a walk of a weight system has stored more than ``_COMPILE_AFTER``
+nodes, its own count, checked per letter of a layer, it compiles: it
+swaps the straight-line kernels of ``coxfold._kernels`` into the
+system's tables, or, for the unfolding walks of a folding, fuses into
+that module's bucket loops, which count nothing; the walk keeps the
+budget exact by handing a loop no more nodes than it has room for.
+Short walks, such as those of the default verify grid and of a Hasse
+diagram, never compile; the dihedral backend never does.
 
 Bond order 0 in a Coxeter matrix encodes an infinite bond.
 """
@@ -131,12 +132,15 @@ _RANK3_BONDS = {2, 3, 4, 6, INFINITE}
 _CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1), INFINITE: (-2, -2)}
 
 # A walk of a weight system, reading this as it starts, compiles once it
-# has stored this many nodes per generator.  One compile takes 0.1-0.2 ms
-# per generator (0.2-0.4 ms at rank 3, 1 ms at rank 7 on a 2-vCPU host),
-# and a compiled call saves 0.2-0.4 us against the primitive, so it pays
-# for itself after about 500 calls per generator; a fused folding loop
-# costs about twice as much to compile and saves two or three calls a node.
-_COMPILE_AFTER = 500
+# has stored more than this many nodes.  On a 2-vCPU host the fused loops
+# of a folding compile in 1.3-1.8 ms at source rank 5-6 and make a node in
+# 0.3-0.6 us against 1.3-3.4 us on the primitives, so they repay the
+# compile within about 1,300 nodes; the system kernels (0.7-1.7 ms, about
+# 0.55 us saved a node at rank 6-7) within 2,000-3,000.  At 1,500 stored
+# nodes no walk of the default verify grid (at most 1,156) or of a Hasse
+# diagram trips, and the stretch walks fuse early; a plain walk that ends
+# between 1,500 and about 3,000 nodes compiles at a loss.
+_COMPILE_AFTER = 1_500
 
 _RELATIONS_HOLD: set = set()  # the entries of every matrix whose relations passed
 
@@ -568,20 +572,23 @@ def _bfs(
     Nodes are made through the system's walk tables, ``_apply_table[i]``
     and ``_child_table[i]``, read once per bucket, and ``step[i]`` is read
     once per letter.  After each letter of a layer, a walk of a weight
-    system that has stored ``_COMPILE_AFTER`` nodes per generator beyond
-    the root trips, once.  Without ``fuse``, it swaps the compiled
-    kernels of ``coxfold._kernels`` into those tables, unless a walk did
-    so before.  With it, the walk fuses into ``fuse()``, a pair
+    system whose stored count, the root included, is past
+    ``_COMPILE_AFTER`` trips, once.  Without ``fuse``, it swaps the
+    compiled kernels of ``coxfold._kernels`` into those tables, unless a
+    walk did so before.  With it, the walk fuses into ``fuse()``, a pair
     ``(flatten, loops)``: each live bucket becomes the flat nodes
     ``flatten(keys, payloads)``, both keys and payloads from then on, and
-    its children come from one call ``loops[i][tested](nodes, made,
-    stored, k)``, which does the tables', step's, filter's and budget's
-    work and returns ``stored``.
+    ``loops[i][tested](nodes)`` returns the children of ``nodes``, doing
+    the tables', step's and filter's work.  A bucket goes to its loop
+    whole while the budget has room for a child of every node, and else
+    in slices no longer than the room left (at least one node), so the
+    walk raises at the same child as on the primitives, having stored
+    one node past the budget and no more.
     """
     if max_len is not None:
         _check_cutoff(max_len, "length cutoff")
     applies, tests, above = system._apply_table, system._child_table, system._above
-    trip = _COMPILE_AFTER * system.rank if system.backend == "weight" else float("inf")
+    trip = _COMPILE_AFTER if system.backend == "weight" else float("inf")
     loops = None
     stored, k = 1, 0
     if stored > budget:
@@ -610,8 +617,15 @@ def _bfs(
                     tested = True
                 else:
                     continue
-                if loops:
-                    stored = loops[i][tested](keys, made, stored, k)
+                if loops:  # no more nodes at a time than there is room for, at least one
+                    loop, rest = loops[i][tested], keys
+                    while rest:
+                        room = max(budget - stored, 1)
+                        new, rest = loop(rest[:room]), rest[room:]
+                        stored += len(new)
+                        made += new
+                        if stored > budget:
+                            raise ResourceLimit(budget, k, stored)
                     continue
                 make = tests[i] if tested else applies[i]
                 for key, payload in zip(keys, payloads):

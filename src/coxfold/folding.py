@@ -307,7 +307,7 @@ def unfold(f: Folding, w: Element) -> Element:
     return element_from_word(f.target, unfold_word(f, shortlex_normal_form(f.source, w)))
 
 
-def _unfolding(f: Folding, ambient_cutoff, keep: Optional[Callable], budget: int, tag=None):
+def _unfolding(f: Folding, ambient_cutoff, keep: Optional[Callable], tag=None):
     """The ``_bfs`` start, step table, filter and fuse of an unfolding walk of ``f``.
 
     The tree reaches s_r w from w, and unfold(s_r w) = unfold(r) unfold(w),
@@ -346,7 +346,7 @@ def _unfolding(f: Folding, ambient_cutoff, keep: Optional[Callable], budget: int
     def fuse():
         from ._kernels import bucket_loops  # loaded only by a walk that trips
 
-        loops = bucket_loops(f.source, f.target, f._words, ambient_cutoff, keep, budget, prefixes)
+        loops = bucket_loops(f.source, f.target, f._words, ambient_cutoff, keep, prefixes)
         return _flat, loops
 
     unfiltered = ambient_cutoff is None and keep is None
@@ -360,22 +360,29 @@ def _series(
     """The unfolded length series of a source walk that carries no word.
 
     Each bucket's lengths, the last entry of a payload or a flat node,
-    are counted in one pass in C.  The walk stores fresh tuples that form
-    no cycle, and the cyclic collector would only re-scan the growing
-    layers, so it is paused for the walk, which yields to no caller code,
-    unless the caller had paused it already.
+    are counted in one pass in C, with the collector paused.
     """
     # imported here, so that a process that draws no series never loads it
     from .qseries import QSeries
 
-    start, steps, wanted, fuse = _unfolding(f, ambient_cutoff, keep, budget)
+    start, steps, wanted, fuse = _unfolding(f, ambient_cutoff, keep)
     walk = _bfs(f.source, None, budget, start=start, step=steps, keep=wanted, fuse=fuse)
     lengths = chain.from_iterable(map(_LENGTH, payloads) for _, _, payloads in walk)
+    return _paused(QSeries.from_lengths, lengths, ambient_cutoff)
+
+
+def _paused(run: Callable, *args):
+    """``run(*args)`` with the cyclic collector paused; the caller's state comes
+    back afterwards, after a ``ResourceLimit`` too.
+
+    ``run`` consumes a walk that yields to no caller code: the walk stores
+    fresh tuples that form no cycle, so the collector would only re-scan
+    the growing layers.
+    """
     pausing = gc.isenabled()
-    if pausing:
-        gc.disable()
+    gc.disable()
     try:
-        return QSeries.from_lengths(lengths, ambient_cutoff)
+        return run(*args)
     finally:
         if pausing:
             gc.enable()
@@ -399,9 +406,8 @@ def _source_records(
     walk of ``_unfolding`` tagged with the source word.
     """
     r = f.source.rank
-    start, steps, wanted, fuse = _unfolding(
-        f, ambient_cutoff, None, budget, ((), tuple((i,) for i in range(r)))
-    )
+    prefixes = tuple((i,) for i in range(r))
+    start, steps, wanted, fuse = _unfolding(f, ambient_cutoff, None, ((), prefixes))
     walk = _bfs(f.source, None, budget, start=start, step=steps, keep=wanted, fuse=fuse)
     for _, keys, payloads in walk:
         if keys is payloads:  # a fused bucket: one list of flat nodes
@@ -457,8 +463,8 @@ def length_additivity_check(
     2003; Steinberg, *Lectures on Chevalley Groups*, 1968).  The last
     check is one walk of the source to ``max_source_len`` (None walks a
     finite source whole) with payload (ambient data, weight sum,
-    length), fused at its trip as the series walks are, and a word is
-    spelled only for a failure.
+    length), fused at its trip and with the collector paused as the
+    series walks are, and a word is spelled only for a failure.
     """
     if max_source_len is not None:
         _check_cutoff(max_source_len, "length cutoff")
@@ -472,13 +478,15 @@ def length_additivity_check(
             if matrix.bond(r, s) % 2 and weights[r] != weights[s]:
                 return ("odd-bond", r, s)
 
-    start, steps, _, fuse = _unfolding(f, None, None, budget, (0, weights))
+    start, steps, _, fuse = _unfolding(f, None, None, (0, weights))
     walk = _bfs(f.source, max_source_len, budget, start=start, step=steps, fuse=fuse)
-    for k, keys, payloads in walk:  # a payload ends (weight sum, length), fused or not
-        for key, payload in zip(keys, payloads):
-            if payload[-2] != payload[-1]:
-                return ("length", k, f.source._reduced_word(key[:matrix.rank]))
-    return None
+    failures = (  # a payload ends (weight sum, length), fused or not
+        ("length", k, f.source._reduced_word(key[:matrix.rank]))
+        for k, keys, payloads in walk
+        for key, payload in zip(keys, payloads)
+        if payload[-2] != payload[-1]
+    )
+    return _paused(next, failures, None)
 
 
 def coset_series_bruteforce(

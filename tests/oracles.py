@@ -262,26 +262,32 @@ def recording_fuse(calls):
     """A stand-in for ``folding._bfs`` that records the fused loops its walks call.
 
     Each call of a loop that ``fuse`` hands the walk appends (layer,
-    letter) to ``calls``; the walk is otherwise ``coxeter._bfs``'s own.
+    letter) to ``calls``, the layer being the one its children are made
+    for: one past the last layer the walk yielded.  The walk is otherwise
+    ``coxeter._bfs``'s own.
     """
 
     def walk(*args, fuse=None, **kwargs):
+        making = [1]
+
         def recorded():
             flatten, loops = fuse()
             return flatten, [
-                tuple(loop and _recorded_loop(calls, i, loop) for loop in pair)
+                tuple(loop and _recorded_loop(calls, making, i, loop) for loop in pair)
                 for i, pair in enumerate(loops)
             ]
 
-        return coxeter._bfs(*args, fuse=None if fuse is None else recorded, **kwargs)
+        for bucket in coxeter._bfs(*args, fuse=None if fuse is None else recorded, **kwargs):
+            making[0] = bucket[0] + 1
+            yield bucket
 
     return walk
 
 
-def _recorded_loop(calls, i, loop):
-    def call(nodes, out, stored, k):
-        calls.append((k, i))
-        return loop(nodes, out, stored, k)
+def _recorded_loop(calls, making, i, loop):
+    def call(nodes):
+        calls.append((making[0], i))
+        return loop(nodes)
 
     return call
 

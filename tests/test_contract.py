@@ -5,7 +5,8 @@ report and of the highlighted ``bruhat-dot`` texts that the benchmark
 produces.  These tests run the same commands through ``cli.main`` and
 compare against that file, so a change to the report or the DOT bytes
 fails here, not only in the benchmark.  The same commands must compile
-no walk kernel: their walks are too short to repay a compile.  The
+no walk kernel, nor even load the kernel module in their process: their
+walks are too short to repay a compile.  The
 benchmark also reaches into the library by name: its tracer patches
 functions in the modules that call them, and one probe passes
 ``workers=2``; those names are pinned here too, as are the tracer's view
@@ -20,6 +21,8 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,7 +66,7 @@ def test_highlighted_hasse_dot(tmp_path, key, argv):
 
 
 def test_verify_and_hasse_dot_compile_no_kernel(tmp_path, monkeypatch):
-    # their walks store too few nodes per generator for a compile to pay:
+    # their walks store at most 1,156 nodes, under the trip's 1,500:
     # no system kernel and no folding's block kernel is compiled, though
     # the folding walks read their steps from block-step tables
     kernels, compiles, step_tables = {}, [], []
@@ -87,6 +90,27 @@ def test_verify_and_hasse_dot_compile_no_kernel(tmp_path, monkeypatch):
     assert step_tables
     for table in step_tables:
         assert all(isinstance(step, functools.partial) for step in table)
+
+
+def test_verify_and_hasse_dot_processes_never_load_the_kernels(tmp_path):
+    # the traffic bound the compile trip rests on, in a fresh process as
+    # the benchmark runs them: no walk of the default verify grid (at most
+    # 1,156 nodes) or of the three highlighted Hasse diagrams reaches the
+    # trip's 1,500 stored nodes, so coxfold._kernels is never imported
+    runs = [["verify"]] + [["bruhat-dot"] + argv for _, argv in HASSE_DOT]
+    runs = [argv + ["--out", str(tmp_path / f"out-{t}")] for t, argv in enumerate(runs)]
+    probe = (
+        "import sys; from coxfold.cli import main; "
+        f"codes = [main(argv) for argv in {runs!r}]; "
+        "print(codes, 'coxfold._kernels' in sys.modules)"
+    )
+    path = [str(PERFBENCH.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
 def test_benchmark_patch_points_exist():

@@ -604,13 +604,14 @@ def test_one_compile_per_matrix(monkeypatch):
 
 
 def test_short_and_dihedral_walks_compile_nothing(monkeypatch):
-    # a whole walk of D4 or D5 stores 191 or 1,919 nodes beyond the root,
-    # under 500 per generator, and counts only its own: three walks in
-    # turn, or two side by side, store more together and compile nothing;
-    # the dihedral backend keeps its primitives however far it walks
+    # a whole walk of D4, or one of D5 to length 12, stores 191 or 1,455
+    # nodes beyond the root, under the trip's 1,500, and counts only its
+    # own: three walks in turn, or two side by side, store more together
+    # and compile nothing; the dihedral backend keeps its primitives
+    # however far it walks
     kernels = {}
     monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
-    cases = [("D4", None, 192), ("D5", None, 1920), ("affine-A1", 3000, 6001), ("I2(8)", None, 16)]
+    cases = [("D4", None, 192), ("D5", 12, 1456), ("affine-A1", 3000, 6001), ("I2(8)", None, 16)]
     for label, max_len, count in cases:
         W = build_system(label)
         for _ in range(3):

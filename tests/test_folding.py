@@ -336,8 +336,8 @@ class TestBruteforceSeries:
 
 
 def test_unfolding_step_swaps_in_the_target_kernels(monkeypatch):
-    # B5 -> D6 stores 3,839 nodes beyond the root, past 500 per generator
-    # of B5: the walk calls each source letter's Python step from the
+    # B5 -> D6 stores 3,839 nodes beyond the root, past the trip's 1,500:
+    # the walk calls each source letter's Python step from the
     # folding's table until, part way through, it fuses, and from then on
     # every bucket's children come from a compiled loop of the target's
     # block steps.  No walk table of either system, nor the step table,
@@ -374,8 +374,10 @@ def _non_injective():
 
 
 def test_length_additivity_check_agrees_past_the_compile_trip(monkeypatch):
-    # the check's walk of all of B5, to source length 25, fuses part way
-    # through into bucket loops whose flat nodes carry the weight sum, and
+    # the check's walk of all of B5, to source length 25, stores 1,255
+    # nodes to length 10 and passes the trip's 1,500 at letter 1 of layer
+    # 11: it fuses there into bucket loops whose flat nodes carry the
+    # weight sum, from letter 2 on, and
     # a walk that fails at length 4 fuses after its first letter when the
     # trigger is 0: each verdict is the one the primitives give, and no
     # walk table or block step is swapped
@@ -388,7 +390,7 @@ def test_length_additivity_check_agrees_past_the_compile_trip(monkeypatch):
     assert [length_additivity_check(f, 25) for f in plain] == [None, failure] and not calls
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", default)
     f = standard_folding(fam)
-    assert length_additivity_check(f, 25) is None and calls[0][0] > 1
+    assert length_additivity_check(f, 25) is None and calls[0] == (11, 2)
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 0)
     calls.clear()
     g = _non_injective()
@@ -443,6 +445,34 @@ def test_series_walk_pauses_the_collector_only_for_itself(paused, budget):
                 coxfold.folding._series(f, None, keep, budget)
         else:
             assert coxfold.folding._series(f, None, keep, budget).eval_at_one() == 48
+        assert gc.isenabled() is not paused
+    finally:
+        gc.enable()
+    assert seen and not any(seen)
+
+
+@pytest.mark.parametrize("paused", [False, True])
+@pytest.mark.parametrize("budget", [10**6, 20])
+def test_additivity_check_pauses_the_collector_only_for_its_walk(monkeypatch, paused, budget):
+    # as the series walk does: the collector is off at every bucket the
+    # check's walk yields, and the caller's state is put back after, after
+    # a ResourceLimit too
+    f, seen = standard_folding(FamilyId("Bn-A2n", 3)), []
+
+    def recording(*args, **kwargs):
+        for bucket in coxfold.coxeter._bfs(*args, **kwargs):
+            seen.append(gc.isenabled())
+            yield bucket
+
+    monkeypatch.setattr(coxfold.folding, "_bfs", recording)
+    if paused:
+        gc.disable()
+    try:
+        if budget == 20:
+            with pytest.raises(ResourceLimit):
+                length_additivity_check(f, None, budget=budget)
+        else:
+            assert length_additivity_check(f, None, budget=budget) is None
         assert gc.isenabled() is not paused
     finally:
         gc.enable()

@@ -8,14 +8,16 @@ at an ambient cutoff, with and without the coset filter, is walked with
 the trip at 0, at a value that trips part way through a layer, at the
 default and at 10**9 (never), and must give the series of the walk that
 never fuses and of the reference in ``oracles``.  Budgets on either
-side of the trip must raise the same ``ResourceLimit``.  The walk of
+side of the trip, and budgets that run out inside a fused bucket, which
+the walk then hands to its loop in slices, must raise the same
+``ResourceLimit``, in every walk of a folding.  The walk of
 ``length_additivity_check``, whose flat nodes also carry the weight sum,
 must give the verdict of the walk that never fuses, on every row and on
 foldings that fail at a length past the trip, and the walk of
 ``_source_records``, whose flat nodes carry the source word, its records.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from unittest import mock
 
 import pytest
@@ -96,7 +98,7 @@ def mid_layer_trip(case, cutoff, J_hat):
     if source.backend != "weight":
         return None
     keep = None if J_hat is None else _coset_minimal(source, J_hat)
-    start, steps, wanted, _ = _unfolding(f, cutoff, keep, NEVER)
+    start, steps, wanted, _ = _unfolding(f, cutoff, keep)
     sizes = {}
     with mock.patch.object(coxeter, "_COMPILE_AFTER", NEVER):
         for k, keys, _ in _bfs(source, None, NEVER, start=start, step=steps, keep=wanted):
@@ -107,8 +109,8 @@ def mid_layer_trip(case, cutoff, J_hat):
         for i in range(source.rank):
             stored += sizes.get((k, i), 0)
             counts.append(stored)
-    for after in range(1, stored // source.rank):
-        at = next(t for t, count in enumerate(counts) if count > after * source.rank)
+    for after in range(1, stored):
+        at = next(t for t, count in enumerate(counts) if count > after)
         if (at + 1) % source.rank and counts[at + 1] > counts[at]:
             return after, counts[at]
     return None
@@ -155,8 +157,7 @@ def test_budgets_around_the_trip_raise_as_the_primitive_walk(case, cutoff, J_hat
     # the budget runs out in the letter that trips, just before the fuse,
     # or in the first fused loops, just after it
     after, fused_at = mid_layer_trip(case, cutoff, J_hat)
-    trip = after * standard_folding(FamilyId(*case)).source.rank
-    for budget in (trip - 1, trip, trip + 1, fused_at - 1, fused_at, fused_at + 1, fused_at + 2):
+    for budget in (after - 1, after, after + 1, fused_at - 1, fused_at, fused_at + 1, fused_at + 2):
         want, _ = fused_walk(case, cutoff, J_hat, budget, NEVER)
         got, calls = fused_walk(case, cutoff, J_hat, budget, after)
         assert got == want, budget
@@ -317,3 +318,83 @@ def test_the_walks_of_one_folding_compile_their_own_loops():
     ), mock.patch.object(coxfold._kernels, "_KERNELS", compiled):
         assert [walk() for walk in walks] == wants
     assert len(compiled) == 3 and calls
+
+
+# each fusing row one n past the largest of FOLDINGS, where even the
+# coset filter leaves tested buckets of two children or more
+FUSING_ROWS = [
+    (name, row.min_n + 2, 2 if row.takes_m else None)
+    for name, row in _FAMILIES.items()
+    if fuses((name, row.min_n + 2, 2 if row.takes_m else None))
+]
+
+
+def cut_runs(case):
+    """The walks of a case that a budget can cut, by name: the series and the
+    coset series at an ambient cutoff, and the two tagged walks, the records
+    and the additivity check's."""
+    cutoff, max_len = 12, 6 if case[0].startswith("aff") else None
+    return {
+        "series": lambda f, budget: unfolding_series_bruteforce(f, cutoff, budget=budget),
+        "coset": lambda f, budget: coset_series_bruteforce(f, (0,), cutoff, budget=budget),
+        "records": lambda f, budget: list(_source_records(f, ambient_cutoff=cutoff, budget=budget)),
+        "check": lambda f, budget: length_additivity_check(f, max_len, budget=budget),
+    }
+
+
+def cut_walk(case, run, budget, after):
+    """The ResourceLimit message of ``run`` on a fresh folding under ``after``
+    (None if none), the nodes its walk yielded, and (tested, children) per
+    fused loop call."""
+    f, yielded, calls = standard_folding(FamilyId(*case)), [0], []
+
+    def record(tested, loop, nodes):
+        children = loop(nodes)
+        calls.append((tested, len(children)))
+        return children
+
+    def walk(*args, fuse=None, **kwargs):
+        def recorded():
+            flatten, loops = fuse()
+            return flatten, [
+                tuple(loop and partial(record, tested, loop) for tested, loop in enumerate(pair))
+                for pair in loops
+            ]
+
+        for bucket in coxeter._bfs(*args, fuse=fuse and recorded, **kwargs):
+            yielded[0] += len(bucket[1])
+            yield bucket
+
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
+        coxfold.folding, "_bfs", walk
+    ), mock.patch.object(coxfold._kernels, "_KERNELS", {}):
+        try:
+            run(f, budget)
+            return None, yielded[0], calls
+        except ResourceLimit as exc:
+            return str(exc), yielded[0], calls
+
+
+@pytest.mark.parametrize("case", FUSING_ROWS, ids=str)
+@pytest.mark.parametrize("name", ["series", "coset", "records", "check"])
+def test_budgets_inside_a_fused_bucket_raise_as_the_primitive_walk(case, name):
+    # fused from letter 1 of layer 1 on, each walk stores every node it
+    # yields; a budget that runs out half way through the children of the
+    # largest untested bucket, and one in the largest tested bucket, make
+    # the walk hand that bucket to its loop in slices no longer than the
+    # room left, and it raises the message of the walk that never fuses
+    run = cut_runs(case)[name]
+    _, total, calls = cut_walk(case, run, coxeter.DEFAULT_BUDGET, 0)
+    fused_at = total - sum(made for _, made in calls)  # the stored count at the fuse
+    stored, largest = fused_at, {0: (1, 0, 0), 1: (1, 0, 0)}
+    for at, (tested, made) in enumerate(calls):
+        largest[tested] = max(largest[tested], (made, at, stored + made // 2))
+        stored += made
+    for made, at, budget in largest.values():
+        assert made >= 2
+        want, _, _ = cut_walk(case, run, budget, NEVER)
+        got, _, cut = cut_walk(case, run, budget, 0)
+        assert want is not None and got == want, budget
+        # that bucket took two calls or more (slices only add calls), and
+        # the loops made one child past the budget, no more
+        assert len(cut) >= at + 2 and fused_at + sum(made for _, made in cut) == budget + 1

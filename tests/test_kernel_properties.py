@@ -346,10 +346,10 @@ def test_compiled_kernels_agree_with_the_primitives(label, data):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from(WEIGHT_WALK_LABELS), st.sampled_from(PAYLOADS), st.integers(1, 12), st.data()
+    st.sampled_from(WEIGHT_WALK_LABELS), st.sampled_from(PAYLOADS), st.integers(1, 60), st.data()
 )
 def test_walk_that_swaps_in_the_kernels_agrees_with_the_reference(label, payload, after, data):
-    # a few nodes per generator swap the tables, most often part way
+    # a few dozen stored nodes swap the tables, most often part way
     # through a layer; yields, filter calls and budget message still match
     W = walk_system(label)
     with mock.patch.object(coxeter, "_COMPILE_AFTER", after):
@@ -369,7 +369,7 @@ def test_walk_that_swaps_mid_layer_agrees_with_the_reference():
 
     keep = _coset_minimal(W, [1])
     recorded = dict(start=(), step=RecordingTable([_prepend] * W.rank))
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", 5):
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", 15):
         got = walk_record(lambda k: nodes(W, _bfs(W, 6, 10**4, keep=k, **recorded)), keep)
     kwargs = dict(start=(), step=[_prepend] * W.rank)
     want = walk_record(lambda k: bfs_all_generators(W, 6, 10**4, keep=k, **kwargs), keep)
@@ -493,11 +493,11 @@ def test_block_kernels_agree_with_the_python_step(case, data):
     weights = data.draw(st.tuples(*[st.integers(0, 9)] * source.rank), label="weights")
     tagged = [(weights, 7), (tuple((r,) for r in range(source.rank)), (5, 0))]
     tested_letters = set().union(*source._above)
-    for r, (untested, tested) in enumerate(bucket_loops(source, target, f._words, None, None, 9)):
+    for r, (untested, tested) in enumerate(bucket_loops(source, target, f._words, None, None)):
         child = _flat([source._apply_left(x, r)], [target._left_word(f._words[r], payload)])[0]
         cases = [(untested, tested, node, child)]
         for prefixes, tag in tagged:
-            loops = bucket_loops(source, target, f._words, None, None, 9, prefixes)[r]
+            loops = bucket_loops(source, target, f._words, None, None, prefixes)[r]
             made = child[:-1] + (prefixes[r] + tag,) + child[-1:]
             cases.append((*loops, node[:-1] + (tag,) + node[-1:], made))
             # a keep is shown the source data and (target data, length), no tag
@@ -506,16 +506,14 @@ def test_block_kernels_agree_with_the_python_step(case, data):
             def keep(*seen):  # rejects every child
                 shown.append(seen)
 
-            kept = bucket_loops(source, target, f._words, None, keep, 9, prefixes)[r][0]
-            assert kept([cases[-1][2]], [], 0, 1) == 0
+            kept = bucket_loops(source, target, f._words, None, keep, prefixes)[r][0]
+            assert kept([cases[-1][2]]) == []
             assert shown == [(child[:rank], (child[rank:-1], child[-1]))]
         for untested, tested, start, made in cases:
-            out = []
-            assert untested([start], out, 0, 1) == 1 and out == [made]
+            assert untested([start]) == [made]
             assert (tested is None) == (r not in tested_letters)
             if tested is not None:
-                out, expected = [], [] if source._child(x, r) is None else [made]
-                assert tested([start], out, 0, 1) == len(expected) and out == expected
+                assert tested([start]) == ([] if source._child(x, r) is None else [made])
 
 
 def folding_walk(f, cutoff, J_hat, budget, after=coxeter._COMPILE_AFTER):
@@ -542,9 +540,9 @@ def plain_walk(case, cutoff, J_hat, budget):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(FOLDINGS), st.integers(1, 12), st.data())
+@given(st.sampled_from(FOLDINGS), st.integers(1, 60), st.data())
 def test_folding_walk_that_swaps_in_the_block_kernels_agrees(case, after, data):
-    # a few nodes per source generator fuse the walk into the compiled
+    # a few dozen stored nodes fuse the walk into the compiled
     # bucket loops, if the source has the weight backend, most often part
     # way through a layer; the series and the budget message are those of
     # a walk that never compiles
@@ -560,20 +558,20 @@ def test_folding_walk_that_swaps_in_the_block_kernels_agrees(case, after, data):
 
 
 def test_folding_walk_that_swaps_mid_layer_agrees():
-    # B4 -> D5 with 5 nodes per source generator: the walk fuses after a
+    # B4 -> D5 with a trip at 20 stored nodes: the walk fuses after a
     # letter of a layer other than the last, and goes on with the fused
     # loops for more than a layer to the series and the budget message of
     # the primitives
     case = ("Bn-Dn+1", 4, None)
     calls = []
     with mock.patch("coxfold.folding._bfs", recording_fuse(calls)):
-        got = folding_walk(standard_folding(FamilyId(*case)), None, None, 10**5, 5)
+        got = folding_walk(standard_folding(FamilyId(*case)), None, None, 10**5, 20)
     assert got == plain_walk(case, None, None, 10**5)
     # the first fused letter is not the first of its layer
     (k, i), last = calls[0], calls[-1][0]
     assert i != 0 and last > k + 1
     calls.clear()
     with mock.patch("coxfold.folding._bfs", recording_fuse(calls)):
-        message = folding_walk(standard_folding(FamilyId(*case)), None, None, 150, 5)
+        message = folding_walk(standard_folding(FamilyId(*case)), None, None, 150, 20)
     assert message == plain_walk(case, None, None, 150) and message.startswith("element budget")
     assert calls
