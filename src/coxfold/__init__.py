@@ -30,7 +30,6 @@ _EXPORTS = {
             "enumerate_up_to",
             "enumerate_with_words",
             "length",
-            "minimal_coset_reps",
             "parabolic_decompose",
             "right_descents",
             "shortlex_normal_form",

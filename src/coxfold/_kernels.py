@@ -1,23 +1,23 @@
-"""Straight-line walk kernels, generated from the Cartan integers of weight systems.
+"""Fused walk loops, generated from the Cartan integers of weight systems.
 
-Each kernel is Python source that holds nothing but variable names and
+Each loop is Python source that holds nothing but variable names and
 integer linear forms in them, built from the systems' ``_row`` and
 ``_below`` tables, so results stay exact and equal: the primitives'
-integer arithmetic, only unrolled.  A walk of a weight ``CoxeterSystem``
-compiles once it has stored more than ``coxeter._COMPILE_AFTER`` nodes:
-``kernels`` gives s_i and the child test of each generator, which
-``coxeter._bfs`` swaps into the system's walk tables, and
-``bucket_loops`` the list comprehensions over flat nodes into which the
-unfolding walks of a folding fuse (``folding._unfolding``); the walk
+integer arithmetic, only unrolled.  A ``coxeter._bfs`` walk that its
+caller hands a fuse compiles once it has stored more than
+``coxeter._COMPILE_AFTER`` nodes: from then on ``bucket_loops`` makes
+each bucket's children with one list comprehension over flat nodes,
+for the plain walks of a weight system (``coxeter._plain_fuse``) and the
+unfolding walks of a folding (``folding._unfolding``) alike; the walk
 keeps the count and the budget.  ``_KERNELS`` caches each compiled set
-for every system built on the same matrices.
+for every walk on the same matrices.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-# matrix entries -> (apply table, child table); a ``bucket_loops`` key -> their maker
+# a ``bucket_loops`` key -> the maker of its loops
 _KERNELS: dict = {}
 
 
@@ -62,49 +62,24 @@ def _compiled(source: str, names: Iterable[str]) -> tuple:
     return tuple(namespace[name] for name in names)
 
 
-def kernels(system) -> Tuple[tuple, tuple]:
-    """Straight-line forms of ``_apply_left`` and ``_child`` for each generator.
-
-    Each function takes (data, i) like the primitive it replaces and
-    returns one tuple display, or None where the child test fails.  One
-    compile per Coxeter matrix.
-
-    >>> from coxfold.coxeter import build_system
-    >>> applies, children = kernels(build_system("A3"))
-    >>> s1 = applies[0]((1, 1, 1), 0)
-    >>> s1, children[1](s1, 1), children[0](s1, 0)
-    ((-1, 2, 1), (1, -2, 3), None)
-    """
-    entries = system.matrix.entries
-    if entries not in _KERNELS:
-        unpack = "    " + ", ".join(f"x{j}" for j in range(system.rank)) + ", = x"
-        lines = []
-        for i in range(system.rank):
-            display = "    return (" + ", ".join(_image(system, (i,))[1]) + ",)"
-            lines += [f"def a{i}(x, _):", unpack, display]
-            lines += [f"def c{i}(x, _):", unpack, f"    if {_child_test(system, i)}:"]
-            lines += ["        return None", display]
-        names = [f"{kind}{i}" for kind in "ac" for i in range(system.rank)]
-        compiled = _compiled("\n".join(lines), names)
-        _KERNELS[entries] = (compiled[:system.rank], compiled[system.rank:])
-    return _KERNELS[entries]
-
-
 def bucket_loops(source, target, words, cutoff, keep, prefixes=None):
-    """The (untested, tested) bucket loops of each source letter, for one unfolding walk.
+    """The (untested, tested) bucket loops of each letter, for one walk of ``source``.
 
     Loop i is one list comprehension, ``nodes -> children``: for each
     flat node w of ``nodes`` whose s_i w is a child (always, in the
-    untested loop), it applies ``words[i]`` to the target part like
-    ``target._left_word``, one sign test per letter, and drops the child
-    if its length is past ``cutoff`` or ``keep(source data, (target data,
-    length))`` is false.  It counts nothing: the walk checks its budget
-    on the children, and hands a loop no more nodes than it has room for.
-    With ``prefixes``, a node has one more entry before its length, a tag
-    t, and loop i makes the child's tag ``prefixes[i] + t`` (ints or
-    tuples).  A letter that no bucket tests (none of ``source._above``)
-    has no tested loop.  One compile per matrices, words, prefixes and
-    whether there is a cutoff and a ``keep``; each walk binds its own.
+    untested loop), it makes s_i w.  A plain walk (``target`` None, and
+    no words, cutoff or ``keep``) has the source data as its node.  An
+    unfolding walk adds the target data and the length: it applies
+    ``words[i]`` to the target part like ``target._left_word``, one sign
+    test per letter, and drops the child if its length is past ``cutoff``
+    or ``keep(source data, (target data, length))`` is false.  With
+    ``prefixes``, a node has one more entry after its data, a tag t, and
+    loop i makes the child's tag ``prefixes[i] + t`` (ints or tuples).
+    It counts nothing: the walk checks its budget on the children, and
+    hands a loop no more nodes than it has room for.  A letter that no
+    bucket tests (none of ``source._above``) has no tested loop.  One
+    compile per matrices, words, prefixes and whether there is a cutoff
+    and a ``keep``; each walk binds its own.
 
     >>> from coxfold.coxeter import build_system
     >>> A3 = build_system("A3")
@@ -112,29 +87,35 @@ def bucket_loops(source, target, words, cutoff, keep, prefixes=None):
     >>> children = untested([(1, 1, 1, 1, 1, 1, 0)])
     >>> children, tested(children), bucket_loops(A3, A3, ((0,), (1,), (2,)), None, None)[0][1]
     ([(2, -1, 2, 2, -1, 2, 1)], [], None)
+    >>> bucket_loops(A3, None, None, None, None, ((0,), (1,), (2,)))[0][0]([(1, 1, 1, ())])
+    [(-1, 2, 1, (0,))]
     """
-    key = (source.matrix.entries, target.matrix.entries, words, prefixes)
+    key = (source.matrix.entries, target and target.matrix.entries, words, prefixes)
     key += (cutoff is None, keep is None)
     if key not in _KERNELS:
-        r, R, tested = source.rank, target.rank, set().union(*source._above)
+        r, tested = source.rank, set().union(*source._above)
+        R = 0 if target is None else target.rank
         node = [f"x{j}" for j in range(r)] + [f"y{j}" for j in range(R)]
-        node += ["v"] * (prefixes is not None)
+        node += ["v"] * (prefixes is not None) + ["l"] * (target is not None)
         lines, names = ["def loops(cutoff, keep):"], []
-        for i, word in enumerate(words):
-            signs, display = _image(target, word, "y")
-            length = f"l + {len(word)} - 2 * (" + " + ".join(f"({t} < 0)" for t in signs) + ")"
+        for i in range(r):
+            tail = [] if prefixes is None else [f"{prefixes[i]!r} + v"]  # the tag
             clauses = []
-            if cutoff is not None or keep is not None:
-                clauses.append(f"for l in [{length}]")
-                length = "l"
-            if cutoff is not None:
-                clauses.append("if l <= cutoff")
-            tag = [] if prefixes is None else [f"{prefixes[i]!r} + v"]
-            child = "(" + ", ".join(_image(source, (i,))[1] + display + tag + [length]) + ")"
+            if target is not None:
+                signs, display = _image(target, words[i], "y")
+                length = " + ".join(f"({t} < 0)" for t in signs)
+                length = f"l + {len(words[i])} - 2 * ({length})"
+                if cutoff is not None or keep is not None:
+                    clauses.append(f"for l in [{length}]")
+                    length = "l"
+                if cutoff is not None:
+                    clauses.append("if l <= cutoff")
+                tail = display + tail + [length]
+            child = "(" + ", ".join(_image(source, (i,))[1] + tail) + ",)"
             if keep is not None:
                 clauses += [f"for c in [{child}]", f"if keep(c[:{r}], (c[{r}:{r + R}], l))"]
                 child = "c"
-            walk = f"for {', '.join(node)}, l in nodes"
+            walk = f"for {', '.join(node)}, in nodes"  # a node of A1 is one entry
             kinds = [("u", walk), ("t", f"{walk} if not ({_child_test(source, i)})")]
             for kind, head in kinds[:1 + (i in tested)]:
                 lines += [f"    def {kind}{i}(nodes):"]

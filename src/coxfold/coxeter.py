@@ -70,18 +70,18 @@ through inverses.  In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
 >>> w.data, w.length, shortlex_normal_form(W, w), shortlex_normal_form(W, inverse(W, w))
 ((0, 4), 4, (0, 1, 0, 1), (1, 0, 1, 0))
 
-The breadth-first walk calls ``_apply_left`` and ``_child`` through
-per-generator tables, ``_apply_table`` and ``_child_table``, read once
-per bucket, and hands out each bucket as two lists; a payload's step
-comes from a per-letter table (for a folding, a ``_step_table``).  Once
-a walk of a weight system has stored more than ``_COMPILE_AFTER``
-nodes, its own count, checked per letter of a layer, it compiles: it
-swaps the straight-line kernels of ``coxfold._kernels`` into the
-system's tables, or, for the unfolding walks of a folding, fuses into
-that module's bucket loops, which count nothing; the walk keeps the
-budget exact by handing a loop no more nodes than it has room for.
-Short walks, such as those of the default verify grid and of a Hasse
-diagram, never compile; the dihedral backend never does.
+The breadth-first walk calls ``_apply_left`` and ``_child`` and hands
+out each bucket as two lists; a payload's step comes from a per-letter
+table (for a folding, a ``_step_table``).  A walk has one compile path:
+once a walk of a weight system, plain or unfolding, has stored more
+than ``_COMPILE_AFTER`` nodes, its own count, checked per letter of a
+layer, it fuses into the bucket loops of ``coxfold._kernels``, which
+count nothing; the walk keeps the budget exact by handing a loop no
+more nodes than it has room for.  The system itself never changes, so
+every walk starts on the primitives.  Short walks, such as those of the
+default verify grid and of a Hasse diagram, never compile; the dihedral
+backend never does, nor does a walk with a Python filter or step that
+no loop carries.
 
 Bond order 0 in a Coxeter matrix encodes an infinite bond.
 """
@@ -94,7 +94,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 from ._record import FrozenRecord, set_field
 from .errors import (
     IndexOutOfRange, InvalidMatrix, InvalidParameters, ResourceLimit, UnsupportedLabel,
-    _check_cutoff,
+    _check_budget, _check_cutoff,
 )
 
 __all__ = [
@@ -114,10 +114,8 @@ __all__ = [
     "inverse",
     "enumerate_up_to",
     "enumerate_with_words",
-    "enumerate_parabolic",
     "all_reduced_words",
     "parabolic_decompose",
-    "minimal_coset_reps",
     "bruhat_leq",
     "word_string",
 ]
@@ -131,15 +129,13 @@ _RANK3_BONDS = {2, 3, 4, 6, INFINITE}
 # bond order -> Cartan integers (a_ij, a_ji) for i < j
 _CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1), INFINITE: (-2, -2)}
 
-# A walk of a weight system, reading this as it starts, compiles once it
-# has stored more than this many nodes.  On a 2-vCPU host the fused loops
-# of a folding compile in 1.3-1.8 ms at source rank 5-6 and make a node in
+# A walk handed a fuse, reading this as it starts, fuses once it has
+# stored more than this many nodes.  On a 2-vCPU host the fused loops of a
+# folding compile in 1.3-1.8 ms at source rank 5-6 and make a node in
 # 0.3-0.6 us against 1.3-3.4 us on the primitives, so they repay the
-# compile within about 1,300 nodes; the system kernels (0.7-1.7 ms, about
-# 0.55 us saved a node at rank 6-7) within 2,000-3,000.  At 1,500 stored
-# nodes no walk of the default verify grid (at most 1,156) or of a Hasse
-# diagram trips, and the stretch walks fuse early; a plain walk that ends
-# between 1,500 and about 3,000 nodes compiles at a loss.
+# compile within about 1,300 nodes.  At 1,500 stored nodes no walk of the
+# default verify grid (at most 1,156) or of a Hasse diagram trips, and the
+# stretch walks fuse early.
 _COMPILE_AFTER = 1_500
 
 _RELATIONS_HOLD: set = set()  # the entries of every matrix whose relations passed
@@ -223,10 +219,6 @@ class CoxeterSystem:
                 for i, row in enumerate(matrix.entries)
             )
             self._identity = Element((1,) * self.rank, 0)
-        # the walk tables: entry i is called as (data, i) like the primitive
-        # it starts as, until a long walk swaps in the compiled kernels
-        self._apply_table = [self._apply_left] * self.rank
-        self._child_table = [self._child] * self.rank
         self._check_relations()
 
     # -- construction helpers -------------------------------------------
@@ -566,33 +558,29 @@ def _bfs(
     and ``step=[_prepend] * rank``.  One filter, ``keep(key, payload)``,
     is checked on the root as on every child: a node it rejects is
     neither stored, yielded nor expanded, so the set it keeps must be
-    closed under taking parents.  The budget is checked as each node is
-    stored.
+    closed under taking parents.  The budget, an int >= 1, is checked as
+    each node is stored.
 
-    Nodes are made through the system's walk tables, ``_apply_table[i]``
-    and ``_child_table[i]``, read once per bucket, and ``step[i]`` is read
-    once per letter.  After each letter of a layer, a walk of a weight
-    system whose stored count, the root included, is past
-    ``_COMPILE_AFTER`` trips, once.  Without ``fuse``, it swaps the
-    compiled kernels of ``coxfold._kernels`` into those tables, unless a
-    walk did so before.  With it, the walk fuses into ``fuse()``, a pair
-    ``(flatten, loops)``: each live bucket becomes the flat nodes
-    ``flatten(keys, payloads)``, both keys and payloads from then on, and
-    ``loops[i][tested](nodes)`` returns the children of ``nodes``, doing
-    the tables', step's and filter's work.  A bucket goes to its loop
-    whole while the budget has room for a child of every node, and else
-    in slices no longer than the room left (at least one node), so the
-    walk raises at the same child as on the primitives, having stored
-    one node past the budget and no more.
+    Nodes are made by the primitives ``_apply_left`` and ``_child``, and
+    ``step[i]`` is read once per letter.  After each letter of a layer, a
+    walk handed a ``fuse`` whose stored count, the root included, is past
+    ``_COMPILE_AFTER`` trips, once, and a walk without one never does.
+    It fuses into ``fuse()``, a pair ``(flatten, loops)``: each live
+    bucket becomes the flat nodes ``flatten(keys, payloads)``, both keys
+    and payloads from then on, and ``loops[i][tested](nodes)`` returns
+    the children of ``nodes``, doing the primitives', step's and filter's
+    work.  A bucket goes to its loop whole while the budget has room for
+    a child of every node, and else in slices no longer than the room
+    left (at least one node), so the walk raises at the same child as on
+    the primitives, having stored one node past the budget and no more.
     """
     if max_len is not None:
         _check_cutoff(max_len, "length cutoff")
-    applies, tests, above = system._apply_table, system._child_table, system._above
-    trip = _COMPILE_AFTER if system.backend == "weight" else float("inf")
+    _check_budget(budget)
+    apply, test, above = system._apply_left, system._child, system._above
+    trip = _COMPILE_AFTER if fuse is not None else float("inf")
     loops = None
     stored, k = 1, 0
-    if stored > budget:
-        raise ResourceLimit(budget, k, stored)
     root = system.identity().data
     layer = [([], []) for _ in range(system.rank)]
     layer.append(([root], [start]) if keep is None or keep(root, start) else ([], []))
@@ -627,7 +615,7 @@ def _bfs(
                         if stored > budget:
                             raise ResourceLimit(budget, k, stored)
                     continue
-                make = tests[i] if tested else applies[i]
+                make = test if tested else apply
                 for key, payload in zip(keys, payloads):
                     child = make(key, i)
                     if child is None:
@@ -642,19 +630,33 @@ def _bfs(
                     values.append(value)
             children.append((made, values))
             if stored > trip:
-                trip = float("inf")
-                if fuse is not None:
-                    flatten, loops = fuse()
-                    layer, children = [
-                        [(nodes, nodes) for nodes in (flatten(*bucket) for bucket in live)]
-                        for live in (layer, children)
-                    ]
-                elif applies[0] == system._apply_left:  # no walk has swapped yet
-                    # imported here, so that a process whose walks stay short never loads it
-                    from ._kernels import kernels
-
-                    applies[:], tests[:] = kernels(system)
+                trip, (flatten, loops) = float("inf"), fuse()
+                layer, children = [
+                    [(nodes, nodes) for nodes in (flatten(*bucket) for bucket in live)]
+                    for live in (layer, children)
+                ]
         layer = children + [([], [])]
+
+
+def _plain_fuse(system: CoxeterSystem, prefixes=None) -> Optional[Callable]:
+    """The ``_bfs`` fuse of a plain walk of a weight system; a dihedral one gets None.
+
+    A flat node is the key, and with ``prefixes`` the payload after it, a
+    tag: the tag of s_i w is ``prefixes[i]`` + that of w, so prefixes
+    (i,) give the ShortLex word, as ``_prepend`` does.
+    """
+    if system.backend != "weight":
+        return None
+
+    def fuse():
+        from ._kernels import bucket_loops  # loaded only by a walk that trips
+
+        loops = bucket_loops(system, None, None, None, None, prefixes)
+        if prefixes is None:
+            return (lambda keys, _: keys), loops
+        return (lambda keys, tags: [key + (tag,) for key, tag in zip(keys, tags)]), loops
+
+    return fuse
 
 
 def enumerate_up_to(
@@ -670,7 +672,7 @@ def enumerate_up_to(
     With ``max_len=None`` the whole group is enumerated (the budget guards
     against accidentally unbounded runs on affine systems).
     """
-    for k, keys, _ in _bfs(system, max_len, budget):
+    for k, keys, _ in _bfs(system, max_len, budget, fuse=_plain_fuse(system)):
         for key in keys:
             yield Element(key, k), k
 
@@ -682,31 +684,15 @@ def enumerate_with_words(
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Tuple[Element, Word]]:
     """Like enumerate_up_to but also yields each element's ShortLex word."""
-    for k, keys, words in _bfs(system, max_len, budget, start=(), step=[_prepend] * system.rank):
-        for key, word in zip(keys, words):
-            yield Element(key, k), word
-
-
-def enumerate_parabolic(
-    system: CoxeterSystem,
-    J: Iterable[int],
-    max_len: Optional[int],
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[Tuple[Element, int]]:
-    """Stream the standard parabolic subgroup on J up to the cutoff.
-
-    Layers are ambient lengths, equal to parabolic ones.  The payload says
-    whether a node is in W_J: a child s_i w is iff w is and i is in J.
-    """
-    J = _subset(system, J)
-    walk = _bfs(
-        system, max_len, budget, start=True, step=[lambda _, i: i in J] * system.rank,
-        keep=lambda _, inside: inside,
-    )
-    for k, keys, _ in walk:
-        for key in keys:
-            yield Element(key, k), k
+    r = system.rank
+    fuse = _plain_fuse(system, tuple((i,) for i in range(r)))
+    for k, keys, words in _bfs(system, max_len, budget, start=(), step=[_prepend] * r, fuse=fuse):
+        if keys is words:  # a fused bucket: one list of flat nodes
+            for node in words:
+                yield Element(node[:r], k), node[r]
+        else:
+            for key, word in zip(keys, words):
+                yield Element(key, k), word
 
 
 def all_reduced_words(system: CoxeterSystem, w: Element) -> list:
@@ -757,20 +743,6 @@ def _coset_minimal(system: CoxeterSystem, J: Iterable[int]):
         return not any(system._is_left_descent_data(inv, j) for j in J)
 
     return keep
-
-
-def minimal_coset_reps(
-    system: CoxeterSystem,
-    J: Iterable[int],
-    max_len: Optional[int],
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[Element]:
-    """Stream the minimal coset representatives W^J of length <= max_len."""
-    keep = _coset_minimal(system, J)
-    for k, keys, _ in _bfs(system, max_len, budget, keep=keep):
-        for key in keys:
-            yield Element(key, k)
 
 
 def bruhat_leq(system: CoxeterSystem, v: Element, w: Element) -> bool:

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and ``_check_int``, the one rule for
-an int parameter (n, m, a coset part, a cutoff): an int, not a bool, at its floor."""
+an int parameter (n, m, a coset part, a cutoff, a budget): an int, not a bool, at its floor."""
 
 __all__ = [
     "CoxfoldError",
@@ -77,3 +77,8 @@ def _check_int(value, floor: int, message: str):
 def _check_cutoff(value, what: str):
     """Refuse a cutoff (``what`` names it) that is not an int >= 0."""
     _check_int(value, 0, f"the {what} must be a non-negative int, got {value!r}")
+
+
+def _check_budget(value):
+    """Refuse an element budget that is not an int >= 1."""
+    _check_int(value, 1, f"the element budget must be a positive int, got {value!r}")

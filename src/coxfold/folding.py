@@ -79,7 +79,7 @@ from .coxeter import (
     word_string,
 )
 from ._record import FrozenRecord, set_field
-from .errors import IndexOutOfRange, InvalidParameters, _check_cutoff, _check_int
+from .errors import IndexOutOfRange, InvalidParameters, _check_budget, _check_cutoff, _check_int
 
 if TYPE_CHECKING:
     from .qseries import QSeries, StatSeries
@@ -314,7 +314,7 @@ def _unfolding(f: Folding, ambient_cutoff, keep: Optional[Callable], tag=None):
     so step r applies the letters of unfold(r) on the left in reverse
     order, and moves the length by -1 or +1 as each letter is a left
     descent or not: the folding's ``_steps``, a Python loop over the
-    target's primitives, whose tables are never read.  The payload is
+    target's primitives.  The payload is
     (ambient data, length), or with ``tag = (start, prefixes)`` (ambient
     data, tag, length), where the tag of s_r w is ``prefixes[r]`` + the
     tag of w: the weight sum for int prefixes, the ShortLex word for
@@ -464,10 +464,12 @@ def length_additivity_check(
     check is one walk of the source to ``max_source_len`` (None walks a
     finite source whole) with payload (ambient data, weight sum,
     length), fused at its trip and with the collector paused as the
-    series walks are, and a word is spelled only for a failure.
+    series walks are, and a word is spelled only for a failure.  A bad
+    cutoff or budget is refused before the first check.
     """
     if max_source_len is not None:
         _check_cutoff(max_source_len, "length cutoff")
+    _check_budget(budget)
     matrix = f.source.matrix
     bad = _wrong_order(matrix, (f.target.identity().data, 0), lambda p, r: f._steps[r](p, r))
     if bad is not None:

@@ -22,10 +22,13 @@ needs: its walks read left descents only.  ``admissibility_violations``
 and ``reference_factorization`` are the two structural checks of a
 folding that ``length_additivity_check`` stands in for, written from
 their definitions: right descents of unfolded elements, and three
-separate walks whose elements are each re-unfolded by their word.
+separate walks whose elements are each re-unfolded by their word; the
+parabolic and coset-minima streams they read, ``enumerate_parabolic``
+and ``minimal_coset_reps``, are ``_bfs`` walks with a Python step or
+filter that no fused loop carries, kept here as the only callers.
 ``is_kernel`` and ``recording_fuse`` are probes, not models: they tell
-a compiled walk-table entry from a primitive one, and record the calls
-of the fused loops of a series walk.
+compiled code from a primitive or a step, and record the calls of the
+fused loops of a series walk.
 """
 
 import itertools
@@ -34,11 +37,14 @@ from typing import NamedTuple
 
 from coxfold import coxeter
 from coxfold.coxeter import (
+    DEFAULT_BUDGET,
+    Element,
+    _bfs,
+    _coset_minimal,
+    _subset,
     element_from_word,
-    enumerate_parabolic,
     enumerate_up_to,
     enumerate_with_words,
-    minimal_coset_reps,
     right_descents,
     shortlex_normal_form,
 )
@@ -249,9 +255,9 @@ def shortlex_child(system, data, i):
 
 
 def is_kernel(fn):
-    """Whether a walk-table entry is a compiled kernel of ``coxfold._kernels``.
+    """Whether ``fn`` is compiled code of ``coxfold._kernels``.
 
-    The primitive form of an entry is a bound method or a
+    A primitive is a bound method and a folding step a
     functools.partial, with no code of its own.
     """
     code = getattr(fn, "__code__", None)
@@ -459,6 +465,30 @@ class ColumnKernel:
             out += sorted((k, word, cols) for cols, word in nxt.items())
             layer = nxt
         return out
+
+
+def enumerate_parabolic(system, J, max_len, *, budget=DEFAULT_BUDGET):
+    """Stream the standard parabolic subgroup on J up to the cutoff.
+
+    Layers are ambient lengths, equal to parabolic ones.  The payload says
+    whether a node is in W_J: a child s_i w is iff w is and i is in J.
+    """
+    J = _subset(system, J)
+    walk = _bfs(
+        system, max_len, budget, start=True, step=[lambda _, i: i in J] * system.rank,
+        keep=lambda _, inside: inside,
+    )
+    for k, keys, _ in walk:
+        for key in keys:
+            yield Element(key, k), k
+
+
+def minimal_coset_reps(system, J, max_len, *, budget=DEFAULT_BUDGET):
+    """Stream the minimal coset representatives W^J of length <= max_len."""
+    keep = _coset_minimal(system, J)
+    for k, keys, _ in _bfs(system, max_len, budget, keep=keep):
+        for key in keys:
+            yield Element(key, k)
 
 
 def admissibility_violations(f, max_source_len):

@@ -15,11 +15,9 @@ from coxfold.coxeter import (
     bruhat_leq,
     build_system,
     element_from_word,
-    enumerate_parabolic,
     enumerate_up_to,
     enumerate_with_words,
     length,
-    minimal_coset_reps,
     multiply,
     parabolic_decompose,
     right_descents,
@@ -43,7 +41,9 @@ from oracles import (
     bruhat_dominance_leq,
     covers_by_deletion,
     dihedral_histogram,
+    enumerate_parabolic,
     inversions,
+    minimal_coset_reps,
     symmetric_histogram,
     type_b_histogram,
     type_d_histogram,
@@ -554,72 +554,94 @@ def test_bruhat_dot_walks_the_group_once(monkeypatch):
     assert walked == ["A3"]
 
 
-def test_walk_tests_only_the_pairs_the_buckets_leave_open():
+def test_walk_tests_only_the_pairs_the_buckets_leave_open(monkeypatch):
     # a node whose least left descent is d is tested by _child only for
     # the i > d with m(d, i) != 2; the root, with no descent, never is.
-    # The walk reads its child test from the table, whose entries D6
-    # swaps for the compiled kernels part way through; the count wraps
-    # whatever entry the walk reads, so it spans the swap
+    # With the trip out of reach, the stream of D6 makes every node on the
+    # primitives, so the count covers the whole walk
+    monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 10**9)
     W = build_system("D6")
     calls = []
+    child = W._child
 
-    class CountingTable(list):
-        def __getitem__(self, i):
-            test = list.__getitem__(self, i)
+    def counting(data, i):
+        calls.append(i)
+        return child(data, i)
 
-            def counting(data, j):
-                calls.append(test == W._child)
-                return test(data, j)
-
-            return counting
-
-    W._child_table = CountingTable(W._child_table)
-    nodes = [key for _, keys, _ in _bfs(W, None, DEFAULT_BUDGET) for key in keys]
+    W._child = counting
+    nodes = [el.data for el, _ in enumerate_up_to(W, None)]
     open_pairs = 0
     for key in nodes[1:]:
         d = next(d for d in range(W.rank) if W._is_left_descent_data(key, d))
         open_pairs += sum(1 for i in range(d + 1, W.rank) if W.matrix.bond(d, i) != 2)
     assert len(nodes) == 23040
     assert len(calls) == open_pairs == 23616
-    # the walk swapped in the kernels part way, through the table it reads
-    assert 0 < calls.count(True) < 23616
 
 
-def test_one_compile_per_matrix(monkeypatch):
-    # two D6 systems walk past the trigger: the second reuses the kernels
-    compiles = []
-    monkeypatch.setattr(coxfold._kernels, "_KERNELS", {})
+def recording_compiles(monkeypatch):
+    """An empty loop cache for ``coxfold._kernels``, and the list of its compiles."""
+    kernels, compiles = {}, []
+    monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
     monkeypatch.setattr(
         coxfold._kernels, "compile", lambda *args: compiles.append(args) or compile(*args),
         raising=False,
     )
-    tables = []
+    return kernels, compiles
+
+
+def test_one_compile_per_matrix(monkeypatch):
+    # two D6 systems walk past the trip, each stream fusing at its own:
+    # the second system reuses the loops the first compiled, one set for
+    # the plain walk and one for the walk tagged with words, and neither
+    # walk leaves anything on its system
+    kernels, compiles = recording_compiles(monkeypatch)
     for _ in range(2):
         W = build_system("D6")
-        assert W._apply_table == [W._apply_left] * 6 and W._child_table == [W._child] * 6
+        state = dict(vars(W))
         assert sum(1 for _ in enumerate_up_to(W, None)) == 23040
-        tables.append(W._apply_table + W._child_table)
-    assert len(compiles) == 1
-    assert tables[0] == tables[1] and W._apply_left not in tables[0]
+        assert sum(1 for _ in enumerate_with_words(W, None)) == 23040
+        assert vars(W) == state
+    assert len(compiles) == len(kernels) == 2
 
 
 def test_short_and_dihedral_walks_compile_nothing(monkeypatch):
     # a whole walk of D4, or one of D5 to length 12, stores 191 or 1,455
     # nodes beyond the root, under the trip's 1,500, and counts only its
     # own: three walks in turn, or two side by side, store more together
-    # and compile nothing; the dihedral backend keeps its primitives
-    # however far it walks
-    kernels = {}
-    monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
+    # and compile nothing; the dihedral backend gets no fuse and keeps its
+    # primitives however far it walks
+    kernels, compiles = recording_compiles(monkeypatch)
     cases = [("D4", None, 192), ("D5", 12, 1456), ("affine-A1", 3000, 6001), ("I2(8)", None, 16)]
     for label, max_len, count in cases:
         W = build_system(label)
         for _ in range(3):
             assert sum(1 for _ in enumerate_up_to(W, max_len)) == count
-        pairs = zip(enumerate_up_to(W, max_len), enumerate_up_to(W, max_len))
+            assert sum(1 for _ in enumerate_with_words(W, max_len)) == count
+        pairs = zip(enumerate_up_to(W, max_len), enumerate_with_words(W, max_len))
         assert sum(1 for _ in pairs) == count
-        assert W._apply_table == [W._apply_left] * W.rank
-    assert kernels == {}
+    assert kernels == {} and compiles == []
+
+
+@pytest.mark.parametrize("stream", [enumerate_up_to, enumerate_with_words])
+def test_a_short_walk_after_a_long_one_runs_on_the_primitives(monkeypatch, stream):
+    # a walk of all of D6 fuses part way; the system keeps nothing of it,
+    # so a later walk of the same system to length 4 makes every node
+    # with _apply_left and _child, as on a fresh system, and compiles
+    # nothing more
+    kernels, compiles = recording_compiles(monkeypatch)
+    counts = []
+    for long_walk in (False, True):
+        W, calls = build_system("D6"), []
+        if long_walk:
+            assert sum(1 for _ in stream(W, None)) == 23040 and compiles
+        compiled = len(compiles)
+        for name in ("_apply_left", "_child"):
+            primitive = getattr(W, name)
+            setattr(W, name, lambda data, i, f=primitive, n=name: calls.append(n) or f(data, i))
+        assert sum(1 for _ in stream(W, 4)) == 1 + 6 + 20 + 50 + 104
+        assert len(compiles) == compiled
+        counts.append(Counter(calls))
+    assert counts[0] == counts[1] and counts[0]["_child"] > 0 and counts[0]["_apply_left"] > 0
 
 
 class TestReducedWords:

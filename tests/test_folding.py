@@ -13,10 +13,8 @@ from coxfold.coxeter import (
     Element,
     build_system,
     element_from_word,
-    enumerate_parabolic,
     enumerate_up_to,
     enumerate_with_words,
-    minimal_coset_reps,
     multiply,
     word_string,
 )
@@ -39,8 +37,10 @@ from coxfold.qseries import QSeries
 
 from oracles import (
     admissibility_violations,
+    enumerate_parabolic,
     is_kernel,
     is_right_descent_data,
+    minimal_coset_reps,
     recording_fuse,
     reference_factorization,
 )
@@ -335,16 +335,17 @@ class TestBruteforceSeries:
         assert keeps[:2] == [None, None] and keeps[2] is not None
 
 
-def test_unfolding_step_swaps_in_the_target_kernels(monkeypatch):
+def test_unfolding_steps_run_until_the_walk_fuses(monkeypatch):
     # B5 -> D6 stores 3,839 nodes beyond the root, past the trip's 1,500:
     # the walk calls each source letter's Python step from the
     # folding's table until, part way through, it fuses, and from then on
     # every bucket's children come from a compiled loop of the target's
-    # block steps.  No walk table of either system, nor the step table,
-    # is swapped
+    # block steps.  The step table is not swapped, and neither system
+    # keeps anything of the walk
     fam = FamilyId("Bn-Dn+1", 5)
     f = standard_folding(fam)
     source, target, events = f.source, f.target, []
+    states = [dict(vars(source)), dict(vars(target))]
 
     def recorded(step):
         def call(payload, r):
@@ -361,8 +362,7 @@ def test_unfolding_step_swaps_in_the_target_kernels(monkeypatch):
     # events holds "step" per Python step and (layer, letter) per fused loop
     first = next(t for t, event in enumerate(events) if event != "step")
     assert first > 0 and "step" not in events[first:]
-    tables = source._apply_table + source._child_table + target._apply_table + target._child_table
-    assert not any(map(is_kernel, tables + steps))
+    assert not any(map(is_kernel, steps)) and [vars(source), vars(target)] == states
 
 
 def _non_injective():
@@ -379,8 +379,8 @@ def test_length_additivity_check_agrees_past_the_compile_trip(monkeypatch):
     # 11: it fuses there into bucket loops whose flat nodes carry the
     # weight sum, from letter 2 on, and
     # a walk that fails at length 4 fuses after its first letter when the
-    # trigger is 0: each verdict is the one the primitives give, and no
-    # walk table or block step is swapped
+    # trigger is 0: each verdict is the one the primitives give, no block
+    # step is swapped and no source keeps anything of the walk
     fam, failure = FamilyId("Bn-Dn+1", 5), ("length", 4, (0, 1, 0, 1))
     default, calls = coxfold.coxeter._COMPILE_AFTER, []
     monkeypatch.setattr(coxfold.folding, "_bfs", recording_fuse(calls))
@@ -390,21 +390,23 @@ def test_length_additivity_check_agrees_past_the_compile_trip(monkeypatch):
     assert [length_additivity_check(f, 25) for f in plain] == [None, failure] and not calls
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", default)
     f = standard_folding(fam)
+    f_state = dict(vars(f.source))
     assert length_additivity_check(f, 25) is None and calls[0] == (11, 2)
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 0)
     calls.clear()
     g = _non_injective()
+    g_state = dict(vars(g.source))
     assert length_additivity_check(g, 25) == failure and calls[0] == (1, 1)
-    for h in (f, g):
-        tables = h.source._apply_table + h.source._child_table + h._steps
-        assert not any(map(is_kernel, tables))
+    assert [vars(f.source), vars(g.source)] == [f_state, g_state]
+    assert not any(map(is_kernel, f._steps + g._steps))
 
 
 def test_series_walks_fuse_only_between_weight_systems(monkeypatch):
     # with the trigger at 0, a weight-to-weight series walk fuses at once,
     # and two foldings on the same matrices and words share one compile of
-    # their loops; a dihedral source or target keeps the primitive loop,
-    # and a weight source swaps in its own kernels instead
+    # their loops; a dihedral source or target gets no fuse and keeps the
+    # primitive loop, a weight source onto a dihedral target among them,
+    # and compiles nothing
     kernels, calls = {}, []
     monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 0)
@@ -413,15 +415,16 @@ def test_series_walks_fuse_only_between_weight_systems(monkeypatch):
     for _ in range(2):
         f = Folding(build_system("B3"), build_system("D4"), [(0,), (1,), (2, 3)])
         assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(fam)
-        assert calls and not is_kernel(f.source._apply_table[0])
+        assert calls
     assert len(kernels) == 1
     calls.clear()
     f = standard_folding(FamilyId("I2-An", 2))
     assert f.source.backend == f.target.backend == "dihedral"
     assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(FamilyId("I2-An", 2))
     f = Folding(build_system("A1"), build_system("I2(3)"), [(0, 1, 0)])
+    assert f.source.backend == "weight"
     assert unfolding_series_bruteforce(f, None) == QSeries([1, 0, 0, 1])
-    assert not calls and is_kernel(f.source._apply_table[0]) and not any(map(is_kernel, f._steps))
+    assert not calls and len(kernels) == 1 and not any(map(is_kernel, f._steps))
 
 
 @pytest.mark.parametrize("paused", [False, True])
@@ -533,6 +536,42 @@ def test_non_int_cutoff_raises(call):
     # to isinstance, but no cutoff
     with pytest.raises(InvalidParameters, match="must be a non-negative int"):
         call()
+
+
+BUDGET_CALLS = {
+    "enumerate_up_to": lambda budget: list(enumerate_up_to(build_system("A3"), 3, budget=budget)),
+    "unfolding_series_bruteforce": lambda budget: unfolding_series_bruteforce(
+        B2_A3, None, budget=budget
+    ),
+    "length_additivity_check": lambda budget: length_additivity_check(A2_A3, 3, budget=budget),
+    "reiner_stats_bruteforce": lambda budget: reiner_stats_bruteforce(
+        "affC", 2, 4, budget=budget
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", ["10", None, 2.5, True, 0, -1], ids=repr)
+@pytest.mark.parametrize("name", BUDGET_CALLS)
+def test_bad_budget_raises(name, budget):
+    # an element budget is an int >= 1: anything else is refused with the
+    # one int rule before a node is stored, never a TypeError from a
+    # comparison, nor a ResourceLimit at the root; the structural check
+    # refuses it before its first check, on a folding that fails there
+    with pytest.raises(InvalidParameters, match="element budget must be a positive int"):
+        BUDGET_CALLS[name](budget)
+
+
+@pytest.mark.parametrize("name", BUDGET_CALLS)
+def test_least_budget_stores_the_root(name):
+    # budget 1 holds the identity alone: each walk stops at its first
+    # child, as it did before budgets were checked; the structural check
+    # on a folding that fails its relations never walks
+    if name == "length_additivity_check":
+        assert BUDGET_CALLS[name](1) == ("relation", 0, 1)
+        return
+    with pytest.raises(ResourceLimit) as info:
+        BUDGET_CALLS[name](1)
+    assert (info.value.budget, info.value.layer, info.value.stored) == (1, 1, 2)
 
 
 class TestAdmissibility:

@@ -15,6 +15,11 @@ the walk then hands to its loop in slices, must raise the same
 must give the verdict of the walk that never fuses, on every row and on
 foldings that fail at a length past the trip, and the walk of
 ``_source_records``, whose flat nodes carry the source word, its records.
+The plain walks of a system, ``enumerate_up_to`` and
+``enumerate_with_words``, whose flat nodes are the element's data and
+then its word, go through the same trips and budgets on every label
+family of ``coxeter._GROUPS`` at its two smallest n, finite groups whole
+and affine ones to length 8.
 """
 
 from functools import lru_cache, partial
@@ -25,8 +30,16 @@ import pytest
 import coxfold._kernels
 import coxfold.folding
 from coxfold import coxeter
-from coxfold.coxeter import CoxeterMatrix, _bfs, _coset_minimal, build_system
-from coxfold.errors import ResourceLimit
+from coxfold.coxeter import (
+    _GROUPS,
+    CoxeterMatrix,
+    _bfs,
+    _coset_minimal,
+    build_system,
+    enumerate_up_to,
+    enumerate_with_words,
+)
+from coxfold.errors import InvalidParameters, ResourceLimit
 from coxfold.folding import (
     _FAMILIES,
     FamilyId,
@@ -99,19 +112,28 @@ def mid_layer_trip(case, cutoff, J_hat):
         return None
     keep = None if J_hat is None else _coset_minimal(source, J_hat)
     start, steps, wanted, _ = _unfolding(f, cutoff, keep)
+    return trip_after_a_letter(
+        source, _bfs(source, None, NEVER, start=start, step=steps, keep=wanted)
+    )
+
+
+def trip_after_a_letter(system, walk, share=0):
+    """The least ``_COMPILE_AFTER`` whose trip comes after a letter of a layer of
+    ``walk``, a walk of ``system`` that never fuses, whose next letter makes
+    nodes, and the stored count there; None where no such value exists.  The
+    value is at least ``share`` of the walk's stored count, and at least 1."""
     sizes = {}
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", NEVER):
-        for k, keys, _ in _bfs(source, None, NEVER, start=start, step=steps, keep=wanted):
-            d = next((d for d in range(source.rank) if keys[0][d] < 0), source.rank)
-            sizes[k, d] = len(keys)
+    for k, keys, _ in walk:
+        d = next((d for d in range(system.rank) if keys[0][d] < 0), system.rank)
+        sizes[k, d] = len(keys)
     stored, counts = 1, []  # the stored count after each letter of each layer
     for k in range(1, max(k for k, _ in sizes) + 1):
-        for i in range(source.rank):
+        for i in range(system.rank):
             stored += sizes.get((k, i), 0)
             counts.append(stored)
-    for after in range(1, stored):
+    for after in range(max(1, int(share * stored)), stored):
         at = next(t for t, count in enumerate(counts) if count > after)
-        if (at + 1) % source.rank and counts[at + 1] > counts[at]:
+        if (at + 1) % system.rank and counts[at + 1] > counts[at]:
             return after, counts[at]
     return None
 
@@ -155,9 +177,14 @@ def test_every_fusing_row_is_walked_across_a_mid_layer_trip():
 @pytest.mark.parametrize("case, cutoff, J_hat", MID_LAYER_WALKS, ids=str)
 def test_budgets_around_the_trip_raise_as_the_primitive_walk(case, cutoff, J_hat):
     # the budget runs out in the letter that trips, just before the fuse,
-    # or in the first fused loops, just after it
+    # or in the first fused loops, just after it; at a trip of 1, after - 1
+    # is no budget, refused before the walk
     after, fused_at = mid_layer_trip(case, cutoff, J_hat)
     for budget in (after - 1, after, after + 1, fused_at - 1, fused_at, fused_at + 1, fused_at + 2):
+        if budget < 1:
+            with pytest.raises(InvalidParameters):
+                fused_walk(case, cutoff, J_hat, budget, after)
+            continue
         want, _ = fused_walk(case, cutoff, J_hat, budget, NEVER)
         got, calls = fused_walk(case, cutoff, J_hat, budget, after)
         assert got == want, budget
@@ -342,26 +369,33 @@ def cut_runs(case):
     }
 
 
-def cut_walk(case, run, budget, after):
-    """The ResourceLimit message of ``run`` on a fresh folding under ``after``
-    (None if none), the nodes its walk yielded, and (tested, children) per
-    fused loop call."""
-    f, yielded, calls = standard_folding(FamilyId(*case)), [0], []
+def counting(fuse, calls):
+    """``fuse``, None or not, whose loops append (tested, children made) to
+    ``calls`` at each call."""
 
     def record(tested, loop, nodes):
         children = loop(nodes)
         calls.append((tested, len(children)))
         return children
 
-    def walk(*args, fuse=None, **kwargs):
-        def recorded():
-            flatten, loops = fuse()
-            return flatten, [
-                tuple(loop and partial(record, tested, loop) for tested, loop in enumerate(pair))
-                for pair in loops
-            ]
+    def recorded():
+        flatten, loops = fuse()
+        return flatten, [
+            tuple(loop and partial(record, tested, loop) for tested, loop in enumerate(pair))
+            for pair in loops
+        ]
 
-        for bucket in coxeter._bfs(*args, fuse=fuse and recorded, **kwargs):
+    return fuse and recorded
+
+
+def cut_walk(case, run, budget, after):
+    """The ResourceLimit message of ``run`` on a fresh folding under ``after``
+    (None if none), the nodes its walk yielded, and (tested, children) per
+    fused loop call."""
+    f, yielded, calls = standard_folding(FamilyId(*case)), [0], []
+
+    def walk(*args, fuse=None, **kwargs):
+        for bucket in coxeter._bfs(*args, fuse=counting(fuse, calls), **kwargs):
             yielded[0] += len(bucket[1])
             yield bucket
 
@@ -375,6 +409,17 @@ def cut_walk(case, run, budget, after):
             return str(exc), yielded[0], calls
 
 
+def cut_budgets(fused_at, calls):
+    """For the largest untested and the largest tested bucket of a walk fused at
+    ``fused_at`` stored nodes, from its loop ``calls``: the children it made,
+    the index of its call, and a budget half way through its children."""
+    stored, largest = fused_at, {0: (1, 0, 0), 1: (1, 0, 0)}
+    for at, (tested, made) in enumerate(calls):
+        largest[tested] = max(largest[tested], (made, at, stored + made // 2))
+        stored += made
+    return largest.values()
+
+
 @pytest.mark.parametrize("case", FUSING_ROWS, ids=str)
 @pytest.mark.parametrize("name", ["series", "coset", "records", "check"])
 def test_budgets_inside_a_fused_bucket_raise_as_the_primitive_walk(case, name):
@@ -386,15 +431,117 @@ def test_budgets_inside_a_fused_bucket_raise_as_the_primitive_walk(case, name):
     run = cut_runs(case)[name]
     _, total, calls = cut_walk(case, run, coxeter.DEFAULT_BUDGET, 0)
     fused_at = total - sum(made for _, made in calls)  # the stored count at the fuse
-    stored, largest = fused_at, {0: (1, 0, 0), 1: (1, 0, 0)}
-    for at, (tested, made) in enumerate(calls):
-        largest[tested] = max(largest[tested], (made, at, stored + made // 2))
-        stored += made
-    for made, at, budget in largest.values():
+    for made, at, budget in cut_budgets(fused_at, calls):
         assert made >= 2
         want, _, _ = cut_walk(case, run, budget, NEVER)
         got, _, cut = cut_walk(case, run, budget, 0)
         assert want is not None and got == want, budget
         # that bucket took two calls or more (slices only add calls), and
         # the loops made one child past the budget, no more
+        assert len(cut) >= at + 2 and fused_at + sum(made for _, made in cut) == budget + 1
+
+
+# -- the plain walks of a system: enumerate_up_to and enumerate_with_words
+
+PLAIN_GROUPS = [
+    f"{family}{n}" for family, row in _GROUPS.items() for n in (row.min_n, row.min_n + 1)
+]
+STREAMS = {"up_to": enumerate_up_to, "with_words": enumerate_with_words}
+
+
+def plain_cutoff(label):
+    return 8 if label.startswith("affine") else None
+
+
+def plain_walk(label, stream, budget, after, max_len="default"):
+    """The elements, with their words for ``with_words``, that ``stream`` yields
+    on a fresh system under ``after``, or its ResourceLimit message, and
+    (tested, children made) per fused loop call; finite groups whole, affine
+    ones to length 8 by default."""
+    W, calls, bfs = build_system(label), [], coxeter._bfs
+    max_len = plain_cutoff(label) if max_len == "default" else max_len
+
+    def walk(*args, fuse=None, **kwargs):
+        return bfs(*args, fuse=counting(fuse, calls), **kwargs)
+
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
+        coxeter, "_bfs", walk
+    ), mock.patch.object(coxfold._kernels, "_KERNELS", {}):
+        try:
+            return list(STREAMS[stream](W, max_len, budget=budget)), calls
+        except ResourceLimit as exc:
+            return str(exc), calls
+
+
+@lru_cache(maxsize=None)
+def plain_mid_layer_trip(label):
+    """``mid_layer_trip`` of a plain walk, past half its nodes; None for a
+    dihedral system."""
+    W = build_system(label)
+    if W.backend != "weight":
+        return None
+    return trip_after_a_letter(W, _bfs(W, plain_cutoff(label), NEVER), 0.5)
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("label", PLAIN_GROUPS)
+def test_plain_walk_agrees_with_the_walk_that_never_fuses(label, stream):
+    # at a trip of 0 every weight system fuses after its first letter, and
+    # but for A1, whose walk ends there, calls its loops; a dihedral one
+    # gets no fuse and never does
+    want, calls = plain_walk(label, stream, coxeter.DEFAULT_BUDGET, NEVER)
+    assert not calls and len(want) > 1
+    mid = plain_mid_layer_trip(label)
+    for after in [0, coxeter._COMPILE_AFTER] + ([mid[0]] if mid else []):
+        got, calls = plain_walk(label, stream, coxeter.DEFAULT_BUDGET, after)
+        assert got == want, after
+        if after == 0:
+            W = build_system(label)
+            assert bool(calls) == (W.backend == "weight" and W.rank > 1)
+    assert (mid is None) == (build_system(label).backend != "weight" or label == "A1")
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("label", ["D6", "affine-C4", "affine-D5"])
+def test_plain_walks_past_the_default_trip_fuse_and_agree(label, stream):
+    # all of D6 (23,040 elements), affine C4 to length 12 (4,089) and
+    # affine D5 to length 8 (2,463) pass the 1,500 stored nodes of the trip
+    max_len = {"D6": None, "affine-C4": 12, "affine-D5": 8}[label]
+    want, calls = plain_walk(label, stream, coxeter.DEFAULT_BUDGET, NEVER, max_len)
+    assert not calls
+    got, calls = plain_walk(label, stream, coxeter.DEFAULT_BUDGET, coxeter._COMPILE_AFTER, max_len)
+    assert got == want and calls
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize(
+    "label", [label for label in PLAIN_GROUPS if plain_mid_layer_trip(label)]
+)
+def test_plain_budgets_around_the_trip_raise_as_the_primitive_walk(label, stream):
+    # the budget runs out in the letter that trips, past half the walk,
+    # just before the fuse, or in the first fused loops, just after it
+    after, fused_at = plain_mid_layer_trip(label)
+    budgets = (after - 1, after, after + 1, fused_at - 1, fused_at, fused_at + 1, fused_at + 2)
+    for budget in budgets:
+        want, _ = plain_walk(label, stream, budget, NEVER)
+        got, calls = plain_walk(label, stream, budget, after)
+        assert got == want and isinstance(want, str), budget
+        assert bool(calls) == (budget >= fused_at)
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("label", ["D5", "affine-C3", "affine-D5"])
+def test_plain_budgets_inside_a_fused_bucket_raise_as_the_primitive_walk(label, stream):
+    # as for the folding walks: fused from letter 1 of layer 1 on, a
+    # budget half way through the children of the largest untested bucket,
+    # and one in the largest tested bucket, cut that bucket into slices no
+    # longer than the room left, and the walk raises the message of the
+    # walk that never fuses, with one child past the budget
+    elements, calls = plain_walk(label, stream, coxeter.DEFAULT_BUDGET, 0)
+    fused_at = len(elements) - sum(made for _, made in calls)
+    for made, at, budget in cut_budgets(fused_at, calls):
+        assert made >= 2
+        want, _ = plain_walk(label, stream, budget, NEVER)
+        got, cut = plain_walk(label, stream, budget, 0)
+        assert isinstance(want, str) and got == want, budget
         assert len(cut) >= at + 2 and fused_at + sum(made for _, made in cut) == budget + 1

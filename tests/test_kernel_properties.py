@@ -17,6 +17,7 @@ from coxfold.coxeter import (
     CoxeterMatrix,
     _bfs,
     _coset_minimal,
+    _plain_fuse,
     _prepend,
     all_reduced_words,
     apply_generator,
@@ -26,11 +27,10 @@ from coxfold.coxeter import (
     enumerate_up_to,
     enumerate_with_words,
     inverse,
-    minimal_coset_reps,
     multiply,
     shortlex_normal_form,
 )
-from coxfold._kernels import bucket_loops, kernels
+from coxfold._kernels import bucket_loops
 from coxfold.errors import CoxfoldError, ResourceLimit
 from coxfold.folding import (
     _FAMILIES,
@@ -50,6 +50,7 @@ from oracles import (
     inversions,
     is_kernel,
     is_right_descent_data,
+    minimal_coset_reps,
     recording_fuse,
     shortlex_child,
     type_b_generators,
@@ -265,10 +266,14 @@ def nodes(W, walk):
     Each bucket it yields is non-empty, with as many payloads as keys,
     and every key in it has the same least left descent; buckets come by
     increasing length, and within a length by increasing descent, the
-    root's bucket last.
+    root's bucket last.  A fused bucket of a plain walk, one list of flat
+    nodes, is read back into keys and payloads (None, or the word).
     """
     last = None
     for k, keys, payloads in walk:
+        if keys is payloads:  # a fused bucket of a plain walk: each key, then any word
+            r = W.rank
+            keys, payloads = [n[:r] for n in keys], [n[r] if n[r:] else None for n in keys]
         assert keys and len(keys) == len(payloads)
         descents = {
             next((d for d in range(W.rank) if W._is_left_descent_data(key, d)), W.rank)
@@ -316,7 +321,11 @@ def assert_walk_agrees_with_the_reference(W, label, payload, data):
         keep = lambda _, inside: inside  # noqa: E731
     if "coset minima" in payload:
         keep = _coset_minimal(W, J)
-    got = walk_record(lambda k: nodes(W, _bfs(W, max_len, budget, keep=k, **kwargs)), keep)
+    # the plain walks fuse at their trip, as the streams do; no loop
+    # carries the others' Python step or filter, so they get no fuse
+    fuse = {"none": _plain_fuse(W), "words": _plain_fuse(W, tuple((i,) for i in range(W.rank)))}
+    fused = dict(kwargs, fuse=fuse.get(payload))
+    got = walk_record(lambda k: nodes(W, _bfs(W, max_len, budget, keep=k, **fused)), keep)
     want = walk_record(lambda k: bfs_all_generators(W, max_len, budget, keep=k, **kwargs), keep)
     assert got == want
 
@@ -333,51 +342,60 @@ WEIGHT_WALK_LABELS = [label for label in WALK_LABELS if walk_system(label).backe
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(WEIGHT_WALK_LABELS), st.data())
-def test_compiled_kernels_agree_with_the_primitives(label, data):
+def test_plain_loops_agree_with_the_primitives(label, data):
     # every bond order, affine G2's 6 and the rank-3 matrix's infinity
-    # among them, on reachable data; the child test's None included
+    # among them, on reachable data: a plain loop makes _apply_left's s_i w
+    # from every node, and its tested loop _child's, the child test's None
+    # included; tagged with prefixes (i,), each child's tag is _prepend's
     W = walk_system(label)
-    applies, children = kernels(W)
     w = element_from_word(W, data.draw(words(W.rank, 24), label="word"))
+    word = shortlex_normal_form(W, w)
+    prefixes = tuple((i,) for i in range(W.rank))
+    tested_letters = set().union(*W._above)
+    plain = bucket_loops(W, None, None, None, None)
+    tagged = bucket_loops(W, None, None, None, None, prefixes)
     for i in range(W.rank):
-        assert applies[i](w.data, i) == W._apply_left(w.data, i)
-        assert children[i](w.data, i) == W._child(w.data, i)
+        child = W._child(w.data, i)
+        for (untested, tested), tail in ((plain[i], ()), (tagged[i], (word,))):
+            made = W._apply_left(w.data, i) + tuple(_prepend(t, i) for t in tail)
+            assert untested([w.data + tail]) == [made]
+            assert (tested is None) == (i not in tested_letters)
+            if tested is not None:
+                assert tested([w.data + tail]) == ([] if child is None else [made])
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(WEIGHT_WALK_LABELS), st.sampled_from(PAYLOADS), st.integers(1, 60), st.data()
 )
-def test_walk_that_swaps_in_the_kernels_agrees_with_the_reference(label, payload, after, data):
-    # a few dozen stored nodes swap the tables, most often part way
-    # through a layer; yields, filter calls and budget message still match
+def test_walk_past_a_low_trip_agrees_with_the_reference(label, payload, after, data):
+    # a few dozen stored nodes trip the walk, most often part way through
+    # a layer: the plain walk and the one tagged with words fuse there,
+    # and the walks with a Python step or filter, which get no fuse, stay
+    # on the primitives; yields, filter calls and budget message still match
     W = walk_system(label)
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", after):
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
+        coxfold._kernels, "_KERNELS", {}
+    ):
         assert_walk_agrees_with_the_reference(W, label, payload, data)
 
 
-def test_walk_that_swaps_mid_layer_agrees_with_the_reference():
-    # 15 nodes: the walk swaps after letter s1 of layer 4, before s2
-    W = build_system("affine-C2")
-    swapped = []
-
-    class RecordingTable(list):
-        # the walk reads step[i] once as letter i of a layer starts
-        def __getitem__(self, i):
-            swapped.append(W._apply_table[0] != W._apply_left)
-            return list.__getitem__(self, i)
-
-    keep = _coset_minimal(W, [1])
-    recorded = dict(start=(), step=RecordingTable([_prepend] * W.rank))
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", 15):
-        got = walk_record(lambda k: nodes(W, _bfs(W, 6, 10**4, keep=k, **recorded)), keep)
+def test_plain_walk_that_fuses_mid_layer_agrees_with_the_reference():
+    # at a trip of 12 nodes, the words walk of affine C2 (15 stored after
+    # letter s1 of layer 3) fuses before s2, and makes every later bucket
+    # with the loops, for more than a layer
+    W, calls = build_system("affine-C2"), []
+    prefixes = tuple((i,) for i in range(W.rank))
     kwargs = dict(start=(), step=[_prepend] * W.rank)
-    want = walk_record(lambda k: bfs_all_generators(W, 6, 10**4, keep=k, **kwargs), keep)
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", 12), mock.patch.object(
+        coxfold._kernels, "_KERNELS", {}
+    ):
+        walk = recording_fuse(calls)(W, 6, 10**4, fuse=_plain_fuse(W, prefixes), **kwargs)
+        got = walk_record(lambda k: nodes(W, walk), None)
+    want = walk_record(lambda k: bfs_all_generators(W, 6, 10**4, **kwargs), None)
     assert got == want
-    # the first letter to read the kernels is not the first of its layer,
-    # and the walk goes on for more than a layer with them
-    first = swapped.index(True)
-    assert first % W.rank != 0 and first < len(swapped) - W.rank
+    # the first fused letter is not the first of its layer
+    assert calls[0] == (3, 2) and calls[-1][0] == 6
 
 
 SMALL_LABELS = [f"I2({m})" for m in range(3, 13)] + [
@@ -516,11 +534,11 @@ def test_block_kernels_agree_with_the_python_step(case, data):
                 assert tested([start]) == ([] if source._child(x, r) is None else [made])
 
 
-def folding_walk(f, cutoff, J_hat, budget, after=coxeter._COMPILE_AFTER):
+def folding_walk(f, cutoff, J_hat, budget, after=coxeter._COMPILE_AFTER, compiled=None):
     """The series of a folding walk, or its ResourceLimit message, under ``after``,
-    with no loops compiled before it."""
+    with the loop cache ``compiled``, empty by default, so no loops compiled before it."""
     with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
-        coxfold._kernels, "_KERNELS", {}
+        coxfold._kernels, "_KERNELS", {} if compiled is None else compiled
     ):
         try:
             if J_hat is None:
@@ -532,10 +550,9 @@ def folding_walk(f, cutoff, J_hat, budget, after=coxeter._COMPILE_AFTER):
 
 def plain_walk(case, cutoff, J_hat, budget):
     """``folding_walk`` of a fresh folding whose walk, checked after, never compiled."""
-    plain = standard_folding(FamilyId(*case))
-    result = folding_walk(plain, cutoff, J_hat, budget, 10**9)
-    source = plain.source
-    assert not any(map(is_kernel, plain._steps + source._apply_table + source._child_table))
+    plain, compiled = standard_folding(FamilyId(*case)), {}
+    result = folding_walk(plain, cutoff, J_hat, budget, 10**9, compiled)
+    assert compiled == {} and not any(map(is_kernel, plain._steps))
     return result
 
 

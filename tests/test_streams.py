@@ -13,15 +13,13 @@ from coxfold.coxeter import (
     Element,
     _bfs,
     _prepend,
-    enumerate_parabolic,
     enumerate_up_to,
     enumerate_with_words,
-    minimal_coset_reps,
     shortlex_normal_form,
 )
 from coxfold.folding import FamilyId, _source_records, standard_folding
 
-from oracles import is_right_descent_data
+from oracles import enumerate_parabolic, is_right_descent_data, minimal_coset_reps
 
 
 def _minimal_left_walk(system, J, max_len):
