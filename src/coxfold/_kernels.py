@@ -1,16 +1,17 @@
-"""Fused walk loops, generated from the Cartan integers of weight systems.
+"""Compiled walk loops, generated from the Cartan integers of weight systems.
 
 Each loop is Python source that holds nothing but variable names and
 integer linear forms in them, built from the systems' ``_row`` and
 ``_below`` tables, so results stay exact and equal: the primitives'
-integer arithmetic, only unrolled.  A ``coxeter._bfs`` walk that its
-caller hands a fuse compiles once it has stored more than
-``coxeter._COMPILE_AFTER`` nodes: from then on ``bucket_loops`` makes
-each bucket's children with one list comprehension over flat nodes,
-for the plain walks of a weight system (``coxeter._plain_fuse``) and the
-unfolding walks of a folding (``folding._unfolding``) alike; the walk
-keeps the count and the budget.  ``_KERNELS`` caches each compiled set
-for every walk on the same matrices.
+integer arithmetic, only unrolled.  ``bucket_loops`` keeps the contract
+of ``coxeter._loops``, which runs the same loops on the primitives, over
+the same flat nodes.  A ``coxeter._bfs`` walk whose systems both have
+the weight backend swaps it in once it has stored more than
+``coxeter._COMPILE_AFTER`` nodes, plain walks and the unfolding walks of
+a folding alike; from then on each bucket's children come from one list
+comprehension, and the walk keeps the count and the budget.
+``_KERNELS`` caches each compiled set for every walk on the same
+matrices.
 """
 
 from __future__ import annotations
@@ -65,21 +66,21 @@ def _compiled(source: str, names: Iterable[str]) -> tuple:
 def bucket_loops(source, target, words, cutoff, keep, prefixes=None):
     """The (untested, tested) bucket loops of each letter, for one walk of ``source``.
 
-    Loop i is one list comprehension, ``nodes -> children``: for each
-    flat node w of ``nodes`` whose s_i w is a child (always, in the
-    untested loop), it makes s_i w.  A plain walk (``target`` None, and
-    no words, cutoff or ``keep``) has the source data as its node.  An
+    Loop i is one list comprehension, ``nodes -> children``, with the
+    contract of ``coxeter._loops``: for each flat node w of ``nodes`` whose
+    s_i w is a child (always, in the untested loop), it makes s_i w.  A
+    plain walk (``target`` None) has the source data as its node.  An
     unfolding walk adds the target data and the length: it applies
     ``words[i]`` to the target part like ``target._left_word``, one sign
-    test per letter, and drops the child if its length is past ``cutoff``
-    or ``keep(source data, (target data, length))`` is false.  With
-    ``prefixes``, a node has one more entry after its data, a tag t, and
-    loop i makes the child's tag ``prefixes[i] + t`` (ints or tuples).
-    It counts nothing: the walk checks its budget on the children, and
-    hands a loop no more nodes than it has room for.  A letter that no
-    bucket tests (none of ``source._above``) has no tested loop.  One
-    compile per matrices, words, prefixes and whether there is a cutoff
-    and a ``keep``; each walk binds its own.
+    test per letter, and drops the child if its length is past
+    ``cutoff``.  A child whose source data fails ``keep`` is dropped.  With
+    ``prefixes``, a node has a tag t after all its data, and loop i makes the
+    child's tag ``prefixes[i] + t`` (ints or tuples).  It counts nothing:
+    the walk checks its budget on the children, and hands a loop no more
+    nodes than it has room for.  A letter that no bucket tests (none of
+    ``source._above``) has no tested loop.  One compile per matrices,
+    words, prefixes and whether there is a cutoff and a ``keep``; each
+    walk binds its own.
 
     >>> from coxfold.coxeter import build_system
     >>> A3 = build_system("A3")
@@ -113,7 +114,7 @@ def bucket_loops(source, target, words, cutoff, keep, prefixes=None):
                 tail = display + tail + [length]
             child = "(" + ", ".join(_image(source, (i,))[1] + tail) + ",)"
             if keep is not None:
-                clauses += [f"for c in [{child}]", f"if keep(c[:{r}], (c[{r}:{r + R}], l))"]
+                clauses += [f"for c in [{child}]", f"if keep(c[:{r}])"]
                 child = "c"
             walk = f"for {', '.join(node)}, in nodes"  # a node of A1 is one entry
             kinds = [("u", walk), ("t", f"{walk} if not ({_child_test(source, i)})")]

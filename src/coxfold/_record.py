@@ -5,7 +5,7 @@ writes its own ``__init__``.  ``Record`` compares by fields, only with an
 instance of the same class, has no hash, and prints as
 ``Name(field=value, ...)``.  Copy and pickle rebuild a record through
 its constructor, so they re-run its checks.  ``FrozenRecord`` adds a
-hash by fields and refuses assignment; its ``__init__`` sets each field
+hash by fields and rejects assignment; its ``__init__`` sets each field
 through ``set_field``.
 
 >>> class Point(FrozenRecord):

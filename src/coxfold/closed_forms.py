@@ -409,7 +409,7 @@ def _reiner(kind: str, a: Monomial, b: Monomial, q: Monomial, n: int, m, max_len
 
     A term a^i b^j q^k has i + j <= k (j = 0 for affB), so it lands at degree
     >= k (e_q + min(0, e_a, e_b)), a zero value dropping out.  Below slope 1
-    the truncated distribution does not give the series, and it is refused.
+    the truncated distribution does not give the series, and it is rejected.
     Only the affine A route reads m.
     """
     series = substitute(reiner_distribution(kind, n, max_len), a, b, q, max_len)

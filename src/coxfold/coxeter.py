@@ -70,18 +70,19 @@ through inverses.  In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
 >>> w.data, w.length, shortlex_normal_form(W, w), shortlex_normal_form(W, inverse(W, w))
 ((0, 4), 4, (0, 1, 0, 1), (1, 0, 1, 0))
 
-The breadth-first walk calls ``_apply_left`` and ``_child`` and hands
-out each bucket as two lists; a payload's step comes from a per-letter
-table (for a folding, a ``_step_table``).  A walk has one compile path:
-once a walk of a weight system, plain or unfolding, has stored more
-than ``_COMPILE_AFTER`` nodes, its own count, checked per letter of a
-layer, it fuses into the bucket loops of ``coxfold._kernels``, which
-count nothing; the walk keeps the budget exact by handing a loop no
-more nodes than it has room for.  The system itself never changes, so
-every walk starts on the primitives.  Short walks, such as those of the
-default verify grid and of a Hasse diagram, never compile; the dihedral
-backend never does, nor does a walk with a Python filter or step that
-no loop carries.
+The breadth-first walk stores every node in one format, a flat tuple:
+the element's data, then for a folding the ambient data, any tag and
+the ambient length.  Each bucket's children come from one loop per
+letter with one contract: ``_loops`` runs it on the primitives and
+compiles nothing, and ``coxfold._kernels.bucket_loops`` compiles it for
+weight systems.  Every walk starts on ``_loops``; once a walk of weight
+systems, plain or unfolding, has stored more than ``_COMPILE_AFTER``
+nodes, its own count, checked per letter of a layer, it swaps in the
+compiled loops, which count nothing; the walk keeps the budget exact by
+handing a loop no more nodes than it has room for.  The system itself
+never changes.  Short walks, such as those of the default verify grid
+and of a Hasse diagram, never compile, and the dihedral backend never
+does.
 
 Bond order 0 in a Coxeter matrix encodes an infinite bond.
 """
@@ -129,13 +130,13 @@ _RANK3_BONDS = {2, 3, 4, 6, INFINITE}
 # bond order -> Cartan integers (a_ij, a_ji) for i < j
 _CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1), INFINITE: (-2, -2)}
 
-# A walk handed a fuse, reading this as it starts, fuses once it has
-# stored more than this many nodes.  On a 2-vCPU host the fused loops of a
-# folding compile in 1.3-1.8 ms at source rank 5-6 and make a node in
-# 0.3-0.6 us against 1.3-3.4 us on the primitives, so they repay the
-# compile within about 1,300 nodes.  At 1,500 stored nodes no walk of the
-# default verify grid (at most 1,156) or of a Hasse diagram trips, and the
-# stretch walks fuse early.
+# A walk of weight systems, reading this as it starts, swaps in compiled
+# loops once it has stored more than this many nodes.  On a 2-vCPU host
+# the compiled loops of a folding compile in 1.3-1.8 ms at source rank
+# 5-6 and make a node in 0.3-0.6 us against 1.3-3.4 us on the
+# primitives, so they repay the compile within about 1,300 nodes.  At
+# 1,500 stored nodes no walk of the default verify grid (at most 1,156)
+# or of a Hasse diagram trips, and the stretch walks swap early.
 _COMPILE_AFTER = 1_500
 
 _RELATIONS_HOLD: set = set()  # the entries of every matrix whose relations passed
@@ -301,10 +302,6 @@ class CoxeterSystem:
                 return None
         return self._apply_left(data, i)
 
-    def _step_table(self, target: CoxeterSystem, words: Tuple[Word, ...]) -> list:
-        """Entry r, called as (payload, r), is ``target._left_word(words[r], payload)``."""
-        return [partial(target._left_word, letters) for letters in words]
-
     # -- elements, and walks on raw data ---------------------------------------
 
     def identity(self) -> Element:
@@ -337,13 +334,11 @@ class CoxeterSystem:
             inv = self._apply_left(inv, i)
         return inv
 
-    def _left_word(self, letters, payload, _=None):
+    def _left_word(self, letters, payload):
         """The raw (data, length) of s_ak ... s_a1 w: each letter, in order, on the left.
 
         ``payload`` is the raw (data, length) of w.  The length moves down
-        at a letter that is a left descent, else up.  With the letters
-        bound, it is a ``_step_table`` entry, which the walk calls with a
-        letter of its own as the third argument.
+        at a letter that is a left descent, else up.
         """
         data, length = payload
         desc, apply = self._is_left_descent_data, self._apply_left
@@ -515,148 +510,148 @@ def _subset(system: CoxeterSystem, J: Iterable[int]) -> list:
     return J
 
 
-def _prepend(word: Word, i: int) -> Word:
-    """The ``_bfs`` step of the word payload: the ShortLex word of s_i w from that of w."""
-    return (i,) + word
-
-
 def _bfs(
     system: CoxeterSystem,
     max_len: Optional[int],
     budget: int,
-    *,
-    start=None,
-    step: Optional[Sequence[Callable]] = None,
-    keep=None,
-    fuse: Optional[Callable] = None,
-) -> Iterator[Tuple[int, list, list]]:
+    target: Optional[CoxeterSystem] = None,
+    words: Optional[Tuple[Word, ...]] = None,
+    cutoff: Optional[int] = None,
+    keep: Optional[Callable] = None,
+    tag: Optional[tuple] = None,
+) -> Iterator[Tuple[int, list]]:
     """Walk the ShortLex tree breadth-first; every enumeration runs on this.
 
-    Yields one ``(length, keys, payloads)`` per non-empty bucket, two
-    parallel lists, by increasing length, and in ShortLex order of the
-    elements within a length, bucket after bucket.  The lists stay the
-    walk's own: a consumer reads them before it resumes the walk and
-    never changes them.  The ShortLex word of w != e is d followed by
-    that of s_d w, where d is the least left descent of w, so every
-    element has one parent: s_i w is a child of w exactly when i is not
-    a left descent of w and is the least left descent of s_i w.  Each
-    element is thus generated once, and no visited set is kept.  Looping
-    over i outside the frontier puts each layer in lexicographic order
-    of (i, parent word): ShortLex order.
+    Yields one ``(length, nodes)`` per non-empty bucket, by increasing
+    length, and in ShortLex order of the elements within a length, bucket
+    after bucket.  The lists stay the walk's own: a consumer reads them
+    before it resumes the walk and never changes them.  The ShortLex word
+    of w != e is d followed by that of s_d w, where d is the least left
+    descent of w, so every element has one parent: s_i w is a child of w
+    exactly when i is not a left descent of w and is the least left
+    descent of s_i w.  Each element is thus generated once, and no
+    visited set is kept.  Looping over i outside the frontier puts each
+    layer in lexicographic order of (i, parent word): ShortLex order.
 
-    A layer is rank + 1 buckets of (keys, payloads): bucket d holds the
-    nodes whose least left descent, the letter that made them, is d, and
-    the root is in bucket rank.  For letter i, bucket d gives every s_i w
-    untested if d > i: w^-1 alpha_j > 0 for j <= i, so (s_i w)^-1 alpha_j
-    = w^-1 alpha_j - a_ij w^-1 alpha_i > 0 for j < i.  It gives none if
-    d = i, nor if d < i and m(d, i) = 2, as s_i fixes alpha_d; ``_above[d]``
-    lists the other i > d, whose buckets go through the ``_child`` test.
+    A layer is rank + 1 buckets: bucket d holds the nodes whose least
+    left descent, the letter that made them, is d, and the root is in
+    bucket rank.  For letter i, bucket d gives every s_i w untested if
+    d > i: w^-1 alpha_j > 0 for j <= i, so (s_i w)^-1 alpha_j = w^-1
+    alpha_j - a_ij w^-1 alpha_i > 0 for j < i.  It gives none if d = i,
+    nor if d < i and m(d, i) = 2, as s_i fixes alpha_d; ``_above[d]``
+    lists the other i > d, whose buckets go through the child test.
 
-    ``step[i](payload, i)`` gives the payload of s_i w from that of w
-    (``start`` at the identity) and must depend on the node only, not on
-    the path; the ShortLex word is one such payload, with ``start=()``
-    and ``step=[_prepend] * rank``.  One filter, ``keep(key, payload)``,
-    is checked on the root as on every child: a node it rejects is
-    neither stored, yielded nor expanded, so the set it keeps must be
-    closed under taking parents.  The budget, an int >= 1, is checked as
-    each node is stored.
+    A node is one flat tuple: the data of w; for an unfolding walk into
+    ``target``, where letter i applies ``words[i]`` on the left, the
+    target data of w's image; with ``tag = (start, prefixes)``, a tag,
+    ``start`` at the root and ``prefixes[i]`` + that of w at s_i w; for
+    an unfolding walk, the image's length last.  A child whose length is
+    past ``cutoff``, or whose data fails ``keep(data)``, is neither
+    stored, yielded nor expanded, so the set that ``keep`` passes must be
+    closed under taking parents.  The root is always stored: a cutoff is
+    at least 0, and e is coset-minimal, as it is in every non-empty set
+    closed under taking parents.  The budget, an int >= 1, counts the
+    stored nodes, the root included.
 
-    Nodes are made by the primitives ``_apply_left`` and ``_child``, and
-    ``step[i]`` is read once per letter.  After each letter of a layer, a
-    walk handed a ``fuse`` whose stored count, the root included, is past
-    ``_COMPILE_AFTER`` trips, once, and a walk without one never does.
-    It fuses into ``fuse()``, a pair ``(flatten, loops)``: each live
-    bucket becomes the flat nodes ``flatten(keys, payloads)``, both keys
-    and payloads from then on, and ``loops[i][tested](nodes)`` returns
-    the children of ``nodes``, doing the primitives', step's and filter's
-    work.  A bucket goes to its loop whole while the budget has room for
-    a child of every node, and else in slices no longer than the room
-    left (at least one node), so the walk raises at the same child as on
-    the primitives, having stored one node past the budget and no more.
+    Each bucket's children come from ``loops[i][tested](nodes)``, first
+    the ``_loops`` on the primitives.  A walk whose systems both have the
+    weight backend swaps in the compiled ``_kernels.bucket_loops``, with
+    the same contract, once, after the first letter of a layer by which
+    it has stored more than ``_COMPILE_AFTER`` nodes.  No loop counts: a
+    bucket goes to its loop whole while the budget has room for a child
+    of every node, and else in slices no longer than the room left (at
+    least one node), so the walk raises at the first child past the
+    budget, having stored one node past it and no more.
     """
     if max_len is not None:
         _check_cutoff(max_len, "length cutoff")
+    if cutoff is not None:
+        _check_cutoff(cutoff, "ambient cutoff")
     _check_budget(budget)
-    apply, test, above = system._apply_left, system._child, system._above
-    trip = _COMPILE_AFTER if fuse is not None else float("inf")
-    loops = None
-    stored, k = 1, 0
+    spec = (system, target, words, cutoff, keep, None if tag is None else tag[1])
+    loops = _loops(*spec)
+    weight = system.backend == "weight" and (target is None or target.backend == "weight")
+    trip = _COMPILE_AFTER if weight else float("inf")
     root = system.identity().data
-    layer = [([], []) for _ in range(system.rank)]
-    layer.append(([root], [start]) if keep is None or keep(root, start) else ([], []))
-    while any(keys for keys, _ in layer):
-        for keys, payloads in layer:
-            if keys:
-                yield k, keys, payloads
+    if target is not None:
+        root += target.identity().data
+    if tag is not None:
+        root += (tag[0],)
+    if target is not None:
+        root += (0,)
+    above, stored, k = system._above, 1, 0
+    layer = [[] for _ in range(system.rank)] + [[root]]
+    while any(layer):
+        for nodes in layer:
+            if nodes:
+                yield k, nodes
         if max_len is not None and k >= max_len:
             return
         k += 1
         children = []
         for i in range(system.rank):
             made = []
-            values = made if loops else []
-            extend = None if step is None else step[i]
-            for d, (keys, payloads) in enumerate(layer):
-                if not keys:
+            for d, nodes in enumerate(layer):
+                if not nodes or d <= i and i not in above[d]:
                     continue
-                if d > i:
-                    tested = False
-                elif i in above[d]:
-                    tested = True
-                else:
-                    continue
-                if loops:  # no more nodes at a time than there is room for, at least one
-                    loop, rest = loops[i][tested], keys
-                    while rest:
-                        room = max(budget - stored, 1)
-                        new, rest = loop(rest[:room]), rest[room:]
-                        stored += len(new)
-                        made += new
-                        if stored > budget:
-                            raise ResourceLimit(budget, k, stored)
-                    continue
-                make = test if tested else apply
-                for key, payload in zip(keys, payloads):
-                    child = make(key, i)
-                    if child is None:
-                        continue
-                    value = payload if extend is None else extend(payload, i)
-                    if keep is not None and not keep(child, value):
-                        continue
-                    stored += 1
+                loop, rest = loops[i][d < i], nodes
+                while rest:  # no more nodes at a time than there is room for, at least one
+                    room = max(budget - stored, 1)
+                    new, rest = loop(rest[:room]), rest[room:]
+                    stored += len(new)
+                    made += new
                     if stored > budget:
                         raise ResourceLimit(budget, k, stored)
-                    made.append(child)
-                    values.append(value)
-            children.append((made, values))
+            children.append(made)
             if stored > trip:
-                trip, (flatten, loops) = float("inf"), fuse()
-                layer, children = [
-                    [(nodes, nodes) for nodes in (flatten(*bucket) for bucket in live)]
-                    for live in (layer, children)
-                ]
-        layer = children + [([], [])]
+                from ._kernels import bucket_loops  # loaded only by a walk that trips
+
+                trip, loops = float("inf"), bucket_loops(*spec)
+        layer = children + [[]]
 
 
-def _plain_fuse(system: CoxeterSystem, prefixes=None) -> Optional[Callable]:
-    """The ``_bfs`` fuse of a plain walk of a weight system; a dihedral one gets None.
+def _loops(source, target, words, cutoff, keep, prefixes=None) -> list:
+    """The (untested, tested) bucket loops of each letter, on the primitives.
 
-    A flat node is the key, and with ``prefixes`` the payload after it, a
-    tag: the tag of s_i w is ``prefixes[i]`` + that of w, so prefixes
-    (i,) give the ShortLex word, as ``_prepend`` does.
+    The contract of ``_kernels.bucket_loops``, which compiles the same
+    loops: loop i, ``nodes -> children``, makes s_i w, with ``_apply_left``
+    untested and with ``_child`` tested, for each flat ``_bfs`` node w of
+    ``nodes`` in order.  An unfolding walk applies ``words[i]`` to the
+    target part as ``target._left_word`` does, inlined (a call per node
+    cost about 5% of the default verify grid's walks), and drops a child
+    whose length is past ``cutoff``; then a child whose data fails
+    ``keep`` is dropped.  It counts nothing and compiles nothing.
     """
-    if system.backend != "weight":
-        return None
+    r = source.rank
+    end = r + (0 if target is None else target.rank)
 
-    def fuse():
-        from ._kernels import bucket_loops  # loaded only by a walk that trips
+    def plain(make, i, nodes):
+        prefix, children = None if prefixes is None else prefixes[i], []
+        for node in nodes:
+            child = make(node[:r], i)
+            if child is not None and (keep is None or keep(child)):
+                children.append(child if prefix is None else child + (prefix + node[r],))
+        return children
 
-        loops = bucket_loops(system, None, None, None, None, prefixes)
-        if prefixes is None:
-            return (lambda keys, _: keys), loops
-        return (lambda keys, tags: [key + (tag,) for key, tag in zip(keys, tags)]), loops
+    def unfolding(make, i, nodes):
+        desc, step, word, children = target._is_left_descent_data, target._apply_left, words[i], []
+        for node in nodes:
+            child = make(node[:r], i)
+            if child is None:
+                continue
+            image, length = node[r:end], node[-1]
+            for s in word:
+                length += -1 if desc(image, s) else 1
+                image = step(image, s)
+            if cutoff is not None and length > cutoff or keep is not None and not keep(child):
+                continue
+            tail = (length,) if prefixes is None else (prefixes[i] + node[end], length)
+            children.append(child + image + tail)
+        return children
 
-    return fuse
+    loop = plain if target is None else unfolding
+    apply, test = source._apply_left, source._child
+    return [(partial(loop, apply, i), partial(loop, test, i)) for i in range(r)]
 
 
 def enumerate_up_to(
@@ -672,9 +667,9 @@ def enumerate_up_to(
     With ``max_len=None`` the whole group is enumerated (the budget guards
     against accidentally unbounded runs on affine systems).
     """
-    for k, keys, _ in _bfs(system, max_len, budget, fuse=_plain_fuse(system)):
-        for key in keys:
-            yield Element(key, k), k
+    for k, nodes in _bfs(system, max_len, budget):
+        for node in nodes:
+            yield Element(node, k), k
 
 
 def enumerate_with_words(
@@ -685,14 +680,9 @@ def enumerate_with_words(
 ) -> Iterator[Tuple[Element, Word]]:
     """Like enumerate_up_to but also yields each element's ShortLex word."""
     r = system.rank
-    fuse = _plain_fuse(system, tuple((i,) for i in range(r)))
-    for k, keys, words in _bfs(system, max_len, budget, start=(), step=[_prepend] * r, fuse=fuse):
-        if keys is words:  # a fused bucket: one list of flat nodes
-            for node in words:
-                yield Element(node[:r], k), node[r]
-        else:
-            for key, word in zip(keys, words):
-                yield Element(key, k), word
+    for k, nodes in _bfs(system, max_len, budget, tag=((), tuple((i,) for i in range(r)))):
+        for node in nodes:
+            yield Element(node[:r], k), node[r]
 
 
 def all_reduced_words(system: CoxeterSystem, w: Element) -> list:
@@ -730,7 +720,7 @@ def parabolic_decompose(
 
 
 def _coset_minimal(system: CoxeterSystem, J: Iterable[int]):
-    """The ``_bfs`` filter keep(key, payload): key has no right descent in J.
+    """The ``_bfs`` filter keep(data): the element has no right descent in J.
 
     W^J is closed under taking parents in the ShortLex tree (a right
     descent in J of s_d w would be one of w too), so a walk under this
@@ -738,8 +728,8 @@ def _coset_minimal(system: CoxeterSystem, J: Iterable[int]):
     """
     J = _subset(system, J)
 
-    def keep(key, payload) -> bool:
-        inv = system._inverse_data(key)
+    def keep(data) -> bool:
+        inv = system._inverse_data(data)
         return not any(system._is_left_descent_data(inv, j) for j in J)
 
     return keep

@@ -69,16 +69,16 @@ class CorruptCache(CoxfoldError):
 
 
 def _check_int(value, floor: int, message: str):
-    """Refuse with ``message`` a value that is not an int >= ``floor``; a bool is no int here."""
+    """Reject with ``message`` a value that is not an int >= ``floor``; a bool is no int here."""
     if not isinstance(value, int) or isinstance(value, bool) or value < floor:
         raise InvalidParameters(message)
 
 
 def _check_cutoff(value, what: str):
-    """Refuse a cutoff (``what`` names it) that is not an int >= 0."""
+    """Reject a cutoff (``what`` names it) that is not an int >= 0."""
     _check_int(value, 0, f"the {what} must be a non-negative int, got {value!r}")
 
 
 def _check_budget(value):
-    """Refuse an element budget that is not an int >= 1."""
+    """Reject an element budget that is not an int >= 1."""
     _check_int(value, 1, f"the element budget must be a positive int, got {value!r}")

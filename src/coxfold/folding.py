@@ -23,23 +23,23 @@ index formula disagrees with the diagram (the symmetry arrows are the
 ground truth), the diagram pairing is used and the series verifier
 double-checks the choice against the closed forms.
 
-Every brute-force folding walk is a walk of the source group's
-ShortLex tree that carries the unfolded ambient element along as a raw
-pair (ambient data, length) and measures the length honestly, letter by
-letter.  Ambient-length cutoffs prune the series walks: along reduced
+Every brute-force folding walk is a ``coxeter._bfs`` walk of the source
+group's ShortLex tree whose flat nodes carry the unfolded ambient
+element along, its data and then its length, measured honestly, letter
+by letter.  Ambient-length cutoffs prune the series walks: along reduced
 source words the unfolded length only grows, so a node past the cutoff
 is not stored and its descendants are never generated.  The series
 walks carry nothing else; the highlighted Hasse diagram walks
-``_source_records``, which adds the source word, and the coset-minima
-series adds one source filter.  The one structural check,
+``_source_records``, which tags each node with its source word, and the
+coset-minima series adds one source filter.  The one structural check,
 ``length_additivity_check``, tests the source relations on the block
 elements and equal block lengths across odd bonds, then walks the source
-to a source-length cutoff with the weight sum of each word beside the
-pair: where it passes, the ambient length is a weight function on the
-source, which is what the admissibility of the partition and the
-parabolic factorization of the series rest on.  Past its compile trip,
-a walk between two weight systems fuses into the generated bucket loops
-of ``coxfold._kernels`` (see ``_unfolding``).
+to a source-length cutoff with the weight sum of each word as the tag:
+where it passes, the ambient length is a weight function on the source,
+which is what the admissibility of the partition and the parabolic
+factorization of the series rest on.  Every walk starts on the
+primitives; past its compile trip, a walk between two weight systems
+swaps in the generated bucket loops of ``coxfold._kernels``.
 The end-generator statistics take the arguments of
 ``closed_forms.reiner_distribution``, a kind (affB or affC) and n, and
 build the affine system from them.  The three builders of a series
@@ -177,7 +177,7 @@ _FAMILIES = {
 
 FAMILY_NAMES = tuple(_FAMILIES)
 
-_LENGTH = itemgetter(-1)  # the ambient length of a (data, length) payload or a flat node
+_LENGTH = itemgetter(-1)  # the ambient length of an unfolding walk's node
 
 
 class FamilyId(FrozenRecord):
@@ -269,9 +269,9 @@ class Folding:
                     f"unfold word of generator {r} is not the longest element "
                     f"of its block parabolic"
                 )
-        # the walk step: entry r applies unfold(r) on the left, last letter first
+        # unfold(s_r w) = unfold(r) unfold(w): from w, the walk applies
+        # entry r on the left letter by letter, so unfold(r) last letter first
         self._words = tuple(word[::-1] for word in self.unfold_letters)
-        self._steps = source._step_table(target, self._words)
 
     def __repr__(self):
         tag = self.family.name if self.family else "manual"
@@ -307,67 +307,19 @@ def unfold(f: Folding, w: Element) -> Element:
     return element_from_word(f.target, unfold_word(f, shortlex_normal_form(f.source, w)))
 
 
-def _unfolding(f: Folding, ambient_cutoff, keep: Optional[Callable], tag=None):
-    """The ``_bfs`` start, step table, filter and fuse of an unfolding walk of ``f``.
-
-    The tree reaches s_r w from w, and unfold(s_r w) = unfold(r) unfold(w),
-    so step r applies the letters of unfold(r) on the left in reverse
-    order, and moves the length by -1 or +1 as each letter is a left
-    descent or not: the folding's ``_steps``, a Python loop over the
-    target's primitives.  The payload is
-    (ambient data, length), or with ``tag = (start, prefixes)`` (ambient
-    data, tag, length), where the tag of s_r w is ``prefixes[r]`` + the
-    tag of w: the weight sum for int prefixes, the ShortLex word for
-    prefixes (r,).  The filter rejects nodes beyond the ambient cutoff,
-    then those failing the source filter ``keep(source key, payload)``,
-    whose set must be closed under taking parents; with neither, it is
-    None, so the walk calls no filter.  Between two weight systems the
-    walk fuses at its compile trip into ``_flat`` nodes and the loops of
-    ``_kernels.bucket_loops``; otherwise the fuse is None.
-    """
-    if ambient_cutoff is not None:
-        _check_cutoff(ambient_cutoff, "ambient cutoff")
-
-    def wanted(key, payload):
-        if ambient_cutoff is not None and payload[-1] > ambient_cutoff:
-            return False
-        return keep is None or keep(key, payload)
-
-    start, steps, prefixes = (f.target.identity().data, 0), f._steps, None
-    if tag is not None:
-        prefixes = tag[1]
-
-        def tagged(payload, r):
-            data, length = f._steps[r]((payload[0], payload[2]), r)
-            return data, prefixes[r] + payload[1], length
-
-        start, steps = (start[0], tag[0], 0), [tagged] * f.source.rank
-
-    def fuse():
-        from ._kernels import bucket_loops  # loaded only by a walk that trips
-
-        loops = bucket_loops(f.source, f.target, f._words, ambient_cutoff, keep, prefixes)
-        return _flat, loops
-
-    unfiltered = ambient_cutoff is None and keep is None
-    weight = f.source.backend == f.target.backend == "weight"
-    return start, steps, None if unfiltered else wanted, fuse if weight else None
-
-
 def _series(
     f: Folding, ambient_cutoff: Optional[int], keep: Optional[Callable], budget: int
 ) -> QSeries:
-    """The unfolded length series of a source walk that carries no word.
+    """The unfolded length series of a source walk that carries no tag.
 
-    Each bucket's lengths, the last entry of a payload or a flat node,
-    are counted in one pass in C, with the collector paused.
+    Each bucket's lengths, the last entry of a node, are counted in one
+    pass in C, with the collector paused.
     """
     # imported here, so that a process that draws no series never loads it
     from .qseries import QSeries
 
-    start, steps, wanted, fuse = _unfolding(f, ambient_cutoff, keep)
-    walk = _bfs(f.source, None, budget, start=start, step=steps, keep=wanted, fuse=fuse)
-    lengths = chain.from_iterable(map(_LENGTH, payloads) for _, _, payloads in walk)
+    walk = _bfs(f.source, None, budget, f.target, f._words, ambient_cutoff, keep)
+    lengths = chain.from_iterable(map(_LENGTH, nodes) for _, nodes in walk)
     return _paused(QSeries.from_lengths, lengths, ambient_cutoff)
 
 
@@ -388,11 +340,6 @@ def _paused(run: Callable, *args):
             gc.enable()
 
 
-def _flat(keys, payloads) -> list:
-    """Each key, its payload's target data, then the rest: (length,) or (tag, length)."""
-    return [key + payload[0] + payload[1:] for key, payload in zip(keys, payloads)]
-
-
 def _source_records(
     f: Folding,
     *,
@@ -403,19 +350,13 @@ def _source_records(
 
     Yields raw (source data, its ShortLex word, unfolded (data, length)),
     in ShortLex order of the source words within each length layer: the
-    walk of ``_unfolding`` tagged with the source word.
+    unfolding walk tagged with the source word.
     """
     r = f.source.rank
-    prefixes = tuple((i,) for i in range(r))
-    start, steps, wanted, fuse = _unfolding(f, ambient_cutoff, None, ((), prefixes))
-    walk = _bfs(f.source, None, budget, start=start, step=steps, keep=wanted, fuse=fuse)
-    for _, keys, payloads in walk:
-        if keys is payloads:  # a fused bucket: one list of flat nodes
-            for node in payloads:
-                yield node[:r], node[-2], (node[r:-2], node[-1])
-        else:
-            for key, (data, word, length) in zip(keys, payloads):
-                yield key, word, (data, length)
+    tag = ((), tuple((i,) for i in range(r)))
+    for _, nodes in _bfs(f.source, None, budget, f.target, f._words, ambient_cutoff, tag=tag):
+        for node in nodes:
+            yield node[:r], node[-2], (node[r:-2], node[-1])
 
 
 def unfolding_series_bruteforce(
@@ -449,7 +390,7 @@ def length_additivity_check(
     three checks run in this order, and each reports its first failure:
 
     * ``("relation", r, s)``: for a finite bond m(r, s) of the source,
-      (g_r g_s)^t, stepped through the folding's step table, does not
+      (g_r g_s)^t, applied to e through ``target._left_word``, does not
       return to e first at t = m, so unfolding is no homomorphism;
     * ``("odd-bond", r, s)``: m(r, s) is odd but L(r) != L(s), so a braid
       move, which swaps one r for one s, changes the weight sum of a word;
@@ -462,16 +403,18 @@ def length_additivity_check(
     reduced word of w (Lusztig, *Hecke Algebras with Unequal Parameters*,
     2003; Steinberg, *Lectures on Chevalley Groups*, 1968).  The last
     check is one walk of the source to ``max_source_len`` (None walks a
-    finite source whole) with payload (ambient data, weight sum,
-    length), fused at its trip and with the collector paused as the
-    series walks are, and a word is spelled only for a failure.  A bad
-    cutoff or budget is refused before the first check.
+    finite source whole) whose nodes end (weight sum, length), with the
+    collector paused as the series walks are, and a word is spelled only
+    for a failure.  A bad
+    cutoff or budget is rejected before the first check.
     """
     if max_source_len is not None:
         _check_cutoff(max_source_len, "length cutoff")
     _check_budget(budget)
     matrix = f.source.matrix
-    bad = _wrong_order(matrix, (f.target.identity().data, 0), lambda p, r: f._steps[r](p, r))
+    bad = _wrong_order(
+        matrix, (f.target.identity().data, 0), lambda p, r: f.target._left_word(f._words[r], p)
+    )
     if bad is not None:
         return ("relation", *bad)
     weights = tuple(elem.length for elem in f.unfold_elements)
@@ -480,13 +423,12 @@ def length_additivity_check(
             if matrix.bond(r, s) % 2 and weights[r] != weights[s]:
                 return ("odd-bond", r, s)
 
-    start, steps, _, fuse = _unfolding(f, None, None, (0, weights))
-    walk = _bfs(f.source, max_source_len, budget, start=start, step=steps, fuse=fuse)
-    failures = (  # a payload ends (weight sum, length), fused or not
-        ("length", k, f.source._reduced_word(key[:matrix.rank]))
-        for k, keys, payloads in walk
-        for key, payload in zip(keys, payloads)
-        if payload[-2] != payload[-1]
+    walk = _bfs(f.source, max_source_len, budget, f.target, f._words, tag=(0, weights))
+    failures = (  # a node ends (weight sum, length)
+        ("length", k, f.source._reduced_word(node[:matrix.rank]))
+        for k, nodes in walk
+        for node in nodes
+        if node[-2] != node[-1]
     )
     return _paused(next, failures, None)
 
@@ -527,8 +469,8 @@ def reiner_stats_bruteforce(
     track_b, last = kind == "affC", system.rank - 1
     coeffs: dict = {}
     for el, word in enumerate_with_words(system, max_len, budget=budget):
-        a_exp = sum(1 for i in word if i == 0)
-        b_exp = sum(1 for i in word if i == last) if track_b else 0
+        a_exp = word.count(0)
+        b_exp = word.count(last) if track_b else 0
         key = (a_exp, b_exp, el.length)
         coeffs[key] = coeffs.get(key, 0) + 1
     return StatSeries(coeffs, max_len)

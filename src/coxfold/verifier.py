@@ -51,7 +51,7 @@ from .closed_forms import (
     unfolding_closed_form,
 )
 from .coxeter import DEFAULT_BUDGET, build_system, enumerate_up_to
-from .errors import CorruptCache, CoxfoldError, InvalidParameters, ResourceLimit
+from .errors import CorruptCache, CoxfoldError, InvalidParameters, ResourceLimit, _check_budget
 from .folding import (
     FamilyId,
     coset_series_bruteforce,
@@ -100,6 +100,7 @@ class VerificationJob(Record):
     def __init__(self, cases: list, budget: int = DEFAULT_BUDGET):
         if not cases:
             raise CoxfoldError("verification job has an empty grid")
+        _check_budget(budget)
         self.cases = cases
         self.budget = budget
 

@@ -12,7 +12,8 @@ and ``shortlex_child`` is the walk's earlier ShortLex-tree test, kept as
 the reference for the backends' ``_child``; it uses only the kernel's
 left multiplication and left-descent test.  ``bfs_all_generators`` is
 the walk's earlier loop, which tries every generator on every node,
-kept as the reference for the bucketed ``_bfs``.  ``bruhat_leq_by_scan`` is
+kept as the reference for the bucketed ``_bfs`` of a system, over the
+same flat nodes.  ``bruhat_leq_by_scan`` is
 the earlier Bruhat test that folds v through the whole ShortLex word of
 w, kept as the reference for ``bruhat_leq``, and ``covers_by_deletion``
 reads the Bruhat covers off one-letter deletions of ShortLex words
@@ -24,23 +25,18 @@ folding that ``length_additivity_check`` stands in for, written from
 their definitions: right descents of unfolded elements, and three
 separate walks whose elements are each re-unfolded by their word; the
 parabolic and coset-minima streams they read, ``enumerate_parabolic``
-and ``minimal_coset_reps``, are ``_bfs`` walks with a Python step or
-filter that no fused loop carries, kept here as the only callers.
-``is_kernel`` and ``recording_fuse`` are probes, not models: they tell
-compiled code from a primitive or a step, and record the calls of the
-fused loops of a series walk.
+and ``minimal_coset_reps``, filter the whole walk of the group by the
+ShortLex word and by right descents, in its order.  ``recording_loops``
+is a probe, not a model: it stands in for ``_kernels.bucket_loops`` and
+records each call of the compiled loops a walk swaps in.
 """
 
 import itertools
 from collections import Counter
 from typing import NamedTuple
 
-from coxfold import coxeter
 from coxfold.coxeter import (
     DEFAULT_BUDGET,
-    Element,
-    _bfs,
-    _coset_minimal,
     _subset,
     element_from_word,
     enumerate_up_to,
@@ -48,6 +44,7 @@ from coxfold.coxeter import (
     right_descents,
     shortlex_normal_form,
 )
+from coxfold._kernels import bucket_loops
 from coxfold.errors import NonUnitDivisor, ResourceLimit
 from coxfold.folding import unfold
 from coxfold.qseries import QSeries, StatSeries
@@ -254,80 +251,58 @@ def shortlex_child(system, data, i):
     return child
 
 
-def is_kernel(fn):
-    """Whether ``fn`` is compiled code of ``coxfold._kernels``.
+def recording_loops(calls):
+    """A stand-in for ``coxfold._kernels.bucket_loops`` that records each call of its loops.
 
-    A primitive is a bound method and a folding step a
-    functools.partial, with no code of its own.
-    """
-    code = getattr(fn, "__code__", None)
-    return code is not None and code.co_filename == "<coxfold kernels>"
-
-
-def recording_fuse(calls):
-    """A stand-in for ``folding._bfs`` that records the fused loops its walks call.
-
-    Each call of a loop that ``fuse`` hands the walk appends (layer,
-    letter) to ``calls``, the layer being the one its children are made
-    for: one past the last layer the walk yielded.  The walk is otherwise
-    ``coxeter._bfs``'s own.
+    A call appends (layer, letter, tested, children made) to ``calls``,
+    the layer being the one its children are made for: one past the
+    length of the source element of the first node handed in.
     """
 
-    def walk(*args, fuse=None, **kwargs):
-        making = [1]
+    def loops(source, *args):
+        def recorded(i, tested, loop):
+            def call(nodes):
+                children = loop(nodes)
+                layer = len(source._reduced_word(nodes[0][:source.rank])) + 1
+                calls.append((layer, i, tested, len(children)))
+                return children
 
-        def recorded():
-            flatten, loops = fuse()
-            return flatten, [
-                tuple(loop and _recorded_loop(calls, making, i, loop) for loop in pair)
-                for i, pair in enumerate(loops)
-            ]
+            return call
 
-        for bucket in coxeter._bfs(*args, fuse=None if fuse is None else recorded, **kwargs):
-            making[0] = bucket[0] + 1
-            yield bucket
+        return [
+            tuple(loop and recorded(i, tested, loop) for tested, loop in enumerate(pair))
+            for i, pair in enumerate(bucket_loops(source, *args))
+        ]
 
-    return walk
-
-
-def _recorded_loop(calls, making, i, loop):
-    def call(nodes):
-        calls.append((making[0], i))
-        return loop(nodes)
-
-    return call
+    return loops
 
 
-def bfs_all_generators(system, max_len, budget, *, start=None, step=None, keep=None):
-    """The ShortLex-tree walk of ``coxeter._bfs``, trying ``_child`` for every (i, node).
+def bfs_all_generators(system, max_len, budget, *, keep=None, tag=None):
+    """The ShortLex-tree walk of ``coxeter._bfs`` of a system, trying ``_child`` for
+    every (i, node).
 
-    Same arguments, filter calls and budget as the library walk, with
-    ``step[i](payload, i)`` the step of letter i; it yields one node at a
-    time, and each layer is one list in ShortLex order.
+    Same arguments, filter calls and budget as the library walk, and the
+    same flat nodes: the data, then with ``tag = (start, prefixes)`` a tag,
+    ``prefixes[i]`` + that of w at s_i w.  It yields one (length, node) at
+    a time, and each layer is one list in ShortLex order.
     """
-    stored, k = 1, 0
-    if stored > budget:
-        raise ResourceLimit(budget, k, stored)
-    root = system.identity().data
-    layer = [(root, start)] if keep is None or keep(root, start) else []
+    r, stored, k = system.rank, 1, 0
+    layer = [system.identity().data + (() if tag is None else (tag[0],))]
     while layer:
-        yield from ((k, key, payload) for key, payload in layer)
+        yield from ((k, node) for node in layer)
         if max_len is not None and k >= max_len:
             return
         k += 1
         children = []
-        for i in range(system.rank):
-            for key, payload in layer:
-                child = system._child(key, i)
-                if child is None:
-                    continue
-                value = payload if step is None else step[i](payload, i)
-                if keep is not None and not keep(child, value):
+        for i in range(r):
+            for node in layer:
+                child = system._child(node[:r], i)
+                if child is None or keep is not None and not keep(child):
                     continue
                 stored += 1
                 if stored > budget:
                     raise ResourceLimit(budget, k, stored)
-                children.append((child, value))
+                children.append(child + (() if tag is None else (tag[1][i] + node[r],)))
         layer = children
 
 
@@ -468,27 +443,23 @@ class ColumnKernel:
 
 
 def enumerate_parabolic(system, J, max_len, *, budget=DEFAULT_BUDGET):
-    """Stream the standard parabolic subgroup on J up to the cutoff.
+    """Stream the standard parabolic subgroup on J up to the cutoff: the
+    elements whose ShortLex word has letters in J only, in walk order.
 
-    Layers are ambient lengths, equal to parabolic ones.  The payload says
-    whether a node is in W_J: a child s_i w is iff w is and i is in J.
+    Layers are ambient lengths, equal to parabolic ones.
     """
-    J = _subset(system, J)
-    walk = _bfs(
-        system, max_len, budget, start=True, step=[lambda _, i: i in J] * system.rank,
-        keep=lambda _, inside: inside,
-    )
-    for k, keys, _ in walk:
-        for key in keys:
-            yield Element(key, k), k
+    J = set(_subset(system, J))
+    for el, word in enumerate_with_words(system, max_len, budget=budget):
+        if J.issuperset(word):
+            yield el, el.length
 
 
 def minimal_coset_reps(system, J, max_len, *, budget=DEFAULT_BUDGET):
-    """Stream the minimal coset representatives W^J of length <= max_len."""
-    keep = _coset_minimal(system, J)
-    for k, keys, _ in _bfs(system, max_len, budget, keep=keep):
-        for key in keys:
-            yield Element(key, k)
+    """Stream the minimal coset representatives W^J of length <= max_len, in walk order."""
+    J = _subset(system, J)
+    for el, _ in enumerate_up_to(system, max_len, budget=budget):
+        if not any(is_right_descent_data(system, el.data, j) for j in J):
+            yield el
 
 
 def admissibility_violations(f, max_source_len):

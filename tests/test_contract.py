@@ -16,7 +16,6 @@ command line, which wraps four ``cli`` attributes before it calls
 ``main``, one of them loaded on first use.
 """
 
-import functools
 import hashlib
 import importlib.util
 import inspect
@@ -68,28 +67,26 @@ def test_highlighted_hasse_dot(tmp_path, key, argv):
 def test_verify_and_hasse_dot_compile_no_kernel(tmp_path, monkeypatch):
     # their walks store at most 1,156 nodes, under the trip's 1,500:
     # no system kernel and no folding's block kernel is compiled, though
-    # the folding walks read their steps from block-step tables
-    kernels, compiles, step_tables = {}, [], []
+    # every walk makes its nodes with the loops of coxeter._loops
+    kernels, compiles, loops, compiled_loops = {}, [], [], []
     monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
     monkeypatch.setattr(
         coxfold._kernels, "compile", lambda *args: compiles.append(args) or compile(*args),
         raising=False,
     )
-    step_table = coxfold.coxeter.CoxeterSystem._step_table
-
-    def recording(system, target, words):
-        table = step_table(system, target, words)
-        step_tables.append(table)
-        return table
-
-    monkeypatch.setattr(coxfold.coxeter.CoxeterSystem, "_step_table", recording)
+    primitive_loops, bucket_loops = coxfold.coxeter._loops, coxfold._kernels.bucket_loops
+    monkeypatch.setattr(
+        coxfold.coxeter, "_loops", lambda *args: loops.append(args) or primitive_loops(*args)
+    )
+    monkeypatch.setattr(
+        coxfold._kernels, "bucket_loops",
+        lambda *args: compiled_loops.append(args) or bucket_loops(*args),
+    )
     sha256_of_run(tmp_path, ["verify"])
     for _, argv in HASSE_DOT:
         sha256_of_run(tmp_path, ["bruhat-dot"] + argv)
     assert kernels == {} and compiles == []
-    assert step_tables
-    for table in step_tables:
-        assert all(isinstance(step, functools.partial) for step in table)
+    assert loops and compiled_loops == []
 
 
 def test_verify_and_hasse_dot_processes_never_load_the_kernels(tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import math
 
@@ -38,10 +39,9 @@ from coxfold.qseries import QSeries
 from oracles import (
     admissibility_violations,
     enumerate_parabolic,
-    is_kernel,
     is_right_descent_data,
     minimal_coset_reps,
-    recording_fuse,
+    recording_loops,
     reference_factorization,
 )
 
@@ -319,50 +319,55 @@ class TestBruteforceSeries:
 
     def test_walks_with_nothing_to_filter_pass_no_filter(self, monkeypatch):
         # an exact series and the unfolded image have no cutoff and no
-        # source filter, so the walk gets keep=None; a cutoff needs one
-        keeps = []
+        # source filter, so their walks get neither; a cutoff comes alone
+        filters = []
         bfs = coxfold.folding._bfs
+        signature = inspect.signature(bfs)
 
-        def recording(*args, keep=None, **kwargs):
-            keeps.append(keep)
-            return bfs(*args, keep=keep, **kwargs)
+        def recording(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            filters.append((bound.arguments["cutoff"], bound.arguments["keep"]))
+            return bfs(*args, **kwargs)
 
         monkeypatch.setattr(coxfold.folding, "_bfs", recording)
         f = standard_folding(FamilyId("Bn-A2n-1", 2))
         unfolding_series_bruteforce(f, None)
         unfolded_image(f)
         unfolding_series_bruteforce(f, 3)
-        assert keeps[:2] == [None, None] and keeps[2] is not None
+        assert filters == [(None, None), (None, None), (3, None)]
 
 
-def test_unfolding_steps_run_until_the_walk_fuses(monkeypatch):
+def test_primitive_loops_run_until_the_walk_swaps(monkeypatch):
     # B5 -> D6 stores 3,839 nodes beyond the root, past the trip's 1,500:
-    # the walk calls each source letter's Python step from the
-    # folding's table until, part way through, it fuses, and from then on
-    # every bucket's children come from a compiled loop of the target's
-    # block steps.  The step table is not swapped, and neither system
-    # keeps anything of the walk
+    # the walk makes its nodes with the loops of coxeter._loops until,
+    # part way through, it swaps in the compiled bucket loops, and from
+    # then on every bucket's children come from a compiled loop of the
+    # target's block steps.  Neither system keeps anything of the walk
     fam = FamilyId("Bn-Dn+1", 5)
     f = standard_folding(fam)
     source, target, events = f.source, f.target, []
     states = [dict(vars(source)), dict(vars(target))]
+    primitive_loops = coxfold.coxeter._loops
 
-    def recorded(step):
-        def call(payload, r):
-            events.append("step")
-            return step(payload, r)
+    def recorded(loop):
+        def call(nodes):
+            events.append("primitive")
+            return loop(nodes)
 
         return call
 
-    steps = f._steps[:]
-    f._steps[:] = [recorded(step) for step in steps]
-    monkeypatch.setattr(coxfold.folding, "_bfs", recording_fuse(events))
+    def loops(*args):
+        return [tuple(map(recorded, pair)) for pair in primitive_loops(*args)]
+
+    monkeypatch.setattr(coxfold.coxeter, "_loops", loops)
+    monkeypatch.setattr(coxfold._kernels, "bucket_loops", recording_loops(events))
     monkeypatch.setattr(coxfold._kernels, "_KERNELS", {})  # this walk compiles its own loops
     assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(fam)
-    # events holds "step" per Python step and (layer, letter) per fused loop
-    first = next(t for t, event in enumerate(events) if event != "step")
-    assert first > 0 and "step" not in events[first:]
-    assert not any(map(is_kernel, steps)) and [vars(source), vars(target)] == states
+    # events holds "primitive" per primitive loop call and a tuple per compiled one
+    first = next(t for t, event in enumerate(events) if event != "primitive")
+    assert first > 0 and "primitive" not in events[first:]
+    assert [vars(source), vars(target)] == states
 
 
 def _non_injective():
@@ -376,14 +381,14 @@ def _non_injective():
 def test_length_additivity_check_agrees_past_the_compile_trip(monkeypatch):
     # the check's walk of all of B5, to source length 25, stores 1,255
     # nodes to length 10 and passes the trip's 1,500 at letter 1 of layer
-    # 11: it fuses there into bucket loops whose flat nodes carry the
-    # weight sum, from letter 2 on, and
-    # a walk that fails at length 4 fuses after its first letter when the
-    # trigger is 0: each verdict is the one the primitives give, no block
-    # step is swapped and no source keeps anything of the walk
+    # 11: it swaps in bucket loops whose flat nodes carry the weight sum
+    # there, from letter 2 on, and
+    # a walk that fails at length 4 swaps after its first letter when the
+    # trigger is 0: each verdict is the one the primitives give, and no
+    # source keeps anything of the walk
     fam, failure = FamilyId("Bn-Dn+1", 5), ("length", 4, (0, 1, 0, 1))
     default, calls = coxfold.coxeter._COMPILE_AFTER, []
-    monkeypatch.setattr(coxfold.folding, "_bfs", recording_fuse(calls))
+    monkeypatch.setattr(coxfold._kernels, "bucket_loops", recording_loops(calls))
     monkeypatch.setattr(coxfold._kernels, "_KERNELS", {})
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 10**9)
     plain = [standard_folding(fam), _non_injective()]
@@ -391,26 +396,25 @@ def test_length_additivity_check_agrees_past_the_compile_trip(monkeypatch):
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", default)
     f = standard_folding(fam)
     f_state = dict(vars(f.source))
-    assert length_additivity_check(f, 25) is None and calls[0] == (11, 2)
+    assert length_additivity_check(f, 25) is None and calls[0][:2] == (11, 2)
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 0)
     calls.clear()
     g = _non_injective()
     g_state = dict(vars(g.source))
-    assert length_additivity_check(g, 25) == failure and calls[0] == (1, 1)
+    assert length_additivity_check(g, 25) == failure and calls[0][:2] == (1, 1)
     assert [vars(f.source), vars(g.source)] == [f_state, g_state]
-    assert not any(map(is_kernel, f._steps + g._steps))
 
 
-def test_series_walks_fuse_only_between_weight_systems(monkeypatch):
-    # with the trigger at 0, a weight-to-weight series walk fuses at once,
+def test_series_walks_compile_only_between_weight_systems(monkeypatch):
+    # with the trigger at 0, a weight-to-weight series walk swaps at once,
     # and two foldings on the same matrices and words share one compile of
-    # their loops; a dihedral source or target gets no fuse and keeps the
-    # primitive loop, a weight source onto a dihedral target among them,
-    # and compiles nothing
+    # their loops; a dihedral source or target keeps the primitive loops,
+    # a weight source onto a dihedral target among them, and compiles
+    # nothing
     kernels, calls = {}, []
     monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 0)
-    monkeypatch.setattr(coxfold.folding, "_bfs", recording_fuse(calls))
+    monkeypatch.setattr(coxfold._kernels, "bucket_loops", recording_loops(calls))
     fam = FamilyId("Bn-Dn+1", 3)
     for _ in range(2):
         f = Folding(build_system("B3"), build_system("D4"), [(0,), (1,), (2, 3)])
@@ -424,7 +428,7 @@ def test_series_walks_fuse_only_between_weight_systems(monkeypatch):
     f = Folding(build_system("A1"), build_system("I2(3)"), [(0, 1, 0)])
     assert f.source.backend == "weight"
     assert unfolding_series_bruteforce(f, None) == QSeries([1, 0, 0, 1])
-    assert not calls and len(kernels) == 1 and not any(map(is_kernel, f._steps))
+    assert not calls and len(kernels) == 1
 
 
 @pytest.mark.parametrize("paused", [False, True])
@@ -436,7 +440,7 @@ def test_series_walk_pauses_the_collector_only_for_itself(paused, budget):
     f = standard_folding(FamilyId("Bn-A2n", 3))
     seen = []
 
-    def keep(key, payload):
+    def keep(data):
         seen.append(gc.isenabled())
         return True
 

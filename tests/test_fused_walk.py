@@ -1,18 +1,20 @@
-"""Differential tests of the fused unfolding walk.
+"""Differential tests of the walk that swaps in compiled loops.
 
-Past its compile trip, the series walk of a folding whose source and
-target both have the weight backend makes each bucket's children with
-one compiled loop over flat (source, target, length) nodes.  Every
+Every walk makes its flat nodes with the loops of ``coxeter._loops`` on
+the primitives.  Past its compile trip, the series walk of a folding
+whose source and target both have the weight backend swaps in
+``_kernels.bucket_loops``, which make each bucket's children with one
+compiled loop over the same flat (source, target, length) nodes.  Every
 folding row, at its two smallest n (affA-affA at m = 2 and 3), exact and
 at an ambient cutoff, with and without the coset filter, is walked with
 the trip at 0, at a value that trips part way through a layer, at the
 default and at 10**9 (never), and must give the series of the walk that
-never fuses and of the reference in ``oracles``.  Budgets on either
+never swaps and of the reference in ``oracles``.  Budgets on either
 side of the trip, and budgets that run out inside a fused bucket, which
 the walk then hands to its loop in slices, must raise the same
 ``ResourceLimit``, in every walk of a folding.  The walk of
 ``length_additivity_check``, whose flat nodes also carry the weight sum,
-must give the verdict of the walk that never fuses, on every row and on
+must give the verdict of the walk that never swaps, on every row and on
 foldings that fail at a length past the trip, and the walk of
 ``_source_records``, whose flat nodes carry the source word, its records.
 The plain walks of a system, ``enumerate_up_to`` and
@@ -22,7 +24,8 @@ family of ``coxeter._GROUPS`` at its two smallest n, finite groups whole
 and affine ones to length 8.
 """
 
-from functools import lru_cache, partial
+import contextlib
+from functools import lru_cache
 from unittest import mock
 
 import pytest
@@ -45,7 +48,6 @@ from coxfold.folding import (
     FamilyId,
     Folding,
     _source_records,
-    _unfolding,
     coset_series_bruteforce,
     length_additivity_check,
     standard_folding,
@@ -53,7 +55,7 @@ from coxfold.folding import (
     unfolding_series_bruteforce,
 )
 
-from oracles import recording_fuse, reference_factorization
+from oracles import recording_loops, reference_factorization
 
 FOLDINGS = [
     (name, n, m)
@@ -78,21 +80,31 @@ def fuses(case):
     return f.source.backend == f.target.backend == "weight"
 
 
+@contextlib.contextmanager
+def recorded(after, calls, compiled=None):
+    """Walks under the trip ``after``, with ``bucket_loops`` recording into
+    ``calls`` and the kernel cache ``compiled``, empty by default, so that a
+    walk compiles only at its trip."""
+    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
+        coxfold._kernels, "bucket_loops", recording_loops(calls)
+    ), mock.patch.object(coxfold._kernels, "_KERNELS", {} if compiled is None else compiled):
+        yield
+
+
 def fused_walk(case, cutoff, J_hat, budget, after, compiled=None):
     """The series of a fresh folding's walk under ``after``, or its ResourceLimit
-    message, and the (layer, letter) of each fused loop call.  The walk sees
-    the kernel cache ``compiled``, empty by default, so that it fuses only
-    at its trip."""
+    message, and the (layer, letter) of each compiled loop call.  The walk
+    sees the kernel cache ``compiled``, empty by default."""
     f, calls = standard_folding(FamilyId(*case)), []
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
-        coxfold.folding, "_bfs", recording_fuse(calls)
-    ), mock.patch.object(coxfold._kernels, "_KERNELS", {} if compiled is None else compiled):
+    with recorded(after, calls, compiled):
         try:
             if J_hat is None:
-                return unfolding_series_bruteforce(f, cutoff, budget=budget), calls
-            return coset_series_bruteforce(f, J_hat, cutoff, budget=budget), calls
+                result = unfolding_series_bruteforce(f, cutoff, budget=budget)
+            else:
+                result = coset_series_bruteforce(f, J_hat, cutoff, budget=budget)
         except ResourceLimit as exc:
-            return str(exc), calls
+            result = str(exc)
+    return result, [call[:2] for call in calls]
 
 
 @lru_cache(maxsize=None)
@@ -111,21 +123,18 @@ def mid_layer_trip(case, cutoff, J_hat):
     if source.backend != "weight":
         return None
     keep = None if J_hat is None else _coset_minimal(source, J_hat)
-    start, steps, wanted, _ = _unfolding(f, cutoff, keep)
-    return trip_after_a_letter(
-        source, _bfs(source, None, NEVER, start=start, step=steps, keep=wanted)
-    )
+    return trip_after_a_letter(source, _bfs(source, None, NEVER, f.target, f._words, cutoff, keep))
 
 
 def trip_after_a_letter(system, walk, share=0):
     """The least ``_COMPILE_AFTER`` whose trip comes after a letter of a layer of
-    ``walk``, a walk of ``system`` that never fuses, whose next letter makes
+    ``walk``, a walk of ``system`` that never swaps, whose next letter makes
     nodes, and the stored count there; None where no such value exists.  The
     value is at least ``share`` of the walk's stored count, and at least 1."""
     sizes = {}
-    for k, keys, _ in walk:
-        d = next((d for d in range(system.rank) if keys[0][d] < 0), system.rank)
-        sizes[k, d] = len(keys)
+    for k, nodes in walk:
+        d = next((d for d in range(system.rank) if nodes[0][d] < 0), system.rank)
+        sizes[k, d] = len(nodes)
     stored, counts = 1, []  # the stored count after each letter of each layer
     for k in range(1, max(k for k, _ in sizes) + 1):
         for i in range(system.rank):
@@ -176,8 +185,8 @@ def test_every_fusing_row_is_walked_across_a_mid_layer_trip():
 
 @pytest.mark.parametrize("case, cutoff, J_hat", MID_LAYER_WALKS, ids=str)
 def test_budgets_around_the_trip_raise_as_the_primitive_walk(case, cutoff, J_hat):
-    # the budget runs out in the letter that trips, just before the fuse,
-    # or in the first fused loops, just after it; at a trip of 1, after - 1
+    # the budget runs out in the letter that trips, just before the swap,
+    # or in the first compiled loops, just after it; at a trip of 1, after - 1
     # is no budget, refused before the walk
     after, fused_at = mid_layer_trip(case, cutoff, J_hat)
     for budget in (after - 1, after, after + 1, fused_at - 1, fused_at, fused_at + 1, fused_at + 2):
@@ -207,22 +216,20 @@ def test_walks_past_the_default_trip_fuse_and_agree(case, cutoff, J_hat):
 
 
 @pytest.mark.parametrize("case", [("Bn-Dn+1", 3, None), ("affC-affA2n+1", 2, None)], ids=str)
-def test_fused_keep_sees_the_keys_and_payloads_of_the_primitive_walk(case):
-    # the coset filter reads only the source key, so this filter records
-    # every (key, payload) it is shown, in order, and reads both parts of
-    # the payload; the fused walk trips after a few nodes
+def test_fused_keep_sees_the_data_of_the_primitive_walk(case):
+    # the coset filter reads the source data alone, so this filter records
+    # every data it is shown, in order, and reads more than one entry;
+    # the walk swaps in the compiled loops after a few nodes
     cutoff = None if case[0].startswith("B") else AFFINE_CUTOFF
     seen = {}
     for after in (1, NEVER):
         calls, loops = seen.setdefault(after, ([], []))
 
-        def keep(key, payload):
-            calls.append((key, payload))
-            return payload[0][-1] < 0 or payload[1] % 3 != 1
+        def keep(data):
+            calls.append(data)
+            return data[-1] < 0 or sum(data) % 5 != 1
 
-        with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
-            coxfold.folding, "_bfs", recording_fuse(loops)
-        ), mock.patch.object(coxfold._kernels, "_KERNELS", {}):
+        with recorded(after, loops):
             f = standard_folding(FamilyId(*case))
             calls.append(coxfold.folding._series(f, cutoff, keep, coxeter.DEFAULT_BUDGET))
     assert seen[1][0] == seen[NEVER][0] and len(seen[1][0]) > 10
@@ -232,7 +239,7 @@ def test_fused_keep_sees_the_keys_and_payloads_of_the_primitive_walk(case):
 def test_a_walk_on_compiled_loops_still_fuses_only_at_its_trip():
     # a walk on the same matrices and words, with a cutoff of another
     # value, reuses the loops an earlier walk compiled, but only once it
-    # reaches its own trip; below the trip it stays on the primitives
+    # reaches its own trip; below the trip it stays on the primitive loops
     case, compiled = ("affB-affDn+1", 3, None), {}
     _, calls = fused_walk(case, AFFINE_CUTOFF, None, coxeter.DEFAULT_BUDGET, 0, compiled)
     assert calls and len(compiled) == 1
@@ -245,15 +252,14 @@ def test_a_walk_on_compiled_loops_still_fuses_only_at_its_trip():
 
 def fused_check(f, max_len, budget, after):
     """``length_additivity_check`` of ``f`` under ``after``, or its ResourceLimit
-    message, and the (layer, letter) of each fused loop call."""
+    message, and the (layer, letter) of each compiled loop call."""
     calls = []
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
-        coxfold.folding, "_bfs", recording_fuse(calls)
-    ), mock.patch.object(coxfold._kernels, "_KERNELS", {}):
+    with recorded(after, calls):
         try:
-            return length_additivity_check(f, max_len, budget=budget), calls
+            result = length_additivity_check(f, max_len, budget=budget)
         except ResourceLimit as exc:
-            return str(exc), calls
+            result = str(exc)
+    return result, [call[:2] for call in calls]
 
 
 CHECK_AFTERS = [0, 1, 2, 3, 5, 8, coxeter._COMPILE_AFTER]
@@ -263,7 +269,7 @@ CHECK_AFTERS = [0, 1, 2, 3, 5, 8, coxeter._COMPILE_AFTER]
 def test_fused_additivity_check_agrees_with_the_primitive_walk(case):
     # the check's flat nodes carry the weight sum before the length; every
     # trip gives the verdict, and at every budget the message, of the walk
-    # that never fuses
+    # that never swaps
     f = standard_folding(FamilyId(*case))
     max_len = 6 if case[0].startswith("aff") else None
     want, calls = fused_check(f, max_len, coxeter.DEFAULT_BUDGET, NEVER)
@@ -295,20 +301,17 @@ def test_fused_additivity_check_finds_the_first_failure(m):
 
 def fused_records(f, cutoff, after, walk=None):
     """The records of ``_source_records`` (or of ``walk``) under ``after``, and the
-    (layer, letter) of each fused loop call."""
+    (layer, letter) of each compiled loop call."""
     calls = []
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
-        coxfold.folding, "_bfs", recording_fuse(calls)
-    ), mock.patch.object(coxfold._kernels, "_KERNELS", {}):
-        if walk is not None:
-            return walk(f), calls
-        return list(_source_records(f, ambient_cutoff=cutoff)), calls
+    with recorded(after, calls):
+        result = list(_source_records(f, ambient_cutoff=cutoff)) if walk is None else walk(f)
+    return result, [call[:2] for call in calls]
 
 
 @pytest.mark.parametrize("case", FOLDINGS, ids=str)
 def test_fused_source_records_agree_with_the_primitive_walk(case):
     # the records walk tags its flat nodes with the source word: every
-    # trip gives the records of the walk that never fuses, in order
+    # trip gives the records of the walk that never swaps, in order
     f = standard_folding(FamilyId(*case))
     cutoff = AFFINE_CUTOFF if case[0].startswith("aff") else FINITE_CUTOFF
     want, calls = fused_records(f, cutoff, NEVER)
@@ -331,7 +334,7 @@ def test_the_walks_of_one_folding_compile_their_own_loops():
     # the series, the check and the records walks of one folding, exact
     # and sharing one cache, each compile their own loops (their nodes
     # differ in the tag), and each gives the result of its walk that
-    # never fuses
+    # never swaps
     f, compiled, calls = standard_folding(FamilyId("Bn-Dn+1", 3)), {}, []
     walks = [
         lambda: unfolding_series_bruteforce(f, None),
@@ -340,9 +343,7 @@ def test_the_walks_of_one_folding_compile_their_own_loops():
     ]
     with mock.patch.object(coxeter, "_COMPILE_AFTER", NEVER):
         wants = [walk() for walk in walks]
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", 0), mock.patch.object(
-        coxfold.folding, "_bfs", recording_fuse(calls)
-    ), mock.patch.object(coxfold._kernels, "_KERNELS", compiled):
+    with recorded(0, calls, compiled):
         assert [walk() for walk in walks] == wants
     assert len(compiled) == 3 and calls
 
@@ -369,44 +370,24 @@ def cut_runs(case):
     }
 
 
-def counting(fuse, calls):
-    """``fuse``, None or not, whose loops append (tested, children made) to
-    ``calls`` at each call."""
-
-    def record(tested, loop, nodes):
-        children = loop(nodes)
-        calls.append((tested, len(children)))
-        return children
-
-    def recorded():
-        flatten, loops = fuse()
-        return flatten, [
-            tuple(loop and partial(record, tested, loop) for tested, loop in enumerate(pair))
-            for pair in loops
-        ]
-
-    return fuse and recorded
-
-
 def cut_walk(case, run, budget, after):
     """The ResourceLimit message of ``run`` on a fresh folding under ``after``
     (None if none), the nodes its walk yielded, and (tested, children) per
-    fused loop call."""
+    compiled loop call."""
     f, yielded, calls = standard_folding(FamilyId(*case)), [0], []
 
-    def walk(*args, fuse=None, **kwargs):
-        for bucket in coxeter._bfs(*args, fuse=counting(fuse, calls), **kwargs):
+    def walk(*args, **kwargs):
+        for bucket in coxeter._bfs(*args, **kwargs):
             yielded[0] += len(bucket[1])
             yield bucket
 
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
-        coxfold.folding, "_bfs", walk
-    ), mock.patch.object(coxfold._kernels, "_KERNELS", {}):
+    with recorded(after, calls), mock.patch.object(coxfold.folding, "_bfs", walk):
         try:
             run(f, budget)
-            return None, yielded[0], calls
+            message = None
         except ResourceLimit as exc:
-            return str(exc), yielded[0], calls
+            message = str(exc)
+    return message, yielded[0], [call[2:] for call in calls]
 
 
 def cut_budgets(fused_at, calls):
@@ -427,7 +408,7 @@ def test_budgets_inside_a_fused_bucket_raise_as_the_primitive_walk(case, name):
     # yields; a budget that runs out half way through the children of the
     # largest untested bucket, and one in the largest tested bucket, make
     # the walk hand that bucket to its loop in slices no longer than the
-    # room left, and it raises the message of the walk that never fuses
+    # room left, and it raises the message of the walk that never swaps
     run = cut_runs(case)[name]
     _, total, calls = cut_walk(case, run, coxeter.DEFAULT_BUDGET, 0)
     fused_at = total - sum(made for _, made in calls)  # the stored count at the fuse
@@ -456,21 +437,16 @@ def plain_cutoff(label):
 def plain_walk(label, stream, budget, after, max_len="default"):
     """The elements, with their words for ``with_words``, that ``stream`` yields
     on a fresh system under ``after``, or its ResourceLimit message, and
-    (tested, children made) per fused loop call; finite groups whole, affine
-    ones to length 8 by default."""
-    W, calls, bfs = build_system(label), [], coxeter._bfs
+    (tested, children made) per compiled loop call; finite groups whole,
+    affine ones to length 8 by default."""
+    W, calls = build_system(label), []
     max_len = plain_cutoff(label) if max_len == "default" else max_len
-
-    def walk(*args, fuse=None, **kwargs):
-        return bfs(*args, fuse=counting(fuse, calls), **kwargs)
-
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
-        coxeter, "_bfs", walk
-    ), mock.patch.object(coxfold._kernels, "_KERNELS", {}):
+    with recorded(after, calls):
         try:
-            return list(STREAMS[stream](W, max_len, budget=budget)), calls
+            result = list(STREAMS[stream](W, max_len, budget=budget))
         except ResourceLimit as exc:
-            return str(exc), calls
+            result = str(exc)
+    return result, [call[2:] for call in calls]
 
 
 @lru_cache(maxsize=None)
@@ -486,9 +462,9 @@ def plain_mid_layer_trip(label):
 @pytest.mark.parametrize("stream", STREAMS)
 @pytest.mark.parametrize("label", PLAIN_GROUPS)
 def test_plain_walk_agrees_with_the_walk_that_never_fuses(label, stream):
-    # at a trip of 0 every weight system fuses after its first letter, and
-    # but for A1, whose walk ends there, calls its loops; a dihedral one
-    # gets no fuse and never does
+    # at a trip of 0 every weight system swaps after its first letter, and
+    # but for A1, whose walk ends there, calls the compiled loops; a
+    # dihedral one never swaps
     want, calls = plain_walk(label, stream, coxeter.DEFAULT_BUDGET, NEVER)
     assert not calls and len(want) > 1
     mid = plain_mid_layer_trip(label)
@@ -519,7 +495,7 @@ def test_plain_walks_past_the_default_trip_fuse_and_agree(label, stream):
 )
 def test_plain_budgets_around_the_trip_raise_as_the_primitive_walk(label, stream):
     # the budget runs out in the letter that trips, past half the walk,
-    # just before the fuse, or in the first fused loops, just after it
+    # just before the swap, or in the first compiled loops, just after it
     after, fused_at = plain_mid_layer_trip(label)
     budgets = (after - 1, after, after + 1, fused_at - 1, fused_at, fused_at + 1, fused_at + 2)
     for budget in budgets:
@@ -536,7 +512,7 @@ def test_plain_budgets_inside_a_fused_bucket_raise_as_the_primitive_walk(label, 
     # budget half way through the children of the largest untested bucket,
     # and one in the largest tested bucket, cut that bucket into slices no
     # longer than the room left, and the walk raises the message of the
-    # walk that never fuses, with one child past the budget
+    # walk that never swaps, with one child past the budget
     elements, calls = plain_walk(label, stream, coxeter.DEFAULT_BUDGET, 0)
     fused_at = len(elements) - sum(made for _, made in calls)
     for made, at, budget in cut_budgets(fused_at, calls):

@@ -14,11 +14,11 @@ import coxfold._kernels
 from coxfold import coxeter
 from coxfold.coxeter import (
     INFINITE,
+    _GROUPS,
     CoxeterMatrix,
     _bfs,
     _coset_minimal,
-    _plain_fuse,
-    _prepend,
+    _loops,
     all_reduced_words,
     apply_generator,
     bruhat_leq,
@@ -35,7 +35,6 @@ from coxfold.errors import CoxfoldError, ResourceLimit
 from coxfold.folding import (
     _FAMILIES,
     FamilyId,
-    _flat,
     coset_series_bruteforce,
     standard_folding,
     unfolding_series_bruteforce,
@@ -48,10 +47,9 @@ from oracles import (
     bruhat_leq_by_scan,
     dihedral_normal_form,
     inversions,
-    is_kernel,
     is_right_descent_data,
     minimal_coset_reps,
-    recording_fuse,
+    recording_loops,
     shortlex_child,
     type_b_generators,
     type_d_generators,
@@ -243,11 +241,11 @@ def test_layers_come_in_shortlex_order(entries, data):
     J = data.draw(st.sets(st.integers(0, W.rank - 1), max_size=W.rank - 1), label="J")
     assert_shortlex_layers(W, enumerate_with_words(W, 5))
 
-    def minimal(key, payload):
-        return not any(is_right_descent_data(W, key, j) for j in J)
+    def minimal(data):
+        return not any(is_right_descent_data(W, data, j) for j in J)
 
-    walk = nodes(W, _bfs(W, 5, 10**6, start=(), step=[_prepend] * W.rank, keep=minimal))
-    assert_shortlex_layers(W, ((element_from_word(W, word), word) for _, _, word in walk))
+    walk = nodes(W, _bfs(W, 5, 10**6, keep=minimal, tag=((), word_prefixes(W))))
+    assert_shortlex_layers(W, ((element_from_word(W, node[-1]), node[-1]) for _, node in walk))
 
 
 WALK_LABELS = [
@@ -260,39 +258,39 @@ def walk_system(label):
     return build_system(CHILD_SYSTEMS.get(label, label))
 
 
-def nodes(W, walk):
-    """The nodes of a ``_bfs`` walk, one (length, key, payload) at a time.
+def word_prefixes(W):
+    """The prefixes of the ShortLex word tag: the tag of s_i w is (i,) + that of w."""
+    return tuple((i,) for i in range(W.rank))
 
-    Each bucket it yields is non-empty, with as many payloads as keys,
-    and every key in it has the same least left descent; buckets come by
-    increasing length, and within a length by increasing descent, the
-    root's bucket last.  A fused bucket of a plain walk, one list of flat
-    nodes, is read back into keys and payloads (None, or the word).
+
+def nodes(W, walk):
+    """The nodes of a ``_bfs`` walk, one (length, flat node) at a time.
+
+    Each bucket it yields is non-empty, and every node in it has the same
+    least left descent; buckets come by increasing length, and within a
+    length by increasing descent, the root's bucket last.
     """
     last = None
-    for k, keys, payloads in walk:
-        if keys is payloads:  # a fused bucket of a plain walk: each key, then any word
-            r = W.rank
-            keys, payloads = [n[:r] for n in keys], [n[r] if n[r:] else None for n in keys]
-        assert keys and len(keys) == len(payloads)
+    for k, bucket in walk:
+        assert bucket
         descents = {
-            next((d for d in range(W.rank) if W._is_left_descent_data(key, d)), W.rank)
-            for key in keys
+            next((d for d in range(W.rank) if W._is_left_descent_data(node[:W.rank], d)), W.rank)
+            for node in bucket
         }
         assert len(descents) == 1
         here = (k, descents.pop())
         assert last is None or last < here
         last = here
-        yield from ((k, key, payload) for key, payload in zip(keys, payloads))
+        yield from ((k, node) for node in bucket)
 
 
 def walk_record(walk, keep):
     """The yields of a walk, its ResourceLimit message and the filter's calls."""
     calls, yields = [], []
 
-    def recording(key, payload):
-        calls.append((key, payload))
-        return keep(key, payload)
+    def recording(data):
+        calls.append(data)
+        return keep(data)
 
     try:
         for item in walk(None if keep is None else recording):
@@ -302,7 +300,7 @@ def walk_record(walk, keep):
     return yields, None, calls
 
 
-PAYLOADS = ["none", "words", "parabolic", "coset minima", "words and coset minima"]
+PAYLOADS = ["none", "words", "weights", "parabolic", "coset minima", "words and coset minima"]
 
 
 def assert_walk_agrees_with_the_reference(W, label, payload, data):
@@ -313,20 +311,17 @@ def assert_walk_agrees_with_the_reference(W, label, payload, data):
     max_len = data.draw(cutoffs, label="max_len")
     budget = data.draw(st.one_of(st.integers(1, 60), st.just(10**4)), label="budget")
     J = sorted(data.draw(st.sets(st.integers(0, W.rank - 1)), label="J"))
-    kwargs, keep = {}, None
+    tag, keep = None, None
     if "words" in payload:
-        kwargs = dict(start=(), step=[_prepend] * W.rank)
+        tag = ((), word_prefixes(W))
+    if payload == "weights":
+        tag = (0, tuple(range(1, W.rank + 1)))
     if payload == "parabolic":
-        kwargs = dict(start=True, step=[lambda _, i: i in J] * W.rank)
-        keep = lambda _, inside: inside  # noqa: E731
+        keep = lambda key: set(W._reduced_word(key)) <= set(J)  # noqa: E731
     if "coset minima" in payload:
         keep = _coset_minimal(W, J)
-    # the plain walks fuse at their trip, as the streams do; no loop
-    # carries the others' Python step or filter, so they get no fuse
-    fuse = {"none": _plain_fuse(W), "words": _plain_fuse(W, tuple((i,) for i in range(W.rank)))}
-    fused = dict(kwargs, fuse=fuse.get(payload))
-    got = walk_record(lambda k: nodes(W, _bfs(W, max_len, budget, keep=k, **fused)), keep)
-    want = walk_record(lambda k: bfs_all_generators(W, max_len, budget, keep=k, **kwargs), keep)
+    got = walk_record(lambda k: nodes(W, _bfs(W, max_len, budget, keep=k, tag=tag)), keep)
+    want = walk_record(lambda k: bfs_all_generators(W, max_len, budget, keep=k, tag=tag), keep)
     assert got == want
 
 
@@ -340,39 +335,14 @@ def test_bucketed_walk_agrees_with_the_reference(label, payload, data):
 WEIGHT_WALK_LABELS = [label for label in WALK_LABELS if walk_system(label).backend == "weight"]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(WEIGHT_WALK_LABELS), st.data())
-def test_plain_loops_agree_with_the_primitives(label, data):
-    # every bond order, affine G2's 6 and the rank-3 matrix's infinity
-    # among them, on reachable data: a plain loop makes _apply_left's s_i w
-    # from every node, and its tested loop _child's, the child test's None
-    # included; tagged with prefixes (i,), each child's tag is _prepend's
-    W = walk_system(label)
-    w = element_from_word(W, data.draw(words(W.rank, 24), label="word"))
-    word = shortlex_normal_form(W, w)
-    prefixes = tuple((i,) for i in range(W.rank))
-    tested_letters = set().union(*W._above)
-    plain = bucket_loops(W, None, None, None, None)
-    tagged = bucket_loops(W, None, None, None, None, prefixes)
-    for i in range(W.rank):
-        child = W._child(w.data, i)
-        for (untested, tested), tail in ((plain[i], ()), (tagged[i], (word,))):
-            made = W._apply_left(w.data, i) + tuple(_prepend(t, i) for t in tail)
-            assert untested([w.data + tail]) == [made]
-            assert (tested is None) == (i not in tested_letters)
-            if tested is not None:
-                assert tested([w.data + tail]) == ([] if child is None else [made])
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(WEIGHT_WALK_LABELS), st.sampled_from(PAYLOADS), st.integers(1, 60), st.data()
 )
 def test_walk_past_a_low_trip_agrees_with_the_reference(label, payload, after, data):
     # a few dozen stored nodes trip the walk, most often part way through
-    # a layer: the plain walk and the one tagged with words fuse there,
-    # and the walks with a Python step or filter, which get no fuse, stay
-    # on the primitives; yields, filter calls and budget message still match
+    # a layer: plain, tagged and filtered walks alike swap in the compiled
+    # loops there; yields, filter calls and budget message still match
     W = walk_system(label)
     with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
         coxfold._kernels, "_KERNELS", {}
@@ -382,20 +352,18 @@ def test_walk_past_a_low_trip_agrees_with_the_reference(label, payload, after, d
 
 def test_plain_walk_that_fuses_mid_layer_agrees_with_the_reference():
     # at a trip of 12 nodes, the words walk of affine C2 (15 stored after
-    # letter s1 of layer 3) fuses before s2, and makes every later bucket
-    # with the loops, for more than a layer
+    # letter s1 of layer 3) swaps before s2, and makes every later bucket
+    # with the compiled loops, for more than a layer
     W, calls = build_system("affine-C2"), []
-    prefixes = tuple((i,) for i in range(W.rank))
-    kwargs = dict(start=(), step=[_prepend] * W.rank)
+    tag = ((), word_prefixes(W))
     with mock.patch.object(coxeter, "_COMPILE_AFTER", 12), mock.patch.object(
         coxfold._kernels, "_KERNELS", {}
-    ):
-        walk = recording_fuse(calls)(W, 6, 10**4, fuse=_plain_fuse(W, prefixes), **kwargs)
-        got = walk_record(lambda k: nodes(W, walk), None)
-    want = walk_record(lambda k: bfs_all_generators(W, 6, 10**4, **kwargs), None)
+    ), mock.patch.object(coxfold._kernels, "bucket_loops", recording_loops(calls)):
+        got = walk_record(lambda k: nodes(W, _bfs(W, 6, 10**4, tag=tag)), None)
+    want = walk_record(lambda k: bfs_all_generators(W, 6, 10**4, tag=tag), None)
     assert got == want
-    # the first fused letter is not the first of its layer
-    assert calls[0] == (3, 2) and calls[-1][0] == 6
+    # the first compiled letter is not the first of its layer
+    assert calls[0][:2] == (3, 2) and calls[-1][0] == 6
 
 
 SMALL_LABELS = [f"I2({m})" for m in range(3, 13)] + [
@@ -489,49 +457,60 @@ def folding(case):
     return standard_folding(FamilyId(*case))
 
 
-FUSING = [case for case in FOLDINGS if folding(case).source.backend == "weight"]
+def least_weight_folding(name, row):
+    """The folding of a row at its least n whose source and target both have
+    the weight backend (m = 2), or None: I2-An has a dihedral source."""
+    for n in range(row.min_n, row.min_n + 3):
+        f = folding((name, n, 2 if row.takes_m else None))
+        if f.source.backend == f.target.backend == "weight":
+            return f
+    return None
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(FUSING), st.data())
-def test_block_kernels_agree_with_the_python_step(case, data):
-    # on the flat node of a drawn source word, each source letter's
-    # untested loop gives s_r on the source beside the Python block step
-    # on the target, and its tested loop the same child where s_r w is a
-    # tree child of w, and none elsewhere; a letter that no bucket tests
-    # has no tested loop.  With prefixes, the tag before the length gets
-    # the letter's prefix in front (an int weight or a one-letter word),
-    # and a keep never sees the tag
-    f = folding(case)
-    source, target = f.source, f.target
-    x, payload = source.identity().data, (target.identity().data, 0)
-    for r in data.draw(words(source.rank, 16), label="source word"):
-        x, payload = source._apply_left(x, r), target._left_word(f._words[r], payload)
-    (node,) = _flat([x], [payload])
+# the walks whose loops compile: every weight label family of
+# coxeter._GROUPS at its min n, plain, and every folding row between
+# weight systems at its least such n (the finite rows have a rank-2
+# source at min n), as (source, target, words)
+LOOP_WALKS = [
+    (system(label), None, None)
+    for label in (f"{family}{row.min_n}" for family, row in _GROUPS.items())
+    if system(label).backend == "weight"
+] + [
+    (f.source, f.target, f._words)
+    for f in (least_weight_folding(name, row) for name, row in _FAMILIES.items())
+    if f is not None
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LOOP_WALKS), st.data())
+def test_primitive_and_compiled_loops_agree(walk, data):
+    # one loop contract: on flat nodes drawn from a short walk, each
+    # letter's untested and tested loops give the same children on the
+    # primitives (coxeter._loops) as compiled (_kernels.bucket_loops),
+    # plain and tagged with words or int weights, with and without an
+    # ambient cutoff and the coset filter; a letter that no bucket tests
+    # has no compiled tested loop
+    source, target, words = walk
+    cutoff = None if target is None else data.draw(st.none() | st.integers(0, 12), label="cutoff")
+    J = data.draw(st.none() | st.sets(st.integers(0, source.rank - 1)), label="J")
+    keep = None if J is None else _coset_minimal(source, J)
     weights = data.draw(st.tuples(*[st.integers(0, 9)] * source.rank), label="weights")
-    tagged = [(weights, 7), (tuple((r,) for r in range(source.rank)), (5, 0))]
+    tag = data.draw(st.sampled_from([None, ((), word_prefixes(source)), (0, weights)]), label="tag")
+    max_len = data.draw(st.integers(0, 4), label="max_len")
+    walked = [
+        node
+        for _, bucket in _bfs(source, max_len, 10**6, target, words, cutoff, keep, tag)
+        for node in bucket
+    ]
+    drawn = data.draw(st.lists(st.sampled_from(walked), min_size=1, max_size=8), label="nodes")
+    spec = (source, target, words, cutoff, keep, None if tag is None else tag[1])
     tested_letters = set().union(*source._above)
-    for r, (untested, tested) in enumerate(bucket_loops(source, target, f._words, None, None)):
-        child = _flat([source._apply_left(x, r)], [target._left_word(f._words[r], payload)])[0]
-        cases = [(untested, tested, node, child)]
-        for prefixes, tag in tagged:
-            loops = bucket_loops(source, target, f._words, None, None, prefixes)[r]
-            made = child[:-1] + (prefixes[r] + tag,) + child[-1:]
-            cases.append((*loops, node[:-1] + (tag,) + node[-1:], made))
-            # a keep is shown the source data and (target data, length), no tag
-            shown, rank = [], source.rank
-
-            def keep(*seen):  # rejects every child
-                shown.append(seen)
-
-            kept = bucket_loops(source, target, f._words, None, keep, prefixes)[r][0]
-            assert kept([cases[-1][2]]) == []
-            assert shown == [(child[:rank], (child[rank:-1], child[-1]))]
-        for untested, tested, start, made in cases:
-            assert untested([start]) == [made]
-            assert (tested is None) == (r not in tested_letters)
-            if tested is not None:
-                assert tested([start]) == ([] if source._child(x, r) is None else [made])
+    for i, (compiled, primitive) in enumerate(zip(bucket_loops(*spec), _loops(*spec))):
+        assert (compiled[1] is None) == (i not in tested_letters)
+        for tested, loop in enumerate(compiled):
+            if loop is not None:
+                assert primitive[tested](drawn) == loop(drawn), (i, tested)
 
 
 def folding_walk(f, cutoff, J_hat, budget, after=coxeter._COMPILE_AFTER, compiled=None):
@@ -552,7 +531,7 @@ def plain_walk(case, cutoff, J_hat, budget):
     """``folding_walk`` of a fresh folding whose walk, checked after, never compiled."""
     plain, compiled = standard_folding(FamilyId(*case)), {}
     result = folding_walk(plain, cutoff, J_hat, budget, 10**9, compiled)
-    assert compiled == {} and not any(map(is_kernel, plain._steps))
+    assert compiled == {}
     return result
 
 
@@ -575,20 +554,20 @@ def test_folding_walk_that_swaps_in_the_block_kernels_agrees(case, after, data):
 
 
 def test_folding_walk_that_swaps_mid_layer_agrees():
-    # B4 -> D5 with a trip at 20 stored nodes: the walk fuses after a
-    # letter of a layer other than the last, and goes on with the fused
+    # B4 -> D5 with a trip at 20 stored nodes: the walk swaps after a
+    # letter of a layer other than the last, and goes on with the compiled
     # loops for more than a layer to the series and the budget message of
     # the primitives
     case = ("Bn-Dn+1", 4, None)
     calls = []
-    with mock.patch("coxfold.folding._bfs", recording_fuse(calls)):
+    with mock.patch("coxfold._kernels.bucket_loops", recording_loops(calls)):
         got = folding_walk(standard_folding(FamilyId(*case)), None, None, 10**5, 20)
     assert got == plain_walk(case, None, None, 10**5)
-    # the first fused letter is not the first of its layer
-    (k, i), last = calls[0], calls[-1][0]
+    # the first compiled letter is not the first of its layer
+    (k, i), last = calls[0][:2], calls[-1][0]
     assert i != 0 and last > k + 1
     calls.clear()
-    with mock.patch("coxfold.folding._bfs", recording_fuse(calls)):
+    with mock.patch("coxfold._kernels.bucket_loops", recording_loops(calls)):
         message = folding_walk(standard_folding(FamilyId(*case)), None, None, 150, 20)
     assert message == plain_walk(case, None, None, 150) and message.startswith("element budget")
     assert calls

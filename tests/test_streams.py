@@ -12,7 +12,6 @@ import pytest
 from coxfold.coxeter import (
     Element,
     _bfs,
-    _prepend,
     enumerate_up_to,
     enumerate_with_words,
     shortlex_normal_form,
@@ -23,13 +22,15 @@ from oracles import enumerate_parabolic, is_right_descent_data, minimal_coset_re
 
 
 def _minimal_left_walk(system, J, max_len):
-    # the tree walk behind minimal_coset_reps, with its words
-    def minimal(key, payload):
-        return not any(is_right_descent_data(system, key, j) for j in J)
+    # the tree walk of the coset minima, filtered as it goes and tagged
+    # with its words
+    def minimal(data):
+        return not any(is_right_descent_data(system, data, j) for j in J)
 
-    step = [_prepend] * system.rank
-    for k, keys, words in _bfs(system, max_len, 10**6, start=(), step=step, keep=minimal):
-        yield from ((k, key, word) for key, word in zip(keys, words))
+    r = system.rank
+    tag = ((), tuple((i,) for i in range(r)))
+    for k, nodes in _bfs(system, max_len, 10**6, keep=minimal, tag=tag):
+        yield from ((k, node[:r], node[r]) for node in nodes)
 
 
 STREAMS = {

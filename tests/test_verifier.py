@@ -41,6 +41,13 @@ class TestGrid:
         with pytest.raises(CoxfoldError):
             VerificationJob([])
 
+    @pytest.mark.parametrize("budget", ["10", None, 2.5, True, 0, -1], ids=repr)
+    def test_bad_budget_rejected(self, budget):
+        # once, at construction, as the empty grid is: not one
+        # error:InvalidParameters entry per case from the walks
+        with pytest.raises(InvalidParameters, match="element budget must be a positive int"):
+            VerificationJob(default_cases()[:3], budget=budget)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(InvalidParameters, match="'Thm9.9'"):
             default_cases(["I2-An", "Thm9.9"])
