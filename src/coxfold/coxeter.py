@@ -136,7 +136,8 @@ _CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1), INFINITE: (-2, -2)}
 # 5-6 and make a node in 0.3-0.6 us against 1.3-3.4 us on the
 # primitives, so they repay the compile within about 1,300 nodes.  At
 # 1,500 stored nodes no walk of the default verify grid (at most 1,156)
-# or of a Hasse diagram trips, and the stretch walks swap early.
+# or of a Hasse diagram trips; the coset walks of a long affine chain do,
+# such as the 1,850 nodes of affB-affDn+1 n=4 to ambient length 40.
 _COMPILE_AFTER = 1_500
 
 _RELATIONS_HOLD: set = set()  # the entries of every matrix whose relations passed
@@ -595,6 +596,11 @@ def _bfs(
                 if not nodes or d <= i and i not in above[d]:
                     continue
                 loop, rest = loops[i][d < i], nodes
+                if len(rest) <= budget - stored:  # room for a child of every node
+                    new = loop(rest)
+                    stored += len(new)
+                    made += new
+                    continue
                 while rest:  # no more nodes at a time than there is room for, at least one
                     room = max(budget - stored, 1)
                     new, rest = loop(rest[:room]), rest[room:]
@@ -725,14 +731,25 @@ def _coset_minimal(system: CoxeterSystem, J: Iterable[int]):
     W^J is closed under taking parents in the ShortLex tree (a right
     descent in J of s_d w would be one of w too), so a walk under this
     filter reaches all of it.  J is checked once, here.
+
+    Precondition: ``data`` is that of s w for some s and some w in W^J,
+    as it is for every child that a walk which expands only kept nodes
+    tests.  On weight data the filter then keeps, with no inverse, every
+    s w whose data holds no -1: by Deodhar's lemma (Björner–Brenti,
+    *Combinatorics of Coxeter Groups*, §2.5), s w outside W^J is
+    w s_j for some j in J, so w^-1 alpha_s = alpha_j and the entry s of
+    s w is -rho(alpha_j) = -1.  Any other data goes through the inverse.
     """
     J = _subset(system, J)
+    inverse, desc = system._inverse_data, system._is_left_descent_data
 
     def keep(data) -> bool:
-        inv = system._inverse_data(data)
-        return not any(system._is_left_descent_data(inv, j) for j in J)
+        inv = inverse(data)
+        return not any(desc(inv, j) for j in J)
 
-    return keep
+    if system.backend == "dihedral":  # (d, k) holds no entry of a root
+        return keep
+    return lambda data: -1 not in data or keep(data)
 
 
 def bruhat_leq(system: CoxeterSystem, v: Element, w: Element) -> bool:

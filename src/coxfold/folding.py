@@ -31,16 +31,33 @@ source words the unfolded length only grows, so a node past the cutoff
 is not stored and its descendants are never generated.  The series
 walks carry nothing else; the highlighted Hasse diagram walks
 ``_source_records``, which tags each node with its source word, and the
-coset-minima series adds one source filter.  The one structural check,
-``length_additivity_check``, tests the source relations on the block
-elements and equal block lengths across odd bonds, then walks the source
-to a source-length cutoff with the weight sum of each word as the tag:
-where it passes, the ambient length is a weight function on the source,
-which is what the admissibility of the partition and the parabolic
-factorization of the series rest on.  Every walk starts on the
+coset-minima series adds one source filter.
+
+``unfolding_series_bruteforce`` does not walk the whole source: it runs
+down a chain of parabolics, as the paper's Lemma 3.1 does.  With J every
+source generator but the first, each w is w^J w_J with lengths adding,
+so the series is the coset-minima series of W^J times that of
+``Folding.restrict(J)``, the folding of the parabolic W_J, down to rank
+1.  It stays a brute force: the relation stage of the structural check
+runs once at the top, so unfolding is a homomorphism, and each stored
+coset node is certified to unfold to an element with no right descent in
+the union of J's blocks, which makes the ambient lengths add too.  A
+folding whose relations fail, or a parabolic with a node that fails its
+certificate, is walked whole, and so is a manual folding with a cutoff or
+an infinite source, where the chain's pruning or its coset walks would
+part from the walk's: the series is that of the full walk on every
+folding.
+
+The one structural check, ``length_additivity_check``, tests the source
+relations on the block elements (``_relation_failure``, the chain's
+relation stage) and equal block lengths across odd bonds, then walks the
+source to a source-length cutoff with the weight sum of each word as the
+tag: where it passes, the ambient length is a weight function on the
+source, which is what the admissibility of the partition and the
+parabolic factorization of the series rest on.  Every walk starts on the
 primitives; past its compile trip, a walk between two weight systems
-swaps in the generated bucket loops of ``coxfold._kernels``.
-The end-generator statistics take the arguments of
+swaps in the generated bucket loops of ``coxfold._kernels``.  The
+end-generator statistics take the arguments of
 ``closed_forms.reiner_distribution``, a kind (affB or affC) and n, and
 build the affine system from them.  The three builders of a series
 import ``qseries`` when they run, so a process that only unfolds and
@@ -65,12 +82,16 @@ from typing import (
 
 from .coxeter import (
     DEFAULT_BUDGET,
+    INFINITE,
+    _CARTAN,
+    CoxeterMatrix,
     CoxeterSystem,
     Element,
     Word,
     _GROUPS,
     _bfs,
     _coset_minimal,
+    _subset,
     _wrong_order,
     build_system,
     element_from_word,
@@ -277,6 +298,33 @@ class Folding:
         tag = self.family.name if self.family else "manual"
         return f"Folding({tag}: {self.source.label} -> {self.target.label})"
 
+    def restrict(self, J: Iterable[int]) -> "Folding":
+        """The folding of the source parabolic on J into the target parabolic
+        on the union of J's blocks.
+
+        Both are built from their sub-matrices, each letter renumbered by
+        its place in order, so the ShortLex order of either parabolic is
+        the one it has inside its group.
+
+        >>> f = standard_folding(FamilyId("Bn-A2n-1", 3)).restrict([1, 2])
+        >>> f.source.matrix.entries, f.target.matrix.entries, f.unfold_letters
+        (((1, 4), (4, 1)), ((1, 3, 2), (3, 1, 3), (2, 3, 1)), ((0, 2), (1,)))
+        """
+        J = _subset(self.source, J)
+        J_hat = sorted(s for r in J for s in self.blocks[r])
+        place = {s: t for t, s in enumerate(J_hat)}
+
+        def parabolic(system: CoxeterSystem, letters: list) -> CoxeterSystem:
+            rows = system.matrix.entries
+            sub = tuple(tuple(rows[i][j] for j in letters) for i in letters)
+            return build_system(CoxeterMatrix(sub))
+
+        return Folding(
+            parabolic(self.source, J),
+            parabolic(self.target, J_hat),
+            [tuple(place[s] for s in self.unfold_letters[r]) for r in J],
+        )
+
 
 def standard_folding(family: FamilyId) -> Folding:
     """Build a registered folding from its row of the family table.
@@ -369,11 +417,167 @@ def unfolding_series_bruteforce(
     """Count source elements by the length of their unfolded image.
 
     With a cutoff the result is truncated there; without one the entire
-    (finite) source group is enumerated and the result is exact.
-    ``workers`` is accepted for compatibility and ignored: enumeration
-    is single-threaded.
+    (finite) source group is counted and the result is exact.  The count
+    runs down a chain of parabolics (``_chain``), which walks only coset
+    minima, each with its honest ambient length, and certifies every
+    product it takes: for every registered folding, and for a manual one
+    with no cutoff and a finite source (``_chains``).  Any other folding,
+    a folding whose relations fail, and a parabolic of the chain with a
+    node that fails its certificate are walked whole, so the series is
+    that of the full walk on every folding.  The budget bounds each walk
+    of the chain, as it bounds the one walk of a whole folding.
+    ``workers`` is accepted for compatibility and ignored: enumeration is
+    single-threaded.
     """
-    return _series(f, max_ambient_len, None, budget)
+    from .qseries import QSeries
+
+    if max_ambient_len is not None:
+        _check_cutoff(max_ambient_len, "ambient cutoff")
+    _check_budget(budget)
+    if not _chains(f, max_ambient_len) or _relation_failure(f) is not None:
+        return _series(f, max_ambient_len, None, budget)
+    series = _chain(f, max_ambient_len, budget)
+    return QSeries(series.coeffs, series.order)  # the caller's own copy of the memo's
+
+
+def _chains(f: Folding, cutoff: Optional[int]) -> bool:
+    """Whether the chain's series of ``f`` is that of the full walk.
+
+    With no cutoff it is for every finite source: the chain certifies each
+    product it takes.  An infinite source is walked whole, so that it runs
+    out of budget as promptly as it always did: a coset walk tests each
+    child through an inverse as long as its layer.  With a cutoff, each
+    coset walk stops where its own ambient lengths pass it, which
+    truncates as the full walk does where the ambient length adds along
+    reduced words, as the paper proves for the registered families.  A
+    manual folding is walked whole: one of A5 whose relations hold, with
+    blocks s2 s3 s2, s4 and s1 s5, gives 5 at q^4 down the chain and 6 in
+    the walk, which prunes at lengths that do not add.
+    """
+    if f.family is not None:
+        return cutoff is not None or not f.family.is_affine
+    return cutoff is None and _finite(f.source)
+
+
+def _finite(system: CoxeterSystem) -> bool:
+    """Whether the group is finite, read off its matrix.
+
+    At rank 2 it is when its bond is.  At rank >= 3 it is when its Coxeter
+    graph is a forest and its Cartan matrix has positive leading principal
+    minors (Humphreys, *Reflection Groups and Coxeter Groups*, ch. 2 and 6.4):
+    on a cycle, whose bonds are all 3 or more, the vector (1, ..., 1) has
+    norm at most 0, and on a forest each principal minor is a polynomial in
+    the products a_ij a_ji = 4cos^2(pi/m(i, j)), so it has the sign of the
+    minor of the bilinear form.
+    """
+    rows, r = system.matrix.entries, system.rank
+    if r <= 2:
+        return r == 1 or rows[0][1] != INFINITE
+    cartan = [[2 * (i == j) for j in range(r)] for i in range(r)]
+    tree = list(range(r))  # each generator's representative in its component
+
+    def top(i: int) -> int:
+        while tree[i] != i:
+            i = tree[i]
+        return i
+
+    for i in range(r):
+        for j in range(i + 1, r):
+            if rows[i][j] != 2:
+                if top(i) == top(j):
+                    return False  # a cycle
+                tree[top(i)] = top(j)
+                cartan[i][j], cartan[j][i] = _CARTAN[rows[i][j]]
+    # Gaussian elimination in integers: each row below a positive pivot is
+    # scaled by it, which keeps the sign of every later minor, and then
+    # each pivot has the sign of the ratio of two leading minors
+    for k, pivot_row in enumerate(cartan):
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            return False
+        for row in cartan[k + 1:]:
+            if row[k]:
+                row[:] = [pivot * x - row[k] * y for x, y in zip(row, pivot_row)]
+    return True
+
+
+# (source entries, target entries, unfold words, cutoff, budget) -> the series
+_CHAINS: dict = {}
+
+
+def _chain(f: Folding, cutoff: Optional[int], budget: int) -> QSeries:
+    """The unfolded length series of ``f``, whose relations hold, down a chain
+    of parabolics; memoized, as the rows of a grid share their parabolics.
+
+    With J every source generator but r_0 and J_hat the union of J's blocks,
+    every w is w^J w_J, lengths adding (Humphreys, *Reflection Groups and
+    Coxeter Groups*, 1.10 and 5.12; Björner–Brenti, *Combinatorics of
+    Coxeter Groups*, Prop. 2.4.4).  Unfolding is a homomorphism, since
+    the relations hold, and sends w_J into the target parabolic on J_hat.
+    So wherever the image of w^J has no right descent in J_hat, which each
+    coset node is certified for, the image of w is that of w^J times that
+    of w_J with lengths adding, and the series is the coset walk's series
+    times the series of ``f.restrict(J)``.  At rank 1 it is the walk
+    itself, and a folding with a node that fails its certificate is walked
+    whole.
+    """
+    key = (f.source.matrix.entries, f.target.matrix.entries, f.unfold_letters, cutoff, budget)
+    if key not in _CHAINS:
+        _CHAINS[key] = _factored(f, cutoff, budget)
+    return _CHAINS[key]
+
+
+def _factored(f: Folding, cutoff: Optional[int], budget: int) -> QSeries:
+    """The coset walk of ``f`` times the chain of its parabolic, or, at rank 1 or
+    failing a certificate, the walk of the whole source."""
+    r = f.source.rank
+    if r > 1:
+        J = range(1, r)
+        walk = _bfs(f.source, None, budget, f.target, f._words, cutoff, _coset_minimal(f.source, J))
+        lengths = _paused(_certified_lengths, f, walk, [s for j in J for s in f.blocks[j]])
+        if lengths is not None:
+            from .qseries import QSeries
+
+            return QSeries.from_lengths(lengths, cutoff) * _chain(f.restrict(J), cutoff, budget)
+    return _series(f, cutoff, None, budget)
+
+
+def _certified_lengths(f: Folding, walk: Iterator, J_hat: list) -> Optional[list]:
+    """The ambient lengths of an unfolding walk of ``f``, or None at the first
+    node whose image has a right descent in ``J_hat``.
+
+    Each node's parent passed before it, so on weight data Deodhar's lemma,
+    as in ``coxeter._coset_minimal``, certifies most nodes with no inverse:
+    each letter t of the block that made the node, applied to an image with
+    no right descent in J_hat, either keeps it so or leaves entry t at -1.
+    So the block's letters are undone one by one, and only a node with a -1
+    at its letter goes through the inverse.
+    """
+    source, target = f.source, f.target
+    r, end = source.rank, source.rank + target.rank
+    inverse, desc, apply = target._inverse_data, target._is_left_descent_data, target._apply_left
+    dihedral = target.backend == "dihedral"  # (d, k) holds no entry of a root
+
+    def stays(image, letters) -> bool:
+        if dihedral:
+            return False
+        for t in letters:
+            if image[t] == -1:
+                return False
+            image = apply(image, t)
+        return True
+
+    lengths: list = []
+    for _, nodes in walk:
+        # the bucket's least left descent, the letter that made its nodes; none at e
+        d = next((d for d in range(r) if source._is_left_descent_data(nodes[0], d)), None)
+        letters = () if d is None else f.unfold_letters[d]
+        for node in nodes:
+            image = node[r:end]
+            if not stays(image, letters) and any(desc(inverse(image), s) for s in J_hat):
+                return None
+        lengths += map(_LENGTH, nodes)
+    return lengths
 
 
 def unfolded_image(f: Folding, *, budget: int = DEFAULT_BUDGET) -> dict:
@@ -411,12 +615,10 @@ def length_additivity_check(
     if max_source_len is not None:
         _check_cutoff(max_source_len, "length cutoff")
     _check_budget(budget)
+    failure = _relation_failure(f)
+    if failure is not None:
+        return failure
     matrix = f.source.matrix
-    bad = _wrong_order(
-        matrix, (f.target.identity().data, 0), lambda p, r: f.target._left_word(f._words[r], p)
-    )
-    if bad is not None:
-        return ("relation", *bad)
     weights = tuple(elem.length for elem in f.unfold_elements)
     for r in range(matrix.rank):
         for s in range(r + 1, matrix.rank):
@@ -431,6 +633,18 @@ def length_additivity_check(
         if node[-2] != node[-1]
     )
     return _paused(next, failures, None)
+
+
+def _relation_failure(f: Folding) -> Optional[tuple]:
+    """``("relation", r, s)`` for the first finite bond m(r, s) of the source
+    whose block product (g_r g_s)^t, applied to e through ``target._left_word``,
+    does not return to e first at t = m; None when unfolding is a homomorphism."""
+    bad = _wrong_order(
+        f.source.matrix,
+        (f.target.identity().data, 0),
+        lambda p, r: f.target._left_word(f._words[r], p),
+    )
+    return None if bad is None else ("relation", *bad)
 
 
 def coset_series_bruteforce(

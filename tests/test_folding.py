@@ -2,6 +2,7 @@ import gc
 import inspect
 import itertools
 import math
+from functools import partial
 
 import pytest
 
@@ -10,6 +11,7 @@ import coxfold.coxeter
 import coxfold.folding
 from coxfold.closed_forms import unfolding_closed_form
 from coxfold.coxeter import (
+    DEFAULT_BUDGET,
     CoxeterMatrix,
     Element,
     build_system,
@@ -286,8 +288,32 @@ class TestBruteforceSeries:
         assert series.degree() == unfold(f, longest).length
 
     def test_budget(self):
-        # (budget, layer, stored) where the walk stops: nodes pruned by the
-        # cutoff are not counted, and the budget is checked per stored node
+        # (budget, layer, stored) where the chain stops: each of its walks
+        # follows the walk's budget rule, nodes pruned by the cutoff or the
+        # coset filter are not counted, and the budget is checked per stored
+        # node; the coset walks of the first two store 31 and 8 nodes
+        cases = [
+            (FamilyId("affC-affC2n", 2), 20, 10, (10, 6, 11)),
+            (FamilyId("Bn-Dn+1", 4), None, 7, (7, 7, 8)),
+            (FamilyId("affB-affDn+1", 3), 12, 25, (25, 8, 26)),
+        ]
+        for family, L, budget, expected in cases:
+            f = standard_folding(family)
+            with pytest.raises(ResourceLimit) as info:
+                unfolding_series_bruteforce(f, L, budget=budget)
+            stop = info.value
+            assert (stop.budget, stop.layer, stop.stored) == expected, family
+
+    def test_budget_bounds_each_walk_of_the_chain(self):
+        # B4 -> D5 walks 8, 6, 4 and 2 coset minima: a budget of 8 bounds
+        # each walk, not their sum
+        fam = FamilyId("Bn-Dn+1", 4)
+        assert unfolding_series_bruteforce(standard_folding(fam), None, budget=8) == (
+            unfolding_closed_form(fam)
+        )
+
+    def test_full_walk_budget(self):
+        # (budget, layer, stored) where the walk of the whole source stops
         cases = [
             (FamilyId("affC-affC2n", 2), 20, 10, (10, 3, 11)),
             (FamilyId("Bn-Dn+1", 4), None, 100, (100, 6, 101)),
@@ -296,7 +322,7 @@ class TestBruteforceSeries:
         for family, L, budget, expected in cases:
             f = standard_folding(family)
             with pytest.raises(ResourceLimit) as info:
-                unfolding_series_bruteforce(f, L, budget=budget)
+                coxfold.folding._series(f, L, None, budget)
             stop = info.value
             assert (stop.budget, stop.layer, stop.stored) == expected, family
 
@@ -318,8 +344,9 @@ class TestBruteforceSeries:
         assert len(unfolded_image(f)) == 8
 
     def test_walks_with_nothing_to_filter_pass_no_filter(self, monkeypatch):
-        # an exact series and the unfolded image have no cutoff and no
-        # source filter, so their walks get neither; a cutoff comes alone
+        # an exact walk of the whole source and the unfolded image have no
+        # cutoff and no source filter, so their walks get neither; a cutoff
+        # comes alone
         filters = []
         bfs = coxfold.folding._bfs
         signature = inspect.signature(bfs)
@@ -332,9 +359,9 @@ class TestBruteforceSeries:
 
         monkeypatch.setattr(coxfold.folding, "_bfs", recording)
         f = standard_folding(FamilyId("Bn-A2n-1", 2))
-        unfolding_series_bruteforce(f, None)
+        coxfold.folding._series(f, None, None, DEFAULT_BUDGET)
         unfolded_image(f)
-        unfolding_series_bruteforce(f, 3)
+        coxfold.folding._series(f, 3, None, DEFAULT_BUDGET)
         assert filters == [(None, None), (None, None), (3, None)]
 
 
@@ -363,7 +390,7 @@ def test_primitive_loops_run_until_the_walk_swaps(monkeypatch):
     monkeypatch.setattr(coxfold.coxeter, "_loops", loops)
     monkeypatch.setattr(coxfold._kernels, "bucket_loops", recording_loops(events))
     monkeypatch.setattr(coxfold._kernels, "_KERNELS", {})  # this walk compiles its own loops
-    assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(fam)
+    assert coxfold.folding._series(f, None, None, DEFAULT_BUDGET) == unfolding_closed_form(fam)
     # events holds "primitive" per primitive loop call and a tuple per compiled one
     first = next(t for t, event in enumerate(events) if event != "primitive")
     assert first > 0 and "primitive" not in events[first:]
@@ -416,18 +443,19 @@ def test_series_walks_compile_only_between_weight_systems(monkeypatch):
     monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 0)
     monkeypatch.setattr(coxfold._kernels, "bucket_loops", recording_loops(calls))
     fam = FamilyId("Bn-Dn+1", 3)
+    series = partial(coxfold.folding._series, ambient_cutoff=None, keep=None, budget=DEFAULT_BUDGET)
     for _ in range(2):
         f = Folding(build_system("B3"), build_system("D4"), [(0,), (1,), (2, 3)])
-        assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(fam)
+        assert series(f) == unfolding_closed_form(fam)
         assert calls
     assert len(kernels) == 1
     calls.clear()
     f = standard_folding(FamilyId("I2-An", 2))
     assert f.source.backend == f.target.backend == "dihedral"
-    assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(FamilyId("I2-An", 2))
+    assert series(f) == unfolding_closed_form(FamilyId("I2-An", 2))
     f = Folding(build_system("A1"), build_system("I2(3)"), [(0, 1, 0)])
     assert f.source.backend == "weight"
-    assert unfolding_series_bruteforce(f, None) == QSeries([1, 0, 0, 1])
+    assert series(f) == QSeries([1, 0, 0, 1])
     assert not calls and len(kernels) == 1
 
 
@@ -856,3 +884,197 @@ def test_check_agrees_with_the_reference_checks(f):
         reference_factorization(f, J_hat, L).passed for J_hat in subsets
     )
     assert (length_additivity_check(f, L) is None) == expected
+
+
+# -- the chain of parabolics behind unfolding_series_bruteforce
+
+
+def _full_walk(f, L, budget=DEFAULT_BUDGET):
+    """The series of the walk of the whole source, or its ResourceLimit message."""
+    try:
+        return _exact(coxfold.folding._series(f, L, None, budget))
+    except ResourceLimit as exc:
+        return str(exc)
+
+
+def _chained(f, L, budget=DEFAULT_BUDGET):
+    """``unfolding_series_bruteforce`` as ``_full_walk`` reports it, with no memo."""
+    coxfold.folding._CHAINS.clear()
+    try:
+        return _exact(unfolding_series_bruteforce(f, L, budget=budget))
+    except ResourceLimit as exc:
+        return str(exc)
+
+
+CHAIN_ROWS = [
+    FamilyId(name, row.min_n + extra, 2 if row.takes_m else None)
+    for name, row in _FAMILIES.items()
+    for extra in (0, 1, 2)
+]
+
+
+@pytest.mark.parametrize("fam", CHAIN_ROWS, ids=family_label)
+def test_chain_equals_the_full_walk(fam):
+    # by coefficients and order: exact for a finite row, at L = 16 and 30
+    # for an affine one
+    f = standard_folding(fam)
+    for L in (16, 30) if fam.is_affine else (None,):
+        assert _chained(f, L) == _full_walk(f, L), L
+
+
+PRODUCT_ROWS = [
+    (FamilyId(name, n), None)
+    for name in FAMILY_NAMES
+    if not name.startswith("aff")
+    for n in (12, 30)
+] + [
+    (FamilyId(name, row.min_n, 2 if row.takes_m else None), 60)
+    for name, row in _FAMILIES.items()
+    if name.startswith("aff")
+]
+
+
+@pytest.mark.parametrize("fam, L", PRODUCT_ROWS, ids=str)
+def test_chain_equals_the_product_formula(fam, L):
+    # far past any full walk: n = 12 and 30 exact, and L = 60
+    assert _chained(standard_folding(fam), L) == _exact(unfolding_closed_form(fam, L))
+
+
+# A2 -> A3: unfolding is a homomorphism, but r2 r1, a coset minimum of
+# J = {r2}, unfolds to s2 s3 s2 s1 = s3 s2 s1 s3, which ends in s3
+UNCERTIFIED = Folding(build_system("A2"), build_system("A3"), [(0,), (1, 2, 1)])
+
+
+def test_the_certificate_fails_at_a_coset_minimum():
+    f = UNCERTIFIED
+    assert coxfold.folding._relation_failure(f) is None
+    keep = coxfold.coxeter._coset_minimal(f.source, [1])
+    walk = coxfold.coxeter._bfs(f.source, None, DEFAULT_BUDGET, f.target, f._words, None, keep)
+    assert coxfold.folding._certified_lengths(f, walk, [1, 2]) is None
+    # its parabolic, A1 onto the longest element of A2, passes
+    g = f.restrict([1])
+    assert g.source.rank == 1 and g.unfold_letters == ((0, 1, 0),)
+
+
+@pytest.mark.parametrize(
+    "f, coeffs",
+    [
+        # without the certificate, the chain would read 1 + q + q^3 + 2q^4 + q^7
+        (UNCERTIFIED, (1, 1, 0, 1, 2, 1)),
+        # its relations fail; without the relation stage, the chain would read
+        # 1 + q + q^2 + 2q^3 + q^5
+        (A2_A3, (1, 1, 1, 2, 1)),
+    ],
+    ids=["certificate", "relation"],
+)
+def test_a_folding_that_fails_a_stage_is_walked_whole(f, coeffs, monkeypatch):
+    walked = []
+    series = coxfold.folding._series
+
+    def recording(g, *args):
+        walked.append(g)
+        return series(g, *args)
+
+    want = _full_walk(f, None)
+    monkeypatch.setattr(coxfold.folding, "_series", recording)
+    assert _chained(f, None) == want == (coeffs, None)
+    assert walked == [f]
+
+
+# a triangle of bonds 3, 6 and 6 onto A5, with blocks s2 s3 s2, s4 and s1 s5:
+# its relations hold, but its lengths do not add, and cut at 4 its chain
+# reads 5 at q^4 where the walk, which prunes there, reads 6
+UNADDITIVE = Folding(
+    build_system(CoxeterMatrix(((1, 3, 6), (3, 1, 6), (6, 6, 1)))),
+    build_system("A5"),
+    [(1, 2, 1), (3,), (0, 4)],
+)
+
+
+def test_a_manual_folding_is_cut_by_the_full_walk():
+    f = UNADDITIVE
+    assert coxfold.folding._relation_failure(f) is None
+    assert coxfold.folding._chain(f, 4, DEFAULT_BUDGET).coeffs == (1, 3, 4, 4, 5)
+    assert _chained(f, 4) == _full_walk(f, 4) == ((1, 3, 4, 4, 6), 4)
+
+
+def _manual_foldings():
+    """Every manual folding of this file, with a cutoff for an infinite source."""
+    manual = [(Folding(build_system(w[0]), build_system(w[1]), w[2]), None) for w in WITNESSES]
+    manual += [(UNADDITIVE, L) for L in (3, 4, 6)]
+    manual += [(f, L) for f in [UNCERTIFIED, _non_injective()] for L in (0, 2, 5, 9)]
+    manual += [
+        (Folding(build_system("affine-A1"), build_system("A2"), [(0,), (1,)]), L)
+        for L in (2, 3, 6)
+    ]
+    manual += [
+        (Folding(build_system("I2(5)"), build_system("A5"), [(0, 2, 3, 2), (1, 4)]), None),
+        (Folding(build_system("I2(3)"), build_system("A3"), [(0, 1, 0), (2,)]), None),
+        (Folding(build_system("B3"), build_system("D4"), [(0,), (1,), (2, 3)]), None),
+        (Folding(build_system("A1"), build_system("I2(3)"), [(0, 1, 0)]), None),
+    ]
+    return [pytest.param(f, L, id=f"{f.source.label}-{f.target.label}-{t}-{L}")
+            for t, (f, L) in enumerate(manual)]
+
+
+@pytest.mark.parametrize("f, L", _manual_foldings())
+def test_chain_equals_the_full_walk_on_manual_foldings(f, L):
+    # certified or walked whole, a manual folding's series is that of the
+    # walk, exact or cut; where the walk never ends (affine A1 onto A2 stays
+    # within length 3), both run out of budget at the same place
+    assert _chained(f, L, 2000) == _full_walk(f, L, 2000)
+
+
+def test_the_memo_gives_each_caller_its_own_copy():
+    f = standard_folding(FamilyId("Bn-A2n-1", 3))
+    first = unfolding_series_bruteforce(f, None)
+    first.coeffs = (7,)
+    assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(FamilyId("Bn-A2n-1", 3))
+
+
+def _e(r):
+    """The Coxeter matrix of E_r: a path of r - 1 generators, and one more on its third."""
+    rows = [[1 if i == j else 2 for j in range(r)] for i in range(r)]
+    for i, j in [(i, i + 1) for i in range(r - 2)] + [(2, r - 1)]:
+        rows[i][j] = rows[j][i] = 3
+    return CoxeterMatrix(tuple(map(tuple, rows)))
+
+
+FINITENESS = [
+    (label, build_system(label).matrix, not label.startswith("affine"))
+    for label in [
+        "A1", "A7", "B2", "B9", "D4", "D10", "I2(5)", "I2(12)", "affine-A1", "affine-A2",
+        "affine-A6", "affine-B3", "affine-B6", "affine-C2", "affine-C5", "affine-D4", "affine-D8",
+    ]
+] + [
+    (name, CoxeterMatrix(entries), finite) for name, entries, finite in [
+        ("F4", ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1)), True),
+        ("G2xA1", ((1, 6, 2), (6, 1, 2), (2, 2, 1)), True),
+        ("affine-G2", ((1, 6, 2), (6, 1, 3), (2, 3, 1)), False),
+        ("cycle-A2", ((1, 3, 3), (3, 1, 3), (3, 3, 1)), False),
+        ("affine-A1xA1", ((1, 0, 2), (0, 1, 2), (2, 2, 1)), False),
+    ]
+] + [(f"E{r}", _e(r), r <= 8) for r in (6, 7, 8, 9)]
+
+
+@pytest.mark.parametrize(
+    "matrix, finite", [pytest.param(m, finite, id=name) for name, m, finite in FINITENESS]
+)
+def test_finite_reads_the_classification(matrix, finite):
+    assert coxfold.folding._finite(build_system(matrix)) is finite
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        standard_folding(FamilyId("affA-affA", 2, 2)),
+        Folding(build_system("affine-A1"), build_system("affine-A3"), [(0, 2), (1, 3)]),
+    ],
+    ids=["registered", "manual"],
+)
+def test_an_exact_series_of_an_infinite_source_runs_out_as_the_full_walk(f):
+    # no chain: its coset walk, one node a layer, would test each child
+    # through an inverse as long as its layer, and run out at layer 300,
+    # over 200 times later at a budget of 3,000
+    assert _chained(f, None, 300) == _full_walk(f, None, 300)
+    assert _full_walk(f, None, 300).endswith("301 elements stored at layer 150")

@@ -2,7 +2,9 @@
 
 Every walk makes its flat nodes with the loops of ``coxeter._loops`` on
 the primitives.  Past its compile trip, the series walk of a folding
-whose source and target both have the weight backend swaps in
+(``folding._series``, the walk of the whole source that
+``unfolding_series_bruteforce`` falls back to, and, with a filter, its
+coset walks) whose source and target both have the weight backend swaps in
 ``_kernels.bucket_loops``, which make each bucket's children with one
 compiled loop over the same flat (source, target, length) nodes.  Every
 folding row, at its two smallest n (affA-affA at m = 2 and 3), exact and
@@ -52,7 +54,6 @@ from coxfold.folding import (
     length_additivity_check,
     standard_folding,
     unfolded_image,
-    unfolding_series_bruteforce,
 )
 
 from oracles import recording_loops, reference_factorization
@@ -99,7 +100,7 @@ def fused_walk(case, cutoff, J_hat, budget, after, compiled=None):
     with recorded(after, calls, compiled):
         try:
             if J_hat is None:
-                result = unfolding_series_bruteforce(f, cutoff, budget=budget)
+                result = coxfold.folding._series(f, cutoff, None, budget)
             else:
                 result = coset_series_bruteforce(f, J_hat, cutoff, budget=budget)
         except ResourceLimit as exc:
@@ -337,7 +338,7 @@ def test_the_walks_of_one_folding_compile_their_own_loops():
     # never swaps
     f, compiled, calls = standard_folding(FamilyId("Bn-Dn+1", 3)), {}, []
     walks = [
-        lambda: unfolding_series_bruteforce(f, None),
+        lambda: coxfold.folding._series(f, None, None, coxeter.DEFAULT_BUDGET),
         lambda: length_additivity_check(f, None),
         lambda: list(_source_records(f)),
     ]
@@ -363,7 +364,7 @@ def cut_runs(case):
     and the additivity check's."""
     cutoff, max_len = 12, 6 if case[0].startswith("aff") else None
     return {
-        "series": lambda f, budget: unfolding_series_bruteforce(f, cutoff, budget=budget),
+        "series": lambda f, budget: coxfold.folding._series(f, cutoff, None, budget),
         "coset": lambda f, budget: coset_series_bruteforce(f, (0,), cutoff, budget=budget),
         "records": lambda f, budget: list(_source_records(f, ambient_cutoff=cutoff, budget=budget)),
         "check": lambda f, budget: length_additivity_check(f, max_len, budget=budget),

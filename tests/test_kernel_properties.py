@@ -35,9 +35,9 @@ from coxfold.errors import CoxfoldError, ResourceLimit
 from coxfold.folding import (
     _FAMILIES,
     FamilyId,
+    _series,
     coset_series_bruteforce,
     standard_folding,
-    unfolding_series_bruteforce,
 )
 
 from oracles import (
@@ -332,6 +332,21 @@ def test_bucketed_walk_agrees_with_the_reference(label, payload, data):
     assert_walk_agrees_with_the_reference(W, label, payload, data)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(WALK_LABELS), st.data())
+def test_fast_coset_filter_is_exact_on_every_step_out_of_the_minima(label, data):
+    # Deodhar's lemma: for w in W^J, every s w, a child or not, that leaves
+    # W^J has -1 at entry s, so the filter's fast path, which keeps weight
+    # data holding no -1 untested, answers as the right-descent test does
+    W = walk_system(label)
+    J = sorted(data.draw(st.sets(st.integers(0, W.rank - 1)), label="J"))
+    keep = _coset_minimal(W, J)
+    for w in minimal_coset_reps(W, J, data.draw(st.integers(0, 6), label="max_len")):
+        for s in range(W.rank):
+            child = W._apply_left(w.data, s)
+            assert keep(child) == (not any(is_right_descent_data(W, child, j) for j in J))
+
+
 WEIGHT_WALK_LABELS = [label for label in WALK_LABELS if walk_system(label).backend == "weight"]
 
 
@@ -514,14 +529,15 @@ def test_primitive_and_compiled_loops_agree(walk, data):
 
 
 def folding_walk(f, cutoff, J_hat, budget, after=coxeter._COMPILE_AFTER, compiled=None):
-    """The series of a folding walk, or its ResourceLimit message, under ``after``,
-    with the loop cache ``compiled``, empty by default, so no loops compiled before it."""
+    """The series of a folding walk of the whole source (``folding._series``) or of
+    its coset minima, or its ResourceLimit message, under ``after``, with the
+    loop cache ``compiled``, empty by default, so no loops compiled before it."""
     with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
         coxfold._kernels, "_KERNELS", {} if compiled is None else compiled
     ):
         try:
             if J_hat is None:
-                return unfolding_series_bruteforce(f, cutoff, budget=budget)
+                return _series(f, cutoff, None, budget)
             return coset_series_bruteforce(f, J_hat, cutoff, budget=budget)
         except ResourceLimit as exc:
             return str(exc)
