@@ -596,11 +596,6 @@ def _bfs(
                 if not nodes or d <= i and i not in above[d]:
                     continue
                 loop, rest = loops[i][d < i], nodes
-                if len(rest) <= budget - stored:  # room for a child of every node
-                    new = loop(rest)
-                    stored += len(new)
-                    made += new
-                    continue
                 while rest:  # no more nodes at a time than there is room for, at least one
                     room = max(budget - stored, 1)
                     new, rest = loop(rest[:room]), rest[room:]
@@ -726,19 +721,11 @@ def parabolic_decompose(
 
 
 def _coset_minimal(system: CoxeterSystem, J: Iterable[int]):
-    """The ``_bfs`` filter keep(data): the element has no right descent in J.
+    """The exact test keep(data): the element has no right descent in J.
 
     W^J is closed under taking parents in the ShortLex tree (a right
     descent in J of s_d w would be one of w too), so a walk under this
     filter reaches all of it.  J is checked once, here.
-
-    Precondition: ``data`` is that of s w for some s and some w in W^J,
-    as it is for every child that a walk which expands only kept nodes
-    tests.  On weight data the filter then keeps, with no inverse, every
-    s w whose data holds no -1: by Deodhar's lemma (Björner–Brenti,
-    *Combinatorics of Coxeter Groups*, §2.5), s w outside W^J is
-    w s_j for some j in J, so w^-1 alpha_s = alpha_j and the entry s of
-    s w is -rho(alpha_j) = -1.  Any other data goes through the inverse.
     """
     J = _subset(system, J)
     inverse, desc = system._inverse_data, system._is_left_descent_data
@@ -747,6 +734,23 @@ def _coset_minimal(system: CoxeterSystem, J: Iterable[int]):
         inv = inverse(data)
         return not any(desc(inv, j) for j in J)
 
+    return keep
+
+
+def _coset_child_filter(system: CoxeterSystem, J: Iterable[int]):
+    """The ``_bfs`` filter of a walk of W^J: ``_coset_minimal`` with a shortcut
+    that holds only on the children such a walk tests.
+
+    Precondition: ``data`` is that of s w for some s and some w in W^J,
+    as it is for every child that a walk which expands only kept nodes
+    tests; on any other data the filter may keep an element outside W^J.
+    On weight data it keeps, with no inverse, every s w whose data holds
+    no -1: by Deodhar's lemma (Björner–Brenti, *Combinatorics of Coxeter
+    Groups*, §2.5), s w outside W^J is w s_j for some j in J, so
+    w^-1 alpha_s = alpha_j and the entry s of s w is -rho(alpha_j) = -1.
+    Any other data goes through ``_coset_minimal``'s inverse.
+    """
+    keep = _coset_minimal(system, J)
     if system.backend == "dihedral":  # (d, k) holds no entry of a root
         return keep
     return lambda data: -1 not in data or keep(data)

@@ -33,20 +33,19 @@ walks carry nothing else; the highlighted Hasse diagram walks
 ``_source_records``, which tags each node with its source word, and the
 coset-minima series adds one source filter.
 
-``unfolding_series_bruteforce`` does not walk the whole source: it runs
-down a chain of parabolics, as the paper's Lemma 3.1 does.  With J every
-source generator but the first, each w is w^J w_J with lengths adding,
-so the series is the coset-minima series of W^J times that of
-``Folding.restrict(J)``, the folding of the parabolic W_J, down to rank
-1.  It stays a brute force: the relation stage of the structural check
-runs once at the top, so unfolding is a homomorphism, and each stored
-coset node is certified to unfold to an element with no right descent in
-the union of J's blocks, which makes the ambient lengths add too.  A
-folding whose relations fail, or a parabolic with a node that fails its
-certificate, is walked whole, and so is a manual folding with a cutoff or
-an infinite source, where the chain's pruning or its coset walks would
-part from the walk's: the series is that of the full walk on every
-folding.
+``unfolding_series_bruteforce`` does not walk the whole source of a
+registered folding: it runs down a chain of parabolics, as the paper's
+Lemma 3.1 does.  With J every source generator but the first, each w is
+w^J w_J with lengths adding, so the series is the coset-minima series of
+W^J times that of ``Folding.restrict(J)``, the folding of the parabolic
+W_J, down to rank 1.  It stays a brute force: the relation stage of the
+structural check runs once at the top, so unfolding is a homomorphism,
+and each stored coset node is certified to unfold to an element with no
+right descent in the union of J's blocks, which makes the ambient
+lengths add too.  A folding whose relations fail, or a parabolic with a
+node that fails its certificate, is walked whole, and so are a manual
+folding and the exact series of an infinite source: the series is that
+of the full walk on every folding.
 
 The one structural check, ``length_additivity_check``, tests the source
 relations on the block elements (``_relation_failure``, the chain's
@@ -82,15 +81,13 @@ from typing import (
 
 from .coxeter import (
     DEFAULT_BUDGET,
-    INFINITE,
-    _CARTAN,
     CoxeterMatrix,
     CoxeterSystem,
     Element,
     Word,
     _GROUPS,
     _bfs,
-    _coset_minimal,
+    _coset_child_filter,
     _subset,
     _wrong_order,
     build_system,
@@ -417,128 +414,69 @@ def unfolding_series_bruteforce(
     """Count source elements by the length of their unfolded image.
 
     With a cutoff the result is truncated there; without one the entire
-    (finite) source group is counted and the result is exact.  The count
-    runs down a chain of parabolics (``_chain``), which walks only coset
-    minima, each with its honest ambient length, and certifies every
-    product it takes: for every registered folding, and for a manual one
-    with no cutoff and a finite source (``_chains``).  Any other folding,
-    a folding whose relations fail, and a parabolic of the chain with a
-    node that fails its certificate are walked whole, so the series is
-    that of the full walk on every folding.  The budget bounds each walk
-    of the chain, as it bounds the one walk of a whole folding.
-    ``workers`` is accepted for compatibility and ignored: enumeration is
-    single-threaded.
+    (finite) source group is counted and the result is exact.  A
+    registered folding is counted down a chain of parabolics (``_chain``),
+    which walks only coset minima, each with its honest ambient length,
+    and certifies every product it takes; its exact series needs a finite
+    source.  A manual folding, the exact series of an infinite source, a
+    folding whose relations fail and a parabolic of the chain with a node
+    that fails its certificate are walked whole, so the series is that of
+    the full walk on every folding.  The budget bounds each walk of the
+    chain, as it bounds the one walk of a whole folding.  ``workers`` is
+    accepted for compatibility and ignored: enumeration is single-threaded.
     """
-    from .qseries import QSeries
-
     if max_ambient_len is not None:
         _check_cutoff(max_ambient_len, "ambient cutoff")
     _check_budget(budget)
-    if not _chains(f, max_ambient_len) or _relation_failure(f) is not None:
+    # an infinite source runs out of budget sooner walked whole: a coset
+    # walk tests each child through an inverse as long as its layer
+    if f.family is None or max_ambient_len is None and f.family.is_affine:
         return _series(f, max_ambient_len, None, budget)
-    series = _chain(f, max_ambient_len, budget)
-    return QSeries(series.coeffs, series.order)  # the caller's own copy of the memo's
-
-
-def _chains(f: Folding, cutoff: Optional[int]) -> bool:
-    """Whether the chain's series of ``f`` is that of the full walk.
-
-    With no cutoff it is for every finite source: the chain certifies each
-    product it takes.  An infinite source is walked whole, so that it runs
-    out of budget as promptly as it always did: a coset walk tests each
-    child through an inverse as long as its layer.  With a cutoff, each
-    coset walk stops where its own ambient lengths pass it, which
-    truncates as the full walk does where the ambient length adds along
-    reduced words, as the paper proves for the registered families.  A
-    manual folding is walked whole: one of A5 whose relations hold, with
-    blocks s2 s3 s2, s4 and s1 s5, gives 5 at q^4 down the chain and 6 in
-    the walk, which prunes at lengths that do not add.
-    """
-    if f.family is not None:
-        return cutoff is not None or not f.family.is_affine
-    return cutoff is None and _finite(f.source)
-
-
-def _finite(system: CoxeterSystem) -> bool:
-    """Whether the group is finite, read off its matrix.
-
-    At rank 2 it is when its bond is.  At rank >= 3 it is when its Coxeter
-    graph is a forest and its Cartan matrix has positive leading principal
-    minors (Humphreys, *Reflection Groups and Coxeter Groups*, ch. 2 and 6.4):
-    on a cycle, whose bonds are all 3 or more, the vector (1, ..., 1) has
-    norm at most 0, and on a forest each principal minor is a polynomial in
-    the products a_ij a_ji = 4cos^2(pi/m(i, j)), so it has the sign of the
-    minor of the bilinear form.
-    """
-    rows, r = system.matrix.entries, system.rank
-    if r <= 2:
-        return r == 1 or rows[0][1] != INFINITE
-    cartan = [[2 * (i == j) for j in range(r)] for i in range(r)]
-    tree = list(range(r))  # each generator's representative in its component
-
-    def top(i: int) -> int:
-        while tree[i] != i:
-            i = tree[i]
-        return i
-
-    for i in range(r):
-        for j in range(i + 1, r):
-            if rows[i][j] != 2:
-                if top(i) == top(j):
-                    return False  # a cycle
-                tree[top(i)] = top(j)
-                cartan[i][j], cartan[j][i] = _CARTAN[rows[i][j]]
-    # Gaussian elimination in integers: each row below a positive pivot is
-    # scaled by it, which keeps the sign of every later minor, and then
-    # each pivot has the sign of the ratio of two leading minors
-    for k, pivot_row in enumerate(cartan):
-        pivot = pivot_row[k]
-        if pivot <= 0:
-            return False
-        for row in cartan[k + 1:]:
-            if row[k]:
-                row[:] = [pivot * x - row[k] * y for x, y in zip(row, pivot_row)]
-    return True
-
-
-# (source entries, target entries, unfold words, cutoff, budget) -> the series
-_CHAINS: dict = {}
+    return _chain(f, max_ambient_len, budget)
 
 
 def _chain(f: Folding, cutoff: Optional[int], budget: int) -> QSeries:
-    """The unfolded length series of ``f``, whose relations hold, down a chain
-    of parabolics; memoized, as the rows of a grid share their parabolics.
+    """The unfolded length series of ``f`` down a chain of parabolics, or the
+    series of the full walk where a relation or a certificate fails.
+
+    The relation stage runs once, here.  Where it passes, unfolding is a
+    homomorphism, and ``_factored`` takes the chain down.
+    """
+    if _relation_failure(f) is not None:
+        return _series(f, cutoff, None, budget)
+    return _factored(f, cutoff, budget)
+
+
+def _factored(f: Folding, cutoff: Optional[int], budget: int) -> QSeries:
+    """The coset walk of ``f``, whose relations hold, times the chain of its
+    parabolic, or, at rank 1 or failing a certificate, the walk of the whole
+    source.
 
     With J every source generator but r_0 and J_hat the union of J's blocks,
     every w is w^J w_J, lengths adding (Humphreys, *Reflection Groups and
     Coxeter Groups*, 1.10 and 5.12; Björner–Brenti, *Combinatorics of
-    Coxeter Groups*, Prop. 2.4.4).  Unfolding is a homomorphism, since
-    the relations hold, and sends w_J into the target parabolic on J_hat.
-    So wherever the image of w^J has no right descent in J_hat, which each
-    coset node is certified for, the image of w is that of w^J times that
-    of w_J with lengths adding, and the series is the coset walk's series
-    times the series of ``f.restrict(J)``.  At rank 1 it is the walk
-    itself, and a folding with a node that fails its certificate is walked
-    whole.
+    Coxeter Groups*, Prop. 2.4.4).  Unfolding is a homomorphism and sends
+    w_J into the target parabolic on J_hat.  So wherever the image of w^J
+    has no right descent in J_hat, which each coset node is certified for,
+    the image of w is that of w^J times that of w_J with lengths adding,
+    and the series is the coset walk's series times the series of
+    ``f.restrict(J)``, whose relations hold too.  With a cutoff, each coset
+    walk stops where its own ambient lengths pass it, which truncates as
+    the full walk does where the ambient length adds along reduced words,
+    as the paper proves for the registered families; on a manual folding
+    it need not (one of A5 with blocks s2 s3 s2, s4 and s1 s5 reads 5 at
+    q^4 here and 6 in the walk).
     """
-    key = (f.source.matrix.entries, f.target.matrix.entries, f.unfold_letters, cutoff, budget)
-    if key not in _CHAINS:
-        _CHAINS[key] = _factored(f, cutoff, budget)
-    return _CHAINS[key]
-
-
-def _factored(f: Folding, cutoff: Optional[int], budget: int) -> QSeries:
-    """The coset walk of ``f`` times the chain of its parabolic, or, at rank 1 or
-    failing a certificate, the walk of the whole source."""
     r = f.source.rank
     if r > 1:
         J = range(1, r)
-        walk = _bfs(f.source, None, budget, f.target, f._words, cutoff, _coset_minimal(f.source, J))
+        keep = _coset_child_filter(f.source, J)
+        walk = _bfs(f.source, None, budget, f.target, f._words, cutoff, keep)
         lengths = _paused(_certified_lengths, f, walk, [s for j in J for s in f.blocks[j]])
         if lengths is not None:
             from .qseries import QSeries
 
-            return QSeries.from_lengths(lengths, cutoff) * _chain(f.restrict(J), cutoff, budget)
+            return QSeries.from_lengths(lengths, cutoff) * _factored(f.restrict(J), cutoff, budget)
     return _series(f, cutoff, None, budget)
 
 
@@ -547,7 +485,7 @@ def _certified_lengths(f: Folding, walk: Iterator, J_hat: list) -> Optional[list
     node whose image has a right descent in ``J_hat``.
 
     Each node's parent passed before it, so on weight data Deodhar's lemma,
-    as in ``coxeter._coset_minimal``, certifies most nodes with no inverse:
+    as in ``coxeter._coset_child_filter``, certifies most nodes with no inverse:
     each letter t of the block that made the node, applied to an image with
     no right descent in J_hat, either keeps it so or leaves entry t at -1.
     So the block's letters are undone one by one, and only a node with a -1
@@ -655,7 +593,7 @@ def coset_series_bruteforce(
     budget: int = DEFAULT_BUDGET,
 ) -> QSeries:
     """Unfolded length distribution of the source coset minima for J_hat."""
-    return _series(f, max_ambient_len, _coset_minimal(f.source, J_hat), budget)
+    return _series(f, max_ambient_len, _coset_child_filter(f.source, J_hat), budget)
 
 
 def reiner_stats_bruteforce(

@@ -897,13 +897,17 @@ def _full_walk(f, L, budget=DEFAULT_BUDGET):
         return str(exc)
 
 
-def _chained(f, L, budget=DEFAULT_BUDGET):
-    """``unfolding_series_bruteforce`` as ``_full_walk`` reports it, with no memo."""
-    coxfold.folding._CHAINS.clear()
+def _chained(f, L, budget=DEFAULT_BUDGET, series=unfolding_series_bruteforce):
+    """``unfolding_series_bruteforce``, or ``series``, as ``_full_walk`` reports it."""
     try:
-        return _exact(unfolding_series_bruteforce(f, L, budget=budget))
+        return _exact(series(f, L, budget=budget))
     except ResourceLimit as exc:
         return str(exc)
+
+
+def _down_the_chain(f, L, budget):
+    """``folding._chain``, which a manual folding reaches only here."""
+    return coxfold.folding._chain(f, L, budget)
 
 
 CHAIN_ROWS = [
@@ -948,7 +952,7 @@ UNCERTIFIED = Folding(build_system("A2"), build_system("A3"), [(0,), (1, 2, 1)])
 def test_the_certificate_fails_at_a_coset_minimum():
     f = UNCERTIFIED
     assert coxfold.folding._relation_failure(f) is None
-    keep = coxfold.coxeter._coset_minimal(f.source, [1])
+    keep = coxfold.coxeter._coset_child_filter(f.source, [1])
     walk = coxfold.coxeter._bfs(f.source, None, DEFAULT_BUDGET, f.target, f._words, None, keep)
     assert coxfold.folding._certified_lengths(f, walk, [1, 2]) is None
     # its parabolic, A1 onto the longest element of A2, passes
@@ -977,7 +981,7 @@ def test_a_folding_that_fails_a_stage_is_walked_whole(f, coeffs, monkeypatch):
 
     want = _full_walk(f, None)
     monkeypatch.setattr(coxfold.folding, "_series", recording)
-    assert _chained(f, None) == want == (coeffs, None)
+    assert _chained(f, None, series=_down_the_chain) == want == (coeffs, None)
     assert walked == [f]
 
 
@@ -991,10 +995,10 @@ UNADDITIVE = Folding(
 )
 
 
-def test_a_manual_folding_is_cut_by_the_full_walk():
+def test_a_manual_folding_is_walked_whole():
     f = UNADDITIVE
     assert coxfold.folding._relation_failure(f) is None
-    assert coxfold.folding._chain(f, 4, DEFAULT_BUDGET).coeffs == (1, 3, 4, 4, 5)
+    assert _down_the_chain(f, 4, DEFAULT_BUDGET).coeffs == (1, 3, 4, 4, 5)
     assert _chained(f, 4) == _full_walk(f, 4) == ((1, 3, 4, 4, 6), 4)
 
 
@@ -1019,49 +1023,13 @@ def _manual_foldings():
 
 @pytest.mark.parametrize("f, L", _manual_foldings())
 def test_chain_equals_the_full_walk_on_manual_foldings(f, L):
-    # certified or walked whole, a manual folding's series is that of the
-    # walk, exact or cut; where the walk never ends (affine A1 onto A2 stays
-    # within length 3), both run out of budget at the same place
+    # a manual folding is walked whole, exact or cut; where the walk never
+    # ends (affine A1 onto A2 stays within length 3), it runs out of budget.
+    # Exact, its finite source goes down the chain as a registered one
+    # would: certified or walked whole, the series is that of the walk
     assert _chained(f, L, 2000) == _full_walk(f, L, 2000)
-
-
-def test_the_memo_gives_each_caller_its_own_copy():
-    f = standard_folding(FamilyId("Bn-A2n-1", 3))
-    first = unfolding_series_bruteforce(f, None)
-    first.coeffs = (7,)
-    assert unfolding_series_bruteforce(f, None) == unfolding_closed_form(FamilyId("Bn-A2n-1", 3))
-
-
-def _e(r):
-    """The Coxeter matrix of E_r: a path of r - 1 generators, and one more on its third."""
-    rows = [[1 if i == j else 2 for j in range(r)] for i in range(r)]
-    for i, j in [(i, i + 1) for i in range(r - 2)] + [(2, r - 1)]:
-        rows[i][j] = rows[j][i] = 3
-    return CoxeterMatrix(tuple(map(tuple, rows)))
-
-
-FINITENESS = [
-    (label, build_system(label).matrix, not label.startswith("affine"))
-    for label in [
-        "A1", "A7", "B2", "B9", "D4", "D10", "I2(5)", "I2(12)", "affine-A1", "affine-A2",
-        "affine-A6", "affine-B3", "affine-B6", "affine-C2", "affine-C5", "affine-D4", "affine-D8",
-    ]
-] + [
-    (name, CoxeterMatrix(entries), finite) for name, entries, finite in [
-        ("F4", ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1)), True),
-        ("G2xA1", ((1, 6, 2), (6, 1, 2), (2, 2, 1)), True),
-        ("affine-G2", ((1, 6, 2), (6, 1, 3), (2, 3, 1)), False),
-        ("cycle-A2", ((1, 3, 3), (3, 1, 3), (3, 3, 1)), False),
-        ("affine-A1xA1", ((1, 0, 2), (0, 1, 2), (2, 2, 1)), False),
-    ]
-] + [(f"E{r}", _e(r), r <= 8) for r in (6, 7, 8, 9)]
-
-
-@pytest.mark.parametrize(
-    "matrix, finite", [pytest.param(m, finite, id=name) for name, m, finite in FINITENESS]
-)
-def test_finite_reads_the_classification(matrix, finite):
-    assert coxfold.folding._finite(build_system(matrix)) is finite
+    if L is None:
+        assert _chained(f, None, 2000, series=_down_the_chain) == _full_walk(f, None, 2000)
 
 
 @pytest.mark.parametrize(

@@ -39,7 +39,7 @@ from coxfold.coxeter import (
     _GROUPS,
     CoxeterMatrix,
     _bfs,
-    _coset_minimal,
+    _coset_child_filter,
     build_system,
     enumerate_up_to,
     enumerate_with_words,
@@ -123,7 +123,7 @@ def mid_layer_trip(case, cutoff, J_hat):
     source = f.source
     if source.backend != "weight":
         return None
-    keep = None if J_hat is None else _coset_minimal(source, J_hat)
+    keep = None if J_hat is None else _coset_child_filter(source, J_hat)
     return trip_after_a_letter(source, _bfs(source, None, NEVER, f.target, f._words, cutoff, keep))
 
 

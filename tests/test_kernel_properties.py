@@ -17,6 +17,7 @@ from coxfold.coxeter import (
     _GROUPS,
     CoxeterMatrix,
     _bfs,
+    _coset_child_filter,
     _coset_minimal,
     _loops,
     all_reduced_words,
@@ -319,7 +320,7 @@ def assert_walk_agrees_with_the_reference(W, label, payload, data):
     if payload == "parabolic":
         keep = lambda key: set(W._reduced_word(key)) <= set(J)  # noqa: E731
     if "coset minima" in payload:
-        keep = _coset_minimal(W, J)
+        keep = _coset_child_filter(W, J)
     got = walk_record(lambda k: nodes(W, _bfs(W, max_len, budget, keep=k, tag=tag)), keep)
     want = walk_record(lambda k: bfs_all_generators(W, max_len, budget, keep=k, tag=tag), keep)
     assert got == want
@@ -340,11 +341,22 @@ def test_fast_coset_filter_is_exact_on_every_step_out_of_the_minima(label, data)
     # data holding no -1 untested, answers as the right-descent test does
     W = walk_system(label)
     J = sorted(data.draw(st.sets(st.integers(0, W.rank - 1)), label="J"))
-    keep = _coset_minimal(W, J)
+    keep = _coset_child_filter(W, J)
     for w in minimal_coset_reps(W, J, data.draw(st.integers(0, 6), label="max_len")):
         for s in range(W.rank):
             child = W._apply_left(w.data, s)
             assert keep(child) == (not any(is_right_descent_data(W, child, j) for j in J))
+
+
+def test_the_fast_coset_filter_needs_its_precondition():
+    # s2 s1 in A3 ends in s1, so it is outside W^J for J = {s1}, and its data
+    # holds no -1: it is s2 s1 with s1 outside W^J, so the walk filter keeps
+    # it, while _coset_minimal stays the exact test on any element
+    W = build_system("A3")
+    data = element_from_word(W, (1, 0)).data
+    assert -1 not in data
+    assert _coset_minimal(W, [0])(data) is False
+    assert _coset_child_filter(W, [0])(data) is True
 
 
 WEIGHT_WALK_LABELS = [label for label in WALK_LABELS if walk_system(label).backend == "weight"]
@@ -509,7 +521,7 @@ def test_primitive_and_compiled_loops_agree(walk, data):
     source, target, words = walk
     cutoff = None if target is None else data.draw(st.none() | st.integers(0, 12), label="cutoff")
     J = data.draw(st.none() | st.sets(st.integers(0, source.rank - 1)), label="J")
-    keep = None if J is None else _coset_minimal(source, J)
+    keep = None if J is None else _coset_child_filter(source, J)
     weights = data.draw(st.tuples(*[st.integers(0, 9)] * source.rank), label="weights")
     tag = data.draw(st.sampled_from([None, ((), word_prefixes(source)), (0, weights)]), label="tag")
     max_len = data.draw(st.integers(0, 4), label="max_len")
