@@ -9,7 +9,9 @@ two-variable distribution specializations.
 Importing the package loads none of its modules.  Each exported name
 below, and each module that exports one, loads on first use (PEP 562),
 so a process compiles only the modules it runs: ``coxfold bruhat-dot``
-never loads the closed forms, the q-series or the verifier.
+never loads the closed forms, the q-series or the verifier.  The table
+holds what the command line, the benchmark and library callers use;
+operations that only the tests call live with the tests.
 """
 
 from importlib import import_module
@@ -29,9 +31,6 @@ _EXPORTS = {
             "element_from_word",
             "enumerate_up_to",
             "enumerate_with_words",
-            "length",
-            "parabolic_decompose",
-            "right_descents",
             "shortlex_normal_form",
         ),
         "coxeter",
@@ -69,14 +68,12 @@ _EXPORTS = {
             "length_additivity_check",
             "reiner_stats_bruteforce",
             "standard_folding",
-            "unfold",
-            "unfold_word",
             "unfolding_series_bruteforce",
         ),
         "folding",
     ),
     **dict.fromkeys(
-        ("Monomial", "QSeries", "StatSeries", "q_factorial", "q_integer", "q_pochhammer"),
+        ("Monomial", "QSeries", "StatSeries", "q_factorial", "q_integer"),
         "qseries",
     ),
     **dict.fromkeys(("VerificationJob", "default_cases", "run_job"), "verifier"),

@@ -168,15 +168,13 @@ def cmd_verify(args) -> int:
 
 
 def _parse_monomial(text: str) -> Monomial:
-    if text in ("0", "1"):
-        return Monomial(int(text), 0)
-    sign = 1
-    if text.startswith("-"):
-        sign, text = -1, text[1:]
-    if text == "q":
+    sign, body = (-1, text[1:]) if text.startswith("-") else (1, text)
+    if body in ("0", "1"):
+        return Monomial(sign * int(body), 0)
+    if body == "q":
         return Monomial(sign, 1)
-    if text.startswith("q^") and text[2:].removeprefix("-").isdecimal():
-        return Monomial(sign, int(text[2:]))
+    if body.startswith("q^") and body[2:].removeprefix("-").isdecimal():
+        return Monomial(sign, int(body[2:]))
     raise InvalidParameters(f"cannot parse substitution value {text!r}")
 
 

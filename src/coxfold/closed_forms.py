@@ -18,9 +18,9 @@ Two readings are deliberately corrected relative to their commonly
 printed shapes, in both cases adjudicated by the brute-force oracle:
 
 * ``Thm1.5`` and ``Bott-affA``: the k = 1 factor would divide by
-  ``1 - q^0 = 0``; the product runs over k = 2..n.  The literal k = 1
-  factor is kept behind a ``literal`` debug flag so the failure stays
-  demonstrable (it raises NonUnitDivisor).
+  ``1 - q^0 = 0``; the product runs over k = 2..n.  The product as
+  printed, from k = 1, is one private evaluator, ``_literal_affine_a``,
+  so the failure stays demonstrable (it raises NonUnitDivisor).
 * ``Thm1.6-2``/``Thm1.6-3``: the numerator product starts at k = 2
   (the k = 1 factor would contribute a spurious constant 2), and
   ``Thm1.7-1``: the second q-integer factor carries base (-1)^(n+1) q.
@@ -114,9 +114,9 @@ def _dihedral(n: int, parity: int) -> list:
     return [_qint(2, 1, m - 1), _qint(2, 1, m), _qint(m, 1, n)]
 
 
-def _affine_a(n: int, m: int, literal: bool) -> tuple:
-    """prod_{k=2..n} [k]_{q^m} / (1 - q^{(k-1)m}), from k = 1 if literal."""
-    ks = range(1 if literal else 2, n + 1)
+def _affine_a(first: int, n: int, m: int) -> tuple:
+    """prod_{k=first..n} [k]_{q^m} / (1 - q^{(k-1)m})."""
+    ks = range(first, n + 1)
     return [_qint(k, 1, m) for k in ks], [_binomial(-1, (k - 1) * m) for k in ks]
 
 
@@ -124,7 +124,7 @@ class _Formula(NamedTuple):
     parameters: dict
     formula: str
     min_n: int
-    # (n, m, literal) -> (numerators, denominators); None if not one series
+    # (n, m) -> (numerators, denominators); None if not one series
     factors: Optional[Callable]
 
 
@@ -133,31 +133,31 @@ _FORMULAS = {
         {"n": ">=2"},
         "prod_{k=1..2n} [k]_{(-1)^k q}",
         2,
-        lambda n, m, literal: (_alternating(2 * n), []),
+        lambda n, m: (_alternating(2 * n), []),
     ),
     "Thm1.3-2": _Formula(
         {"n": ">=2"},
         "prod_{k=1..2n+1} [k]_{(-1)^k q}",
         2,
-        lambda n, m, literal: (_alternating(2 * n + 1), []),
+        lambda n, m: (_alternating(2 * n + 1), []),
     ),
     "Thm1.3-3": _Formula(
         {"n": ">=2"},
         "[2]_q [3]_{-q} [4]_q prod_{k=3..n} ([2k+1]_q - q^k)",
         2,
-        lambda n, m, literal: (_fork(n), []),
+        lambda n, m: (_fork(n), []),
     ),
     "Thm1.3-4": _Formula(
         {"n": "even >=2"},
         "[2]_{q^m} [n+1]_{q^m} with m = n/2",
         2,
-        lambda n, m, literal: (_dihedral(n, 0), []),
+        lambda n, m: (_dihedral(n, 0), []),
     ),
     "Thm1.3-5": _Formula(
         {"n": "odd >=3"},
         "[2]_{q^(m-1)} [2]_{q^m} [m]_{q^n} with m = (n+1)/2",
         3,
-        lambda n, m, literal: (_dihedral(n, 1), []),
+        lambda n, m: (_dihedral(n, 1), []),
     ),
     "Cor1.4": _Formula(
         {"n": ">=3"},
@@ -169,14 +169,14 @@ _FORMULAS = {
         {"n": ">=2", "m": ">=2"},
         "prod_{k=2..n} [k]_{q^m} / (1 - q^{(k-1)m})  (k=1 factor excluded)",
         2,
-        _affine_a,
+        lambda n, m: _affine_a(2, n, m),
     ),
     "Thm1.6-1": _Formula(
         {"n": ">=3"},
         "[2]_q[3]_{-q}[4]_q prod_{k=3..n}([2k+1]_q - q^k) / "
         "((1-q)(1-q^3)(1+q^n) prod_{k=3..n}(1-q^{2k-1}))",
         3,
-        lambda n, m, literal: (
+        lambda n, m: (
             _fork(n),
             [_binomial(-1, 1), _binomial(-1, 3), _binomial(1, n)]
             + [_binomial(-1, 2 * k - 1) for k in range(3, n + 1)],
@@ -187,7 +187,7 @@ _FORMULAS = {
         "prod_{k=1..2n}[k]_{(-1)^k q} prod_{k=2..n}(1+q^{2(k-1)}) / "
         "prod_{k=1..n}(1-q^{2(n+k)-3})",
         3,
-        lambda n, m, literal: (
+        lambda n, m: (
             _alternating(2 * n) + [_binomial(1, 2 * (k - 1)) for k in range(2, n + 1)],
             [_binomial(-1, 2 * (n + k) - 3) for k in range(1, n + 1)],
         ),
@@ -197,7 +197,7 @@ _FORMULAS = {
         "prod_{k=1..2n+1}[k]_{(-1)^k q} prod_{k=2..n}(1+q^{2(k-1)}) / "
         "prod_{k=1..n}(1-q^{2(n+k)-1})",
         3,
-        lambda n, m, literal: (
+        lambda n, m: (
             _alternating(2 * n + 1) + [_binomial(1, 2 * (k - 1)) for k in range(2, n + 1)],
             [_binomial(-1, 2 * (n + k) - 1) for k in range(1, n + 1)],
         ),
@@ -208,7 +208,7 @@ _FORMULAS = {
         "[n+1]_{-q} [n+1]_{(-1)^{n+1} q} prod_{k=1..2n+1, k!=n+1} "
         "[k]_{(-1)^k q} / (1+(-q)^k)",
         2,
-        lambda n, m, literal: (
+        lambda n, m: (
             [_qint(n + 1, -1)] + _alternating(2 * n + 1),
             [_binomial((-1) ** k, k) for k in range(1, 2 * n + 2) if k != n + 1],
         ),
@@ -217,7 +217,7 @@ _FORMULAS = {
         {"n": ">=2"},
         "prod_{k=1..2n} [k+1]_{(-1)^{k+1} q} / (1+(-q)^k)",
         2,
-        lambda n, m, literal: (
+        lambda n, m: (
             _alternating(2 * n + 1)[1:],
             [_binomial((-1) ** k, k) for k in range(1, 2 * n + 1)],
         ),
@@ -226,7 +226,7 @@ _FORMULAS = {
         {"n": ">=2"},
         "prod_{k=2..2n} [k]_{(-1)^k q} / (1+(-q)^{k-1})",
         2,
-        lambda n, m, literal: (
+        lambda n, m: (
             _alternating(2 * n)[1:],
             [_binomial((-1) ** k, k) for k in range(1, 2 * n)],
         ),
@@ -237,7 +237,7 @@ _FORMULAS = {
         "[2]_q[3]_{-q}[4]_q[2]_{-q^{n+1}} / ((1-q)(1-q^3)(1-q^5)) "
         "prod_{k=3..n} ([2k+1]_q - q^k)/(1-q^{2k+1})",
         2,
-        lambda n, m, literal: (
+        lambda n, m: (
             _fork(n) + [_qint(2, -1, n + 1)],
             [_binomial(-1, 2 * k + 1) for k in range(n + 1)],
         ),
@@ -247,7 +247,7 @@ _FORMULAS = {
         "[2]_q[3]_{-q}[4]_q prod_{k=3..n}([2k+1]_q - q^k) "
         "prod_{k=1..n} (1+q^{k+1})/(1-q^{n+k+2})",
         2,
-        lambda n, m, literal: (
+        lambda n, m: (
             _fork(n) + [_binomial(1, k + 1) for k in range(1, n + 1)],
             [_binomial(-1, n + k + 2) for k in range(1, n + 1)],
         ),
@@ -256,7 +256,7 @@ _FORMULAS = {
         {"n": ">=2"},
         "prod_{k=1..2n+1}[k]_{(-1)^k q} prod_{k=1..n} (1+q^{2k})/(1-q^{2(n+k)+1})",
         2,
-        lambda n, m, literal: (
+        lambda n, m: (
             _alternating(2 * n + 1) + [_binomial(1, 2 * k) for k in range(1, n + 1)],
             [_binomial(-1, 2 * (n + k) + 1) for k in range(1, n + 1)],
         ),
@@ -265,7 +265,7 @@ _FORMULAS = {
         {"n": ">=2"},
         "prod_{k=1..2n}[k]_{(-1)^k q} prod_{k=1..n} (1+q^{2k})/(1-q^{2(n+k)-1})",
         2,
-        lambda n, m, literal: (
+        lambda n, m: (
             _alternating(2 * n) + [_binomial(1, 2 * k) for k in range(1, n + 1)],
             [_binomial(-1, 2 * (n + k) - 1) for k in range(1, n + 1)],
         ),
@@ -274,7 +274,7 @@ _FORMULAS = {
         {"n": ">=2"},
         "prod_{k=2..n} [k]_q / (1 - q^{k-1})  (k=1 factor excluded)",
         2,
-        lambda n, m, literal: _affine_a(n, 1, literal),
+        lambda n, m: _affine_a(2, n, 1),
     ),
     "Reiner-affB": _Formula(
         {"n": ">=3"},
@@ -292,13 +292,13 @@ _FORMULAS = {
         {"n": ">=1"},
         "prod_{k=1..n+1} [k]_q",
         1,
-        lambda n, m, literal: ([_qint(k) for k in range(1, n + 2)], []),
+        lambda n, m: ([_qint(k) for k in range(1, n + 2)], []),
     ),
     "Poincare-Bn": _Formula(
         {"n": ">=2"},
         "prod_{k=1..n} [2k]_q",
         2,
-        lambda n, m, literal: ([_qint(2 * k) for k in range(1, n + 1)], []),
+        lambda n, m: ([_qint(2 * k) for k in range(1, n + 1)], []),
     ),
     "CosetFactor-Lemma3.1": _Formula(
         {"part": "1|2|3", "n": ">=2 (part 3: >=3)"},
@@ -312,20 +312,12 @@ FORMULA_TAGS = tuple(_FORMULAS)
 
 
 def closed_form(
-    tag: str,
-    n: int,
-    m: Optional[int] = None,
-    max_len: Optional[int] = None,
-    *,
-    literal: bool = False,
+    tag: str, n: int, m: Optional[int] = None, max_len: Optional[int] = None
 ) -> QSeries:
     """Evaluate a registered series formula tag.
 
     Finite-family tags (no denominators) return exact polynomials,
     truncated at ``max_len`` when it is given; affine tags require it.
-    ``literal=True`` evaluates the affine A products with their k = 1
-    factor included, which divides by zero and raises NonUnitDivisor
-    (kept as a demonstrable erratum).
     """
     row = _FORMULAS.get(tag)
     if row is None or row.factors is None:
@@ -333,7 +325,7 @@ def closed_form(
     _check_int(n, row.min_n, f"{tag} requires n >= {row.min_n}")
     if "m" in row.parameters:
         _check_int(m, 2, f"{tag} requires m >= 2")
-    return _truncated(*row.factors(n, m, literal), max_len, f"{tag} truncation order")
+    return _truncated(*row.factors(n, m), max_len, f"{tag} truncation order")
 
 
 def _truncated(numerators: list, denominators: list, max_len: Optional[int], what: str) -> QSeries:
@@ -349,6 +341,14 @@ def _truncated(numerators: list, denominators: list, max_len: Optional[int], wha
     for d in denominators:
         out = divide_by_unit(out, d)
     return out
+
+
+def _literal_affine_a(n: int, m: int, max_len: int) -> QSeries:
+    """The affine A product as printed, from k = 1, truncated at ``max_len``.
+
+    Its first denominator is 1 - q^0 = 0, so it raises NonUnitDivisor.
+    """
+    return _truncated(*_affine_a(1, n, m), max_len, "literal affine A truncation order")
 
 
 # The length generating polynomials of the rank-n symmetric and hyperoctahedral types, as

@@ -107,16 +107,12 @@ __all__ = [
     "CoxeterSystem",
     "build_system",
     "apply_generator",
-    "length",
-    "right_descents",
     "shortlex_normal_form",
     "element_from_word",
     "multiply",
     "inverse",
     "enumerate_up_to",
     "enumerate_with_words",
-    "all_reduced_words",
-    "parabolic_decompose",
     "bruhat_leq",
     "word_string",
 ]
@@ -312,9 +308,6 @@ class CoxeterSystem:
         self._check_index(i)
         return Element(self._apply_left(self._identity.data, i), 1)
 
-    def is_identity(self, w: Element) -> bool:
-        return w.data == self._identity.data
-
     def _reduced_word(self, data) -> Word:
         """The ShortLex word of ``data``, read off a walk down its least left descents."""
         word = []
@@ -459,15 +452,6 @@ def apply_generator(system: CoxeterSystem, w: Element, i: int, side: str = "righ
     if side == "right":
         return multiply(system, w, system.generator(i))
     raise InvalidParameters(f"side must be 'left' or 'right', got {side!r}")
-
-
-def length(system: CoxeterSystem, w: Element) -> int:
-    return w.length
-
-
-def right_descents(system: CoxeterSystem, w: Element) -> frozenset:
-    inv = system._inverse_data(w.data)
-    return frozenset(i for i in range(system.rank) if system._is_left_descent_data(inv, i))
 
 
 def shortlex_normal_form(system: CoxeterSystem, w: Element) -> Word:
@@ -684,40 +668,6 @@ def enumerate_with_words(
     for k, nodes in _bfs(system, max_len, budget, tag=((), tuple((i,) for i in range(r)))):
         for node in nodes:
             yield Element(node[:r], k), node[r]
-
-
-def all_reduced_words(system: CoxeterSystem, w: Element) -> list:
-    """All reduced words of w in lexicographic order (exponential; for short elements)."""
-    if system.is_identity(w):
-        return [()]
-    out = []
-    for i in range(system.rank):
-        if system._is_left_descent_data(w.data, i):
-            for word in all_reduced_words(system, apply_generator(system, w, i, "left")):
-                out.append((i,) + word)
-    return out
-
-
-def parabolic_decompose(
-    system: CoxeterSystem, w: Element, J: Iterable[int]
-) -> Tuple[Element, Element]:
-    """Split w = w^J * w_J with w^J coset-minimal and lengths adding.
-
-    w^J has no right descent inside J; w_J lies in the parabolic on J.
-    Peeling left descents in J off w^-1 = w_J^-1 (w^J)^-1 finds both.
-    """
-    J = _subset(system, J)
-    u = inverse(system, w)
-    letters = []
-    while True:
-        for j in J:
-            if system._is_left_descent_data(u.data, j):
-                u = apply_generator(system, u, j, "left")
-                letters.append(j)
-                break
-        else:
-            break
-    return inverse(system, u), element_from_word(system, reversed(letters))
 
 
 def _coset_minimal(system: CoxeterSystem, J: Iterable[int]):

@@ -83,7 +83,6 @@ from .coxeter import (
     DEFAULT_BUDGET,
     CoxeterMatrix,
     CoxeterSystem,
-    Element,
     Word,
     _GROUPS,
     _bfs,
@@ -93,7 +92,6 @@ from .coxeter import (
     build_system,
     element_from_word,
     enumerate_with_words,
-    shortlex_normal_form,
     word_string,
 )
 from ._record import FrozenRecord, set_field
@@ -107,9 +105,6 @@ __all__ = [
     "FamilyId",
     "Folding",
     "standard_folding",
-    "unfold_word",
-    "unfold",
-    "unfolded_image",
     "unfolding_series_bruteforce",
     "coset_series_bruteforce",
     "reiner_stats_bruteforce",
@@ -301,13 +296,15 @@ class Folding:
 
         Both are built from their sub-matrices, each letter renumbered by
         its place in order, so the ShortLex order of either parabolic is
-        the one it has inside its group.
+        the one it has inside its group.  An empty J raises InvalidParameters.
 
         >>> f = standard_folding(FamilyId("Bn-A2n-1", 3)).restrict([1, 2])
         >>> f.source.matrix.entries, f.target.matrix.entries, f.unfold_letters
         (((1, 4), (4, 1)), ((1, 3, 2), (3, 1, 3), (2, 3, 1)), ((0, 2), (1,)))
         """
         J = _subset(self.source, J)
+        if not J:
+            raise InvalidParameters("J is empty: the parabolic on no generators has no matrix")
         J_hat = sorted(s for r in J for s in self.blocks[r])
         place = {s: t for t, s in enumerate(J_hat)}
 
@@ -335,21 +332,6 @@ def standard_folding(family: FamilyId) -> Folding:
     """
     source, target, letters = family._build()
     return Folding(build_system(source), build_system(target), letters, family)
-
-
-def unfold_word(f: Folding, word: Iterable[int]) -> Word:
-    """Concatenate the unfold blocks of a source word."""
-    out: list = []
-    for r in word:
-        if not 0 <= r < f.source.rank:
-            raise IndexOutOfRange(f"source letter {r} out of range")
-        out.extend(f.unfold_letters[r])
-    return tuple(out)
-
-
-def unfold(f: Folding, w: Element) -> Element:
-    """The ambient element of a source element, with honest length."""
-    return element_from_word(f.target, unfold_word(f, shortlex_normal_form(f.source, w)))
 
 
 def _series(
@@ -516,11 +498,6 @@ def _certified_lengths(f: Folding, walk: Iterator, J_hat: list) -> Optional[list
                 return None
         lengths += map(_LENGTH, nodes)
     return lengths
-
-
-def unfolded_image(f: Folding, *, budget: int = DEFAULT_BUDGET) -> dict:
-    """Map ambient canonical key -> source word over the whole finite source."""
-    return {data: word for _, word, (data, _) in _source_records(f, budget=budget)}
 
 
 def length_additivity_check(

@@ -21,12 +21,9 @@ The classical q-building blocks:
 
 * q-integer    ``[k]_x   = 1 + x + ... + x^(k-1)`` for a monomial base ``x``
 * q-factorial  ``[n]_x!  = [1]_x [2]_x ... [n]_x``
-* q-Pochhammer ``(x;s)_n = (1-x)(1-s*x)...(1-s^(n-1)*x)``
 
 >>> str(q_integer(3, Monomial(-1, 1)))
 '1 - q + q^2'
->>> str(q_pochhammer(Monomial(-1, 1), Monomial(1, 1), 2))
-'1 + q + q^2 + q^3'
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ __all__ = [
     "StatSeries",
     "q_integer",
     "q_factorial",
-    "q_pochhammer",
     "divide_by_unit",
     "substitute",
 ]
@@ -334,24 +330,6 @@ class StatSeries:
         out = {(i, j, k): c for k, layer in enumerate(layers) for (i, j), c in layer.items()}
         return StatSeries(out, self.q_order)
 
-    def specialize_a(self, value: Monomial) -> "StatSeries":
-        """Substitute the a-variable by a signed power of q (or by zero)."""
-        out: dict = {}
-        for (i, j, k), c in self.coeffs.items():
-            if value.coeff == 0:
-                if i > 0:
-                    continue
-                key, sign = (0, j, k), 1
-            else:
-                deg = k + i * value.q_exp
-                if deg < 0:
-                    raise NegativeDegree(f"term a^{i} q^{k} under a -> q^{value.q_exp}")
-                if self.q_order is not None and deg > self.q_order:
-                    continue
-                key, sign = (0, j, deg), value.coeff**i
-            out[key] = out.get(key, 0) + sign * c
-        return StatSeries(out, self.q_order)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StatSeries):
             return NotImplemented
@@ -432,23 +410,6 @@ def q_factorial(n: int, base: Monomial, order: int | None = None) -> QSeries:
     out = QSeries.one(order)
     for k in range(1, n + 1):
         out = out * q_integer(k, base, order)
-    return out
-
-
-def q_pochhammer(x: Monomial, step: Monomial, n: int, order: int | None = None) -> QSeries:
-    """(x; step)_n = product of (1 - step^k * x) for 0 <= k < n.
-
-    >>> str(q_pochhammer(Monomial(1, 5), Monomial(1, 2), 2))
-    '1 - q^5 - q^7 + q^12'
-    """
-    if n < 0:
-        raise InvalidBase("Pochhammer count must be >= 0")
-    if x.coeff != 0 and x.q_exp < 0:
-        raise InvalidBase("Pochhammer argument must have non-negative q-degree")
-    out = QSeries.one(order)
-    for k in range(n):
-        term = Monomial(step.coeff**k * x.coeff, step.q_exp * k + x.q_exp)
-        out = out * (QSeries.one(order) - QSeries.monomial(term, order))
     return out
 
 

@@ -42,6 +42,7 @@ from typing import Callable, NamedTuple, Optional
 from ._record import FrozenRecord, Record, set_field
 from .closed_forms import (
     _COSET_PARTS,
+    _literal_affine_a,
     closed_form,
     corollary_identity,
     coset_factor,
@@ -262,8 +263,8 @@ def _run_coset(case, budget, cache_dir, memo):
 
 
 def _run_literal(case, budget, cache_dir, memo):
-    rhs = closed_form("Thm1.5", case.param("n"), case.param("m"), case.max_len, literal=True)
-    return rhs, rhs, 0  # unreachable: the literal factor divides by zero
+    # raises NonUnitDivisor: the product from k = 1 divides by 1 - q^0 = 0
+    _literal_affine_a(case.param("n"), case.param("m"), case.max_len)
 
 
 class _Check(NamedTuple):

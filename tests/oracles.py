@@ -19,8 +19,13 @@ w, kept as the reference for ``bruhat_leq``, and ``covers_by_deletion``
 reads the Bruhat covers off one-letter deletions of ShortLex words
 without any pairwise comparison.  ``is_right_descent_data`` is the
 right-descent test through the inverse, which the library no longer
-needs: its walks read left descents only.  ``admissibility_violations``
-and ``reference_factorization`` are the two structural checks of a
+needs: its walks read left descents only.  The element operations that
+only tests call, ``right_descents``, ``is_identity``,
+``all_reduced_words``, ``parabolic_decompose``, ``unfold_word``,
+``unfold`` and ``unfolded_image``, and the series operations
+``q_pochhammer`` and ``specialize_a`` live here, built on the library's
+kernel and walks.  ``admissibility_violations`` and
+``reference_factorization`` are the two structural checks of a
 folding that ``length_additivity_check`` stands in for, written from
 their definitions: right descents of unfolded elements, and three
 separate walks whose elements are each re-unfolded by their word; the
@@ -38,16 +43,23 @@ from typing import NamedTuple
 from coxfold.coxeter import (
     DEFAULT_BUDGET,
     _subset,
+    apply_generator,
     element_from_word,
     enumerate_up_to,
     enumerate_with_words,
-    right_descents,
+    inverse,
     shortlex_normal_form,
 )
 from coxfold._kernels import bucket_loops
-from coxfold.errors import NonUnitDivisor, ResourceLimit
-from coxfold.folding import unfold
-from coxfold.qseries import QSeries, StatSeries
+from coxfold.errors import (
+    IndexOutOfRange,
+    InvalidBase,
+    NegativeDegree,
+    NonUnitDivisor,
+    ResourceLimit,
+)
+from coxfold.folding import _source_records
+from coxfold.qseries import Monomial, QSeries, StatSeries
 
 
 def inversions(perm):
@@ -232,9 +244,102 @@ def geometric_divide_by_powers(series, term):
     return total
 
 
+def q_pochhammer(x, step, n, order=None):
+    """(x; step)_n = product of (1 - step^k * x) for 0 <= k < n."""
+    if n < 0:
+        raise InvalidBase("Pochhammer count must be >= 0")
+    if x.coeff != 0 and x.q_exp < 0:
+        raise InvalidBase("Pochhammer argument must have non-negative q-degree")
+    out = QSeries.one(order)
+    for k in range(n):
+        term = Monomial(step.coeff**k * x.coeff, step.q_exp * k + x.q_exp)
+        out = out * (QSeries.one(order) - QSeries.monomial(term, order))
+    return out
+
+
+def specialize_a(series, value):
+    """Substitute the a-variable of a StatSeries by a signed power of q (or by zero)."""
+    out = {}
+    for (i, j, k), c in series.coeffs.items():
+        if value.coeff == 0:
+            if i > 0:
+                continue
+            key, sign = (0, j, k), 1
+        else:
+            deg = k + i * value.q_exp
+            if deg < 0:
+                raise NegativeDegree(f"term a^{i} q^{k} under a -> q^{value.q_exp}")
+            if series.q_order is not None and deg > series.q_order:
+                continue
+            key, sign = (0, j, deg), value.coeff**i
+        out[key] = out.get(key, 0) + sign * c
+    return StatSeries(out, series.q_order)
+
+
 def is_right_descent_data(system, data, i):
     """Whether l(w s_i) < l(w): a right descent of w is a left descent of w^-1."""
     return system._is_left_descent_data(system._inverse_data(data), i)
+
+
+def right_descents(system, w):
+    inv = system._inverse_data(w.data)
+    return frozenset(i for i in range(system.rank) if system._is_left_descent_data(inv, i))
+
+
+def is_identity(system, w):
+    return w.data == system.identity().data
+
+
+def all_reduced_words(system, w):
+    """All reduced words of w in lexicographic order (exponential; for short elements)."""
+    if is_identity(system, w):
+        return [()]
+    out = []
+    for i in range(system.rank):
+        if system._is_left_descent_data(w.data, i):
+            for word in all_reduced_words(system, apply_generator(system, w, i, "left")):
+                out.append((i,) + word)
+    return out
+
+
+def parabolic_decompose(system, w, J):
+    """Split w = w^J * w_J with w^J coset-minimal and lengths adding.
+
+    w^J has no right descent inside J; w_J lies in the parabolic on J.
+    Peeling left descents in J off w^-1 = w_J^-1 (w^J)^-1 finds both.
+    """
+    J = _subset(system, J)
+    u = inverse(system, w)
+    letters = []
+    while True:
+        for j in J:
+            if system._is_left_descent_data(u.data, j):
+                u = apply_generator(system, u, j, "left")
+                letters.append(j)
+                break
+        else:
+            break
+    return inverse(system, u), element_from_word(system, reversed(letters))
+
+
+def unfold_word(f, word):
+    """Concatenate the unfold blocks of a source word."""
+    out = []
+    for r in word:
+        if not 0 <= r < f.source.rank:
+            raise IndexOutOfRange(f"source letter {r} out of range")
+        out.extend(f.unfold_letters[r])
+    return tuple(out)
+
+
+def unfold(f, w):
+    """The ambient element of a source element, with honest length."""
+    return element_from_word(f.target, unfold_word(f, shortlex_normal_form(f.source, w)))
+
+
+def unfolded_image(f, *, budget=DEFAULT_BUDGET):
+    """Map ambient canonical key -> source word over the whole finite source."""
+    return {data: word for _, word, (data, _) in _source_records(f, budget=budget)}
 
 
 def shortlex_child(system, data, i):

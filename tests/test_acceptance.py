@@ -17,6 +17,7 @@ import pytest
 
 from coxfold.cli import main as cli_main
 from coxfold.closed_forms import (
+    _literal_affine_a,
     closed_form,
     corollary_identity,
     poincare_a,
@@ -25,7 +26,6 @@ from coxfold.closed_forms import (
     unfolding_closed_form,
 )
 from coxfold.coxeter import (
-    all_reduced_words,
     build_system,
     element_from_word,
     enumerate_up_to,
@@ -48,6 +48,7 @@ from coxfold.qseries import QSeries
 from coxfold.verifier import VerificationJob, default_cases, run_job
 
 from oracles import (
+    all_reduced_words,
     bruhat_dominance_leq,
     dihedral_histogram,
     is_right_descent_data,
@@ -110,7 +111,7 @@ def test_criterion_05_affine_a_series_and_erratum():
         for n, m in ((2, 2), (2, 3), (3, 2)):
             assert brute("affA-affA", n, m, 14) == closed_form("Thm1.5", n, m, 14), (n, m)
         with pytest.raises(NonUnitDivisor):
-            closed_form("Thm1.5", 2, 2, 14, literal=True)
+            _literal_affine_a(2, 2, 14)
 
 
 def test_criterion_06_affine_b_series_both_routes():

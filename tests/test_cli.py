@@ -61,6 +61,8 @@ def test_nonpositive_budget_is_usage_error(capsys, argv, budget):
         (["verify", "--family", "I2-An", "--n", "77"], "empty"),
         (["reiner", "--type", "affD", "--n", "3", "--max-len", "2"], "'affD'"),
         (["bruhat-dot", "--group", "A3", "--folding", "Bn-A2n-1"], "n >= 2"),
+        # a substitution value is quoted as typed, sign included
+        (["reiner", "--type", "affB", "--n", "3", "--max-len", "4", "--subst", "a=-x"], "'-x'"),
     ],
 )
 def test_malformed_input_is_usage_error(capsys, argv, word):
@@ -204,6 +206,15 @@ class TestReiner:
             "--source", "formula",
         )
         assert preview in series_out
+
+    def test_minus_one_is_minus_q_to_the_zero(self, capsys):
+        previews = []
+        for b in ("-1", "-q^0"):
+            argv = ("reiner", "--type", "affC", "--n", "2", "--max-len", "3")
+            code, out, _ = run(capsys, *argv, "--subst", f"a=q^2,b={b}")
+            assert code == 0
+            previews.append(re.search(r"^substituted: .+$", out, re.M).group(0))
+        assert previews == ["substituted: 1 - 2q^2 + q^3"] * 2
 
     @pytest.mark.parametrize("subst", ["a=q^-1", "a=q^-1,b=q^-1", "a=0,b=q^-1"])
     def test_preview_that_lowers_degree_is_refused(self, capsys, subst):

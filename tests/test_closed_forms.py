@@ -3,6 +3,7 @@ import pytest
 from coxfold.closed_forms import (
     _ROUTES,
     FORMULA_TAGS,
+    _literal_affine_a,
     _reiner_expansion,
     catalog,
     closed_form,
@@ -26,7 +27,7 @@ from coxfold.coxeter import build_system
 from coxfold.qseries import Monomial, QSeries, StatSeries, q_factorial, q_integer, substitute
 from coxfold.verifier import default_cases
 
-from oracles import poly_mul, poly_qint
+from oracles import poly_mul, poly_qint, specialize_a
 
 
 class TestFinitePolynomials:
@@ -79,9 +80,9 @@ class TestAffineSeries:
 
     def test_literal_first_factor_divides_by_zero(self):
         with pytest.raises(NonUnitDivisor):
-            closed_form("Thm1.5", 2, 2, 8, literal=True)
+            _literal_affine_a(2, 2, 8)  # Thm1.5
         with pytest.raises(NonUnitDivisor):
-            closed_form("Bott-affA", 2, None, 8, literal=True)
+            _literal_affine_a(2, 1, 8)  # Bott-affA, at q^1
 
     def test_affine_tags_require_truncation(self):
         with pytest.raises(InvalidParameters):
@@ -332,7 +333,7 @@ class TestReinerDistribution:
         # killing the a-variable leaves the finite hyperoctahedral
         # distribution (-bq;q)_n [n]_q!
         n, L = 3, 24
-        dist = reiner_distribution("affC", n, L).specialize_a(Monomial(0, 0))
+        dist = specialize_a(reiner_distribution("affC", n, L), Monomial(0, 0))
         expected = StatSeries.one(L)
         for k in range(n):
             expected = expected * (
@@ -353,7 +354,7 @@ class TestReinerDistribution:
         # fork target.
         n, L = 3, 30
         one = Monomial(1, 0)
-        sliced = reiner_distribution("affC", n, L).specialize_a(Monomial(0, 0))
+        sliced = specialize_a(reiner_distribution("affC", n, L), Monomial(0, 0))
         cases = [
             ("Thm1.3-1", Monomial(1, -1), Monomial(1, 2)),
             ("Thm1.3-2", Monomial(1, 1), Monomial(1, 2)),

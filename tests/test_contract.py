@@ -4,7 +4,10 @@
 report and of the highlighted ``bruhat-dot`` texts that the benchmark
 produces.  These tests run the same commands through ``cli.main`` and
 compare against that file, so a change to the report or the DOT bytes
-fails here, not only in the benchmark.  The same commands must compile
+fails here, not only in the benchmark.  Both forms of ``catalog``, which
+the benchmark runs as a set-up probe, and the report of the opt-in
+``Thm1.5-literal`` verify row are pinned here by hash too.  The
+default ``verify`` and ``bruhat-dot`` commands must compile
 no walk kernel, nor even load the kernel module in their process: their
 walks are too short to repay a compile.  The
 benchmark also reaches into the library by name: its tracer patches
@@ -39,14 +42,36 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())["full"]
 
 
-def sha256_of_run(tmp_path, argv):
+def sha256_of_run(tmp_path, argv, code=0):
     out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv + ["--out", str(out)]) == code
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_default_verify_report(tmp_path):
     assert sha256_of_run(tmp_path, ["verify"]) == GOLDEN["verify_grid"]["cold"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["catalog"], 0, "739b0bbdf0f174db073dfcb87c36c37d1b6bdfe5ef7d8de6f9eda875749c7741"),
+        (
+            ["catalog", "--format", "text"],
+            0,
+            "33ee6d3d4cb8e94f374a29e38ddfa0734ed20b1b64720cc881cc306fe94d8a29",
+        ),
+        # one error:NonUnitDivisor entry: the product from k = 1 divides by 1 - q^0
+        (
+            ["verify", "--family", "Thm1.5-literal"],
+            1,
+            "6e5a7935db373d969344d199a84448e791fe732ab207af2789500983dc92611d",
+        ),
+    ],
+    ids=["catalog-json", "catalog-text", "verify-Thm1.5-literal"],
+)
+def test_pinned_bytes(tmp_path, argv, code, digest):
+    assert sha256_of_run(tmp_path, argv, code) == digest
 
 
 HASSE_DOT = [

@@ -10,17 +10,13 @@ from coxfold.coxeter import (
     CoxeterMatrix,
     Element,
     _bfs,
-    all_reduced_words,
     apply_generator,
     bruhat_leq,
     build_system,
     element_from_word,
     enumerate_up_to,
     enumerate_with_words,
-    length,
     multiply,
-    parabolic_decompose,
-    right_descents,
     shortlex_normal_form,
 )
 import coxfold._kernels
@@ -38,12 +34,16 @@ from coxfold.errors import (
 
 from oracles import (
     ColumnKernel,
+    all_reduced_words,
     bruhat_dominance_leq,
     covers_by_deletion,
     dihedral_histogram,
     enumerate_parabolic,
     inversions,
+    is_identity,
     minimal_coset_reps,
+    parabolic_decompose,
+    right_descents,
     symmetric_histogram,
     type_b_histogram,
     type_d_histogram,
@@ -200,7 +200,7 @@ class TestApplyGenerator:
     def test_involution(self):
         a3 = build_system("A3")
         w = apply_generator(a3, a3.identity(), 0, "right")
-        assert a3.is_identity(apply_generator(a3, w, 0, "right"))
+        assert is_identity(a3, apply_generator(a3, w, 0, "right"))
 
     def test_ascent_chain(self):
         a3 = build_system("A3")
@@ -246,7 +246,7 @@ class TestApplyGenerator:
 class TestLengthAndDescents:
     def test_identity(self):
         a3 = build_system("A3")
-        assert length(a3, a3.identity()) == 0
+        assert a3.identity().length == 0
         assert right_descents(a3, a3.identity()) == frozenset()
 
     def test_longest_element(self):
@@ -399,7 +399,7 @@ class TestParabolic:
     def test_identity_decomposition(self):
         a3 = build_system("A3")
         u, v = parabolic_decompose(a3, a3.identity(), [0, 1])
-        assert a3.is_identity(u) and a3.is_identity(v)
+        assert is_identity(a3, u) and is_identity(a3, v)
 
     def test_strip_example(self):
         a3 = build_system("A3")

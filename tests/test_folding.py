@@ -31,20 +31,22 @@ from coxfold.folding import (
     length_additivity_check,
     reiner_stats_bruteforce,
     standard_folding,
-    unfold,
-    unfold_word,
-    unfolded_image,
     unfolding_series_bruteforce,
 )
 from coxfold.qseries import QSeries
 
 from oracles import (
     admissibility_violations,
+    all_reduced_words,
     enumerate_parabolic,
+    is_identity,
     is_right_descent_data,
     minimal_coset_reps,
     recording_loops,
     reference_factorization,
+    unfold,
+    unfold_word,
+    unfolded_image,
 )
 
 # one small parameter choice per family, used by the property suites
@@ -176,7 +178,7 @@ class TestRegistry:
     def test_unfolded_generators_are_involutions(self, fam):
         f = standard_folding(fam)
         for elem in f.unfold_elements:
-            assert f.target.is_identity(multiply(f.target, elem, elem))
+            assert is_identity(f.target, multiply(f.target, elem, elem))
 
 
 class TestFoldingValidation:
@@ -760,8 +762,6 @@ class TestReinerStats:
         [("affine-C2", (0, 2)), ("affine-B3", (0,))],
     )
     def test_statistic_well_defined_across_reduced_words(self, label, tracked):
-        from coxfold.coxeter import all_reduced_words
-
         system = build_system(label)
         for el, _ in enumerate_with_words(system, 5):
             counts = {
@@ -958,6 +958,15 @@ def test_the_certificate_fails_at_a_coset_minimum():
     # its parabolic, A1 onto the longest element of A2, passes
     g = f.restrict([1])
     assert g.source.rank == 1 and g.unfold_letters == ((0, 1, 0),)
+
+
+def test_restrict_refuses_an_empty_J_before_building(monkeypatch):
+    # the parabolic on no generators has no matrix; the chain never asks for it
+    f, built = standard_folding(FamilyId("Bn-A2n-1", 3)), []
+    monkeypatch.setattr(coxfold.folding, "build_system", lambda *args: built.append(args))
+    with pytest.raises(InvalidParameters, match="J is empty"):
+        f.restrict([])
+    assert built == []
 
 
 @pytest.mark.parametrize(

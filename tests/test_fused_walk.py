@@ -53,10 +53,9 @@ from coxfold.folding import (
     coset_series_bruteforce,
     length_additivity_check,
     standard_folding,
-    unfolded_image,
 )
 
-from oracles import recording_loops, reference_factorization
+from oracles import recording_loops, reference_factorization, unfolded_image
 
 FOLDINGS = [
     (name, n, m)

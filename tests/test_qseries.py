@@ -14,11 +14,16 @@ from coxfold.qseries import (
     divide_by_unit,
     q_factorial,
     q_integer,
-    q_pochhammer,
     substitute,
 )
 
-from oracles import geometric_divide_by_powers, poly_divide_dense, poly_mul, poly_qint
+from oracles import (
+    geometric_divide_by_powers,
+    poly_divide_dense,
+    poly_mul,
+    poly_qint,
+    q_pochhammer,
+)
 
 
 def coeffs(series):
