@@ -13,10 +13,10 @@ rank and every bond other than 2.  ``build_system`` parses the label,
 checks the floor and fills the matrix from the row, so a new label family
 is one new row.
 
-Generator indices are 0-based internally; ``CoxeterSystem.generator_index``
-translates display names like ``"s3"``.  The ShortLex generator order is
-the internal index order, i.e. ``s0 < s1 < ...`` in affine families and
-``s1 < s2 < ...`` in finite ones.
+Generator indices are 0-based internally; ``CoxeterSystem.generator_name``
+spells index i as a display name like ``"s3"``.  The ShortLex generator
+order is the internal index order, i.e. ``s0 < s1 < ...`` in affine
+families and ``s1 < s2 < ...`` in finite ones.
 
 Rank >= 3 systems act on the span of the simple roots alpha_i through
 the Cartan matrix of the bonds (Humphreys, Reflection Groups and Coxeter
@@ -241,13 +241,6 @@ class CoxeterSystem:
 
     def generator_name(self, i: int) -> str:
         return f"s{i + self.index_base}"
-
-    def generator_index(self, name: str) -> int:
-        if not name.startswith("s") or not name[1:].isdecimal():
-            raise IndexOutOfRange(f"bad generator name {name!r}")
-        i = int(name[1:]) - self.index_base
-        self._check_index(i)
-        return i
 
     def _check_index(self, i: int):
         if not 0 <= i < self.rank:

@@ -3,7 +3,10 @@
 Nodes are labelled by ShortLex words; when a folding into the group is
 supplied, the nodes lying in the unfolded subgroup carry ``color=red``.
 Output is deterministic: nodes sorted by (length, word), edges sorted by
-their endpoint labels, colors are the only styling.
+their endpoint labels, colors are the only styling.  The edges are the
+covers, found layer by layer with the lifting property (Björner–Brenti,
+*Combinatorics of Coxeter Groups*, Prop. 2.2.7): ``bruhat_leq`` decides
+only the pairs whose left descents leave the cover open.
 """
 
 from __future__ import annotations
@@ -31,19 +34,38 @@ def covering_relations(
 ):
     """All Bruhat covers (v, w) with lengths <= max_len, as word pairs.
 
-    A pair with length difference one is a cover exactly when v <= w.
+    Pairs come by layer, then by v's ShortLex position, then by w's.  By
+    the lifting property (Björner–Brenti, *Combinatorics of Coxeter
+    Groups*, Prop. 2.2.7), for a left descent s of w and l(v) = l(w) - 1,
+    v <= w iff v = sw when s is not a left descent of v.  So the covers
+    of w are the sw for its left descents s, taken outright, and those v
+    one layer down whose left descents include all of w's; only the
+    latter go to ``bruhat_leq``.
     """
+    desc, apply = system._is_left_descent_data, system._apply_left
+    rank = range(system.rank)
     layers: dict = {}
     for el, word in enumerate_with_words(system, max_len, budget=budget):
-        layers.setdefault(el.length, []).append((el, word))
+        mask = sum(1 << i for i in rank if desc(el.data, i))
+        layers.setdefault(el.length, []).append((el, word, mask))
     covers = []
     for k in sorted(layers):
         if k + 1 not in layers:
             continue
-        for v, vw in layers[k]:
-            for w, ww in layers[k + 1]:
-                if bruhat_leq(system, v, w):
-                    covers.append((vw, ww))
+        below, above = layers[k], layers[k + 1]
+        position: dict = {}
+        by_mask: dict = {}
+        for p, (v, _, mask) in enumerate(below):
+            position[v.data] = p
+            by_mask.setdefault(mask, []).append(p)
+        pairs = []
+        for q, (w, _, mask) in enumerate(above):
+            pairs.extend((position[apply(w.data, i)], q) for i in rank if mask >> i & 1)
+            for m, ps in by_mask.items():
+                if m & mask == mask:
+                    pairs.extend((p, q) for p in ps if bruhat_leq(system, below[p][0], w))
+        pairs.sort()
+        covers.extend((below[p][1], above[q][1]) for p, q in pairs)
     return covers
 
 
@@ -59,7 +81,9 @@ def bruhat_dot(
     The group is walked once, by ``covering_relations``: every element but e
     covers one below it, so the nodes are e and the upper ends of the covers,
     and the lower end of every cover is a node too.  Each node is spelled
-    once, and the edges are sorted by those labels.
+    once, and the edges are sorted by those labels.  The covers of w are
+    its sw for its left descents s and the v below it whose left descents
+    hold all of w's (Prop. 2.2.7), so ``bruhat_leq`` sees only the latter.
     """
     red = set()
     if folding is not None:

@@ -218,9 +218,6 @@ class FamilyId(FrozenRecord):
     def _build(self) -> Tuple[str, str, list]:
         return _FAMILIES[self.name].build(self.n, self.m)
 
-    def source_label(self) -> str:
-        return self._build()[0]
-
     def target_label(self) -> str:
         return self._build()[1]
 

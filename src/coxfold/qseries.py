@@ -100,10 +100,6 @@ class QSeries:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero(order: int | None = None) -> "QSeries":
-        return QSeries([0], order)
-
-    @staticmethod
     def one(order: int | None = None) -> "QSeries":
         return QSeries([1], order)
 
@@ -376,12 +372,6 @@ class StatSeries:
             "q_order": "exact" if self.q_order is None else self.q_order,
             "coeffs": [[*key, c] for key, c in self.terms()],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "StatSeries":
-        order = data["q_order"]
-        coeffs = {(i, j, k): c for i, j, k, c in data["coeffs"]}
-        return StatSeries(coeffs, None if order == "exact" else int(order))
 
 
 def q_integer(k: int, base: Monomial, order: int | None = None) -> QSeries:

@@ -23,15 +23,17 @@ needs: its walks read left descents only.  The element operations that
 only tests call, ``right_descents``, ``is_identity``,
 ``all_reduced_words``, ``parabolic_decompose``, ``unfold_word``,
 ``unfold`` and ``unfolded_image``, and the series operations
-``q_pochhammer`` and ``specialize_a`` live here, built on the library's
-kernel and walks.  ``admissibility_violations`` and
-``reference_factorization`` are the two structural checks of a
-folding that ``length_additivity_check`` stands in for, written from
-their definitions: right descents of unfolded elements, and three
-separate walks whose elements are each re-unfolded by their word; the
-parabolic and coset-minima streams they read, ``enumerate_parabolic``
-and ``minimal_coset_reps``, filter the whole walk of the group by the
-ShortLex word and by right descents, in its order.  ``recording_loops``
+``q_pochhammer``, ``specialize_a``, ``zero_series`` and
+``statseries_from_json``, with ``generator_index`` and the family's
+``source_label``, live here, built on the library's kernel and walks.
+``admissibility_violations`` and ``reference_factorization`` are the
+two structural checks of a folding that ``length_additivity_check``
+stands in for, written from their definitions: right descents of
+unfolded elements, and three separate walks whose elements are each
+re-unfolded by their word; the parabolic and coset-minima streams they
+read, ``enumerate_parabolic`` and ``minimal_coset_reps``, filter the
+whole walk of the group by the ShortLex word and by right descents, in
+its order.  ``recording_loops``
 is a probe, not a model: it stands in for ``_kernels.bucket_loops`` and
 records each call of the compiled loops a walk swaps in.
 """
@@ -274,6 +276,29 @@ def specialize_a(series, value):
             key, sign = (0, j, deg), value.coeff**i
         out[key] = out.get(key, 0) + sign * c
     return StatSeries(out, series.q_order)
+
+
+def zero_series(order=None):
+    return QSeries([0], order)
+
+
+def statseries_from_json(data):
+    order = data["q_order"]
+    coeffs = {(i, j, k): c for i, j, k, c in data["coeffs"]}
+    return StatSeries(coeffs, None if order == "exact" else int(order))
+
+
+def generator_index(system, name):
+    """The 0-based index of a display name like ``"s3"``."""
+    if not name.startswith("s") or not name[1:].isdecimal():
+        raise IndexOutOfRange(f"bad generator name {name!r}")
+    i = int(name[1:]) - system.index_base
+    system._check_index(i)
+    return i
+
+
+def source_label(family):
+    return family._build()[0]
 
 
 def is_right_descent_data(system, data, i):

@@ -39,6 +39,7 @@ from oracles import (
     covers_by_deletion,
     dihedral_histogram,
     enumerate_parabolic,
+    generator_index,
     inversions,
     is_identity,
     minimal_coset_reps,
@@ -238,9 +239,9 @@ class TestApplyGenerator:
     @pytest.mark.parametrize("name", ["t1", "sx", "s", "s1.5", "s4"])
     def test_bad_generator_names(self, name):
         a3 = build_system("A3")
-        assert a3.generator_index("s3") == 2
+        assert generator_index(a3, "s3") == 2
         with pytest.raises(IndexOutOfRange):
-            a3.generator_index(name)
+            generator_index(a3, name)
 
 
 class TestLengthAndDescents:
@@ -531,6 +532,9 @@ class TestBruhat:
         ("affine-C2", 6, 171),
         ("I2(5)", None, 16),
         ("affine-A1", 7, 26),
+        ("D5", None, 11576),
+        ("A5", 6, 1033),
+        ("affine-A2", 8, 393),
     ],
 )
 def test_covers_match_one_letter_deletion(label, max_len, count):
@@ -538,6 +542,36 @@ def test_covers_match_one_letter_deletion(label, max_len, count):
     covers = covering_relations(W, max_len)
     assert covers == covers_by_deletion(W, max_len)
     assert len(covers) == count
+
+
+@pytest.mark.parametrize(
+    "label, calls",
+    [
+        # 4,072 pairs of adjacent layers, of which 790 are covers
+        ("D4", 796),
+        # the size the benchmark's smoke run draws: bruhat_leq is still reached
+        ("A3", 22),
+        # the one cover s1 > e is s1 s1, taken outright
+        ("A1", 0),
+        # of the 16 covers, the 10 of the form s w are taken outright
+        ("I2(5)", 6),
+    ],
+)
+def test_covers_compare_only_the_pairs_the_lifting_property_leaves_open(
+    monkeypatch, label, calls
+):
+    # the covers of w are its sw for left descents s, and the v one layer
+    # down whose left descents hold all of w's; only those v meet bruhat_leq
+    seen = []
+
+    def counting(system, v, w):
+        seen.append((v, w))
+        return bruhat_leq(system, v, w)
+
+    monkeypatch.setattr(coxfold.dot, "bruhat_leq", counting)
+    W = build_system(label)
+    assert covering_relations(W) == covers_by_deletion(W)
+    assert len(seen) == calls
 
 
 def test_bruhat_dot_walks_the_group_once(monkeypatch):

@@ -44,6 +44,7 @@ from oracles import (
     minimal_coset_reps,
     recording_loops,
     reference_factorization,
+    source_label,
     unfold,
     unfold_word,
     unfolded_image,
@@ -111,7 +112,7 @@ class TestFamilyId:
     @pytest.mark.parametrize("fam", table_families(2), ids=family_label)
     def test_labels_match_built_folding(self, fam):
         f = standard_folding(fam)
-        assert (fam.source_label(), fam.target_label()) == (f.source.label, f.target.label)
+        assert (source_label(fam), fam.target_label()) == (f.source.label, f.target.label)
 
 
 class TestRegistry:

@@ -23,6 +23,8 @@ from oracles import (
     poly_mul,
     poly_qint,
     q_pochhammer,
+    statseries_from_json,
+    zero_series,
 )
 
 
@@ -138,7 +140,7 @@ class TestArithmetic:
 
     def test_non_unit_divisors(self):
         with pytest.raises(NonUnitDivisor):
-            divide_by_unit(QSeries.one(4), QSeries.zero(4))
+            divide_by_unit(QSeries.one(4), zero_series(4))
         with pytest.raises(NonUnitDivisor):
             divide_by_unit(QSeries.one(4), QSeries([2, 1], 4))
 
@@ -161,7 +163,7 @@ class TestArithmetic:
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
             assert a + b == b + a
-            assert a - a == QSeries.zero(L)
+            assert a - a == zero_series(L)
 
     @settings(max_examples=120, deadline=None)
     @given(q_series, q_series)
@@ -289,7 +291,7 @@ class TestStatSeries:
 
     def test_roundtrip(self):
         s = StatSeries({(1, 0, 1): 2, (0, 2, 3): -1}, 4)
-        assert StatSeries.from_json(s.to_json()) == s
+        assert statseries_from_json(s.to_json()) == s
 
     def test_first_mismatch_ordering(self):
         a = StatSeries({(0, 0, 1): 1, (2, 0, 3): 5}, 8)
