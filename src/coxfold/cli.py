@@ -15,7 +15,13 @@ Exit codes: 0 on success/match, 1 on mismatch, a failed verify case or
 an exhausted element budget, 2 on usage errors (unknown families, bad
 parameters, empty grids, a path that cannot be written).  Every usage
 error is an exception that leaves through ``main``, which prints it as
-one ``error:`` line; a subcommand only returns 0 or 1.
+one ``error:`` line; a subcommand only returns 0 or 1.  ``main`` returns
+the code and never exits, except through argparse's own ``SystemExit``
+for help and for a command line it cannot parse.  ``run``, the entry
+point of the ``coxfold`` script and of ``python -m coxfold.cli``, calls
+``main``, flushes stdout and stderr, runs the ``atexit`` callbacks and
+ends the process with ``os._exit``, so a finished command skips the
+interpreter's teardown.
 
 The command line parses arguments and prints.  A parameter is checked
 once, by the library record or table row that owns it: ``FamilyId``
@@ -28,12 +34,13 @@ the options themselves (``--workers``, ``--budget``, a negative
 ``bruhat-dot`` without ``--max-len``, whose walk would run to the budget.
 
 Importing this module loads only what ``bruhat-dot`` runs: ``coxeter``,
-``folding`` and ``dot``.  The names the other subcommands read from
-``closed_forms``, ``qseries`` and ``verifier`` are listed in ``_LAZY``,
-and a command binds the ones it reads, with ``_load``, when it runs;
-code outside reads them through the module ``__getattr__``.  Either way
-a name bound already stays, so a wrapper set on this module before
-``main`` runs sees every call.  ``json`` loads only for json output.
+``folding`` and ``dot``; argparse loads when ``main`` builds its parser.
+The names the other subcommands read from ``closed_forms``, ``qseries``
+and ``verifier`` are listed in ``_LAZY``, and a command binds the ones
+it reads, with ``_load``, when it runs; code outside reads them through
+the module ``__getattr__``.  Either way a name bound already stays, so a
+wrapper set on this module before ``main`` runs sees every call.
+``json`` loads only for json output.
 """
 
 from __future__ import annotations
@@ -53,12 +60,17 @@ from .folding import (
     unfolding_series_bruteforce,
 )
 
-import argparse
+import atexit
+import os
 import sys
 from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-__all__ = ["main"]
+if TYPE_CHECKING:
+    import argparse
+
+__all__ = ["main", "run"]
 
 # the names commands read from the modules that a bruhat-dot run never loads
 _LAZY = {
@@ -270,6 +282,8 @@ def _add_common(p, with_format=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # with gettext and locale; only a process that parses loads them
+
     parser = argparse.ArgumentParser(
         prog="coxfold",
         description="Exact unfolding series of folded Coxeter group embeddings",
@@ -346,5 +360,32 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """The process entry point: ``main`` on ``sys.argv``, then exit with its code.
+
+    It flushes stdout and stderr, runs the ``atexit`` callbacks and
+    flushes again, then ends the process with ``os._exit``, skipping the
+    interpreter's teardown of a process that is about to die.  A flush
+    that fails (a closed pipe) falls back to ``sys.exit``, and so to the
+    interpreter's own handling.  What ``main`` raises, such as argparse's
+    ``SystemExit``, propagates unchanged.
+    """
+    code = main()
+    try:
+        _flush()
+        atexit._run_exitfuncs()
+        _flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
+def _flush():
+    # a stream is None when its descriptor was closed before start-up
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,7 +6,7 @@ Output is deterministic: nodes sorted by (length, word), edges sorted by
 their endpoint labels, colors are the only styling.  The edges are the
 covers, found layer by layer with the lifting property (Björner–Brenti,
 *Combinatorics of Coxeter Groups*, Prop. 2.2.7): ``bruhat_leq`` decides
-only the pairs whose left descents leave the cover open.
+only the pairs whose left and right descents leave the cover open.
 """
 
 from __future__ import annotations
@@ -37,32 +37,45 @@ def covering_relations(
     Pairs come by layer, then by v's ShortLex position, then by w's.  By
     the lifting property (Björner–Brenti, *Combinatorics of Coxeter
     Groups*, Prop. 2.2.7), for a left descent s of w and l(v) = l(w) - 1,
-    v <= w iff v = sw when s is not a left descent of v.  So the covers
-    of w are the sw for its left descents s, taken outright, and those v
-    one layer down whose left descents include all of w's; only the
-    latter go to ``bruhat_leq``.
+    v <= w iff v = sw when s is not a left descent of v; applied to the
+    inverses, for a right descent s of w, v <= w iff v = ws when s is not
+    a right descent of v.  So the covers of w are its sw and its ws, taken
+    outright, and those v one layer down whose left descents include all
+    of w's and whose right descents include all of w's; only the latter
+    go to ``bruhat_leq``.
     """
     desc, apply = system._is_left_descent_data, system._apply_left
     rank = range(system.rank)
+    e = system.identity().data
     layers: dict = {}
     for el, word in enumerate_with_words(system, max_len, budget=budget):
-        mask = sum(1 << i for i in rank if desc(el.data, i))
-        layers.setdefault(el.length, []).append((el, word, mask))
+        # w = s_a1 ... s_ak, so the letters on the left in order give w^-1
+        inv = e
+        for i in word:
+            inv = apply(inv, i)
+        left = sum(1 << i for i in rank if desc(el.data, i))
+        right = sum(1 << i for i in rank if desc(inv, i))
+        layers.setdefault(el.length, []).append((el, word, inv, left, right))
     covers = []
     for k in sorted(layers):
         if k + 1 not in layers:
             continue
         below, above = layers[k], layers[k + 1]
         position: dict = {}
-        by_mask: dict = {}
-        for p, (v, _, mask) in enumerate(below):
+        inv_position: dict = {}
+        by_masks: dict = {}
+        for p, (v, _, inv, left, right) in enumerate(below):
             position[v.data] = p
-            by_mask.setdefault(mask, []).append(p)
+            inv_position[inv] = p
+            by_masks.setdefault((left, right), []).append(p)
         pairs = []
-        for q, (w, _, mask) in enumerate(above):
-            pairs.extend((position[apply(w.data, i)], q) for i in rank if mask >> i & 1)
-            for m, ps in by_mask.items():
-                if m & mask == mask:
+        for q, (w, _, inv, left, right) in enumerate(above):
+            # ws has the inverse s w^-1; a ws that is also some s'w comes once
+            outright = {position[apply(w.data, i)] for i in rank if left >> i & 1}
+            outright.update(inv_position[apply(inv, i)] for i in rank if right >> i & 1)
+            pairs.extend((p, q) for p in outright)
+            for (lm, rm), ps in by_masks.items():
+                if lm & left == left and rm & right == right:
                     pairs.extend((p, q) for p in ps if bruhat_leq(system, below[p][0], w))
         pairs.sort()
         covers.extend((below[p][1], above[q][1]) for p, q in pairs)
@@ -82,8 +95,9 @@ def bruhat_dot(
     covers one below it, so the nodes are e and the upper ends of the covers,
     and the lower end of every cover is a node too.  Each node is spelled
     once, and the edges are sorted by those labels.  The covers of w are
-    its sw for its left descents s and the v below it whose left descents
-    hold all of w's (Prop. 2.2.7), so ``bruhat_leq`` sees only the latter.
+    its sw and ws for its left and right descents s, and the v below it
+    whose left and right descents hold all of w's (Prop. 2.2.7), so
+    ``bruhat_leq`` sees only the latter.
     """
     red = set()
     if folding is not None:

@@ -444,12 +444,16 @@ def test_verify_stdout_is_reproducible(capsys):
     assert all(re.search(r" \(\d+ ms\)$", line) for line in lines[:-1])
 
 
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports from src."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def fresh_process(probe: str) -> str:
     """The stdout of ``probe`` run in a fresh interpreter that imports from src."""
-    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -462,11 +466,13 @@ def test_import_loads_no_unused_stdlib():
     # every coxfold process pays for what `import coxfold.cli` loads:
     # records are __slots__ classes, hashlib loads on first cache use, and
     # the kernel generator on the first compile; the closed forms, the
-    # q-series and the verifier load when a subcommand reads them
+    # q-series and the verifier load when a subcommand reads them, and
+    # argparse with gettext and locale only when main parses a command line
     probe = (
         "import sys, coxfold.cli; "
         "unused = {'dataclasses', 'inspect', 'hashlib', 'coxfold._kernels', "
-        "'coxfold.closed_forms', 'coxfold.qseries', 'coxfold.verifier'}; "
+        "'coxfold.closed_forms', 'coxfold.qseries', 'coxfold.verifier', "
+        "'argparse', 'gettext', 'locale'}; "
         "print(sorted(unused & set(sys.modules)))"
     )
     assert fresh_process(probe) == "[]\n"
@@ -523,3 +529,93 @@ def test_every_exported_name_and_module_resolves_lazily():
     assert set(dir(coxfold)) >= {*coxfold.__all__, "__version__"}
     with pytest.raises(AttributeError):
         coxfold.no_such_name
+
+
+CLI = ["-m", "coxfold.cli"]
+
+
+def run_process(args, **kwargs):
+    """(stdout bytes, stderr, exit code) of a fresh ``python args``.
+
+    Stdout is a pipe and block-buffered, as it is for a user, so output
+    that ``run`` fails to flush is lost.
+    """
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONIOENCODING"] = "utf-8"
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    done = subprocess.run([sys.executable, *args], env=env, timeout=120, **streams)
+    return done.stdout, done.stderr.decode(), done.returncode
+
+
+def run_in_process(capsys, argv):
+    """(stdout bytes, stderr, exit code) of ``main(argv)``, argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out.encode(), captured.err, code
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["catalog", "--format", "text"], 0),
+        (["series", "--family", "Bn-A2n-1", "--n", "3", "--format", "csv"], 0),
+        (["series", "--family", "affB-affDn+1", "--n", "4", "--max-len", "40", "--budget", "1700"],
+         1),
+        (["series", "--family", "nope", "--n", "2"], 2),
+        (["series", "--family", "Bn-A2n-1", "--n", "2", "--no-such-option"], 2),
+        (["verify", "--out", "{out}"], 0),
+    ],
+    ids=[
+        "catalog-text", "series-csv", "budget-exit-1", "family-exit-2", "argparse-exit-2",
+        "verify-out",
+    ],
+)
+def test_run_process_matches_main_in_process(capsys, monkeypatch, tmp_path, argv, code):
+    # run ends the process with os._exit, so whatever it did not flush is lost
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    monkeypatch.delenv("COXFOLD_CACHE", raising=False)
+    outs = {side: tmp_path / f"{side}.json" for side in ("process", "main")}
+    process = run_process([*CLI, *(arg.format(out=outs["process"]) for arg in argv)])
+    expected = run_in_process(capsys, [arg.format(out=outs["main"]) for arg in argv])
+    assert process == expected
+    assert process[2] == code
+    if "{out}" in argv:
+        assert outs["process"].read_bytes() == outs["main"].read_bytes()
+
+
+def test_run_flushes_before_and_after_the_atexit_callbacks(capsys, monkeypatch):
+    # atexit runs the last registered first: the raw write must come after
+    # the command's buffered output, and the print after it must be flushed
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["catalog", "--format", "text"]
+    probe = (
+        "import atexit, os, sys; from coxfold.cli import run; "
+        "atexit.register(print, 'printed'); atexit.register(os.write, 1, b'written\\n'); "
+        f"sys.argv = ['coxfold', *{argv!r}]; run()"
+    )
+    out, err, code = run_in_process(capsys, argv)
+    assert run_process(["-c", probe]) == (out + b"written\nprinted\n", err, code)
+
+
+def test_run_with_stdout_closed_exits_as_main_returns():
+    # with its descriptor closed at start-up, sys.stdout is None and print drops the summary
+    argv = [*CLI, "verify", "--family", "I2-An"]
+    assert run_process(argv, stdout=None, preexec_fn=lambda: os.close(1))[1:] == ("", 0)
+
+
+def test_run_leaves_a_failed_flush_to_the_interpreter():
+    # a pipe whose reader is gone: the flush raises BrokenPipeError, and
+    # sys.exit hands the error to the interpreter's own teardown, which
+    # reports it and exits 120, as the process did before run existed
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        argv = [*CLI, "series", "--family", "Bn-A2n-1", "--n", "2"]
+        _, err, code = run_process(argv, stdout=write)
+    finally:
+        os.close(write)
+    assert code == 120 and "BrokenPipeError" in err and "Traceback" not in err
