@@ -72,24 +72,15 @@ through inverses.  In I2(5), s2 s1 s2 s1 s2 s1 = s1 s2 s1 s2:
 
 The breadth-first walk stores every node in one format, a flat tuple:
 the element's data, then for a folding the ambient data, any tag and
-the ambient length.  Each bucket's children come from one loop per
-letter with one contract: ``_loops`` runs it on the primitives and
-compiles nothing, and ``coxfold._kernels.bucket_loops`` compiles it for
-weight systems.  Every walk starts on ``_loops``; once a walk of weight
-systems, plain or unfolding, has stored more than ``_COMPILE_AFTER``
-nodes, its own count, checked per letter of a layer, it swaps in the
-compiled loops, which count nothing; the walk keeps the budget exact by
-handing a loop no more nodes than it has room for.  The system itself
-never changes.  Short walks, such as those of the default verify grid
-and of a Hasse diagram, never compile, and the dihedral backend never
-does.
+the ambient length.  Each bucket's children come from one loop,
+``_loops``, which runs on the primitives; the walk counts them against
+its budget.  The system itself never changes.
 
 Bond order 0 in a Coxeter matrix encodes an infinite bond.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from ._record import FrozenRecord, set_field
@@ -125,16 +116,6 @@ Word = Tuple[int, ...]
 _RANK3_BONDS = {2, 3, 4, 6, INFINITE}
 # bond order -> Cartan integers (a_ij, a_ji) for i < j
 _CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1), INFINITE: (-2, -2)}
-
-# A walk of weight systems, reading this as it starts, swaps in compiled
-# loops once it has stored more than this many nodes.  On a 2-vCPU host
-# the compiled loops of a folding compile in 1.3-1.8 ms at source rank
-# 5-6 and make a node in 0.3-0.6 us against 1.3-3.4 us on the
-# primitives, so they repay the compile within about 1,300 nodes.  At
-# 1,500 stored nodes no walk of the default verify grid (at most 1,156)
-# or of a Hasse diagram trips; the coset walks of a long affine chain do,
-# such as the 1,850 nodes of affB-affDn+1 n=4 to ambient length 40.
-_COMPILE_AFTER = 1_500
 
 _RELATIONS_HOLD: set = set()  # the entries of every matrix whose relations passed
 
@@ -531,25 +512,19 @@ def _bfs(
     closed under taking parents.  The budget, an int >= 1, counts the
     stored nodes, the root included.
 
-    Each bucket's children come from ``loops[i][tested](nodes)``, first
-    the ``_loops`` on the primitives.  A walk whose systems both have the
-    weight backend swaps in the compiled ``_kernels.bucket_loops``, with
-    the same contract, once, after the first letter of a layer by which
-    it has stored more than ``_COMPILE_AFTER`` nodes.  No loop counts: a
-    bucket goes to its loop whole while the budget has room for a child
-    of every node, and else in slices no longer than the room left (at
-    least one node), so the walk raises at the first child past the
-    budget, having stored one node past it and no more.
+    Each bucket's children come from the one loop of ``_loops``, on the
+    primitives, which counts nothing.  A bucket goes to it whole while the
+    budget has room for a child of every node, and else in slices no
+    longer than the room left (at least one node), so the walk raises at
+    the first child past the budget, having stored one node past it and
+    no more.
     """
     if max_len is not None:
         _check_cutoff(max_len, "length cutoff")
     if cutoff is not None:
         _check_cutoff(cutoff, "ambient cutoff")
     _check_budget(budget)
-    spec = (system, target, words, cutoff, keep, None if tag is None else tag[1])
-    loops = _loops(*spec)
-    weight = system.backend == "weight" and (target is None or target.backend == "weight")
-    trip = _COMPILE_AFTER if weight else float("inf")
+    loop = _loops(system, target, words, cutoff, keep, None if tag is None else tag[1])
     root = system.identity().data
     if target is not None:
         root += target.identity().data
@@ -572,47 +547,46 @@ def _bfs(
             for d, nodes in enumerate(layer):
                 if not nodes or d <= i and i not in above[d]:
                     continue
-                loop, rest = loops[i][d < i], nodes
-                while rest:  # no more nodes at a time than there is room for, at least one
-                    room = max(budget - stored, 1)
-                    new, rest = loop(rest[:room]), rest[room:]
+                start = 0
+                while start < len(nodes):  # whole, or no more nodes than there is room for
+                    room = max(budget - stored, 1)  # never grows, so only a first call is whole
+                    new = loop(i, d < i, nodes if room >= len(nodes) else nodes[start:start + room])
+                    start += room
                     stored += len(new)
                     made += new
                     if stored > budget:
                         raise ResourceLimit(budget, k, stored)
             children.append(made)
-            if stored > trip:
-                from ._kernels import bucket_loops  # loaded only by a walk that trips
-
-                trip, loops = float("inf"), bucket_loops(*spec)
         layer = children + [[]]
 
 
-def _loops(source, target, words, cutoff, keep, prefixes=None) -> list:
-    """The (untested, tested) bucket loops of each letter, on the primitives.
+def _loops(source, target, words, cutoff, keep, prefixes=None) -> Callable:
+    """The bucket loop of a walk, ``loop(i, tested, nodes) -> children``, on the primitives.
 
-    The contract of ``_kernels.bucket_loops``, which compiles the same
-    loops: loop i, ``nodes -> children``, makes s_i w, with ``_apply_left``
-    untested and with ``_child`` tested, for each flat ``_bfs`` node w of
-    ``nodes`` in order.  An unfolding walk applies ``words[i]`` to the
-    target part as ``target._left_word`` does, inlined (a call per node
-    cost about 5% of the default verify grid's walks), and drops a child
-    whose length is past ``cutoff``; then a child whose data fails
-    ``keep`` is dropped.  It counts nothing and compiles nothing.
+    It makes s_i w, with ``_apply_left`` untested and with ``_child``
+    tested, for each flat ``_bfs`` node w of ``nodes`` in order.  An
+    unfolding walk applies ``words[i]`` to the target part as
+    ``target._left_word`` does, inlined (a call per node cost about 5% of
+    the default verify grid's walks), and drops a child whose length is
+    past ``cutoff``; then a child whose data fails ``keep`` is dropped.
+    It counts nothing.
     """
     r = source.rank
     end = r + (0 if target is None else target.rank)
+    apply, test = source._apply_left, source._child
 
-    def plain(make, i, nodes):
-        prefix, children = None if prefixes is None else prefixes[i], []
+    def plain(i, tested, nodes):
+        make, children = test if tested else apply, []
+        prefix = None if prefixes is None else prefixes[i]
         for node in nodes:
             child = make(node[:r], i)
             if child is not None and (keep is None or keep(child)):
                 children.append(child if prefix is None else child + (prefix + node[r],))
         return children
 
-    def unfolding(make, i, nodes):
-        desc, step, word, children = target._is_left_descent_data, target._apply_left, words[i], []
+    def unfolding(i, tested, nodes):
+        make, word, children = test if tested else apply, words[i], []
+        desc, step = target._is_left_descent_data, target._apply_left
         for node in nodes:
             child = make(node[:r], i)
             if child is None:
@@ -627,9 +601,7 @@ def _loops(source, target, words, cutoff, keep, prefixes=None) -> list:
             children.append(child + image + tail)
         return children
 
-    loop = plain if target is None else unfolding
-    apply, test = source._apply_left, source._child
-    return [(partial(loop, apply, i), partial(loop, test, i)) for i in range(r)]
+    return plain if target is None else unfolding
 
 
 def enumerate_up_to(

@@ -53,9 +53,8 @@ relation stage) and equal block lengths across odd bonds, then walks the
 source to a source-length cutoff with the weight sum of each word as the
 tag: where it passes, the ambient length is a weight function on the
 source, which is what the admissibility of the partition and the
-parabolic factorization of the series rest on.  Every walk starts on the
-primitives; past its compile trip, a walk between two weight systems
-swaps in the generated bucket loops of ``coxfold._kernels``.  The
+parabolic factorization of the series rest on.  Every walk runs on the
+primitives, through the one bucket loop of ``coxeter._loops``.  The
 end-generator statistics take the arguments of
 ``closed_forms.reiner_distribution``, a kind (affB or affC) and n, and
 build the affine system from them.  The three builders of a series

@@ -33,9 +33,10 @@ unfolded elements, and three separate walks whose elements are each
 re-unfolded by their word; the parabolic and coset-minima streams they
 read, ``enumerate_parabolic`` and ``minimal_coset_reps``, filter the
 whole walk of the group by the ShortLex word and by right descents, in
-its order.  ``recording_loops``
-is a probe, not a model: it stands in for ``_kernels.bucket_loops`` and
-records each call of the compiled loops a walk swaps in.
+its order.  ``bfs_unfolding`` is the unfolding walk of a folding on
+``bfs_all_generators``, each stored element re-unfolded from its word.
+``recording_loops`` is a probe, not a model: it stands in for
+``coxeter._loops`` and records each call of a walk's bucket loop.
 """
 
 import itertools
@@ -44,6 +45,7 @@ from typing import NamedTuple
 
 from coxfold.coxeter import (
     DEFAULT_BUDGET,
+    _loops,
     _subset,
     apply_generator,
     element_from_word,
@@ -52,7 +54,6 @@ from coxfold.coxeter import (
     inverse,
     shortlex_normal_form,
 )
-from coxfold._kernels import bucket_loops
 from coxfold.errors import (
     IndexOutOfRange,
     InvalidBase,
@@ -382,27 +383,23 @@ def shortlex_child(system, data, i):
 
 
 def recording_loops(calls):
-    """A stand-in for ``coxfold._kernels.bucket_loops`` that records each call of its loops.
+    """A stand-in for ``coxfold.coxeter._loops`` that records each call of its loop.
 
-    A call appends (layer, letter, tested, children made) to ``calls``,
-    the layer being the one its children are made for: one past the
-    length of the source element of the first node handed in.
+    A call appends (layer, letter, tested, nodes handed in, children made)
+    to ``calls``, the layer being the one its children are made for: one
+    past the length of the source element of the first node handed in.
     """
 
     def loops(source, *args):
-        def recorded(i, tested, loop):
-            def call(nodes):
-                children = loop(nodes)
-                layer = len(source._reduced_word(nodes[0][:source.rank])) + 1
-                calls.append((layer, i, tested, len(children)))
-                return children
+        loop = _loops(source, *args)
 
-            return call
+        def call(i, tested, nodes):
+            children = loop(i, tested, nodes)
+            layer = len(source._reduced_word(nodes[0][:source.rank])) + 1
+            calls.append((layer, i, tested, len(nodes), len(children)))
+            return children
 
-        return [
-            tuple(loop and recorded(i, tested, loop) for tested, loop in enumerate(pair))
-            for i, pair in enumerate(bucket_loops(source, *args))
-        ]
+        return call
 
     return loops
 
@@ -434,6 +431,26 @@ def bfs_all_generators(system, max_len, budget, *, keep=None, tag=None):
                     raise ResourceLimit(budget, k, stored)
                 children.append(child + (() if tag is None else (tag[1][i] + node[r],)))
         layer = children
+
+
+def bfs_unfolding(f, cutoff, budget, *, keep=None):
+    """The unfolding walk of ``coxeter._bfs`` of a folding, on ``bfs_all_generators``.
+
+    One (length, source data, ambient length) at a time, in the library
+    walk's order.  A child is stored when its image, re-unfolded from its
+    ShortLex word, is within the ambient ``cutoff`` and, tested after
+    that, its data passes ``keep``; same filter calls and budget as the
+    library walk.
+    """
+    lengths = {f.source.identity().data: 0}
+
+    def within(data):
+        word = unfold_word(f, f.source._reduced_word(data))
+        lengths[data] = length = element_from_word(f.target, word).length
+        return (cutoff is None or length <= cutoff) and (keep is None or keep(data))
+
+    for k, data in bfs_all_generators(f.source, None, budget, keep=within):
+        yield k, data, lengths[data]
 
 
 def bruhat_leq_by_scan(system, v, w):

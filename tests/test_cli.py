@@ -464,14 +464,13 @@ LOADED = "print(sorted(m for m in sys.modules if m.startswith('coxfold')))"
 
 def test_import_loads_no_unused_stdlib():
     # every coxfold process pays for what `import coxfold.cli` loads:
-    # records are __slots__ classes, hashlib loads on first cache use, and
-    # the kernel generator on the first compile; the closed forms, the
-    # q-series and the verifier load when a subcommand reads them, and
+    # records are __slots__ classes and hashlib loads on first cache use;
+    # the closed forms, the q-series and the verifier load when a subcommand reads them, and
     # argparse with gettext and locale only when main parses a command line
     probe = (
         "import sys, coxfold.cli; "
-        "unused = {'dataclasses', 'inspect', 'hashlib', 'coxfold._kernels', "
-        "'coxfold.closed_forms', 'coxfold.qseries', 'coxfold.verifier', "
+        "unused = {'dataclasses', 'inspect', 'hashlib', 'coxfold.closed_forms', "
+        "'coxfold.qseries', 'coxfold.verifier', "
         "'argparse', 'gettext', 'locale'}; "
         "print(sorted(unused & set(sys.modules)))"
     )

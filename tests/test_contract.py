@@ -7,9 +7,6 @@ compare against that file, so a change to the report or the DOT bytes
 fails here, not only in the benchmark.  Both forms of ``catalog``, which
 the benchmark runs as a set-up probe, and the report of the opt-in
 ``Thm1.5-literal`` verify row are pinned here by hash too.  The
-default ``verify`` and ``bruhat-dot`` commands must compile
-no walk kernel, nor even load the kernel module in their process: their
-walks are too short to repay a compile.  The
 benchmark also reaches into the library by name: its tracer patches
 functions in the modules that call them, and one probe passes
 ``workers=2``; those names are pinned here too, as are the tracer's view
@@ -23,17 +20,13 @@ import hashlib
 import importlib.util
 import inspect
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import coxfold._kernels
 import coxfold.cli
 import coxfold.closed_forms
-import coxfold.coxeter
 from coxfold.cli import main
 from coxfold.closed_forms import substitution_route
 from coxfold.folding import FamilyId, unfolding_series_bruteforce
@@ -87,52 +80,6 @@ HASSE_DOT = [
 @pytest.mark.parametrize("key, argv", HASSE_DOT)
 def test_highlighted_hasse_dot(tmp_path, key, argv):
     assert sha256_of_run(tmp_path, ["bruhat-dot"] + argv) == GOLDEN["hasse_dot"][key]
-
-
-def test_verify_and_hasse_dot_compile_no_kernel(tmp_path, monkeypatch):
-    # their walks store at most 1,156 nodes, under the trip's 1,500:
-    # no system kernel and no folding's block kernel is compiled, though
-    # every walk makes its nodes with the loops of coxeter._loops
-    kernels, compiles, loops, compiled_loops = {}, [], [], []
-    monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
-    monkeypatch.setattr(
-        coxfold._kernels, "compile", lambda *args: compiles.append(args) or compile(*args),
-        raising=False,
-    )
-    primitive_loops, bucket_loops = coxfold.coxeter._loops, coxfold._kernels.bucket_loops
-    monkeypatch.setattr(
-        coxfold.coxeter, "_loops", lambda *args: loops.append(args) or primitive_loops(*args)
-    )
-    monkeypatch.setattr(
-        coxfold._kernels, "bucket_loops",
-        lambda *args: compiled_loops.append(args) or bucket_loops(*args),
-    )
-    sha256_of_run(tmp_path, ["verify"])
-    for _, argv in HASSE_DOT:
-        sha256_of_run(tmp_path, ["bruhat-dot"] + argv)
-    assert kernels == {} and compiles == []
-    assert loops and compiled_loops == []
-
-
-def test_verify_and_hasse_dot_processes_never_load_the_kernels(tmp_path):
-    # the traffic bound the compile trip rests on, in a fresh process as
-    # the benchmark runs them: no walk of the default verify grid (at most
-    # 1,156 nodes) or of the three highlighted Hasse diagrams reaches the
-    # trip's 1,500 stored nodes, so coxfold._kernels is never imported
-    runs = [["verify"]] + [["bruhat-dot"] + argv for _, argv in HASSE_DOT]
-    runs = [argv + ["--out", str(tmp_path / f"out-{t}")] for t, argv in enumerate(runs)]
-    probe = (
-        "import sys; from coxfold.cli import main; "
-        f"codes = [main(argv) for argv in {runs!r}]; "
-        "print(codes, 'coxfold._kernels' in sys.modules)"
-    )
-    path = [str(PERFBENCH.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
 def test_benchmark_patch_points_exist():

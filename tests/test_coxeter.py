@@ -19,7 +19,6 @@ from coxfold.coxeter import (
     multiply,
     shortlex_normal_form,
 )
-import coxfold._kernels
 import coxfold.coxeter
 import coxfold.dot
 from coxfold.dot import bruhat_dot, covering_relations
@@ -589,12 +588,9 @@ def test_bruhat_dot_walks_the_group_once(monkeypatch):
     assert walked == ["A3"]
 
 
-def test_walk_tests_only_the_pairs_the_buckets_leave_open(monkeypatch):
+def test_walk_tests_only_the_pairs_the_buckets_leave_open():
     # a node whose least left descent is d is tested by _child only for
-    # the i > d with m(d, i) != 2; the root, with no descent, never is.
-    # With the trip out of reach, the stream of D6 makes every node on the
-    # primitives, so the count covers the whole walk
-    monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 10**9)
+    # the i > d with m(d, i) != 2; the root, with no descent, never is
     W = build_system("D6")
     calls = []
     child = W._child
@@ -613,39 +609,20 @@ def test_walk_tests_only_the_pairs_the_buckets_leave_open(monkeypatch):
     assert len(calls) == open_pairs == 23616
 
 
-def recording_compiles(monkeypatch):
-    """An empty loop cache for ``coxfold._kernels``, and the list of its compiles."""
-    kernels, compiles = {}, []
-    monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
-    monkeypatch.setattr(
-        coxfold._kernels, "compile", lambda *args: compiles.append(args) or compile(*args),
-        raising=False,
-    )
-    return kernels, compiles
-
-
-def test_one_compile_per_matrix(monkeypatch):
-    # two D6 systems walk past the trip, each stream fusing at its own:
-    # the second system reuses the loops the first compiled, one set for
-    # the plain walk and one for the walk tagged with words, and neither
-    # walk leaves anything on its system
-    kernels, compiles = recording_compiles(monkeypatch)
+def test_walks_leave_nothing_on_their_system():
+    # two D6 systems each walk all of D6, plain and tagged with words
     for _ in range(2):
         W = build_system("D6")
         state = dict(vars(W))
         assert sum(1 for _ in enumerate_up_to(W, None)) == 23040
         assert sum(1 for _ in enumerate_with_words(W, None)) == 23040
         assert vars(W) == state
-    assert len(compiles) == len(kernels) == 2
 
 
-def test_short_and_dihedral_walks_compile_nothing(monkeypatch):
-    # a whole walk of D4, or one of D5 to length 12, stores 191 or 1,455
-    # nodes beyond the root, under the trip's 1,500, and counts only its
-    # own: three walks in turn, or two side by side, store more together
-    # and compile nothing; the dihedral backend gets no fuse and keeps its
-    # primitives however far it walks
-    kernels, compiles = recording_compiles(monkeypatch)
+def test_repeated_and_side_by_side_walks_count_alike():
+    # a whole walk of D4, one of D5 to length 12, and long walks of the
+    # dihedral backend: three walks in turn, or two side by side, each
+    # count only their own nodes
     cases = [("D4", None, 192), ("D5", 12, 1456), ("affine-A1", 3000, 6001), ("I2(8)", None, 16)]
     for label, max_len, count in cases:
         W = build_system(label)
@@ -654,27 +631,22 @@ def test_short_and_dihedral_walks_compile_nothing(monkeypatch):
             assert sum(1 for _ in enumerate_with_words(W, max_len)) == count
         pairs = zip(enumerate_up_to(W, max_len), enumerate_with_words(W, max_len))
         assert sum(1 for _ in pairs) == count
-    assert kernels == {} and compiles == []
 
 
 @pytest.mark.parametrize("stream", [enumerate_up_to, enumerate_with_words])
-def test_a_short_walk_after_a_long_one_runs_on_the_primitives(monkeypatch, stream):
-    # a walk of all of D6 fuses part way; the system keeps nothing of it,
-    # so a later walk of the same system to length 4 makes every node
-    # with _apply_left and _child, as on a fresh system, and compiles
-    # nothing more
-    kernels, compiles = recording_compiles(monkeypatch)
+def test_a_short_walk_after_a_long_one_runs_on_the_primitives(stream):
+    # the system keeps nothing of a walk of all of D6, so a later walk of
+    # the same system to length 4 makes every node with _apply_left and
+    # _child, as on a fresh system
     counts = []
     for long_walk in (False, True):
         W, calls = build_system("D6"), []
         if long_walk:
-            assert sum(1 for _ in stream(W, None)) == 23040 and compiles
-        compiled = len(compiles)
+            assert sum(1 for _ in stream(W, None)) == 23040
         for name in ("_apply_left", "_child"):
             primitive = getattr(W, name)
             setattr(W, name, lambda data, i, f=primitive, n=name: calls.append(n) or f(data, i))
         assert sum(1 for _ in stream(W, 4)) == 1 + 6 + 20 + 50 + 104
-        assert len(compiles) == compiled
         counts.append(Counter(calls))
     assert counts[0] == counts[1] and counts[0]["_child"] > 0 and counts[0]["_apply_left"] > 0
 

@@ -6,7 +6,6 @@ from functools import partial
 
 import pytest
 
-import coxfold._kernels
 import coxfold.coxeter
 import coxfold.folding
 from coxfold.closed_forms import unfolding_closed_form
@@ -38,6 +37,7 @@ from coxfold.qseries import QSeries
 from oracles import (
     admissibility_violations,
     all_reduced_words,
+    bfs_all_generators,
     enumerate_parabolic,
     is_identity,
     is_right_descent_data,
@@ -368,35 +368,17 @@ class TestBruteforceSeries:
         assert filters == [(None, None), (None, None), (3, None)]
 
 
-def test_primitive_loops_run_until_the_walk_swaps(monkeypatch):
-    # B5 -> D6 stores 3,839 nodes beyond the root, past the trip's 1,500:
-    # the walk makes its nodes with the loops of coxeter._loops until,
-    # part way through, it swaps in the compiled bucket loops, and from
-    # then on every bucket's children come from a compiled loop of the
-    # target's block steps.  Neither system keeps anything of the walk
+def test_the_bucket_loop_makes_every_node_of_a_long_walk(monkeypatch):
+    # B5 -> D6 stores 3,839 nodes beyond the root, each made by the
+    # bucket loop of coxeter._loops.  Neither system keeps anything of the
+    # walk
     fam = FamilyId("Bn-Dn+1", 5)
     f = standard_folding(fam)
-    source, target, events = f.source, f.target, []
+    source, target, calls = f.source, f.target, []
     states = [dict(vars(source)), dict(vars(target))]
-    primitive_loops = coxfold.coxeter._loops
-
-    def recorded(loop):
-        def call(nodes):
-            events.append("primitive")
-            return loop(nodes)
-
-        return call
-
-    def loops(*args):
-        return [tuple(map(recorded, pair)) for pair in primitive_loops(*args)]
-
-    monkeypatch.setattr(coxfold.coxeter, "_loops", loops)
-    monkeypatch.setattr(coxfold._kernels, "bucket_loops", recording_loops(events))
-    monkeypatch.setattr(coxfold._kernels, "_KERNELS", {})  # this walk compiles its own loops
+    monkeypatch.setattr(coxfold.coxeter, "_loops", recording_loops(calls))
     assert coxfold.folding._series(f, None, None, DEFAULT_BUDGET) == unfolding_closed_form(fam)
-    # events holds "primitive" per primitive loop call and a tuple per compiled one
-    first = next(t for t, event in enumerate(events) if event != "primitive")
-    assert first > 0 and "primitive" not in events[first:]
+    assert sum(made for *_, made in calls) == 3839
     assert [vars(source), vars(target)] == states
 
 
@@ -408,58 +390,74 @@ def _non_injective():
     return Folding(source, target, [(0,), (1,), (2,)])
 
 
-def test_length_additivity_check_agrees_past_the_compile_trip(monkeypatch):
-    # the check's walk of all of B5, to source length 25, stores 1,255
-    # nodes to length 10 and passes the trip's 1,500 at letter 1 of layer
-    # 11: it swaps in bucket loops whose flat nodes carry the weight sum
-    # there, from letter 2 on, and
-    # a walk that fails at length 4 swaps after its first letter when the
-    # trigger is 0: each verdict is the one the primitives give, and no
-    # source keeps anything of the walk
+def test_length_additivity_check_over_a_long_walk():
+    # the check's walk of all of B5, to source length 25, stores 3,840
+    # nodes and passes, as additivity read off each element's re-unfolded
+    # word and the reference admissibility check do; a walk that fails at
+    # length 4 reports the word whose image is shorter.  No source keeps
+    # anything of the walk
     fam, failure = FamilyId("Bn-Dn+1", 5), ("length", 4, (0, 1, 0, 1))
-    default, calls = coxfold.coxeter._COMPILE_AFTER, []
-    monkeypatch.setattr(coxfold._kernels, "bucket_loops", recording_loops(calls))
-    monkeypatch.setattr(coxfold._kernels, "_KERNELS", {})
-    monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 10**9)
-    plain = [standard_folding(fam), _non_injective()]
-    assert [length_additivity_check(f, 25) for f in plain] == [None, failure] and not calls
-    monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", default)
+    f, g = standard_folding(fam), _non_injective()
+    states = [dict(vars(f.source)), dict(vars(g.source))]
+    assert length_additivity_check(f, 25) is None
+    assert all(
+        unfold(f, el).length == len(unfold_word(f, word))
+        for el, word in enumerate_with_words(f.source, None)
+    )
+    assert admissibility_violations(f, None) == []
+    assert length_additivity_check(g, 25) == failure
+    assert unfold(g, element_from_word(g.source, failure[2])).length == 2
+    assert [vars(f.source), vars(g.source)] == states
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_length_additivity_check_finds_the_first_short_image(m):
+    # affine A1 x A1 onto I2(m) x A1, generator to generator: the bonds
+    # that must hold do, every element up to length m unfolds to its own
+    # length, and the alternating word r0 r1 r0 ... of length m + 1, the
+    # first of that length, unfolds to length m - 1
+    source = build_system(CoxeterMatrix(((1, 0, 2), (0, 1, 2), (2, 2, 1))))
+    target = build_system(CoxeterMatrix(((1, m, 2), (m, 1, 2), (2, 2, 1))))
+    f = Folding(source, target, [(0,), (1,), (2,)])
+    word = tuple(t % 2 for t in range(m + 1))
+    assert length_additivity_check(f, 2 * m) == ("length", m + 1, word)
+    assert all(unfold(f, el).length == k for el, k in enumerate_up_to(source, m))
+    assert unfold(f, element_from_word(source, word)).length == m - 1
+
+
+@pytest.mark.parametrize("fam", SMALL_FAMILIES, ids=str)
+def test_length_additivity_check_budgets_raise_as_the_reference_walk(fam):
+    # the check's walk stores every source element to its cutoff, so a
+    # budget gives the message of the reference walk of the source, or
+    # none where both walks end within it
     f = standard_folding(fam)
-    f_state = dict(vars(f.source))
-    assert length_additivity_check(f, 25) is None and calls[0][:2] == (11, 2)
-    monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 0)
-    calls.clear()
-    g = _non_injective()
-    g_state = dict(vars(g.source))
-    assert length_additivity_check(g, 25) == failure and calls[0][:2] == (1, 1)
-    assert [vars(f.source), vars(g.source)] == [f_state, g_state]
+    max_len = 6 if fam.name.startswith("aff") else None
+
+    def message(run):
+        try:
+            run()
+        except ResourceLimit as exc:
+            return str(exc)
+        return None
+
+    for budget in (2, 5, 9, 17, 40):
+        got = message(lambda: length_additivity_check(f, max_len, budget=budget))
+        want = message(lambda: list(bfs_all_generators(f.source, max_len, budget)))
+        assert got == want, budget
 
 
-def test_series_walks_compile_only_between_weight_systems(monkeypatch):
-    # with the trigger at 0, a weight-to-weight series walk swaps at once,
-    # and two foldings on the same matrices and words share one compile of
-    # their loops; a dihedral source or target keeps the primitive loops,
-    # a weight source onto a dihedral target among them, and compiles
-    # nothing
-    kernels, calls = {}, []
-    monkeypatch.setattr(coxfold._kernels, "_KERNELS", kernels)
-    monkeypatch.setattr(coxfold.coxeter, "_COMPILE_AFTER", 0)
-    monkeypatch.setattr(coxfold._kernels, "bucket_loops", recording_loops(calls))
-    fam = FamilyId("Bn-Dn+1", 3)
+def test_series_walks_on_either_backend():
+    # a weight source onto a weight target, a dihedral source onto a
+    # dihedral target, and a weight source onto a dihedral target
     series = partial(coxfold.folding._series, ambient_cutoff=None, keep=None, budget=DEFAULT_BUDGET)
-    for _ in range(2):
-        f = Folding(build_system("B3"), build_system("D4"), [(0,), (1,), (2, 3)])
-        assert series(f) == unfolding_closed_form(fam)
-        assert calls
-    assert len(kernels) == 1
-    calls.clear()
+    f = Folding(build_system("B3"), build_system("D4"), [(0,), (1,), (2, 3)])
+    assert series(f) == unfolding_closed_form(FamilyId("Bn-Dn+1", 3))
     f = standard_folding(FamilyId("I2-An", 2))
     assert f.source.backend == f.target.backend == "dihedral"
     assert series(f) == unfolding_closed_form(FamilyId("I2-An", 2))
     f = Folding(build_system("A1"), build_system("I2(3)"), [(0, 1, 0)])
     assert f.source.backend == "weight"
     assert series(f) == QSeries([1, 0, 0, 1])
-    assert not calls and len(kernels) == 1
 
 
 @pytest.mark.parametrize("paused", [False, True])

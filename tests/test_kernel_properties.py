@@ -5,21 +5,16 @@ column-matrix kernel) is run side by side with the weight-vector kernel.
 """
 
 from functools import lru_cache
-from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import coxfold._kernels
-from coxfold import coxeter
 from coxfold.coxeter import (
     INFINITE,
-    _GROUPS,
     CoxeterMatrix,
     _bfs,
     _coset_child_filter,
     _coset_minimal,
-    _loops,
     apply_generator,
     bruhat_leq,
     build_system,
@@ -30,7 +25,6 @@ from coxfold.coxeter import (
     multiply,
     shortlex_normal_form,
 )
-from coxfold._kernels import bucket_loops
 from coxfold.errors import CoxfoldError, ResourceLimit
 from coxfold.folding import (
     _FAMILIES,
@@ -39,11 +33,13 @@ from coxfold.folding import (
     coset_series_bruteforce,
     standard_folding,
 )
+from coxfold.qseries import QSeries
 
 from oracles import (
     ColumnKernel,
     all_reduced_words,
     bfs_all_generators,
+    bfs_unfolding,
     bfs_distances,
     bruhat_leq_by_scan,
     dihedral_normal_form,
@@ -51,7 +47,6 @@ from oracles import (
     is_identity,
     is_right_descent_data,
     minimal_coset_reps,
-    recording_loops,
     shortlex_child,
     type_b_generators,
     type_d_generators,
@@ -360,40 +355,6 @@ def test_the_fast_coset_filter_needs_its_precondition():
     assert _coset_child_filter(W, [0])(data) is True
 
 
-WEIGHT_WALK_LABELS = [label for label in WALK_LABELS if walk_system(label).backend == "weight"]
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from(WEIGHT_WALK_LABELS), st.sampled_from(PAYLOADS), st.integers(1, 60), st.data()
-)
-def test_walk_past_a_low_trip_agrees_with_the_reference(label, payload, after, data):
-    # a few dozen stored nodes trip the walk, most often part way through
-    # a layer: plain, tagged and filtered walks alike swap in the compiled
-    # loops there; yields, filter calls and budget message still match
-    W = walk_system(label)
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
-        coxfold._kernels, "_KERNELS", {}
-    ):
-        assert_walk_agrees_with_the_reference(W, label, payload, data)
-
-
-def test_plain_walk_that_fuses_mid_layer_agrees_with_the_reference():
-    # at a trip of 12 nodes, the words walk of affine C2 (15 stored after
-    # letter s1 of layer 3) swaps before s2, and makes every later bucket
-    # with the compiled loops, for more than a layer
-    W, calls = build_system("affine-C2"), []
-    tag = ((), word_prefixes(W))
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", 12), mock.patch.object(
-        coxfold._kernels, "_KERNELS", {}
-    ), mock.patch.object(coxfold._kernels, "bucket_loops", recording_loops(calls)):
-        got = walk_record(lambda k: nodes(W, _bfs(W, 6, 10**4, tag=tag)), None)
-    want = walk_record(lambda k: bfs_all_generators(W, 6, 10**4, tag=tag), None)
-    assert got == want
-    # the first compiled letter is not the first of its layer
-    assert calls[0][:2] == (3, 2) and calls[-1][0] == 6
-
-
 SMALL_LABELS = [f"I2({m})" for m in range(3, 13)] + [
     "affine-A1",
     "B3",
@@ -485,92 +446,38 @@ def folding(case):
     return standard_folding(FamilyId(*case))
 
 
-def least_weight_folding(name, row):
-    """The folding of a row at its least n whose source and target both have
-    the weight backend (m = 2), or None: I2-An has a dihedral source."""
-    for n in range(row.min_n, row.min_n + 3):
-        f = folding((name, n, 2 if row.takes_m else None))
-        if f.source.backend == f.target.backend == "weight":
-            return f
-    return None
-
-
-# the walks whose loops compile: every weight label family of
-# coxeter._GROUPS at its min n, plain, and every folding row between
-# weight systems at its least such n (the finite rows have a rank-2
-# source at min n), as (source, target, words)
-LOOP_WALKS = [
-    (system(label), None, None)
-    for label in (f"{family}{row.min_n}" for family, row in _GROUPS.items())
-    if system(label).backend == "weight"
-] + [
-    (f.source, f.target, f._words)
-    for f in (least_weight_folding(name, row) for name, row in _FAMILIES.items())
-    if f is not None
-]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(LOOP_WALKS), st.data())
-def test_primitive_and_compiled_loops_agree(walk, data):
-    # one loop contract: on flat nodes drawn from a short walk, each
-    # letter's untested and tested loops give the same children on the
-    # primitives (coxeter._loops) as compiled (_kernels.bucket_loops),
-    # plain and tagged with words or int weights, with and without an
-    # ambient cutoff and the coset filter; a letter that no bucket tests
-    # has no compiled tested loop
-    source, target, words = walk
-    cutoff = None if target is None else data.draw(st.none() | st.integers(0, 12), label="cutoff")
-    J = data.draw(st.none() | st.sets(st.integers(0, source.rank - 1)), label="J")
-    keep = None if J is None else _coset_child_filter(source, J)
-    weights = data.draw(st.tuples(*[st.integers(0, 9)] * source.rank), label="weights")
-    tag = data.draw(st.sampled_from([None, ((), word_prefixes(source)), (0, weights)]), label="tag")
-    max_len = data.draw(st.integers(0, 4), label="max_len")
-    walked = [
-        node
-        for _, bucket in _bfs(source, max_len, 10**6, target, words, cutoff, keep, tag)
-        for node in bucket
-    ]
-    drawn = data.draw(st.lists(st.sampled_from(walked), min_size=1, max_size=8), label="nodes")
-    spec = (source, target, words, cutoff, keep, None if tag is None else tag[1])
-    tested_letters = set().union(*source._above)
-    for i, (compiled, primitive) in enumerate(zip(bucket_loops(*spec), _loops(*spec))):
-        assert (compiled[1] is None) == (i not in tested_letters)
-        for tested, loop in enumerate(compiled):
-            if loop is not None:
-                assert primitive[tested](drawn) == loop(drawn), (i, tested)
-
-
-def folding_walk(f, cutoff, J_hat, budget, after=coxeter._COMPILE_AFTER, compiled=None):
+def folding_walk(f, cutoff, J_hat, budget):
     """The series of a folding walk of the whole source (``folding._series``) or of
-    its coset minima, or its ResourceLimit message, under ``after``, with the
-    loop cache ``compiled``, empty by default, so no loops compiled before it."""
-    with mock.patch.object(coxeter, "_COMPILE_AFTER", after), mock.patch.object(
-        coxfold._kernels, "_KERNELS", {} if compiled is None else compiled
-    ):
-        try:
-            if J_hat is None:
-                return _series(f, cutoff, None, budget)
-            return coset_series_bruteforce(f, J_hat, cutoff, budget=budget)
-        except ResourceLimit as exc:
-            return str(exc)
+    its coset minima, or its ResourceLimit message."""
+    try:
+        if J_hat is None:
+            return _series(f, cutoff, None, budget)
+        return coset_series_bruteforce(f, J_hat, cutoff, budget=budget)
+    except ResourceLimit as exc:
+        return str(exc)
 
 
-def plain_walk(case, cutoff, J_hat, budget):
-    """``folding_walk`` of a fresh folding whose walk, checked after, never compiled."""
-    plain, compiled = standard_folding(FamilyId(*case)), {}
-    result = folding_walk(plain, cutoff, J_hat, budget, 10**9, compiled)
-    assert compiled == {}
-    return result
+def reference_walk(f, cutoff, J_hat, budget):
+    """``folding_walk`` on ``oracles.bfs_unfolding``, with the coset filter of
+    the right-descent test."""
+
+    def minimal(data):
+        return not any(is_right_descent_data(f.source, data, j) for j in J_hat)
+
+    keep = None if J_hat is None else minimal
+    try:
+        lengths = [length for *_, length in bfs_unfolding(f, cutoff, budget, keep=keep)]
+    except ResourceLimit as exc:
+        return str(exc)
+    return QSeries.from_lengths(lengths, cutoff)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(FOLDINGS), st.integers(1, 60), st.data())
-def test_folding_walk_that_swaps_in_the_block_kernels_agrees(case, after, data):
-    # a few dozen stored nodes fuse the walk into the compiled
-    # bucket loops, if the source has the weight backend, most often part
-    # way through a layer; the series and the budget message are those of
-    # a walk that never compiles
+@given(st.sampled_from(FOLDINGS), st.data())
+def test_folding_walk_agrees_with_the_reference(case, data):
+    # the series and the budget message of the all-generators walk, each
+    # element re-unfolded from its word, over the whole source or its coset
+    # minima
     cutoffs = st.integers(0, 10)
     if not case[0].startswith("aff"):
         cutoffs |= st.none()
@@ -578,25 +485,5 @@ def test_folding_walk_that_swaps_in_the_block_kernels_agrees(case, after, data):
     rank = folding(case).source.rank
     J_hat = data.draw(st.none() | st.sets(st.integers(0, rank - 1)), label="J_hat")
     budget = data.draw(st.one_of(st.integers(1, 80), st.just(10**5)), label="budget")
-    f = standard_folding(FamilyId(*case))
-    assert folding_walk(f, cutoff, J_hat, budget, after) == plain_walk(case, cutoff, J_hat, budget)
-
-
-def test_folding_walk_that_swaps_mid_layer_agrees():
-    # B4 -> D5 with a trip at 20 stored nodes: the walk swaps after a
-    # letter of a layer other than the last, and goes on with the compiled
-    # loops for more than a layer to the series and the budget message of
-    # the primitives
-    case = ("Bn-Dn+1", 4, None)
-    calls = []
-    with mock.patch("coxfold._kernels.bucket_loops", recording_loops(calls)):
-        got = folding_walk(standard_folding(FamilyId(*case)), None, None, 10**5, 20)
-    assert got == plain_walk(case, None, None, 10**5)
-    # the first compiled letter is not the first of its layer
-    (k, i), last = calls[0][:2], calls[-1][0]
-    assert i != 0 and last > k + 1
-    calls.clear()
-    with mock.patch("coxfold._kernels.bucket_loops", recording_loops(calls)):
-        message = folding_walk(standard_folding(FamilyId(*case)), None, None, 150, 20)
-    assert message == plain_walk(case, None, None, 150) and message.startswith("element budget")
-    assert calls
+    f = folding(case)
+    assert folding_walk(f, cutoff, J_hat, budget) == reference_walk(f, cutoff, J_hat, budget)
