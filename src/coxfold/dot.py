@@ -50,10 +50,10 @@ def covering_relations(
     layers: dict = {}
     for el, word in enumerate_with_words(system, max_len, budget=budget):
         if el.length not in layers:  # the ShortLex words one layer down -> their inverses
-            below = {v: inv for _, v, inv, _, _ in layers.get(el.length - 1, ())}
+            inverses = {v: inv for _, v, inv, _, _ in layers.get(el.length - 1, ())}
         # w = s_a1 ... s_ak, whose prefix s_a1 ... s_ak-1 is a ShortLex word
         # one layer down, so w^-1 = s_ak (s_a1 ... s_ak-1)^-1
-        inv = apply(below[word[:-1]], word[-1]) if word else e
+        inv = apply(inverses[word[:-1]], word[-1]) if word else e
         left = sum(1 << i for i in rank if desc(el.data, i))
         right = sum(1 << i for i in rank if desc(inv, i))
         layers.setdefault(el.length, []).append((el, word, inv, left, right))

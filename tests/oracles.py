@@ -34,7 +34,9 @@ re-unfolded by their word; the parabolic and coset-minima streams they
 read, ``enumerate_parabolic`` and ``minimal_coset_reps``, filter the
 whole walk of the group by the ShortLex word and by right descents, in
 its order.  ``bfs_unfolding`` is the unfolding walk of a folding on
-``bfs_all_generators``, each stored element re-unfolded from its word.
+``bfs_all_generators``, each stored element re-unfolded from its word,
+and ``unfolding_series_reference`` its series, over the whole source or
+its coset minima.
 ``recording_loops`` is a probe, not a model: it stands in for
 ``coxeter._loops`` and records each call of a walk's bucket loop.
 """
@@ -451,6 +453,17 @@ def bfs_unfolding(f, cutoff, budget, *, keep=None):
 
     for k, data in bfs_all_generators(f.source, None, budget, keep=within):
         yield k, data, lengths[data]
+
+
+def unfolding_series_reference(f, cutoff, budget=DEFAULT_BUDGET, J=None):
+    """The length series of ``bfs_unfolding`` to ``cutoff``: of the whole source,
+    or with ``J`` of the coset minima W^J, each tested for right descents in J."""
+
+    def minimal(data):
+        return not any(is_right_descent_data(f.source, data, j) for j in J)
+
+    nodes = bfs_unfolding(f, cutoff, budget, keep=None if J is None else minimal)
+    return QSeries.from_lengths([length for *_, length in nodes], cutoff)
 
 
 def bruhat_leq_by_scan(system, v, w):

@@ -33,13 +33,11 @@ from coxfold.folding import (
     coset_series_bruteforce,
     standard_folding,
 )
-from coxfold.qseries import QSeries
 
 from oracles import (
     ColumnKernel,
     all_reduced_words,
     bfs_all_generators,
-    bfs_unfolding,
     bfs_distances,
     bruhat_leq_by_scan,
     dihedral_normal_form,
@@ -50,6 +48,7 @@ from oracles import (
     shortlex_child,
     type_b_generators,
     type_d_generators,
+    unfolding_series_reference,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -458,18 +457,11 @@ def folding_walk(f, cutoff, J_hat, budget):
 
 
 def reference_walk(f, cutoff, J_hat, budget):
-    """``folding_walk`` on ``oracles.bfs_unfolding``, with the coset filter of
-    the right-descent test."""
-
-    def minimal(data):
-        return not any(is_right_descent_data(f.source, data, j) for j in J_hat)
-
-    keep = None if J_hat is None else minimal
+    """``folding_walk`` on ``oracles.unfolding_series_reference``."""
     try:
-        lengths = [length for *_, length in bfs_unfolding(f, cutoff, budget, keep=keep)]
+        return unfolding_series_reference(f, cutoff, budget, J_hat)
     except ResourceLimit as exc:
         return str(exc)
-    return QSeries.from_lengths(lengths, cutoff)
 
 
 @settings(max_examples=80, deadline=None)

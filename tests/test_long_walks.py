@@ -24,22 +24,11 @@ from coxfold.qseries import QSeries
 from oracles import (
     bfs_all_generators,
     bfs_unfolding,
-    is_right_descent_data,
     recording_loops,
     unfold_word,
     unfolded_image,
+    unfolding_series_reference,
 )
-
-
-def coset_minimal(f, J):
-    """The reference coset filter: no right descent in J, through the inverse."""
-    return lambda data: not any(is_right_descent_data(f.source, data, j) for j in J)
-
-
-def reference_series(f, cutoff, J=None):
-    keep = None if J is None else coset_minimal(f, J)
-    lengths = [length for _, _, length in bfs_unfolding(f, cutoff, DEFAULT_BUDGET, keep=keep)]
-    return QSeries.from_lengths(lengths, cutoff)
 
 
 @pytest.mark.parametrize(
@@ -57,7 +46,7 @@ def test_long_folding_walks_agree_with_the_reference(case, cutoff, J):
         got = _series(f, cutoff, None, DEFAULT_BUDGET)
     else:
         got = coset_series_bruteforce(f, J, cutoff)
-    assert got == reference_series(f, cutoff, J) and sum(got.coeffs) > 1500
+    assert got == unfolding_series_reference(f, cutoff, J=J) and sum(got.coeffs) > 1500
 
 
 def test_a_budget_inside_a_bucket_of_a_long_coset_walk():
@@ -72,12 +61,12 @@ def test_a_budget_inside_a_bucket_of_a_long_coset_walk():
     full, cut = [], []
     with mock.patch.object(coxeter, "_loops", recording_loops(full)):
         whole = coset_series_bruteforce(f, J, 40)
-    assert whole == reference_series(f, 40, J) and sum(whole.coeffs) == 1850
+    assert whole == unfolding_series_reference(f, 40, J=J) and sum(whole.coeffs) == 1850
     with mock.patch.object(coxeter, "_loops", recording_loops(cut)):
         with pytest.raises(ResourceLimit) as raised:
             coset_series_bruteforce(f, J, 40, budget=1700)
     with pytest.raises(ResourceLimit) as want:
-        list(bfs_unfolding(f, 40, 1700, keep=coset_minimal(f, J)))
+        unfolding_series_reference(f, 40, 1700, J)
     assert str(raised.value) == str(want.value)
     # the root and the children of every call: one past the budget
     assert 1 + sum(made for *_, made in cut) == 1701
